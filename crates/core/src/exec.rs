@@ -7,8 +7,8 @@
 //!    effectively bounded under `A` for the requested semantics);
 //! 2. fetch the bounded fragment `G_Q` through index lookups only
 //!    ([`crate::fetch`]);
-//! 3. build a zero-copy [`FragmentView`] of `G_Q` over `G` — membership
-//!    bitset plus fragment-local adjacency, assembled into a reusable
+//! 3. build a zero-copy [`FragmentView`] of `G_Q` over `G` — sorted node
+//!    list plus fragment-local adjacency, assembled into a reusable
 //!    [`ScratchArena`] — and run the corresponding `bgpq-matching`
 //!    algorithm directly on the view, seeded with the fetched candidate
 //!    sets.
@@ -139,6 +139,7 @@ pub fn bounded_subgraph_match_prefetched(
     let mut fetch = fetched.stats.clone();
     fetch.fragment_nodes = view.node_count();
     fetch.fragment_edges = view.edge_count();
+    fetch.adjacency_reads = view.adjacency_reads();
     fetch.fragment_build_nanos = fetch
         .fragment_build_nanos
         .saturating_add(build_started.elapsed().as_nanos() as u64);
@@ -210,6 +211,7 @@ pub fn bounded_simulation_match_prefetched(
     let mut fetch = fetched.stats.clone();
     fetch.fragment_nodes = view.node_count();
     fetch.fragment_edges = view.edge_count();
+    fetch.adjacency_reads = view.adjacency_reads();
     fetch.fragment_build_nanos = fetch
         .fragment_build_nanos
         .saturating_add(build_started.elapsed().as_nanos() as u64);

@@ -30,7 +30,6 @@
 
 use crate::plan::QueryPlan;
 use bgpq_access::{AccessIndexSet, ConstraintId, ConstraintIndex};
-use bgpq_graph::bitset::{dedup_with_bitset, NodeBitSet};
 use bgpq_graph::{Graph, NodeId, Subgraph};
 use bgpq_matching::seed::for_each_combination;
 use bgpq_pattern::Pattern;
@@ -65,6 +64,12 @@ pub struct FetchStats {
     pub fragment_nodes: usize,
     /// Edges in the fetched fragment `|E(G_Q)|`.
     pub fragment_edges: usize,
+    /// Parent adjacency entries read or probed while building the fragment
+    /// view ([`bgpq_graph::FragmentView::adjacency_reads`]): the work the
+    /// view build did on `G`, which must not grow with `|G|`. Filled by the
+    /// bounded executors of [`crate::exec`] (a cache hit reports its own
+    /// build); zero for [`execute_plan`], which builds no view.
+    pub adjacency_reads: u64,
     /// Nanoseconds spent fetching candidates and building the fragment
     /// (index lookups + `Subgraph`/`FragmentView` construction). A timing,
     /// not a semantic counter: two equal fetches may differ here.
@@ -215,11 +220,6 @@ pub fn fetch_candidate_sets(
     let n = pattern.node_count();
     let mut candidates: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     let mut stats = FetchStats::default();
-    // Via-combinations over overlapping lookups return heavily duplicated
-    // unions; a bitmap membership pass drops the repeats in O(n) before the
-    // (now much smaller) sort. Reused across steps to amortize its words.
-    let mut seen = NodeBitSet::with_capacity(graph.node_count());
-
     for step in &plan.steps {
         let index = indices
             .get(step.constraint)
@@ -233,8 +233,9 @@ pub fn fetch_candidate_sets(
             });
         }
         stats.nodes_returned += fetched.len() as u64;
-        dedup_with_bitset(&mut fetched, &mut seen);
+        // Sized by the fetched list, never by `|V|`.
         fetched.sort_unstable();
+        fetched.dedup();
         let before_filter = fetched.len();
         fetched.retain(|&v| pattern.predicate(step.node).eval(graph.value(v)));
         stats.predicate_filtered += (before_filter - fetched.len()) as u64;
@@ -243,8 +244,8 @@ pub fn fetch_candidate_sets(
 
     let all_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = candidates.iter().flatten().copied().collect();
-        dedup_with_bitset(&mut v, &mut seen);
         v.sort_unstable();
+        v.dedup();
         v
     };
     stats.fragment_build_nanos = started.elapsed().as_nanos() as u64;

@@ -79,6 +79,10 @@ struct BenchConfig {
     /// multiple of avg `|G_Q|` at the smallest — the scale-invariance gate
     /// (bounded fragments must not track `|G|`).
     max_fragment_growth: Option<f64>,
+    /// Exit non-zero when `avg_query_us` at the largest scale exceeds this
+    /// multiple of `avg_query_us` at the smallest — the wall-clock side of
+    /// the same claim (a bounded query's latency must not track `|G|`).
+    max_latency_growth: Option<f64>,
 }
 
 impl BenchConfig {
@@ -107,6 +111,7 @@ impl BenchConfig {
                 scales: vec![2_000, 10_000, 50_000],
                 workload_queries: 8,
                 max_fragment_growth: None,
+                max_latency_growth: None,
             }
         } else {
             BenchConfig {
@@ -129,6 +134,7 @@ impl BenchConfig {
                 scales: vec![10_000, 100_000, 1_000_000],
                 workload_queries: 12,
                 max_fragment_growth: None,
+                max_latency_growth: None,
             }
         };
         let mut it = args.iter();
@@ -199,6 +205,11 @@ impl BenchConfig {
                 "--max-fragment-growth" => {
                     let raw = value_for("--max-fragment-growth")?;
                     config.max_fragment_growth =
+                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
+                }
+                "--max-latency-growth" => {
+                    let raw = value_for("--max-latency-growth")?;
+                    config.max_latency_growth =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
                 other => return Err(format!("unknown argument {other:?}")),
@@ -649,6 +660,9 @@ struct ScalePoint {
     avg_fragment_nodes: f64,
     fragment_fraction: f64,
     avg_query_us: f64,
+    /// avg parent adjacency entries read per view build: the work behind
+    /// `avg_query_us`'s view-build share, counted rather than timed.
+    avg_adjacency_reads: f64,
     maintenance_us_per_batch: f64,
     refreshed_per_batch: f64,
 }
@@ -730,7 +744,7 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
             let nodes = graph.live_node_count();
             let edges = graph.edge_count();
             let engine = Engine::with_indices(graph, indices);
-            let (mut fragment_nodes, mut runs) = (0u64, 0u64);
+            let (mut fragment_nodes, mut adjacency_reads, mut runs) = (0u64, 0u64, 0u64);
             let mut total_nanos = 0u128;
             for q in &workload.queries {
                 let request = QueryRequest::build(q.pattern.clone())
@@ -740,6 +754,7 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
                 total_nanos += response.stats.total_nanos as u128;
                 if let Some(fetch) = &response.stats.fetch {
                     fragment_nodes += fetch.fragment_nodes as u64;
+                    adjacency_reads += fetch.adjacency_reads;
                     runs += 1;
                 }
             }
@@ -753,6 +768,7 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
                 avg_fragment_nodes: avg_fragment,
                 fragment_fraction: avg_fragment / nodes.max(1) as f64,
                 avg_query_us: total_nanos as f64 / workload.queries.len().max(1) as f64 / 1e3,
+                avg_adjacency_reads: adjacency_reads as f64 / runs.max(1) as f64,
                 maintenance_us_per_batch: maintenance_nanos as f64
                     / MAINTENANCE_BATCHES as f64
                     / 1e3,
@@ -762,13 +778,12 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
         .collect()
 }
 
-/// avg `|G_Q|` at the largest scale over the smallest — the number the
-/// `--max-fragment-growth` gate checks.
-fn fragment_growth(points: &[ScalePoint]) -> f64 {
-    let first = points
-        .first()
-        .map_or(1.0, |p| p.avg_fragment_nodes.max(1.0));
-    let last = points.last().map_or(1.0, |p| p.avg_fragment_nodes.max(1.0));
+/// `metric` at the largest scale over the smallest — the number the
+/// `--max-fragment-growth` (avg `|G_Q|`) and `--max-latency-growth`
+/// (`avg_query_us`) gates check.
+fn scale_growth(points: &[ScalePoint], metric: impl Fn(&ScalePoint) -> f64) -> f64 {
+    let first = points.first().map_or(1.0, |p| metric(p).max(1.0));
+    let last = points.last().map_or(1.0, |p| metric(p).max(1.0));
     last / first
 }
 
@@ -809,8 +824,8 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
             format!(
                 "      {{\"scale\": {}, \"nodes\": {}, \"edges\": {}, \"build_ms\": {:.1}, \
                  \"queries\": {}, \"avg_fragment_nodes\": {:.1}, \"fragment_fraction\": {:.6}, \
-                 \"avg_query_us\": {:.1}, \"maintenance_us_per_batch\": {:.2}, \
-                 \"refreshed_per_batch\": {:.1}}}",
+                 \"avg_query_us\": {:.1}, \"avg_adjacency_reads\": {:.1}, \
+                 \"maintenance_us_per_batch\": {:.2}, \"refreshed_per_batch\": {:.1}}}",
                 p.scale,
                 p.nodes,
                 p.edges,
@@ -819,6 +834,7 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
                 p.avg_fragment_nodes,
                 p.fragment_fraction,
                 p.avg_query_us,
+                p.avg_adjacency_reads,
                 p.maintenance_us_per_batch,
                 p.refreshed_per_batch,
             )
@@ -827,9 +843,10 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
     format!(
         "{{\n    \"scenario\": \"social\", \"zipf\": 1.1, \"hot_fraction\": 0.5, \
          \"domain\": 50,\n    \"maintenance_batches\": {},\n    \"fragment_growth\": {:.3},\n    \
-         \"scales\": [\n{}\n    ]\n  }}",
+         \"latency_growth\": {:.3},\n    \"scales\": [\n{}\n    ]\n  }}",
         MAINTENANCE_BATCHES,
-        fragment_growth(points),
+        scale_growth(points, |p| p.avg_fragment_nodes),
+        scale_growth(points, |p| p.avg_query_us),
         rows.join(",\n")
     )
 }
@@ -980,7 +997,7 @@ fn main() {
                  [--min-bitmap-speedup X] [--min-parallel-per-core X] \
                  [--open-loop] [--offered Q1,Q2,..] [--duration-ms D] [--lanes L] \
                  [--max-p99-ms X] [--scales S1,S2,..] [--workload-queries K] \
-                 [--max-fragment-growth X]"
+                 [--max-fragment-growth X] [--max-latency-growth X]"
             );
             std::process::exit(2);
         }
@@ -1160,7 +1177,8 @@ fn main() {
     for p in &scaling {
         println!(
             "scale {:>8}: |G| = {} nodes / {} edges (built in {:.0} ms), \
-             avg |G_Q| = {:.1} nodes ({:.4}% of |G|), query {:.1} us avg, \
+             avg |G_Q| = {:.1} nodes ({:.4}% of |G|), query {:.1} us avg \
+             ({:.0} adjacency reads per view), \
              maintenance {:.1} us per 3-delta batch ({:.1} contributions)",
             p.scale,
             p.nodes,
@@ -1169,14 +1187,19 @@ fn main() {
             p.avg_fragment_nodes,
             100.0 * p.fragment_fraction,
             p.avg_query_us,
+            p.avg_adjacency_reads,
             p.maintenance_us_per_batch,
             p.refreshed_per_batch,
         );
     }
-    let growth = fragment_growth(&scaling);
+    let growth = scale_growth(&scaling, |p| p.avg_fragment_nodes);
+    let latency_growth = scale_growth(&scaling, |p| p.avg_query_us);
     let graph_growth = scaling.last().map_or(1.0, |p| p.nodes as f64)
         / scaling.first().map_or(1.0, |p| p.nodes.max(1) as f64);
-    println!("fragment scaling: avg |G_Q| grew {growth:.2}x while |G| grew {graph_growth:.0}x");
+    println!(
+        "fragment scaling: avg |G_Q| grew {growth:.2}x and avg query latency \
+         {latency_growth:.2}x while |G| grew {graph_growth:.0}x"
+    );
 
     let loads = bench_snapshot_loads(15);
     for l in &loads {
@@ -1326,6 +1349,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench: fragment-growth gate passed ({growth:.2} <= {max:.2})");
+    }
+    if let Some(max) = config.max_latency_growth {
+        if latency_growth > max {
+            eprintln!(
+                "bench: REGRESSION — fragment_scaling.latency_growth = {latency_growth:.2} \
+                 exceeds the allowed {max:.2} (bounded query latency is tracking |G|)"
+            );
+            std::process::exit(1);
+        }
+        println!("bench: latency-growth gate passed ({latency_growth:.2} <= {max:.2})");
     }
     if let Some(min) = config.min_load_speedup {
         for l in &loads {

@@ -1,17 +1,19 @@
 //! Dense bitmap membership sets over node ids.
 //!
-//! The intersection- and dedup-heavy paths of the workspace — common-neighbor
-//! intersection during index builds, candidate-set union/dedup during bounded
-//! fetch and seeding — historically worked on sorted `Vec<NodeId>`s with
-//! `binary_search`-based membership. [`NodeBitSet`] replaces those membership
-//! probes with one-word bit tests (the same trick the membership bitset
-//! inside [`crate::ScratchArena`] already plays for fragment views): a
-//! `Vec<u64>` indexed by `node_id / 64`, giving `O(1)` insert/contains and a
-//! word-parallel intersection.
+//! The intersection- and dedup-heavy *whole-graph* paths of the workspace —
+//! common-neighbor intersection during index builds, candidate-set
+//! union/dedup when seeding the `IndexSeeded` strategy — historically worked
+//! on sorted `Vec<NodeId>`s with `binary_search`-based membership.
+//! [`NodeBitSet`] replaces those membership probes with one-word bit tests:
+//! a `Vec<u64>` indexed by `node_id / 64`, giving `O(1)` insert/contains and
+//! a word-parallel intersection.
 //!
 //! The set is *dense*: capacity is the number of node-id slots of the graph
 //! it describes, so it is cheap for the repeated probes of a hot loop and
-//! deliberately not a general sparse-set container. Callers that only touch
+//! deliberately not a general sparse-set container — which also keeps it off
+//! the bounded query path, where nothing may be sized by `|V|` (bounded
+//! fetch sorts and dedups; [`crate::FragmentView`] keeps a fragment-local
+//! slot table). Callers that only touch
 //! a handful of tiny sets should keep the sorted-vec path — see
 //! [`Graph::common_neighbors`](crate::Graph::common_neighbors), which
 //! switches representation adaptively and is benchmarked against the legacy

@@ -296,11 +296,10 @@ impl<G: GraphAccess> SearchState<'_, '_, G> {
     }
 
     /// Checks that assigning `v` to `u` realizes every pattern edge between
-    /// `u` and already-matched pattern nodes.
+    /// `u` and already-matched pattern nodes. `v` comes from
+    /// [`Self::candidate_nodes`], which has already filtered by
+    /// [`SubgraphMatcher::compatible`].
     fn consistent(&self, u: PatternNodeId, v: NodeId) -> bool {
-        if !self.matcher.compatible(u, v) {
-            return false;
-        }
         let graph = self.matcher.graph;
         let pattern = self.matcher.pattern;
         for &child in pattern.children(u) {

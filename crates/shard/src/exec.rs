@@ -28,7 +28,6 @@ use bgpq_core::{
     bounded_simulation_match_prefetched, bounded_subgraph_match_prefetched, CandidateSet,
     FetchStats, QueryPlan,
 };
-use bgpq_graph::bitset::{dedup_with_bitset, NodeBitSet};
 use bgpq_graph::{ArenaPool, FragmentView, Graph, GraphAccess, NodeId};
 use bgpq_matching::seed::for_each_combination;
 use bgpq_matching::{MatchSet, SimulationRelation, SubgraphMatcher, Vf2Config, Vf2Stats};
@@ -64,7 +63,6 @@ pub fn sharded_fetch_candidate_sets(
     // twin of `LookupMemo`, kept local so it can double as the fan-out
     // work-list builder.
     let mut memo: HashMap<ConstraintId, HashMap<Vec<NodeId>, Vec<NodeId>>> = HashMap::new();
-    let mut seen = NodeBitSet::with_capacity(graph.node_count());
 
     for step in &plan.steps {
         assert!(
@@ -110,8 +108,8 @@ pub fn sharded_fetch_candidate_sets(
             fetched.extend_from_slice(&step_memo[key]);
         }
         stats.nodes_returned += fetched.len() as u64;
-        dedup_with_bitset(&mut fetched, &mut seen);
         fetched.sort_unstable();
+        fetched.dedup();
         let before_filter = fetched.len();
         fetched.retain(|&v| pattern.predicate(step.node).eval(graph.value(v)));
         stats.predicate_filtered += (before_filter - fetched.len()) as u64;
@@ -120,8 +118,8 @@ pub fn sharded_fetch_candidate_sets(
 
     let all_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = candidates.iter().flatten().copied().collect();
-        dedup_with_bitset(&mut v, &mut seen);
         v.sort_unstable();
+        v.dedup();
         v
     };
     stats.fragment_build_nanos = started.elapsed().as_nanos() as u64;
@@ -179,12 +177,14 @@ pub fn parallel_bounded_subgraph_match_prefetched(
                 .with_candidates(candidates)
                 .with_config(config.clone())
                 .run();
-            (matches, stats, view.node_count(), view.edge_count())
+            let shape = (view.node_count(), view.edge_count());
+            (matches, stats, shape, view.adjacency_reads())
         })
     });
     let mut fetch = fetched.stats.clone();
-    fetch.fragment_nodes = parts[0].2;
-    fetch.fragment_edges = parts[0].3;
+    (fetch.fragment_nodes, fetch.fragment_edges) = parts[0].2;
+    // Every worker built its own view: the reads add up.
+    fetch.adjacency_reads = parts.iter().map(|p| p.3).sum();
     fetch.fragment_build_nanos = fetch
         .fragment_build_nanos
         .saturating_add(build_started.elapsed().as_nanos() as u64);

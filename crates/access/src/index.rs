@@ -10,11 +10,22 @@
 //! they are in-memory structures with the same asymptotic access contract,
 //! plus size accounting used to reproduce the `|index_Q|/|G|` measurements of
 //! Fig. 5(d,h,l).
+//!
+//! **Storage is structurally shared.** An [`AccessIndexSet`] holds each
+//! [`ConstraintIndex`] behind an `Arc`, and an index keeps its entries in
+//! hash-sharded copy-on-write maps (the `cow_map` module). Cloning a set costs
+//! one reference-count bump per constraint; maintaining the clone copies
+//! only the constraints a delta touches, and inside those only the shards
+//! the changed entries hash to. That is what lets the serving layer publish
+//! a new snapshot per commit at `O(|ΔG|)` cost while readers keep the old
+//! one.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
+use crate::cow_map::CowMap;
 use crate::schema::AccessSchema;
 use bgpq_graph::{Graph, Label, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Upper bound on the number of `S`-labeled combinations materialized per
 /// target node. Real access constraints have small source fanouts (a movie
@@ -22,17 +33,27 @@ use std::collections::{HashMap, HashSet};
 /// against degenerate schemas; hitting it marks the index as truncated.
 pub const DEFAULT_MAX_COMBINATIONS_PER_NODE: usize = 4096;
 
+/// An index key: the sorted `S`-labeled node tuple.
+type Key = Vec<NodeId>;
+
 /// The index of a single access constraint.
 #[derive(Debug, Clone)]
 pub struct ConstraintIndex {
     pub(crate) constraint: AccessConstraint,
-    /// Sorted `S`-labeled node tuple → common neighbors labeled `l`.
-    /// Global constraints use the empty key.
-    pub(crate) map: HashMap<Vec<NodeId>, Vec<NodeId>>,
-    /// Target node → keys it appears under (for incremental maintenance).
-    pub(crate) reverse: HashMap<NodeId, Vec<Vec<NodeId>>>,
-    /// Largest answer set over all keys.
-    pub(crate) max_cardinality: usize,
+    /// Sorted `S`-labeled node tuple → sorted common neighbors labeled `l`.
+    /// Global constraints use the empty key (always present).
+    map: CowMap<Key, Vec<NodeId>>,
+    /// Unary constraints: target node → number of keys it is listed under.
+    /// Those keys are the target's `S`-labeled neighbors, which maintenance
+    /// re-derives from the graph and the delta batch — so a hub target costs
+    /// one counter here, not a key list that every edge would rewrite.
+    key_counts: CowMap<NodeId, u32>,
+    /// Constraints with `|S| ≥ 2`: target node → the keys it is listed
+    /// under (at most `cap` of them), for removing its contribution.
+    reverse: CowMap<NodeId, Vec<Key>>,
+    /// Answer-list length → number of keys whose list is that long
+    /// (non-empty lists only); the last entry is the maximum cardinality.
+    lengths: BTreeMap<usize, usize>,
     /// Target nodes whose combination enumeration hit the cap. Tracked per
     /// node (not as a sticky flag) so that maintenance removing or repairing
     /// a capped node's contribution leaves the truncation verdict exactly
@@ -41,7 +62,7 @@ pub struct ConstraintIndex {
     /// The per-node combination cap this index was built with. Incremental
     /// maintenance reuses it so refreshed contributions are enumerated
     /// exactly like a fresh build's.
-    pub(crate) cap: usize,
+    cap: usize,
 }
 
 impl ConstraintIndex {
@@ -67,39 +88,58 @@ impl ConstraintIndex {
         cap: usize,
         owns: impl Fn(NodeId) -> bool,
     ) -> Self {
-        let mut index = ConstraintIndex {
+        // A unary key is one source-labeled node; sizing the shards for all
+        // of them up front fills the maps in place, without re-splits.
+        let keys = match constraint.source() {
+            [source] => graph.label_count(*source),
+            _ => 0,
+        };
+        let targets = graph.label_count(constraint.target());
+        let mut index = Self::empty(constraint, cap, keys, targets);
+        for &v in graph.nodes_with_label(index.constraint.target()) {
+            if owns(v) {
+                index.refresh_target(graph, v, &[]);
+            }
+        }
+        if index.constraint.is_global() {
+            // The one key of a global index exists even without answers.
+            index.map.entry_or_default(&[][..]);
+        }
+        index.shrink_to_fit();
+        index
+    }
+
+    /// Re-fits maps that were sized for more entries than they received
+    /// (every source-labeled node a key, every target-labeled node a
+    /// contributor), so clones stop paying for shards nothing lives in.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.map.shrink_to_fit();
+        self.key_counts.shrink_to_fit();
+        self.reverse.shrink_to_fit();
+    }
+
+    /// An index with no entries, sized for `keys` keys and `targets`
+    /// contributing targets.
+    pub(crate) fn empty(
+        constraint: AccessConstraint,
+        cap: usize,
+        keys: usize,
+        targets: usize,
+    ) -> Self {
+        let (counted, reversed) = match constraint.source_len() {
+            0 => (0, 0),
+            1 => (targets, 0),
+            _ => (0, targets),
+        };
+        ConstraintIndex {
             constraint,
-            map: HashMap::new(),
-            reverse: HashMap::new(),
-            max_cardinality: 0,
+            map: CowMap::with_capacity(keys),
+            key_counts: CowMap::with_capacity(counted),
+            reverse: CowMap::with_capacity(reversed),
+            lengths: BTreeMap::new(),
             capped_targets: HashSet::new(),
             cap,
-        };
-        if index.constraint.is_global() {
-            let nodes: Vec<NodeId> = graph
-                .nodes_with_label(index.constraint.target())
-                .iter()
-                .copied()
-                .filter(|&v| owns(v))
-                .collect();
-            index.max_cardinality = nodes.len();
-            if !nodes.is_empty() {
-                for &v in &nodes {
-                    index.reverse.entry(v).or_default().push(Vec::new());
-                }
-                index.map.insert(Vec::new(), nodes);
-            } else {
-                index.map.insert(Vec::new(), Vec::new());
-            }
-            return index;
         }
-        for v in graph.nodes_with_label(index.constraint.target()) {
-            if owns(*v) {
-                index.add_target_contribution(graph, *v, cap);
-            }
-        }
-        index.recompute_max_cardinality();
-        index
     }
 
     /// The constraint this index backs.
@@ -112,8 +152,14 @@ impl ConstraintIndex {
     /// is not indexed, which for a graph satisfying the constraint means the
     /// answer is empty.
     pub fn common_neighbors(&self, vs: &[NodeId]) -> &[NodeId] {
-        let key = Self::canonical_key(vs);
-        self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        // A strictly increasing probe already is its own key (always so for
+        // unary and global lookups): no allocation on the fetch path.
+        let answers = if vs.windows(2).all(|w| w[0] < w[1]) {
+            self.map.get(vs)
+        } else {
+            self.map.get(Self::canonical_key(vs).as_slice())
+        };
+        answers.map_or(&[], Vec::as_slice)
     }
 
     /// True when `target` is a common neighbor (labeled `l`) of `vs`.
@@ -128,14 +174,15 @@ impl ConstraintIndex {
     }
 
     /// The largest answer set across all indexed keys — the graph satisfies
-    /// the cardinality part of the constraint iff this is `≤ N`.
+    /// the cardinality part of the constraint iff this is `≤ N`. Maintained
+    /// incrementally; always equal to a fresh rebuild's.
     pub fn max_cardinality(&self) -> usize {
-        self.max_cardinality
+        self.lengths.keys().next_back().copied().unwrap_or(0)
     }
 
     /// True when every indexed key respects the bound `N`.
     pub fn within_bound(&self) -> bool {
-        self.max_cardinality <= self.constraint.bound()
+        self.max_cardinality() <= self.constraint.bound()
     }
 
     /// True when some target node's combination enumeration hit the cap —
@@ -154,10 +201,14 @@ impl ConstraintIndex {
 
     /// True when `target` currently contributes at least one indexed entry —
     /// the probe incremental maintenance uses to decide whether a node that
-    /// no longer carries the target label (relabeled or deleted) still needs
-    /// its stale contribution removed.
+    /// no longer carries the target label (it was deleted) still needs its
+    /// stale contribution removed.
     pub fn has_contribution(&self, target: NodeId) -> bool {
-        self.reverse.contains_key(&target)
+        match self.constraint.source_len() {
+            0 => self.global_nodes().binary_search(&target).is_ok(),
+            1 => self.key_counts.contains_key(&target),
+            _ => self.reverse.contains_key(&target),
+        }
     }
 
     /// Number of distinct keys indexed.
@@ -168,10 +219,7 @@ impl ConstraintIndex {
     /// Total number of node ids stored (keys plus answers) — the paper's
     /// `|index|` measure for one constraint.
     pub fn size(&self) -> usize {
-        self.map
-            .iter()
-            .map(|(k, v)| k.len() + v.len())
-            .sum::<usize>()
+        self.entries().map(|(k, v)| k.len() + v.len()).sum()
     }
 
     /// Iterates over `(key, answers)` pairs.
@@ -179,46 +227,209 @@ impl ConstraintIndex {
         self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
     }
 
-    fn canonical_key(vs: &[NodeId]) -> Vec<NodeId> {
+    /// Number of copy-on-write shards the index's maps are spread over.
+    pub fn shard_count(&self) -> usize {
+        self.map.shard_count() + self.key_counts.shard_count() + self.reverse.shard_count()
+    }
+
+    /// Shards copied because a write found them still shared with another
+    /// clone of this index. The count is inherited by clones, so the copy
+    /// work of one maintenance call is the difference across it.
+    pub fn shards_copied(&self) -> u64 {
+        self.map.copied() + self.key_counts.copied() + self.reverse.copied()
+    }
+
+    fn canonical_key(vs: &[NodeId]) -> Key {
         let mut key = vs.to_vec();
         key.sort_unstable();
         key.dedup();
         key
     }
 
-    fn recompute_max_cardinality(&mut self) {
-        self.max_cardinality = self.map.values().map(Vec::len).max().unwrap_or(0);
+    /// Records that one answer list changed length.
+    fn note_length(&mut self, from: usize, to: usize) {
+        if from > 0 {
+            let count = self.lengths.get_mut(&from).expect("length was counted");
+            *count -= 1;
+            if *count == 0 {
+                self.lengths.remove(&from);
+            }
+        }
+        if to > 0 {
+            *self.lengths.entry(to).or_insert(0) += 1;
+        }
     }
 
-    /// Removes every occurrence of `target` from the index (used by
-    /// incremental maintenance before re-adding its contribution).
-    pub(crate) fn remove_target_contribution(&mut self, target: NodeId) {
-        self.capped_targets.remove(&target);
-        if let Some(keys) = self.reverse.remove(&target) {
-            for key in keys {
-                if let Some(values) = self.map.get_mut(&key) {
-                    values.retain(|&v| v != target);
-                    if values.is_empty() && !key.is_empty() {
-                        self.map.remove(&key);
-                    }
+    /// Lists `target` under `key`; returns whether the entry is new.
+    fn list_insert(&mut self, key: &[NodeId], target: NodeId) -> bool {
+        let answers = self.map.entry_or_default(key);
+        let Err(pos) = answers.binary_search(&target) else {
+            return false;
+        };
+        answers.insert(pos, target);
+        let len = answers.len();
+        self.note_length(len - 1, len);
+        true
+    }
+
+    /// Unlists `target` from `key`, dropping a key left without answers;
+    /// returns whether the entry existed.
+    fn list_remove(&mut self, key: &[NodeId], target: NodeId) -> bool {
+        let listed = self.map.get(key).map(|a| a.binary_search(&target));
+        let Some(Ok(pos)) = listed else {
+            return false;
+        };
+        let answers = self.map.get_mut(key).expect("the key was just read");
+        answers.remove(pos);
+        let len = answers.len();
+        if len == 0 && !key.is_empty() {
+            self.map.remove(key);
+        }
+        self.note_length(len + 1, len);
+        true
+    }
+
+    /// Inserts one persisted `(key, answers)` entry (snapshot load). The
+    /// caller guarantees both lists are sorted strictly; returns `false`
+    /// when the key was already present.
+    pub(crate) fn insert_decoded(&mut self, key: Key, answers: Vec<NodeId>) -> bool {
+        if self.map.contains_key(key.as_slice()) {
+            return false;
+        }
+        match self.constraint.source_len() {
+            0 => {}
+            1 => {
+                for target in &answers {
+                    *self.key_counts.entry_or_default(target) += 1;
+                }
+            }
+            _ => {
+                for target in &answers {
+                    self.reverse.entry_or_default(target).push(key.clone());
+                }
+            }
+        }
+        self.note_length(0, answers.len());
+        self.map.insert(key, answers);
+        true
+    }
+
+    /// Brings the contribution of `target` — every entry listing it — to
+    /// what a fresh build over `graph` would hold, under the index's own
+    /// combination cap. Deleted nodes end with no contribution: a tombstoned
+    /// slot's label matches no constraint target.
+    ///
+    /// `partners` are the nodes an edge delta of the current batch pairs
+    /// with `target`: former neighbors a unary index may still list it
+    /// under (a fresh build passes none).
+    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
+        let is_target = graph.try_label(target) == Some(self.constraint.target());
+        match self.constraint.source_len() {
+            0 => {
+                if is_target {
+                    self.list_insert(&[], target);
+                } else {
+                    self.list_remove(&[], target);
+                }
+            }
+            1 => self.refresh_unary_target(graph, target, is_target, partners),
+            _ => {
+                self.capped_targets.remove(&target);
+                for key in self.reverse.remove(&target).unwrap_or_default() {
+                    self.list_remove(&key, target);
+                }
+                if is_target {
+                    self.add_combinations(graph, target);
                 }
             }
         }
     }
 
-    /// Adds the contribution of `target` (a node labeled `l`) by enumerating
-    /// every `S`-labeled combination of its neighbors in `graph`.
-    pub(crate) fn add_target_contribution(&mut self, graph: &Graph, target: NodeId, cap: usize) {
-        debug_assert_eq!(graph.label(target), self.constraint.target());
-        if self.constraint.is_global() {
-            let entry = self.map.entry(Vec::new()).or_default();
-            if !entry.contains(&target) {
-                entry.push(target);
-                entry.sort_unstable();
-            }
-            self.reverse.entry(target).or_default().push(Vec::new());
-            return;
+    /// Edge-local maintenance of a unary index: after edge deltas between
+    /// `target` and each of `partners`, entry `[o] → target` must exist iff
+    /// the two are neighbors in `graph` with the constraint's labels. Only
+    /// those pairs are looked at — never the rest of `target`'s
+    /// neighborhood — unless `target` sits at the combination cap, where
+    /// which neighbors are listed depends on all of them.
+    pub(crate) fn reconcile_edges(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
+        debug_assert_eq!(self.constraint.source_len(), 1);
+        let is_target = graph.try_label(target) == Some(self.constraint.target());
+        if self.capped_targets.contains(&target) {
+            return self.refresh_unary_target(graph, target, is_target, partners);
         }
+        let source = self.constraint.source()[0];
+        let mut count = self.key_counts.get(&target).copied().unwrap_or(0);
+        for &o in partners {
+            let wanted =
+                is_target && graph.try_label(o) == Some(source) && graph.are_neighbors(o, target);
+            if wanted && self.list_insert(&[o], target) {
+                count += 1;
+            } else if !wanted && self.list_remove(&[o], target) {
+                count -= 1;
+            }
+        }
+        self.set_key_count(target, count);
+        if count as usize >= self.cap.max(1) {
+            // The batch took the target to the cap (or past it): which
+            // neighbors are listed now depends on all of them.
+            self.refresh_unary_target(graph, target, is_target, partners);
+        }
+    }
+
+    /// The whole-contribution refresh of a unary index: the first `cap`
+    /// source-labeled neighbors by id list `target`, as in a fresh build.
+    /// Anything else that still lists it is a former neighbor, hence a
+    /// current neighbor or one of `partners`, and is unlisted.
+    fn refresh_unary_target(
+        &mut self,
+        graph: &Graph,
+        target: NodeId,
+        is_target: bool,
+        partners: &[NodeId],
+    ) {
+        let neighbors = if graph.contains_node(target) {
+            graph.neighbors(target)
+        } else {
+            Vec::new()
+        };
+        let source = self.constraint.source()[0];
+        let cap = self.cap.max(1);
+        let mut listed: Vec<NodeId> = neighbors
+            .iter()
+            .copied()
+            .filter(|&o| is_target && graph.label(o) == source)
+            .collect();
+        if listed.len() >= cap {
+            self.capped_targets.insert(target);
+            listed.truncate(cap);
+        } else {
+            self.capped_targets.remove(&target);
+        }
+        if self.key_counts.contains_key(&target) {
+            for &o in neighbors.iter().chain(partners) {
+                if listed.binary_search(&o).is_err() {
+                    self.list_remove(&[o], target);
+                }
+            }
+        }
+        for &o in &listed {
+            self.list_insert(&[o], target);
+        }
+        self.set_key_count(target, listed.len() as u32);
+    }
+
+    fn set_key_count(&mut self, target: NodeId, count: u32) {
+        if count == 0 {
+            self.key_counts.remove(&target);
+        } else if self.key_counts.get(&target) != Some(&count) {
+            self.key_counts.insert(target, count);
+        }
+    }
+
+    /// Adds the contribution of `target` (a node labeled `l`) to an index
+    /// with `|S| ≥ 2` by enumerating every `S`-labeled combination of its
+    /// neighbors in `graph`, up to the cap.
+    fn add_combinations(&mut self, graph: &Graph, target: NodeId) {
         // Group the target's neighbors by the source labels of the constraint.
         let neighbors = graph.neighbors(target);
         let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
@@ -231,7 +442,7 @@ impl ConstraintIndex {
         if per_label.iter().any(Vec::is_empty) {
             return; // `target` has no S-labeled neighbor set.
         }
-        let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
+        let mut combos: Vec<Key> = vec![Vec::new()];
         for bucket in &per_label {
             let mut next = Vec::with_capacity(combos.len() * bucket.len());
             'outer: for combo in &combos {
@@ -244,7 +455,7 @@ impl ConstraintIndex {
                     let mut extended = combo.clone();
                     extended.push(candidate);
                     next.push(extended);
-                    if next.len() >= cap {
+                    if next.len() >= self.cap {
                         self.capped_targets.insert(target);
                         break 'outer;
                     }
@@ -255,35 +466,24 @@ impl ConstraintIndex {
                 return;
             }
         }
-        for mut key in combos {
+        for key in &mut combos {
             key.sort_unstable();
-            let entry = self.map.entry(key.clone()).or_default();
-            if !entry.contains(&target) {
-                entry.push(target);
-                entry.sort_unstable();
-                self.reverse.entry(target).or_default().push(key);
-            }
         }
-    }
-
-    /// Recomputes the contribution of `target` against `graph` (remove then
-    /// re-add, under the index's own combination cap) and refreshes the
-    /// cached maximum cardinality. Deleted or relabeled nodes end with no
-    /// contribution: a tombstoned slot's label matches no constraint target.
-    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId) {
-        self.remove_target_contribution(target);
-        if graph.contains_node(target) && graph.label(target) == self.constraint.target() {
-            self.add_target_contribution(graph, target, self.cap);
+        combos.retain(|key| self.list_insert(key, target));
+        if !combos.is_empty() {
+            self.reverse.insert(target, combos);
         }
-        self.recompute_max_cardinality();
     }
 }
 
 /// One [`ConstraintIndex`] per constraint of an [`AccessSchema`].
+///
+/// Cloning is `O(||A||)`: the schema and every index are shared, and
+/// maintenance un-shares only the indices it changes.
 #[derive(Debug, Clone)]
 pub struct AccessIndexSet {
-    pub(crate) schema: AccessSchema,
-    pub(crate) indices: Vec<ConstraintIndex>,
+    pub(crate) schema: Arc<AccessSchema>,
+    pub(crate) indices: Vec<Arc<ConstraintIndex>>,
 }
 
 impl AccessIndexSet {
@@ -296,14 +496,7 @@ impl AccessIndexSet {
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
-        let indices = schema
-            .iter()
-            .map(|c| ConstraintIndex::build_with_cap(graph, c.clone(), cap))
-            .collect();
-        AccessIndexSet {
-            schema: schema.clone(),
-            indices,
-        }
+        Self::build_filtered_with_cap(graph, schema, cap, |_| true)
     }
 
     /// Builds all indices restricted to the target nodes `owns` accepts —
@@ -321,9 +514,15 @@ impl AccessIndexSet {
             .iter()
             .map(|c| ConstraintIndex::build_filtered_with_cap(graph, c.clone(), cap, &owns))
             .collect();
+        Self::from_indices(schema.clone(), indices)
+    }
+
+    /// Packs already-built indices, one per constraint of `schema`, in order.
+    pub(crate) fn from_indices(schema: AccessSchema, indices: Vec<ConstraintIndex>) -> Self {
+        debug_assert_eq!(schema.len(), indices.len());
         AccessIndexSet {
-            schema: schema.clone(),
-            indices,
+            schema: Arc::new(schema),
+            indices: indices.into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -331,9 +530,9 @@ impl AccessIndexSet {
     /// [`AccessIndexSet::build_filtered_with_cap`] over disjoint ownership
     /// predicates) back into one set. Because every `(key → target)` entry
     /// lives whole in its target's shard, the merge is a disjoint union:
-    /// answer lists are concatenated and re-sorted, reverse maps and capped
-    /// sets are unioned, and the result is structurally identical to a
-    /// single unfiltered build over the whole graph.
+    /// answer lists are merged in order, the per-target bookkeeping and
+    /// capped sets are unioned, and the result is structurally identical to
+    /// a single unfiltered build over the whole graph.
     ///
     /// # Panics
     /// Panics if the shards disagree on schema, count or caps.
@@ -347,23 +546,21 @@ impl AccessIndexSet {
             assert_eq!(shard.schema, merged.schema, "shards must share one schema");
             for (into, from) in merged.indices.iter_mut().zip(&shard.indices) {
                 assert_eq!(into.cap, from.cap, "shards must share one cap");
-                for (key, answers) in &from.map {
-                    let entry = into.map.entry(key.clone()).or_default();
-                    entry.extend_from_slice(answers);
-                    entry.sort_unstable();
+                let into = Arc::make_mut(into);
+                for (key, answers) in from.map.iter() {
+                    for &target in answers {
+                        into.list_insert(key, target);
+                    }
                 }
-                for (&target, keys) in &from.reverse {
-                    into.reverse
-                        .entry(target)
-                        .or_default()
-                        .extend(keys.iter().cloned());
+                for (&target, &count) in from.key_counts.iter() {
+                    into.key_counts.insert(target, count);
+                }
+                for (&target, keys) in from.reverse.iter() {
+                    into.reverse.insert(target, keys.clone());
                 }
                 into.capped_targets
                     .extend(from.capped_targets.iter().copied());
             }
-        }
-        for index in &mut merged.indices {
-            index.recompute_max_cardinality();
         }
         merged
     }
@@ -375,12 +572,7 @@ impl AccessIndexSet {
 
     /// The index for constraint `id`.
     pub fn get(&self, id: ConstraintId) -> Option<&ConstraintIndex> {
-        self.indices.get(id.index())
-    }
-
-    /// Mutable access used by incremental maintenance.
-    pub(crate) fn get_mut(&mut self, id: ConstraintId) -> Option<&mut ConstraintIndex> {
-        self.indices.get_mut(id.index())
+        self.indices.get(id.index()).map(|index| &**index)
     }
 
     /// Iterates over `(id, index)` pairs.
@@ -388,7 +580,7 @@ impl AccessIndexSet {
         self.indices
             .iter()
             .enumerate()
-            .map(|(i, idx)| (ConstraintId(i as u32), idx))
+            .map(|(i, idx)| (ConstraintId(i as u32), &**idx))
     }
 
     /// Number of indices (equals `||A||`).
@@ -403,7 +595,14 @@ impl AccessIndexSet {
 
     /// Sum of the sizes of all indices — the `|index|` of the whole schema.
     pub fn total_size(&self) -> usize {
-        self.indices.iter().map(ConstraintIndex::size).sum()
+        self.iter().map(|(_, index)| index.size()).sum()
+    }
+
+    /// Shards copied by maintenance along this set's clone lineage (see
+    /// [`ConstraintIndex::shards_copied`]): the copy work of one commit is
+    /// the difference between the new snapshot's count and its base's.
+    pub fn shards_copied(&self) -> u64 {
+        self.iter().map(|(_, index)| index.shards_copied()).sum()
     }
 
     /// Sum of the sizes of the indices identified by `ids` — the paper's
@@ -440,7 +639,7 @@ impl AccessIndexSet {
     /// True when every index respects its cardinality bound, i.e. the
     /// indexed graph satisfies the cardinality part of the schema.
     pub fn within_bounds(&self) -> bool {
-        self.indices.iter().all(ConstraintIndex::within_bound)
+        self.iter().all(|(_, index)| index.within_bound())
     }
 }
 

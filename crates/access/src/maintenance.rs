@@ -11,11 +11,22 @@
 //! neighborhood, so an edge insertion or deletion `(a, b)` can only change
 //! the contributions of `a` and `b` (when they carry the target label), and
 //! a node insertion only adds a (possibly empty) contribution for the new
-//! node. [`apply_delta`] refreshes exactly those contributions against the
-//! *new* graph.
+//! node. [`apply_delta`] repairs exactly those contributions against the
+//! *new* graph — and for the unary constraints that make up most schemas it
+//! repairs them **edge-locally**: an edge delta `(a, b)` decides the one
+//! entry `[a] → b` (and `[b] → a`) from the new graph, without re-reading
+//! the rest of either endpoint's neighborhood, so a hub is never rescanned
+//! because one edge touched it. The whole contribution is recomputed only
+//! for node deltas, for constraints with `|S| ≥ 2`, and for targets at the
+//! combination cap.
+//!
+//! Index storage is copy-on-write (the `cow_map` module): a maintenance call
+//! on a cloned [`AccessIndexSet`] un-shares only the constraints it changes
+//! and, inside them, the shards its entries hash to.
 
 use crate::index::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId};
+use std::sync::Arc;
 
 /// A single change applied to the underlying data graph.
 ///
@@ -101,8 +112,10 @@ impl GraphDelta {
 pub struct MaintenanceStats {
     /// Distinct nodes in `ΔG` (after deduplicating the batch).
     pub touched_nodes: usize,
-    /// `(constraint, node)` contributions actually recomputed; each refresh
-    /// inspects only that node's neighborhood in the new graph.
+    /// `(constraint, node)` contributions repaired: one per touched node
+    /// and constraint whose target label the node carries, or that still
+    /// lists the node. A repair looks at the node's delta edges, or at its
+    /// neighborhood in the new graph when the whole contribution is redone.
     pub refreshed_contributions: usize,
 }
 
@@ -117,15 +130,16 @@ pub fn apply_delta(
     apply_deltas(indices, new_graph, std::slice::from_ref(delta))
 }
 
-/// Applies a batch of deltas at once; contributions of each affected node are
-/// refreshed a single time per index.
+/// Applies a batch of deltas at once; the contribution of each affected node
+/// is repaired a single time per index.
 ///
-/// A node is refreshed when it currently carries an index's target label
+/// A node is repaired when it currently carries an index's target label
 /// **or** when it previously contributed to that index — the latter covers
-/// deleted and relabeled nodes, whose stale contributions must be removed
-/// even though their new label no longer matches. Refreshes run under the
-/// combination cap each index was built with, so a maintained index stays
-/// byte-for-byte equivalent to a fresh rebuild even at the cap.
+/// deleted nodes, whose stale contributions must be removed even though a
+/// tombstone's label matches no target. Repairs are idempotent,
+/// independent of the order of the batch, and run under the combination cap
+/// each index was built with, so a maintained index stays byte-for-byte
+/// equivalent to a fresh rebuild even at the cap.
 pub fn apply_deltas(
     indices: &mut AccessIndexSet,
     new_graph: &Graph,
@@ -155,24 +169,50 @@ pub fn apply_deltas_filtered(
     touched.sort_unstable();
     touched.dedup();
 
+    // Nodes inserted or deleted: their whole contribution is recomputed.
+    let mut whole: Vec<NodeId> = Vec::new();
+    // Edge deltas as `(endpoint, partner)` in both orientations, sorted, so
+    // the partners of one endpoint are one contiguous run.
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * deltas.len());
+    for delta in deltas {
+        match *delta {
+            GraphDelta::InsertEdge(a, b) | GraphDelta::DeleteEdge(a, b) => {
+                pairs.extend([(a, b), (b, a)]);
+            }
+            GraphDelta::InsertNode(v) | GraphDelta::DeleteNode(v) => whole.push(v),
+        }
+    }
+    whole.sort_unstable();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let partners: Vec<NodeId> = pairs.iter().map(|&(_, partner)| partner).collect();
+
     let mut stats = MaintenanceStats {
         touched_nodes: touched.len(),
         refreshed_contributions: 0,
     };
-    let ids: Vec<_> = indices.iter().map(|(id, _)| id).collect();
-    for id in ids {
-        let Some(index) = indices.get_mut(id) else {
-            continue;
-        };
-        let target_label = index.constraint().target();
-        for &node in &touched {
-            let is_target = new_graph
-                .try_label(node)
-                .map(|l| l == target_label)
-                .unwrap_or(false);
-            if is_target || index.has_contribution(node) {
-                index.refresh_target(new_graph, node);
-                stats.refreshed_contributions += 1;
+    for shared in &mut indices.indices {
+        let target_label = shared.constraint().target();
+        let stale: Vec<NodeId> = touched
+            .iter()
+            .copied()
+            .filter(|&node| {
+                new_graph.try_label(node) == Some(target_label) || shared.has_contribution(node)
+            })
+            .collect();
+        if stale.is_empty() {
+            continue; // the index stays shared with the previous version
+        }
+        stats.refreshed_contributions += stale.len();
+        let index = Arc::make_mut(shared);
+        let edge_local = index.constraint().source_len() == 1;
+        for node in stale {
+            let run = pairs.partition_point(|&(endpoint, _)| endpoint < node)
+                ..pairs.partition_point(|&(endpoint, _)| endpoint <= node);
+            if edge_local && whole.binary_search(&node).is_err() {
+                index.reconcile_edges(new_graph, node, &partners[run]);
+            } else {
+                index.refresh_target(new_graph, node, &partners[run]);
             }
         }
     }
@@ -378,6 +418,142 @@ mod tests {
         // Sizes did not change: the actor-actor edge creates no new
         // (movie → actor) combination.
         assert_eq!(indices.total_size(), before_size);
+    }
+
+    /// The cached maximum cardinality is counted, not rescanned: it must
+    /// follow an answer list up and back down, and drop to zero with the
+    /// last entry.
+    #[test]
+    fn max_cardinality_follows_growth_and_shrinkage() {
+        let f = fixture();
+        let mut g = build_graph(&f.edges, 0);
+        let schema = schema_for(&g);
+        let mut indices = AccessIndexSet::build(&g, &schema);
+        let movie_actor = ConstraintId(1);
+        let max = |indices: &AccessIndexSet| indices.get(movie_actor).unwrap().max_cardinality();
+        assert_eq!(max(&indices), 1);
+
+        // movie1 gains actor2: its answer list is now the longest.
+        g.insert_edge(f.nodes[3], f.nodes[6]).unwrap();
+        apply_delta(
+            &mut indices,
+            &g,
+            &GraphDelta::InsertEdge(f.nodes[3], f.nodes[6]),
+        );
+        assert_eq!(max(&indices), 2);
+        assert_equivalent_to_rebuild(&indices, &g);
+
+        // ...and loses it again.
+        g.delete_edge(f.nodes[3], f.nodes[6]).unwrap();
+        apply_delta(
+            &mut indices,
+            &g,
+            &GraphDelta::DeleteEdge(f.nodes[3], f.nodes[6]),
+        );
+        assert_eq!(max(&indices), 1);
+
+        for (movie, actor) in [(f.nodes[3], f.nodes[5]), (f.nodes[4], f.nodes[6])] {
+            g.delete_edge(movie, actor).unwrap();
+            apply_delta(&mut indices, &g, &GraphDelta::DeleteEdge(movie, actor));
+        }
+        assert_eq!(max(&indices), 0);
+        assert_equivalent_to_rebuild(&indices, &g);
+    }
+
+    /// One edge at a hub target repairs one entry: maintaining a shared
+    /// clone copies the shard of that key and of the hub's counter — not
+    /// the shards of the hub's other keys — and re-applying the same delta
+    /// changes nothing.
+    #[test]
+    fn an_edge_at_a_hub_is_repaired_locally() {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("tag", Value::Null);
+        for i in 0..2_000 {
+            let post = b.add_node("post", Value::Int(i));
+            b.add_edge(post, hub).unwrap();
+        }
+        let mut g = b.build();
+        let l = |name: &str| g.interner().get(name).unwrap();
+        let schema =
+            AccessSchema::from_constraints([AccessConstraint::unary(l("post"), l("tag"), 1)]);
+        let base = AccessIndexSet::build(&g, &schema);
+        assert!(base.get(ConstraintId(0)).unwrap().shard_count() > 16);
+
+        let post = g.insert_node("post", Value::Int(-1));
+        g.insert_edge(post, hub).unwrap();
+        let deltas = [
+            GraphDelta::InsertNode(post),
+            GraphDelta::InsertEdge(post, hub),
+        ];
+        let mut next = base.clone();
+        let stats = apply_deltas(&mut next, &g, &deltas);
+        assert_eq!(stats.refreshed_contributions, 1, "only the hub is a target");
+        assert_eq!(next.shards_copied() - base.shards_copied(), 2);
+        assert_equivalent_to_rebuild(&next, &g);
+        assert_equivalent_to_rebuild(&base, &{
+            let mut old = g.clone();
+            old.delete_node(post).unwrap();
+            old
+        });
+
+        // Idempotent: the entry is already what the new graph says.
+        let before = next.shards_copied();
+        apply_deltas(&mut next, &g, &deltas);
+        assert_eq!(next.shards_copied(), before);
+        assert_equivalent_to_rebuild(&next, &g);
+    }
+
+    /// A batch of plain edge deltas can take an uncapped unary target to
+    /// the cap and past it; the edge-local repair must then fall back to the
+    /// whole-contribution rule (first `cap` neighbors by id) and unlist the
+    /// entries it had just added beyond it.
+    #[test]
+    fn edge_local_repairs_respect_a_cap_reached_mid_batch() {
+        for cap in [1, 2, 3] {
+            let mut b = GraphBuilder::new();
+            let tag = b.add_node("tag", Value::Null);
+            let posts: Vec<NodeId> = (0..4).map(|i| b.add_node("post", Value::Int(i))).collect();
+            let mut g = b.build();
+            let l = |name: &str| g.interner().get(name).unwrap();
+            let schema =
+                AccessSchema::from_constraints([AccessConstraint::unary(l("post"), l("tag"), 9)]);
+            let mut indices = AccessIndexSet::build_with_cap(&g, &schema, cap);
+
+            // Highest ids first, so the entries added first are the ones
+            // the cap must drop again.
+            let mut deltas = Vec::new();
+            for &post in posts.iter().rev() {
+                g.insert_edge(post, tag).unwrap();
+                deltas.push(GraphDelta::InsertEdge(post, tag));
+            }
+            apply_deltas(&mut indices, &g, &deltas);
+            let rebuilt = AccessIndexSet::build_with_cap(&g, &schema, cap);
+            let (kept, fresh) = (
+                indices.get(ConstraintId(0)).unwrap(),
+                rebuilt.get(ConstraintId(0)).unwrap(),
+            );
+            assert!(fresh.is_truncated() && kept.is_truncated(), "cap {cap}");
+            assert_eq!(kept.key_count(), cap, "cap {cap}");
+            for &post in &posts {
+                assert_eq!(
+                    kept.common_neighbors(&[post]),
+                    fresh.common_neighbors(&[post]),
+                    "cap {cap}, key {post}"
+                );
+            }
+
+            // Dropping edges un-caps the target again.
+            let mut deltas = Vec::new();
+            for &post in &posts[..3] {
+                g.delete_edge(post, tag).unwrap();
+                deltas.push(GraphDelta::DeleteEdge(post, tag));
+            }
+            apply_deltas(&mut indices, &g, &deltas);
+            let kept = indices.get(ConstraintId(0)).unwrap();
+            assert_eq!(kept.is_truncated(), cap == 1, "cap {cap}");
+            assert_eq!(kept.common_neighbors(&[posts[3]]), &[tag]);
+            assert_eq!(kept.key_count(), 1);
+        }
     }
 
     #[test]

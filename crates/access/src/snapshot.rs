@@ -28,7 +28,6 @@ use bgpq_graph::io::snapshot::{
     SnapshotError, SnapshotWriter,
 };
 use bgpq_graph::{Graph, Label, NodeId};
-use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -226,8 +225,8 @@ fn read_sorted_ids(
 }
 
 /// Decodes the `Indices` section against the graph and schema decoded from
-/// the same archive, rebuilding the reverse maps and cached cardinalities
-/// that are derivable from the persisted entries.
+/// the same archive, rebuilding the per-target bookkeeping and cardinality
+/// counts that are derivable from the persisted entries.
 pub fn decode_indices(
     archive: &SnapshotArchive,
     graph: &Graph,
@@ -261,12 +260,17 @@ fn decode_indices_payload(
         let cap = r.read_count()?;
         let capped_len = r.read_u32()? as usize;
         let capped = read_sorted_ids(&mut r, capped_len, node_count, "capped-target list")?;
-        let capped_targets: HashSet<NodeId> = capped.into_iter().collect();
 
         let entry_count = r.read_u32()? as usize;
-        let mut map: HashMap<Vec<NodeId>, Vec<NodeId>> = HashMap::with_capacity(entry_count);
-        let mut reverse: HashMap<NodeId, Vec<Vec<NodeId>>> = HashMap::new();
-        let mut max_cardinality = 0usize;
+        // Sized from what the section can actually hold (an entry is at
+        // least its two length words), not from an unchecked count.
+        let mut index = ConstraintIndex::empty(
+            constraint.clone(),
+            cap,
+            entry_count.min(bytes.len() / 8),
+            graph.label_count(constraint.target()),
+        );
+        index.capped_targets = capped.into_iter().collect();
         for _ in 0..entry_count {
             let key_len = r.read_u32()? as usize;
             let key = read_sorted_ids(&mut r, key_len, node_count, "index key")?;
@@ -286,28 +290,15 @@ fn decode_indices_payload(
                     )));
                 }
             }
-            max_cardinality = max_cardinality.max(answers.len());
-            for &target in &answers {
-                reverse.entry(target).or_default().push(key.clone());
-            }
-            if map.insert(key, answers).is_some() {
+            if !index.insert_decoded(key, answers) {
                 return Err(r.corrupt("duplicate index key"));
             }
         }
-        indices.push(ConstraintIndex {
-            constraint: constraint.clone(),
-            map,
-            reverse,
-            max_cardinality,
-            capped_targets,
-            cap,
-        });
+        index.shrink_to_fit();
+        indices.push(index);
     }
     r.expect_end()?;
-    Ok(AccessIndexSet {
-        schema: schema.clone(),
-        indices,
-    })
+    Ok(AccessIndexSet::from_indices(schema.clone(), indices))
 }
 
 #[cfg(test)]

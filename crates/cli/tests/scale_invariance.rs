@@ -5,13 +5,18 @@
 //! the average fragment `|G_Q|` the bounded strategy fetches must stay in
 //! a constant band, because the plan — not the graph — sizes it, and so
 //! must the parent adjacency entries read to build its view, although the
-//! hubs inside the fragment grow with the graph. A nightly `--ignored`
-//! smoke streams the full million-node scenario to verify the generator
-//! holds its contiguous-id contract at that size.
+//! hubs inside the fragment grow with the graph. The update side is held to
+//! the same standard: a fixed batch of posts attached to the graph's
+//! biggest hubs must copy the same number of storage pages and index
+//! shards, and repair the same number of contributions, at both scales. A
+//! nightly `--ignored` smoke streams the full million-node scenario to
+//! verify the generator holds its contiguous-id contract at that size.
 
 use bgpq_engine::{
-    discover_schema, AccessIndexSet, DiscoveryConfig, Engine, QueryRequest, Semantics, StrategyKind,
+    discover_schema, AccessIndexSet, DiscoveryConfig, NodeId, QueryRequest, Semantics,
+    StrategyKind, Value,
 };
+use bgpq_serve::{Server, Update};
 use bgpq_workload::{
     generate_with, generate_workload, stream_graph, Record, Scenario, ScenarioConfig,
     WorkloadConfig,
@@ -37,6 +42,27 @@ struct ScalePoint {
     nodes: usize,
     /// The largest out-degree in the graph: what a hub scan would cost.
     max_out_degree: usize,
+    /// Degree of the smallest hub the commit batches attach posts to.
+    touched_hub_degree: usize,
+    /// Per commit: storage pages copied, index shards copied, and
+    /// contributions repaired — the commit's work, counted, not timed.
+    pages_copied: f64,
+    shards_copied: f64,
+    refreshed: f64,
+}
+
+/// Commit batches applied per scale point, each attaching one post to each
+/// of the [`HUBS`] busiest authors and tags.
+const COMMITS: usize = 4;
+const HUBS: usize = 3;
+
+/// The `HUBS` nodes labeled `label` with the most neighbors, busiest first.
+fn hubs(graph: &bgpq_engine::Graph, label: &str) -> Vec<NodeId> {
+    let label = graph.interner().get(label).expect("social label exists");
+    let mut nodes = graph.nodes_with_label(label).to_vec();
+    nodes.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
+    nodes.truncate(HUBS);
+    nodes
 }
 
 fn measure(scale: usize) -> ScalePoint {
@@ -62,31 +88,66 @@ fn measure(scale: usize) -> ScalePoint {
         .map(|v| graph.out_degree(v))
         .max()
         .unwrap_or(0);
-    let engine = Engine::with_indices(graph, indices);
+    let (authors, tags) = (hubs(&graph, "user"), hubs(&graph, "tag"));
+    let touched_hub_degree = authors
+        .iter()
+        .chain(&tags)
+        .map(|&v| graph.degree(v))
+        .min()
+        .expect("the scenario has users and tags");
+    let server = Server::with_indices(graph, indices);
     let (mut fragment_nodes, mut adjacency_reads, mut runs) = (0u64, 0u64, 0u64);
     for q in &workload.queries {
         let request = QueryRequest::build(q.pattern.clone())
             .strategy(StrategyKind::Bounded)
             .finish();
-        let response = engine.execute(&request).expect("certified bounded");
+        let response = server.execute(&request).expect("certified bounded");
         let fetch = response.stats.fetch.as_ref().expect("bounded runs fetch");
         fragment_nodes += fetch.fragment_nodes as u64;
         adjacency_reads += fetch.adjacency_reads;
         runs += 1;
+    }
+
+    let (mut pages_copied, mut shards_copied, mut refreshed) = (0u64, 0u64, 0usize);
+    for _ in 0..COMMITS {
+        let next = server.snapshot().graph().node_count() as u32;
+        let mut batch = Vec::new();
+        for (post, (&author, &tag)) in (next..).map(NodeId).zip(authors.iter().zip(&tags)) {
+            batch.push(Update::AddNode {
+                label: "post".into(),
+                value: Value::Int(i64::from(post.0)),
+            });
+            batch.push(Update::AddEdge {
+                src: author,
+                dst: post,
+            });
+            batch.push(Update::AddEdge {
+                src: post,
+                dst: tag,
+            });
+        }
+        let receipt = server.commit(&batch).expect("the batch is valid");
+        pages_copied += receipt.pages_copied;
+        shards_copied += receipt.shards_copied;
+        refreshed += receipt.maintenance.refreshed_contributions;
     }
     ScalePoint {
         fragment_nodes: fragment_nodes as f64 / runs as f64,
         adjacency_reads: adjacency_reads as f64 / runs as f64,
         nodes,
         max_out_degree,
+        touched_hub_degree,
+        pages_copied: pages_copied as f64 / COMMITS as f64,
+        shards_copied: shards_copied as f64 / COMMITS as f64,
+        refreshed: refreshed as f64 / COMMITS as f64,
     }
 }
 
-/// `|G|` grows 10x; avg `|G_Q|` and the avg adjacency entries read to build
-/// its view stay put. Debug builds use a smaller decade so the test stays
-/// CI-sized either way.
+/// `|G|` grows 10x; avg `|G_Q|`, the avg adjacency entries read to build its
+/// view, and the copy and repair work of a commit stay put. Debug builds use
+/// a smaller decade so the test stays CI-sized either way.
 #[test]
-fn fragment_size_and_view_work_are_scale_invariant_across_a_decade() {
+fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
     let scales: [usize; 2] = if cfg!(debug_assertions) {
         [2_000, 20_000]
     } else {
@@ -127,6 +188,34 @@ fn fragment_size_and_view_work_are_scale_invariant_across_a_decade() {
         small.adjacency_reads,
         large.adjacency_reads
     );
+
+    // The update-side twin: the same three-post batch, attached to the
+    // busiest authors and tags, costs the same copy-on-write work and the
+    // same index repairs whether those hubs have hundreds of neighbours or
+    // thousands.
+    let hub_growth = large.touched_hub_degree as f64 / small.touched_hub_degree as f64;
+    assert!(
+        hub_growth > 3.0,
+        "the touched hubs stopped growing: degree {} -> {}",
+        small.touched_hub_degree,
+        large.touched_hub_degree
+    );
+    assert!(small.refreshed > 0.0 && small.pages_copied > 0.0 && small.shards_copied > 0.0);
+    assert_eq!(
+        small.refreshed, large.refreshed,
+        "the same batch must repair the same contributions at every scale"
+    );
+    for (what, small, large) in [
+        ("pages", small.pages_copied, large.pages_copied),
+        ("shards", small.shards_copied, large.shards_copied),
+    ] {
+        let growth = large / small;
+        assert!(
+            (0.5..=2.0).contains(&growth),
+            "{what} copied per commit {small:.1} -> {large:.1} ({growth:.2}x) left the constant \
+             band while the touched hubs grew {hub_growth:.1}x"
+        );
+    }
 }
 
 /// Nightly smoke: stream the million-node skewed scenario end to end and

@@ -83,6 +83,10 @@ struct BenchConfig {
     /// multiple of `avg_query_us` at the smallest — the wall-clock side of
     /// the same claim (a bounded query's latency must not track `|G|`).
     max_latency_growth: Option<f64>,
+    /// Exit non-zero when `maintenance_us_per_batch` at the largest scale
+    /// exceeds this multiple of it at the smallest — the update side of the
+    /// claim (index maintenance must not track `|G|`).
+    max_maintenance_growth: Option<f64>,
 }
 
 impl BenchConfig {
@@ -112,6 +116,7 @@ impl BenchConfig {
                 workload_queries: 8,
                 max_fragment_growth: None,
                 max_latency_growth: None,
+                max_maintenance_growth: None,
             }
         } else {
             BenchConfig {
@@ -135,6 +140,7 @@ impl BenchConfig {
                 workload_queries: 12,
                 max_fragment_growth: None,
                 max_latency_growth: None,
+                max_maintenance_growth: None,
             }
         };
         let mut it = args.iter();
@@ -210,6 +216,11 @@ impl BenchConfig {
                 "--max-latency-growth" => {
                     let raw = value_for("--max-latency-growth")?;
                     config.max_latency_growth =
+                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
+                }
+                "--max-maintenance-growth" => {
+                    let raw = value_for("--max-maintenance-growth")?;
+                    config.max_maintenance_growth =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
                 other => return Err(format!("unknown argument {other:?}")),
@@ -665,6 +676,10 @@ struct ScalePoint {
     avg_adjacency_reads: f64,
     maintenance_us_per_batch: f64,
     refreshed_per_batch: f64,
+    /// One whole commit of the same batch, the way the serving layer pays
+    /// for it: share the published graph and indices, replay, maintain,
+    /// build the next engine, drop the superseded version.
+    commit_us: f64,
 }
 
 /// The fixed skewed-social recipe of the sweep: one seed and one knob set
@@ -682,10 +697,35 @@ fn scaling_scenario(scale: usize) -> ScenarioConfig {
 /// Fresh-post maintenance batches applied per scale point.
 const MAINTENANCE_BATCHES: usize = 200;
 
-/// Measures `avg |G_Q|` vs `|G|` and the incremental maintenance cost on
-/// the same-seed skewed social scenario at each scale: the paper's two
-/// size-independence claims (fragments bounded by the plan, maintenance
-/// bounded by `|ΔG ∪ Nb(ΔG)|`) as one curve each.
+/// Copy-on-write commits of the same batch timed per scale point.
+const COMMIT_BATCHES: usize = 50;
+
+/// One fresh post attached to a rotating author and tag: the update batch
+/// of the maintenance and commit curves. Applies it to `graph` and returns
+/// its deltas.
+fn post_batch(
+    graph: &mut Graph,
+    users: &[NodeId],
+    tags: &[NodeId],
+    scale: usize,
+    i: usize,
+) -> [GraphDelta; 3] {
+    let p = graph.insert_node("post", Value::Int((scale + i) as i64));
+    let u = users[(i * 31) % users.len()];
+    let tg = tags[(i * 17) % tags.len()];
+    graph.insert_edge(u, p).expect("endpoints exist");
+    graph.insert_edge(p, tg).expect("endpoints exist");
+    [
+        GraphDelta::InsertNode(p),
+        GraphDelta::InsertEdge(u, p),
+        GraphDelta::InsertEdge(p, tg),
+    ]
+}
+
+/// Measures `avg |G_Q|` vs `|G|`, the incremental maintenance cost and the
+/// cost of a whole commit on the same-seed skewed social scenario at each
+/// scale: the paper's two size-independence claims (fragments bounded by
+/// the plan, updates bounded by `|ΔG ∪ Nb(ΔG)|`) as curves.
 fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<ScalePoint> {
     scales
         .iter()
@@ -710,21 +750,30 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
             let mut maintenance_nanos = 0u128;
             let mut refreshed = 0u64;
             for i in 0..MAINTENANCE_BATCHES {
-                let p = graph.insert_node("post", Value::Int((scale + i) as i64));
-                let u = users[(i * 31) % users.len()];
-                let tg = tags[(i * 17) % tags.len()];
-                graph.insert_edge(u, p).expect("endpoints exist");
-                graph.insert_edge(p, tg).expect("endpoints exist");
-                let deltas = [
-                    GraphDelta::InsertNode(p),
-                    GraphDelta::InsertEdge(u, p),
-                    GraphDelta::InsertEdge(p, tg),
-                ];
+                let deltas = post_batch(&mut graph, &users, &tags, scale, i);
                 let t = Instant::now();
                 let stats = apply_deltas(&mut indices, &graph, &deltas);
                 maintenance_nanos += t.elapsed().as_nanos();
                 refreshed += stats.refreshed_contributions as u64;
             }
+
+            // Commit-cost curve: the same batch as a serving commit. The
+            // published version stays alive (readers may pin it) while its
+            // copy-on-write successor is built, then is dropped — so the
+            // number includes what sharing, un-sharing and freeing cost.
+            // (`bgpq-serve` sits above this crate; this is `Server::commit`
+            // minus its lock and pointer swap.)
+            let mut engine = Engine::with_indices(graph, indices);
+            let commits = Instant::now();
+            for i in MAINTENANCE_BATCHES..MAINTENANCE_BATCHES + COMMIT_BATCHES {
+                let mut graph = engine.graph().clone();
+                let mut indices = engine.indices().clone();
+                let deltas = post_batch(&mut graph, &users, &tags, scale, i);
+                apply_deltas(&mut indices, &graph, &deltas);
+                engine = Engine::with_indices(graph, indices);
+            }
+            let commit_nanos = commits.elapsed().as_nanos();
+            let graph = engine.graph();
 
             // Same-seed bounded workload at every scale: identical query
             // recipe, so avg |G_Q| tracking |G| would be a violation of the
@@ -739,11 +788,10 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
                 semantics: Semantics::Isomorphism,
                 shape_weights: [2, 1, 0, 1],
             };
-            let workload = generate_workload(&graph, &schema, &wconfig)
+            let workload = generate_workload(graph, &schema, &wconfig)
                 .expect("curated social tier keeps bounded queries generable");
             let nodes = graph.live_node_count();
             let edges = graph.edge_count();
-            let engine = Engine::with_indices(graph, indices);
             let (mut fragment_nodes, mut adjacency_reads, mut runs) = (0u64, 0u64, 0u64);
             let mut total_nanos = 0u128;
             for q in &workload.queries {
@@ -773,14 +821,16 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
                     / MAINTENANCE_BATCHES as f64
                     / 1e3,
                 refreshed_per_batch: refreshed as f64 / MAINTENANCE_BATCHES as f64,
+                commit_us: commit_nanos as f64 / COMMIT_BATCHES as f64 / 1e3,
             }
         })
         .collect()
 }
 
 /// `metric` at the largest scale over the smallest — the number the
-/// `--max-fragment-growth` (avg `|G_Q|`) and `--max-latency-growth`
-/// (`avg_query_us`) gates check.
+/// `--max-fragment-growth` (avg `|G_Q|`), `--max-latency-growth`
+/// (`avg_query_us`) and `--max-maintenance-growth`
+/// (`maintenance_us_per_batch`) gates check.
 fn scale_growth(points: &[ScalePoint], metric: impl Fn(&ScalePoint) -> f64) -> f64 {
     let first = points.first().map_or(1.0, |p| metric(p).max(1.0));
     let last = points.last().map_or(1.0, |p| metric(p).max(1.0));
@@ -825,7 +875,8 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
                 "      {{\"scale\": {}, \"nodes\": {}, \"edges\": {}, \"build_ms\": {:.1}, \
                  \"queries\": {}, \"avg_fragment_nodes\": {:.1}, \"fragment_fraction\": {:.6}, \
                  \"avg_query_us\": {:.1}, \"avg_adjacency_reads\": {:.1}, \
-                 \"maintenance_us_per_batch\": {:.2}, \"refreshed_per_batch\": {:.1}}}",
+                 \"maintenance_us_per_batch\": {:.2}, \"refreshed_per_batch\": {:.1}, \
+                 \"commit_us\": {:.2}}}",
                 p.scale,
                 p.nodes,
                 p.edges,
@@ -837,16 +888,22 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
                 p.avg_adjacency_reads,
                 p.maintenance_us_per_batch,
                 p.refreshed_per_batch,
+                p.commit_us,
             )
         })
         .collect();
     format!(
         "{{\n    \"scenario\": \"social\", \"zipf\": 1.1, \"hot_fraction\": 0.5, \
-         \"domain\": 50,\n    \"maintenance_batches\": {},\n    \"fragment_growth\": {:.3},\n    \
-         \"latency_growth\": {:.3},\n    \"scales\": [\n{}\n    ]\n  }}",
+         \"domain\": 50,\n    \"maintenance_batches\": {},\n    \"commit_batches\": {},\n    \
+         \"fragment_growth\": {:.3},\n    \"latency_growth\": {:.3},\n    \
+         \"maintenance_growth\": {:.3},\n    \"commit_growth\": {:.3},\n    \
+         \"scales\": [\n{}\n    ]\n  }}",
         MAINTENANCE_BATCHES,
+        COMMIT_BATCHES,
         scale_growth(points, |p| p.avg_fragment_nodes),
         scale_growth(points, |p| p.avg_query_us),
+        scale_growth(points, |p| p.maintenance_us_per_batch),
+        scale_growth(points, |p| p.commit_us),
         rows.join(",\n")
     )
 }
@@ -997,7 +1054,8 @@ fn main() {
                  [--min-bitmap-speedup X] [--min-parallel-per-core X] \
                  [--open-loop] [--offered Q1,Q2,..] [--duration-ms D] [--lanes L] \
                  [--max-p99-ms X] [--scales S1,S2,..] [--workload-queries K] \
-                 [--max-fragment-growth X] [--max-latency-growth X]"
+                 [--max-fragment-growth X] [--max-latency-growth X] \
+                 [--max-maintenance-growth X]"
             );
             std::process::exit(2);
         }
@@ -1179,7 +1237,8 @@ fn main() {
             "scale {:>8}: |G| = {} nodes / {} edges (built in {:.0} ms), \
              avg |G_Q| = {:.1} nodes ({:.4}% of |G|), query {:.1} us avg \
              ({:.0} adjacency reads per view), \
-             maintenance {:.1} us per 3-delta batch ({:.1} contributions)",
+             maintenance {:.1} us per 3-delta batch ({:.1} contributions), \
+             commit {:.1} us",
             p.scale,
             p.nodes,
             p.edges,
@@ -1190,15 +1249,19 @@ fn main() {
             p.avg_adjacency_reads,
             p.maintenance_us_per_batch,
             p.refreshed_per_batch,
+            p.commit_us,
         );
     }
     let growth = scale_growth(&scaling, |p| p.avg_fragment_nodes);
     let latency_growth = scale_growth(&scaling, |p| p.avg_query_us);
     let graph_growth = scaling.last().map_or(1.0, |p| p.nodes as f64)
         / scaling.first().map_or(1.0, |p| p.nodes.max(1) as f64);
+    let maintenance_growth = scale_growth(&scaling, |p| p.maintenance_us_per_batch);
+    let commit_growth = scale_growth(&scaling, |p| p.commit_us);
     println!(
-        "fragment scaling: avg |G_Q| grew {growth:.2}x and avg query latency \
-         {latency_growth:.2}x while |G| grew {graph_growth:.0}x"
+        "fragment scaling: avg |G_Q| grew {growth:.2}x, avg query latency \
+         {latency_growth:.2}x, maintenance per batch {maintenance_growth:.2}x and a whole \
+         commit {commit_growth:.2}x while |G| grew {graph_growth:.0}x"
     );
 
     let loads = bench_snapshot_loads(15);
@@ -1359,6 +1422,17 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench: latency-growth gate passed ({latency_growth:.2} <= {max:.2})");
+    }
+    if let Some(max) = config.max_maintenance_growth {
+        if maintenance_growth > max {
+            eprintln!(
+                "bench: REGRESSION — fragment_scaling.maintenance_growth = \
+                 {maintenance_growth:.2} exceeds the allowed {max:.2} (index maintenance is \
+                 tracking |G|)"
+            );
+            std::process::exit(1);
+        }
+        println!("bench: maintenance-growth gate passed ({maintenance_growth:.2} <= {max:.2})");
     }
     if let Some(min) = config.min_load_speedup {
         for l in &loads {

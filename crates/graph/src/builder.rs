@@ -5,9 +5,10 @@
 //! with sorted adjacency and a label index.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, Row};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
+use crate::paged::PagedVec;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashSet;
@@ -127,20 +128,13 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
         let n = self.labels.len();
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut inc: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &(src, dst) in &self.edges {
-            out[src.index()].push(dst);
-            inc[dst.index()].push(src);
-        }
-        for list in out.iter_mut().chain(inc.iter_mut()) {
-            list.sort_unstable();
-        }
+        let out = sorted_rows(n, self.edges.iter().copied());
+        let inc = sorted_rows(n, self.edges.iter().map(|&(src, dst)| (dst, src)));
         let label_index = LabelIndex::build(&self.labels);
         Graph {
             interner: self.interner,
-            labels: self.labels,
-            values: self.values,
+            labels: self.labels.into_iter().collect(),
+            values: self.values.into_iter().collect(),
             out,
             inc,
             edge_count: self.edges.len(),
@@ -148,6 +142,33 @@ impl GraphBuilder {
             dead_count: 0,
         }
     }
+}
+
+/// Groups `(node, neighbor)` pairs into one sorted row per node: a counting
+/// sort into a flat array, then each row is cut out as its own allocation.
+fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) -> PagedVec<Row> {
+    let mut end = vec![0usize; n + 1];
+    for (node, _) in pairs.clone() {
+        end[node.index() + 1] += 1;
+    }
+    for v in 0..n {
+        end[v + 1] += end[v];
+    }
+    // `end[v]` is now the start of row `v`; filling advances it to the end.
+    let mut flat = vec![NodeId(0); end[n]];
+    for (node, neighbor) in pairs {
+        flat[end[node.index()]] = neighbor;
+        end[node.index()] += 1;
+    }
+    let mut start = 0;
+    (0..n)
+        .map(|v| {
+            let ids = &mut flat[start..end[v]];
+            start = end[v];
+            ids.sort_unstable();
+            Row::from(&*ids)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,13 +18,25 @@
 //! that keeps the adjacency lists sorted and the embedded [`LabelIndex`] in
 //! sync, so access-constraint indices can be maintained incrementally
 //! against the mutated graph instead of rebuilt.
+//!
+//! **Storage is structurally shared.** The four per-node arrays (labels,
+//! values, out- and in-adjacency) are paged copy-on-write vectors
+//! ([`crate::PAGE_SIZE`] nodes per page), every adjacency row longer than a
+//! few neighbours is its own `Arc<[NodeId]>` (shorter ones live inside their
+//! page), and label-index buckets are individually `Arc`'d.
+//! [`Graph::clone`] therefore costs `O(|V| / PAGE_SIZE)` reference-count
+//! bumps, and a mutation of the clone copies only the pages, rows and
+//! bucket it lands in — which is what lets a serving commit keep the
+//! previous snapshot alive for its readers at `O(|ΔG|)` cost.
 
 use crate::error::GraphError;
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
+use crate::paged::PagedVec;
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
+use std::sync::Arc;
 
 /// Sentinel label carried by deleted node slots. It is never interned, so it
 /// compares unequal to every real label and [`LabelIndex`] lookups for it
@@ -36,6 +48,56 @@ pub(crate) const TOMBSTONE: Label = Label(u32::MAX);
 /// [`crate::NodeBitSet`]. Below this, loading the bitmap costs more than the
 /// handful of binary searches it replaces.
 pub const BITMAP_INTERSECT_THRESHOLD: usize = 64;
+
+/// Neighbours a [`Row`] holds in place, without an allocation of its own.
+const INLINE_ROW: usize = 5;
+
+/// One sorted adjacency list; a row is replaced, not edited.
+///
+/// A long row is shared between graph clones, so copying a page of rows
+/// never copies a hub's neighbours. A short one — most rows of a real graph
+/// — lives inside its page: no allocation, no reference count, and no
+/// pointer hop to read it. Both variants fill the 24 bytes of a `Vec`.
+#[derive(Debug, Clone)]
+pub(crate) enum Row {
+    Inline { len: u8, ids: [NodeId; INLINE_ROW] },
+    Shared(Arc<[NodeId]>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Inline {
+            len: 0,
+            ids: [NodeId(0); INLINE_ROW],
+        }
+    }
+}
+
+impl From<&[NodeId]> for Row {
+    fn from(row: &[NodeId]) -> Self {
+        if row.len() > INLINE_ROW {
+            return Row::Shared(Arc::from(row));
+        }
+        let mut ids = [NodeId(0); INLINE_ROW];
+        ids[..row.len()].copy_from_slice(row);
+        Row::Inline {
+            len: row.len() as u8,
+            ids,
+        }
+    }
+}
+
+impl std::ops::Deref for Row {
+    type Target = [NodeId];
+
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        match self {
+            Row::Inline { len, ids } => &ids[..usize::from(*len)],
+            Row::Shared(ids) => ids,
+        }
+    }
+}
 
 /// Identifier of a node in a [`Graph`]; contiguous from `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -84,12 +146,12 @@ impl EdgeId {
 #[derive(Debug, Clone)]
 pub struct Graph {
     pub(crate) interner: LabelInterner,
-    pub(crate) labels: Vec<Label>,
-    pub(crate) values: Vec<Value>,
+    pub(crate) labels: PagedVec<Label>,
+    pub(crate) values: PagedVec<Value>,
     /// Sorted out-adjacency per node.
-    pub(crate) out: Vec<Vec<NodeId>>,
+    pub(crate) out: PagedVec<Row>,
     /// Sorted in-adjacency per node.
-    pub(crate) inc: Vec<Vec<NodeId>>,
+    pub(crate) inc: PagedVec<Row>,
     pub(crate) edge_count: usize,
     pub(crate) label_index: LabelIndex,
     /// Number of deleted (tombstoned) node slots; node ids stay contiguous
@@ -102,10 +164,10 @@ impl Graph {
     pub fn empty() -> Self {
         Graph {
             interner: LabelInterner::new(),
-            labels: Vec::new(),
-            values: Vec::new(),
-            out: Vec::new(),
-            inc: Vec::new(),
+            labels: PagedVec::default(),
+            values: PagedVec::default(),
+            out: PagedVec::default(),
+            inc: PagedVec::default(),
             edge_count: 0,
             label_index: LabelIndex::default(),
             dead_count: 0,
@@ -173,6 +235,14 @@ impl Graph {
     /// The label of `v`, or `None` when `v` is out of range.
     pub fn try_label(&self, v: NodeId) -> Option<Label> {
         self.labels.get(v.index()).copied()
+    }
+
+    /// Pages of per-node storage copied because a mutation found them still
+    /// shared with another clone of this graph. The count is inherited by
+    /// clones, so the copy work of one commit is the difference between the
+    /// new snapshot's count and its base's.
+    pub fn pages_copied(&self) -> u64 {
+        self.labels.copied() + self.values.copied() + self.out.copied() + self.inc.copied()
     }
 
     /// The attribute value `ν(v)` of node `v`.
@@ -387,8 +457,8 @@ impl Graph {
         let id = NodeId(self.labels.len() as u32);
         self.labels.push(label);
         self.values.push(value);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
+        self.out.push(Row::default());
+        self.inc.push(Row::default());
         self.label_index.insert(label, id);
         id
     }
@@ -406,11 +476,11 @@ impl Graph {
         match self.out[src.index()].binary_search(&dst) {
             Ok(_) => Ok(false),
             Err(pos) => {
-                self.out[src.index()].insert(pos, dst);
+                edit_row(&mut self.out, src, |ids| ids.insert(pos, dst));
                 let ipos = self.inc[dst.index()]
                     .binary_search(&src)
                     .expect_err("out and in adjacency agree on membership");
-                self.inc[dst.index()].insert(ipos, src);
+                edit_row(&mut self.inc, dst, |ids| ids.insert(ipos, src));
                 self.edge_count += 1;
                 Ok(true)
             }
@@ -430,11 +500,15 @@ impl Graph {
         match self.out[src.index()].binary_search(&dst) {
             Err(_) => Ok(false),
             Ok(pos) => {
-                self.out[src.index()].remove(pos);
+                edit_row(&mut self.out, src, |ids| {
+                    ids.remove(pos);
+                });
                 let ipos = self.inc[dst.index()]
                     .binary_search(&src)
                     .expect("out and in adjacency agree on membership");
-                self.inc[dst.index()].remove(ipos);
+                edit_row(&mut self.inc, dst, |ids| {
+                    ids.remove(ipos);
+                });
                 self.edge_count -= 1;
                 Ok(true)
             }
@@ -452,27 +526,38 @@ impl Graph {
             return Err(GraphError::NodeNotFound(v.0 as u64));
         }
         let mut removed = Vec::new();
-        for dst in std::mem::take(&mut self.out[v.index()]) {
+        for &dst in std::mem::take(self.out.make_mut(v.index())).iter() {
             let pos = self.inc[dst.index()]
                 .binary_search(&v)
                 .expect("out and in adjacency agree on membership");
-            self.inc[dst.index()].remove(pos);
+            edit_row(&mut self.inc, dst, |ids| {
+                ids.remove(pos);
+            });
             removed.push(EdgeId::new(v, dst));
         }
-        for src in std::mem::take(&mut self.inc[v.index()]) {
+        for &src in std::mem::take(self.inc.make_mut(v.index())).iter() {
             let pos = self.out[src.index()]
                 .binary_search(&v)
                 .expect("out and in adjacency agree on membership");
-            self.out[src.index()].remove(pos);
+            edit_row(&mut self.out, src, |ids| {
+                ids.remove(pos);
+            });
             removed.push(EdgeId::new(src, v));
         }
         self.edge_count -= removed.len();
         self.label_index.remove(self.labels[v.index()], v);
-        self.labels[v.index()] = TOMBSTONE;
-        self.values[v.index()] = Value::Null;
+        *self.labels.make_mut(v.index()) = TOMBSTONE;
+        *self.values.make_mut(v.index()) = Value::Null;
         self.dead_count += 1;
         Ok(removed)
     }
+}
+
+/// Replaces `rows[v]` by an edited copy of itself.
+fn edit_row(rows: &mut PagedVec<Row>, v: NodeId, edit: impl FnOnce(&mut Vec<NodeId>)) {
+    let mut ids = rows[v.index()].to_vec();
+    edit(&mut ids);
+    *rows.make_mut(v.index()) = Row::from(&ids[..]);
 }
 
 impl Default for Graph {
@@ -690,6 +775,35 @@ mod tests {
         assert_eq!(removed.len(), 3);
         assert_eq!(g.edge_count(), 0);
         assert!(g.is_live(c));
+    }
+
+    /// Rows switch from in-page to shared storage past `INLINE_ROW`
+    /// neighbours, in both directions, without changing what they read as.
+    #[test]
+    fn rows_move_between_inline_and_shared_storage() {
+        use super::{Row, INLINE_ROW};
+        assert_eq!(
+            std::mem::size_of::<Row>(),
+            std::mem::size_of::<Vec<NodeId>>()
+        );
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("hub", Value::Null);
+        let spokes: Vec<NodeId> = (0..2 * INLINE_ROW as i64)
+            .map(|i| b.add_node("x", Value::Int(i)))
+            .collect();
+        let mut g = b.build();
+        for (i, &spoke) in spokes.iter().enumerate().rev() {
+            assert!(g.insert_edge(hub, spoke).unwrap());
+            assert_eq!(g.out_neighbors(hub), &spokes[i..]);
+            let shared = matches!(g.out[hub.index()], Row::Shared(_));
+            assert_eq!(shared, spokes.len() - i > INLINE_ROW);
+        }
+        for (i, &spoke) in spokes.iter().enumerate() {
+            assert!(g.delete_edge(hub, spoke).unwrap());
+            assert_eq!(g.out_neighbors(hub), &spokes[i + 1..]);
+            assert!(g.in_neighbors(spoke).is_empty());
+        }
+        assert!(matches!(g.out[hub.index()], Row::Inline { len: 0, .. }));
     }
 
     #[test]

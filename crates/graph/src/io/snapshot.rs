@@ -48,9 +48,10 @@
 //! slots are preserved exactly (unlike the text writer, which compacts
 //! ids), so a mutated graph round-trips with stable node ids.
 
-use crate::graph::{Graph, NodeId, TOMBSTONE};
+use crate::graph::{Graph, NodeId, Row, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
+use crate::paged::PagedVec;
 use crate::value::Value;
 use std::fmt;
 use std::io::{Read, Write};
@@ -575,7 +576,7 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
 
     let mut labels = SectionWriter::new();
     labels.put_u32(n as u32);
-    for label in &graph.labels {
+    for label in graph.labels.iter() {
         labels.put_u32(label.0);
     }
     writer.add_section(Section::Labels, labels.into_bytes());
@@ -584,7 +585,7 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
     values.put_u32(n as u32);
     let mut blob: Vec<u8> = Vec::new();
     let mut payloads: Vec<u64> = Vec::with_capacity(n);
-    for value in &graph.values {
+    for value in graph.values.iter() {
         let (tag, payload) = match value {
             Value::Null => (TAG_NULL, 0u64),
             Value::Bool(b) => (TAG_BOOL, *b as u64),
@@ -616,34 +617,30 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
     );
 
     let buckets = graph.label_index.buckets();
-    let mut index = SectionWriter::new();
-    index.put_u32(buckets.len() as u32);
-    let mut offset = 0u64;
-    index.put_u64(buckets.iter().map(|b| b.len() as u64).sum());
-    for bucket in buckets {
-        index.put_u64(offset);
-        offset += bucket.len() as u64;
-    }
-    index.put_u64(offset);
-    for bucket in buckets {
-        for v in bucket {
-            index.put_u32(v.0);
-        }
-    }
+    let index = encode_csr(buckets.len(), || buckets.iter().map(|b| b.as_slice()));
     writer.add_section(Section::LabelIndex, index.into_bytes());
 }
 
-fn encode_adjacency(rows: &[Vec<NodeId>]) -> SectionWriter {
+fn encode_adjacency(rows: &PagedVec<Row>) -> SectionWriter {
+    encode_csr(rows.len(), || rows.iter().map(|row| &row[..]))
+}
+
+/// The CSR layout shared by the adjacency and label-index sections: row
+/// count, id total, `count + 1` offsets, then the ids.
+fn encode_csr<'a, I>(count: usize, rows: impl Fn() -> I) -> SectionWriter
+where
+    I: Iterator<Item = &'a [NodeId]>,
+{
     let mut w = SectionWriter::new();
-    w.put_u32(rows.len() as u32);
-    w.put_u64(rows.iter().map(|r| r.len() as u64).sum());
+    w.put_u32(count as u32);
+    w.put_u64(rows().map(|r| r.len() as u64).sum());
     let mut offset = 0u64;
-    for row in rows {
+    for row in rows() {
         w.put_u64(offset);
         offset += row.len() as u64;
     }
     w.put_u64(offset);
-    for row in rows {
+    for row in rows() {
         for v in row {
             w.put_u32(v.0);
         }
@@ -658,7 +655,7 @@ fn decode_adjacency(
     payload: &[u8],
     node_count: usize,
     labels: &[Label],
-) -> Result<(Vec<Vec<NodeId>>, u64), SnapshotError> {
+) -> Result<(PagedVec<Row>, u64), SnapshotError> {
     let mut r = SectionReader::new(section, payload);
     let n = r.read_u32()? as usize;
     if n != node_count {
@@ -673,7 +670,11 @@ fn decode_adjacency(
     }
     let total_usize =
         usize::try_from(total).map_err(|_| r.corrupt(format!("edge total {total} overflows")))?;
-    let targets = r.read_u32_vec(total_usize)?;
+    let targets: Vec<NodeId> = r
+        .read_u32_vec(total_usize)?
+        .into_iter()
+        .map(NodeId)
+        .collect();
     r.expect_end()?;
 
     let mut rows = Vec::with_capacity(n);
@@ -682,16 +683,13 @@ fn decode_adjacency(
         if start > end {
             return Err(r.corrupt(format!("offsets of node {v} are not monotone")));
         }
-        let row: Vec<NodeId> = targets[start as usize..end as usize]
-            .iter()
-            .map(|&t| NodeId(t))
-            .collect();
+        let row = Row::from(&targets[start as usize..end as usize]);
         for pair in row.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(r.corrupt(format!("adjacency of node {v} is not sorted strictly")));
             }
         }
-        for &t in &row {
+        for &t in row.iter() {
             if t.index() >= n {
                 return Err(r.corrupt(format!("node {v} references out-of-bounds node {t}")));
             }
@@ -704,7 +702,7 @@ fn decode_adjacency(
         }
         rows.push(row);
     }
-    Ok((rows, total))
+    Ok((rows.into_iter().collect(), total))
 }
 
 /// Rebuilds a [`Graph`] from the archive's graph sections, validating
@@ -806,7 +804,7 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         });
     }
     for (src, row) in out.iter().enumerate() {
-        for &dst in row {
+        for &dst in row.iter() {
             if inc[dst.index()].binary_search(&NodeId(src as u32)).is_err() {
                 return Err(SnapshotError::Corrupt {
                     section: Section::InAdjacency,
@@ -872,8 +870,8 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
 
     Ok(Graph {
         interner,
-        labels,
-        values,
+        labels: labels.into_iter().collect(),
+        values: values.into_iter().collect(),
         out,
         inc,
         edge_count: out_total as usize,

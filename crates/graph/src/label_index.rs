@@ -7,12 +7,18 @@
 
 use crate::graph::NodeId;
 use crate::label::Label;
+use std::sync::Arc;
 
 /// Maps each label to the sorted list of node ids carrying it.
+///
+/// Buckets are shared between clones and copied on write one at a time:
+/// cloning the index bumps one reference count per label, and registering a
+/// node copies only its own label's bucket (whole — 4 bytes per node of that
+/// label, the one `|G|`-proportional term left on the update path).
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     /// `buckets[label.index()]` is the sorted list of nodes with that label.
-    buckets: Vec<Vec<NodeId>>,
+    buckets: Vec<Arc<Vec<NodeId>>>,
 }
 
 impl LabelIndex {
@@ -24,15 +30,14 @@ impl LabelIndex {
             buckets[label.index()].push(NodeId(i as u32));
         }
         // Node ids are pushed in increasing order, so each bucket is sorted.
-        LabelIndex { buckets }
+        Self::from_buckets(buckets)
     }
 
     /// All nodes carrying `label` (empty slice when the label is unused).
     pub fn nodes(&self, label: Label) -> &[NodeId] {
         self.buckets
             .get(label.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |bucket| bucket.as_slice())
     }
 
     /// Number of nodes carrying `label`.
@@ -66,17 +71,17 @@ impl LabelIndex {
     /// index in sync with label assignments.
     pub fn insert(&mut self, label: Label, node: NodeId) {
         if label.index() >= self.buckets.len() {
-            self.buckets.resize_with(label.index() + 1, Vec::new);
+            self.buckets.resize_with(label.index() + 1, Arc::default);
         }
         let bucket = &mut self.buckets[label.index()];
         if let Err(pos) = bucket.binary_search(&node) {
-            bucket.insert(pos, node);
+            Arc::make_mut(bucket).insert(pos, node);
         }
     }
 
     /// The raw bucket table, indexed by label id — the snapshot writer
     /// serializes it verbatim as a CSR section.
-    pub(crate) fn buckets(&self) -> &[Vec<NodeId>] {
+    pub(crate) fn buckets(&self) -> &[Arc<Vec<NodeId>>] {
         &self.buckets
     }
 
@@ -84,7 +89,9 @@ impl LabelIndex {
     /// The caller guarantees each bucket is sorted, deduplicated and lists
     /// exactly the nodes carrying its label.
     pub(crate) fn from_buckets(buckets: Vec<Vec<NodeId>>) -> Self {
-        LabelIndex { buckets }
+        LabelIndex {
+            buckets: buckets.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Removes `node` from `label`'s bucket. Returns whether it was present.
@@ -94,7 +101,7 @@ impl LabelIndex {
         };
         match bucket.binary_search(&node) {
             Ok(pos) => {
-                bucket.remove(pos);
+                Arc::make_mut(bucket).remove(pos);
                 true
             }
             Err(_) => false,

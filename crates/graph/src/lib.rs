@@ -14,7 +14,9 @@
 //! * [`Value`] — attribute values with a total order, used by pattern
 //!   predicates;
 //! * [`Graph`] and [`GraphBuilder`] — the graph storage with out/in adjacency
-//!   lists, per-label node indexes and neighbor/common-neighbor queries;
+//!   lists, per-label node indexes and neighbor/common-neighbor queries, held
+//!   in structurally shared pages so a clone is cheap and a mutation copies
+//!   only what it touches;
 //! * [`Subgraph`] — the representation of the bounded fragment `G_Q` that a
 //!   query plan fetches from `G`;
 //! * [`view`] — zero-copy fragment execution: the [`GraphAccess`] trait the
@@ -43,6 +45,7 @@ pub mod graph;
 pub mod io;
 pub mod label;
 pub mod label_index;
+mod paged;
 pub mod pool;
 pub mod stats;
 pub mod subgraph;
@@ -56,6 +59,7 @@ pub use graph::{EdgeId, Graph, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
 pub use label_index::LabelIndex;
+pub use paged::PAGE_SIZE;
 pub use pool::ArenaPool;
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;

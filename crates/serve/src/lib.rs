@@ -17,7 +17,7 @@
 //!   │ pin Arc<Snapshot> · execute · drop │            │ commit(updates)│
 //!   └──────┬─────┴──────┬─────┴────┬─────┘            └───────┬────────┘
 //!          ▼            ▼          ▼                          ▼
-//!    Snapshot v2   Snapshot v2  Snapshot v1   clone graph+indices of v2
+//!    Snapshot v2   Snapshot v2  Snapshot v1   share graph+indices of v2
 //!          ▲            ▲          ▲          apply mutations  → deltas
 //!          │            │          │          apply_deltas (ΔG ∪ Nb(ΔG))
 //!          └───── epoch-versioned chain ◄──── publish Snapshot v3
@@ -29,8 +29,10 @@
 //! * [`Server`] — owns the current snapshot behind an epoch-versioned
 //!   pointer. Readers pin a snapshot with one `Arc` clone and are never
 //!   blocked by mutation work; the single writer builds the next snapshot
-//!   **off to the side** (copy-on-write clone + incremental index
-//!   maintenance instead of a rebuild) and publishes it with a pointer swap.
+//!   **off to the side** — a structurally shared clone whose writes copy
+//!   only the storage pages and index shards they land in, plus incremental
+//!   index maintenance instead of a rebuild, so a commit costs `O(|ΔG|)` —
+//!   and publishes it with a pointer swap.
 //! * [`WorkerPool`] — a minimal thread pool executing
 //!   [`QueryRequest`](bgpq_engine::QueryRequest)s against pinned snapshots.
 //! * [`AdmissionGate`] — a bounded in-flight gate with queue-depth

@@ -66,10 +66,19 @@ pub struct CommitReceipt {
     /// `O(|ΔG ∪ Nb(ΔG)|)` incremental maintenance cost, to be compared with
     /// the cost of rebuilding every index from scratch.
     pub delta_apply_nanos: u64,
-    /// Nanoseconds for the whole commit: copy-on-write clone of graph and
-    /// indices (`O(|G| + |index|)`, the dominant cost on large graphs),
-    /// mutation replay, incremental maintenance and the pointer swap.
+    /// Nanoseconds for the whole commit: sharing the base snapshot's graph
+    /// and indices (reference-count bumps), mutation replay and incremental
+    /// maintenance (each copying only the pages and shards it writes to),
+    /// and the pointer swap.
     pub commit_nanos: u64,
+    /// Pages of the graph's per-node storage this commit copied because the
+    /// base snapshot still shared them
+    /// ([`Graph::pages_copied`](bgpq_graph::Graph::pages_copied)).
+    pub pages_copied: u64,
+    /// Index shards this commit copied, for the same reason
+    /// ([`AccessIndexSet::shards_copied`]). Both counts follow `|ΔG|`, not
+    /// `|G|`.
+    pub shards_copied: u64,
 }
 
 /// Writer-side lifetime counters of a [`Server`].
@@ -88,9 +97,13 @@ pub struct ServerStats {
     pub contributions_refreshed: u64,
     /// Total nanoseconds spent in incremental index maintenance.
     pub delta_apply_nanos: u64,
-    /// Total nanoseconds spent in whole commits (clone + replay +
+    /// Total nanoseconds spent in whole commits (share + replay +
     /// maintenance + publish).
     pub commit_nanos: u64,
+    /// Graph storage pages copied on write across all commits.
+    pub pages_copied: u64,
+    /// Index shards copied on write across all commits.
+    pub shards_copied: u64,
 }
 
 /// A multi-threaded serving frontend over one logical graph.
@@ -106,16 +119,17 @@ pub struct ServerStats {
 /// * **Writes are serialized and atomic.** One internal writer lock orders
 ///   [`Server::commit`] calls; a failing update (missing endpoint, deleted
 ///   node) aborts the whole batch with no published change.
-/// * **Indices are maintained, not rebuilt.** A commit clones the current
-///   graph and indices, applies the batch as graph mutations, and repairs
-///   the clone's indices with
-///   [`apply_deltas`] — work proportional to `|ΔG ∪ Nb(ΔG)|`, not `|G|`.
-///   The clone itself *is* `O(|G| + |index|)` (a deliberate simplicity
-///   trade-off: snapshots stay flat, cache-friendly structures; see
-///   [`CommitReceipt::commit_nanos`] vs
-///   [`CommitReceipt::delta_apply_nanos`] for the split) — structurally
-///   shared adjacency would shave that and is the natural next step if
-///   writer throughput on big graphs becomes the bottleneck.
+/// * **A commit costs `O(|ΔG|)`, not `O(|G|)`.** Graph and index storage
+///   are structurally shared between snapshots: a commit clones the current
+///   graph and indices (reference-count bumps, one per storage page, per
+///   label bucket and per constraint), applies the batch as graph
+///   mutations, and repairs the clone's indices with [`apply_deltas`]. Each
+///   write copies only the page, adjacency row or index shard it lands in
+///   ([`CommitReceipt::pages_copied`], [`CommitReceipt::shards_copied`]);
+///   everything else stays shared with the snapshots readers still pin, and
+///   dropping a superseded snapshot frees only what its successor replaced.
+///   What still grows with `|G|`: the label bucket of an inserted or
+///   deleted node is copied whole (4 bytes per node of that label).
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedPlanCache`] *and* one [`SharedFragmentCache`]; slots are keyed
 ///   by snapshot version, so a commit that changes index coverage or graph
@@ -161,6 +175,8 @@ pub struct Server {
     nodes_touched: AtomicU64,
     contributions_refreshed: AtomicU64,
     delta_apply_nanos: AtomicU64,
+    pages_copied: AtomicU64,
+    shards_copied: AtomicU64,
 }
 
 impl Server {
@@ -190,6 +206,8 @@ impl Server {
             nodes_touched: AtomicU64::new(0),
             contributions_refreshed: AtomicU64::new(0),
             delta_apply_nanos: AtomicU64::new(0),
+            pages_copied: AtomicU64::new(0),
+            shards_copied: AtomicU64::new(0),
         }
     }
 
@@ -259,12 +277,12 @@ impl Server {
 
     /// Applies a batch of updates atomically, publishing the next snapshot.
     ///
-    /// The commit runs entirely on a private copy: clone the current graph
-    /// and indices, replay the updates as graph mutations (collecting the
-    /// equivalent [`GraphDelta`]s — a node removal expands to its incident
-    /// edge deletions first, so maintenance sees the full `ΔG`), repair the
-    /// indices incrementally, build the next engine and swap the snapshot
-    /// pointer. Readers keep executing against their pinned versions
+    /// The commit runs entirely on a private copy-on-write clone of the
+    /// current graph and indices: replay the updates as graph mutations
+    /// (collecting the equivalent [`GraphDelta`]s — a node removal expands
+    /// to its incident edge deletions first, so maintenance sees the full
+    /// `ΔG`), repair the indices incrementally, build the next engine and
+    /// swap the snapshot pointer. Readers keep executing against their pinned versions
     /// throughout; an error leaves the served state untouched.
     ///
     /// ```
@@ -334,6 +352,8 @@ impl Server {
         let started = Instant::now();
         let maintenance = apply_deltas(&mut indices, &graph, &deltas);
         let delta_apply_nanos = started.elapsed().as_nanos() as u64;
+        let pages_copied = graph.pages_copied() - base.graph().pages_copied();
+        let shards_copied = indices.shards_copied() - base.indices().shards_copied();
 
         let version = base.version() + 1;
         let mut engine = Engine::with_caches_at_version(
@@ -373,6 +393,9 @@ impl Server {
         self.delta_apply_nanos
             .fetch_add(delta_apply_nanos, Ordering::Relaxed);
         self.commit_nanos.fetch_add(commit_nanos, Ordering::Relaxed);
+        self.pages_copied.fetch_add(pages_copied, Ordering::Relaxed);
+        self.shards_copied
+            .fetch_add(shards_copied, Ordering::Relaxed);
 
         Ok(CommitReceipt {
             version,
@@ -381,6 +404,8 @@ impl Server {
             maintenance,
             delta_apply_nanos,
             commit_nanos,
+            pages_copied,
+            shards_copied,
         })
     }
 
@@ -394,6 +419,8 @@ impl Server {
             contributions_refreshed: self.contributions_refreshed.load(Ordering::Relaxed),
             delta_apply_nanos: self.delta_apply_nanos.load(Ordering::Relaxed),
             commit_nanos: self.commit_nanos.load(Ordering::Relaxed),
+            pages_copied: self.pages_copied.load(Ordering::Relaxed),
+            shards_copied: self.shards_copied.load(Ordering::Relaxed),
         }
     }
 }

@@ -10,7 +10,11 @@ use bgpq_graph::Graph;
 ///
 /// Snapshots are immutable and shared behind `Arc`: a reader that pinned one
 /// keeps evaluating against a consistent graph/index pair even while the
-/// writer publishes newer versions. The engine's plan cache is shared across
+/// writer publishes newer versions. Successive snapshots share storage —
+/// graph pages, adjacency rows, label buckets, whole constraint indices and
+/// the shards inside them — and differ only in what a commit wrote, so
+/// keeping an old version pinned costs the memory of its differences, and
+/// dropping it frees exactly those. The engine's plan cache is shared across
 /// the whole snapshot chain and validated per version, so pinning an old
 /// snapshot can never observe a newer schema's plans.
 pub struct Snapshot {

@@ -239,6 +239,97 @@ fn readers_stay_consistent_while_writer_commits() {
     }
 }
 
+/// Snapshots share storage with their successors, so the property to hold
+/// is isolation: a reader that pins version `v` and keeps it across 50
+/// later commits — each one a copy-on-write clone of its predecessor,
+/// adding and retiring whole clusters — reads byte-identical answers,
+/// indices and adjacency throughout. The reader and the writer alternate
+/// through channels, so every re-read happens with a known number of
+/// commits landed.
+#[test]
+fn pinned_reader_reads_the_same_bytes_across_fifty_commits() {
+    const COMMITS: usize = 50;
+
+    let (graph, schema) = fixture(40);
+    let mut scratch = graph.clone();
+    let batches = make_batches(&mut scratch, 3 + COMMITS);
+    let server = Arc::new(Server::new(graph.clone(), &schema));
+    // Version 3 is itself the product of three copy-on-write commits.
+    for batch in &batches[..3] {
+        server.commit(batch).unwrap();
+    }
+
+    let (landed_tx, landed_rx) = std::sync::mpsc::channel::<u64>();
+    let (checked_tx, checked_rx) = std::sync::mpsc::channel::<()>();
+    let reader = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || {
+            let pinned = server.snapshot();
+            assert_eq!(pinned.version(), 3);
+            let queries: Vec<Pattern> = (0..10)
+                .map(|i| year_query(pinned.graph(), 2000 + i))
+                .collect();
+            // Everything a reader can see, rendered to bytes: answers under
+            // both semantics from a cache-less engine over the pinned graph
+            // and indices (so every read reaches the shared storage), the
+            // index entries, and the raw adjacency.
+            let render = || {
+                let engine = bgpq_engine::Engine::with_indices(
+                    pinned.graph().clone(),
+                    pinned.indices().clone(),
+                );
+                let mut out = String::new();
+                for q in &queries {
+                    for semantics in [Semantics::Isomorphism, Semantics::Simulation] {
+                        let request = QueryRequest::build(q.clone()).semantics(semantics).finish();
+                        out += &format!("{:?}\n", engine.execute(&request).unwrap().answer);
+                        out += &format!("{:?}\n", pinned.execute(&request).unwrap().answer);
+                    }
+                }
+                for (id, index) in pinned.indices().iter() {
+                    let mut entries: Vec<_> = index.entries().collect();
+                    entries.sort_unstable();
+                    out += &format!("{id} {} {entries:?}\n", index.max_cardinality());
+                }
+                for v in pinned.graph().nodes() {
+                    let g = pinned.graph();
+                    out += &format!(
+                        "{v} {:?} {:?} {:?} {:?}\n",
+                        g.try_label(v),
+                        g.value(v),
+                        g.out_neighbors(v),
+                        g.in_neighbors(v)
+                    );
+                }
+                out
+            };
+            let reference = render();
+            checked_tx.send(()).unwrap();
+            for version in landed_rx {
+                assert!(server.version() >= version);
+                assert!(
+                    render() == reference,
+                    "pinned v3 changed under the reader once v{version} was committed"
+                );
+                checked_tx.send(()).unwrap();
+            }
+        })
+    };
+
+    // A panicking reader drops its sender, which fails these `recv`s.
+    checked_rx.recv().expect("reader rendered its reference");
+    for batch in &batches[3..] {
+        let receipt = server.commit(batch).expect("precomputed batches are valid");
+        assert!(receipt.pages_copied > 0 && receipt.shards_copied > 0);
+        landed_tx.send(receipt.version).unwrap();
+        checked_rx.recv().expect("reader re-read its snapshot");
+    }
+    drop(landed_tx);
+    reader.join().expect("reader panicked");
+    assert_eq!(server.version(), (3 + COMMITS) as u64);
+    assert_graphs_identical(server.snapshot().graph(), &scratch);
+}
+
 #[test]
 fn worker_pool_serves_submitted_requests() {
     let (graph, schema) = fixture(10);

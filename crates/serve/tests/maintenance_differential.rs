@@ -2,12 +2,13 @@
 //! random delta streams (50 seeds × 4 commits, plus a capped-index matrix)
 //! are applied through [`Server::commit`], and after **every** stream the
 //! maintained [`AccessIndexSet`] must be identical to one rebuilt from
-//! scratch on the mutated graph — same keys, same answers, same maximum
-//! cardinalities — including when indices were built under a small
-//! combination cap. After the final stream of each seed, bVF2/bSim answers
-//! on the maintained snapshot must equal the answers of a from-scratch
-//! engine over the same graph, for automatic selection and for the forced
-//! bounded strategy (agreeing on rejection when a pattern is unbounded).
+//! scratch on the mutated graph — same keys, same answers, same
+//! (incrementally tracked) maximum cardinalities and bound verdicts —
+//! including when indices were built under a small combination cap. After
+//! the final stream of each seed, bVF2/bSim answers on the maintained
+//! snapshot must equal the answers of a from-scratch engine over the same
+//! graph, for automatic selection and for the forced bounded strategy
+//! (agreeing on rejection when a pattern is unbounded).
 //!
 //! Everything is seeded and deterministic: failures report their seed and
 //! commit round.
@@ -124,10 +125,23 @@ fn assert_equal_to_rebuild(
             "max cardinality {id} ({ctx})"
         );
         assert_eq!(
+            kept.within_bound(),
+            fresh.within_bound(),
+            "bound verdict {id} ({ctx})"
+        );
+        assert_eq!(
             kept.is_truncated(),
             fresh.is_truncated(),
             "truncation verdict {id} ({ctx})"
         );
+        // And the other way round: nothing stale survives in the kept index.
+        for (key, answers) in kept.entries() {
+            assert_eq!(
+                fresh.common_neighbors(key),
+                answers,
+                "stale answers {id} key {key:?} ({ctx})"
+            );
+        }
     }
 }
 

@@ -4,7 +4,6 @@ use super::fmt_nanos;
 use crate::args::Args;
 use crate::render::{write_answer, AnswerView, BindingView, SimRowView};
 use bgpq_net::{AnswerKind, Client, QueryOutcome, QuerySpec};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::io::{BufRead, Write};
 
@@ -135,6 +134,8 @@ fn render_outcome(
     outcome: &QueryOutcome,
     show: usize,
 ) -> Result<(), Box<dyn Error>> {
+    // The blocks arrive as ids and typed values; display strings are made
+    // here, for the rows that are printed, and nowhere before.
     let view = match outcome.header.kind {
         AnswerKind::Matches => AnswerView::Matches {
             total: outcome.header.total as usize,
@@ -145,31 +146,31 @@ fn render_outcome(
                 .map(|row| {
                     row.iter()
                         .map(|b| BindingView {
-                            node: b.node.clone(),
+                            node: b.node.to_string(),
                             id: b.id,
-                            label: b.label.clone(),
-                            value: b.value.clone(),
+                            label: b.label.to_string(),
+                            value: b.value.to_string(),
                         })
                         .collect()
                 })
                 .collect(),
         },
-        AnswerKind::Simulation => {
-            let mut rows: BTreeMap<u32, SimRowView> = BTreeMap::new();
-            for chunk in &outcome.sim {
-                let row = rows.entry(chunk.node_index).or_insert_with(|| SimRowView {
-                    node: chunk.node.clone(),
-                    label: chunk.label.clone(),
-                    total: chunk.total as usize,
-                    ids: Vec::new(),
-                });
-                row.ids.extend_from_slice(&chunk.ids);
-            }
-            AnswerView::Simulation {
-                pairs: outcome.header.total as usize,
-                rows: rows.into_values().collect(),
-            }
-        }
+        AnswerKind::Simulation => AnswerView::Simulation {
+            pairs: outcome.header.total as usize,
+            rows: outcome
+                .header
+                .columns
+                .iter()
+                .zip(&outcome.header.labels)
+                .zip(&outcome.sim)
+                .map(|((node, label), ids)| SimRowView {
+                    node: node.clone(),
+                    label: label.clone(),
+                    total: ids.len(),
+                    ids: ids.iter().take(show).copied().collect(),
+                })
+                .collect(),
+        },
     };
     write_answer(out, &outcome.header.strategy, &view, show)?;
 

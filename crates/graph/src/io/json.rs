@@ -264,41 +264,39 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or backslash
+            // in one piece, validating only that run: the scan stays linear
+            // in the string's length however long the rest of the document.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            let plain = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                .map_err(|_| self.error("invalid UTF-8 in string"))?;
+            out.push_str(plain);
+            self.pos += run;
             let Some(c) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        other => return Err(self.error(format!("bad escape \\{}", other as char))),
-                    }
-                }
-                _ => {
-                    // Re-borrow the original text to keep multi-byte UTF-8
-                    // characters intact: find the full char starting one byte
-                    // back.
-                    let start = self.pos - 1;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.error("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                other => return Err(self.error(format!("bad escape \\{}", other as char))),
             }
         }
     }
@@ -499,6 +497,55 @@ mod tests {
         assert!(parse_json("tru").is_err());
         assert!(parse_json("1 2").unwrap_err().message.contains("trailing"));
         assert!(parse_json("\"\\ud800x\"").is_err());
+    }
+
+    /// The accept/reject table of the string scanner, with the offsets the
+    /// character-at-a-time scanner reported.
+    #[test]
+    fn string_rejections_keep_their_messages_and_offsets() {
+        for (text, message, offset) in [
+            ("\"abc", "unterminated string", 4),
+            ("\"abc\\", "unterminated escape", 5),
+            ("\"ab\\x\"", "bad escape \\x", 5),
+            ("\"\\ud800x\"", "lone high surrogate", 7),
+            ("\"\\ud800\\u0041\"", "lone high surrogate", 13),
+            ("\"\\u12\"", "truncated \\u escape", 3),
+            ("\"\\uzzzz\"", "bad \\u escape digits", 3),
+        ] {
+            let err = parse_json(text).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{text}"
+            );
+        }
+        // Raw control characters and a bare slash are accepted as before.
+        assert_eq!(parse_json("\"a\tb/\"").unwrap(), Json::str("a\tb/"));
+    }
+
+    /// A string-heavy document of more than 8 MB — one long string, then
+    /// many short ones, ASCII and multi-byte, with escapes at the start, the
+    /// end and both sides of every plain run. A scanner that re-validates
+    /// the rest of the document per character needs ~10^13 byte visits for
+    /// this and cannot finish inside any test timeout.
+    #[test]
+    fn large_string_heavy_documents_parse_in_linear_time() {
+        let mut long = String::new();
+        while long.len() < 5 << 20 {
+            long.push_str("\"plain ascii run\\héllo wörld 日本\n😀\"\ttail\u{1}");
+        }
+        let shorts = [
+            "", "a", "\"", "é", "\\é\\", "日本", "x\ny", "😀\"", "\"q\"", "ascii",
+        ];
+        let items: Vec<Json> = (0..400_000)
+            .map(|i| Json::str(shorts[i % shorts.len()]))
+            .collect();
+        let value = Json::obj([("long", Json::str(long)), ("shorts", Json::Arr(items))]);
+        let text = value.render();
+        assert!(text.len() >= 8 << 20, "only {} bytes", text.len());
+        let parsed = parse_json(&text).unwrap();
+        assert_eq!(parsed, value);
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

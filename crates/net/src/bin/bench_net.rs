@@ -13,6 +13,13 @@
 //! `overloaded` rejections — the reject rate per tier is the admission
 //! control story in one number.
 //!
+//! Besides the tiers the report carries `bytes_in_per_query` (what one
+//! answer costs a client on the wire) and `layers`: the server's own
+//! per-phase histograms (parse, queue, execute, render) read from its
+//! `stats` frame after the last tier, so a slow tier can be read as server
+//! time or as queueing in front of it. `--max-p99-ms` gates the lowest
+//! offered tier (the higher ones overload the server by design).
+//!
 //! Results merge into `BENCH_serve.json` under a `"tcp"` key (run
 //! `bench_serve` first for the closed-loop section, then this binary).
 //!
@@ -23,8 +30,9 @@
 
 use bgpq_engine::{AccessConstraint, AccessSchema};
 use bgpq_graph::{Graph, GraphBuilder, Value};
-use bgpq_net::{Client, ErrorCode, LatencyHistogram, NetServer, NetServerConfig, QuerySpec};
+use bgpq_net::{Client, ErrorCode, NetServer, NetServerConfig, QuerySpec};
 use bgpq_serve::Server;
+use bgpq_workload::histogram::LatencyHistogram;
 use bgpq_workload::ArrivalClock;
 use std::sync::Arc;
 use std::thread;
@@ -46,6 +54,9 @@ struct BenchConfig {
     max_in_flight: usize,
     /// Report path to merge the `"tcp"` section into.
     out: String,
+    /// Exit non-zero when the p99 of the lowest offered tier exceeds this
+    /// many milliseconds.
+    max_p99_ms: Option<f64>,
 }
 
 impl BenchConfig {
@@ -60,6 +71,7 @@ impl BenchConfig {
                 workers: 2,
                 max_in_flight: 8,
                 out: "BENCH_serve.json".to_string(),
+                max_p99_ms: None,
             }
         } else {
             BenchConfig {
@@ -70,6 +82,7 @@ impl BenchConfig {
                 workers: 2,
                 max_in_flight: 8,
                 out: "BENCH_serve.json".to_string(),
+                max_p99_ms: None,
             }
         };
         let mut it = args.iter();
@@ -97,6 +110,11 @@ impl BenchConfig {
                     config.max_in_flight = parse_num(&value_for("--max-in-flight")?)?
                 }
                 "--out" => config.out = value_for("--out")?,
+                "--max-p99-ms" => {
+                    let raw = value_for("--max-p99-ms")?;
+                    config.max_p99_ms =
+                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
+                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -157,6 +175,8 @@ struct TierResult {
     completed: u64,
     rejected: u64,
     achieved_qps: f64,
+    /// On-wire bytes the senders received for their completed queries.
+    bytes_in: u64,
     latency: LatencyHistogram,
 }
 
@@ -178,13 +198,16 @@ fn run_tier(addr: std::net::SocketAddr, config: &BenchConfig, offered: u64) -> T
                     .collect();
                 let mut latency = LatencyHistogram::new();
                 let (mut completed, mut rejected, mut scheduled) = (0u64, 0u64, 0u64);
+                let mut bytes_in = 0u64;
                 // This sender owns arrivals c, c+C, c+2C, …
                 let mut i = c as u64;
                 while let Some(arrival) = clock.wait_for(i) {
                     scheduled += 1;
+                    let before = client.bytes_in();
                     match client.query(&specs[(i as usize / connections) % specs.len()]) {
                         Ok(_) => {
                             completed += 1;
+                            bytes_in += client.bytes_in() - before;
                             latency.record(arrival.elapsed().as_micros() as u64);
                         }
                         Err(e) if e.code() == Some(ErrorCode::Overloaded) => rejected += 1,
@@ -193,7 +216,7 @@ fn run_tier(addr: std::net::SocketAddr, config: &BenchConfig, offered: u64) -> T
                     i += connections as u64;
                 }
                 client.goodbye().expect("goodbye");
-                (completed, rejected, scheduled, latency)
+                (completed, rejected, scheduled, bytes_in, latency)
             })
         })
         .collect();
@@ -204,11 +227,14 @@ fn run_tier(addr: std::net::SocketAddr, config: &BenchConfig, offered: u64) -> T
         completed: 0,
         rejected: 0,
         achieved_qps: 0.0,
+        bytes_in: 0,
         latency: LatencyHistogram::new(),
     };
     for sender in senders {
-        let (completed, rejected, scheduled, latency) = sender.join().expect("sender panicked");
+        let (completed, rejected, scheduled, bytes_in, latency) =
+            sender.join().expect("sender panicked");
         result.completed += completed;
+        result.bytes_in += bytes_in;
         result.rejected += rejected;
         result.scheduled += scheduled;
         result.latency.merge(&latency);
@@ -226,7 +252,7 @@ fn main() {
             eprintln!(
                 "usage: bench_net [--smoke] [--movies N] [--offered Q1,Q2,..] \
                  [--duration-ms D] [--connections C] [--workers W] \
-                 [--max-in-flight M] [--out PATH]"
+                 [--max-in-flight M] [--out PATH] [--max-p99-ms X]"
             );
             std::process::exit(2);
         }
@@ -272,6 +298,19 @@ fn main() {
             tier
         })
         .collect();
+    // The server's own account of the same requests, phase by phase.
+    let layers = Client::connect(addr, "bench-layers")
+        .and_then(|mut client| {
+            let stats = client.stats()?;
+            client.goodbye()?;
+            Ok(stats)
+        })
+        .expect("stats frame");
+    let layers = layers
+        .get("server")
+        .and_then(|server| server.get("phases_us"))
+        .expect("the stats frame carries phases_us")
+        .render();
     assert!(handle.shutdown(), "bench server drains cleanly");
 
     let tier_json: Vec<String> = tiers
@@ -296,15 +335,21 @@ fn main() {
             )
         })
         .collect();
+    let (completed, bytes_in) = tiers
+        .iter()
+        .fold((0, 0), |(c, b), t| (c + t.completed, b + t.bytes_in));
     let tcp_json = format!(
         "{{\n    \"config\": {{\"movies\": {}, \"duration_ms\": {}, \"connections\": {}, \
-         \"workers\": {}, \"max_in_flight\": {}, \"cores\": {}}},\n    \"tiers\": [\n{}\n    ]\n  }}",
+         \"workers\": {}, \"max_in_flight\": {}, \"cores\": {}}},\n    \
+         \"bytes_in_per_query\": {},\n    \"layers\": {layers},\n    \
+         \"tiers\": [\n{}\n    ]\n  }}",
         config.movies,
         config.duration_ms,
         config.connections,
         config.workers,
         config.max_in_flight,
         cores,
+        bytes_in / completed.max(1),
         tier_json.join(",\n")
     );
 
@@ -326,4 +371,16 @@ fn main() {
     };
     std::fs::write(&config.out, &report).expect("write bench report");
     println!("report -> {} (tcp section)", config.out);
+    if let Some(max) = config.max_p99_ms {
+        // Gate the lowest tier only: overload tiers queue by design.
+        let p99_ms = tiers[0].latency.quantile(0.99) as f64 / 1_000.0;
+        if p99_ms > max {
+            eprintln!(
+                "bench_net: REGRESSION — p99 at {} offered qps is {p99_ms:.2} ms, \
+                 above the allowed {max:.2} ms (on {cores} cores)",
+                tiers[0].offered_qps
+            );
+            std::process::exit(1);
+        }
+    }
 }

@@ -7,10 +7,11 @@
 //! [`ErrorCode`](crate::proto::ErrorCode), so callers can branch on
 //! `overloaded`/`draining` (retry) vs their own mistakes (don't).
 
+use crate::block::MatchTable;
 use crate::error::ClientError;
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
 use crate::proto::{
-    AnswerHeader, DoneFrame, MatchBinding, QuerySpec, Request, Response, SimChunk, PROTOCOL_VERSION,
+    AnswerHeader, AnswerKind, DoneFrame, QuerySpec, Request, Response, PROTOCOL_VERSION,
 };
 use bgpq_graph::io::json::Json;
 use bgpq_serve::Update;
@@ -21,12 +22,13 @@ use std::time::Duration;
 /// A fully received streamed answer.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The answer header (kind, strategy, snapshot version, total).
+    /// The answer header (kind, strategy, snapshot version, total, columns).
     pub header: AnswerHeader,
     /// Match rows, in the server's canonical order (isomorphism answers).
-    pub matches: Vec<Vec<MatchBinding>>,
-    /// Simulation chunks, in arrival order (simulation answers).
-    pub sim: Vec<SimChunk>,
+    pub matches: MatchTable,
+    /// Per column (pattern node, in pattern order), the data node ids
+    /// simulating it (simulation answers; empty lists otherwise).
+    pub sim: Vec<Vec<u32>>,
     /// The final frame: abort flag, stats, optional explain lines.
     pub done: DoneFrame,
 }
@@ -80,18 +82,7 @@ impl Client {
                 client.epoch = epoch;
                 Ok(client)
             }
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_ms,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected hello_ack, got {other:?}"
-            ))),
+            other => Err(unexpected("hello_ack", other)),
         }
     }
 
@@ -133,46 +124,42 @@ impl Client {
         Response::decode(&payload).map_err(ClientError::Protocol)
     }
 
-    fn server_error(
-        code: crate::proto::ErrorCode,
-        message: String,
-        retry_after_ms: Option<u64>,
-    ) -> ClientError {
-        ClientError::Server {
-            code,
-            message,
-            retry_after_ms,
-        }
-    }
-
     /// Runs one query, draining the streamed answer.
     pub fn query(&mut self, spec: &QuerySpec) -> Result<QueryOutcome, ClientError> {
         self.send(&Request::Query(spec.clone()))?;
-        let header = match self.recv()? {
-            Response::Answer(header) => header,
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => return Err(Self::server_error(code, message, retry_after_ms)),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected an answer header, got {other:?}"
-                )))
-            }
-        };
-        self.drain_answer(header)
+        match self.recv()? {
+            Response::Answer(header) => self.drain_answer(header),
+            other => Err(unexpected("an answer header", other)),
+        }
     }
 
     /// Drains one streamed answer (`answer` … `rows*` … `done`) whose
-    /// header has already been received.
+    /// header has already been received. Blocks stay columnar; the header's
+    /// columns are what they are checked against.
     fn drain_answer(&mut self, header: AnswerHeader) -> Result<QueryOutcome, ClientError> {
-        let mut matches = Vec::new();
-        let mut sim = Vec::new();
+        if header.kind == AnswerKind::Simulation && header.labels.len() != header.columns.len() {
+            return Err(ClientError::Protocol(format!(
+                "a simulation answer names {} columns but {} labels",
+                header.columns.len(),
+                header.labels.len()
+            )));
+        }
+        let mut matches = MatchTable::new(header.columns.clone());
+        let mut sim = vec![Vec::new(); header.columns.len()];
         loop {
             match self.recv()? {
-                Response::MatchRows(rows) => matches.extend(rows),
-                Response::SimRows(chunks) => sim.extend(chunks),
+                Response::MatchRows(block) => matches.push(block).map_err(|block| {
+                    unexpected("rows of the answer's width", Response::MatchRows(block))
+                })?,
+                Response::SimRows(block) => match sim.get_mut(block.column as usize) {
+                    Some(ids) => ids.extend_from_slice(&block.ids),
+                    None => {
+                        return Err(unexpected(
+                            "a column of the answer",
+                            Response::SimRows(block),
+                        ))
+                    }
+                },
                 Response::Done(done) => {
                     return Ok(QueryOutcome {
                         header,
@@ -181,16 +168,7 @@ impl Client {
                         done,
                     })
                 }
-                Response::Error {
-                    code,
-                    message,
-                    retry_after_ms,
-                } => return Err(Self::server_error(code, message, retry_after_ms)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected rows or done, got {other:?}"
-                    )))
-                }
+                other => return Err(unexpected("rows or done", other)),
             }
         }
     }
@@ -209,16 +187,7 @@ impl Client {
         self.send(&Request::Batch(specs.to_vec()))?;
         let count = match self.recv()? {
             Response::BatchStart { count } => count,
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => return Err(Self::server_error(code, message, retry_after_ms)),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected batch_start, got {other:?}"
-                )))
-            }
+            other => return Err(unexpected("batch_start", other)),
         };
         if count != specs.len() as u64 {
             return Err(ClientError::Protocol(format!(
@@ -228,19 +197,12 @@ impl Client {
         }
         let mut outcomes = Vec::with_capacity(specs.len());
         for _ in 0..count {
-            match self.recv()? {
-                Response::Answer(header) => outcomes.push(self.drain_answer(header)),
-                Response::Error {
-                    code,
-                    message,
-                    retry_after_ms,
-                } => outcomes.push(Err(Self::server_error(code, message, retry_after_ms))),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected an answer header or error, got {other:?}"
-                    )))
-                }
-            }
+            outcomes.push(match self.recv()? {
+                Response::Answer(header) => self.drain_answer(header),
+                // A slot's own typed error; anything else ends the batch.
+                error @ Response::Error { .. } => Err(unexpected("an answer header", error)),
+                other => return Err(unexpected("an answer header or error", other)),
+            });
         }
         Ok(outcomes)
     }
@@ -261,14 +223,7 @@ impl Client {
                     new_nodes,
                 })
             }
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(Self::server_error(code, message, retry_after_ms)),
-            other => Err(ClientError::Protocol(format!(
-                "expected committed, got {other:?}"
-            ))),
+            other => Err(unexpected("committed", other)),
         }
     }
 
@@ -277,14 +232,7 @@ impl Client {
         self.send(&Request::Stats)?;
         match self.recv()? {
             Response::Stats(stats) => Ok(stats),
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(Self::server_error(code, message, retry_after_ms)),
-            other => Err(ClientError::Protocol(format!(
-                "expected stats, got {other:?}"
-            ))),
+            other => Err(unexpected("stats", other)),
         }
     }
 
@@ -296,14 +244,7 @@ impl Client {
                 self.epoch = epoch;
                 Ok(epoch)
             }
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(Self::server_error(code, message, retry_after_ms)),
-            other => Err(ClientError::Protocol(format!(
-                "expected pong, got {other:?}"
-            ))),
+            other => Err(unexpected("pong", other)),
         }
     }
 
@@ -312,9 +253,25 @@ impl Client {
         self.send(&Request::Goodbye)?;
         match self.recv()? {
             Response::GoodbyeAck => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected goodbye_ack, got {other:?}"
-            ))),
+            other => Err(unexpected("goodbye_ack", other)),
         }
+    }
+}
+
+/// The error for a reply that is not the one a request waits for: the
+/// server's own typed error when it sent one, a protocol violation for
+/// anything else.
+fn unexpected(what: &str, reply: Response) -> ClientError {
+    match reply {
+        Response::Error {
+            code,
+            message,
+            retry_after_ms,
+        } => ClientError::Server {
+            code,
+            message,
+            retry_after_ms,
+        },
+        other => ClientError::Protocol(format!("expected {what}, got {other:?}")),
     }
 }

@@ -10,7 +10,7 @@ use std::io;
 pub enum ClientError {
     /// A socket-level failure.
     Io(io::Error),
-    /// A framing failure (truncated, oversized, non-UTF-8, closed).
+    /// A framing failure (truncated, oversized, closed).
     Frame(FrameError),
     /// The server sent something this client cannot interpret (undecodable
     /// payload, or a response type that does not fit the pending request).

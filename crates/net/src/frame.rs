@@ -1,16 +1,21 @@
 //! The frame layer: length-prefixed payloads over a byte stream.
 //!
 //! Every protocol message travels as one *frame*: a 4-byte big-endian
-//! unsigned length `N`, followed by `N` bytes of UTF-8 JSON. The prefix is
-//! what lets the server survive hostile or broken peers cheaply: an
-//! oversized length is rejected after reading just 4 bytes (no allocation
-//! proportional to the attacker's claim), a truncated body surfaces as a
-//! typed [`FrameError::Truncated`] instead of a hang, and a read timeout on
-//! the socket turns slow-loris dribbling into a clean close.
+//! unsigned length `N`, followed by `N` payload bytes. The layer carries
+//! bytes and does not look inside them — a payload is a JSON control
+//! message or a binary row block, which is the message layer's business
+//! ([`crate::proto`]). The prefix is what lets the server survive hostile
+//! or broken peers cheaply: an oversized length is rejected after reading
+//! just 4 bytes (no allocation proportional to the attacker's claim), a
+//! truncated body surfaces as a typed [`FrameError::Truncated`] instead of
+//! a hang, and a read timeout on the socket turns slow-loris dribbling
+//! into a clean close.
 //!
-//! The layer is symmetric — client and server use the same two functions —
-//! and byte-counting: both return the on-wire size so sessions can account
-//! traffic per client.
+//! The layer is symmetric — client and server use the same functions —
+//! and byte-counting: reads and writes return the on-wire size so sessions
+//! can account traffic per client. [`write_frame`] sends one frame and
+//! flushes; a sender with several frames ready ([`append_frame`]) lays
+//! them out in one buffer and hands the socket a single write.
 
 use std::io::{self, Read, Write};
 
@@ -42,8 +47,6 @@ pub enum FrameError {
         /// Bytes the frame should have had (prefix + payload).
         wanted: usize,
     },
-    /// The payload is not valid UTF-8.
-    InvalidUtf8,
     /// An I/O error other than a mid-frame EOF or timeout.
     Io(io::Error),
 }
@@ -58,7 +61,6 @@ impl std::fmt::Display for FrameError {
             FrameError::Truncated { got, wanted } => {
                 write!(f, "truncated frame: got {got} of {wanted} bytes")
             }
-            FrameError::InvalidUtf8 => write!(f, "frame payload is not valid UTF-8"),
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -102,11 +104,11 @@ fn read_exact_counted(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), (usi
     Ok(())
 }
 
-/// Reads one frame, returning its UTF-8 payload and the total on-wire bytes
+/// Reads one frame, returning its payload and the total on-wire bytes
 /// consumed (prefix included). A clean EOF *before* the first prefix byte is
 /// [`FrameError::Closed`]; anything mid-frame (EOF or read timeout) is
 /// [`FrameError::Truncated`].
-pub fn read_frame(reader: &mut impl Read, max_bytes: u32) -> Result<(String, u64), FrameError> {
+pub fn read_frame(reader: &mut impl Read, max_bytes: u32) -> Result<(Vec<u8>, u64), FrameError> {
     let mut prefix = [0u8; 4];
     if let Err((got, err)) = read_exact_counted(reader, &mut prefix) {
         if got == 0 && err.kind() == io::ErrorKind::UnexpectedEof {
@@ -135,22 +137,39 @@ pub fn read_frame(reader: &mut impl Read, max_bytes: u32) -> Result<(String, u64
         }
         return Err(FrameError::Io(err));
     }
-    let text = String::from_utf8(payload).map_err(|_| FrameError::InvalidUtf8)?;
-    Ok((text, 4 + len as u64))
+    Ok((payload, 4 + len as u64))
+}
+
+fn too_long() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "frame payload exceeds u32 length",
+    )
 }
 
 /// Writes one frame and flushes, returning the on-wire bytes written.
-pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<u64> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame payload exceeds u32 length",
-        )
-    })?;
+pub fn write_frame(writer: &mut impl Write, payload: impl AsRef<[u8]>) -> io::Result<u64> {
+    let payload = payload.as_ref();
+    let len = u32::try_from(payload.len()).map_err(|_| too_long())?;
     writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
+    writer.write_all(payload)?;
     writer.flush()?;
     Ok(4 + payload.len() as u64)
+}
+
+/// Appends one frame to `buf`, its payload written in place by `fill`.
+/// Nothing reaches a socket: the caller sends `buf` — any number of
+/// frames — with one write.
+pub fn append_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let prefix_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    fill(buf);
+    let Ok(len) = u32::try_from(buf.len() - prefix_at - 4) else {
+        buf.truncate(prefix_at);
+        return Err(too_long());
+    };
+    buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -169,14 +188,14 @@ mod tests {
         let bytes = wire("{\"type\":\"ping\"}");
         assert_eq!(bytes.len(), 4 + 15);
         let (text, n) = read_frame(&mut Cursor::new(&bytes), 1024).unwrap();
-        assert_eq!(text, "{\"type\":\"ping\"}");
+        assert_eq!(text, b"{\"type\":\"ping\"}");
         assert_eq!(n, bytes.len() as u64);
         // Several frames back to back.
         let mut stream = wire("a");
         stream.extend(wire("bb"));
         let mut cursor = Cursor::new(&stream);
-        assert_eq!(read_frame(&mut cursor, 1024).unwrap().0, "a");
-        assert_eq!(read_frame(&mut cursor, 1024).unwrap().0, "bb");
+        assert_eq!(read_frame(&mut cursor, 1024).unwrap().0, b"a");
+        assert_eq!(read_frame(&mut cursor, 1024).unwrap().0, b"bb");
         assert!(matches!(
             read_frame(&mut cursor, 1024),
             Err(FrameError::Closed)
@@ -209,13 +228,24 @@ mod tests {
     }
 
     #[test]
-    fn invalid_utf8_is_typed() {
-        let mut bytes = 2u32.to_be_bytes().to_vec();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), 1024),
-            Err(FrameError::InvalidUtf8)
-        ));
+    fn payloads_are_bytes_not_text() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, [0x01u8, 0xff, 0xfe]).unwrap();
+        let (payload, n) = read_frame(&mut Cursor::new(&bytes), 1024).unwrap();
+        assert_eq!(payload, [0x01, 0xff, 0xfe]);
+        assert_eq!(n, 7);
+    }
+
+    #[test]
+    fn appended_frames_read_back_like_written_ones() {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, |out| out.extend_from_slice(b"a")).unwrap();
+        append_frame(&mut buf, |_| {}).unwrap();
+        append_frame(&mut buf, |out| out.extend_from_slice(&[0x02, 0x00])).unwrap();
+        let mut expected = wire("a");
+        expected.extend(wire(""));
+        write_frame(&mut expected, [0x02u8, 0x00]).unwrap();
+        assert_eq!(buf, expected);
     }
 
     #[test]

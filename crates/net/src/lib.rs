@@ -11,7 +11,7 @@
 //! with latency objectives. This crate is that interface:
 //!
 //! ```text
-//!   bgpq client ──┐  length-prefixed JSON frames   ┌────────────────────┐
+//!   bgpq client ──┐  length-prefixed frames        ┌────────────────────┐
 //!   bgpq client ──┼──────────── TCP ───────────────│ NetServer          │
 //!   loadgen     ──┘                                │  AdmissionGate     │
 //!                   hello → queries/updates/stats  │   ├─ admitted ─────│──► WorkerPool
@@ -20,13 +20,17 @@
 //!                                                  └────────── reject ──┘
 //! ```
 //!
-//! * [`frame`] — the byte layer: 4-byte big-endian length + UTF-8 JSON
-//!   payload, hostile-peer-safe (oversized prefixes rejected unallocated,
+//! * [`frame`] — the byte layer: 4-byte big-endian length + payload
+//!   bytes, hostile-peer-safe (oversized prefixes rejected unallocated,
 //!   truncation and slow-loris surfaced as typed errors).
 //! * [`proto`] — the message layer: typed requests ([`Request`]) and
-//!   responses ([`Response`]) with symmetric encode/decode, streamed
-//!   answer frames, and machine-readable [`ErrorCode`]s separating client
-//!   mistakes from server state.
+//!   responses ([`Response`]) with symmetric encode/decode — JSON control
+//!   messages, told from row blocks by their first byte — and
+//!   machine-readable [`ErrorCode`]s separating client mistakes from
+//!   server state.
+//! * [`block`] — the row encoding: binary columnar blocks of node ids with
+//!   a dictionary of the distinct matched nodes, and the borrowed
+//!   [`MatchTable`] / [`Binding`] views a client reads them through.
 //! * [`server`] — [`NetServer`]: per-connection sessions in front of
 //!   [`bgpq_serve::Server`]/[`bgpq_serve::WorkerPool`], bounded in-flight
 //!   admission with `overloaded` backpressure, wall-clock deadlines mapped
@@ -40,19 +44,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod client;
 pub mod error;
 pub mod frame;
-pub mod histogram;
 pub mod proto;
 pub mod server;
 
+pub use block::{Binding, MatchTable, NodeEntry, Row, RowBlock, SimBlock};
 pub use client::{Client, CommitSummary, QueryOutcome};
 pub use error::ClientError;
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_BYTES_CEILING};
-pub use histogram::LatencyHistogram;
 pub use proto::{
-    AnswerHeader, AnswerKind, DoneFrame, ErrorCode, MatchBinding, QuerySpec, Request, Response,
-    SimChunk, WireStats, PROTOCOL_VERSION,
+    AnswerHeader, AnswerKind, DoneFrame, ErrorCode, QuerySpec, Request, Response, WireStats,
+    PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetServerConfig, NetServerHandle};

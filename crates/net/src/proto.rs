@@ -1,9 +1,12 @@
-//! The typed protocol: request/response messages and their JSON encoding.
+//! The typed protocol: request/response messages and their encoding.
 //!
-//! Every frame payload is one JSON object with a `"type"` discriminator.
-//! Encoding and decoding go through `bgpq_graph::io::json` — the same
-//! dependency-free JSON the dataset loaders use — so the workspace has
-//! exactly one JSON implementation on both sides of the socket.
+//! A frame payload is one of two things, told apart by its first byte.
+//! A payload starting with `{` is a *control message*: one JSON object
+//! with a `"type"` discriminator, encoded and decoded through
+//! `bgpq_graph::io::json` — the same dependency-free JSON the dataset
+//! loaders use. Every request is a control message. Anything else is a
+//! binary *row block* ([`crate::block`]): the rows of a streamed answer,
+//! which are node ids and typed values and never pass through text.
 //!
 //! Decoding is total: any malformed payload becomes a typed
 //! `Err(String)` which sessions answer with [`ErrorCode::Parse`] rather
@@ -12,6 +15,7 @@
 //! conditions (`overloaded`, `draining`, `internal`). See
 //! `docs/PROTOCOL.md` for the normative spec.
 
+use crate::block::{RowBlock, SimBlock, TAG_MATCH_BLOCK, TAG_SIM_BLOCK};
 use bgpq_engine::{Semantics, StrategyKind, Value};
 use bgpq_graph::io::json::{parse_json, Json};
 use bgpq_serve::Update;
@@ -20,7 +24,7 @@ use bgpq_serve::Update;
 /// with a different version answers [`ErrorCode::Protocol`] and closes;
 /// bumping this constant is a wire-breaking change (see the versioning
 /// rules in `docs/PROTOCOL.md`).
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Typed protocol error codes, so clients can distinguish their own fault
 /// from the server's state without parsing prose.
@@ -169,44 +173,12 @@ pub enum Request {
     Goodbye,
 }
 
-/// One binding of a match row: a pattern node resolved to a data node,
-/// with display strings so a graph-less client renders answers exactly
-/// like a local `bgpq query`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchBinding {
-    /// Pattern-node display name (`node_name` or the `u{i}` placeholder).
-    pub node: String,
-    /// The matched data node id.
-    pub id: u32,
-    /// The data node's label name.
-    pub label: String,
-    /// The data node's attribute value, `Display`-rendered.
-    pub value: String,
-}
-
-/// One streamed chunk of a simulation answer: part of the match list of a
-/// single pattern node (chunks of one node arrive in order and are
-/// concatenated by the client).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimChunk {
-    /// Index of the pattern node this chunk belongs to.
-    pub node_index: u32,
-    /// Pattern-node display name.
-    pub node: String,
-    /// The pattern node's label name.
-    pub label: String,
-    /// Total matches of this pattern node (repeated on every chunk).
-    pub total: u64,
-    /// The data node ids of this chunk.
-    pub ids: Vec<u32>,
-}
-
 /// The shape of a streamed answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerKind {
-    /// Isomorphism: match rows follow.
+    /// Isomorphism: match blocks follow.
     Matches,
-    /// Simulation: per-pattern-node chunks follow.
+    /// Simulation: per-column simulation blocks follow.
     Simulation,
 }
 
@@ -222,6 +194,13 @@ pub struct AnswerHeader {
     pub snapshot_version: u64,
     /// Total answer items (matches, or `(u, v)` pairs for simulation).
     pub total: u64,
+    /// The columns of the row blocks: pattern-node display names
+    /// (`node_name` or the `u{i}` placeholder), in pattern order.
+    pub columns: Vec<String>,
+    /// The pattern label of each column — simulation answers only, where
+    /// it is what a row displays; empty for match answers, whose blocks
+    /// carry the label of every matched data node.
+    pub labels: Vec<String>,
 }
 
 /// Execution statistics carried on the final frame of an answer.
@@ -239,6 +218,18 @@ pub struct WireStats {
     pub fragment_nodes: Option<u64>,
     /// The plan's worst-case node bound, when the pattern was bounded.
     pub worst_case_nodes: Option<u64>,
+    /// Server span, phase 1: from the request frame's arrival to the job's
+    /// submission — request decode, admission, snapshot pin, pattern parse.
+    pub parse_nanos: u64,
+    /// Server span, phase 2: what the pool round trip cost beyond the
+    /// engine's own time — queue wait and the two channel hops.
+    pub queue_nanos: u64,
+    /// Server span, phase 3: the engine's execution as the session saw it.
+    pub execute_nanos: u64,
+    /// Server span, phase 4: encoding the header and the row blocks, up to
+    /// the moment this frame is sealed (the socket write that carries the
+    /// reply follows it and is counted in the `stats` document only).
+    pub render_nanos: u64,
 }
 
 /// The final frame of a streamed answer.
@@ -274,10 +265,10 @@ pub enum Response {
     },
     /// First frame of a streamed answer.
     Answer(AnswerHeader),
-    /// Match rows (isomorphism answers), in canonical order.
-    MatchRows(Vec<Vec<MatchBinding>>),
-    /// Simulation chunks.
-    SimRows(Vec<SimChunk>),
+    /// A block of match rows (isomorphism answers), in canonical order.
+    MatchRows(RowBlock),
+    /// A block of one column's simulating nodes.
+    SimRows(SimBlock),
     /// Last frame of a streamed answer.
     Done(DoneFrame),
     /// An update batch was committed.
@@ -615,22 +606,19 @@ impl Request {
 
 // ---- responses ---------------------------------------------------------
 
-fn binding_to_json(b: &MatchBinding) -> Json {
-    Json::obj([
-        ("node", Json::str(b.node.clone())),
-        ("id", Json::Int(b.id as i64)),
-        ("label", Json::str(b.label.clone())),
-        ("value", Json::str(b.value.clone())),
-    ])
+fn str_list(items: &[String]) -> Json {
+    Json::Arr(items.iter().map(|s| Json::str(s.clone())).collect())
 }
 
-fn binding_from_json(json: &Json) -> Result<MatchBinding, String> {
-    Ok(MatchBinding {
-        node: req_str(json, "node")?.to_string(),
-        id: req_u64(json, "id")? as u32,
-        label: req_str(json, "label")?.to_string(),
-        value: req_str(json, "value")?.to_string(),
-    })
+fn req_str_list(obj: &Json, key: &str) -> Result<Vec<String>, String> {
+    req_arr(obj, key)?
+        .iter()
+        .map(|item| {
+            item.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("{key} entries must be strings"))
+        })
+        .collect()
 }
 
 fn opt_u64_json(v: Option<u64>) -> Json {
@@ -642,8 +630,18 @@ fn opt_u64_json(v: Option<u64>) -> Json {
 
 impl Response {
     /// Encodes this response as a frame payload.
-    pub fn encode(&self) -> String {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut payload = Vec::new();
+        self.encode_into(&mut payload);
+        payload
+    }
+
+    /// Appends this response's frame payload to `out`: a row block for the
+    /// two `rows` variants, a JSON control message for everything else.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let json = match self {
+            Response::MatchRows(block) => return block.encode_into(out),
+            Response::SimRows(block) => return block.encode_into(out),
             Response::HelloAck {
                 protocol,
                 server,
@@ -673,42 +671,8 @@ impl Response {
                     Json::Int(header.snapshot_version as i64),
                 ),
                 ("total", Json::Int(header.total as i64)),
-            ]),
-            Response::MatchRows(rows) => Json::obj([
-                ("type", Json::str("rows")),
-                (
-                    "matches",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|row| Json::Arr(row.iter().map(binding_to_json).collect()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::SimRows(chunks) => Json::obj([
-                ("type", Json::str("rows")),
-                (
-                    "sim",
-                    Json::Arr(
-                        chunks
-                            .iter()
-                            .map(|c| {
-                                Json::obj([
-                                    ("node_index", Json::Int(c.node_index as i64)),
-                                    ("node", Json::str(c.node.clone())),
-                                    ("label", Json::str(c.label.clone())),
-                                    ("total", Json::Int(c.total as i64)),
-                                    (
-                                        "ids",
-                                        Json::Arr(
-                                            c.ids.iter().map(|&v| Json::Int(v as i64)).collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("columns", str_list(&header.columns)),
+                ("labels", str_list(&header.labels)),
             ]),
             Response::Done(done) => {
                 let mut fields = vec![
@@ -729,14 +693,15 @@ impl Response {
                                 "worst_case_nodes",
                                 opt_u64_json(done.stats.worst_case_nodes),
                             ),
+                            ("parse_nanos", Json::Int(done.stats.parse_nanos as i64)),
+                            ("queue_nanos", Json::Int(done.stats.queue_nanos as i64)),
+                            ("execute_nanos", Json::Int(done.stats.execute_nanos as i64)),
+                            ("render_nanos", Json::Int(done.stats.render_nanos as i64)),
                         ]),
                     ),
                 ];
                 if let Some(lines) = &done.explain {
-                    fields.push((
-                        "explain".to_string(),
-                        Json::Arr(lines.iter().map(|l| Json::str(l.clone())).collect()),
-                    ));
+                    fields.push(("explain".to_string(), str_list(lines)));
                 }
                 Json::Obj(fields)
             }
@@ -777,12 +742,22 @@ impl Response {
                 Json::Obj(fields)
             }
         };
-        json.render()
+        out.extend_from_slice(json.render().as_bytes());
     }
 
-    /// Decodes a frame payload into a response.
-    pub fn decode(payload: &str) -> Result<Response, String> {
-        let json = parse_json(payload).map_err(|e| format!("invalid JSON: {e}"))?;
+    /// Decodes a frame payload into a response: the first byte selects a
+    /// JSON control message (`{`) or a row block (its tag).
+    pub fn decode(payload: &[u8]) -> Result<Response, String> {
+        match payload.first() {
+            Some(b'{') => {}
+            Some(&TAG_MATCH_BLOCK) => return RowBlock::decode(payload).map(Response::MatchRows),
+            Some(&TAG_SIM_BLOCK) => return SimBlock::decode(payload).map(Response::SimRows),
+            Some(other) => return Err(format!("unknown payload tag {other:#04x}")),
+            None => return Err("empty payload".to_string()),
+        }
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| "control message is not valid UTF-8".to_string())?;
+        let json = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
         match req_str(&json, "type")? {
             "hello_ack" => Ok(Response::HelloAck {
                 protocol: req_u64(&json, "protocol")?,
@@ -801,61 +776,16 @@ impl Response {
                 strategy: req_str(&json, "strategy")?.to_string(),
                 snapshot_version: req_u64(&json, "snapshot_version")?,
                 total: req_u64(&json, "total")?,
+                columns: req_str_list(&json, "columns")?,
+                labels: req_str_list(&json, "labels")?,
             })),
-            "rows" => {
-                if let Some(matches) = json.get("matches") {
-                    let rows = matches
-                        .as_arr()
-                        .ok_or_else(|| "field \"matches\" must be an array".to_string())?
-                        .iter()
-                        .map(|row| {
-                            row.as_arr()
-                                .ok_or_else(|| "a match row must be an array".to_string())?
-                                .iter()
-                                .map(binding_from_json)
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    return Ok(Response::MatchRows(rows));
-                }
-                let chunks = req_arr(&json, "sim")?
-                    .iter()
-                    .map(|c| {
-                        Ok(SimChunk {
-                            node_index: req_u64(c, "node_index")? as u32,
-                            node: req_str(c, "node")?.to_string(),
-                            label: req_str(c, "label")?.to_string(),
-                            total: req_u64(c, "total")?,
-                            ids: req_arr(c, "ids")?
-                                .iter()
-                                .map(|v| {
-                                    v.as_u64().map(|n| n as u32).ok_or_else(|| {
-                                        "simulation ids must be non-negative integers".to_string()
-                                    })
-                                })
-                                .collect::<Result<Vec<_>, String>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::SimRows(chunks))
-            }
             "done" => {
                 let stats = json
                     .get("stats")
                     .ok_or_else(|| "missing field \"stats\"".to_string())?;
                 let explain = match json.get("explain") {
                     None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_arr()
-                            .ok_or_else(|| "field \"explain\" must be an array".to_string())?
-                            .iter()
-                            .map(|l| {
-                                l.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| "explain lines must be strings".to_string())
-                            })
-                            .collect::<Result<Vec<_>, String>>()?,
-                    ),
+                    Some(_) => Some(req_str_list(&json, "explain")?),
                 };
                 Ok(Response::Done(DoneFrame {
                     aborted: opt_bool(&json, "aborted")?,
@@ -866,6 +796,10 @@ impl Response {
                         total_nanos: req_u64(stats, "total_nanos")?,
                         fragment_nodes: opt_u64(stats, "fragment_nodes")?,
                         worst_case_nodes: opt_u64(stats, "worst_case_nodes")?,
+                        parse_nanos: req_u64(stats, "parse_nanos")?,
+                        queue_nanos: req_u64(stats, "queue_nanos")?,
+                        execute_nanos: req_u64(stats, "execute_nanos")?,
+                        render_nanos: req_u64(stats, "render_nanos")?,
                     },
                     explain,
                 }))
@@ -983,7 +917,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         round_trip_response(Response::HelloAck {
-            protocol: 1,
+            protocol: PROTOCOL_VERSION,
             server: "bgpq-serve/0.1".into(),
             epoch: 42,
         });
@@ -993,20 +927,35 @@ mod tests {
             strategy: "bounded (bVF2/bSim)".into(),
             snapshot_version: 3,
             total: 17,
+            columns: vec!["y".into(), "u1".into()],
+            labels: vec![],
         }));
-        round_trip_response(Response::MatchRows(vec![vec![MatchBinding {
-            node: "y".into(),
-            id: 0,
-            label: "year".into(),
-            value: "2012".into(),
-        }]]));
-        round_trip_response(Response::SimRows(vec![SimChunk {
-            node_index: 1,
-            node: "p".into(),
-            label: "post".into(),
+        round_trip_response(Response::Answer(AnswerHeader {
+            kind: AnswerKind::Simulation,
+            strategy: "baseline (VF2/gsim)".into(),
+            snapshot_version: 0,
             total: 4,
+            columns: vec!["p".into()],
+            labels: vec!["post".into()],
+        }));
+        round_trip_response(Response::MatchRows(
+            RowBlock::new(
+                1,
+                1,
+                vec![0],
+                vec![crate::block::NodeEntry {
+                    id: 0,
+                    label: 0,
+                    value: Value::Int(2012),
+                }],
+                vec!["year".into()],
+            )
+            .unwrap(),
+        ));
+        round_trip_response(Response::SimRows(SimBlock {
+            column: 1,
             ids: vec![3, 5, 8, 9],
-        }]));
+        }));
         round_trip_response(Response::Done(DoneFrame {
             aborted: true,
             stats: WireStats {
@@ -1016,6 +965,10 @@ mod tests {
                 total_nanos: 6,
                 fragment_nodes: Some(9),
                 worst_case_nodes: None,
+                parse_nanos: 7,
+                queue_nanos: 8,
+                execute_nanos: 9,
+                render_nanos: 10,
             },
             explain: Some(vec!["plan (Isomorphism semantics):".into()]),
         }));
@@ -1102,8 +1055,12 @@ mod tests {
                 .is_err()
         );
         assert!(
-            Response::decode("{\"type\":\"error\",\"code\":\"novel\",\"message\":\"m\"}").is_err()
+            Response::decode(b"{\"type\":\"error\",\"code\":\"novel\",\"message\":\"m\"}").is_err()
         );
+        // A response payload is a control message or a tagged block.
+        assert!(Response::decode(b"").unwrap_err().contains("empty"));
+        assert!(Response::decode(b"[1]").unwrap_err().contains("tag"));
+        assert!(Response::decode(b"{\"type\":\"pong\",\xff").is_err());
         // An empty batch is an error, not a silent no-op.
         assert!(Request::decode("{\"type\":\"batch\",\"queries\":[]}").is_err());
         assert!(Request::decode("{\"type\":\"batch\"}").is_err());

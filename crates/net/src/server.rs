@@ -13,22 +13,33 @@
 //! session pins up front, so the rendered labels and values always belong
 //! to the exact version the answer was computed on.
 //!
+//! A reply sequence — `answer` header, row blocks, `done` — is encoded into
+//! one per-session buffer and handed to the socket in one write; rows go
+//! from the engine's answer straight into binary blocks
+//! ([`crate::block`]), with no per-binding strings and no JSON tree. Each
+//! request carries a fixed-size span record (parse, queue, execute,
+//! render) that lands on its `done` frame and in per-phase histograms on
+//! the `stats` document.
+//!
 //! Shutdown is drain-first: [`NetServerHandle::shutdown`] stops admitting,
 //! waits for in-flight permits to drop (bounded by
 //! [`NetServerConfig::drain_timeout`]), then unblocks the acceptor and
 //! closes every session socket.
 
-use crate::frame::{read_frame, write_frame, FrameError};
-use crate::histogram::LatencyHistogram;
+use crate::block::{encode_match_block, encode_sim_block};
+use crate::frame::{append_frame, read_frame, FrameError};
 use crate::proto::{
-    AnswerHeader, AnswerKind, DoneFrame, ErrorCode, MatchBinding, QuerySpec, Request, Response,
-    SimChunk, WireStats, PROTOCOL_VERSION,
+    AnswerHeader, AnswerKind, DoneFrame, ErrorCode, QuerySpec, Request, Response, WireStats,
+    PROTOCOL_VERSION,
 };
-use bgpq_engine::{parse_pattern, BgpqError, BudgetPolicy, QueryAnswer, QueryRequest};
+use bgpq_engine::{parse_pattern, BgpqError, BudgetPolicy, NodeId, QueryAnswer, QueryRequest};
 use bgpq_graph::io::json::Json;
+use bgpq_graph::Graph;
 use bgpq_serve::{Admission, AdmissionGate, GateStats, Server, Update, WorkerPool};
+use bgpq_workload::histogram::LatencyHistogram;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,6 +97,58 @@ struct ClientCounters {
     bytes_out: u64,
 }
 
+/// The server-side span of one request: four phase durations in
+/// nanoseconds, filled in as the request moves through its session.
+/// Fixed-size and allocation-free, so it is recorded for every request.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// Frame arrival to job submission: request decode, admission,
+    /// snapshot pin, pattern parse.
+    parse: u64,
+    /// The pool round trip beyond the engine's own time: queue wait and
+    /// the two channel hops.
+    queue: u64,
+    /// The engine's execution.
+    execute: u64,
+    /// Row render and frame write: header, blocks, `done`, the socket
+    /// write (on a `done` frame: up to the moment that frame is sealed).
+    render: u64,
+}
+
+/// Names of the [`Span`] phases, in the order [`Timings::phases`] holds them.
+const PHASES: [&str; 4] = ["parse", "queue", "execute", "render"];
+
+/// Whole-request latency and the per-phase breakdown, in microseconds.
+#[derive(Default)]
+struct Timings {
+    latency: LatencyHistogram,
+    phases: [LatencyHistogram; 4],
+}
+
+impl Timings {
+    fn record(&mut self, received: Instant, span: &Span) {
+        self.latency.record(received.elapsed().as_micros() as u64);
+        let nanos = [span.parse, span.queue, span.execute, span.render];
+        for (hist, nanos) in self.phases.iter_mut().zip(nanos) {
+            hist.record(nanos / 1_000);
+        }
+    }
+}
+
+impl Span {
+    /// Splits a pool round trip that began at `submitted` by the engine's
+    /// own clock: what the engine ran is `execute`, the rest is `queue`.
+    fn split_round_trip(&mut self, submitted: Instant, engine_nanos: u64) {
+        let round_trip = nanos_since(submitted);
+        self.execute = engine_nanos.min(round_trip);
+        self.queue = round_trip - self.execute;
+    }
+}
+
+fn nanos_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
+}
+
 struct Shared {
     server: Arc<Server>,
     pool: WorkerPool,
@@ -98,7 +161,7 @@ struct Shared {
     errors: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    latency: Mutex<LatencyHistogram>,
+    timings: Mutex<Timings>,
     clients: Mutex<BTreeMap<String, ClientCounters>>,
     next_conn: AtomicU64,
     conns: Mutex<Vec<(u64, TcpStream)>>,
@@ -127,7 +190,7 @@ impl NetServer {
             errors: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
-            latency: Mutex::new(LatencyHistogram::new()),
+            timings: Mutex::new(Timings::default()),
             clients: Mutex::new(BTreeMap::new()),
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
@@ -275,26 +338,86 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// One session's mutable half: the framed writer plus byte/error
-/// accounting against the shared counters.
+/// A reply buffer past this size is written out between frames, so a huge
+/// answer streams instead of accumulating; ordinary replies stay below it
+/// and reach the socket in one write.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// One session's mutable half: the reply buffer in front of the socket,
+/// the block encoder's scratch, and byte/error accounting. Frames are
+/// pushed into the buffer and flushed once per reply sequence; per-client
+/// counters accumulate in `pending` and are folded into the shared map
+/// once per request, not per frame.
 struct SessionOut<'a> {
     shared: &'a Shared,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// Encoded frames not yet written. Reused for the whole session.
+    buf: Vec<u8>,
+    /// Cell ids of the match block being cut, row-major.
+    ids: Vec<u32>,
+    /// Scratch for the block's distinct ids.
+    distinct: Vec<u32>,
     client: Option<String>,
+    /// Traffic since the last [`SessionOut::fold`].
+    pending: ClientCounters,
 }
 
 impl SessionOut<'_> {
-    fn send(&mut self, response: &Response) -> std::io::Result<()> {
+    /// Queues one control frame.
+    fn push(&mut self, response: &Response) -> std::io::Result<()> {
         if matches!(response, Response::Error { .. }) {
             self.shared.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let bytes = write_frame(&mut self.writer, &response.encode())?;
-        self.shared.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(name) = &self.client {
-            let mut clients = self.shared.clients.lock().expect("clients poisoned");
-            clients.entry(name.clone()).or_default().bytes_out += bytes;
+        append_frame(&mut self.buf, |out| response.encode_into(out))
+    }
+
+    /// Queues one match block over the rows gathered in `self.ids`,
+    /// resolving labels and values on `graph`.
+    fn push_match_block(&mut self, graph: &Graph, cols: usize) -> std::io::Result<()> {
+        let SessionOut {
+            buf, ids, distinct, ..
+        } = self;
+        append_frame(buf, |out| {
+            encode_match_block(out, cols, ids, distinct, |id| {
+                let v = NodeId(id);
+                let label = graph.label(v);
+                let name = match graph.interner().name(label) {
+                    Some(name) => Cow::Borrowed(name),
+                    None => Cow::Owned(graph.interner().name_or_placeholder(label)),
+                };
+                (name, graph.value(v))
+            })
+        })?;
+        ids.clear();
+        if self.buf.len() >= FLUSH_BYTES {
+            self.flush()?;
         }
         Ok(())
+    }
+
+    /// Writes every queued frame with one socket write.
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.write_all(&self.buf)?;
+        let bytes = self.buf.len() as u64;
+        self.buf.clear();
+        self.shared.bytes_out.fetch_add(bytes, Ordering::Relaxed);
+        self.pending.bytes_out += bytes;
+        Ok(())
+    }
+
+    /// Queues one frame and flushes: a single-frame reply.
+    fn send(&mut self, response: &Response) -> std::io::Result<()> {
+        self.push(response)?;
+        self.flush()
+    }
+
+    /// Queues an error frame that carries no retry hint.
+    fn push_error(&mut self, code: ErrorCode, message: impl Into<String>) -> std::io::Result<()> {
+        self.push(&Response::Error {
+            code,
+            message: message.into(),
+            retry_after_ms: None,
+        })
     }
 
     fn send_error(
@@ -309,6 +432,22 @@ impl SessionOut<'_> {
             retry_after_ms,
         })
     }
+
+    /// Folds the traffic counted since the last call into the shared
+    /// per-client counters: one lock per request instead of one per frame.
+    fn fold(&mut self) {
+        let Some(name) = &self.client else {
+            return;
+        };
+        let pending = std::mem::take(&mut self.pending);
+        let mut clients = self.shared.clients.lock().expect("clients poisoned");
+        if let Some(counters) = clients.get_mut(name) {
+            counters.requests += pending.requests;
+            counters.rejected += pending.rejected;
+            counters.bytes_in += pending.bytes_in;
+            counters.bytes_out += pending.bytes_out;
+        }
+    }
 }
 
 fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
@@ -318,15 +457,22 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     let mut reader = BufReader::new(read_half);
     let mut out = SessionOut {
         shared: &shared,
-        writer: BufWriter::new(stream),
+        stream,
+        buf: Vec::new(),
+        ids: Vec::new(),
+        distinct: Vec::new(),
         client: None,
+        pending: ClientCounters::default(),
     };
+    run_session(&shared, &mut reader, &mut out);
+    out.fold();
+}
 
+fn run_session(shared: &Shared, reader: &mut BufReader<TcpStream>, out: &mut SessionOut<'_>) {
     // Handshake: the first frame must be a matching `hello`. Any protocol
     // violation here gets a typed error and a close.
-    let payload = match next_payload(&shared, &mut reader, &mut out) {
-        Some(p) => p,
-        None => return,
+    let Some(payload) = next_payload(shared, reader, out) else {
+        return;
     };
     match Request::decode(&payload) {
         Ok(Request::Hello { protocol, client }) => {
@@ -373,41 +519,35 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     // Request loop. Client-side mistakes (parse errors, bad patterns) are
     // answered and the session continues; framing violations close it.
     loop {
-        let payload = match next_payload(&shared, &mut reader, &mut out) {
-            Some(p) => p,
-            None => return,
+        let Some(payload) = next_payload(shared, reader, out) else {
+            return;
         };
+        let received = Instant::now();
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        if let Some(name) = &out.client {
-            let mut clients = shared.clients.lock().expect("clients poisoned");
-            clients.entry(name.clone()).or_default().requests += 1;
-        }
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                if out.send_error(ErrorCode::Parse, e, None).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let flow = match request {
-            Request::Hello { .. } => {
+        out.pending.requests += 1;
+        let flow = match Request::decode(&payload) {
+            Err(e) => out.send_error(ErrorCode::Parse, e, None),
+            Ok(Request::Hello { .. }) => {
                 let _ = out.send_error(ErrorCode::Protocol, "duplicate hello", None);
                 return;
             }
-            Request::Query(spec) => handle_query(&shared, &mut out, spec),
-            Request::Batch(specs) => handle_batch(&shared, &mut out, specs),
-            Request::Update(updates) => handle_update(&shared, &mut out, &updates),
-            Request::Stats => out.send(&Response::Stats(stats_json(&shared))),
-            Request::Ping => out.send(&Response::Pong {
+            Ok(Request::Query(spec)) => handle_query(shared, out, spec, received),
+            Ok(Request::Batch(specs)) => handle_batch(shared, out, specs, received),
+            Ok(Request::Update(updates)) => handle_update(shared, out, &updates),
+            Ok(Request::Stats) => {
+                // Fold first, so the document counts this very request.
+                out.fold();
+                out.send(&Response::Stats(stats_json(shared)))
+            }
+            Ok(Request::Ping) => out.send(&Response::Pong {
                 epoch: shared.server.version(),
             }),
-            Request::Goodbye => {
+            Ok(Request::Goodbye) => {
                 let _ = out.send(&Response::GoodbyeAck);
                 return;
             }
         };
+        out.fold();
         if flow.is_err() {
             return; // peer gone mid-response
         }
@@ -425,11 +565,22 @@ fn next_payload(
     match read_frame(reader, shared.config.max_frame_bytes) {
         Ok((payload, bytes)) => {
             shared.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(name) = &out.client {
-                let mut clients = shared.clients.lock().expect("clients poisoned");
-                clients.entry(name.clone()).or_default().bytes_in += bytes;
+            if out.client.is_some() {
+                out.pending.bytes_in += bytes;
             }
-            Some(payload)
+            // Every request is a JSON control message; bytes that are not
+            // even text are a framing-level violation, like a bad prefix.
+            match String::from_utf8(payload) {
+                Ok(text) => Some(text),
+                Err(_) => {
+                    let _ = out.send_error(
+                        ErrorCode::Protocol,
+                        "request payload is not valid UTF-8",
+                        None,
+                    );
+                    None
+                }
+            }
         }
         Err(FrameError::Closed) => None,
         Err(FrameError::Truncated { got: 0, .. }) => {
@@ -445,7 +596,7 @@ fn next_payload(
             );
             None
         }
-        Err(err @ (FrameError::Truncated { .. } | FrameError::InvalidUtf8)) => {
+        Err(err @ FrameError::Truncated { .. }) => {
             let _ = out.send_error(ErrorCode::Protocol, err.to_string(), None);
             None
         }
@@ -456,18 +607,15 @@ fn next_payload(
 /// Back-off hint for `overloaded` rejections: about half the typical
 /// (p50) query latency, clamped to [1, 1000] ms; 5 ms before any sample.
 fn retry_hint_ms(shared: &Shared) -> u64 {
-    let hist = shared.latency.lock().expect("latency poisoned");
-    if hist.count() == 0 {
+    let timings = shared.timings.lock().expect("timings poisoned");
+    if timings.latency.count() == 0 {
         return 5;
     }
-    (hist.quantile(0.5) / 2_000).clamp(1, 1_000)
+    (timings.latency.quantile(0.5) / 2_000).clamp(1, 1_000)
 }
 
 fn reject(shared: &Shared, out: &mut SessionOut<'_>, admission: Admission) -> std::io::Result<()> {
-    if let Some(name) = &out.client {
-        let mut clients = shared.clients.lock().expect("clients poisoned");
-        clients.entry(name.clone()).or_default().rejected += 1;
-    }
+    out.pending.rejected += 1;
     match admission {
         Admission::Overloaded { in_flight, limit } => out.send_error(
             ErrorCode::Overloaded,
@@ -532,20 +680,22 @@ fn deadline_blamed(shared: &Shared, spec: &QuerySpec, aborted: bool) -> bool {
         })
 }
 
-/// Streams one query's reply sequence: the deadline-blame decision, then
-/// either a typed error or the `answer`/`rows*`/`done` frames.
-fn send_query_result(
+/// Queues one query's reply sequence: the deadline-blame decision, then
+/// either a typed error or the `answer`/`rows*`/`done` frames. The caller
+/// flushes.
+fn push_query_result(
     shared: &Shared,
     out: &mut SessionOut<'_>,
     spec: &QuerySpec,
     result: Result<bgpq_engine::QueryResponse, BgpqError>,
     pattern: &bgpq_pattern::Pattern,
     snapshot: &bgpq_serve::Snapshot,
+    span: &mut Span,
 ) -> std::io::Result<()> {
     match result {
         Err(err) => {
             let (code, message) = map_engine_error(&err);
-            out.send_error(code, message, None)
+            out.push_error(code, message)
         }
         Ok(response) => {
             // An abort is a deadline overrun — a typed error — when the
@@ -553,31 +703,34 @@ fn send_query_result(
             // under a tighter *explicit* budget is an ordinary truncated
             // answer with `done.aborted` set.
             if deadline_blamed(shared, spec, response.stats.aborted) {
-                out.send_error(
+                out.push_error(
                     ErrorCode::BudgetExceeded,
                     format!(
                         "deadline of {} ms exhausted the step budget before completion",
                         spec.deadline_ms.unwrap_or(0)
                     ),
-                    None,
                 )
             } else {
-                stream_answer(shared, out, &response, pattern, snapshot)
+                push_answer(shared, out, &response, pattern, snapshot, span)
             }
         }
     }
 }
 
-fn handle_query(shared: &Shared, out: &mut SessionOut<'_>, spec: QuerySpec) -> std::io::Result<()> {
+fn handle_query(
+    shared: &Shared,
+    out: &mut SessionOut<'_>,
+    spec: QuerySpec,
+    received: Instant,
+) -> std::io::Result<()> {
     shared.queries.fetch_add(1, Ordering::Relaxed);
     let permit = match shared.gate.try_admit() {
         Admission::Admitted(permit) => permit,
         rejected => return reject(shared, out, rejected),
     };
-    let started = Instant::now();
 
     // Pin one snapshot for the whole request: the pool executes on it and
-    // the bindings below render labels/values from the same version.
+    // the row blocks below read labels/values from the same version.
     let snapshot = shared.server.snapshot();
     let (request, pattern) = match build_request(shared, &snapshot, &spec) {
         Ok(built) => built,
@@ -586,6 +739,11 @@ fn handle_query(shared: &Shared, out: &mut SessionOut<'_>, spec: QuerySpec) -> s
             return out.send_error(code, message, None);
         }
     };
+    let mut span = Span {
+        parse: nanos_since(received),
+        ..Span::default()
+    };
+    let submitted = Instant::now();
     let result = match shared
         .pool
         .submit_pinned(Arc::clone(&snapshot), request)
@@ -597,13 +755,20 @@ fn handle_query(shared: &Shared, out: &mut SessionOut<'_>, spec: QuerySpec) -> s
             return out.send_error(ErrorCode::Internal, "worker pool unavailable", None);
         }
     };
+    span.split_round_trip(
+        submitted,
+        result.as_ref().map_or(u64::MAX, |r| r.stats.total_nanos),
+    );
 
-    let flow = send_query_result(shared, out, &spec, result, &pattern, &snapshot);
+    let rendering = Instant::now();
+    let flow = push_query_result(shared, out, &spec, result, &pattern, &snapshot, &mut span)
+        .and_then(|()| out.flush());
+    span.render = nanos_since(rendering);
     shared
-        .latency
+        .timings
         .lock()
-        .expect("latency poisoned")
-        .record(started.elapsed().as_micros() as u64);
+        .expect("timings poisoned")
+        .record(received, &span);
     drop(permit); // response fully written: free the admission slot
     flow
 }
@@ -619,6 +784,7 @@ fn handle_batch(
     shared: &Shared,
     out: &mut SessionOut<'_>,
     specs: Vec<QuerySpec>,
+    received: Instant,
 ) -> std::io::Result<()> {
     shared
         .queries
@@ -627,7 +793,6 @@ fn handle_batch(
         Admission::Admitted(permit) => permit,
         rejected => return reject(shared, out, rejected),
     };
-    let started = Instant::now();
 
     let snapshot = shared.server.snapshot();
     // Build every slot up front; parse failures keep their position and are
@@ -640,6 +805,13 @@ fn handle_batch(
         .iter()
         .filter_map(|b| b.as_ref().ok().map(|(request, _)| request.clone()))
         .collect();
+    // The batch has one span: its slots share the parse and queue phases,
+    // each `done` frame reports its own execution and render.
+    let mut span = Span {
+        parse: nanos_since(received),
+        ..Span::default()
+    };
+    let submitted = Instant::now();
     let mut results = if requests.is_empty() {
         Vec::new()
     } else {
@@ -656,7 +828,13 @@ fn handle_batch(
         }
     };
 
-    let mut flow = out.send(&Response::BatchStart {
+    span.split_round_trip(
+        submitted,
+        results.iter().flatten().map(|r| r.stats.total_nanos).sum(),
+    );
+
+    let rendering = Instant::now();
+    let mut flow = out.push(&Response::BatchStart {
         count: specs.len() as u64,
     });
     let mut next_result = results.drain(..);
@@ -665,7 +843,7 @@ fn handle_batch(
             break;
         }
         flow = match slot {
-            Err((code, message)) => out.send_error(*code, message.clone(), None),
+            Err((code, message)) => out.push_error(*code, message.clone()),
             Ok((_, pattern)) => {
                 let result = next_result
                     .next()
@@ -673,15 +851,21 @@ fn handle_batch(
                         requested: bgpq_engine::StrategyKind::Bounded,
                         reason: "worker pool returned too few results".into(),
                     }));
-                send_query_result(shared, out, spec, result, pattern, &snapshot)
+                let mut slot = Span {
+                    execute: result.as_ref().map_or(0, |r| r.stats.total_nanos),
+                    ..span
+                };
+                push_query_result(shared, out, spec, result, pattern, &snapshot, &mut slot)
             }
         };
     }
+    let flow = flow.and_then(|()| out.flush());
+    span.render = nanos_since(rendering);
     shared
-        .latency
+        .timings
         .lock()
-        .expect("latency poisoned")
-        .record(started.elapsed().as_micros() as u64);
+        .expect("timings poisoned")
+        .record(received, &span);
     drop(permit);
     flow
 }
@@ -693,77 +877,57 @@ fn node_display(pattern: &bgpq_pattern::Pattern, u: bgpq_pattern::PatternNodeId)
     }
 }
 
-fn stream_answer(
+/// Queues a whole answer: the header naming the columns, the rows as
+/// binary blocks cut straight from the engine's answer, and `done`.
+fn push_answer(
     shared: &Shared,
     out: &mut SessionOut<'_>,
     response: &bgpq_engine::QueryResponse,
     pattern: &bgpq_pattern::Pattern,
     snapshot: &bgpq_serve::Snapshot,
+    span: &mut Span,
 ) -> std::io::Result<()> {
+    let started = Instant::now();
     let graph = snapshot.graph();
     let rows_per_frame = shared.config.rows_per_frame.max(1);
-    let kind = match &response.answer {
-        QueryAnswer::Matches(_) => AnswerKind::Matches,
-        QueryAnswer::Simulation(_) => AnswerKind::Simulation,
+    let (kind, labels) = match &response.answer {
+        QueryAnswer::Matches(_) => (AnswerKind::Matches, Vec::new()),
+        QueryAnswer::Simulation(_) => (
+            AnswerKind::Simulation,
+            pattern.nodes().map(|u| pattern.label_name(u)).collect(),
+        ),
     };
-    out.send(&Response::Answer(AnswerHeader {
+    out.push(&Response::Answer(AnswerHeader {
         kind,
         strategy: response.strategy.to_string(),
         snapshot_version: response.stats.snapshot_version,
         total: response.answer.len() as u64,
+        columns: pattern.nodes().map(|u| node_display(pattern, u)).collect(),
+        labels,
     }))?;
 
+    let cols = pattern.node_count();
     match &response.answer {
+        // A pattern without nodes has no columns, so no cells to ship.
+        QueryAnswer::Matches(_) if cols == 0 => {}
         QueryAnswer::Matches(matches) => {
-            let mut chunk: Vec<Vec<MatchBinding>> = Vec::with_capacity(rows_per_frame);
+            let cells_per_block = rows_per_frame.saturating_mul(cols);
             for m in matches.iter() {
-                let row = pattern
-                    .nodes()
-                    .map(|u| {
-                        let v = m.node_for(u);
-                        MatchBinding {
-                            node: node_display(pattern, u),
-                            id: v.0,
-                            label: graph.label_name(v).to_string(),
-                            value: graph.value(v).to_string(),
-                        }
-                    })
-                    .collect();
-                chunk.push(row);
-                if chunk.len() == rows_per_frame {
-                    out.send(&Response::MatchRows(std::mem::take(&mut chunk)))?;
+                out.ids.extend(m.assignment().iter().map(|v| v.0));
+                if out.ids.len() == cells_per_block {
+                    out.push_match_block(graph, cols)?;
                 }
             }
-            if !chunk.is_empty() {
-                out.send(&Response::MatchRows(chunk))?;
+            if !out.ids.is_empty() {
+                out.push_match_block(graph, cols)?;
             }
         }
         QueryAnswer::Simulation(relation) => {
-            let ids_per_chunk = rows_per_frame * 8;
-            for (index, u) in pattern.nodes().enumerate() {
-                let vs = relation.matches_of(u);
-                let ids: Vec<u32> = vs.iter().map(|v| v.0).collect();
-                // Every pattern node gets at least one chunk (possibly with
-                // no ids) so the client renders empty rows too.
-                let mut sent_any = false;
-                for piece in ids.chunks(ids_per_chunk.max(1)) {
-                    out.send(&Response::SimRows(vec![SimChunk {
-                        node_index: index as u32,
-                        node: node_display(pattern, u),
-                        label: pattern.label_name(u),
-                        total: ids.len() as u64,
-                        ids: piece.to_vec(),
-                    }]))?;
-                    sent_any = true;
-                }
-                if !sent_any {
-                    out.send(&Response::SimRows(vec![SimChunk {
-                        node_index: index as u32,
-                        node: node_display(pattern, u),
-                        label: pattern.label_name(u),
-                        total: 0,
-                        ids: Vec::new(),
-                    }]))?;
+            for (column, u) in pattern.nodes().enumerate() {
+                for piece in relation.matches_of(u).chunks(rows_per_frame * 8) {
+                    append_frame(&mut out.buf, |buf| {
+                        encode_sim_block(buf, column, piece.iter().map(|v| v.0))
+                    })?;
                 }
             }
         }
@@ -777,7 +941,8 @@ fn stream_answer(
             graph.interner(),
         )
     });
-    out.send(&Response::Done(DoneFrame {
+    span.render = nanos_since(started);
+    out.push(&Response::Done(DoneFrame {
         aborted: stats.aborted,
         stats: WireStats {
             plan_nanos: stats.plan_nanos,
@@ -786,6 +951,10 @@ fn stream_answer(
             total_nanos: stats.total_nanos,
             fragment_nodes: stats.fetch.as_ref().map(|f| f.fragment_nodes as u64),
             worst_case_nodes: stats.worst_case_nodes,
+            parse_nanos: span.parse,
+            queue_nanos: span.queue,
+            execute_nanos: span.execute,
+            render_nanos: span.render,
         },
         explain,
     }))
@@ -813,19 +982,30 @@ fn handle_update(
     flow
 }
 
+fn histogram_json(hist: &LatencyHistogram) -> Json {
+    Json::obj([
+        ("count", Json::Int(hist.count() as i64)),
+        ("mean", Json::Int(hist.mean() as i64)),
+        ("p50", Json::Int(hist.quantile(0.5) as i64)),
+        ("p95", Json::Int(hist.quantile(0.95) as i64)),
+        ("p99", Json::Int(hist.quantile(0.99) as i64)),
+        ("max", Json::Int(hist.max() as i64)),
+    ])
+}
+
 fn stats_json(shared: &Shared) -> Json {
     let gate = shared.gate.stats();
     let server = shared.server.stats();
-    let latency = {
-        let hist = shared.latency.lock().expect("latency poisoned");
-        Json::obj([
-            ("count", Json::Int(hist.count() as i64)),
-            ("mean", Json::Int(hist.mean() as i64)),
-            ("p50", Json::Int(hist.quantile(0.5) as i64)),
-            ("p95", Json::Int(hist.quantile(0.95) as i64)),
-            ("p99", Json::Int(hist.quantile(0.99) as i64)),
-            ("max", Json::Int(hist.max() as i64)),
-        ])
+    let (latency, phases) = {
+        let timings = shared.timings.lock().expect("timings poisoned");
+        (
+            histogram_json(&timings.latency),
+            Json::obj(
+                PHASES
+                    .into_iter()
+                    .zip(timings.phases.iter().map(histogram_json)),
+            ),
+        )
     };
     let clients = {
         let clients = shared.clients.lock().expect("clients poisoned");
@@ -890,6 +1070,7 @@ fn stats_json(shared: &Shared) -> Json {
                     Json::Int(shared.bytes_out.load(Ordering::Relaxed) as i64),
                 ),
                 ("latency_us", latency),
+                ("phases_us", phases),
             ]),
         ),
         ("clients", clients),

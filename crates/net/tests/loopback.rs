@@ -1,7 +1,8 @@
 //! Loopback integration: real TCP connections against a [`NetServer`].
 //!
-//! These tests prove the wire protocol is lossless (answers received over
-//! TCP equal direct [`Server::execute`] on the same snapshot), that
+//! These tests prove the wire protocol is lossless (every id, label and
+//! value received over TCP equals direct [`Server::execute`] on the same
+//! snapshot, under both semantics), that
 //! admission control produces the typed `overloaded` / `draining`
 //! rejections, that drain lets in-flight queries finish, and that client
 //! deadlines map onto deterministic step budgets with the documented blame
@@ -70,12 +71,23 @@ fn tcp_answers_equal_direct_execution() {
     let handle = start(40, NetServerConfig::default());
     let mut client = connect(&handle, "parity");
 
-    for (semantics, strategy) in [
-        (Semantics::Isomorphism, None),
-        (Semantics::Isomorphism, Some(StrategyKind::Baseline)),
-        (Semantics::Simulation, None),
+    // The award query brings string values (and an unbounded pattern, so the
+    // automatic strategy falls back) next to the integer-only year query.
+    const AWARD_QUERY: &str = "node w: award where value = \"award1\"\n\
+                               node m: movie\n\
+                               edge w -> m\n";
+    for (text, semantics, strategy) in [
+        (YEAR_QUERY, Semantics::Isomorphism, None),
+        (
+            YEAR_QUERY,
+            Semantics::Isomorphism,
+            Some(StrategyKind::Baseline),
+        ),
+        (YEAR_QUERY, Semantics::Simulation, None),
+        (AWARD_QUERY, Semantics::Isomorphism, None),
+        (AWARD_QUERY, Semantics::Simulation, None),
     ] {
-        let mut spec = QuerySpec::new(YEAR_QUERY);
+        let mut spec = QuerySpec::new(text);
         spec.semantics = semantics;
         spec.strategy = strategy;
         let outcome = client.query(&spec).expect("query over TCP");
@@ -83,8 +95,7 @@ fn tcp_answers_equal_direct_execution() {
         // Direct execution on the same snapshot version.
         let snapshot = handle.server().snapshot();
         assert_eq!(outcome.header.snapshot_version, snapshot.version());
-        let pattern =
-            parse_pattern(YEAR_QUERY, snapshot.graph().interner().clone()).expect("pattern");
+        let pattern = parse_pattern(text, snapshot.graph().interner().clone()).expect("pattern");
         let mut builder = QueryRequest::build(pattern.clone()).semantics(semantics);
         if let Some(kind) = strategy {
             builder = builder.strategy(kind);
@@ -94,30 +105,43 @@ fn tcp_answers_equal_direct_execution() {
 
         match (&direct.answer, outcome.header.kind) {
             (QueryAnswer::Matches(matches), AnswerKind::Matches) => {
+                assert!(!matches.is_empty(), "the fixture answers every query");
                 assert_eq!(outcome.header.total as usize, matches.len());
                 assert_eq!(outcome.matches.len(), matches.len());
-                // Every row carries the same bindings, in canonical order.
+                assert_eq!(outcome.matches.iter().count(), matches.len());
+                assert!(outcome.header.labels.is_empty());
+                // Every row carries the same bindings, in canonical order:
+                // the pattern node's name, the data node's id, and the
+                // label and typed value the snapshot holds for that node.
+                let graph = snapshot.graph();
                 for (wire_row, direct_row) in outcome.matches.iter().zip(matches.iter()) {
-                    let direct_ids: Vec<u32> =
-                        pattern.nodes().map(|u| direct_row.node_for(u).0).collect();
-                    let wire_ids: Vec<u32> = wire_row.iter().map(|b| b.id).collect();
-                    assert_eq!(wire_ids, direct_ids);
+                    assert_eq!(wire_row.iter().count(), pattern.node_count());
+                    for (binding, u) in wire_row.iter().zip(pattern.nodes()) {
+                        let v = direct_row.node_for(u);
+                        assert_eq!(binding.node, pattern.node_name(u).unwrap());
+                        assert_eq!(binding.id, v.0);
+                        assert_eq!(binding.label, graph.label_name(v));
+                        assert_eq!(
+                            format!("{:?}", binding.value),
+                            format!("{:?}", graph.value(v)),
+                            "typed value of node {v:?}"
+                        );
+                    }
+                    let ids: Vec<u32> = wire_row.iter().map(|b| b.id).collect();
+                    assert_eq!(wire_row.ids(), ids);
                 }
             }
             (QueryAnswer::Simulation(relation), AnswerKind::Simulation) => {
                 assert_eq!(outcome.header.total as usize, relation.pair_count());
+                assert!(outcome.matches.is_empty());
+                assert_eq!(outcome.sim.len(), pattern.node_count());
+                // One column per pattern node: its name, its pattern label,
+                // and the simulating data nodes in the relation's own order.
                 for (index, u) in pattern.nodes().enumerate() {
-                    let mut direct_ids: Vec<u32> =
-                        relation.matches_of(u).iter().map(|v| v.0).collect();
-                    direct_ids.sort_unstable();
-                    let mut wire_ids: Vec<u32> = outcome
-                        .sim
-                        .iter()
-                        .filter(|c| c.node_index == index as u32)
-                        .flat_map(|c| c.ids.iter().copied())
-                        .collect();
-                    wire_ids.sort_unstable();
-                    assert_eq!(wire_ids, direct_ids, "node index {index}");
+                    assert_eq!(outcome.header.columns[index], pattern.node_name(u).unwrap());
+                    assert_eq!(outcome.header.labels[index], pattern.label_name(u));
+                    let direct_ids: Vec<u32> = relation.matches_of(u).iter().map(|v| v.0).collect();
+                    assert_eq!(outcome.sim[index], direct_ids, "node index {index}");
                 }
             }
             (answer, kind) => panic!("kind mismatch: direct {answer:?} vs wire {kind:?}"),
@@ -126,6 +150,57 @@ fn tcp_answers_equal_direct_execution() {
     }
     client.goodbye().unwrap();
     assert!(handle.shutdown());
+}
+
+/// Block boundaries and the mid-answer flush are invisible to the reader:
+/// whatever `rows_per_frame` cuts the answer into — one row per block, a
+/// last block that is exactly full, a reply larger than the server's write
+/// buffer — the table holds the same rows as direct execution.
+#[test]
+fn block_boundaries_and_partial_flushes_do_not_change_the_answer() {
+    const ALL_CASTS: &str = "node m: movie\nnode a: actor\nedge m -> a\n";
+    // 5000 movies x 2 actors: 10 000 rows, ~80 KB of ids alone.
+    for rows_per_frame in [1, 64, 2_500, 10_000, 10_001] {
+        let handle = start(
+            5_000,
+            NetServerConfig {
+                rows_per_frame,
+                ..NetServerConfig::default()
+            },
+        );
+        let mut client = connect(&handle, "blocks");
+        let outcome = client.query(&QuerySpec::new(ALL_CASTS)).expect("query");
+
+        let snapshot = handle.server().snapshot();
+        let pattern =
+            parse_pattern(ALL_CASTS, snapshot.graph().interner().clone()).expect("pattern");
+        let direct = snapshot
+            .execute(&QueryRequest::build(pattern).finish())
+            .expect("direct");
+        let QueryAnswer::Matches(matches) = &direct.answer else {
+            panic!("isomorphism answer expected");
+        };
+        assert_eq!(matches.len(), 10_000);
+        assert_eq!(outcome.matches.len(), matches.len());
+        for (wire_row, direct_row) in outcome.matches.iter().zip(matches.iter()) {
+            let direct_ids: Vec<u32> = direct_row.assignment().iter().map(|v| v.0).collect();
+            assert_eq!(
+                wire_row.ids(),
+                direct_ids,
+                "rows_per_frame {rows_per_frame}"
+            );
+        }
+        // Every binding resolves, also in the last (possibly short) block.
+        let last = outcome.matches.iter().last().expect("rows");
+        for binding in last.iter() {
+            assert_eq!(
+                binding.label,
+                snapshot.graph().label_name(NodeId(binding.id))
+            );
+        }
+        client.goodbye().unwrap();
+        assert!(handle.shutdown());
+    }
 }
 
 #[test]
@@ -454,7 +529,7 @@ fn stats_document_counts_requests_and_clients() {
     let stats = client.stats().expect("stats document");
 
     let server = stats.get("server").expect("server object");
-    assert_eq!(server.get("protocol").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(server.get("protocol").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(server.get("queries").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(server.get("admitted").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(
@@ -464,14 +539,39 @@ fn stats_document_counts_requests_and_clients() {
     let latency = server.get("latency_us").expect("latency object");
     assert_eq!(latency.get("count").and_then(|v| v.as_u64()), Some(1));
     assert!(latency.get("p99").and_then(|v| v.as_u64()).unwrap() >= 1);
+    // The span of that one query, phase by phase.
+    let phases = server.get("phases_us").expect("phases object");
+    for phase in ["parse", "queue", "execute", "render"] {
+        let hist = phases.get(phase).unwrap_or_else(|| panic!("phase {phase}"));
+        assert_eq!(
+            hist.get("count").and_then(|v| v.as_u64()),
+            Some(1),
+            "{phase}"
+        );
+    }
 
+    // Per-client counters are folded once per request; a session still sees
+    // itself exactly: this `stats` request is its third, and the bytes are
+    // the ones the client counted up to and including this request frame.
     let clients = stats.get("clients").and_then(|v| v.as_arr()).unwrap();
     assert_eq!(clients.len(), 1);
+    let me = &clients[0];
+    assert_eq!(me.get("name").and_then(|v| v.as_str()), Some("metrics"));
+    assert_eq!(me.get("requests").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(me.get("rejected").and_then(|v| v.as_u64()), Some(0));
+    let hello_bytes = 4 + "{\"type\":\"hello\",\"protocol\":2,\"client\":\"metrics\"}".len() as u64;
     assert_eq!(
-        clients[0].get("name").and_then(|v| v.as_str()),
-        Some("metrics")
+        me.get("bytes_in").and_then(|v| v.as_u64()),
+        Some(client.bytes_out() - hello_bytes),
+        "every request frame after the hello"
     );
-    assert!(client.bytes_in() > 0 && client.bytes_out() > 0);
+    let stats_frame_bytes =
+        4 + format!("{{\"type\":\"stats\",\"stats\":{}}}", stats.render()).len() as u64;
+    assert_eq!(
+        me.get("bytes_out").and_then(|v| v.as_u64()),
+        Some(client.bytes_in() - stats_frame_bytes),
+        "every reply before this one"
+    );
     client.goodbye().unwrap();
     assert!(handle.shutdown());
 }

@@ -73,21 +73,6 @@ impl ConstraintIndex {
 
     /// Builds the index with an explicit combination cap per target node.
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
-        Self::build_filtered_with_cap(graph, constraint, cap, |_| true)
-    }
-
-    /// Builds the index restricted to the target nodes `owns` accepts — the
-    /// per-partition build of the sharded path. Partitioning by *target*
-    /// ownership keeps every `(key → target)` entry whole inside one shard,
-    /// so the union of the filtered indices over a disjoint-complete
-    /// ownership family equals the unfiltered build exactly
-    /// (see [`AccessIndexSet::merge_shards`]).
-    pub fn build_filtered_with_cap(
-        graph: &Graph,
-        constraint: AccessConstraint,
-        cap: usize,
-        owns: impl Fn(NodeId) -> bool,
-    ) -> Self {
         // A unary key is one source-labeled node; sizing the shards for all
         // of them up front fills the maps in place, without re-splits.
         let keys = match constraint.source() {
@@ -97,9 +82,7 @@ impl ConstraintIndex {
         let targets = graph.label_count(constraint.target());
         let mut index = Self::empty(constraint, cap, keys, targets);
         for &v in graph.nodes_with_label(index.constraint.target()) {
-            if owns(v) {
-                index.refresh_target(graph, v, &[]);
-            }
+            index.refresh_target(graph, v, &[]);
         }
         if index.constraint.is_global() {
             // The one key of a global index exists even without answers.
@@ -496,23 +479,9 @@ impl AccessIndexSet {
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
-        Self::build_filtered_with_cap(graph, schema, cap, |_| true)
-    }
-
-    /// Builds all indices restricted to the target nodes `owns` accepts —
-    /// one shard's slice of the full index set. Over a disjoint-complete
-    /// family of ownership predicates the slices merge back
-    /// ([`AccessIndexSet::merge_shards`]) into exactly the set
-    /// [`AccessIndexSet::build_with_cap`] would produce.
-    pub fn build_filtered_with_cap(
-        graph: &Graph,
-        schema: &AccessSchema,
-        cap: usize,
-        owns: impl Fn(NodeId) -> bool,
-    ) -> Self {
         let indices = schema
             .iter()
-            .map(|c| ConstraintIndex::build_filtered_with_cap(graph, c.clone(), cap, &owns))
+            .map(|c| ConstraintIndex::build_with_cap(graph, c.clone(), cap))
             .collect();
         Self::from_indices(schema.clone(), indices)
     }
@@ -524,45 +493,6 @@ impl AccessIndexSet {
             schema: Arc::new(schema),
             indices: indices.into_iter().map(Arc::new).collect(),
         }
-    }
-
-    /// Merges per-shard index sets (built with
-    /// [`AccessIndexSet::build_filtered_with_cap`] over disjoint ownership
-    /// predicates) back into one set. Because every `(key → target)` entry
-    /// lives whole in its target's shard, the merge is a disjoint union:
-    /// answer lists are merged in order, the per-target bookkeeping and
-    /// capped sets are unioned, and the result is structurally identical to
-    /// a single unfiltered build over the whole graph.
-    ///
-    /// # Panics
-    /// Panics if the shards disagree on schema, count or caps.
-    pub fn merge_shards<'a>(shards: impl IntoIterator<Item = &'a AccessIndexSet>) -> Self {
-        let mut shards = shards.into_iter();
-        let first = shards
-            .next()
-            .expect("merge_shards needs at least one shard");
-        let mut merged = first.clone();
-        for shard in shards {
-            assert_eq!(shard.schema, merged.schema, "shards must share one schema");
-            for (into, from) in merged.indices.iter_mut().zip(&shard.indices) {
-                assert_eq!(into.cap, from.cap, "shards must share one cap");
-                let into = Arc::make_mut(into);
-                for (key, answers) in from.map.iter() {
-                    for &target in answers {
-                        into.list_insert(key, target);
-                    }
-                }
-                for (&target, &count) in from.key_counts.iter() {
-                    into.key_counts.insert(target, count);
-                }
-                for (&target, keys) in from.reverse.iter() {
-                    into.reverse.insert(target, keys.clone());
-                }
-                into.capped_targets
-                    .extend(from.capped_targets.iter().copied());
-            }
-        }
-        merged
     }
 
     /// The schema these indices back.
@@ -828,113 +758,5 @@ mod tests {
             ConstraintIndex::build_with_cap(&g, AccessConstraint::new([x_l, y_l], hub_l, 1), 50);
         assert!(idx.is_truncated());
         assert!(idx.key_count() <= 50);
-    }
-}
-
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-    use crate::schema::AccessSchema;
-    use bgpq_graph::{GraphBuilder, Value};
-
-    /// A graph with enough structure that every constraint kind (global,
-    /// unary, binary) gets multi-shard answers.
-    fn dense_toy() -> (Graph, AccessSchema) {
-        let mut b = GraphBuilder::new();
-        let years: Vec<_> = (0..3)
-            .map(|i| b.add_node("year", Value::Int(2010 + i)))
-            .collect();
-        let awards: Vec<_> = (0..2).map(|i| b.add_node("award", Value::Int(i))).collect();
-        for i in 0..10i64 {
-            let m = b.add_node("movie", Value::Int(i));
-            b.add_edge(years[(i % 3) as usize], m).unwrap();
-            b.add_edge(awards[(i % 2) as usize], m).unwrap();
-            for j in 0..3 {
-                let a = b.add_node("actor", Value::Int(10 * i + j));
-                b.add_edge(m, a).unwrap();
-            }
-        }
-        let g = b.build();
-        let l = |n: &str| g.interner().get(n).unwrap();
-        let schema = AccessSchema::from_constraints([
-            AccessConstraint::global(l("year"), 3),
-            AccessConstraint::global(l("movie"), 10),
-            AccessConstraint::new([l("year"), l("award")], l("movie"), 4),
-            AccessConstraint::unary(l("movie"), l("actor"), 3),
-        ]);
-        (g, schema)
-    }
-
-    fn assert_sets_equal(a: &AccessIndexSet, b: &AccessIndexSet) {
-        assert_eq!(a.len(), b.len());
-        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
-            assert_eq!(x.constraint(), y.constraint());
-            assert_eq!(x.cap(), y.cap());
-            assert_eq!(x.key_count(), y.key_count());
-            assert_eq!(x.size(), y.size());
-            assert_eq!(x.max_cardinality(), y.max_cardinality());
-            assert_eq!(x.is_truncated(), y.is_truncated());
-            for (key, answers) in x.entries() {
-                assert_eq!(y.common_neighbors(key), answers, "key {key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn filtered_shards_merge_to_the_full_build() {
-        let (g, schema) = dense_toy();
-        let full = AccessIndexSet::build(&g, &schema);
-        for parts in [1usize, 2, 4] {
-            let shards: Vec<AccessIndexSet> = (0..parts)
-                .map(|p| {
-                    AccessIndexSet::build_filtered_with_cap(
-                        &g,
-                        &schema,
-                        DEFAULT_MAX_COMBINATIONS_PER_NODE,
-                        |v: NodeId| v.index() % parts == p,
-                    )
-                })
-                .collect();
-            // Shards partition the entries: sizes sum to the full build's.
-            let sum: usize = shards.iter().map(AccessIndexSet::total_size).sum();
-            assert!(sum >= full.total_size(), "{parts} shards lost entries");
-            let merged = AccessIndexSet::merge_shards(&shards);
-            assert_sets_equal(&merged, &full);
-        }
-    }
-
-    #[test]
-    fn filtered_truncation_verdicts_survive_the_merge() {
-        // A hub over the cap lands in exactly one shard; the merged verdict
-        // must match the unfiltered build's.
-        let mut b = GraphBuilder::new();
-        let hub = b.add_node("hub", Value::Null);
-        for i in 0..20 {
-            let x = b.add_node("x", Value::Int(i));
-            let y = b.add_node("y", Value::Int(i));
-            b.add_edge(x, hub).unwrap();
-            b.add_edge(y, hub).unwrap();
-        }
-        let g = b.build();
-        let l = |n: &str| g.interner().get(n).unwrap();
-        let schema =
-            AccessSchema::from_constraints([AccessConstraint::new([l("x"), l("y")], l("hub"), 1)]);
-        let full = AccessIndexSet::build_with_cap(&g, &schema, 50);
-        assert!(full.get(ConstraintId(0)).unwrap().is_truncated());
-        let shards: Vec<AccessIndexSet> = (0..2)
-            .map(|p| {
-                AccessIndexSet::build_filtered_with_cap(&g, &schema, 50, |v: NodeId| {
-                    v.index() % 2 == p
-                })
-            })
-            .collect();
-        // Exactly one shard owns the hub and carries the verdict.
-        let truncated = shards
-            .iter()
-            .filter(|s| s.get(ConstraintId(0)).unwrap().is_truncated())
-            .count();
-        assert_eq!(truncated, 1);
-        let merged = AccessIndexSet::merge_shards(&shards);
-        assert_sets_equal(&merged, &full);
     }
 }

@@ -52,13 +52,10 @@ pub use constraint::{AccessConstraint, ConstraintId, ConstraintKind};
 pub use discovery::{discover_schema, DiscoveryConfig};
 pub use index::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 pub use index::{AccessIndexSet, ConstraintIndex};
-pub use maintenance::{
-    apply_delta, apply_deltas, apply_deltas_filtered, GraphDelta, MaintenanceStats, TouchedNodes,
-};
+pub use maintenance::{apply_delta, apply_deltas, GraphDelta, MaintenanceStats, TouchedNodes};
 pub use satisfy::{check_schema, Violation};
 pub use schema::AccessSchema;
 pub use serialize::{load_schema, read_schema, save_schema, write_schema};
 pub use snapshot::{
-    decode_bundle, decode_index_set, encode_index_set, load_snapshot, read_snapshot, save_snapshot,
-    write_snapshot, write_snapshot_with_sections, SnapshotBundle,
+    decode_bundle, load_snapshot, read_snapshot, save_snapshot, write_snapshot, SnapshotBundle,
 };

@@ -145,27 +145,7 @@ pub fn apply_deltas(
     new_graph: &Graph,
     deltas: &[GraphDelta],
 ) -> MaintenanceStats {
-    apply_deltas_filtered(indices, new_graph, deltas, |_| true)
-}
-
-/// [`apply_deltas`] restricted to the target nodes `owns` accepts — the
-/// maintenance path for one shard's slice of a partitioned index set (built
-/// with [`AccessIndexSet::build_filtered_with_cap`]). A shard only ever
-/// holds contributions of the targets it owns, so refreshing foreign nodes
-/// would be wasted work at best and, for `InsertNode`, would smuggle a
-/// foreign contribution into the wrong shard. Ownership must be the same
-/// pure `node → shard` function the shard was built with.
-pub fn apply_deltas_filtered(
-    indices: &mut AccessIndexSet,
-    new_graph: &Graph,
-    deltas: &[GraphDelta],
-    owns: impl Fn(NodeId) -> bool,
-) -> MaintenanceStats {
-    let mut touched: Vec<NodeId> = deltas
-        .iter()
-        .flat_map(GraphDelta::touched_nodes)
-        .filter(|&v| owns(v))
-        .collect();
+    let mut touched: Vec<NodeId> = deltas.iter().flat_map(GraphDelta::touched_nodes).collect();
     touched.sort_unstable();
     touched.dedup();
 

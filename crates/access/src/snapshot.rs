@@ -51,20 +51,6 @@ pub fn write_snapshot<W: Write>(
     indices: &AccessIndexSet,
     w: W,
 ) -> Result<(), SnapshotError> {
-    write_snapshot_with_sections(graph, indices, [], w)
-}
-
-/// [`write_snapshot`] with caller-supplied extra sections appended after the
-/// core graph/schema/indices — the hook higher layers use to persist state
-/// this crate does not know about (e.g. the per-shard index blobs of
-/// `Section::Shards`). Readers that do not understand an extra section skip
-/// it, so snapshots with extras still open everywhere.
-pub fn write_snapshot_with_sections<W: Write>(
-    graph: &Graph,
-    indices: &AccessIndexSet,
-    extra: impl IntoIterator<Item = (Section, Vec<u8>)>,
-    w: W,
-) -> Result<(), SnapshotError> {
     let mut writer = SnapshotWriter::new();
     encode_graph(graph, &mut writer);
     writer.add_section(
@@ -72,9 +58,6 @@ pub fn write_snapshot_with_sections<W: Write>(
         encode_schema(indices.schema()).into_bytes(),
     );
     writer.add_section(Section::Indices, encode_indices(indices).into_bytes());
-    for (section, payload) in extra {
-        writer.add_section(section, payload);
-    }
     writer.write_to(w)
 }
 
@@ -153,27 +136,6 @@ pub fn decode_schema(
     Ok(AccessSchema::from_constraints(constraints))
 }
 
-/// Encodes `indices` as a standalone byte payload — the section-body format
-/// of [`Section::Indices`], reusable by containers that embed index sets
-/// inside other sections (the per-shard blobs of `Section::Shards`).
-/// Deterministic: identical sets serialize identically.
-pub fn encode_index_set(indices: &AccessIndexSet) -> Vec<u8> {
-    encode_indices(indices).into_bytes()
-}
-
-/// Decodes a payload produced by [`encode_index_set`], validating node ids
-/// and labels against `graph` exactly like the `Indices` section reader.
-/// Errors are attributed to `section` (the section the payload was embedded
-/// in).
-pub fn decode_index_set(
-    section: Section,
-    bytes: &[u8],
-    graph: &Graph,
-    schema: &AccessSchema,
-) -> Result<AccessIndexSet, SnapshotError> {
-    decode_indices_payload(section, bytes, graph, schema)
-}
-
 fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
     let mut w = SectionWriter::new();
     w.put_u32(indices.len() as u32);
@@ -232,21 +194,8 @@ pub fn decode_indices(
     graph: &Graph,
     schema: &AccessSchema,
 ) -> Result<AccessIndexSet, SnapshotError> {
-    decode_indices_payload(
-        Section::Indices,
-        archive.require(Section::Indices)?,
-        graph,
-        schema,
-    )
-}
-
-fn decode_indices_payload(
-    section: Section,
-    bytes: &[u8],
-    graph: &Graph,
-    schema: &AccessSchema,
-) -> Result<AccessIndexSet, SnapshotError> {
-    let mut r = SectionReader::new(section, bytes);
+    let bytes = archive.require(Section::Indices)?;
+    let mut r = SectionReader::new(Section::Indices, bytes);
     let count = r.read_u32()? as usize;
     if count != schema.len() {
         return Err(r.corrupt(format!(

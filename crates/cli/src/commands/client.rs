@@ -8,16 +8,13 @@ use std::error::Error;
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "USAGE: bgpq client --addr HOST:PORT [--name ID]
-                     [--pattern FILE] [--batch FILE,FILE,...]
-                     [--semantics iso|sim]
+                     [--pattern FILE] [--semantics iso|sim]
                      [--strategy auto|bounded|seeded|baseline]
                      [--max-matches N] [--step-budget N] [--deadline-ms N]
                      [--show N] [--explain] [--stats] [--ping]
 
 Connects to a `bgpq serve` instance. With --pattern the query runs once
-and the answer is printed exactly like a local `bgpq query`; --batch
-sends several pattern files as ONE wire request, executed on a single
-snapshot with index lookups shared across the queries; --ping and
+and the answer is printed exactly like a local `bgpq query`; --ping and
 --stats are one-shot probes. Without any of those the client enters a
 small REPL (`help` lists its commands). Typed server rejections —
 overloaded, draining, budget_exceeded, unbounded — are reported with
@@ -29,7 +26,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "addr",
         "name",
         "pattern",
-        "batch",
         "semantics",
         "strategy",
         "max-matches",
@@ -71,10 +67,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     }
     spec.explain = args.switch("explain");
 
-    let one_shot = args.switch("ping")
-        || args.switch("stats")
-        || args.flag("pattern").is_some()
-        || args.flag("batch").is_some();
+    let one_shot = args.switch("ping") || args.switch("stats") || args.flag("pattern").is_some();
     if args.switch("ping") {
         let epoch = client.ping().map_err(|e| e.to_string())?;
         writeln!(out, "pong: epoch {epoch}")?;
@@ -85,10 +78,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         let outcome = client.query(&spec).map_err(|e| e.to_string())?;
         render_outcome(out, &outcome, show)?;
     }
-    if let Some(list) = args.flag("batch") {
-        let files: Vec<&str> = list.split(',').filter(|f| !f.is_empty()).collect();
-        run_batch(&mut client, &spec, &files, show, out)?;
-    }
     if args.switch("stats") {
         let stats = client.stats().map_err(|e| e.to_string())?;
         writeln!(out, "{}", stats.render())?;
@@ -98,33 +87,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
     repl(&mut client, spec, show, out)
-}
-
-/// Sends the pattern files as one `batch` request (one snapshot, shared
-/// index lookups) and renders each slot's answer — or its own error — in
-/// request order.
-fn run_batch(
-    client: &mut Client,
-    base: &QuerySpec,
-    files: &[&str],
-    show: usize,
-    out: &mut dyn Write,
-) -> Result<(), Box<dyn Error>> {
-    let mut specs = Vec::with_capacity(files.len());
-    for path in files {
-        let mut spec = base.clone();
-        spec.pattern = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        specs.push(spec);
-    }
-    let outcomes = client.batch(&specs).map_err(|e| e.to_string())?;
-    for (path, outcome) in files.iter().zip(&outcomes) {
-        writeln!(out, "=== {path} ===")?;
-        match outcome {
-            Ok(outcome) => render_outcome(out, outcome, show)?,
-            Err(e) => writeln!(out, "error: {e}")?,
-        }
-    }
-    Ok(())
 }
 
 /// Renders a received answer through the same renderer `bgpq query` uses,
@@ -216,7 +178,6 @@ fn render_outcome(
 
 const REPL_HELP: &str = "REPL commands:
   query FILE          run the pattern file with the current settings
-  batch FILE...       run several pattern files as one batched request
   semantics iso|sim   set query semantics
   strategy auto|bounded|seeded|baseline
   show N              matches/ids to display per answer
@@ -249,16 +210,6 @@ fn repl(
             }
             ("quit" | "exit", _) => {
                 break;
-            }
-            ("batch", Some(first)) => {
-                let files: Vec<&str> = std::iter::once(first).chain(parts.by_ref()).collect();
-                match run_batch(client, &spec, &files, show, out) {
-                    Ok(()) => Ok(()),
-                    Err(e) => {
-                        writeln!(out, "error: {e}")?;
-                        Ok(())
-                    }
-                }
             }
             ("query", Some(path)) => match std::fs::read_to_string(path) {
                 Ok(text) => {

@@ -9,14 +9,14 @@
 
 use super::{
     dataset_source, discovery_config, fmt_nanos, knob_summary, resolve_scenario, scenario_config,
-    shard_config, DISCOVERY_FLAGS, SCENARIO_FLAGS, SHARD_FLAGS, SIMPLE_SWITCH, SNAPSHOT_FLAG,
+    DISCOVERY_FLAGS, SCENARIO_FLAGS, SIMPLE_SWITCH, SNAPSHOT_FLAG,
 };
 use crate::args::Args;
 use crate::dataset::{
     default_edge_label, load_dataset_full, load_or_discover_schema, Format, LoadedDataset,
 };
 use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
-use bgpq_engine::{encode_shards_section, save_snapshot, AccessIndexSet, ShardedIndexSet};
+use bgpq_engine::{save_snapshot, AccessIndexSet};
 use bgpq_workload::stream_graph_counted;
 use std::error::Error;
 use std::io::Write;
@@ -25,7 +25,6 @@ use std::time::Instant;
 
 const USAGE: &str = "USAGE: bgpq compile <dataset|--gen SCENARIO> --out FILE.bgpq
                      [--schema FILE] [--cap N] [discovery flags]
-                     [--partitions N] [--threads N] [--scheme hash|label-range]
                      [--format text|jsonl|edges|snapshot] [--label NAME]
                      [--scale N] [--seed N] [--zipf S] [--hot-fraction F]
                      [--domain D]
@@ -37,16 +36,12 @@ snapshot. Querying the snapshot later re-pays none of these costs.
 With --gen SCENARIO the built-in generator streams records straight into
 the graph builder — no dataset file and no record buffer, so compiling a
 --scale 1000000 snapshot is bounded by the graph itself, not the stream.
-With --partitions N the indices are built per partition on --threads
-workers and the snapshot gains a Shards section, so later loads decode the
-per-shard blobs in parallel (plain readers skip the section). Recompiling
-an existing snapshot (snapshot input, no --schema) reuses its embedded
-schema and indices verbatim.";
+Recompiling an existing snapshot (snapshot input, no --schema) reuses its
+embedded schema and indices verbatim.";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut value_flags = vec!["format", "label", "schema", "snapshot", "out", "cap", "gen"];
-    value_flags.extend_from_slice(&SHARD_FLAGS);
     value_flags.extend_from_slice(&DISCOVERY_FLAGS);
     value_flags.extend_from_slice(&SCENARIO_FLAGS);
     let args = Args::parse(argv, &value_flags, &[SIMPLE_SWITCH, "help"])?;
@@ -89,7 +84,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
                 graph,
                 format: Format::Text,
                 embedded: None,
-                shards_payload: None,
             };
             (loaded, format!("gen:{scenario}"))
         }
@@ -112,8 +106,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         }
     };
 
-    let shard = shard_config(&args)?;
-    let (graph, schema, indices, sharded, source) = match (loaded.embedded, schema_path) {
+    let (graph, schema, indices, source) = match (loaded.embedded, schema_path) {
         (Some(_), Some(_)) => {
             return Err(
                 "--schema conflicts with a snapshot input's embedded schema; \
@@ -121,98 +114,40 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
                     .into(),
             );
         }
-        (Some((schema, indices)), None) => match shard {
-            // Repartitioning an existing snapshot: the per-shard sets are
-            // rebuilt (the embedded schema is kept), and the embedded plain
-            // indices are replaced by the shard union so the two sections
-            // can never disagree.
-            Some(config) => {
-                let spec = config.spec_for(&loaded.graph);
-                let s = ShardedIndexSet::build_with_cap(
-                    &loaded.graph,
-                    &schema,
-                    &spec,
-                    cap,
-                    config.threads,
-                );
-                let merged = s.merged();
-                (loaded.graph, schema, merged, Some(s), "repartitioned")
-            }
-            None => (loaded.graph, schema, indices, None, "reused from snapshot"),
-        },
+        (Some((schema, indices)), None) => (loaded.graph, schema, indices, "reused from snapshot"),
         (None, schema_path) => {
             let schema =
                 load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
             let started = Instant::now();
-            let (indices, sharded) = match shard {
-                Some(config) => {
-                    let spec = config.spec_for(&loaded.graph);
-                    let s = ShardedIndexSet::build_with_cap(
-                        &loaded.graph,
-                        &schema,
-                        &spec,
-                        cap,
-                        config.threads,
-                    );
-                    (s.merged(), Some(s))
-                }
-                None => (
-                    AccessIndexSet::build_with_cap(&loaded.graph, &schema, cap),
-                    None,
-                ),
-            };
+            let indices = AccessIndexSet::build_with_cap(&loaded.graph, &schema, cap);
             let build_nanos = started.elapsed().as_nanos() as u64;
             writeln!(
                 out,
-                "schema: {} constraints ({}); indices built in {}{}",
+                "schema: {} constraints ({}); indices built in {}",
                 schema.len(),
                 match schema_path {
                     Some(p) => format!("from {}", p.display()),
                     None => "discovered".into(),
                 },
-                fmt_nanos(build_nanos),
-                match &sharded {
-                    Some(s) => format!(" ({} partitions)", s.partition_count()),
-                    None => String::new(),
-                }
+                fmt_nanos(build_nanos)
             )?;
-            (loaded.graph, schema, indices, sharded, "freshly built")
+            (loaded.graph, schema, indices, "freshly built")
         }
     };
 
     let started = Instant::now();
-    match &sharded {
-        Some(s) => {
-            let file = std::fs::File::create(out_path)
-                .map_err(|e| format!("{}: {e}", out_path.display()))?;
-            bgpq_access::write_snapshot_with_sections(
-                &graph,
-                &indices,
-                [(
-                    bgpq_graph::io::snapshot::Section::Shards,
-                    encode_shards_section(s),
-                )],
-                file,
-            )
-            .map_err(|e| format!("{}: {e}", out_path.display()))?;
-        }
-        None => save_snapshot(&graph, &indices, out_path)
-            .map_err(|e| format!("{}: {e}", out_path.display()))?,
-    }
+    save_snapshot(&graph, &indices, out_path)
+        .map_err(|e| format!("{}: {e}", out_path.display()))?;
     let write_nanos = started.elapsed().as_nanos() as u64;
     let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     writeln!(
         out,
-        "compiled {} -> {}: {} constraints, |index| = {} node ids ({source}{}), \
+        "compiled {} -> {}: {} constraints, |index| = {} node ids ({source}), \
          {} bytes written in {}",
         source_display,
         out_path.display(),
         schema.len(),
         indices.total_size(),
-        match &sharded {
-            Some(s) => format!(", {} shards", s.partition_count()),
-            None => String::new(),
-        },
         bytes,
         fmt_nanos(write_nanos)
     )?;

@@ -1,33 +1,26 @@
 //! `bgpq index` — build the access indices and report their sizes.
 
-use super::{
-    dataset_source, discovery_config, shard_config, DISCOVERY_FLAGS, SHARD_FLAGS, SIMPLE_SWITCH,
-};
+use super::{dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
-use bgpq_engine::{AccessIndexSet, ShardedIndexSet};
+use bgpq_engine::AccessIndexSet;
 use std::error::Error;
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
 const USAGE: &str = "USAGE: bgpq index <dataset|--snapshot FILE> [--schema FILE]
-                     [--partitions N] [--threads N] [--scheme hash|label-range]
                      [discovery flags] [--format text|jsonl|edges|snapshot]
                      [--label NAME]
 
 Builds one index per access constraint (from --schema FILE, or freshly
 discovered) and reports per-index key counts, sizes and maximum observed
-cardinality, plus the paper's |index| / |G| ratio. With --partitions N the
-build runs per partition on --threads workers and a per-shard summary is
-printed; the reported totals are the merged (single-build-identical) set. A
-compiled snapshot input reports its embedded indices without rebuilding
-them.";
+cardinality, plus the paper's |index| / |G| ratio. A compiled snapshot input
+reports its embedded indices without rebuilding them.";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut value_flags = vec!["format", "label", "schema", "snapshot"];
-    value_flags.extend_from_slice(&SHARD_FLAGS);
     value_flags.extend_from_slice(&DISCOVERY_FLAGS);
     let args = Args::parse(argv, &value_flags, &[SIMPLE_SWITCH, "help"])?;
     if args.switch("help") {
@@ -60,44 +53,16 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             let schema =
                 load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
             let started = Instant::now();
-            match shard_config(&args)? {
-                Some(config) => {
-                    let spec = config.spec_for(&loaded.graph);
-                    let sharded =
-                        ShardedIndexSet::build(&loaded.graph, &schema, &spec, config.threads);
-                    let build_nanos = started.elapsed().as_nanos() as u64;
-                    writeln!(
-                        out,
-                        "built {} indices over {} in {} ({} partitions, {} threads)",
-                        schema.len(),
-                        path.display(),
-                        super::fmt_nanos(build_nanos),
-                        config.partitions,
-                        config.threads
-                    )?;
-                    for shard in sharded.shards() {
-                        writeln!(
-                            out,
-                            "  shard: {} keys, |index| = {} node ids",
-                            shard.iter().map(|(_, ix)| ix.key_count()).sum::<usize>(),
-                            shard.total_size()
-                        )?;
-                    }
-                    (loaded.graph, sharded.merged())
-                }
-                None => {
-                    let indices = AccessIndexSet::build(&loaded.graph, &schema);
-                    let build_nanos = started.elapsed().as_nanos() as u64;
-                    writeln!(
-                        out,
-                        "built {} indices over {} in {}",
-                        indices.len(),
-                        path.display(),
-                        super::fmt_nanos(build_nanos)
-                    )?;
-                    (loaded.graph, indices)
-                }
-            }
+            let indices = AccessIndexSet::build(&loaded.graph, &schema);
+            let build_nanos = started.elapsed().as_nanos() as u64;
+            writeln!(
+                out,
+                "built {} indices over {} in {}",
+                indices.len(),
+                path.display(),
+                super::fmt_nanos(build_nanos)
+            )?;
+            (loaded.graph, indices)
         }
     };
     writeln!(

@@ -14,7 +14,7 @@ pub mod workload;
 use crate::args::Args;
 use crate::dataset::Format;
 use crate::scenario::{Scenario, ScenarioConfig};
-use bgpq_engine::{DiscoveryConfig, PartitionScheme, ShardConfig};
+use bgpq_engine::DiscoveryConfig;
 use std::error::Error;
 use std::path::Path;
 use std::str::FromStr;
@@ -39,33 +39,6 @@ pub(crate) const SIMPLE_SWITCH: &str = "simple";
 
 /// The `--snapshot FILE` flag accepted by every dataset-reading subcommand.
 pub(crate) const SNAPSHOT_FLAG: &str = "snapshot";
-
-/// The partitioned-execution flags shared by `index`, `query`, `compile`,
-/// `serve` and `serve-demo`.
-pub(crate) const SHARD_FLAGS: [&str; 3] = ["partitions", "threads", "scheme"];
-
-/// Builds a [`ShardConfig`] from `--partitions N`, `--threads N` and
-/// `--scheme hash|label-range`. `None` when neither `--partitions` nor
-/// `--threads` was given — the serial single-shard path. Giving only one of
-/// the two defaults the other to it (`--threads 4` alone partitions 4 ways;
-/// `--partitions 4` alone runs them on 4 workers).
-pub(crate) fn shard_config(args: &Args) -> Result<Option<ShardConfig>, Box<dyn Error>> {
-    let partitions: usize = args.flag_or("partitions", 0)?;
-    let threads: usize = args.flag_or("threads", 0)?;
-    if partitions == 0 && threads == 0 {
-        if args.flag("scheme").is_some() {
-            return Err("--scheme needs --partitions N (or --threads N)".into());
-        }
-        return Ok(None);
-    }
-    let partitions = if partitions == 0 { threads } else { partitions };
-    let threads = if threads == 0 { partitions } else { threads };
-    let mut config = ShardConfig::new(partitions, threads);
-    if let Some(raw) = args.flag("scheme") {
-        config = config.with_scheme(raw.parse::<PartitionScheme>()?);
-    }
-    Ok(Some(config))
-}
 
 /// The scenario-generator flags shared by `gen`, `compile --gen` and
 /// `workload --gen`: scale/seed plus the skew knobs.

@@ -1,28 +1,22 @@
 //! `bgpq query` — run one pattern query through the engine.
 
-use super::{
-    dataset_source, discovery_config, fmt_nanos, shard_config, DISCOVERY_FLAGS, SHARD_FLAGS,
-    SIMPLE_SWITCH,
-};
+use super::{dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
 use crate::render::{write_answer, AnswerView, BindingView, SimRowView};
 use bgpq_engine::{
-    decode_shards_section, parse_pattern, Engine, QueryAnswer, QueryRequest, QueryResponse,
-    Semantics, ShardRuntime, StrategyKind,
+    parse_pattern, Engine, QueryAnswer, QueryRequest, QueryResponse, Semantics, StrategyKind,
 };
 use bgpq_pattern::Pattern;
 use bgpq_workload::{parse_manifest, LatencyHistogram};
 use std::error::Error;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
 
 const USAGE: &str = "USAGE: bgpq query <dataset|--snapshot FILE> --pattern FILE
                      [--workload FILE] [--schema FILE] [--semantics iso|sim]
                      [--strategy auto|bounded|seeded|baseline]
                      [--max-matches N] [--step-budget N] [--show N]
-                     [--partitions N] [--threads N] [--scheme hash|label-range]
                      [--explain] [discovery flags]
                      [--format text|jsonl|edges|snapshot] [--label NAME]
 
@@ -55,7 +49,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "show",
         "workload",
     ];
-    value_flags.extend_from_slice(&SHARD_FLAGS);
     value_flags.extend_from_slice(&DISCOVERY_FLAGS);
     let args = Args::parse(argv, &value_flags, &[SIMPLE_SWITCH, "explain", "help"])?;
     if args.switch("help") {
@@ -76,7 +69,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let strategy = parse_strategy(args.flag("strategy"))?;
     let show = args.flag_or("show", 10usize)?;
 
-    let shard = shard_config(&args)?;
     let label = args.flag("label").unwrap_or(default_edge_label());
     let loaded = load_dataset_full(path, format, label)?;
     let schema_path = args.flag("schema").map(Path::new);
@@ -91,24 +83,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         (Some((schema, indices)), None) => {
             // The snapshot carries everything: no discovery, no index build.
             let len = schema.len();
-            // When the snapshot also carries per-shard index blobs and
-            // sharding was requested, load them (in parallel) instead of
-            // re-partitioning the embedded indices.
-            let runtime = match (&shard, &loaded.shards_payload) {
-                (Some(config), Some(payload)) => Some(Arc::new(ShardRuntime::from_indices(
-                    &loaded.graph,
-                    decode_shards_section(payload, &loaded.graph, &schema, config.threads)
-                        .map_err(|e| format!("{}: {e}", path.display()))?,
-                    config.threads,
-                ))),
-                _ => None,
-            };
-            let mut engine = Engine::with_indices(loaded.graph, indices);
-            match (runtime, shard) {
-                (Some(rt), _) => engine = engine.with_shard_runtime(rt),
-                (None, Some(config)) => engine = engine.with_sharding(config),
-                (None, None) => {}
-            }
+            let engine = Engine::with_indices(loaded.graph, indices);
             (engine, len, " (embedded in snapshot)".to_string())
         }
         (None, schema_path) => {
@@ -119,11 +94,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
                 None => " (discovered)".into(),
             };
             let len = schema.len();
-            let mut engine = Engine::new(loaded.graph, &schema);
-            if let Some(config) = shard {
-                engine = engine.with_sharding(config);
-            }
-            (engine, len, desc)
+            (Engine::new(loaded.graph, &schema), len, desc)
         }
     };
 
@@ -152,15 +123,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         pattern.node_count(),
         pattern.edge_count()
     )?;
-    if let Some(rt) = engine.shard_runtime() {
-        writeln!(
-            out,
-            "partitioned execution: {} shards ({:?}), {} worker threads",
-            rt.partitions(),
-            rt.config().scheme,
-            rt.threads()
-        )?;
-    }
 
     let mut builder = QueryRequest::build(pattern.clone()).semantics(semantics);
     if let Some(kind) = strategy {

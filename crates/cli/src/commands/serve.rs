@@ -1,8 +1,6 @@
 //! `bgpq serve` — expose a dataset over the TCP wire protocol.
 
-use super::{
-    dataset_source, discovery_config, shard_config, DISCOVERY_FLAGS, SHARD_FLAGS, SIMPLE_SWITCH,
-};
+use super::{dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
 use bgpq_engine::BudgetPolicy;
@@ -18,7 +16,6 @@ const USAGE: &str = "USAGE: bgpq serve <dataset|--snapshot FILE> [--host ADDR] [
                      [--workers N] [--max-in-flight N] [--read-timeout-ms N]
                      [--max-frame-bytes N] [--steps-per-ms N] [--name ID]
                      [--drain-after-ms N] [--schema FILE] [discovery flags]
-                     [--partitions N] [--threads N] [--scheme hash|label-range]
                      [--format text|jsonl|edges|snapshot] [--label NAME]
 
 Loads the dataset into the epoch-versioned server and listens for bgpq-net
@@ -49,7 +46,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "name",
         "drain-after-ms",
     ];
-    value_flags.extend_from_slice(&SHARD_FLAGS);
     value_flags.extend_from_slice(&DISCOVERY_FLAGS);
     let args = Args::parse(argv, &value_flags, &[SIMPLE_SWITCH, "help"])?;
     if args.switch("help") {
@@ -98,10 +94,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         }
     };
     let (nodes, edges) = (graph.live_node_count(), graph.edge_count());
-    let mut server = Server::with_indices(graph, indices);
-    if let Some(config) = shard_config(&args)? {
-        server = server.with_shard_config(config);
-    }
+    let server = Server::with_indices(graph, indices);
 
     let config = NetServerConfig {
         addr: format!("{host}:{port}"),

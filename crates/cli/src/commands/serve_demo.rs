@@ -1,10 +1,7 @@
 //! `bgpq serve-demo` — drive the concurrent server with a scripted mixed
 //! read/update workload.
 
-use super::{
-    dataset_source, discovery_config, fmt_nanos, shard_config, DISCOVERY_FLAGS, SHARD_FLAGS,
-    SIMPLE_SWITCH,
-};
+use super::{dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
 use bgpq_engine::{parse_pattern, Graph, NodeId, PatternBuilder, Predicate, QueryRequest};
@@ -18,7 +15,6 @@ use std::time::Instant;
 
 const USAGE: &str = "USAGE: bgpq serve-demo <dataset|--snapshot FILE> [--commits N] [--batch N]
                      [--queries N] [--seed N] [--schema FILE] [--pattern FILE]
-                     [--partitions N] [--threads N] [--scheme hash|label-range]
                      [discovery flags] [--format text|jsonl|edges|snapshot]
                      [--label NAME]
 
@@ -34,7 +30,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut value_flags = vec![
         "format", "label", "schema", "snapshot", "pattern", "commits", "batch", "queries", "seed",
     ];
-    value_flags.extend_from_slice(&SHARD_FLAGS);
     value_flags.extend_from_slice(&DISCOVERY_FLAGS);
     let args = Args::parse(argv, &value_flags, &[SIMPLE_SWITCH, "help"])?;
     if args.switch("help") {
@@ -97,20 +92,12 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         queries
     )?;
 
-    let mut server = match embedded_indices {
+    let server = match embedded_indices {
         // Snapshot inputs hand the server pre-built indices: version 0
         // starts serving without any build cost.
         Some(indices) => Server::with_indices(graph, indices),
         None => Server::new(graph, &schema),
     };
-    if let Some(config) = shard_config(&args)? {
-        server = server.with_shard_config(config);
-        writeln!(
-            out,
-            "partitioned execution: {} shards, {} worker threads",
-            config.partitions, config.threads
-        )?;
-    }
     let request = QueryRequest::build(pattern).finish();
     let mut rng = DetRng::seed_from_u64(seed);
     let mut fresh_value = 1_000_000i64;

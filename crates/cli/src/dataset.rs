@@ -92,11 +92,6 @@ pub struct LoadedDataset {
     /// Schema and pre-built indices carried by a compiled snapshot, absent
     /// for line-oriented formats and graph-only snapshots.
     pub embedded: Option<(AccessSchema, AccessIndexSet)>,
-    /// The raw `Shards` section payload of a partitioned snapshot, when
-    /// present — decoded lazily (via
-    /// [`bgpq_engine::decode_shards_section`]) by commands that were given
-    /// `--partitions`/`--threads`, skipped by everyone else.
-    pub shards_payload: Option<Vec<u8>>,
 }
 
 /// Loads a dataset, picking the reader from `format` (or content sniffing +
@@ -116,25 +111,20 @@ pub fn load_dataset_full(
     let annotate = |e: bgpq_engine::GraphError| -> Box<dyn Error> {
         format!("{}: {e}", path.display()).into()
     };
-    let (graph, embedded, shards_payload) = match format {
-        Format::Text => (load_graph(path).map_err(annotate)?, None, None),
-        Format::Jsonl => (load_jsonl(path).map_err(annotate)?, None, None),
-        Format::EdgeList => (
-            load_edge_list(path, edge_label).map_err(annotate)?,
-            None,
-            None,
-        ),
+    let (graph, embedded) = match format {
+        Format::Text => (load_graph(path).map_err(annotate)?, None),
+        Format::Jsonl => (load_jsonl(path).map_err(annotate)?, None),
+        Format::EdgeList => (load_edge_list(path, edge_label).map_err(annotate)?, None),
         Format::Snapshot => {
             let annotate_snap = |e: bgpq_graph::SnapshotError| -> Box<dyn Error> {
                 format!("{}: {e}", path.display()).into()
             };
             let archive = SnapshotArchive::open(path).map_err(annotate_snap)?;
-            let shards = archive.section(Section::Shards).map(<[u8]>::to_vec);
             if archive.section(Section::Schema).is_some() {
                 let bundle = decode_bundle(&archive).map_err(annotate_snap)?;
-                (bundle.graph, Some((bundle.schema, bundle.indices)), shards)
+                (bundle.graph, Some((bundle.schema, bundle.indices)))
             } else {
-                (decode_graph(&archive).map_err(annotate_snap)?, None, None)
+                (decode_graph(&archive).map_err(annotate_snap)?, None)
             }
         }
     };
@@ -142,7 +132,6 @@ pub fn load_dataset_full(
         graph,
         format,
         embedded,
-        shards_payload,
     })
 }
 

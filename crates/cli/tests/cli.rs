@@ -205,6 +205,30 @@ fn bad_invocations_fail_cleanly() {
     assert!(!output.status.success());
     let help = stdout_of(&["help"]);
     assert!(help.contains("USAGE"));
+
+    // Flags of the removed partitioned and batched execution paths are
+    // refused by name, never silently ignored.
+    let removed: [(&[&str], &str); 10] = [
+        (&["query", "data/social.tsv"], "--partitions"),
+        (&["query", "data/social.tsv"], "--threads"),
+        (&["query", "data/social.tsv"], "--scheme"),
+        (&["compile", "data/social.tsv"], "--partitions"),
+        (&["compile", "data/social.tsv"], "--threads"),
+        (&["compile", "data/social.tsv"], "--scheme"),
+        (&["serve", "data/social.tsv"], "--partitions"),
+        (&["serve", "data/social.tsv"], "--threads"),
+        (&["serve", "data/social.tsv"], "--scheme"),
+        (&["client", "--addr", "127.0.0.1:1"], "--batch"),
+    ];
+    for (command, flag) in removed {
+        let output = bgpq(&[command, &[flag, "2"]].concat());
+        assert!(!output.status.success(), "{command:?} accepted {flag}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{command:?} {flag}: stderr was: {stderr}"
+        );
+    }
 }
 
 /// `compile → query --snapshot` answers exactly like querying the text
@@ -262,6 +286,66 @@ fn compile_then_query_snapshot_matches_text_path() {
         assert!(index.contains("no rebuild"), "{dataset}: {index}");
         std::fs::remove_file(snap).ok();
     }
+}
+
+/// A `.bgpq` compiled with `--partitions` by an earlier build carries the
+/// retired section id 9. It still opens — checksum-verified, then skipped —
+/// through the library loader and through `bgpq query --snapshot`.
+#[test]
+fn snapshot_with_retired_section_9_still_opens() {
+    use bgpq_graph::io::snapshot::{Section, SnapshotArchive, SnapshotWriter};
+
+    let plain = temp_path("retired9.plain.bgpq");
+    let old = temp_path("retired9.bgpq");
+    stdout_of(&[
+        "compile",
+        "data/social.tsv",
+        "--out",
+        plain.to_str().unwrap(),
+    ]);
+    let archive = SnapshotArchive::open(&plain).unwrap();
+    let mut writer = SnapshotWriter::new();
+    for (section, _) in archive.sections() {
+        writer.add_section(section, archive.section(section).unwrap().to_vec());
+    }
+    writer.add_section(
+        Section::from_id(9),
+        b"per-shard index blobs of an older build".to_vec(),
+    );
+    writer
+        .write_to(std::fs::File::create(&old).unwrap())
+        .unwrap();
+
+    let reopened = SnapshotArchive::open(&old).unwrap();
+    assert!(reopened.section(Section::Unknown(9)).is_some());
+    let (with, without) = (
+        bgpq_access::load_snapshot(&old).unwrap(),
+        bgpq_access::load_snapshot(&plain).unwrap(),
+    );
+    assert_eq!(with.schema, without.schema);
+    assert_eq!(with.graph.node_count(), without.graph.node_count());
+    assert_eq!(with.indices.total_size(), without.indices.total_size());
+
+    let query = |snap: &Path| {
+        let out = stdout_of(&[
+            "query",
+            "--snapshot",
+            snap.to_str().unwrap(),
+            "--pattern",
+            "data/queries/social.pat",
+        ]);
+        // Everything but the path-bearing first line and the timing line.
+        out.lines()
+            .skip(1)
+            .filter(|l| !l.starts_with("stats:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let answer = query(&old);
+    assert!(answer.contains("strategy: bounded"), "{answer}");
+    assert_eq!(answer, query(&plain));
+    std::fs::remove_file(plain).ok();
+    std::fs::remove_file(old).ok();
 }
 
 /// Snapshots are recognized by magic bytes: a renamed or extensionless

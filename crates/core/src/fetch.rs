@@ -25,8 +25,7 @@
 //! All lookups go through a [`LookupMemo`]: the key set of a step is
 //! deduplicated before touching the index (via-combinations can repeat a
 //! canonical key, and two same-labeled pattern nodes fetched through the
-//! same constraint repeat whole key sets), and a memo shared across the
-//! queries of a batch lets one lookup pass feed many fetches.
+//! same constraint repeat whole key sets).
 
 use crate::plan::QueryPlan;
 use bgpq_access::{AccessIndexSet, ConstraintId, ConstraintIndex};
@@ -45,14 +44,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct FetchStats {
     /// Number of **distinct** index lookups issued. A step's key set is
-    /// deduplicated before touching the index, and a batch-shared
-    /// [`LookupMemo`] answers repeated keys from memory, so this counts
-    /// lookups that actually reached a [`bgpq_access::ConstraintIndex`] —
-    /// repeats land in [`FetchStats::lookups_deduped`] instead.
+    /// deduplicated before touching the index, and the [`LookupMemo`]
+    /// answers repeated keys from memory, so this counts lookups that
+    /// actually reached a [`bgpq_access::ConstraintIndex`] — repeats land
+    /// in [`FetchStats::lookups_deduped`] instead.
     pub index_lookups: u64,
     /// Lookup keys answered from the [`LookupMemo`] instead of the index:
-    /// repeated canonical keys within a step, across the steps of one plan,
-    /// or across the queries of a batch sharing the memo.
+    /// repeated canonical keys within a step or across the steps of one
+    /// plan.
     pub lookups_deduped: u64,
     /// Total nodes returned by lookups, before deduplication/filtering.
     pub nodes_returned: u64,
@@ -122,14 +121,12 @@ pub struct CandidateSet {
 /// A memo of index lookups, deduplicating repeated keys.
 ///
 /// Every fetch routes its lookups through one of these: repeated canonical
-/// keys — within a step, across the steps of a plan, or across the queries
-/// of a batch when the caller shares the memo — are answered from memory and
-/// counted as [`FetchStats::lookups_deduped`] instead of re-reaching the
-/// index.
+/// keys — within a step, across the steps of a plan, or across fetches when
+/// the caller reuses the memo — are answered from memory and counted as
+/// [`FetchStats::lookups_deduped`] instead of re-reaching the index.
 ///
 /// A memo is only valid against one [`AccessIndexSet`]: entries carry no
 /// version, so sharing a memo across snapshots would serve stale answers.
-/// Batch layers must scope a memo to the queries of a single snapshot.
 #[derive(Debug, Default)]
 pub struct LookupMemo {
     map: HashMap<(ConstraintId, Vec<NodeId>), Vec<NodeId>>,
@@ -199,12 +196,9 @@ pub(crate) fn fetch_candidates(
 /// Runs the index-lookup loop of `plan`, producing per-node candidates and
 /// their union, with all lookups routed through `memo`.
 ///
-/// Batch layers pass one memo for a group of queries executed against the
-/// same snapshot, so overlapping lookups — the common case for templated
-/// queries over a hot subgraph — are issued once and shared; single-query
-/// callers pass a fresh memo, which still deduplicates repeated keys within
-/// the plan itself. The memo must not outlive the `indices` it was first
-/// used with (see [`LookupMemo`]).
+/// Callers pass a fresh memo per query, which deduplicates repeated keys
+/// within the plan itself. The memo must not outlive the `indices` it was
+/// first used with (see [`LookupMemo`]).
 ///
 /// # Panics
 /// Panics if `plan` references constraints absent from `indices` (i.e. the
@@ -421,8 +415,8 @@ mod tests {
         assert_eq!(fetched.candidates[3].len(), 4);
     }
 
-    /// A memo shared across fetches (the batch path) answers the second
-    /// query's overlapping lookups from memory, with identical results.
+    /// A memo reused across fetches answers the second fetch's overlapping
+    /// lookups from memory, with identical results.
     #[test]
     fn shared_memo_feeds_overlapping_fetches() {
         let (g, schema) = setup();

@@ -14,7 +14,7 @@
 use bgpq_engine::{
     apply_deltas, discover_schema, load_snapshot, opt_subgraph_match, save_snapshot,
     AccessConstraint, AccessIndexSet, AccessSchema, CacheOutcome, DiscoveryConfig, Engine, Graph,
-    GraphBuilder, GraphDelta, QueryRequest, Semantics, ShardConfig, StrategyKind, SubgraphMatcher,
+    GraphBuilder, GraphDelta, QueryRequest, Semantics, StrategyKind, SubgraphMatcher,
 };
 use bgpq_graph::bitset::dedup_with_bitset;
 use bgpq_graph::io::{load_graph, load_graph_snapshot, load_jsonl, save_graph_snapshot};
@@ -46,18 +46,10 @@ struct BenchConfig {
     /// Exit non-zero when the fragment-cache hit speedup (uncached bVF2
     /// latency over cache-hit latency on the hot query) falls below this.
     min_fragment_hit_speedup: Option<f64>,
-    /// Shard count of the partitioned comparison.
-    partitions: usize,
-    /// Worker threads of the partitioned comparison.
-    threads: usize,
     /// Exit non-zero when the bitmap-dedup speedup over the sorted-vec
     /// baseline falls below this (1.0 = "no worse than sorting the raw
     /// union").
     min_bitmap_speedup: Option<f64>,
-    /// Exit non-zero when partitioned speedup *per effective worker*
-    /// (`speedup / min(threads, cores)`) falls below this — the scaling
-    /// gate a 1-core CI runner can still enforce meaningfully.
-    min_parallel_per_core: Option<f64>,
     /// Run only the open-loop section (plus the graph/engine it needs) —
     /// the fast CI gate mode behind `--open-loop`.
     open_loop_only: bool,
@@ -103,10 +95,7 @@ impl BenchConfig {
                 min_speedup: None,
                 min_load_speedup: None,
                 min_fragment_hit_speedup: None,
-                partitions: 4,
-                threads: 2,
                 min_bitmap_speedup: None,
-                min_parallel_per_core: None,
                 open_loop_only: false,
                 offered: vec![200, 1_000],
                 duration_ms: 150,
@@ -127,10 +116,7 @@ impl BenchConfig {
                 min_speedup: None,
                 min_load_speedup: None,
                 min_fragment_hit_speedup: None,
-                partitions: 4,
-                threads: 2,
                 min_bitmap_speedup: None,
-                min_parallel_per_core: None,
                 open_loop_only: false,
                 offered: vec![500, 2_000, 8_000],
                 duration_ms: 400,
@@ -171,16 +157,9 @@ impl BenchConfig {
                     config.min_fragment_hit_speedup =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
-                "--partitions" => config.partitions = parse_num(&value_for("--partitions")?)?,
-                "--threads" => config.threads = parse_num(&value_for("--threads")?)?,
                 "--min-bitmap-speedup" => {
                     let raw = value_for("--min-bitmap-speedup")?;
                     config.min_bitmap_speedup =
-                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
-                }
-                "--min-parallel-per-core" => {
-                    let raw = value_for("--min-parallel-per-core")?;
-                    config.min_parallel_per_core =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
                 "--open-loop" => config.open_loop_only = true,
@@ -228,9 +207,6 @@ impl BenchConfig {
         }
         if config.queries == 0 || config.rounds == 0 {
             return Err("--queries and --rounds must be positive".into());
-        }
-        if config.partitions == 0 || config.threads == 0 {
-            return Err("--partitions and --threads must be positive".into());
         }
         if config.offered.is_empty() || config.duration_ms == 0 || config.lanes == 0 {
             return Err("--offered, --duration-ms and --lanes must be non-empty".into());
@@ -365,171 +341,6 @@ fn bench_fragment_cache(engine: &Engine, reps: usize) -> FragmentCacheBench {
         hit,
         fragment_nodes,
         lookups_per_miss,
-    }
-}
-
-/// What the batched-execution comparison measured.
-struct BatchBench {
-    sequential: Timing,
-    batched: Timing,
-    lookups_sequential: u64,
-    lookups_batched: u64,
-    lookups_deduped: u64,
-}
-
-/// Times the workload executed one query at a time against the same
-/// workload submitted through [`Engine::execute_batch`] (one shared lookup
-/// memo). The fragment cache is disabled on the measured engine so the
-/// delta is purely the batch-level lookup sharing.
-fn bench_batch(engine: &Engine, queries: &[Pattern], reps: usize) -> BatchBench {
-    let memo_engine = Engine::with_indices(engine.graph().clone(), engine.indices().clone())
-        .with_fragment_cache_capacity(0);
-    let requests: Vec<QueryRequest> = queries
-        .iter()
-        .map(|q| {
-            QueryRequest::build(q.clone())
-                .strategy(StrategyKind::Bounded)
-                .finish()
-        })
-        .collect();
-    // Untimed warm pass: plan-cache population must not skew either side.
-    for request in &requests {
-        memo_engine.execute(request).expect("bounded");
-    }
-
-    let mut sequential = Timing::default();
-    let mut batched = Timing::default();
-    let mut lookups_sequential = 0u64;
-    let mut lookups_batched = 0u64;
-    let mut lookups_deduped = 0u64;
-    for rep in 0..reps {
-        let t = Instant::now();
-        let mut answers = 0usize;
-        for request in &requests {
-            let response = memo_engine.execute(request).expect("bounded");
-            answers += response.answer.len();
-            if rep == 0 {
-                lookups_sequential += response.stats.fetch.as_ref().map_or(0, |f| f.index_lookups);
-            }
-        }
-        sequential.record(t.elapsed().as_nanos(), answers);
-
-        let t = Instant::now();
-        let results = memo_engine.execute_batch(&requests);
-        let nanos = t.elapsed().as_nanos();
-        let mut answers = 0usize;
-        for (result, request) in results.iter().zip(&requests) {
-            let response = result.as_ref().expect("bounded");
-            answers += response.answer.len();
-            if rep == 0 {
-                let fetch = response.stats.fetch.as_ref();
-                lookups_batched += fetch.map_or(0, |f| f.index_lookups);
-                lookups_deduped += fetch.map_or(0, |f| f.lookups_deduped);
-                // Correctness spot-check, outside the timed region.
-                let alone = memo_engine.execute(request).expect("bounded");
-                assert_eq!(response.answer, alone.answer, "batch diverged");
-            }
-        }
-        batched.record(nanos, answers);
-    }
-    BatchBench {
-        sequential,
-        batched,
-        lookups_sequential,
-        lookups_batched,
-        lookups_deduped,
-    }
-}
-
-/// What the partitioned-execution comparison measured.
-struct PartitionedBench {
-    serial: Timing,
-    parallel: Timing,
-    partitions: usize,
-    threads: usize,
-}
-
-impl PartitionedBench {
-    fn speedup(&self) -> f64 {
-        self.serial.avg_micros() / self.parallel.avg_micros().max(0.001)
-    }
-
-    /// Speedup divided by the worker count the machine can actually run
-    /// concurrently. On a 1-core runner this degenerates to plain speedup,
-    /// so a gate like 0.5 still means "partitioning costs at most 2x" —
-    /// per-core throughput stays checkable without real parallelism.
-    fn per_core_speedup(&self, cores: usize) -> f64 {
-        self.speedup() / self.threads.min(cores.max(1)) as f64
-    }
-}
-
-/// Times the workload on a serial engine against an engine with a shard
-/// runtime attached (per-partition candidate fetch + parallel bVF2), both
-/// with the fragment cache disabled so every run does real fetch + match
-/// work. Answers are asserted identical — the merge-determinism guarantee,
-/// measured rather than assumed.
-fn bench_partitioned(
-    engine: &Engine,
-    queries: &[Pattern],
-    reps: usize,
-    partitions: usize,
-    threads: usize,
-) -> PartitionedBench {
-    let serial_engine = Engine::with_indices(engine.graph().clone(), engine.indices().clone())
-        .with_fragment_cache_capacity(0);
-    let parallel_engine = Engine::with_indices(engine.graph().clone(), engine.indices().clone())
-        .with_fragment_cache_capacity(0)
-        .with_sharding(ShardConfig::new(partitions, threads));
-    let requests: Vec<QueryRequest> = queries
-        .iter()
-        .map(|q| {
-            QueryRequest::build(q.clone())
-                .strategy(StrategyKind::Bounded)
-                .finish()
-        })
-        .collect();
-    // Untimed warm pass populating both plan caches; answer identity is
-    // checked here, outside the timed region.
-    for request in &requests {
-        let serial = serial_engine.execute(request).expect("bounded");
-        let parallel = parallel_engine.execute(request).expect("bounded");
-        assert_eq!(
-            serial.answer, parallel.answer,
-            "partitioned execution diverged from serial"
-        );
-    }
-
-    let mut serial = Timing::default();
-    let mut parallel = Timing::default();
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut answers = 0usize;
-        for request in &requests {
-            answers += serial_engine
-                .execute(request)
-                .expect("bounded")
-                .answer
-                .len();
-        }
-        serial.record(t.elapsed().as_nanos(), answers);
-
-        let t = Instant::now();
-        let mut answers = 0usize;
-        for request in &requests {
-            answers += parallel_engine
-                .execute(request)
-                .expect("bounded")
-                .answer
-                .len();
-        }
-        parallel.record(t.elapsed().as_nanos(), answers);
-    }
-    assert_eq!(serial.answers, parallel.answers, "answer counts diverged");
-    PartitionedBench {
-        serial,
-        parallel,
-        partitions,
-        threads,
     }
 }
 
@@ -1049,9 +860,9 @@ fn main() {
             eprintln!("bench: {e}");
             eprintln!(
                 "usage: bench [--smoke] [--movies N] [--queries K] [--rounds R] \
-                 [--partitions P] [--threads T] [--out PATH] [--min-speedup X] \
+                 [--out PATH] [--min-speedup X] \
                  [--min-load-speedup X] [--min-fragment-hit-speedup X] \
-                 [--min-bitmap-speedup X] [--min-parallel-per-core X] \
+                 [--min-bitmap-speedup X] \
                  [--open-loop] [--offered Q1,Q2,..] [--duration-ms D] [--lanes L] \
                  [--max-p99-ms X] [--scales S1,S2,..] [--workload-queries K] \
                  [--max-fragment-growth X] [--max-latency-growth X] \
@@ -1191,35 +1002,6 @@ fn main() {
         fragment.lookups_per_miss,
         fragment.fragment_nodes
     );
-    let batch = bench_batch(&engine, &queries, config.rounds.max(3));
-    println!(
-        "batch: sequential {:.1} us vs batched {:.1} us per workload pass \
-         ({} lookups alone, {} issued + {} deduped batched)",
-        batch.sequential.avg_micros(),
-        batch.batched.avg_micros(),
-        batch.lookups_sequential,
-        batch.lookups_batched,
-        batch.lookups_deduped
-    );
-
-    let partitioned = bench_partitioned(
-        &engine,
-        &queries,
-        config.rounds.max(3),
-        config.partitions,
-        config.threads,
-    );
-    println!(
-        "partitioned: serial {:.1} us vs {} shards / {} threads {:.1} us per workload pass \
-         ({:.2}x, {:.2}x per effective worker on {} cores), answers identical",
-        partitioned.serial.avg_micros(),
-        partitioned.partitions,
-        partitioned.threads,
-        partitioned.parallel.avg_micros(),
-        partitioned.speedup(),
-        partitioned.per_core_speedup(cores),
-        cores
-    );
     let bitmap = bench_bitmap_dedup(engine.graph(), config.rounds * config.queries);
     println!(
         "bitmap dedup: sort+dedup {:.1} us vs bitmap {:.1} us ({:.2}x) on a \
@@ -1301,13 +1083,11 @@ fn main() {
     let vf2_over_bvf2 = vf2.avg_micros() / bounded.avg_micros().max(0.001);
     let report = format!
 (
-        "{{\n  \"config\": {{\"movies\": {}, \"queries\": {}, \"rounds\": {}, \"cores\": {}, \"partitions\": {}, \"threads\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \"algorithms\": {{\n{},\n{},\n{}\n  }},\n  \"bvf2_breakdown\": {{\"fragment_build_us\": {:.1}, \"match_us\": {:.1}}},\n  \"fragment\": {{\"avg_nodes\": {:.1}, \"avg_fraction_of_graph\": {:.5}}},\n  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \"fragment_cache\": {{\"uncached_us\": {:.1}, \"hit_us\": {:.1}, \"hit_speedup\": {:.2}, \"lookups_per_miss\": {}, \"fragment_nodes\": {}}},\n  \"batch\": {{\"sequential_us\": {:.1}, \"batch_us\": {:.1}, \"lookups_sequential\": {}, \"lookups_batched\": {}, \"lookups_deduped\": {}}},\n  \"partitioned\": {{\"partitions\": {}, \"threads\": {}, \"serial_us\": {:.1}, \"parallel_us\": {:.1}, \"speedup\": {:.2}, \"per_core_speedup\": {:.2}}},\n  \"bitmap_dedup\": {{\"sorted_vec_us\": {:.1}, \"bitmap_us\": {:.1}, \"speedup\": {:.2}, \"union_len\": {}, \"unique\": {}}},\n  \"snapshot_load\": {{\n{}\n  }},\n  \"open_loop\": {},\n  \"fragment_scaling\": {},\n  \"speedup\": {{\"vf2_over_bvf2\": {:.2}, \"optvf2_over_bvf2\": {:.2}}}\n}}\n",
+        "{{\n  \"config\": {{\"movies\": {}, \"queries\": {}, \"rounds\": {}, \"cores\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \"algorithms\": {{\n{},\n{},\n{}\n  }},\n  \"bvf2_breakdown\": {{\"fragment_build_us\": {:.1}, \"match_us\": {:.1}}},\n  \"fragment\": {{\"avg_nodes\": {:.1}, \"avg_fraction_of_graph\": {:.5}}},\n  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \"fragment_cache\": {{\"uncached_us\": {:.1}, \"hit_us\": {:.1}, \"hit_speedup\": {:.2}, \"lookups_per_miss\": {}, \"fragment_nodes\": {}}},\n  \"bitmap_dedup\": {{\"sorted_vec_us\": {:.1}, \"bitmap_us\": {:.1}, \"speedup\": {:.2}, \"union_len\": {}, \"unique\": {}}},\n  \"snapshot_load\": {{\n{}\n  }},\n  \"open_loop\": {},\n  \"fragment_scaling\": {},\n  \"speedup\": {{\"vf2_over_bvf2\": {:.2}, \"optvf2_over_bvf2\": {:.2}}}\n}}\n",
         config.movies,
         config.queries,
         config.rounds,
         cores,
-        config.partitions,
-        config.threads,
         engine.graph().node_count(),
         engine.graph().edge_count(),
         json_entry("vf2", &vf2),
@@ -1325,17 +1105,6 @@ fn main() {
         fragment.hit_speedup(),
         fragment.lookups_per_miss,
         fragment.fragment_nodes,
-        batch.sequential.avg_micros(),
-        batch.batched.avg_micros(),
-        batch.lookups_sequential,
-        batch.lookups_batched,
-        batch.lookups_deduped,
-        partitioned.partitions,
-        partitioned.threads,
-        partitioned.serial.avg_micros(),
-        partitioned.parallel.avg_micros(),
-        partitioned.speedup(),
-        partitioned.per_core_speedup(cores),
         bitmap.sorted_vec.avg_micros(),
         bitmap.bitmap.avg_micros(),
         bitmap.speedup(),
@@ -1389,19 +1158,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench: bitmap dedup gate passed ({speedup:.2} >= {min:.2})");
-    }
-    if let Some(min) = config.min_parallel_per_core {
-        let per_core = partitioned.per_core_speedup(cores);
-        if per_core < min {
-            eprintln!(
-                "bench: REGRESSION — partitioned.per_core_speedup = {per_core:.2} \
-                 is below the required minimum {min:.2} \
-                 ({} threads on {cores} cores)",
-                partitioned.threads
-            );
-            std::process::exit(1);
-        }
-        println!("bench: partitioned per-core gate passed ({per_core:.2} >= {min:.2})");
     }
     if let Some(max) = config.max_fragment_growth {
         if growth > max {

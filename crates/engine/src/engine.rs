@@ -13,11 +13,7 @@ use bgpq_core::{
     bounded_simulation_match_prefetched, bounded_subgraph_match_prefetched, fetch_candidate_sets,
     plan_for_indices, FetchStats, LookupMemo, PlanError, QueryPlan, Semantics,
 };
-use bgpq_graph::{ArenaPool, ScratchArena};
-use bgpq_shard::{
-    parallel_bounded_simulation_match_prefetched, parallel_bounded_subgraph_match_prefetched,
-    sharded_fetch_candidate_sets, ShardConfig, ShardRuntime,
-};
+use bgpq_graph::ArenaPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,17 +102,9 @@ pub struct Engine {
     fragments: SharedFragmentCache,
     /// Pool of fragment-construction arenas, one checked out per in-flight
     /// bounded execution; buffers are reused across queries so steady-state
-    /// fragment builds allocate nothing. Worker-aware: parallel sharded
-    /// executions pin each worker thread to its own slot, anonymous callers
-    /// take any free slot, and two concurrent executions can never alias an
-    /// arena.
+    /// fragment builds allocate nothing. A busy slot is skipped, never
+    /// shared, so two concurrent executions can never alias an arena.
     scratch: ArenaPool,
-    /// Partitioned-execution state, when the engine was built with
-    /// [`Engine::with_sharding`] (or handed a runtime directly). `None`
-    /// keeps every request on the serial single-shard path; `Some` routes
-    /// eligible bounded executions through the parallel sharded fetch and
-    /// matchers, which return answers identical to the serial path.
-    shard: Option<Arc<ShardRuntime>>,
     queries: AtomicU64,
     bounded_runs: AtomicU64,
     fallbacks: AtomicU64,
@@ -186,7 +174,6 @@ impl Engine {
             cache,
             fragments,
             scratch: ArenaPool::new(std::thread::available_parallelism().map_or(1, |n| n.get())),
-            shard: None,
             queries: AtomicU64::new(0),
             bounded_runs: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -222,32 +209,6 @@ impl Engine {
         }
     }
 
-    /// Turns on partitioned execution: partitions the engine's graph and
-    /// builds per-shard indices under `config`, then routes eligible bounded
-    /// executions through the parallel sharded path. Answers are identical
-    /// to the serial engine for every `(partitions, threads)` combination;
-    /// budgeted requests (match/step limits) keep taking the serial path.
-    pub fn with_sharding(self, config: ShardConfig) -> Self {
-        let runtime = ShardRuntime::build(&self.graph, self.indices.schema(), config);
-        self.with_shard_runtime(Arc::new(runtime))
-    }
-
-    /// Attaches an already-built [`ShardRuntime`] (the snapshot-load and
-    /// serving-commit paths, where the runtime is maintained incrementally
-    /// instead of rebuilt). The runtime's indices must have been built or
-    /// maintained against this engine's graph and schema.
-    pub fn with_shard_runtime(self, runtime: Arc<ShardRuntime>) -> Self {
-        Engine {
-            shard: Some(runtime),
-            ..self
-        }
-    }
-
-    /// The partitioned-execution runtime, when sharding is enabled.
-    pub fn shard_runtime(&self) -> Option<&ShardRuntime> {
-        self.shard.as_deref()
-    }
-
     /// The snapshot version this engine serves
     /// ([`INITIAL_SNAPSHOT_VERSION`] for standalone engines).
     pub fn version(&self) -> u64 {
@@ -264,18 +225,8 @@ impl Engine {
         &self.indices
     }
 
-    /// Runs `f` with a [`ScratchArena`] checked out of the engine's
-    /// worker-aware [`ArenaPool`]. Concurrent bounded executions each get
-    /// their own arena — a busy slot is skipped, never shared — so two
-    /// in-flight fragment builds can never alias one arena.
-    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-        self.scratch.with_any(f)
-    }
-
-    /// The engine's worker-aware scratch-arena pool. Parallel execution
-    /// paths pin worker `i` to slot `i` via
-    /// [`ArenaPool::with_worker`]; single-shard paths go through
-    /// [`ArenaPool::with_any`].
+    /// The engine's scratch-arena pool; executions check an arena out
+    /// through [`ArenaPool::with_any`].
     pub fn arena_pool(&self) -> &ArenaPool {
         &self.scratch
     }
@@ -293,34 +244,6 @@ impl Engine {
     /// for an unbounded pattern, [`BgpqError::StrategyUnavailable`]
     /// otherwise.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, BgpqError> {
-        self.execute_inner(request, None)
-    }
-
-    /// Executes a batch of requests against this snapshot, sharing one
-    /// [`LookupMemo`] across their fetches: index lookups that overlap
-    /// between the queries — the common case for templated queries over a
-    /// hot subgraph — are issued once and feed every fetch in the batch.
-    ///
-    /// Answers are identical to executing each request individually via
-    /// [`Engine::execute`], in order; per-request failures (pattern
-    /// mismatch, forced-strategy errors) are reported per slot without
-    /// failing the batch.
-    pub fn execute_batch(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Vec<Result<QueryResponse, BgpqError>> {
-        let mut memo = LookupMemo::new();
-        requests
-            .iter()
-            .map(|request| self.execute_inner(request, Some(&mut memo)))
-            .collect()
-    }
-
-    fn execute_inner(
-        &self,
-        request: &QueryRequest,
-        memo: Option<&mut LookupMemo>,
-    ) -> Result<QueryResponse, BgpqError> {
         let started = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.check_pattern_alignment(request.pattern())?;
@@ -337,14 +260,7 @@ impl Engine {
         }
 
         let match_started = Instant::now();
-        // The bounded tier is dispatched directly so the batch lookup memo
-        // reaches the fetch; the trait object path cannot carry it.
-        let run = if strategy.kind() == StrategyKind::Bounded {
-            let plan = plan.expect("Bounded is only applicable with a plan");
-            self.run_bounded(request, plan, memo)
-        } else {
-            strategy.execute(self, request, plan)
-        };
+        let run = strategy.execute(self, request, plan);
         let exec_nanos = match_started.elapsed().as_nanos() as u64;
         let fragment_build_nanos = run
             .fetch
@@ -378,19 +294,14 @@ impl Engine {
         })
     }
 
-    /// Runs the bounded tier: fragment-cache probe, fetch on a miss (through
-    /// `memo` when executing as part of a batch), zero-copy view build and
-    /// match. Cached candidate sets are keyed exactly like cached plans —
-    /// (pattern fingerprint, semantics, snapshot version) — which is sound
-    /// because the fingerprint canonically covers the pattern's structure,
-    /// labels and predicate constants, and planning and fetching are
-    /// deterministic for a fixed snapshot.
-    pub(crate) fn run_bounded(
-        &self,
-        request: &QueryRequest,
-        plan: &QueryPlan,
-        memo: Option<&mut LookupMemo>,
-    ) -> StrategyRun {
+    /// Runs the bounded tier: fragment-cache probe, fetch on a miss,
+    /// zero-copy view build and match. Cached candidate sets are keyed
+    /// exactly like cached plans — (pattern fingerprint, semantics,
+    /// snapshot version) — which is sound because the fingerprint
+    /// canonically covers the pattern's structure, labels and predicate
+    /// constants, and planning and fetching are deterministic for a fixed
+    /// snapshot.
+    pub(crate) fn run_bounded(&self, request: &QueryRequest, plan: &QueryPlan) -> StrategyRun {
         let key = (request.pattern().fingerprint(), request.semantics());
         let (enabled, probed) = {
             let mut cache = self.fragments.0.lock().expect("fragment cache poisoned");
@@ -402,37 +313,13 @@ impl Engine {
                 // Fetch outside the cache lock; racing misses both fetch and
                 // the second insert harmlessly replaces the first (fetching
                 // is deterministic per snapshot).
-                let fetched = match memo {
-                    // Batch fetches keep the serial path: the shared memo is
-                    // the batch's cross-query dedup state and must observe
-                    // every lookup in order.
-                    Some(memo) => fetch_candidate_sets(
-                        plan,
-                        request.pattern(),
-                        &self.graph,
-                        &self.indices,
-                        memo,
-                    ),
-                    None => match self.shard.as_deref() {
-                        Some(rt) => sharded_fetch_candidate_sets(
-                            plan,
-                            request.pattern(),
-                            &self.graph,
-                            rt.indices(),
-                            rt.threads(),
-                        ),
-                        None => {
-                            let mut own = LookupMemo::new();
-                            fetch_candidate_sets(
-                                plan,
-                                request.pattern(),
-                                &self.graph,
-                                &self.indices,
-                                &mut own,
-                            )
-                        }
-                    },
-                };
+                let fetched = fetch_candidate_sets(
+                    plan,
+                    request.pattern(),
+                    &self.graph,
+                    &self.indices,
+                    &mut LookupMemo::new(),
+                );
                 let entry: FragmentEntry = Arc::new(fetched);
                 if enabled {
                     self.fragments
@@ -449,25 +336,15 @@ impl Engine {
 
         match request.semantics() {
             Semantics::Isomorphism => {
-                let (matches, mut fetch, stats) = match self.shard.as_deref() {
-                    Some(rt) => parallel_bounded_subgraph_match_prefetched(
+                let (matches, mut fetch, stats) = self.scratch.with_any(|scratch| {
+                    bounded_subgraph_match_prefetched(
                         request.pattern(),
                         &self.graph,
                         &entry,
                         vf2_config(request),
-                        rt.pool(),
-                        rt.threads(),
-                    ),
-                    None => self.with_scratch(|scratch| {
-                        bounded_subgraph_match_prefetched(
-                            request.pattern(),
-                            &self.graph,
-                            &entry,
-                            vf2_config(request),
-                            scratch,
-                        )
-                    }),
-                };
+                        scratch,
+                    )
+                });
                 if fragment_cache == CacheOutcome::Hit {
                     subtract_cached_baseline(&mut fetch, &entry.stats);
                 }
@@ -481,22 +358,14 @@ impl Engine {
                 }
             }
             Semantics::Simulation => {
-                let (relation, mut fetch) = match self.shard.as_deref() {
-                    Some(rt) => parallel_bounded_simulation_match_prefetched(
+                let (relation, mut fetch) = self.scratch.with_any(|scratch| {
+                    bounded_simulation_match_prefetched(
                         request.pattern(),
                         &self.graph,
                         &entry,
-                        rt.pool(),
-                    ),
-                    None => self.with_scratch(|scratch| {
-                        bounded_simulation_match_prefetched(
-                            request.pattern(),
-                            &self.graph,
-                            &entry,
-                            scratch,
-                        )
-                    }),
-                };
+                        scratch,
+                    )
+                });
                 if fragment_cache == CacheOutcome::Hit {
                     subtract_cached_baseline(&mut fetch, &entry.stats);
                 }

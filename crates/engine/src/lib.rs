@@ -82,7 +82,3 @@ pub use bgpq_matching::{
 pub use bgpq_pattern::{
     parse_pattern, Pattern, PatternBuilder, PatternFingerprint, Predicate, WorkloadGenerator,
 };
-pub use bgpq_shard::{
-    decode_shards_section, encode_shards_section, load_sharded_snapshot, save_sharded_snapshot,
-    PartitionScheme, PartitionSpec, ShardConfig, ShardRuntime, ShardedGraph, ShardedIndexSet,
-};

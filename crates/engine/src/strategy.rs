@@ -133,9 +133,7 @@ impl Strategy for Bounded {
         plan: Option<&QueryPlan>,
     ) -> StrategyRun {
         let plan = plan.expect("engine dispatches Bounded only with a plan");
-        // The bounded tier lives on the engine: it owns the fragment cache
-        // and the batch lookup memo this trait's signature cannot carry.
-        engine.run_bounded(request, plan, None)
+        engine.run_bounded(request, plan)
     }
 }
 

@@ -22,8 +22,7 @@ use bgpq_engine::{
     bounded_simulation_match, bounded_subgraph_match, check_schema, discover_schema,
     opt_simulation_match, opt_subgraph_match, simulation_match, AccessConstraint, AccessIndexSet,
     AccessSchema, BgpqError, ConstraintId, DiscoveryConfig, Engine, Graph, GraphBuilder,
-    GraphDelta, QueryRequest, Semantics, ShardConfig, ShardedIndexSet, StrategyKind,
-    SubgraphMatcher,
+    QueryRequest, Semantics, StrategyKind, SubgraphMatcher,
 };
 use bgpq_graph::Value;
 use bgpq_pattern::{DetRng, GeneratorConfig, Pattern, WorkloadGenerator};
@@ -217,9 +216,8 @@ fn run_seed(seed: u64) {
     }
 
     // The checks above warmed `engine`'s plan and fragment caches. Replays
-    // through the warm caches, and one `execute_batch` pass (shared lookup
-    // memo), must reproduce the answers of a fully uncached engine bit for
-    // bit.
+    // through the warm caches must reproduce the answers of a fully
+    // uncached engine bit for bit.
     let uncached = Engine::with_indices(graph.clone(), indices.clone())
         .with_plan_cache_capacity(0)
         .with_fragment_cache_capacity(0);
@@ -228,97 +226,13 @@ fn run_seed(seed: u64) {
             .iter()
             .map(|q| QueryRequest::build(q.clone()).semantics(semantics).finish())
             .collect();
-        for (i, (request, slot)) in requests
-            .iter()
-            .zip(engine.execute_batch(&requests))
-            .enumerate()
-        {
-            let batched = slot.unwrap_or_else(|e| {
-                panic!("auto strategy never fails (seed {seed}, pattern {i}): {e}")
-            });
+        for (i, request) in requests.iter().enumerate() {
             let alone = uncached.execute(request).unwrap();
-            assert_eq!(
-                batched.answer, alone.answer,
-                "batch vs uncached (seed {seed}, pattern {i}, {semantics:?})"
-            );
             let warm = engine.execute(request).unwrap();
             assert_eq!(
                 warm.answer, alone.answer,
                 "warm cache vs uncached (seed {seed}, pattern {i}, {semantics:?})"
             );
-        }
-    }
-
-    // Partitioned execution: every (partitions, threads) combination must be
-    // indistinguishable from the serial engine under forced-Bounded
-    // execution — identical answers and match counts when the plan is
-    // bounded, the identical uncovered-node verdict when it is not. The
-    // per-shard index slices must also merge back to the exact single
-    // build (same keys, sizes, truncation verdicts per constraint).
-    for partitions in [1usize, 2, 4] {
-        for threads in [1usize, 2] {
-            let sharded = Engine::with_indices(graph.clone(), indices.clone())
-                .with_sharding(ShardConfig::new(partitions, threads));
-            for (i, q) in patterns.iter().enumerate() {
-                for semantics in [Semantics::Isomorphism, Semantics::Simulation] {
-                    let bounded = QueryRequest::build(q.clone())
-                        .semantics(semantics)
-                        .strategy(StrategyKind::Bounded)
-                        .finish();
-                    match (engine.execute(&bounded), sharded.execute(&bounded)) {
-                        (Ok(serial), Ok(parallel)) => {
-                            assert_eq!(
-                                serial.answer.len(),
-                                parallel.answer.len(),
-                                "partitioned match count (seed {seed}, pattern {i}, \
-                                 {semantics:?}, P={partitions}, T={threads})"
-                            );
-                            assert_eq!(
-                                serial.answer, parallel.answer,
-                                "partitioned answer (seed {seed}, pattern {i}, \
-                                 {semantics:?}, P={partitions}, T={threads})"
-                            );
-                        }
-                        (
-                            Err(BgpqError::Unbounded(serial)),
-                            Err(BgpqError::Unbounded(parallel)),
-                        ) => {
-                            assert_eq!(
-                                serial.uncovered, parallel.uncovered,
-                                "partitioned rejection (seed {seed}, pattern {i}, \
-                                 {semantics:?}, P={partitions}, T={threads})"
-                            );
-                        }
-                        (serial, parallel) => panic!(
-                            "bounded verdict diverged (seed {seed}, pattern {i}, \
-                             {semantics:?}, P={partitions}, T={threads}): \
-                             serial ok={} vs partitioned ok={}",
-                            serial.is_ok(),
-                            parallel.is_ok()
-                        ),
-                    }
-                }
-            }
-            if threads == 1 {
-                let merged = sharded
-                    .shard_runtime()
-                    .expect("with_sharding attaches a runtime")
-                    .indices()
-                    .merged();
-                assert_eq!(
-                    merged.total_size(),
-                    indices.total_size(),
-                    "merged size (seed {seed}, P={partitions})"
-                );
-                for (id, single) in indices.iter() {
-                    let m = merged.get(id).expect("merged set covers the schema");
-                    assert_eq!(
-                        (m.key_count(), m.size(), m.is_truncated()),
-                        (single.key_count(), single.size(), single.is_truncated()),
-                        "merged vs single build (seed {seed}, P={partitions}, {id})"
-                    );
-                }
-            }
         }
     }
 }
@@ -410,26 +324,18 @@ fn truncated_indices_agree_across_strategies() {
         assert_ne!(auto.strategy, StrategyKind::Bounded, "seed {seed}");
 
         // A replay through the now-warm plan cache (which holds the cached
-        // Unbounded verdict) and a batch over the same pattern agree too.
+        // Unbounded verdict) agrees too.
         let again = engine
             .execute(&QueryRequest::build(q.clone()).finish())
             .unwrap();
         assert_eq!(again.answer.as_matches(), Some(&vf2), "seed {seed}");
-        let requests = vec![
-            QueryRequest::build(q.clone()).finish(),
-            QueryRequest::build(q.clone()).finish(),
-        ];
-        for slot in engine.execute_batch(&requests) {
-            let response = slot.unwrap();
-            assert_eq!(response.answer.as_matches(), Some(&vf2), "seed {seed}");
-        }
     }
 }
 
 /// Interleaved-commit differential: a serving chain shares one plan cache
 /// and one fragment cache across snapshot versions. After every "commit"
 /// (graph mutation + index rebuild + version bump), answers served through
-/// the shared caches — cold, warm, and batched — must equal a fully
+/// the shared caches — cold and warm — must equal a fully
 /// uncached engine on the same snapshot. Deliberately tiny cache
 /// capacities force eviction and version churn to interact.
 #[test]
@@ -471,14 +377,6 @@ fn cached_answers_agree_across_interleaved_commits() {
                     "warm (seed {seed}, v{version}, pattern {i})"
                 );
             }
-            for (i, slot) in engine.execute_batch(&requests).into_iter().enumerate() {
-                let expected = uncached.execute(&requests[i]).unwrap().answer;
-                let batched = slot.unwrap().answer;
-                assert_eq!(
-                    batched, expected,
-                    "batch (seed {seed}, v{version}, pattern {i})"
-                );
-            }
 
             // The "commit": mutate the graph for the next version while the
             // shared caches keep holding this version's entries.
@@ -492,80 +390,6 @@ fn cached_answers_agree_across_interleaved_commits() {
                 if victim != anchor {
                     graph.delete_node(victim).unwrap();
                 }
-            }
-        }
-    }
-}
-
-/// Maintained-vs-rebuilt differential for per-partition indices: random
-/// delta streams (node/edge inserts, node deletes with their incident
-/// edges) applied through [`ShardedIndexSet::apply_deltas`] must leave
-/// every shard equal to a fresh partitioned build on the mutated graph —
-/// same keys, sizes and truncation verdicts per constraint — and the
-/// merged maintained set equal to a fresh single build.
-#[test]
-fn sharded_maintenance_matches_rebuild_under_delta_streams() {
-    for seed in [5u64, 17, 29, 53, 71] {
-        let mut rng = DetRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ 0xBEEF);
-        let mut graph = random_graph(&mut rng);
-        let schema = discover_schema(&graph, &DiscoveryConfig::default());
-        let config = ShardConfig::new(3, 2);
-        let spec = config.spec_for(&graph);
-        let mut maintained = ShardedIndexSet::build(&graph, &schema, &spec, config.threads);
-        for round in 0..5 {
-            let live: Vec<_> = graph.nodes().filter(|&v| graph.is_live(v)).collect();
-            let mut deltas = Vec::new();
-            for _ in 0..2 {
-                let label = LABEL_POOL[rng.random_range(0..LABEL_POOL.len())];
-                let new = graph.insert_node(label, Value::Int(rng.random_range(0..9) as i64));
-                deltas.push(GraphDelta::InsertNode(new));
-                let anchor = live[rng.random_range(0..live.len())];
-                if graph.insert_edge(anchor, new).unwrap() {
-                    deltas.push(GraphDelta::InsertEdge(anchor, new));
-                }
-            }
-            if round % 2 == 1 {
-                let victim = live[rng.random_range(0..live.len())];
-                // A node deletion travels with one DeleteEdge per incident
-                // edge, the contract `apply_deltas` documents.
-                for edge in graph.delete_node(victim).unwrap() {
-                    deltas.push(GraphDelta::DeleteEdge(edge.src, edge.dst));
-                }
-                deltas.push(GraphDelta::DeleteNode(victim));
-            }
-            maintained.apply_deltas(&graph, &deltas, config.threads);
-
-            let rebuilt = ShardedIndexSet::build(&graph, &schema, &spec, config.threads);
-            for (shard_no, (kept, fresh)) in
-                maintained.shards().iter().zip(rebuilt.shards()).enumerate()
-            {
-                for (id, fresh_ix) in fresh.iter() {
-                    let kept_ix = kept.get(id).expect("maintained shard covers the schema");
-                    assert_eq!(
-                        (kept_ix.key_count(), kept_ix.size(), kept_ix.is_truncated()),
-                        (
-                            fresh_ix.key_count(),
-                            fresh_ix.size(),
-                            fresh_ix.is_truncated()
-                        ),
-                        "maintained vs rebuilt (seed {seed}, round {round}, \
-                         shard {shard_no}, {id})"
-                    );
-                }
-            }
-            let merged = maintained.merged();
-            let single = AccessIndexSet::build(&graph, &schema);
-            for (id, fresh_ix) in single.iter() {
-                let m = merged.get(id).expect("merged set covers the schema");
-                assert_eq!(
-                    (m.key_count(), m.size(), m.is_truncated()),
-                    (
-                        fresh_ix.key_count(),
-                        fresh_ix.size(),
-                        fresh_ix.is_truncated()
-                    ),
-                    "merged maintained vs single rebuild (seed {seed}, round {round}, {id})"
-                );
             }
         }
     }

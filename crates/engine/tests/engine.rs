@@ -490,94 +490,6 @@ fn non_bounded_strategies_report_no_fragment_cache_outcome() {
     }
 }
 
-/// `execute_batch` returns, slot for slot, exactly what sequential
-/// `execute` calls return — while sharing index lookups between the
-/// queries through the batch memo.
-#[test]
-fn execute_batch_matches_sequential_execution() {
-    let solo = engine().with_fragment_cache_capacity(0);
-    let batched = engine().with_fragment_cache_capacity(0);
-    let patterns: Vec<_> = [2010, 2011, 2012]
-        .into_iter()
-        .map(|y| movie_pattern(solo.graph(), y))
-        .collect();
-
-    let solo_runs: Vec<_> = patterns
-        .iter()
-        .map(|q| {
-            solo.execute(&QueryRequest::build(q.clone()).finish())
-                .unwrap()
-        })
-        .collect();
-    let requests: Vec<_> = patterns
-        .iter()
-        .map(|q| QueryRequest::build(q.clone()).finish())
-        .collect();
-    let batch_runs: Vec<_> = batched
-        .execute_batch(&requests)
-        .into_iter()
-        .map(Result::unwrap)
-        .collect();
-
-    assert_eq!(batch_runs.len(), solo_runs.len());
-    for (b, s) in batch_runs.iter().zip(&solo_runs) {
-        assert_eq!(b.answer, s.answer);
-        assert_eq!(b.strategy, s.strategy);
-        let (bf, sf) = (
-            b.stats.fetch.as_ref().unwrap(),
-            s.stats.fetch.as_ref().unwrap(),
-        );
-        assert_eq!(bf.fragment_nodes, sf.fragment_nodes);
-        assert_eq!(bf.fragment_edges, sf.fragment_edges);
-        // The memo only changes *where* a lookup is answered, never how
-        // many keys the fetch resolves.
-        assert_eq!(
-            bf.index_lookups + bf.lookups_deduped,
-            sf.index_lookups + sf.lookups_deduped
-        );
-    }
-    // The later queries reuse the earlier ones' lookups (the global year
-    // and award scans at least), so they issue strictly fewer themselves.
-    let bf = batch_runs[1].stats.fetch.as_ref().unwrap();
-    let sf = solo_runs[1].stats.fetch.as_ref().unwrap();
-    assert!(
-        bf.index_lookups < sf.index_lookups,
-        "batched query must share lookups: {} vs {}",
-        bf.index_lookups,
-        sf.index_lookups
-    );
-    assert!(bf.lookups_deduped > 0);
-}
-
-/// A bad slot in a batch fails alone: the other requests still run and
-/// return their answers.
-#[test]
-fn batch_failures_are_per_slot() {
-    let engine = engine();
-    // A foreign-interner pattern (ids cross names) is rejected.
-    let mut pb = PatternBuilder::new();
-    let m = pb.node("movie", Predicate::always());
-    let y = pb.node("year", Predicate::always());
-    pb.edge(y, m);
-    let requests = vec![
-        QueryRequest::build(movie_pattern(engine.graph(), 2011)).finish(),
-        QueryRequest::build(pb.build()).finish(),
-        QueryRequest::build(movie_pattern(engine.graph(), 2012)).finish(),
-    ];
-    let results = engine.execute_batch(&requests);
-    assert_eq!(results.len(), 3);
-    assert!(results[0].is_ok());
-    assert!(matches!(
-        results[1].as_ref().unwrap_err(),
-        BgpqError::PatternMismatch { .. }
-    ));
-    let direct = SubgraphMatcher::new(requests[2].pattern(), engine.graph()).find_all();
-    assert_eq!(
-        results[2].as_ref().unwrap().answer.as_matches(),
-        Some(&direct)
-    );
-}
-
 /// The equivalence suite's guarantee, re-asserted through the session API:
 /// on generated workloads the engine (auto-selected strategy) returns
 /// exactly the direct algorithms' answers, for both semantics.
@@ -617,9 +529,8 @@ fn engine_equivalence_on_generated_workloads() {
     assert_eq!(engine.stats().queries, 20);
 }
 
-/// Satellite of the sharding work: the engine's scratch pool is worker-aware
-/// and two concurrent bounded executions can never alias an arena. Every
-/// dedicated slot is held hostage by a worker thread for the whole duration
+/// Two concurrent bounded executions can never alias an arena. Every pool
+/// slot is held hostage by a thread for the whole duration
 /// of four concurrent bounded executions — `with_any` must hand each
 /// execution a distinct overflow arena (never block behind a busy slot,
 /// never share one), and every answer must equal the serial run.
@@ -638,10 +549,10 @@ fn concurrent_bounded_executions_never_alias_an_arena() {
     let queries = 4;
     let barrier = std::sync::Barrier::new(workers + queries);
     std::thread::scope(|s| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let barrier = &barrier;
             s.spawn(move || {
-                pool.with_worker(w, |_| {
+                pool.with_any(|_| {
                     // Hold the slot across both barriers: busy for the
                     // entire window in which the queries execute.
                     barrier.wait();

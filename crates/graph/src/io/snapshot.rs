@@ -41,6 +41,12 @@
 //! this container (the section ids are reserved here so one table names
 //! every section).
 //!
+//! Section id **9 is retired, never to be reused**: builds that had
+//! partitioned execution wrote per-shard index blobs under it. It now
+//! decodes as [`Section::Unknown`]`(9)` — checksum-verified and skipped, so
+//! those files still open — and a new section must take a fresh id or old
+//! files would be misread.
+//!
 //! Decoding validates structural invariants — adjacency sorted strictly
 //! increasing, ids in bounds, in == transpose(out), label-index buckets
 //! consistent with the label assignment — and reports every failure as a
@@ -92,9 +98,6 @@ pub enum Section {
     Schema,
     /// Serialized access indices (written by `bgpq-access`).
     Indices,
-    /// Partition spec + per-shard index blobs (written by `bgpq-shard`).
-    /// Optional: readers without sharding support skip it.
-    Shards,
     /// A section id this build does not know (skipped when reading).
     Unknown(u32),
 }
@@ -112,7 +115,6 @@ impl Section {
             Section::LabelIndex => 6,
             Section::Schema => 7,
             Section::Indices => 8,
-            Section::Shards => 9,
             Section::Unknown(id) => id,
         }
     }
@@ -128,7 +130,6 @@ impl Section {
             6 => Section::LabelIndex,
             7 => Section::Schema,
             8 => Section::Indices,
-            9 => Section::Shards,
             other => Section::Unknown(other),
         }
     }
@@ -146,7 +147,6 @@ impl Section {
             Section::LabelIndex => "label-index".into(),
             Section::Schema => "schema".into(),
             Section::Indices => "indices".into(),
-            Section::Shards => "shards".into(),
             Section::Unknown(id) => format!("unknown section #{id}"),
         }
     }

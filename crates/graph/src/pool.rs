@@ -1,36 +1,27 @@
-//! Worker-aware pooling of [`ScratchArena`]s.
+//! Pooling of [`ScratchArena`]s.
 //!
-//! The engine originally kept a flat `Mutex<Vec<ScratchArena>>` checkout
-//! pool — correct, but built on the latent assumption that arenas are
-//! engine-local and anonymous: any execution grabs any arena, and a pool
-//! shared with a parallel (sharded) execution path would funnel every worker
-//! through one lock and one LIFO stack, with no affinity between a worker
-//! thread and the buffers it warmed.
-//!
-//! [`ArenaPool`] makes the pool worker-aware: it owns one slot per expected
-//! worker thread, each behind its own `Mutex`. A parallel execution pins
-//! worker `i` to slot `i` ([`ArenaPool::with_worker`]) — no contention
-//! between workers, stable buffer reuse per thread, and two concurrent
-//! executions can never alias an arena (the `Mutex` per slot makes aliasing
+//! [`ArenaPool`] owns one slot per expected concurrent execution, each
+//! behind its own `Mutex`, so callers on different threads do not funnel
+//! through one lock. [`ArenaPool::with_any`] scans for a free slot and falls
+//! back to an overflow stack: oversubscription degrades to extra arenas,
+//! never to blocking behind a busy slot, and two concurrent executions can
+//! never alias an arena (the `Mutex` per slot makes aliasing
 //! unrepresentable; the engine's concurrency test locks this down).
-//! Anonymous callers ([`ArenaPool::with_any`]) scan for a free slot and fall
-//! back to an overflow stack, so oversubscription degrades to extra arenas,
-//! never to blocking behind a busy slot.
 
 use crate::view::ScratchArena;
 use std::sync::Mutex;
 
-/// A pool of [`ScratchArena`]s with one dedicated slot per worker thread.
+/// A pool of [`ScratchArena`]s with one slot per expected concurrent caller.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
-    /// One slot per expected worker; `with_worker(i)` uses slot `i % len`.
+    /// One slot per expected concurrent caller.
     slots: Vec<Mutex<ScratchArena>>,
     /// Extra arenas for oversubscribed `with_any` callers.
     overflow: Mutex<Vec<ScratchArena>>,
 }
 
 impl ArenaPool {
-    /// A pool with `workers` dedicated slots (at least one).
+    /// A pool with `workers` slots (at least one).
     pub fn new(workers: usize) -> Self {
         ArenaPool {
             slots: (0..workers.max(1))
@@ -40,21 +31,9 @@ impl ArenaPool {
         }
     }
 
-    /// Number of dedicated worker slots.
+    /// Number of slots.
     pub fn workers(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Runs `f` with the arena dedicated to `worker`. Distinct worker ids
-    /// below [`ArenaPool::workers`] never contend; a worker id past the end
-    /// wraps around (and may then block until its shared slot frees up —
-    /// callers spawning more workers than slots should size the pool to the
-    /// thread count instead).
-    pub fn with_worker<R>(&self, worker: usize, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-        let mut arena = self.slots[worker % self.slots.len()]
-            .lock()
-            .expect("arena slot poisoned");
-        f(&mut arena)
     }
 
     /// Runs `f` with any free arena: the first unlocked slot, else an arena
@@ -86,19 +65,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
-
-    #[test]
-    fn worker_slots_are_distinct() {
-        let pool = ArenaPool::new(4);
-        assert_eq!(pool.workers(), 4);
-        let a0 = pool.with_worker(0, |a| a as *mut ScratchArena as usize);
-        let a1 = pool.with_worker(1, |a| a as *mut ScratchArena as usize);
-        assert_ne!(a0, a1, "distinct workers must get distinct arenas");
-        // The same worker gets its own slot back.
-        assert_eq!(a0, pool.with_worker(0, |a| a as *mut ScratchArena as usize));
-        // Wrap-around shares the slot of worker 0.
-        assert_eq!(a0, pool.with_worker(4, |a| a as *mut ScratchArena as usize));
-    }
 
     #[test]
     fn with_any_never_hands_out_a_busy_arena() {

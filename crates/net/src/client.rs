@@ -127,16 +127,12 @@ impl Client {
     /// Runs one query, draining the streamed answer.
     pub fn query(&mut self, spec: &QuerySpec) -> Result<QueryOutcome, ClientError> {
         self.send(&Request::Query(spec.clone()))?;
-        match self.recv()? {
-            Response::Answer(header) => self.drain_answer(header),
-            other => Err(unexpected("an answer header", other)),
-        }
-    }
-
-    /// Drains one streamed answer (`answer` … `rows*` … `done`) whose
-    /// header has already been received. Blocks stay columnar; the header's
-    /// columns are what they are checked against.
-    fn drain_answer(&mut self, header: AnswerHeader) -> Result<QueryOutcome, ClientError> {
+        let header = match self.recv()? {
+            Response::Answer(header) => header,
+            other => return Err(unexpected("an answer header", other)),
+        };
+        // Blocks stay columnar; the header's columns are what they are
+        // checked against.
         if header.kind == AnswerKind::Simulation && header.labels.len() != header.columns.len() {
             return Err(ClientError::Protocol(format!(
                 "a simulation answer names {} columns but {} labels",
@@ -171,40 +167,6 @@ impl Client {
                 other => return Err(unexpected("rows or done", other)),
             }
         }
-    }
-
-    /// Runs a batch of queries in one round trip. The server executes them
-    /// on a single snapshot, sharing index lookups across the batch, and
-    /// streams one reply sequence per query in request order.
-    ///
-    /// The outer `Result` covers whole-batch failures (rejection at
-    /// admission, transport errors); the inner per-slot `Result`s carry
-    /// each query's own outcome, so one bad query does not lose the rest.
-    pub fn batch(
-        &mut self,
-        specs: &[QuerySpec],
-    ) -> Result<Vec<Result<QueryOutcome, ClientError>>, ClientError> {
-        self.send(&Request::Batch(specs.to_vec()))?;
-        let count = match self.recv()? {
-            Response::BatchStart { count } => count,
-            other => return Err(unexpected("batch_start", other)),
-        };
-        if count != specs.len() as u64 {
-            return Err(ClientError::Protocol(format!(
-                "batch_start announced {count} replies for {} queries",
-                specs.len()
-            )));
-        }
-        let mut outcomes = Vec::with_capacity(specs.len());
-        for _ in 0..count {
-            outcomes.push(match self.recv()? {
-                Response::Answer(header) => self.drain_answer(header),
-                // A slot's own typed error; anything else ends the batch.
-                error @ Response::Error { .. } => Err(unexpected("an answer header", error)),
-                other => return Err(unexpected("an answer header or error", other)),
-            });
-        }
-        Ok(outcomes)
     }
 
     /// Commits a batch of updates.

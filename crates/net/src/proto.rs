@@ -156,13 +156,6 @@ pub enum Request {
     },
     /// Evaluate a pattern query.
     Query(QuerySpec),
-    /// Evaluate several pattern queries as one unit: the server pins one
-    /// snapshot for all of them (every answer reports the same epoch) and
-    /// executes them through the engine's batch path, which shares index
-    /// lookups between the queries' fetches. Answers stream back in request
-    /// order, each as its own `answer`/`rows*`/`done` (or `error`) sequence
-    /// after an initial `batch_start` frame.
-    Batch(Vec<QuerySpec>),
     /// Commit a batch of graph updates.
     Update(Vec<Update>),
     /// Fetch server and per-client counters.
@@ -256,12 +249,6 @@ pub enum Response {
         server: String,
         /// The current snapshot epoch.
         epoch: u64,
-    },
-    /// Opens the reply to a [`Request::Batch`]: exactly `count` per-query
-    /// reply sequences follow, in request order.
-    BatchStart {
-        /// Number of queries in the batch (and of reply sequences to come).
-        count: u64,
     },
     /// First frame of a streamed answer.
     Answer(AnswerHeader),
@@ -455,10 +442,9 @@ fn update_from_json(json: &Json) -> Result<Update, String> {
     }
 }
 
-/// The fields of one query spec, shared by `query` frames (plus a `type`
-/// discriminator) and the elements of a `batch` frame's `queries` array.
-fn query_spec_fields(spec: &QuerySpec) -> Vec<(String, Json)> {
+fn query_to_json(spec: &QuerySpec) -> Json {
     let mut fields = vec![
+        ("type".to_string(), Json::str("query")),
         ("pattern".to_string(), Json::str(spec.pattern.clone())),
         (
             "semantics".to_string(),
@@ -480,14 +466,14 @@ fn query_spec_fields(spec: &QuerySpec) -> Vec<(String, Json)> {
     if spec.explain {
         fields.push(("explain".to_string(), Json::Bool(true)));
     }
-    fields
+    Json::Obj(fields)
 }
 
-/// Decodes the query-spec fields of a `query` frame or a `batch` element.
-/// `deadline_ms: 0` is rejected here, uniformly for both: zero milliseconds
-/// cannot be honored (the budget mapping rounds sub-millisecond deadlines
-/// up, so 0 would silently buy a full millisecond of steps) — clients that
-/// want "as little work as possible" should send `step_budget` instead.
+/// Decodes the query-spec fields of a `query` frame. `deadline_ms: 0` is
+/// rejected here: zero milliseconds cannot be honored (the budget mapping
+/// rounds sub-millisecond deadlines up, so 0 would silently buy a full
+/// millisecond of steps) — clients that want "as little work as possible"
+/// should send `step_budget` instead.
 fn query_spec_from_json(json: &Json) -> Result<QuerySpec, String> {
     let semantics = match json.get("semantics") {
         None | Some(Json::Null) => Semantics::Isomorphism,
@@ -532,23 +518,7 @@ impl Request {
                 ("protocol", Json::Int(*protocol as i64)),
                 ("client", Json::str(client.clone())),
             ]),
-            Request::Query(spec) => {
-                let mut fields = vec![("type".to_string(), Json::str("query"))];
-                fields.extend(query_spec_fields(spec));
-                Json::Obj(fields)
-            }
-            Request::Batch(specs) => Json::obj([
-                ("type", Json::str("batch")),
-                (
-                    "queries",
-                    Json::Arr(
-                        specs
-                            .iter()
-                            .map(|spec| Json::Obj(query_spec_fields(spec)))
-                            .collect(),
-                    ),
-                ),
-            ]),
+            Request::Query(spec) => query_to_json(spec),
             Request::Update(updates) => Json::obj([
                 ("type", Json::str("update")),
                 (
@@ -577,19 +547,6 @@ impl Request {
                 client: req_str(&json, "client")?.to_string(),
             }),
             "query" => Ok(Request::Query(query_spec_from_json(&json)?)),
-            "batch" => {
-                let specs = req_arr(&json, "queries")?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, spec)| {
-                        query_spec_from_json(spec).map_err(|e| format!("batch query {i}: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if specs.is_empty() {
-                    return Err("a batch must contain at least one query".to_string());
-                }
-                Ok(Request::Batch(specs))
-            }
             "update" => Ok(Request::Update(
                 req_arr(&json, "updates")?
                     .iter()
@@ -651,10 +608,6 @@ impl Response {
                 ("protocol", Json::Int(*protocol as i64)),
                 ("server", Json::str(server.clone())),
                 ("epoch", Json::Int(*epoch as i64)),
-            ]),
-            Response::BatchStart { count } => Json::obj([
-                ("type", Json::str("batch_start")),
-                ("count", Json::Int(*count as i64)),
             ]),
             Response::Answer(header) => Json::obj([
                 ("type", Json::str("answer")),
@@ -764,9 +717,6 @@ impl Response {
                 server: req_str(&json, "server")?.to_string(),
                 epoch: req_u64(&json, "epoch")?,
             }),
-            "batch_start" => Ok(Response::BatchStart {
-                count: req_u64(&json, "count")?,
-            }),
             "answer" => Ok(Response::Answer(AnswerHeader {
                 kind: match req_str(&json, "kind")? {
                     "matches" => AnswerKind::Matches,
@@ -870,18 +820,6 @@ mod tests {
             explain: true,
         }));
         round_trip_request(Request::Query(QuerySpec::new("node a: x")));
-        round_trip_request(Request::Batch(vec![
-            QuerySpec::new("node a: x"),
-            QuerySpec {
-                pattern: "node a: year\nnode b: movie\nedge a -> b\n".into(),
-                semantics: Semantics::Simulation,
-                strategy: Some(StrategyKind::Baseline),
-                max_matches: Some(3),
-                step_budget: None,
-                deadline_ms: Some(25),
-                explain: true,
-            },
-        ]));
         round_trip_request(Request::Update(vec![
             Update::AddNode {
                 label: "movie".into(),
@@ -921,7 +859,6 @@ mod tests {
             server: "bgpq-serve/0.1".into(),
             epoch: 42,
         });
-        round_trip_response(Response::BatchStart { count: 4 });
         round_trip_response(Response::Answer(AnswerHeader {
             kind: AnswerKind::Matches,
             strategy: "bounded (bVF2/bSim)".into(),
@@ -993,8 +930,7 @@ mod tests {
     }
 
     /// `deadline_ms: 0` is a contract violation, not "one free millisecond":
-    /// the decoder rejects it uniformly for `query` frames and every `batch`
-    /// element, with the batch error naming the offending slot.
+    /// the decoder rejects it.
     #[test]
     fn zero_deadline_is_rejected_at_decode() {
         let err =
@@ -1002,14 +938,6 @@ mod tests {
                 .unwrap_err();
         assert!(err.contains("deadline_ms"), "{err}");
         assert!(err.contains("at least 1"), "{err}");
-
-        let err = Request::decode(
-            "{\"type\":\"batch\",\"queries\":[{\"pattern\":\"node a: x\"},\
-             {\"pattern\":\"node a: x\",\"deadline_ms\":0}]}",
-        )
-        .unwrap_err();
-        assert!(err.contains("batch query 1"), "{err}");
-        assert!(err.contains("deadline_ms"), "{err}");
 
         // 1 is the smallest valid deadline.
         let ok =
@@ -1061,7 +989,7 @@ mod tests {
         assert!(Response::decode(b"").unwrap_err().contains("empty"));
         assert!(Response::decode(b"[1]").unwrap_err().contains("tag"));
         assert!(Response::decode(b"{\"type\":\"pong\",\xff").is_err());
-        // An empty batch is an error, not a silent no-op.
+        // `batch` left the protocol: an unknown type like any other.
         assert!(Request::decode("{\"type\":\"batch\",\"queries\":[]}").is_err());
         assert!(Request::decode("{\"type\":\"batch\"}").is_err());
         // Non-finite floats are rejected at encode time, not smuggled as null.

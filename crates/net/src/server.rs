@@ -532,7 +532,6 @@ fn run_session(shared: &Shared, reader: &mut BufReader<TcpStream>, out: &mut Ses
                 return;
             }
             Ok(Request::Query(spec)) => handle_query(shared, out, spec, received),
-            Ok(Request::Batch(specs)) => handle_batch(shared, out, specs, received),
             Ok(Request::Update(updates)) => handle_update(shared, out, &updates),
             Ok(Request::Stats) => {
                 // Fold first, so the document counts this very request.
@@ -680,43 +679,6 @@ fn deadline_blamed(shared: &Shared, spec: &QuerySpec, aborted: bool) -> bool {
         })
 }
 
-/// Queues one query's reply sequence: the deadline-blame decision, then
-/// either a typed error or the `answer`/`rows*`/`done` frames. The caller
-/// flushes.
-fn push_query_result(
-    shared: &Shared,
-    out: &mut SessionOut<'_>,
-    spec: &QuerySpec,
-    result: Result<bgpq_engine::QueryResponse, BgpqError>,
-    pattern: &bgpq_pattern::Pattern,
-    snapshot: &bgpq_serve::Snapshot,
-    span: &mut Span,
-) -> std::io::Result<()> {
-    match result {
-        Err(err) => {
-            let (code, message) = map_engine_error(&err);
-            out.push_error(code, message)
-        }
-        Ok(response) => {
-            // An abort is a deadline overrun — a typed error — when the
-            // deadline-derived budget was the binding constraint; an abort
-            // under a tighter *explicit* budget is an ordinary truncated
-            // answer with `done.aborted` set.
-            if deadline_blamed(shared, spec, response.stats.aborted) {
-                out.push_error(
-                    ErrorCode::BudgetExceeded,
-                    format!(
-                        "deadline of {} ms exhausted the step budget before completion",
-                        spec.deadline_ms.unwrap_or(0)
-                    ),
-                )
-            } else {
-                push_answer(shared, out, &response, pattern, snapshot, span)
-            }
-        }
-    }
-}
-
 fn handle_query(
     shared: &Shared,
     out: &mut SessionOut<'_>,
@@ -761,8 +723,25 @@ fn handle_query(
     );
 
     let rendering = Instant::now();
-    let flow = push_query_result(shared, out, &spec, result, &pattern, &snapshot, &mut span)
-        .and_then(|()| out.flush());
+    let flow = match result {
+        Err(err) => {
+            let (code, message) = map_engine_error(&err);
+            out.push_error(code, message)
+        }
+        // An abort is a deadline overrun — a typed error — when the
+        // deadline-derived budget was the binding constraint; an abort under
+        // a tighter *explicit* budget is an ordinary truncated answer with
+        // `done.aborted` set.
+        Ok(response) if deadline_blamed(shared, &spec, response.stats.aborted) => out.push_error(
+            ErrorCode::BudgetExceeded,
+            format!(
+                "deadline of {} ms exhausted the step budget before completion",
+                spec.deadline_ms.unwrap_or(0)
+            ),
+        ),
+        Ok(response) => push_answer(shared, out, &response, &pattern, &snapshot, &mut span),
+    }
+    .and_then(|()| out.flush());
     span.render = nanos_since(rendering);
     shared
         .timings
@@ -770,103 +749,6 @@ fn handle_query(
         .expect("timings poisoned")
         .record(received, &span);
     drop(permit); // response fully written: free the admission slot
-    flow
-}
-
-/// Serves a [`Request::Batch`]: one admission permit and one pinned
-/// snapshot for the whole batch, executed through
-/// [`WorkerPool::submit_batch_pinned`] so the queries share index lookups.
-/// The reply is a `batch_start` frame followed by one reply sequence per
-/// query in request order — a full answer stream, or a single error frame
-/// for slots that fail to parse, exceed their deadline, or error in the
-/// engine. Slot failures never abort the rest of the batch.
-fn handle_batch(
-    shared: &Shared,
-    out: &mut SessionOut<'_>,
-    specs: Vec<QuerySpec>,
-    received: Instant,
-) -> std::io::Result<()> {
-    shared
-        .queries
-        .fetch_add(specs.len() as u64, Ordering::Relaxed);
-    let permit = match shared.gate.try_admit() {
-        Admission::Admitted(permit) => permit,
-        rejected => return reject(shared, out, rejected),
-    };
-
-    let snapshot = shared.server.snapshot();
-    // Build every slot up front; parse failures keep their position and are
-    // reported in-sequence without occupying the pool.
-    let built: Vec<Result<(QueryRequest, bgpq_pattern::Pattern), (ErrorCode, String)>> = specs
-        .iter()
-        .map(|spec| build_request(shared, &snapshot, spec))
-        .collect();
-    let requests: Vec<QueryRequest> = built
-        .iter()
-        .filter_map(|b| b.as_ref().ok().map(|(request, _)| request.clone()))
-        .collect();
-    // The batch has one span: its slots share the parse and queue phases,
-    // each `done` frame reports its own execution and render.
-    let mut span = Span {
-        parse: nanos_since(received),
-        ..Span::default()
-    };
-    let submitted = Instant::now();
-    let mut results = if requests.is_empty() {
-        Vec::new()
-    } else {
-        match shared
-            .pool
-            .submit_batch_pinned(Arc::clone(&snapshot), requests)
-            .recv()
-        {
-            Ok(results) => results,
-            Err(_) => {
-                drop(permit);
-                return out.send_error(ErrorCode::Internal, "worker pool unavailable", None);
-            }
-        }
-    };
-
-    span.split_round_trip(
-        submitted,
-        results.iter().flatten().map(|r| r.stats.total_nanos).sum(),
-    );
-
-    let rendering = Instant::now();
-    let mut flow = out.push(&Response::BatchStart {
-        count: specs.len() as u64,
-    });
-    let mut next_result = results.drain(..);
-    for (spec, slot) in specs.iter().zip(&built) {
-        if flow.is_err() {
-            break;
-        }
-        flow = match slot {
-            Err((code, message)) => out.push_error(*code, message.clone()),
-            Ok((_, pattern)) => {
-                let result = next_result
-                    .next()
-                    .unwrap_or(Err(BgpqError::StrategyUnavailable {
-                        requested: bgpq_engine::StrategyKind::Bounded,
-                        reason: "worker pool returned too few results".into(),
-                    }));
-                let mut slot = Span {
-                    execute: result.as_ref().map_or(0, |r| r.stats.total_nanos),
-                    ..span
-                };
-                push_query_result(shared, out, spec, result, pattern, &snapshot, &mut slot)
-            }
-        };
-    }
-    let flow = flow.and_then(|()| out.flush());
-    span.render = nanos_since(rendering);
-    shared
-        .timings
-        .lock()
-        .expect("timings poisoned")
-        .record(received, &span);
-    drop(permit);
     flow
 }
 

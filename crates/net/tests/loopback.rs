@@ -430,90 +430,11 @@ fn zero_deadline_is_a_parse_error_and_the_session_survives() {
     let message = err.to_string();
     assert!(message.contains("deadline_ms"), "got: {message}");
 
-    // In a batch the error names the offending slot.
-    let batch = vec![QuerySpec::new(YEAR_QUERY), spec.clone()];
-    let err = client.batch(&batch).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Parse));
-    assert!(err.to_string().contains("batch query 1"), "got: {err}");
-
-    // The session survives both rejections, and the smallest legal
-    // deadline goes through.
+    // The session survives the rejection, and the smallest legal deadline
+    // goes through.
     assert_eq!(client.ping().unwrap(), 0);
     spec.deadline_ms = Some(1);
     let outcome = client.query(&spec).expect("1 ms deadline is legal");
-    assert!(outcome.header.total > 0);
-    client.goodbye().unwrap();
-    assert!(handle.shutdown());
-}
-
-#[test]
-fn batch_answers_equal_sequential_queries() {
-    let handle = start(40, NetServerConfig::default());
-    let mut client = connect(&handle, "batcher");
-
-    let mut specs = Vec::new();
-    for year in [2001, 2003, 2003, 2007] {
-        specs.push(QuerySpec::new(format!(
-            "node y: year where value = {year}\n\
-             node m: movie\n\
-             node a: actor\n\
-             edge y -> m\n\
-             edge m -> a\n"
-        )));
-    }
-    let mut sim = QuerySpec::new(YEAR_QUERY);
-    sim.semantics = Semantics::Simulation;
-    specs.push(sim);
-
-    let batched = client.batch(&specs).expect("batch over TCP");
-    assert_eq!(batched.len(), specs.len());
-    let version = batched[0].as_ref().unwrap().header.snapshot_version;
-    for (spec, outcome) in specs.iter().zip(&batched) {
-        let outcome = outcome.as_ref().expect("batch slot succeeded");
-        // The whole batch ran on one snapshot...
-        assert_eq!(outcome.header.snapshot_version, version);
-        // ...and each slot's answer equals the same query run alone.
-        let alone = client.query(spec).expect("sequential query");
-        assert_eq!(outcome.header.kind, alone.header.kind);
-        assert_eq!(outcome.header.strategy, alone.header.strategy);
-        assert_eq!(outcome.header.total, alone.header.total);
-        assert_eq!(outcome.matches, alone.matches);
-        assert_eq!(outcome.sim, alone.sim);
-        assert!(!outcome.done.aborted);
-    }
-    client.goodbye().unwrap();
-    assert!(handle.shutdown());
-}
-
-#[test]
-fn batch_slot_failures_leave_other_slots_intact() {
-    let handle = start(10, NetServerConfig::default());
-    let mut client = connect(&handle, "mixed-batch");
-
-    // An empty batch is rejected at decode.
-    let err = client.batch(&[]).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Parse));
-
-    let specs = vec![
-        QuerySpec::new(YEAR_QUERY),
-        QuerySpec::new("edge ghost -> nowhere\n"),
-        QuerySpec::new(YEAR_QUERY),
-    ];
-    let outcomes = client.batch(&specs).expect("batch itself is admitted");
-    assert_eq!(outcomes.len(), 3);
-    assert_eq!(
-        outcomes[1].as_ref().unwrap_err().code(),
-        Some(ErrorCode::BadPattern),
-        "the bad slot fails alone"
-    );
-    for slot in [0, 2] {
-        let outcome = outcomes[slot].as_ref().expect("good slots answered");
-        assert!(outcome.header.total > 0);
-        assert!(!outcome.done.aborted);
-    }
-
-    // The session is still fully usable afterwards.
-    let outcome = client.query(&QuerySpec::new(YEAR_QUERY)).unwrap();
     assert!(outcome.header.total > 0);
     client.goodbye().unwrap();
     assert!(handle.shutdown());

@@ -205,6 +205,21 @@ fn undecodable_json_after_handshake_keeps_the_session() {
     expect_error(&mut stream, ErrorCode::Parse);
     send_frame(&mut stream, "{\"type\":\"transmogrify\"}");
     expect_error(&mut stream, ErrorCode::Parse);
+    // The retired `batch` request is refused by name, not ignored.
+    send_frame(
+        &mut stream,
+        "{\"type\":\"batch\",\"queries\":[{\"pattern\":\"node y: year\"}]}",
+    );
+    match recv_frame(&mut stream) {
+        Some(Response::Error { code, message, .. }) => {
+            assert_eq!(code, ErrorCode::Parse);
+            assert!(
+                message.contains("unknown request type \"batch\""),
+                "{message}"
+            );
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
     send_frame(&mut stream, "{\"type\":\"ping\"}");
     match recv_frame(&mut stream) {
         Some(Response::Pong { .. }) => {}

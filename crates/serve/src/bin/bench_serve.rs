@@ -16,7 +16,7 @@
 //! cargo run --release -p bgpq-serve --bin bench_serve -- --smoke # CI smoke
 //! ```
 
-use bgpq_engine::{AccessConstraint, AccessSchema, QueryRequest, ShardConfig, StrategyKind};
+use bgpq_engine::{AccessConstraint, AccessSchema, QueryRequest, StrategyKind};
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use bgpq_pattern::{Pattern, PatternBuilder, Predicate};
 use bgpq_serve::{Server, Update};
@@ -41,15 +41,6 @@ struct BenchConfig {
     /// Exit non-zero when the best multi-thread qps falls below
     /// `min_scaling ×` the single-thread qps.
     min_scaling: Option<f64>,
-    /// Shard count for partitioned execution inside each tier's server
-    /// (0 = unsharded).
-    partitions: usize,
-    /// Worker threads of the shard runtime (0 = same as `partitions`).
-    shard_threads: usize,
-    /// Exit non-zero when the best multi-thread scaling factor *per
-    /// effective reader* (`factor / min(threads, cores)`) falls below this
-    /// — the per-core throughput gate a 1-core CI runner can enforce.
-    min_scaling_per_core: Option<f64>,
 }
 
 impl BenchConfig {
@@ -64,9 +55,6 @@ impl BenchConfig {
                 writer_period_us: 3_000,
                 out: "BENCH_serve.json".to_string(),
                 min_scaling: None,
-                partitions: 0,
-                shard_threads: 0,
-                min_scaling_per_core: None,
             }
         } else {
             BenchConfig {
@@ -77,9 +65,6 @@ impl BenchConfig {
                 writer_period_us: 3_000,
                 out: "BENCH_serve.json".to_string(),
                 min_scaling: None,
-                partitions: 0,
-                shard_threads: 0,
-                min_scaling_per_core: None,
             }
         };
         let mut it = args.iter();
@@ -112,15 +97,6 @@ impl BenchConfig {
                     config.min_scaling =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
-                "--partitions" => config.partitions = parse_num(&value_for("--partitions")?)?,
-                "--shard-threads" => {
-                    config.shard_threads = parse_num(&value_for("--shard-threads")?)?
-                }
-                "--min-scaling-per-core" => {
-                    let raw = value_for("--min-scaling-per-core")?;
-                    config.min_scaling_per_core =
-                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
-                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -128,26 +104,6 @@ impl BenchConfig {
             return Err("--queries, --duration-ms and --threads must be non-empty".into());
         }
         Ok(config)
-    }
-
-    /// The shard configuration every tier's server runs under, if any —
-    /// either flag alone implies the other (same defaulting as the CLI's
-    /// `--partitions`/`--threads`).
-    fn shard(&self) -> Option<ShardConfig> {
-        if self.partitions == 0 && self.shard_threads == 0 {
-            return None;
-        }
-        let partitions = if self.partitions == 0 {
-            self.shard_threads
-        } else {
-            self.partitions
-        };
-        let threads = if self.shard_threads == 0 {
-            self.partitions
-        } else {
-            self.shard_threads
-        };
-        Some(ShardConfig::new(partitions, threads))
     }
 }
 
@@ -283,7 +239,6 @@ struct TierResult {
 
 /// One closed-loop measurement: `threads` readers hammering the server while
 /// one writer commits at a fixed cadence.
-#[allow(clippy::too_many_arguments)]
 fn run_tier(
     base_graph: &Graph,
     schema: &AccessSchema,
@@ -292,13 +247,8 @@ fn run_tier(
     threads: usize,
     duration: Duration,
     writer_period: Duration,
-    shard: Option<ShardConfig>,
 ) -> TierResult {
-    let mut server = Server::new(base_graph.clone(), schema);
-    if let Some(config) = shard {
-        server = server.with_shard_config(config);
-    }
-    let server = Arc::new(server);
+    let server = Arc::new(Server::new(base_graph.clone(), schema));
     let stop = Arc::new(AtomicBool::new(false));
 
     let writer = {
@@ -387,65 +337,6 @@ fn run_tier(
     }
 }
 
-/// The repeated-hot-query serving comparison: one closed loop running the
-/// workload one query at a time vs the same loop submitting it as one
-/// [`bgpq_serve::Snapshot::execute_batch`] call per iteration, on a quiet
-/// server (no writer). Both loops run against the same warmed server, so
-/// the numbers isolate dispatch + lookup sharing, not cold caches.
-struct BatchLoopResult {
-    sequential_qps: f64,
-    batch_qps: f64,
-    fragment_cache_hits: u64,
-}
-
-fn run_batch_loop(
-    base_graph: &Graph,
-    schema: &AccessSchema,
-    queries: &[Pattern],
-    duration: Duration,
-) -> BatchLoopResult {
-    let server = Server::new(base_graph.clone(), schema);
-    let requests: Vec<QueryRequest> = queries
-        .iter()
-        .map(|q| QueryRequest::build(q.clone()).finish())
-        .collect();
-    // Warm pass: plan and fragment caches populated before either loop.
-    let snapshot = server.snapshot();
-    for request in &requests {
-        snapshot
-            .execute(request)
-            .expect("serving queries never fail");
-    }
-
-    let deadline = Instant::now() + duration;
-    let mut sequential = 0u64;
-    while Instant::now() < deadline {
-        let snapshot = server.snapshot();
-        for request in &requests {
-            snapshot
-                .execute(request)
-                .expect("serving queries never fail");
-            sequential += 1;
-        }
-    }
-
-    let deadline = Instant::now() + duration;
-    let mut batched = 0u64;
-    while Instant::now() < deadline {
-        let snapshot = server.snapshot();
-        for result in snapshot.execute_batch(&requests) {
-            result.expect("serving queries never fail");
-            batched += 1;
-        }
-    }
-
-    BatchLoopResult {
-        sequential_qps: sequential as f64 / duration.as_secs_f64(),
-        batch_qps: batched as f64 / duration.as_secs_f64(),
-        fragment_cache_hits: server.snapshot().engine().stats().fragment_cache_hits,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = match BenchConfig::parse(&args) {
@@ -454,9 +345,7 @@ fn main() {
             eprintln!("bench_serve: {e}");
             eprintln!(
                 "usage: bench_serve [--smoke] [--movies N] [--queries K] [--duration-ms D] \
-                 [--threads 1,2,4,8] [--writer-period-us U] [--partitions P] \
-                 [--shard-threads T] [--out PATH] [--min-scaling X] \
-                 [--min-scaling-per-core X]"
+                 [--threads 1,2,4,8] [--writer-period-us U] [--out PATH] [--min-scaling X]"
             );
             std::process::exit(2);
         }
@@ -490,7 +379,6 @@ fn main() {
                 threads,
                 duration,
                 writer_period,
-                config.shard(),
             );
             println!(
                 "{:>2} worker(s): {:>8.0} qps ({} queries, {} commits of {:.1} us avg, \
@@ -509,13 +397,6 @@ fn main() {
             tier
         })
         .collect();
-
-    let batch = run_batch_loop(&graph, &schema, &queries, duration);
-    println!(
-        "batch loop: {:.0} qps sequential vs {:.0} qps batched \
-         ({} fragment-cache hits)",
-        batch.sequential_qps, batch.batch_qps, batch.fragment_cache_hits
-    );
 
     let single = tiers.iter().find(|t| t.threads == 1);
     let best_multi = tiers
@@ -557,28 +438,18 @@ fn main() {
         ),
         None => "null".to_string(),
     };
-    let (shard_partitions, shard_threads) = match config.shard() {
-        Some(c) => (c.partitions, c.threads),
-        None => (0, 0),
-    };
     let report = format!(
         "{{\n  \"config\": {{\"movies\": {}, \"queries\": {}, \"duration_ms\": {}, \
-         \"writer_period_us\": {}, \"cores\": {}, \"partitions\": {}, \"threads\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \
-         \"tiers\": [\n{}\n  ],\n  \"batch\": {{\"sequential_qps\": {:.0}, \"batch_qps\": {:.0}, \
-         \"fragment_cache_hits\": {}}},\n  \"scaling\": {}\n}}\n",
+         \"writer_period_us\": {}, \"cores\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \
+         \"tiers\": [\n{}\n  ],\n  \"scaling\": {}\n}}\n",
         config.movies,
         config.queries,
         config.duration_ms,
         config.writer_period_us,
         cores,
-        shard_partitions,
-        shard_threads,
         graph.node_count(),
         graph.edge_count(),
         tier_json.join(",\n"),
-        batch.sequential_qps,
-        batch.batch_qps,
-        batch.fragment_cache_hits,
         scaling_json
     );
     std::fs::write(&config.out, &report).expect("write bench report");
@@ -599,33 +470,6 @@ fn main() {
             None => {
                 eprintln!(
                     "bench_serve: --min-scaling needs a 1-thread tier and a multi-thread tier"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(min) = config.min_scaling_per_core {
-        match scaling {
-            Some((threads, factor)) => {
-                // Normalizing by the readers the machine can actually run
-                // concurrently keeps the gate meaningful on a 1-core CI
-                // runner: there it reduces to "multi-threading costs at
-                // most 1/min of single-thread throughput".
-                let per_core = factor / threads.min(cores).max(1) as f64;
-                if per_core < min {
-                    eprintln!(
-                        "bench_serve: REGRESSION — per-core scaling is {per_core:.2} \
-                         ({threads} readers on {cores} cores, factor {factor:.2}); \
-                         required: {min:.2}"
-                    );
-                    std::process::exit(1);
-                }
-                println!("bench_serve: per-core scaling gate passed ({per_core:.2} >= {min:.2})");
-            }
-            None => {
-                eprintln!(
-                    "bench_serve: --min-scaling-per-core needs a 1-thread tier and a \
-                     multi-thread tier"
                 );
                 std::process::exit(2);
             }

@@ -19,22 +19,12 @@ use std::thread;
 /// The outcome a worker sends back for one request.
 pub type PoolResult = Result<QueryResponse, BgpqError>;
 
-enum Job {
-    Single {
-        /// Pre-pinned snapshot to execute on; `None` pins the current one at
-        /// pickup time.
-        snapshot: Option<Arc<Snapshot>>,
-        request: QueryRequest,
-        reply: mpsc::Sender<PoolResult>,
-    },
-    /// A whole batch is one job: it stays on one worker and one snapshot, so
-    /// the queries share the engine's batch lookup memo and all observe the
-    /// same version.
-    Batch {
-        snapshot: Option<Arc<Snapshot>>,
-        requests: Vec<QueryRequest>,
-        reply: mpsc::Sender<Vec<PoolResult>>,
-    },
+struct Job {
+    /// Pre-pinned snapshot to execute on; `None` pins the current one at
+    /// pickup time.
+    snapshot: Option<Arc<Snapshot>>,
+    request: QueryRequest,
+    reply: mpsc::Sender<PoolResult>,
 }
 
 /// A fixed-size pool of worker threads serving queries from a shared
@@ -97,29 +87,11 @@ impl WorkerPool {
                         let Ok(job) = job else {
                             break; // all senders dropped: shutdown
                         };
-                        match job {
-                            Job::Single {
-                                snapshot,
-                                request,
-                                reply,
-                            } => {
-                                let snapshot = snapshot.unwrap_or_else(|| server.snapshot());
-                                let result = snapshot.execute(&request);
-                                served += 1;
-                                // The caller may have dropped its receiver.
-                                let _ = reply.send(result);
-                            }
-                            Job::Batch {
-                                snapshot,
-                                requests,
-                                reply,
-                            } => {
-                                let snapshot = snapshot.unwrap_or_else(|| server.snapshot());
-                                let results = snapshot.execute_batch(&requests);
-                                served += requests.len() as u64;
-                                let _ = reply.send(results);
-                            }
-                        }
+                        let snapshot = job.snapshot.unwrap_or_else(|| server.snapshot());
+                        let result = snapshot.execute(&job.request);
+                        served += 1;
+                        // The caller may have dropped its receiver.
+                        let _ = job.reply.send(result);
                     }
                     served
                 })
@@ -152,59 +124,22 @@ impl WorkerPool {
         self.enqueue(Some(snapshot), request)
     }
 
-    /// Enqueues a batch of requests as **one** job: a single worker executes
-    /// them via [`Snapshot::execute_batch`] on a single snapshot pinned at
-    /// pickup, so the queries share index lookups and all observe the same
-    /// version. The returned channel yields the whole result vector at once,
-    /// in request order.
-    pub fn submit_batch(&self, requests: Vec<QueryRequest>) -> mpsc::Receiver<Vec<PoolResult>> {
-        self.enqueue_batch(None, requests)
-    }
-
-    /// [`WorkerPool::submit_batch`] against an explicitly pinned snapshot —
-    /// the batch analogue of [`WorkerPool::submit_pinned`].
-    pub fn submit_batch_pinned(
-        &self,
-        snapshot: Arc<Snapshot>,
-        requests: Vec<QueryRequest>,
-    ) -> mpsc::Receiver<Vec<PoolResult>> {
-        self.enqueue_batch(Some(snapshot), requests)
-    }
-
     fn enqueue(
         &self,
         snapshot: Option<Arc<Snapshot>>,
         request: QueryRequest,
     ) -> mpsc::Receiver<PoolResult> {
         let (reply, result) = mpsc::channel();
-        self.send_job(Job::Single {
-            snapshot,
-            request,
-            reply,
-        });
-        result
-    }
-
-    fn enqueue_batch(
-        &self,
-        snapshot: Option<Arc<Snapshot>>,
-        requests: Vec<QueryRequest>,
-    ) -> mpsc::Receiver<Vec<PoolResult>> {
-        let (reply, result) = mpsc::channel();
-        self.send_job(Job::Batch {
-            snapshot,
-            requests,
-            reply,
-        });
-        result
-    }
-
-    fn send_job(&self, job: Job) {
         self.jobs
             .as_ref()
             .expect("pool is shutting down")
-            .send(job)
+            .send(Job {
+                snapshot,
+                request,
+                reply,
+            })
             .expect("workers outlive the job sender");
+        result
     }
 
     /// Drains the queue, joins every worker and returns the total number of

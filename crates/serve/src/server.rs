@@ -3,8 +3,7 @@
 use crate::snapshot::Snapshot;
 use bgpq_access::{apply_deltas, AccessIndexSet, AccessSchema, GraphDelta, MaintenanceStats};
 use bgpq_engine::{
-    BgpqError, Engine, QueryRequest, QueryResponse, ShardConfig, ShardRuntime, SharedFragmentCache,
-    SharedPlanCache,
+    BgpqError, Engine, QueryRequest, QueryResponse, SharedFragmentCache, SharedPlanCache,
 };
 use bgpq_graph::{Graph, NodeId, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,11 +163,6 @@ pub struct Server {
     fragments: SharedFragmentCache,
     /// Serializes writers; held across the whole copy-on-write commit.
     writer: Mutex<()>,
-    /// Partitioned-execution knobs, when the server was built with
-    /// [`Server::with_shard_config`]. Every published snapshot's engine then
-    /// carries a [`ShardRuntime`]; commits maintain the per-shard indices
-    /// incrementally (one worker per shard) instead of rebuilding them.
-    shard: Option<ShardConfig>,
     commits: AtomicU64,
     commit_nanos: AtomicU64,
     deltas_applied: AtomicU64,
@@ -199,7 +193,6 @@ impl Server {
             cache,
             fragments,
             writer: Mutex::new(()),
-            shard: None,
             commits: AtomicU64::new(0),
             commit_nanos: AtomicU64::new(0),
             deltas_applied: AtomicU64::new(0),
@@ -216,33 +209,6 @@ impl Server {
     /// starts serving without any discovery or index-construction cost.
     pub fn from_snapshot(bundle: bgpq_engine::SnapshotBundle) -> Self {
         Self::with_indices(bundle.graph, bundle.indices)
-    }
-
-    /// Turns on partitioned execution for every snapshot this server
-    /// publishes: the current snapshot's engine is rebuilt with a
-    /// [`ShardRuntime`] under `config`, and each commit maintains the
-    /// per-shard indices incrementally (one worker per shard) before
-    /// attaching a refreshed runtime to the next snapshot's engine. Answers
-    /// are identical to the unsharded server at every version.
-    pub fn with_shard_config(mut self, config: ShardConfig) -> Self {
-        let base = self.snapshot();
-        let engine = Engine::with_caches_at_version(
-            base.graph().clone(),
-            base.indices().clone(),
-            base.version(),
-            self.cache.clone(),
-            self.fragments.clone(),
-        )
-        .with_sharding(config);
-        *self.current.get_mut().expect("snapshot pointer poisoned") =
-            Arc::new(Snapshot::new(engine));
-        self.shard = Some(config);
-        self
-    }
-
-    /// The partitioned-execution knobs, when sharding is enabled.
-    pub fn shard_config(&self) -> Option<ShardConfig> {
-        self.shard
     }
 
     /// Pins the current snapshot. The returned `Arc` keeps that version
@@ -262,17 +228,6 @@ impl Server {
     /// should pin a [`Server::snapshot`] once and execute on it directly.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, BgpqError> {
         self.snapshot().execute(request)
-    }
-
-    /// Executes a batch of requests against one pinned snapshot (all slots
-    /// observe the same version even if commits land mid-batch), sharing
-    /// index lookups between the queries' fetches — see
-    /// [`Engine::execute_batch`](bgpq_engine::Engine::execute_batch).
-    pub fn execute_batch(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Vec<Result<QueryResponse, BgpqError>> {
-        self.snapshot().execute_batch(requests)
     }
 
     /// Applies a batch of updates atomically, publishing the next snapshot.
@@ -356,27 +311,13 @@ impl Server {
         let shards_copied = indices.shards_copied() - base.indices().shards_copied();
 
         let version = base.version() + 1;
-        let mut engine = Engine::with_caches_at_version(
+        let engine = Engine::with_caches_at_version(
             graph,
             indices,
             version,
             self.cache.clone(),
             self.fragments.clone(),
         );
-        if let Some(config) = self.shard {
-            // Maintain the previous runtime's per-shard indices (one worker
-            // per shard) rather than rebuilding them; only the sharded
-            // topology is reassembled against the new graph.
-            let runtime = match base.engine().shard_runtime() {
-                Some(prev) => {
-                    let mut sharded = prev.indices().clone();
-                    sharded.apply_deltas(engine.graph(), &deltas, config.threads);
-                    ShardRuntime::from_indices(engine.graph(), sharded, config.threads)
-                }
-                None => ShardRuntime::build(engine.graph(), engine.indices().schema(), config),
-            };
-            engine = engine.with_shard_runtime(Arc::new(runtime));
-        }
         let next = Arc::new(Snapshot::new(engine));
         *self.current.write().expect("snapshot pointer poisoned") = next;
         let commit_nanos = commit_started.elapsed().as_nanos() as u64;
@@ -701,66 +642,6 @@ mod tests {
             stats.fragment_cache_invalidations, 5,
             "each commit's re-fetch retires exactly the superseded fragment"
         );
-    }
-
-    /// A sharded server must answer exactly like the unsharded one at every
-    /// version, and its commits must maintain (not rebuild) the per-shard
-    /// indices so they stay equal to a fresh sharded build.
-    #[test]
-    fn sharded_server_answers_equal_unsharded_across_commits() {
-        let (g, schema) = fixture();
-        let plain = Server::new(g.clone(), &schema);
-        let sharded = Server::new(g, &schema).with_shard_config(ShardConfig::new(3, 2));
-        assert_eq!(sharded.shard_config(), Some(ShardConfig::new(3, 2)));
-        assert!(sharded.snapshot().engine().shard_runtime().is_some());
-
-        let request = year_movie_actor_query(plain.snapshot().graph(), 2012);
-        let updates = [
-            Update::AddNode {
-                label: "movie".into(),
-                value: Value::str("Gravity"),
-            },
-            Update::AddNode {
-                label: "actor".into(),
-                value: Value::str("Bullock"),
-            },
-            Update::AddEdge {
-                src: NodeId(0),
-                dst: NodeId(4),
-            },
-            Update::AddEdge {
-                src: NodeId(4),
-                dst: NodeId(5),
-            },
-        ];
-        for server in [&plain, &sharded] {
-            server.commit(&updates).unwrap();
-            server
-                .commit(&[Update::RemoveNode { node: NodeId(1) }])
-                .unwrap();
-        }
-
-        let a = plain.execute(&request).unwrap();
-        let b = sharded.execute(&request).unwrap();
-        assert_eq!(a.answer, b.answer);
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(b.stats.snapshot_version, 2);
-
-        // Maintained per-shard indices equal a fresh sharded build.
-        let snap = sharded.snapshot();
-        let rt = snap.engine().shard_runtime().unwrap();
-        let fresh = bgpq_engine::ShardRuntime::build(
-            snap.graph(),
-            snap.indices().schema(),
-            ShardConfig::new(3, 2),
-        );
-        for (kept, built) in rt.indices().shards().iter().zip(fresh.indices().shards()) {
-            for (id, fresh_ix) in built.iter() {
-                let kept_ix = kept.get(id).unwrap();
-                assert_eq!(kept_ix.key_count(), fresh_ix.key_count());
-                assert_eq!(kept_ix.size(), fresh_ix.size());
-            }
-        }
     }
 
     #[test]

@@ -52,18 +52,6 @@ impl Snapshot {
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, BgpqError> {
         self.engine.execute(request)
     }
-
-    /// Executes a batch of requests against this snapshot, sharing index
-    /// lookups between their fetches (see
-    /// [`Engine::execute_batch`]). All requests observe this
-    /// snapshot's version; answers equal per-request [`Snapshot::execute`]
-    /// calls, slot for slot.
-    pub fn execute_batch(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Vec<Result<QueryResponse, BgpqError>> {
-        self.engine.execute_batch(requests)
-    }
 }
 
 impl std::fmt::Debug for Snapshot {

@@ -353,45 +353,3 @@ fn worker_pool_serves_submitted_requests() {
     }
     assert_eq!(pool.shutdown(), 60);
 }
-
-/// A pool batch stays on one snapshot: every slot's answer equals the
-/// direct oracle on that version, in request order, even when a commit
-/// lands while the batch is in flight.
-#[test]
-fn worker_pool_batches_observe_one_version() {
-    let (graph, schema) = fixture(10);
-    let server = Arc::new(Server::new(graph.clone(), &schema));
-    let pool = WorkerPool::new(Arc::clone(&server), 2);
-
-    let requests: Vec<_> = (0..10)
-        .map(|i| QueryRequest::build(year_query(&graph, 2000 + i)).finish())
-        .collect();
-    let pinned = server.snapshot();
-    let reply = pool.submit_batch_pinned(Arc::clone(&pinned), requests.clone());
-    // A commit racing the batch must not leak into its answers.
-    server
-        .commit(&[Update::AddNode {
-            label: "movie".into(),
-            value: Value::Int(999),
-        }])
-        .unwrap();
-    let results = reply.recv().expect("worker replies");
-    assert_eq!(results.len(), requests.len());
-    for (request, result) in requests.iter().zip(&results) {
-        let response = result.as_ref().expect("batch slot failed");
-        assert_eq!(response.stats.snapshot_version, pinned.version());
-        let oracle = SubgraphMatcher::new(request.pattern(), pinned.graph()).find_all();
-        assert_eq!(response.answer.as_matches(), Some(&oracle));
-    }
-
-    // Unpinned batches pin whatever is current at pickup — all slots agree.
-    let results = pool
-        .submit_batch(requests.clone())
-        .recv()
-        .expect("worker replies");
-    let version = results[0].as_ref().unwrap().stats.snapshot_version;
-    for result in &results {
-        assert_eq!(result.as_ref().unwrap().stats.snapshot_version, version);
-    }
-    assert_eq!(pool.shutdown(), 20);
-}

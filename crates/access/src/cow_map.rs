@@ -3,17 +3,20 @@
 //!
 //! The serving layer keeps many versions of one index alive at once, and a
 //! commit changes a handful of entries. [`CowMap`] spreads its entries over
-//! `2^bits` small `HashMap`s behind `Arc`s: cloning the map bumps one
-//! reference count per shard, and a write copies only the shard its key
-//! hashes to (and only while that shard is still shared). The shard count
-//! follows the entry count — a shard holds [`SHARD_LOAD`] to
-//! `2·SHARD_LOAD` entries when the map was sized for its content — and
-//! doubles when the map outgrows it, like a `HashMap` rehash.
+//! `2^bits` small `HashMap`s, the leaves of a [`Spine`]: cloning the map
+//! bumps one reference count per group of [`bgpq_graph::SPINE_FANOUT`]
+//! shards (`entries / 4096` or so), and a write copies only the shard its
+//! key hashes to plus that shard's group of pointers (and only while they
+//! are still shared). A probe follows one more pointer than it would
+//! through a flat shard table. The shard count follows the entry count — a
+//! shard holds [`SHARD_LOAD`] to `2·SHARD_LOAD` entries when the map was
+//! sized for its content — and doubles when the map outgrows it, like a
+//! `HashMap` rehash.
 
+use bgpq_graph::{Spine, SpineShape};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Entries per shard a map is sized for; a shard is split at twice this.
 pub(crate) const SHARD_LOAD: usize = 64;
@@ -54,37 +57,48 @@ pub(crate) struct CowMap<K, V> {
     /// `2^bits` shards; a key lives in the shard named by the top `bits`
     /// bits of its [`ShardHasher`] hash, so doubling splits shard `i` into
     /// `2i` and `2i + 1`.
-    shards: Vec<Arc<HashMap<K, V>>>,
+    shards: Spine<HashMap<K, V>>,
     bits: u32,
     len: usize,
-    /// Shards copied because a write found them shared, over the whole
-    /// clone lineage of this value (clones inherit the count).
-    copied: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     /// An empty map sized for `entries` entries.
     pub fn with_capacity(entries: usize) -> Self {
-        let bits = (entries / SHARD_LOAD).max(1).ilog2();
-        CowMap {
-            shards: (0..1usize << bits).map(|_| Arc::default()).collect(),
-            bits,
+        let mut map = CowMap {
+            shards: Spine::default(),
+            bits: 0,
             len: 0,
-            copied: 0,
-        }
+        };
+        map.open_shards(entries);
+        map
+    }
+
+    /// Opens the empty shards of a map sized for `entries` entries.
+    fn open_shards(&mut self, entries: usize) {
+        self.bits = (entries / SHARD_LOAD).max(1).ilog2();
+        self.shards
+            .extend((0..1usize << self.bits).map(|_| HashMap::new()));
     }
 
     pub fn len(&self) -> usize {
         self.len
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Shards copied because a write found them shared, over the whole
+    /// clone lineage of this value (clones inherit the count).
+    pub fn copied(&self) -> u64 {
+        self.shards.leaves_copied()
     }
 
-    /// Lifetime count of copy-on-write shard copies (see the field).
-    pub fn copied(&self) -> u64 {
-        self.copied
+    /// Groups of shard pointers copied for the same reason.
+    pub fn groups_copied(&self) -> u64 {
+        self.shards.groups_copied()
+    }
+
+    /// Shape of the shard spine: its groups are what a clone bumps.
+    pub fn shape(&self) -> SpineShape {
+        self.shards.shape()
     }
 
     fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
@@ -96,22 +110,12 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
         (hasher.finish() >> (64 - self.bits)) as usize
     }
 
-    /// Shard `i`, copied first when another clone still shares it.
-    fn shard_mut(&mut self, i: usize) -> &mut HashMap<K, V> {
-        let shard = &mut self.shards[i];
-        if Arc::get_mut(shard).is_none() {
-            *shard = Arc::new((**shard).clone());
-            self.copied += 1;
-        }
-        Arc::get_mut(shard).expect("the shard was just made unique")
-    }
-
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.shards[self.shard_of(key)].get(key)
+        self.shards.leaf(self.shard_of(key)).get(key)
     }
 
     pub fn contains_key<Q>(&self, key: &Q) -> bool
@@ -130,10 +134,10 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
         Q: Hash + Eq + ?Sized,
     {
         let i = self.shard_of(key);
-        if !self.shards[i].contains_key(key) {
+        if !self.shards.leaf(i).contains_key(key) {
             return None;
         }
-        self.shard_mut(i).get_mut(key)
+        self.shards.make_mut(i).get_mut(key)
     }
 
     /// The value under `key`, inserted as `V::default()` when absent.
@@ -144,9 +148,10 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
         V: Default,
     {
         let mut i = self.shard_of(key);
-        if self.shards[i].contains_key(key) {
+        if self.shards.leaf(i).contains_key(key) {
             return self
-                .shard_mut(i)
+                .shards
+                .make_mut(i)
                 .get_mut(key)
                 .expect("the key was just seen");
         }
@@ -155,7 +160,7 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
             i = self.shard_of(key);
         }
         self.len += 1;
-        self.shard_mut(i).entry(key.to_owned()).or_default()
+        self.shards.make_mut(i).entry(key.to_owned()).or_default()
     }
 
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -163,7 +168,7 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
             self.split();
         }
         let i = self.shard_of(&key);
-        let old = self.shard_mut(i).insert(key, value);
+        let old = self.shards.make_mut(i).insert(key, value);
         if old.is_none() {
             self.len += 1;
         }
@@ -177,11 +182,11 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
         Q: Hash + Eq + ?Sized,
     {
         let i = self.shard_of(key);
-        if !self.shards[i].contains_key(key) {
+        if !self.shards.leaf(i).contains_key(key) {
             return None;
         }
         self.len -= 1;
-        self.shard_mut(i).remove(key)
+        self.shards.make_mut(i).remove(key)
     }
 
     /// True when one more key would overfill the shards.
@@ -199,29 +204,22 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
         if 4 * self.len >= SHARD_LOAD * self.shards.len() {
             return;
         }
-        let mut fitted = CowMap::with_capacity(self.len);
-        fitted.copied = self.copied;
-        for shard in std::mem::take(&mut self.shards) {
-            let entries = Arc::try_unwrap(shard).unwrap_or_else(|shared| (*shared).clone());
-            for (key, value) in entries {
-                fitted.insert(key, value);
-            }
+        let entries = self.shards.take_leaves();
+        self.open_shards(self.len);
+        self.len = 0;
+        for (key, value) in entries.into_iter().flatten() {
+            self.insert(key, value);
         }
-        *self = fitted;
     }
 
     /// Doubles the shard count, moving every entry to the half of its old
     /// shard its next hash bit names. Shards still shared with another
     /// clone are copied (and counted) like any other write.
     fn split(&mut self) {
-        let old = std::mem::take(&mut self.shards);
+        let old = self.shards.take_leaves();
         self.bits += 1;
-        self.shards.reserve(2 * old.len());
-        for shard in old {
-            let entries = Arc::try_unwrap(shard).unwrap_or_else(|shared| {
-                self.copied += 1;
-                (*shared).clone()
-            });
+        let mut halves = Vec::with_capacity(2 * old.len());
+        for entries in old {
             let (mut low, mut high) = (HashMap::new(), HashMap::new());
             for (key, value) in entries {
                 if self.shard_of(&key) & 1 == 0 {
@@ -230,9 +228,9 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
                     high.insert(key, value);
                 }
             }
-            self.shards.push(Arc::new(low));
-            self.shards.push(Arc::new(high));
+            halves.extend([low, high]);
         }
+        self.shards.extend(halves);
     }
 }
 
@@ -244,7 +242,7 @@ mod tests {
     fn behaves_like_a_hash_map_across_splits() {
         let mut map: CowMap<Vec<u32>, u32> = CowMap::with_capacity(0);
         let mut model = HashMap::new();
-        assert_eq!(map.shard_count(), 1);
+        assert_eq!(map.shape().leaves, 1);
         for i in 0..1000u32 {
             assert_eq!(
                 map.insert(vec![i, i + 1], i),
@@ -257,7 +255,7 @@ mod tests {
             assert_eq!(map.remove(&[i, i + 1][..]), model.remove(&vec![i, i + 1]));
             assert_eq!(map.remove(&[i, i + 1][..]), None);
         }
-        assert!(map.shard_count() > 1, "1000 keys must have split the map");
+        assert!(map.shape().leaves > 1, "1000 keys must have split the map");
         assert_eq!(map.len(), model.len());
         assert_eq!(map.iter().count(), model.len());
         for (key, value) in &model {
@@ -269,9 +267,11 @@ mod tests {
     #[test]
     fn sized_maps_keep_shards_near_the_load() {
         let map: CowMap<u32, u32> = CowMap::with_capacity(64 * SHARD_LOAD + 5);
-        assert_eq!(map.shard_count(), 64);
+        assert_eq!(map.shape().leaves, 64);
         assert_eq!(
-            CowMap::<u32, u32>::with_capacity(SHARD_LOAD - 1).shard_count(),
+            CowMap::<u32, u32>::with_capacity(SHARD_LOAD - 1)
+                .shape()
+                .leaves,
             1
         );
     }
@@ -294,10 +294,10 @@ mod tests {
         let shared = a
             .shards
             .iter()
-            .zip(&b.shards)
-            .filter(|(x, y)| Arc::ptr_eq(x, y))
+            .zip(b.shards.iter())
+            .filter(|(x, y)| std::ptr::eq(*x, *y))
             .count();
-        assert_eq!(shared, a.shard_count() - 1);
+        assert_eq!(shared, a.shape().leaves - 1);
     }
 
     #[test]
@@ -308,12 +308,53 @@ mod tests {
         }
         let b = a.clone();
         a.insert(1_000, 1); // the map is full: this insert splits it
-        assert_eq!((a.shard_count(), b.shard_count()), (2, 1));
+        assert_eq!((a.shape().leaves, b.shape().leaves), (2, 1));
         assert_eq!(a.copied(), 1);
         assert_eq!((a.len(), b.len()), (2 * SHARD_LOAD + 1, 2 * SHARD_LOAD));
         for i in 0..2 * SHARD_LOAD as u32 {
             assert_eq!((a.get(&i), b.get(&i)), (Some(&i), Some(&i)));
         }
         assert_eq!(b.get(&1_000), None);
+    }
+
+    #[test]
+    fn split_and_shrink_cross_a_group_boundary_under_a_pinned_clone() {
+        use bgpq_graph::SPINE_FANOUT;
+        // Full at exactly one group of shards: the next new key doubles the
+        // map into a second group.
+        let full = 2 * SHARD_LOAD * SPINE_FANOUT;
+        let mut a: CowMap<u32, u32> = CowMap::with_capacity(SPINE_FANOUT * SHARD_LOAD);
+        for i in 0..full as u32 {
+            a.insert(i, i);
+        }
+        assert_eq!((a.shape().leaves, a.shape().groups), (SPINE_FANOUT, 1));
+        let pinned = a.clone();
+        a.insert(u32::MAX, 0);
+        assert_eq!((a.shape().leaves, a.shape().groups), (2 * SPINE_FANOUT, 2));
+        assert_eq!(a.copied(), SPINE_FANOUT as u64, "every shard was shared");
+        assert_eq!((a.len(), pinned.len()), (full + 1, full));
+        for i in 0..full as u32 {
+            assert_eq!((a.get(&i), pinned.get(&i)), (Some(&i), Some(&i)));
+        }
+        assert_eq!((a.get(&u32::MAX), pinned.get(&u32::MAX)), (Some(&0), None));
+
+        // Emptied to a sliver, the two groups re-fit into a single shard;
+        // the clone pinned before the purge keeps all of them.
+        let before = a.clone();
+        for i in SHARD_LOAD as u32..=full as u32 {
+            a.remove(&i);
+        }
+        a.remove(&u32::MAX);
+        a.shrink_to_fit();
+        assert_eq!((a.shape().leaves, a.shape().groups), (1, 1));
+        assert_eq!((a.len(), a.iter().count()), (SHARD_LOAD, SHARD_LOAD));
+        assert_eq!(before.shape().groups, 2);
+        assert_eq!((before.len(), before.iter().count()), (full + 1, full + 1));
+        assert_eq!((a.get(&5), a.get(&(full as u32 - 1))), (Some(&5), None));
+        assert_eq!(before.get(&(full as u32 - 1)), Some(&(full as u32 - 1)));
+        assert!(
+            a.copied() >= before.copied(),
+            "the counters survive a re-fit"
+        );
     }
 }

@@ -12,19 +12,22 @@
 //! Fig. 5(d,h,l).
 //!
 //! **Storage is structurally shared.** An [`AccessIndexSet`] holds each
-//! [`ConstraintIndex`] behind an `Arc`, and an index keeps its entries in
-//! hash-sharded copy-on-write maps (the `cow_map` module). Cloning a set costs
-//! one reference-count bump per constraint; maintaining the clone copies
-//! only the constraints a delta touches, and inside those only the shards
-//! the changed entries hash to. That is what lets the serving layer publish
-//! a new snapshot per commit at `O(|ΔG|)` cost while readers keep the old
-//! one.
+//! [`ConstraintIndex`] behind an `Arc`, and an index keeps all of its
+//! per-entry state in hash-sharded copy-on-write maps (the `cow_map`
+//! module, on [`bgpq_graph::Spine`]). Cloning a set costs one
+//! reference-count bump per constraint; maintaining the clone un-shares
+//! only the constraints a delta touches — one bump per
+//! [`bgpq_graph::SPINE_FANOUT`] shards ([`ConstraintIndex::spines`]), no
+//! copy sized by the index's content — and inside those copies only the
+//! shards the changed entries hash to. That is what lets the serving layer
+//! publish a new snapshot per commit at `O(|ΔG|)` cost while readers keep
+//! the old one.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::cow_map::CowMap;
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, Label, NodeId};
-use std::collections::{BTreeMap, HashSet};
+use bgpq_graph::{Graph, Label, NodeId, SpineShape};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Upper bound on the number of `S`-labeled combinations materialized per
@@ -57,8 +60,9 @@ pub struct ConstraintIndex {
     /// Target nodes whose combination enumeration hit the cap. Tracked per
     /// node (not as a sticky flag) so that maintenance removing or repairing
     /// a capped node's contribution leaves the truncation verdict exactly
-    /// where a fresh rebuild would put it.
-    pub(crate) capped_targets: HashSet<NodeId>,
+    /// where a fresh rebuild would put it. A map like the others, so that
+    /// un-sharing the index copies none of it.
+    pub(crate) capped_targets: CowMap<NodeId, ()>,
     /// The per-node combination cap this index was built with. Incremental
     /// maintenance reuses it so refreshed contributions are enumerated
     /// exactly like a fresh build's.
@@ -120,7 +124,7 @@ impl ConstraintIndex {
             key_counts: CowMap::with_capacity(counted),
             reverse: CowMap::with_capacity(reversed),
             lengths: BTreeMap::new(),
-            capped_targets: HashSet::new(),
+            capped_targets: CowMap::with_capacity(0),
             cap,
         }
     }
@@ -173,7 +177,7 @@ impl ConstraintIndex {
     /// this exact: deleting or repairing the offending node clears it, just
     /// as a fresh rebuild would.
     pub fn is_truncated(&self) -> bool {
-        !self.capped_targets.is_empty()
+        self.capped_targets.len() > 0
     }
 
     /// The per-node combination cap the index was built with (and that
@@ -212,14 +216,38 @@ impl ConstraintIndex {
 
     /// Number of copy-on-write shards the index's maps are spread over.
     pub fn shard_count(&self) -> usize {
-        self.map.shard_count() + self.key_counts.shard_count() + self.reverse.shard_count()
+        self.spines().iter().map(|spine| spine.leaves).sum()
+    }
+
+    /// The shapes of the shard spines un-sharing this index walks (entries,
+    /// key counts, reverse keys, capped targets). The sum of their `groups`
+    /// is the number of reference counts that costs.
+    pub fn spines(&self) -> [SpineShape; 4] {
+        [
+            self.map.shape(),
+            self.key_counts.shape(),
+            self.reverse.shape(),
+            self.capped_targets.shape(),
+        ]
     }
 
     /// Shards copied because a write found them still shared with another
     /// clone of this index. The count is inherited by clones, so the copy
     /// work of one maintenance call is the difference across it.
     pub fn shards_copied(&self) -> u64 {
-        self.map.copied() + self.key_counts.copied() + self.reverse.copied()
+        self.map.copied()
+            + self.key_counts.copied()
+            + self.reverse.copied()
+            + self.capped_targets.copied()
+    }
+
+    /// Groups of shard pointers copied on write, counted like
+    /// [`ConstraintIndex::shards_copied`].
+    pub fn groups_copied(&self) -> u64 {
+        self.map.groups_copied()
+            + self.key_counts.groups_copied()
+            + self.reverse.groups_copied()
+            + self.capped_targets.groups_copied()
     }
 
     fn canonical_key(vs: &[NodeId]) -> Key {
@@ -337,7 +365,7 @@ impl ConstraintIndex {
     pub(crate) fn reconcile_edges(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
         debug_assert_eq!(self.constraint.source_len(), 1);
         let is_target = graph.try_label(target) == Some(self.constraint.target());
-        if self.capped_targets.contains(&target) {
+        if self.capped_targets.contains_key(&target) {
             return self.refresh_unary_target(graph, target, is_target, partners);
         }
         let source = self.constraint.source()[0];
@@ -383,7 +411,7 @@ impl ConstraintIndex {
             .filter(|&o| is_target && graph.label(o) == source)
             .collect();
         if listed.len() >= cap {
-            self.capped_targets.insert(target);
+            self.capped_targets.insert(target, ());
             listed.truncate(cap);
         } else {
             self.capped_targets.remove(&target);
@@ -439,7 +467,7 @@ impl ConstraintIndex {
                     extended.push(candidate);
                     next.push(extended);
                     if next.len() >= self.cap {
-                        self.capped_targets.insert(target);
+                        self.capped_targets.insert(target, ());
                         break 'outer;
                     }
                 }
@@ -533,6 +561,12 @@ impl AccessIndexSet {
     /// the difference between the new snapshot's count and its base's.
     pub fn shards_copied(&self) -> u64 {
         self.iter().map(|(_, index)| index.shards_copied()).sum()
+    }
+
+    /// Groups of shard pointers copied by maintenance along this set's
+    /// clone lineage (see [`ConstraintIndex::groups_copied`]).
+    pub fn groups_copied(&self) -> u64 {
+        self.iter().map(|(_, index)| index.groups_copied()).sum()
     }
 
     /// Sum of the sizes of the indices identified by `ids` — the paper's
@@ -638,8 +672,8 @@ mod tests {
     fn general_index_on_pairs() {
         let (g, year_l, award_l, movie_l, ..) = imdb_toy();
         let idx = ConstraintIndex::build(&g, AccessConstraint::new([year_l, award_l], movie_l, 4));
-        let years = g.nodes_with_label(year_l);
-        let awards = g.nodes_with_label(award_l);
+        let years = g.nodes_with_label(year_l).to_vec();
+        let awards = g.nodes_with_label(award_l).to_vec();
         // (y1, a1) has movies 0 and 2; (y2, a1) has movie 1.
         let m_y1 = idx.common_neighbors(&[years[0], awards[0]]);
         let m_y2 = idx.common_neighbors(&[years[1], awards[0]]);
@@ -661,7 +695,7 @@ mod tests {
         let (g, year_l, _, movie_l, actor_l, _) = imdb_toy();
         let idx = ConstraintIndex::build(&g, AccessConstraint::unary(year_l, movie_l, 10));
         // An actor node is not a valid S-labeled set for this constraint.
-        let actor = g.nodes_with_label(actor_l)[0];
+        let actor = *g.nodes_with_label(actor_l).first().unwrap();
         assert!(idx.common_neighbors(&[actor]).is_empty());
     }
 
@@ -681,7 +715,7 @@ mod tests {
         // like a unary constraint.
         let idx =
             ConstraintIndex::build(&g, AccessConstraint::new([actor_l, actor_l], country_l, 10));
-        let a = g.nodes_with_label(actor_l)[0];
+        let a = *g.nodes_with_label(actor_l).first().unwrap();
         assert_eq!(idx.common_neighbors(&[a, a]).len(), 1);
         assert_eq!(idx.constraint().source_len(), 1);
         let _ = movie_l;

@@ -141,7 +141,7 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
     w.put_u32(indices.len() as u32);
     for (_, index) in indices.iter() {
         w.put_u64(index.cap() as u64);
-        let mut capped: Vec<NodeId> = index.capped_targets.iter().copied().collect();
+        let mut capped: Vec<NodeId> = index.capped_targets.iter().map(|(&v, ())| v).collect();
         capped.sort_unstable();
         w.put_u32(capped.len() as u32);
         for v in capped {
@@ -219,7 +219,9 @@ pub fn decode_indices(
             entry_count.min(bytes.len() / 8),
             graph.label_count(constraint.target()),
         );
-        index.capped_targets = capped.into_iter().collect();
+        for v in capped {
+            index.capped_targets.insert(v, ());
+        }
         for _ in 0..entry_count {
             let key_len = r.read_u32()? as usize;
             let key = read_sorted_ids(&mut r, key_len, node_count, "index key")?;

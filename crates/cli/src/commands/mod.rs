@@ -29,6 +29,26 @@ pub(crate) fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
+/// Where the average commit went, phase by phase, and what it copied — one
+/// line for `serve`'s drain report and `serve-demo`'s summary.
+pub(crate) fn commit_phases(stats: &bgpq_serve::ServerStats) -> String {
+    let avg = |nanos: u64| fmt_nanos(nanos / stats.commits.max(1));
+    format!(
+        "commit phases (avg of {}): clone {}, replay {}, maintain {}, publish {}, \
+         retire {} of {}; copied {} pages, {} shards, {} chunks",
+        stats.commits,
+        avg(stats.clone_nanos),
+        avg(stats.replay_nanos),
+        avg(stats.delta_apply_nanos),
+        avg(stats.publish_nanos),
+        avg(stats.retire_nanos),
+        avg(stats.commit_nanos),
+        stats.pages_copied,
+        stats.shards_copied,
+        stats.chunks_copied
+    )
+}
+
 /// The discovery flags shared by `discover`, `index`, `query` and
 /// `serve-demo` (all of which may need to derive a schema on the fly).
 pub(crate) const DISCOVERY_FLAGS: [&str; 4] =

@@ -1,6 +1,6 @@
 //! `bgpq serve` — expose a dataset over the TCP wire protocol.
 
-use super::{dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
+use super::{commit_phases, dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
 use bgpq_engine::BudgetPolicy;
@@ -94,7 +94,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         }
     };
     let (nodes, edges) = (graph.live_node_count(), graph.edge_count());
-    let server = Server::with_indices(graph, indices);
+    let server = Arc::new(Server::with_indices(graph, indices));
 
     let config = NetServerConfig {
         addr: format!("{host}:{port}"),
@@ -109,7 +109,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         },
         ..NetServerConfig::default()
     };
-    let handle = NetServer::start(Arc::new(server), config)
+    let handle = NetServer::start(Arc::clone(&server), config)
         .map_err(|e| format!("cannot listen on {host}:{port}: {e}"))?;
 
     writeln!(
@@ -142,6 +142,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             stats.rejected_overloaded,
             stats.rejected_draining
         )?;
+        writeln!(out, "{}", commit_phases(&server.stats()))?;
         return Ok(());
     }
     loop {

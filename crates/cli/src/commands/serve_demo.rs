@@ -1,7 +1,9 @@
 //! `bgpq serve-demo` — drive the concurrent server with a scripted mixed
 //! read/update workload.
 
-use super::{dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
+use super::{
+    commit_phases, dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH,
+};
 use crate::args::Args;
 use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
 use bgpq_engine::{parse_pattern, Graph, NodeId, PatternBuilder, Predicate, QueryRequest};
@@ -212,6 +214,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         fmt_nanos(stats.delta_apply_nanos),
         fmt_nanos(stats.commit_nanos)
     )?;
+    writeln!(out, "{}", commit_phases(&stats))?;
     let qps = if total_query_nanos == 0 {
         0.0
     } else {

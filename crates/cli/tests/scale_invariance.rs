@@ -7,8 +7,11 @@
 //! must the parent adjacency entries read to build its view, although the
 //! hubs inside the fragment grow with the graph. The update side is held to
 //! the same standard: a fixed batch of posts attached to the graph's
-//! biggest hubs must copy the same number of storage pages and index
-//! shards, and repair the same number of contributions, at both scales. A
+//! biggest hubs must copy the same number of storage pages, label-bucket
+//! chunks, index shards and spine groups, and repair the same number of
+//! contributions, at both scales — and what a commit pays just to *share*
+//! the previous version is counted against its structural bound, one
+//! reference count per 64 pages or shards. A
 //! nightly `--ignored` smoke streams the full million-node scenario to
 //! verify the generator holds its contiguous-id contract at that size.
 
@@ -16,6 +19,7 @@ use bgpq_engine::{
     discover_schema, AccessIndexSet, DiscoveryConfig, NodeId, QueryRequest, Semantics,
     StrategyKind, Value,
 };
+use bgpq_graph::{SpineShape, PAGE_SIZE, SPINE_FANOUT};
 use bgpq_serve::{Server, Update};
 use bgpq_workload::{
     generate_with, generate_workload, stream_graph, Record, Scenario, ScenarioConfig,
@@ -44,11 +48,26 @@ struct ScalePoint {
     max_out_degree: usize,
     /// Degree of the smallest hub the commit batches attach posts to.
     touched_hub_degree: usize,
-    /// Per commit: storage pages copied, index shards copied, and
-    /// contributions repaired — the commit's work, counted, not timed.
+    /// Per commit: storage pages, bucket chunks and index shards copied,
+    /// spine groups un-shared (graph and indices), and contributions
+    /// repaired — the commit's work, counted, not timed.
     pages_copied: f64,
+    chunks_copied: f64,
     shards_copied: f64,
+    groups_copied: f64,
     refreshed: f64,
+    /// Reference counts bumped by one `Graph::clone` plus un-sharing every
+    /// index the batch touches.
+    share_refcounts: usize,
+}
+
+/// Every spine holds `⌈leaves / 64⌉` groups; returns their sum — the
+/// reference counts cloning (or un-sharing) the spines' owner bumps.
+fn refcounts(spines: &[SpineShape]) -> usize {
+    for spine in spines {
+        assert_eq!(spine.groups, spine.leaves.div_ceil(SPINE_FANOUT));
+    }
+    spines.iter().map(|spine| spine.groups).sum()
 }
 
 /// Commit batches applied per scale point, each attaching one post to each
@@ -109,7 +128,13 @@ fn measure(scale: usize) -> ScalePoint {
     }
 
     let (mut pages_copied, mut shards_copied, mut refreshed) = (0u64, 0u64, 0usize);
+    let (mut chunks_copied, mut groups_copied) = (0u64, 0u64);
+    let groups = |server: &Server| {
+        let snapshot = server.snapshot();
+        snapshot.graph().groups_copied() + snapshot.indices().groups_copied()
+    };
     for _ in 0..COMMITS {
+        let groups_before = groups(&server);
         let next = server.snapshot().graph().node_count() as u32;
         let mut batch = Vec::new();
         for (post, (&author, &tag)) in (next..).map(NodeId).zip(authors.iter().zip(&tags)) {
@@ -128,9 +153,28 @@ fn measure(scale: usize) -> ScalePoint {
         }
         let receipt = server.commit(&batch).expect("the batch is valid");
         pages_copied += receipt.pages_copied;
+        chunks_copied += receipt.chunks_copied;
         shards_copied += receipt.shards_copied;
+        groups_copied += groups(&server) - groups_before;
         refreshed += receipt.maintenance.refreshed_contributions;
     }
+
+    // What sharing the last version cost the last commit: the graph's
+    // spines, and those of every index the batch un-shared. The four
+    // per-node arrays hold one page per `PAGE_SIZE` nodes.
+    let snapshot = server.snapshot();
+    let graph_spines = snapshot.graph().spines();
+    let pages = snapshot.graph().node_count().div_ceil(PAGE_SIZE);
+    assert!(graph_spines[..4].iter().all(|spine| spine.leaves == pages));
+    let post = snapshot.graph().interner().get("post").unwrap();
+    let touched = snapshot.indices().iter().filter(|(_, index)| {
+        let c = index.constraint();
+        c.target() == post || c.source().contains(&post)
+    });
+    let share_refcounts = refcounts(&graph_spines)
+        + touched
+            .map(|(_, index)| refcounts(&index.spines()))
+            .sum::<usize>();
     ScalePoint {
         fragment_nodes: fragment_nodes as f64 / runs as f64,
         adjacency_reads: adjacency_reads as f64 / runs as f64,
@@ -138,8 +182,11 @@ fn measure(scale: usize) -> ScalePoint {
         max_out_degree,
         touched_hub_degree,
         pages_copied: pages_copied as f64 / COMMITS as f64,
+        chunks_copied: chunks_copied as f64 / COMMITS as f64,
         shards_copied: shards_copied as f64 / COMMITS as f64,
+        groups_copied: groups_copied as f64 / COMMITS as f64,
         refreshed: refreshed as f64 / COMMITS as f64,
+        share_refcounts,
     }
 }
 
@@ -205,9 +252,15 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
         small.refreshed, large.refreshed,
         "the same batch must repair the same contributions at every scale"
     );
+    assert_eq!(
+        (small.chunks_copied, large.chunks_copied),
+        (1.0, 1.0),
+        "three posts share one tail chunk of their bucket, however long the bucket"
+    );
     for (what, small, large) in [
         ("pages", small.pages_copied, large.pages_copied),
         ("shards", small.shards_copied, large.shards_copied),
+        ("groups", small.groups_copied, large.groups_copied),
     ] {
         let growth = large / small;
         assert!(
@@ -216,6 +269,20 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
              band while the touched hubs grew {hub_growth:.1}x"
         );
     }
+
+    // Sharing the previous version is the one cost left that follows `|G|`:
+    // one reference count per 64 pages or shards (checked spine by spine in
+    // `measure`), so a 10x graph pays at most 10x of a number that starts
+    // in the teens — a flat table of pages and shards would start 64x up.
+    let flat = |p: &ScalePoint| 4 * p.nodes.div_ceil(PAGE_SIZE);
+    assert!(
+        large.share_refcounts < flat(&large) / 8 && small.share_refcounts < 64,
+        "sharing a version bumps {} -> {} reference counts (a flat page table: {} -> {})",
+        small.share_refcounts,
+        large.share_refcounts,
+        flat(&small),
+        flat(&large)
+    );
 }
 
 /// Nightly smoke: stream the million-node skewed scenario end to end and

@@ -79,6 +79,10 @@ struct BenchConfig {
     /// exceeds this multiple of it at the smallest — the update side of the
     /// claim (index maintenance must not track `|G|`).
     max_maintenance_growth: Option<f64>,
+    /// Exit non-zero when `commit_us` at the largest scale exceeds this
+    /// multiple of it at the smallest (a whole copy-on-write commit must not
+    /// track `|G|` either).
+    max_commit_growth: Option<f64>,
 }
 
 impl BenchConfig {
@@ -106,6 +110,7 @@ impl BenchConfig {
                 max_fragment_growth: None,
                 max_latency_growth: None,
                 max_maintenance_growth: None,
+                max_commit_growth: None,
             }
         } else {
             BenchConfig {
@@ -127,6 +132,7 @@ impl BenchConfig {
                 max_fragment_growth: None,
                 max_latency_growth: None,
                 max_maintenance_growth: None,
+                max_commit_growth: None,
             }
         };
         let mut it = args.iter();
@@ -200,6 +206,11 @@ impl BenchConfig {
                 "--max-maintenance-growth" => {
                     let raw = value_for("--max-maintenance-growth")?;
                     config.max_maintenance_growth =
+                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
+                }
+                "--max-commit-growth" => {
+                    let raw = value_for("--max-commit-growth")?;
+                    config.max_commit_growth =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
                 other => return Err(format!("unknown argument {other:?}")),
@@ -491,7 +502,14 @@ struct ScalePoint {
     /// for it: share the published graph and indices, replay, maintain,
     /// build the next engine, drop the superseded version.
     commit_us: f64,
+    /// Where `commit_us` goes, in µs per commit: cloning the published
+    /// graph and indices, replaying the batch, index maintenance, and
+    /// dropping the superseded version (the rest is building the engine).
+    commit_phases_us: [f64; 4],
 }
+
+/// Names of [`ScalePoint::commit_phases_us`], in order.
+const COMMIT_PHASES: [&str; 4] = ["clone", "replay", "maintain", "retire"];
 
 /// The fixed skewed-social recipe of the sweep: one seed and one knob set
 /// pin the graph shape and value domains across every scale, so only `|G|`
@@ -575,13 +593,30 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
             // (`bgpq-serve` sits above this crate; this is `Server::commit`
             // minus its lock and pointer swap.)
             let mut engine = Engine::with_indices(graph, indices);
+            let mut phase_nanos = [0u128; 4];
             let commits = Instant::now();
             for i in MAINTENANCE_BATCHES..MAINTENANCE_BATCHES + COMMIT_BATCHES {
+                let t = Instant::now();
                 let mut graph = engine.graph().clone();
                 let mut indices = engine.indices().clone();
+                let cloned = t.elapsed();
                 let deltas = post_batch(&mut graph, &users, &tags, scale, i);
+                let replayed = t.elapsed();
                 apply_deltas(&mut indices, &graph, &deltas);
-                engine = Engine::with_indices(graph, indices);
+                let maintained = t.elapsed();
+                let next = Engine::with_indices(graph, indices);
+                let built = t.elapsed();
+                engine = next;
+                let retired = t.elapsed();
+                let spans = [
+                    cloned,
+                    replayed - cloned,
+                    maintained - replayed,
+                    retired - built,
+                ];
+                for (total, span) in phase_nanos.iter_mut().zip(spans) {
+                    *total += span.as_nanos();
+                }
             }
             let commit_nanos = commits.elapsed().as_nanos();
             let graph = engine.graph();
@@ -633,6 +668,7 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
                     / 1e3,
                 refreshed_per_batch: refreshed as f64 / MAINTENANCE_BATCHES as f64,
                 commit_us: commit_nanos as f64 / COMMIT_BATCHES as f64 / 1e3,
+                commit_phases_us: phase_nanos.map(|n| n as f64 / COMMIT_BATCHES as f64 / 1e3),
             }
         })
         .collect()
@@ -640,8 +676,9 @@ fn bench_fragment_scaling(scales: &[usize], workload_queries: usize) -> Vec<Scal
 
 /// `metric` at the largest scale over the smallest — the number the
 /// `--max-fragment-growth` (avg `|G_Q|`), `--max-latency-growth`
-/// (`avg_query_us`) and `--max-maintenance-growth`
-/// (`maintenance_us_per_batch`) gates check.
+/// (`avg_query_us`), `--max-maintenance-growth`
+/// (`maintenance_us_per_batch`) and `--max-commit-growth` (`commit_us`)
+/// gates check.
 fn scale_growth(points: &[ScalePoint], metric: impl Fn(&ScalePoint) -> f64) -> f64 {
     let first = points.first().map_or(1.0, |p| metric(p).max(1.0));
     let last = points.last().map_or(1.0, |p| metric(p).max(1.0));
@@ -678,6 +715,13 @@ fn open_loop_json(tiers: &[OpenLoopTier], config: &BenchConfig, cores: usize) ->
     )
 }
 
+/// `name value` for each commit phase of `p`, comma-separated.
+fn commit_phases(p: &ScalePoint, pair: impl Fn(&str, f64) -> String) -> String {
+    let pairs = COMMIT_PHASES.iter().zip(p.commit_phases_us);
+    let pairs: Vec<String> = pairs.map(|(name, us)| pair(name, us)).collect();
+    pairs.join(", ")
+}
+
 fn fragment_scaling_json(points: &[ScalePoint]) -> String {
     let rows: Vec<String> = points
         .iter()
@@ -687,7 +731,7 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
                  \"queries\": {}, \"avg_fragment_nodes\": {:.1}, \"fragment_fraction\": {:.6}, \
                  \"avg_query_us\": {:.1}, \"avg_adjacency_reads\": {:.1}, \
                  \"maintenance_us_per_batch\": {:.2}, \"refreshed_per_batch\": {:.1}, \
-                 \"commit_us\": {:.2}}}",
+                 \"commit_us\": {:.2}, \"commit_phases_us\": {{{}}}}}",
                 p.scale,
                 p.nodes,
                 p.edges,
@@ -700,6 +744,7 @@ fn fragment_scaling_json(points: &[ScalePoint]) -> String {
                 p.maintenance_us_per_batch,
                 p.refreshed_per_batch,
                 p.commit_us,
+                commit_phases(p, |name, us| format!("\"{name}\": {us:.2}")),
             )
         })
         .collect();
@@ -866,7 +911,7 @@ fn main() {
                  [--open-loop] [--offered Q1,Q2,..] [--duration-ms D] [--lanes L] \
                  [--max-p99-ms X] [--scales S1,S2,..] [--workload-queries K] \
                  [--max-fragment-growth X] [--max-latency-growth X] \
-                 [--max-maintenance-growth X]"
+                 [--max-maintenance-growth X] [--max-commit-growth X]"
             );
             std::process::exit(2);
         }
@@ -1020,7 +1065,7 @@ fn main() {
              avg |G_Q| = {:.1} nodes ({:.4}% of |G|), query {:.1} us avg \
              ({:.0} adjacency reads per view), \
              maintenance {:.1} us per 3-delta batch ({:.1} contributions), \
-             commit {:.1} us",
+             commit {:.1} us ({})",
             p.scale,
             p.nodes,
             p.edges,
@@ -1032,6 +1077,7 @@ fn main() {
             p.maintenance_us_per_batch,
             p.refreshed_per_batch,
             p.commit_us,
+            commit_phases(p, |name, us| format!("{name} {us:.1}")),
         );
     }
     let growth = scale_growth(&scaling, |p| p.avg_fragment_nodes);
@@ -1189,6 +1235,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench: maintenance-growth gate passed ({maintenance_growth:.2} <= {max:.2})");
+    }
+    if let Some(max) = config.max_commit_growth {
+        if commit_growth > max {
+            eprintln!(
+                "bench: REGRESSION — fragment_scaling.commit_growth = {commit_growth:.2} \
+                 exceeds the allowed {max:.2} (a copy-on-write commit is tracking |G|)"
+            );
+            std::process::exit(1);
+        }
+        println!("bench: commit-growth gate passed ({commit_growth:.2} <= {max:.2})");
     }
     if let Some(min) = config.min_load_speedup {
         for l in &loads {

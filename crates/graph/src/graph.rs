@@ -19,20 +19,28 @@
 //! sync, so access-constraint indices can be maintained incrementally
 //! against the mutated graph instead of rebuilt.
 //!
-//! **Storage is structurally shared.** The four per-node arrays (labels,
-//! values, out- and in-adjacency) are paged copy-on-write vectors
-//! ([`crate::PAGE_SIZE`] nodes per page), every adjacency row longer than a
-//! few neighbours is its own `Arc<[NodeId]>` (shorter ones live inside their
-//! page), and label-index buckets are individually `Arc`'d.
-//! [`Graph::clone`] therefore costs `O(|V| / PAGE_SIZE)` reference-count
-//! bumps, and a mutation of the clone copies only the pages, rows and
-//! bucket it lands in — which is what lets a serving commit keep the
-//! previous snapshot alive for its readers at `O(|ΔG|)` cost.
+//! **Storage is structurally shared**, all of it on one mechanism: the
+//! two-level copy-on-write [`crate::Spine`]. The four per-node arrays
+//! (labels, values, out- and in-adjacency) are paged vectors
+//! ([`crate::PAGE_SIZE`] nodes per page, [`crate::SPINE_FANOUT`] pages per
+//! group), every adjacency row longer than a few neighbours is its own
+//! `Arc<[NodeId]>` (shorter ones live inside their page), label buckets are
+//! lists of bounded-size chunks, and the label alphabet sits behind one
+//! `Arc`. [`Graph::clone`] therefore bumps `|V| / 16 384` reference counts
+//! per array ([`Graph::spines`] counts them: 183 each at 3.0M nodes — a
+//! 64th of a count per page, not a constant), and a mutation of the clone
+//! copies only the pages, rows and chunk it lands in plus their groups of
+//! 64 pointers — nothing sized by `|G|` — which is what lets a serving
+//! commit keep the previous snapshot alive for its readers at `O(|ΔG|)`
+//! cost. The price is on the read side: `label()`, `value()` and the
+//! neighbour accessors follow one more pointer than a flat page table
+//! would, through a top level of at most a few dozen entries.
 
 use crate::error::GraphError;
 use crate::label::{Label, LabelInterner};
-use crate::label_index::LabelIndex;
+use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
+use crate::spine::SpineShape;
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
@@ -40,7 +48,7 @@ use std::sync::Arc;
 
 /// Sentinel label carried by deleted node slots. It is never interned, so it
 /// compares unequal to every real label and [`LabelIndex`] lookups for it
-/// return the empty slice.
+/// return the empty list.
 pub(crate) const TOMBSTONE: Label = Label(u32::MAX);
 
 /// Neighbor-list size from which [`Graph::common_neighbors`] switches one
@@ -242,7 +250,42 @@ impl Graph {
     /// clones, so the copy work of one commit is the difference between the
     /// new snapshot's count and its base's.
     pub fn pages_copied(&self) -> u64 {
-        self.labels.copied() + self.values.copied() + self.out.copied() + self.inc.copied()
+        self.labels.pages().leaves_copied()
+            + self.values.pages().leaves_copied()
+            + self.out.pages().leaves_copied()
+            + self.inc.pages().leaves_copied()
+    }
+
+    /// Label-bucket chunks copied on write, counted like
+    /// [`Graph::pages_copied`]: at most one per node registered or
+    /// unregistered since the chunk was last shared, whatever the label's
+    /// frequency.
+    pub fn chunks_copied(&self) -> u64 {
+        self.label_index.chunks_copied()
+    }
+
+    /// Groups of page or chunk pointers copied on write, counted like
+    /// [`Graph::pages_copied`] (one group of [`crate::SPINE_FANOUT`]
+    /// pointers per page or chunk a mutation un-shares, at most).
+    pub fn groups_copied(&self) -> u64 {
+        self.labels.pages().groups_copied()
+            + self.values.pages().groups_copied()
+            + self.out.pages().groups_copied()
+            + self.inc.pages().groups_copied()
+            + self.label_index.groups_copied()
+    }
+
+    /// The shapes of the spines a [`Graph::clone`] walks — the four
+    /// per-node arrays, then the label-bucket table. The sum of their
+    /// `groups` is the number of reference counts a clone bumps.
+    pub fn spines(&self) -> [SpineShape; 5] {
+        [
+            self.labels.pages().shape(),
+            self.values.pages().shape(),
+            self.out.pages().shape(),
+            self.inc.pages().shape(),
+            self.label_index.shape(),
+        ]
     }
 
     /// The attribute value `ν(v)` of node `v`.
@@ -325,7 +368,7 @@ impl Graph {
     }
 
     /// All nodes carrying `label`, sorted by node id.
-    pub fn nodes_with_label(&self, label: Label) -> &[NodeId] {
+    pub fn nodes_with_label(&self, label: Label) -> LabelNodes<'_> {
         self.label_index.nodes(label)
     }
 

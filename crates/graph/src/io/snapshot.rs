@@ -56,7 +56,7 @@
 
 use crate::graph::{Graph, NodeId, Row, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
-use crate::label_index::LabelIndex;
+use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
 use crate::value::Value;
 use std::fmt;
@@ -616,20 +616,23 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
         encode_adjacency(&graph.inc).into_bytes(),
     );
 
-    let buckets = graph.label_index.buckets();
-    let index = encode_csr(buckets.len(), || buckets.iter().map(|b| b.as_slice()));
+    // A chunked bucket is written as the one contiguous run it stands for.
+    let buckets = || graph.label_index.buckets().map(|(_, nodes)| nodes);
+    let index = encode_csr(buckets().count(), buckets);
     writer.add_section(Section::LabelIndex, index.into_bytes());
 }
 
 fn encode_adjacency(rows: &PagedVec<Row>) -> SectionWriter {
-    encode_csr(rows.len(), || rows.iter().map(|row| &row[..]))
+    encode_csr(rows.len(), || {
+        rows.iter().map(|row| LabelNodes::from(&row[..]))
+    })
 }
 
 /// The CSR layout shared by the adjacency and label-index sections: row
 /// count, id total, `count + 1` offsets, then the ids.
 fn encode_csr<'a, I>(count: usize, rows: impl Fn() -> I) -> SectionWriter
 where
-    I: Iterator<Item = &'a [NodeId]>,
+    I: Iterator<Item = LabelNodes<'a>>,
 {
     let mut w = SectionWriter::new();
     w.put_u32(count as u32);

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A compact, interned label identifier.
 ///
@@ -42,8 +43,18 @@ impl From<u32> for Label {
 /// Interners are append-only: once a name is registered its id never changes,
 /// which lets graphs, schemas and patterns built against the same interner be
 /// compared and combined safely.
+///
+/// The tables are shared between clones: cloning an interner is one
+/// reference-count bump (a graph clone per commit and a pattern parse per
+/// wire request both clone one), and only interning a *new* name through a
+/// shared interner copies them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelInterner {
+    tables: Arc<Tables>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Tables {
     names: Vec<String>,
     by_name: HashMap<String, Label>,
 }
@@ -56,12 +67,13 @@ impl LabelInterner {
 
     /// Interns `name`, returning its existing id if already present.
     pub fn intern(&mut self, name: &str) -> Label {
-        if let Some(&label) = self.by_name.get(name) {
+        if let Some(&label) = self.tables.by_name.get(name) {
             return label;
         }
-        let label = Label(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), label);
+        let tables = Arc::make_mut(&mut self.tables);
+        let label = Label(tables.names.len() as u32);
+        tables.names.push(name.to_string());
+        tables.by_name.insert(name.to_string(), label);
         label
     }
 
@@ -75,12 +87,12 @@ impl LabelInterner {
 
     /// Looks up a previously interned name.
     pub fn get(&self, name: &str) -> Option<Label> {
-        self.by_name.get(name).copied()
+        self.tables.by_name.get(name).copied()
     }
 
     /// Returns the name of `label`, if it has been interned.
     pub fn name(&self, label: Label) -> Option<&str> {
-        self.names.get(label.index()).map(String::as_str)
+        self.tables.names.get(label.index()).map(String::as_str)
     }
 
     /// Returns the name of `label`, or a synthesized placeholder when unknown.
@@ -92,17 +104,18 @@ impl LabelInterner {
 
     /// Number of distinct labels interned so far.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.tables.names.len()
     }
 
     /// True when no labels have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.tables.names.is_empty()
     }
 
     /// Iterates over `(Label, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (Label, &str)> {
-        self.names
+        self.tables
+            .names
             .iter()
             .enumerate()
             .map(|(i, n)| (Label(i as u32), n.as_str()))
@@ -110,12 +123,12 @@ impl LabelInterner {
 
     /// Returns all label ids in id order.
     pub fn labels(&self) -> impl Iterator<Item = Label> + '_ {
-        (0..self.names.len() as u32).map(Label)
+        (0..self.tables.names.len() as u32).map(Label)
     }
 
     /// True when `label` belongs to this interner.
     pub fn contains(&self, label: Label) -> bool {
-        label.index() < self.names.len()
+        label.index() < self.tables.names.len()
     }
 
     /// Rebuilds an interner from a name list in id order, as persisted in a
@@ -128,7 +141,9 @@ impl LabelInterner {
                 return Err(name.clone());
             }
         }
-        Ok(LabelInterner { names, by_name })
+        Ok(LabelInterner {
+            tables: Arc::new(Tables { names, by_name }),
+        })
     }
 }
 
@@ -145,6 +160,25 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(interner.len(), 2);
+    }
+
+    #[test]
+    fn clones_share_the_tables_until_one_interns_a_new_name() {
+        let mut a = LabelInterner::new();
+        a.intern_all(["movie", "actor"]);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.tables, &b.tables));
+        assert_eq!(b.intern("actor"), Label(1));
+        assert!(
+            Arc::ptr_eq(&a.tables, &b.tables),
+            "a known name copies nothing"
+        );
+        assert_eq!(b.intern("award"), Label(2));
+        assert!(!Arc::ptr_eq(&a.tables, &b.tables));
+        assert_eq!((a.len(), a.get("award")), (2, None));
+        assert_ne!(a, b);
+        assert_eq!(a.intern("award"), Label(2));
+        assert_eq!(a, b, "equality is by content, not by sharing");
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   lists, per-label node indexes and neighbor/common-neighbor queries, held
 //!   in structurally shared pages so a clone is cheap and a mutation copies
 //!   only what it touches;
+//! * [`Spine`] — the two-level copy-on-write vector all of that sharing
+//!   (and the access indices' in `bgpq-access`) is built on;
 //! * [`Subgraph`] — the representation of the bounded fragment `G_Q` that a
 //!   query plan fetches from `G`;
 //! * [`view`] — zero-copy fragment execution: the [`GraphAccess`] trait the
@@ -47,6 +49,7 @@ pub mod label;
 pub mod label_index;
 mod paged;
 pub mod pool;
+pub mod spine;
 pub mod stats;
 pub mod subgraph;
 pub mod value;
@@ -58,9 +61,10 @@ pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
-pub use label_index::LabelIndex;
+pub use label_index::{LabelIndex, LabelNodes};
 pub use paged::PAGE_SIZE;
 pub use pool::ArenaPool;
+pub use spine::{Spine, SpineShape, SPINE_FANOUT};
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;
 pub use value::Value;

@@ -2,11 +2,14 @@
 //!
 //! A snapshot chain keeps many versions of one graph alive at once, and a
 //! commit changes a handful of nodes. [`PagedVec`] makes that cheap: the
-//! elements live in fixed-size pages behind `Arc`s, so cloning the vector
-//! bumps one reference count per page and a write copies only the page it
-//! lands in (and only while that page is still shared). Reads pay one extra,
-//! cache-resident pointer hop over a flat `Vec`.
+//! elements live in fixed-size pages, and the pages are the leaves of a
+//! [`Spine`] — cloning the vector bumps one reference count per *group* of
+//! [`crate::SPINE_FANOUT`] pages (`len / 16 384` of them), and a write copies
+//! only the page it lands in plus that page's group of pointers (and only
+//! while they are still shared). Reads pay two cache-resident pointer hops
+//! over a flat `Vec`.
 
+use crate::spine::Spine;
 use std::sync::Arc;
 
 const PAGE_BITS: u32 = 8;
@@ -15,8 +18,8 @@ const PAGE_BITS: u32 = 8;
 /// `k·PAGE_SIZE .. (k+1)·PAGE_SIZE` share one page of every per-node array.
 ///
 /// Chosen to balance the two costs of a commit: cloning a graph bumps
-/// `4·|V| / PAGE_SIZE` reference counts, and each page a write lands in
-/// copies `PAGE_SIZE` elements.
+/// `4·|V| / (PAGE_SIZE · SPINE_FANOUT)` reference counts, and each page a
+/// write lands in copies `PAGE_SIZE` elements.
 pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 const PAGE_MASK: usize = PAGE_SIZE - 1;
@@ -27,19 +30,15 @@ const PAGE_MASK: usize = PAGE_SIZE - 1;
 /// observable.
 #[derive(Debug, Clone)]
 pub(crate) struct PagedVec<T> {
-    pages: Vec<Arc<[T; PAGE_SIZE]>>,
+    pages: Spine<[T; PAGE_SIZE]>,
     len: usize,
-    /// Pages copied because a write found them shared, over the whole clone
-    /// lineage of this value (clones inherit the count).
-    copied: u64,
 }
 
 impl<T> Default for PagedVec<T> {
     fn default() -> Self {
         PagedVec {
-            pages: Vec::new(),
+            pages: Spine::default(),
             len: 0,
-            copied: 0,
         }
     }
 }
@@ -54,7 +53,7 @@ impl<T: Clone + Default> PagedVec<T> {
     }
 
     pub fn get(&self, i: usize) -> Option<&T> {
-        (i < self.len).then(|| &self.pages[i >> PAGE_BITS][i & PAGE_MASK])
+        (i < self.len).then(|| &self.pages.leaf(i >> PAGE_BITS)[i & PAGE_MASK])
     }
 
     /// Mutable access to element `i`, copying its page first when another
@@ -64,12 +63,7 @@ impl<T: Clone + Default> PagedVec<T> {
     /// Panics when `i` is out of range.
     pub fn make_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of range for {}", self.len);
-        let shared = &mut self.pages[i >> PAGE_BITS];
-        if Arc::get_mut(shared).is_none() {
-            *shared = page(shared.iter().cloned().collect());
-            self.copied += 1;
-        }
-        &mut Arc::get_mut(shared).expect("the page was just made unique")[i & PAGE_MASK]
+        &mut self.pages.make_mut(i >> PAGE_BITS)[i & PAGE_MASK]
     }
 
     /// Appends `value`. Opening a new page allocates it; it copies nothing.
@@ -86,9 +80,9 @@ impl<T: Clone + Default> PagedVec<T> {
         self.pages.iter().flat_map(|p| p.iter()).take(self.len)
     }
 
-    /// Lifetime count of copy-on-write page copies (see the field).
-    pub fn copied(&self) -> u64 {
-        self.copied
+    /// The spine the pages hang off (its shape and copy counters).
+    pub fn pages(&self) -> &Spine<[T; PAGE_SIZE]> {
+        &self.pages
     }
 }
 
@@ -106,7 +100,7 @@ impl<T: Clone + Default> std::ops::Index<usize> for PagedVec<T> {
     #[inline]
     fn index(&self, i: usize) -> &T {
         assert!(i < self.len, "index {i} out of range for {}", self.len);
-        &self.pages[i >> PAGE_BITS][i & PAGE_MASK]
+        &self.pages.leaf(i >> PAGE_BITS)[i & PAGE_MASK]
     }
 }
 
@@ -114,17 +108,19 @@ impl<T: Clone + Default> std::ops::Index<usize> for PagedVec<T> {
 impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
-        let mut out = PagedVec::default();
-        loop {
+        let mut len = 0;
+        let pages = std::iter::from_fn(|| {
             let mut items = Vec::with_capacity(PAGE_SIZE);
             items.extend(iter.by_ref().take(PAGE_SIZE));
             if items.is_empty() {
-                return out;
+                return None;
             }
-            out.len += items.len();
+            len += items.len();
             items.resize_with(PAGE_SIZE, T::default);
-            out.pages.push(page(items.into()));
-        }
+            Some(page(items.into()))
+        });
+        let pages = pages.collect();
+        PagedVec { pages, len }
     }
 }
 
@@ -166,11 +162,14 @@ mod tests {
         let b = a.clone();
         *a.make_mut(PAGE_SIZE) = 7;
         *a.make_mut(PAGE_SIZE + 1) = 8;
-        assert_eq!(a.copied(), 1, "the second write finds the page unique");
+        assert_eq!(
+            a.pages.leaves_copied(),
+            1,
+            "the second write finds the page unique"
+        );
         assert_eq!((a[PAGE_SIZE], b[PAGE_SIZE]), (7, PAGE_SIZE as u32));
-        assert!(Arc::ptr_eq(&a.pages[0], &b.pages[0]));
-        assert!(!Arc::ptr_eq(&a.pages[1], &b.pages[1]));
-        assert!(Arc::ptr_eq(&a.pages[2], &b.pages[2]));
+        let same = |i: usize| std::ptr::eq(a.pages.leaf(i), b.pages.leaf(i));
+        assert!(same(0) && !same(1) && same(2));
     }
 
     #[test]
@@ -178,9 +177,9 @@ mod tests {
         let mut a: PagedVec<u32> = (0..PAGE_SIZE as u32 - 1).collect();
         let b = a.clone();
         a.push(1); // fills the shared tail page: one copy
-        assert_eq!(a.copied(), 1);
+        assert_eq!(a.pages.leaves_copied(), 1);
         a.push(2); // opens a page
-        assert_eq!(a.copied(), 1);
+        assert_eq!(a.pages.leaves_copied(), 1);
         assert_eq!((a.len(), b.len()), (PAGE_SIZE + 1, PAGE_SIZE - 1));
         assert_eq!(b.get(PAGE_SIZE - 1), None);
     }

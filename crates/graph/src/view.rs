@@ -32,6 +32,7 @@
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::label::Label;
+use crate::label_index::LabelNodes;
 use crate::value::Value;
 
 /// The read-only graph surface pattern matchers run against.
@@ -74,7 +75,7 @@ pub trait GraphAccess {
     fn has_edge(&self, src: NodeId, dst: NodeId) -> bool;
 
     /// Visible nodes carrying `label`, sorted by node id.
-    fn nodes_with_label(&self, label: Label) -> &[NodeId];
+    fn nodes_with_label(&self, label: Label) -> LabelNodes<'_>;
 
     /// Iterates over all visible node ids, ascending.
     fn node_ids(&self) -> Box<dyn Iterator<Item = NodeId> + '_>;
@@ -136,7 +137,7 @@ impl GraphAccess for Graph {
         Graph::has_edge(self, src, dst)
     }
 
-    fn nodes_with_label(&self, label: Label) -> &[NodeId] {
+    fn nodes_with_label(&self, label: Label) -> LabelNodes<'_> {
         Graph::nodes_with_label(self, label)
     }
 
@@ -178,6 +179,9 @@ pub struct ScratchArena {
     in_start: Vec<u32>,
     /// Concatenated fragment-local in-adjacency, sorted per node.
     in_adj: Vec<NodeId>,
+    /// Scratch for the regrouping: every fragment node with its label, read
+    /// from the parent once per node rather than once per comparison.
+    labelled: Vec<(Label, NodeId)>,
     /// Fragment nodes regrouped by label (each group sorted by node id).
     by_label: Vec<NodeId>,
     /// `(label, start, end)` ranges into `by_label`, sorted by label.
@@ -325,16 +329,17 @@ impl ScratchArena {
 
     /// Groups the fragment nodes by label for `nodes_with_label` lookups.
     fn fill_label_ranges(&mut self, graph: &Graph) {
-        self.by_label.clone_from(&self.nodes);
-        self.by_label.sort_unstable_by_key(|&v| (graph.label(v), v));
+        self.labelled.clear();
+        let labelled = self.nodes.iter().map(|&v| (graph.label(v), v));
+        self.labelled.extend(labelled);
+        self.labelled.sort_unstable();
+        self.by_label.clear();
+        self.by_label.extend(self.labelled.iter().map(|&(_, v)| v));
         self.label_ranges.clear();
         let mut start = 0usize;
-        while start < self.by_label.len() {
-            let label = graph.label(self.by_label[start]);
-            let mut end = start + 1;
-            while end < self.by_label.len() && graph.label(self.by_label[end]) == label {
-                end += 1;
-            }
+        while let Some(&(label, _)) = self.labelled.get(start) {
+            let run = self.labelled[start..].partition_point(|&(l, _)| l == label);
+            let end = start + run;
             self.label_ranges.push((label, start as u32, end as u32));
             start = end;
         }
@@ -423,18 +428,16 @@ impl GraphAccess for FragmentView<'_> {
         self.out_neighbors(src).binary_search(&dst).is_ok()
     }
 
-    fn nodes_with_label(&self, label: Label) -> &[NodeId] {
-        match self
-            .arena
-            .label_ranges
-            .binary_search_by_key(&label, |&(l, _, _)| l)
-        {
+    fn nodes_with_label(&self, label: Label) -> LabelNodes<'_> {
+        let ranges = &self.arena.label_ranges;
+        let nodes = match ranges.binary_search_by_key(&label, |&(l, _, _)| l) {
             Ok(i) => {
-                let (_, s, e) = self.arena.label_ranges[i];
+                let (_, s, e) = ranges[i];
                 &self.arena.by_label[s as usize..e as usize]
             }
             Err(_) => &[],
-        }
+        };
+        LabelNodes::from(nodes)
     }
 
     fn node_ids(&self) -> Box<dyn Iterator<Item = NodeId> + '_> {

@@ -262,6 +262,40 @@ fn structurally_invalid_content_is_a_corrupt_error() {
     }
 }
 
+/// The loader cuts each label bucket into chunks, so it must have verified
+/// the run it cuts: swapping two ids of a bucket or repeating one — behind
+/// a correct checksum — is refused, naming the label index.
+#[test]
+fn unsorted_or_duplicated_label_buckets_are_rejected() {
+    let bytes = snapshot_bytes(&sample_graph());
+    let table = section_table(&bytes);
+    let entry_index = table
+        .iter()
+        .position(|(s, _)| *s == Section::LabelIndex)
+        .expect("label index present");
+    let range = table[entry_index].1.clone();
+    // The payload ends with the last bucket's ids: … 34, 39.
+    let (prev_at, last_at) = (range.end - 8, range.end - 4);
+    let word = |copy: &[u8], at: usize| u32::from_le_bytes(copy[at..at + 4].try_into().unwrap());
+    assert_eq!((word(&bytes, prev_at), word(&bytes, last_at)), (34, 39));
+
+    for (prev, last) in [(39u32, 34u32), (34, 34), (39, 39)] {
+        let mut copy = bytes.clone();
+        copy[prev_at..prev_at + 4].copy_from_slice(&prev.to_le_bytes());
+        copy[last_at..last_at + 4].copy_from_slice(&last.to_le_bytes());
+        let fixed = checksum(&copy[range.clone()]);
+        let checksum_at = 16 + entry_index * 28 + 20;
+        copy[checksum_at..checksum_at + 8].copy_from_slice(&fixed.to_le_bytes());
+        match load(&copy).unwrap_err() {
+            SnapshotError::Corrupt { section, message } => {
+                assert_eq!(section, Section::LabelIndex);
+                assert!(message.contains("not sorted strictly"), "{message}");
+            }
+            other => panic!("({prev}, {last}): unexpected {other:?}"),
+        }
+    }
+}
+
 /// Error messages are actionable: they name the section in human-readable
 /// form and suggest regeneration on version mismatch.
 #[test]

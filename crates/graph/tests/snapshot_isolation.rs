@@ -8,9 +8,13 @@
 //!
 //! The streams are aimed at the seams of the paged layout: ids `k·PAGE − 1`
 //! and `k·PAGE`, a push that opens a new page, and the deletion of a hub
-//! whose neighbours span every page.
+//! whose neighbours span every page. A second stream is aimed at the chunked
+//! label buckets: a label frequent enough to span several chunks is grown
+//! through a tail split, thinned until chunks merge, and another label is
+//! emptied to zero.
 
-use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, PAGE_SIZE};
+use bgpq_graph::label_index::CHUNK_TARGET;
+use bgpq_graph::{Graph, GraphBuilder, Label, LabelIndex, NodeId, Value, PAGE_SIZE};
 use std::collections::BTreeSet;
 
 const LABELS: [&str; 4] = ["a", "b", "c", "hub"];
@@ -262,4 +266,98 @@ fn page_seams_separate_the_copies() {
         &[first_of_second, NodeId(PAGE_SIZE as u32 + 1)]
     );
     assert_eq!(g.in_neighbors(last_of_first), &[first_of_second]);
+}
+
+/// The chunked buckets of `graph` list exactly what an index built from
+/// scratch over the same label assignment lists.
+fn assert_buckets_match_a_fresh_build(graph: &Graph, model: &Model, ctx: &str) {
+    // Deleted slots get a label of their own: no real bucket may list them.
+    let dead = Label(graph.interner().len() as u32);
+    let assignment: Vec<Label> = model
+        .nodes
+        .iter()
+        .map(|slot| slot.map_or(dead, |(name, _)| graph.interner().get(name).unwrap()))
+        .collect();
+    let fresh = LabelIndex::build(&assignment);
+    for label in graph.interner().labels() {
+        let chunked = graph.nodes_with_label(label);
+        assert_eq!(chunked, fresh.nodes(label), "{ctx}: bucket of {label}");
+        assert_eq!(chunked.len(), graph.label_count(label), "{ctx}: {label}");
+        assert_eq!(chunked.first(), fresh.nodes(label).first(), "{ctx}");
+    }
+}
+
+#[test]
+fn pinned_versions_keep_their_label_buckets_through_splits_merges_and_emptying() {
+    // `a` spans three chunks (the last one a single id), `b` fits in one.
+    let mut b = GraphBuilder::new();
+    let mut model = Model {
+        nodes: Vec::new(),
+        edges: BTreeSet::new(),
+    };
+    for i in 0..2 * CHUNK_TARGET + 101 {
+        let label = if i % 21 == 20 { "b" } else { "a" };
+        b.add_node(label, Value::Int(i as i64));
+        model.nodes.push(Some((label, i as i64)));
+    }
+    let mut versions = vec![(b.build(), model)];
+    let mut commit = |edit: &mut dyn FnMut(&mut Graph, &mut Model)| {
+        let (base, base_model) = versions.last().unwrap();
+        let (mut graph, mut model) = (base.clone(), base_model.clone());
+        edit(&mut graph, &mut model);
+        let ctx = format!("version {}", versions.len());
+        assert_buckets_match_a_fresh_build(&graph, &model, &ctx);
+        versions.push((graph, model));
+    };
+    let delete = |graph: &mut Graph, model: &mut Model, v: usize| {
+        graph.delete_node(NodeId(v as u32)).unwrap();
+        model.nodes[v] = None;
+    };
+
+    // Appends fill the tail chunk of `a` past twice the target: it splits.
+    for round in 0..5 {
+        commit(&mut |graph, model| {
+            for i in 0..CHUNK_TARGET / 2 {
+                let value = (round * CHUNK_TARGET + i) as i64;
+                graph.insert_node("a", Value::Int(value));
+                model.nodes.push(Some(("a", value)));
+            }
+        });
+    }
+    // Tombstones thin the middle of `a` until chunks fall under a quarter
+    // of the target and fold into their neighbours.
+    for round in 0..4 {
+        commit(&mut |graph, model| {
+            for v in (CHUNK_TARGET / 2..2 * CHUNK_TARGET).filter(|v| v % 4 == round) {
+                if model.nodes[v].is_some() {
+                    delete(graph, model, v);
+                }
+            }
+        });
+    }
+    // `b` is emptied to zero, then comes back.
+    commit(&mut |graph, model| {
+        for v in model.live() {
+            if model.nodes[v as usize].is_some_and(|(label, _)| label == "b") {
+                delete(graph, model, v as usize);
+            }
+        }
+        let b_label = graph.interner().get("b").unwrap();
+        assert!(graph.nodes_with_label(b_label).is_empty());
+    });
+    commit(&mut |graph, model| {
+        graph.insert_node("b", Value::Int(7));
+        model.nodes.push(Some(("b", 7)));
+    });
+
+    let last = &versions.last().unwrap().0;
+    assert!(
+        last.chunks_copied() >= versions.len() as u64 - 1,
+        "every commit wrote to a chunk its base still shared"
+    );
+    for (version, (graph, model)) in versions.iter().enumerate() {
+        let ctx = format!("pinned version {version}");
+        assert_reads_like(graph, model, &ctx);
+        assert_buckets_match_a_fresh_build(graph, model, &ctx);
+    }
 }

@@ -32,7 +32,7 @@
 //! results for subgraph and simulation queries.
 
 use bgpq_access::AccessIndexSet;
-use bgpq_graph::{Graph, NodeId};
+use bgpq_graph::{Graph, LabelNodes, NodeId};
 use bgpq_pattern::{Pattern, PatternNodeId};
 
 /// Which query semantics the candidate sets must stay sound for.
@@ -91,7 +91,7 @@ pub fn seeded_candidates_with_stats(
         if let Some(id) = indices.find_global(pattern.label(u)) {
             let index = indices.get(id).expect("id from find_global");
             cand[u.index()] =
-                filter_by_predicate(pattern, graph, u, index.global_nodes(), &mut stats);
+                filter_by_predicate(pattern, graph, u, index.global_nodes().into(), &mut stats);
             known[u.index()] = true;
         }
     }
@@ -182,7 +182,13 @@ fn try_narrow(
         let mut seen = bgpq_graph::NodeBitSet::with_capacity(graph.node_count());
         bgpq_graph::bitset::dedup_with_bitset(&mut out, &mut seen);
         out.sort_unstable();
-        return Some(filter_by_predicate(pattern, graph, u, &out, stats));
+        return Some(filter_by_predicate(
+            pattern,
+            graph,
+            u,
+            out[..].into(),
+            stats,
+        ));
     }
     None
 }
@@ -247,7 +253,7 @@ fn filter_by_predicate(
     pattern: &Pattern,
     graph: &Graph,
     u: PatternNodeId,
-    nodes: &[NodeId],
+    nodes: LabelNodes<'_>,
     stats: &mut SeedStats,
 ) -> Vec<NodeId> {
     let kept: Vec<NodeId> = nodes

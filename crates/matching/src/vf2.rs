@@ -451,7 +451,9 @@ mod tests {
         let g = movie_graph(3);
         let q = movie_pattern(&g);
         // Restrict the movie node to a single data node.
-        let movie_nodes = g.nodes_with_label(g.interner().get("movie").unwrap());
+        let movie_nodes = g
+            .nodes_with_label(g.interner().get("movie").unwrap())
+            .to_vec();
         let actors = g.nodes_with_label(g.interner().get("actor").unwrap());
         let actresses = g.nodes_with_label(g.interner().get("actress").unwrap());
         let candidates = vec![vec![movie_nodes[0]], actors.to_vec(), actresses.to_vec()];

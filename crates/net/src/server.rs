@@ -875,6 +875,29 @@ fn histogram_json(hist: &LatencyHistogram) -> Json {
     ])
 }
 
+/// The writer's lifetime totals: where commit time went, phase by phase,
+/// and what the commits copied.
+fn commit_json(server: &bgpq_serve::ServerStats) -> Json {
+    let micros = |nanos: u64| Json::Int((nanos / 1_000) as i64);
+    Json::obj([
+        ("deltas", Json::Int(server.deltas_applied as i64)),
+        ("pages_copied", Json::Int(server.pages_copied as i64)),
+        ("shards_copied", Json::Int(server.shards_copied as i64)),
+        ("chunks_copied", Json::Int(server.chunks_copied as i64)),
+        (
+            "total_us",
+            Json::obj([
+                ("clone", micros(server.clone_nanos)),
+                ("replay", micros(server.replay_nanos)),
+                ("maintain", micros(server.delta_apply_nanos)),
+                ("publish", micros(server.publish_nanos)),
+                ("retire", micros(server.retire_nanos)),
+                ("commit", micros(server.commit_nanos)),
+            ]),
+        ),
+    ])
+}
+
 fn stats_json(shared: &Shared) -> Json {
     let gate = shared.gate.stats();
     let server = shared.server.stats();
@@ -953,6 +976,7 @@ fn stats_json(shared: &Shared) -> Json {
                 ),
                 ("latency_us", latency),
                 ("phases_us", phases),
+                ("commit", commit_json(&server)),
             ]),
         ),
         ("clients", clients),

@@ -532,6 +532,20 @@ fn committed_updates_are_visible_to_later_queries() {
     let after = client.query(&QuerySpec::new(YEAR_QUERY)).unwrap();
     assert_eq!(after.header.snapshot_version, summary.version);
     assert_eq!(after.header.total, before.header.total + 1);
+
+    // The `stats` document says what that commit copied and where its time
+    // went, phase by phase.
+    let stats = client.stats().expect("stats document");
+    let commit = stats.get("server").and_then(|s| s.get("commit")).unwrap();
+    let count = |name: &str| commit.get(name).and_then(|v| v.as_u64());
+    assert_eq!(count("deltas"), Some(4));
+    assert_eq!(count("chunks_copied"), Some(2), "a movie and an actor");
+    assert!(count("pages_copied") > Some(0) && count("shards_copied") > Some(0));
+    let totals = commit.get("total_us").expect("phase totals");
+    let micros = |phase: &str| totals.get(phase).and_then(|v| v.as_u64());
+    let phases = ["clone", "replay", "maintain", "publish", "retire"];
+    let accounted: u64 = phases.iter().map(|p| micros(p).expect(p)).sum();
+    assert!(accounted <= micros("commit").expect("whole commit"));
     client.goodbye().unwrap();
     assert!(handle.shutdown());
 }

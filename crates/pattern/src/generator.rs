@@ -254,10 +254,11 @@ impl WorkloadGenerator {
                 Some(nodes) if i < nodes.len() => graph.value(nodes[i]).clone(),
                 _ => {
                     let candidates = graph.nodes_with_label(pattern.label(u));
-                    match self.rng.choose(candidates) {
-                        Some(&v) => graph.value(v).clone(),
-                        None => Value::Null,
-                    }
+                    let pick = match candidates.len() {
+                        0 => None,
+                        len => candidates.iter().nth(self.rng.random_range(0..len)),
+                    };
+                    pick.map_or(Value::Null, |&v| graph.value(v).clone())
                 }
             };
             if value.is_null() {

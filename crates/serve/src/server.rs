@@ -68,16 +68,34 @@ pub struct CommitReceipt {
     /// Nanoseconds for the whole commit: sharing the base snapshot's graph
     /// and indices (reference-count bumps), mutation replay and incremental
     /// maintenance (each copying only the pages and shards it writes to),
-    /// and the pointer swap.
+    /// the pointer swap, and retiring the superseded snapshot. The five
+    /// phase timers below plus `delta_apply_nanos` account for it, up to
+    /// building the next engine.
     pub commit_nanos: u64,
+    /// Nanoseconds cloning the base snapshot's graph and indices: one
+    /// reference-count bump per group of 64 pages, per label-table group
+    /// and per constraint.
+    pub clone_nanos: u64,
+    /// Nanoseconds replaying the batch as graph mutations on the clone.
+    pub replay_nanos: u64,
+    /// Nanoseconds the snapshot pointer's write lock was held — the only
+    /// span during which [`Server::snapshot`] can wait.
+    pub publish_nanos: u64,
+    /// Nanoseconds dropping the superseded snapshot after the lock was
+    /// released. When no reader pins it this frees what the commit
+    /// replaced; otherwise it is one decrement and the last reader pays.
+    pub retire_nanos: u64,
     /// Pages of the graph's per-node storage this commit copied because the
     /// base snapshot still shared them
     /// ([`Graph::pages_copied`](bgpq_graph::Graph::pages_copied)).
     pub pages_copied: u64,
     /// Index shards this commit copied, for the same reason
-    /// ([`AccessIndexSet::shards_copied`]). Both counts follow `|ΔG|`, not
-    /// `|G|`.
+    /// ([`AccessIndexSet::shards_copied`]).
     pub shards_copied: u64,
+    /// Label-bucket chunks this commit copied, for the same reason
+    /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)). All
+    /// three counts follow `|ΔG|`, not `|G|`.
+    pub chunks_copied: u64,
 }
 
 /// Writer-side lifetime counters of a [`Server`].
@@ -96,13 +114,24 @@ pub struct ServerStats {
     pub contributions_refreshed: u64,
     /// Total nanoseconds spent in incremental index maintenance.
     pub delta_apply_nanos: u64,
-    /// Total nanoseconds spent in whole commits (share + replay +
-    /// maintenance + publish).
+    /// Total nanoseconds spent in whole commits (clone + replay +
+    /// maintenance + publish + retire).
     pub commit_nanos: u64,
+    /// Total nanoseconds cloning base snapshots
+    /// ([`CommitReceipt::clone_nanos`]).
+    pub clone_nanos: u64,
+    /// Total nanoseconds replaying update batches.
+    pub replay_nanos: u64,
+    /// Total nanoseconds the snapshot pointer's write lock was held.
+    pub publish_nanos: u64,
+    /// Total nanoseconds retiring superseded snapshots.
+    pub retire_nanos: u64,
     /// Graph storage pages copied on write across all commits.
     pub pages_copied: u64,
     /// Index shards copied on write across all commits.
     pub shards_copied: u64,
+    /// Label-bucket chunks copied on write across all commits.
+    pub chunks_copied: u64,
 }
 
 /// A multi-threaded serving frontend over one logical graph.
@@ -120,15 +149,19 @@ pub struct ServerStats {
 ///   node) aborts the whole batch with no published change.
 /// * **A commit costs `O(|ΔG|)`, not `O(|G|)`.** Graph and index storage
 ///   are structurally shared between snapshots: a commit clones the current
-///   graph and indices (reference-count bumps, one per storage page, per
-///   label bucket and per constraint), applies the batch as graph
-///   mutations, and repairs the clone's indices with [`apply_deltas`]. Each
-///   write copies only the page, adjacency row or index shard it lands in
-///   ([`CommitReceipt::pages_copied`], [`CommitReceipt::shards_copied`]);
-///   everything else stays shared with the snapshots readers still pin, and
-///   dropping a superseded snapshot frees only what its successor replaced.
-///   What still grows with `|G|`: the label bucket of an inserted or
-///   deleted node is copied whole (4 bytes per node of that label).
+///   graph and indices (reference-count bumps, one per group of 64 storage
+///   pages and per constraint), applies the batch as graph mutations, and
+///   repairs the clone's indices with [`apply_deltas`]. Each write copies
+///   only the page, adjacency row, label-bucket chunk or index shard it
+///   lands in ([`CommitReceipt::pages_copied`],
+///   [`CommitReceipt::chunks_copied`], [`CommitReceipt::shards_copied`])
+///   plus its group of 64 pointers; everything else stays shared with the
+///   snapshots readers still pin, and dropping a superseded snapshot —
+///   after the pointer swap, outside its lock — frees only what its
+///   successor replaced. What still follows `|G|`: `|V| / 16 384`
+///   reference counts per per-node array on the clone and again on the
+///   retire (183 each at 3.0M nodes), and a hub's own adjacency row is
+///   rewritten when an edge lands on it.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedPlanCache`] *and* one [`SharedFragmentCache`]; slots are keyed
 ///   by snapshot version, so a commit that changes index coverage or graph
@@ -169,8 +202,13 @@ pub struct Server {
     nodes_touched: AtomicU64,
     contributions_refreshed: AtomicU64,
     delta_apply_nanos: AtomicU64,
+    clone_nanos: AtomicU64,
+    replay_nanos: AtomicU64,
+    publish_nanos: AtomicU64,
+    retire_nanos: AtomicU64,
     pages_copied: AtomicU64,
     shards_copied: AtomicU64,
+    chunks_copied: AtomicU64,
 }
 
 impl Server {
@@ -199,8 +237,13 @@ impl Server {
             nodes_touched: AtomicU64::new(0),
             contributions_refreshed: AtomicU64::new(0),
             delta_apply_nanos: AtomicU64::new(0),
+            clone_nanos: AtomicU64::new(0),
+            replay_nanos: AtomicU64::new(0),
+            publish_nanos: AtomicU64::new(0),
+            retire_nanos: AtomicU64::new(0),
             pages_copied: AtomicU64::new(0),
             shards_copied: AtomicU64::new(0),
+            chunks_copied: AtomicU64::new(0),
         }
     }
 
@@ -275,7 +318,9 @@ impl Server {
         let base = self.snapshot();
         let mut graph = base.graph().clone();
         let mut indices = base.indices().clone();
+        let clone_nanos = commit_started.elapsed().as_nanos() as u64;
 
+        let started = Instant::now();
         let mut deltas: Vec<GraphDelta> = Vec::with_capacity(updates.len());
         let mut new_nodes = Vec::new();
         for update in updates {
@@ -304,11 +349,14 @@ impl Server {
             }
         }
 
+        let replay_nanos = started.elapsed().as_nanos() as u64;
+
         let started = Instant::now();
         let maintenance = apply_deltas(&mut indices, &graph, &deltas);
         let delta_apply_nanos = started.elapsed().as_nanos() as u64;
         let pages_copied = graph.pages_copied() - base.graph().pages_copied();
         let shards_copied = indices.shards_copied() - base.indices().shards_copied();
+        let chunks_copied = graph.chunks_copied() - base.graph().chunks_copied();
 
         let version = base.version() + 1;
         let engine = Engine::with_caches_at_version(
@@ -319,24 +367,42 @@ impl Server {
             self.fragments.clone(),
         );
         let next = Arc::new(Snapshot::new(engine));
-        *self.current.write().expect("snapshot pointer poisoned") = next;
+
+        // Swap under the lock, tear down outside it: readers wait for a
+        // pointer store, never for the superseded snapshot's teardown.
+        let started = Instant::now();
+        let retired = {
+            let mut current = self.current.write().expect("snapshot pointer poisoned");
+            std::mem::replace(&mut *current, next)
+        };
+        let publish_nanos = started.elapsed().as_nanos() as u64;
+
+        let started = Instant::now();
+        drop(base);
+        drop(retired);
+        let retire_nanos = started.elapsed().as_nanos() as u64;
         let commit_nanos = commit_started.elapsed().as_nanos() as u64;
 
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.deltas_applied
-            .fetch_add(deltas.len() as u64, Ordering::Relaxed);
-        self.nodes_touched
-            .fetch_add(maintenance.touched_nodes as u64, Ordering::Relaxed);
-        self.contributions_refreshed.fetch_add(
-            maintenance.refreshed_contributions as u64,
-            Ordering::Relaxed,
-        );
-        self.delta_apply_nanos
-            .fetch_add(delta_apply_nanos, Ordering::Relaxed);
-        self.commit_nanos.fetch_add(commit_nanos, Ordering::Relaxed);
-        self.pages_copied.fetch_add(pages_copied, Ordering::Relaxed);
-        self.shards_copied
-            .fetch_add(shards_copied, Ordering::Relaxed);
+        for (total, amount) in [
+            (&self.commits, 1),
+            (&self.deltas_applied, deltas.len() as u64),
+            (&self.nodes_touched, maintenance.touched_nodes as u64),
+            (
+                &self.contributions_refreshed,
+                maintenance.refreshed_contributions as u64,
+            ),
+            (&self.delta_apply_nanos, delta_apply_nanos),
+            (&self.commit_nanos, commit_nanos),
+            (&self.clone_nanos, clone_nanos),
+            (&self.replay_nanos, replay_nanos),
+            (&self.publish_nanos, publish_nanos),
+            (&self.retire_nanos, retire_nanos),
+            (&self.pages_copied, pages_copied),
+            (&self.shards_copied, shards_copied),
+            (&self.chunks_copied, chunks_copied),
+        ] {
+            total.fetch_add(amount, Ordering::Relaxed);
+        }
 
         Ok(CommitReceipt {
             version,
@@ -345,8 +411,13 @@ impl Server {
             maintenance,
             delta_apply_nanos,
             commit_nanos,
+            clone_nanos,
+            replay_nanos,
+            publish_nanos,
+            retire_nanos,
             pages_copied,
             shards_copied,
+            chunks_copied,
         })
     }
 
@@ -360,8 +431,13 @@ impl Server {
             contributions_refreshed: self.contributions_refreshed.load(Ordering::Relaxed),
             delta_apply_nanos: self.delta_apply_nanos.load(Ordering::Relaxed),
             commit_nanos: self.commit_nanos.load(Ordering::Relaxed),
+            clone_nanos: self.clone_nanos.load(Ordering::Relaxed),
+            replay_nanos: self.replay_nanos.load(Ordering::Relaxed),
+            publish_nanos: self.publish_nanos.load(Ordering::Relaxed),
+            retire_nanos: self.retire_nanos.load(Ordering::Relaxed),
             pages_copied: self.pages_copied.load(Ordering::Relaxed),
             shards_copied: self.shards_copied.load(Ordering::Relaxed),
+            chunks_copied: self.chunks_copied.load(Ordering::Relaxed),
         }
     }
 }
@@ -477,6 +553,35 @@ mod tests {
         let snapshot = server.snapshot();
         let direct = SubgraphMatcher::new(request.pattern(), snapshot.graph()).find_all();
         assert_eq!(after.answer.as_matches(), Some(&direct));
+    }
+
+    #[test]
+    fn the_receipt_accounts_for_the_commit_phase_by_phase() {
+        let (g, schema) = fixture();
+        let server = Server::new(g, &schema);
+        let add_movie = [Update::AddNode {
+            label: "movie".into(),
+            value: Value::Null,
+        }];
+        let pinned = server.snapshot();
+        let first = server.commit(&add_movie).unwrap();
+        let second = server.commit(&add_movie).unwrap();
+        for receipt in [&first, &second] {
+            let phases = receipt.clone_nanos
+                + receipt.replay_nanos
+                + receipt.delta_apply_nanos
+                + receipt.publish_nanos
+                + receipt.retire_nanos;
+            assert!(phases > 0 && phases <= receipt.commit_nanos);
+            assert_eq!(receipt.chunks_copied, 1, "the movie bucket's one chunk");
+        }
+        // The pinned version 0 outlives both retires, untouched.
+        assert_eq!((pinned.version(), pinned.graph().node_count()), (0, 4));
+        let stats = server.stats();
+        assert_eq!(stats.chunks_copied, 2);
+        assert_eq!(stats.retire_nanos, first.retire_nanos + second.retire_nanos);
+        assert_eq!(stats.clone_nanos, first.clone_nanos + second.clone_nanos);
+        assert_eq!(stats.commit_nanos, first.commit_nanos + second.commit_nanos);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use bgpq_graph::Graph;
 /// Snapshots are immutable and shared behind `Arc`: a reader that pinned one
 /// keeps evaluating against a consistent graph/index pair even while the
 /// writer publishes newer versions. Successive snapshots share storage —
-/// graph pages, adjacency rows, label buckets, whole constraint indices and
+/// graph pages, adjacency rows, label-bucket chunks, whole constraint indices and
 /// the shards inside them — and differ only in what a commit wrote, so
 /// keeping an old version pinned costs the memory of its differences, and
 /// dropping it frees exactly those. The engine's plan cache is shared across

@@ -13,17 +13,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "USAGE: bgpq serve <dataset|--snapshot FILE> [--host ADDR] [--port N]
-                     [--workers N] [--max-in-flight N] [--read-timeout-ms N]
-                     [--max-frame-bytes N] [--steps-per-ms N] [--name ID]
-                     [--drain-after-ms N] [--schema FILE] [discovery flags]
+                     [--max-in-flight N] [--read-timeout-ms N] [--max-frame-bytes N]
+                     [--steps-per-ms N] [--name ID] [--drain-after-ms N]
+                     [--schema FILE] [discovery flags]
                      [--format text|jsonl|edges|snapshot] [--label NAME]
 
 Loads the dataset into the epoch-versioned server and listens for bgpq-net
 protocol connections (`bgpq client`, see docs/PROTOCOL.md). Queries and
 updates pass an admission gate capped at --max-in-flight concurrent
-requests; beyond it clients get a typed `overloaded` rejection with a
-retry-after hint (--max-in-flight 0 rejects everything — out-of-rotation
-mode). --port 0 picks a free port, printed on the `listening on` line.
+requests, each running on its own session thread; beyond it clients get a
+typed `overloaded` rejection with a retry-after hint (--max-in-flight 0
+rejects everything — out-of-rotation mode). --port 0 picks a free port,
+printed on the `listening on` line.
 --steps-per-ms calibrates how client deadlines map onto deterministic step
 budgets. By default the server runs until killed; --drain-after-ms N
 drains gracefully after N ms and exits (in-flight queries finish, new ones
@@ -38,7 +39,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "snapshot",
         "host",
         "port",
-        "workers",
         "max-in-flight",
         "read-timeout-ms",
         "max-frame-bytes",
@@ -55,7 +55,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let (path, format) = dataset_source(&args)?;
     let host = args.flag("host").unwrap_or("127.0.0.1");
     let port: u16 = args.flag_or("port", 0u16)?;
-    let workers: usize = args.flag_or("workers", 2usize)?;
     let max_in_flight: usize = args.flag_or("max-in-flight", 8usize)?;
     let read_timeout_ms: u64 = args.flag_or("read-timeout-ms", 0u64)?;
     let max_frame_bytes: u32 = args.flag_or("max-frame-bytes", DEFAULT_MAX_FRAME_BYTES)?;
@@ -98,7 +97,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 
     let config = NetServerConfig {
         addr: format!("{host}:{port}"),
-        workers: workers.max(1),
         max_in_flight,
         max_frame_bytes,
         read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
@@ -123,9 +121,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     )?;
     writeln!(
         out,
-        "listening on {} (workers {}, max in-flight {})",
+        "listening on {} (max in-flight {})",
         handle.local_addr(),
-        workers.max(1),
         max_in_flight
     )?;
     out.flush()?;

@@ -206,9 +206,10 @@ fn bad_invocations_fail_cleanly() {
     let help = stdout_of(&["help"]);
     assert!(help.contains("USAGE"));
 
-    // Flags of the removed partitioned and batched execution paths are
-    // refused by name, never silently ignored.
-    let removed: [(&[&str], &str); 10] = [
+    // Flags of the removed partitioned and batched execution paths, and of
+    // the worker pool `serve` no longer has, are refused by name, never
+    // silently ignored.
+    let removed: [(&[&str], &str); 11] = [
         (&["query", "data/social.tsv"], "--partitions"),
         (&["query", "data/social.tsv"], "--threads"),
         (&["query", "data/social.tsv"], "--scheme"),
@@ -218,6 +219,7 @@ fn bad_invocations_fail_cleanly() {
         (&["serve", "data/social.tsv"], "--partitions"),
         (&["serve", "data/social.tsv"], "--threads"),
         (&["serve", "data/social.tsv"], "--scheme"),
+        (&["serve", "data/social.tsv"], "--workers"),
         (&["client", "--addr", "127.0.0.1:1"], "--batch"),
     ];
     for (command, flag) in removed {

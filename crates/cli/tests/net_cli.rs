@@ -3,12 +3,12 @@
 //!
 //! For every checked-in scenario dataset and pattern, under both
 //! semantics, the answer printed by `bgpq client` (pattern text → TCP →
-//! admission gate → worker pool → streamed frames → shared renderer) must
-//! be byte-identical to `bgpq query` evaluating the same compiled snapshot
-//! locally — the `strategy:`/`answer:`/`bound:` block and the explain
-//! lines, everything except the timing line. Plus the operational paths:
-//! a zero-capacity server rejects with `overloaded`, and `--drain-after-ms`
-//! exits with the drain report.
+//! admission gate → engine, on the session thread → streamed frames →
+//! shared renderer) must be byte-identical to `bgpq query` evaluating the
+//! same compiled snapshot locally — the `strategy:`/`answer:`/`bound:`
+//! block and the explain lines, everything except the timing line. Plus
+//! the operational paths: a zero-capacity server rejects with
+//! `overloaded`, and `--drain-after-ms` exits with the drain report.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};

@@ -45,6 +45,7 @@
 //! re-execution at the new version instead of requiring an eager sweep.
 
 use bgpq_core::{CandidateSet, PlanError, QueryPlan, Semantics};
+use bgpq_graph::ArenaPool;
 use bgpq_pattern::PatternFingerprint;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -63,6 +64,37 @@ pub(crate) type FragmentEntry = Arc<CandidateSet>;
 struct Slot<V> {
     outcome: V,
     last_used: u64,
+}
+
+/// What the engines of one serving chain share across snapshot versions:
+/// both caches and the scratch arenas. A serving layer creates one value,
+/// keeps it, and hands a clone (three reference-count bumps) to
+/// [`Engine::with_shared_at_version`](crate::Engine::with_shared_at_version)
+/// for every snapshot it publishes: cache entries are keyed by version, so
+/// sharing never serves a stale one, and the arenas warmed by one version's
+/// queries serve the next version's instead of being dropped with the
+/// superseded engine. [`Default`] gives default-capacity caches and one
+/// arena slot per available core.
+#[derive(Debug, Clone)]
+pub struct SharedResources {
+    /// Memoized planning outcomes.
+    pub plans: SharedPlanCache,
+    /// Memoized fetched candidate sets.
+    pub fragments: SharedFragmentCache,
+    /// Fragment-construction arenas, one checked out per in-flight bounded
+    /// execution — of whichever version.
+    pub arenas: Arc<ArenaPool>,
+}
+
+impl Default for SharedResources {
+    fn default() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        SharedResources {
+            plans: SharedPlanCache::default(),
+            fragments: SharedFragmentCache::default(),
+            arenas: Arc::new(ArenaPool::new(cores)),
+        }
+    }
 }
 
 /// A bounded least-recently-used cache of versioned outcomes.
@@ -84,7 +116,7 @@ pub(crate) type PlanCache = VersionedCache<PlanOutcome>;
 pub(crate) type FragmentCache = VersionedCache<FragmentEntry>;
 
 /// A plan cache that can be shared by the engines of successive graph
-/// snapshots (see [`Engine::with_indices_at_version`](crate::Engine::with_indices_at_version)).
+/// snapshots (see [`SharedResources`]).
 ///
 /// Cloning is cheap and shares the underlying cache. Entries are validated
 /// against the probing engine's snapshot version, so sharing never serves a

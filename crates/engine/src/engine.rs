@@ -1,6 +1,8 @@
 //! The session-oriented engine.
 
-use crate::cache::{FragmentEntry, PlanOutcome, SharedFragmentCache, SharedPlanCache};
+use crate::cache::{
+    FragmentEntry, PlanOutcome, SharedFragmentCache, SharedPlanCache, SharedResources,
+};
 use crate::error::BgpqError;
 use crate::request::QueryRequest;
 use crate::response::{Explain, QueryAnswer, QueryResponse};
@@ -101,10 +103,11 @@ pub struct Engine {
     /// bounded query reuses its fragment instead of re-issuing lookups.
     fragments: SharedFragmentCache,
     /// Pool of fragment-construction arenas, one checked out per in-flight
-    /// bounded execution; buffers are reused across queries so steady-state
-    /// fragment builds allocate nothing. A busy slot is skipped, never
-    /// shared, so two concurrent executions can never alias an arena.
-    scratch: ArenaPool,
+    /// bounded execution; buffers are reused across queries — and, in a
+    /// serving chain, across versions — so steady-state fragment builds
+    /// allocate nothing. A busy slot is skipped, never shared, so two
+    /// concurrent executions can never alias an arena.
+    scratch: Arc<ArenaPool>,
     queries: AtomicU64,
     bounded_runs: AtomicU64,
     fallbacks: AtomicU64,
@@ -119,61 +122,41 @@ impl Engine {
     }
 
     /// Creates an engine from pre-built indices (e.g. indices maintained
-    /// incrementally by `bgpq_access::maintenance` across graph updates).
+    /// incrementally by `bgpq_access::maintenance` across graph updates),
+    /// with caches and arenas of its own.
     pub fn with_indices(graph: bgpq_graph::Graph, indices: AccessIndexSet) -> Self {
-        Self::with_indices_at_version(
+        Self::with_shared_at_version(
             graph,
             indices,
             INITIAL_SNAPSHOT_VERSION,
-            SharedPlanCache::default(),
+            SharedResources::default(),
         )
     }
 
     /// Creates the engine of one **graph snapshot** in a serving chain: the
-    /// graph and indices as of `version`, plus a plan cache shared with the
-    /// engines of the other snapshots. Cached plans (and unbounded verdicts)
-    /// are keyed by snapshot version, so a version bump — which may change
-    /// the schema's index coverage — makes them re-derive instead of being
-    /// served stale, while engines of different versions coexist in the
-    /// shared cache. The fragment cache is private to this engine; serving
-    /// chains that want fragment reuse across snapshots use
-    /// [`Engine::with_caches_at_version`].
-    pub fn with_indices_at_version(
+    /// graph and indices as of `version`, plus the [`SharedResources`] it
+    /// has in common with the engines of the other snapshots. Cached plans
+    /// (and unbounded verdicts) and cached fragments are keyed by snapshot
+    /// version, so a version bump — which may change the schema's index
+    /// coverage or the graph region a fragment was fetched from — makes
+    /// them re-derive instead of being served stale, newer versions retire
+    /// strictly-older entries, and engines of different versions coexist in
+    /// the shared caches. The arena pool hands every in-flight execution of
+    /// any version an arena of its own.
+    pub fn with_shared_at_version(
         graph: bgpq_graph::Graph,
         indices: AccessIndexSet,
         version: u64,
-        cache: SharedPlanCache,
-    ) -> Self {
-        Self::with_caches_at_version(
-            graph,
-            indices,
-            version,
-            cache,
-            SharedFragmentCache::default(),
-        )
-    }
-
-    /// [`Engine::with_indices_at_version`] with an explicitly shared
-    /// fragment cache as well: the serving layer hands the same
-    /// [`SharedFragmentCache`] to the engines of successive snapshots, so
-    /// commit-time invalidation (newer versions retiring strictly-older
-    /// entries) and pinned-reader coexistence work for cached fragments
-    /// exactly as they do for cached plans.
-    pub fn with_caches_at_version(
-        graph: bgpq_graph::Graph,
-        indices: AccessIndexSet,
-        version: u64,
-        cache: SharedPlanCache,
-        fragments: SharedFragmentCache,
+        shared: SharedResources,
     ) -> Self {
         Engine {
             graph,
             indices,
             version,
             strategies: vec![Box::new(Bounded), Box::new(IndexSeeded), Box::new(Baseline)],
-            cache,
-            fragments,
-            scratch: ArenaPool::new(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            cache: shared.plans,
+            fragments: shared.fragments,
+            scratch: shared.arenas,
             queries: AtomicU64::new(0),
             bounded_runs: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -226,8 +209,9 @@ impl Engine {
     }
 
     /// The engine's scratch-arena pool; executions check an arena out
-    /// through [`ArenaPool::with_any`].
-    pub fn arena_pool(&self) -> &ArenaPool {
+    /// through [`ArenaPool::with_any`]. Engines built from one
+    /// [`SharedResources`] return the same pool.
+    pub fn arena_pool(&self) -> &Arc<ArenaPool> {
         &self.scratch
     }
 

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod strategy;
 
 pub use budget::BudgetPolicy;
-pub use cache::{SharedFragmentCache, SharedPlanCache};
+pub use cache::{SharedFragmentCache, SharedPlanCache, SharedResources};
 pub use engine::{
     Engine, DEFAULT_FRAGMENT_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY, INITIAL_SNAPSHOT_VERSION,
 };

@@ -340,21 +340,23 @@ fn truncated_indices_agree_across_strategies() {
 /// capacities force eviction and version churn to interact.
 #[test]
 fn cached_answers_agree_across_interleaved_commits() {
-    use bgpq_engine::{SharedFragmentCache, SharedPlanCache};
+    use bgpq_engine::{SharedFragmentCache, SharedPlanCache, SharedResources};
     for seed in [7u64, 21, 42, 63, 84] {
         let mut rng = DetRng::seed_from_u64(seed);
         let mut graph = random_graph(&mut rng);
-        let cache = SharedPlanCache::with_capacity(8);
-        let fragments = SharedFragmentCache::with_capacity(8);
+        let shared = SharedResources {
+            plans: SharedPlanCache::with_capacity(8),
+            fragments: SharedFragmentCache::with_capacity(8),
+            ..SharedResources::default()
+        };
         for version in 0..4u64 {
             let schema = discover_schema(&graph, &DiscoveryConfig::default());
             let indices = AccessIndexSet::build(&graph, &schema);
-            let engine = Engine::with_caches_at_version(
+            let engine = Engine::with_shared_at_version(
                 graph.clone(),
                 indices.clone(),
                 version,
-                cache.clone(),
-                fragments.clone(),
+                shared.clone(),
             );
             let uncached = Engine::with_indices(graph.clone(), indices.clone())
                 .with_plan_cache_capacity(0)

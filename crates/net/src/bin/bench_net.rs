@@ -15,10 +15,13 @@
 //!
 //! Besides the tiers the report carries `bytes_in_per_query` (what one
 //! answer costs a client on the wire) and `layers`: the server's own
-//! per-phase histograms (parse, queue, execute, render) read from its
-//! `stats` frame after the last tier, so a slow tier can be read as server
-//! time or as queueing in front of it. `--max-p99-ms` gates the lowest
-//! offered tier (the higher ones overload the server by design).
+//! per-phase histograms (parse, execute, render) read from its `stats`
+//! frame after the last tier, so a slow tier can be read as server time or
+//! as time spent outside it. There is no queue inside the server: a
+//! request the cores cannot run yet waits in its socket, in front of the
+//! admission gate, and shows up as its sender's lateness, not in `layers`.
+//! `--max-p99-ms` gates the lowest offered tier (the higher ones overload
+//! the server by design).
 //!
 //! Results merge into `BENCH_serve.json` under a `"tcp"` key (run
 //! `bench_serve` first for the closed-loop section, then this binary).
@@ -48,8 +51,6 @@ struct BenchConfig {
     /// Sender connections (more than `max_in_flight`, so overload tiers
     /// can actually trip the admission gate).
     connections: usize,
-    /// Worker threads of the served pool.
-    workers: usize,
     /// Admission gate capacity.
     max_in_flight: usize,
     /// Report path to merge the `"tcp"` section into.
@@ -68,7 +69,6 @@ impl BenchConfig {
                 offered: vec![100, 500, 2_000],
                 duration_ms: 200,
                 connections: 12,
-                workers: 2,
                 max_in_flight: 8,
                 out: "BENCH_serve.json".to_string(),
                 max_p99_ms: None,
@@ -79,7 +79,6 @@ impl BenchConfig {
                 offered: vec![200, 1_000, 4_000, 16_000],
                 duration_ms: 500,
                 connections: 12,
-                workers: 2,
                 max_in_flight: 8,
                 out: "BENCH_serve.json".to_string(),
                 max_p99_ms: None,
@@ -105,7 +104,6 @@ impl BenchConfig {
                     config.duration_ms = parse_num(&value_for("--duration-ms")?)? as u64
                 }
                 "--connections" => config.connections = parse_num(&value_for("--connections")?)?,
-                "--workers" => config.workers = parse_num(&value_for("--workers")?)?,
                 "--max-in-flight" => {
                     config.max_in_flight = parse_num(&value_for("--max-in-flight")?)?
                 }
@@ -251,8 +249,8 @@ fn main() {
             eprintln!("bench_net: {e}");
             eprintln!(
                 "usage: bench_net [--smoke] [--movies N] [--offered Q1,Q2,..] \
-                 [--duration-ms D] [--connections C] [--workers W] \
-                 [--max-in-flight M] [--out PATH] [--max-p99-ms X]"
+                 [--duration-ms D] [--connections C] [--max-in-flight M] \
+                 [--out PATH] [--max-p99-ms X]"
             );
             std::process::exit(2);
         }
@@ -271,7 +269,6 @@ fn main() {
     let handle = NetServer::start(
         Arc::clone(&server),
         NetServerConfig {
-            workers: config.workers,
             max_in_flight: config.max_in_flight,
             ..NetServerConfig::default()
         },
@@ -340,13 +337,12 @@ fn main() {
         .fold((0, 0), |(c, b), t| (c + t.completed, b + t.bytes_in));
     let tcp_json = format!(
         "{{\n    \"config\": {{\"movies\": {}, \"duration_ms\": {}, \"connections\": {}, \
-         \"workers\": {}, \"max_in_flight\": {}, \"cores\": {}}},\n    \
+         \"max_in_flight\": {}, \"cores\": {}}},\n    \
          \"bytes_in_per_query\": {},\n    \"layers\": {layers},\n    \
          \"tiers\": [\n{}\n    ]\n  }}",
         config.movies,
         config.duration_ms,
         config.connections,
-        config.workers,
         config.max_in_flight,
         cores,
         bytes_in / completed.max(1),
@@ -372,7 +368,8 @@ fn main() {
     std::fs::write(&config.out, &report).expect("write bench report");
     println!("report -> {} (tcp section)", config.out);
     if let Some(max) = config.max_p99_ms {
-        // Gate the lowest tier only: overload tiers queue by design.
+        // Gate the lowest tier only: the overload tiers oversubscribe the
+        // cores by design.
         let p99_ms = tiers[0].latency.quantile(0.99) as f64 / 1_000.0;
         if p99_ms > max {
             eprintln!(

@@ -11,13 +11,15 @@
 //! with latency objectives. This crate is that interface:
 //!
 //! ```text
-//!   bgpq client ──┐  length-prefixed frames        ┌────────────────────┐
-//!   bgpq client ──┼──────────── TCP ───────────────│ NetServer          │
-//!   loadgen     ──┘                                │  AdmissionGate     │
-//!                   hello → queries/updates/stats  │   ├─ admitted ─────│──► WorkerPool
-//!                   ◄─ streamed answers / errors   │   └─ overloaded /  │    (pinned
-//!                                                  │      draining ──► typed  snapshots)
-//!                                                  └────────── reject ──┘
+//!   bgpq client ──┐  length-prefixed frames        ┌─────────────────────────┐
+//!   bgpq client ──┼──────────── TCP ───────────────│ NetServer               │
+//!   loadgen     ──┘                                │  one thread per session │
+//!                   hello → queries/updates/stats  │  AdmissionGate          │
+//!                   ◄─ streamed answers / errors   │   ├─ admitted ► pin a snapshot,
+//!                                                  │   │   execute and render in place
+//!                                                  │   └─ overloaded / draining
+//!                                                  │        ► typed reject   │
+//!                                                  └─────────────────────────┘
 //! ```
 //!
 //! * [`frame`] — the byte layer: 4-byte big-endian length + payload
@@ -32,10 +34,12 @@
 //!   a dictionary of the distinct matched nodes, and the borrowed
 //!   [`MatchTable`] / [`Binding`] views a client reads them through.
 //! * [`server`] — [`NetServer`]: per-connection sessions in front of
-//!   [`bgpq_serve::Server`]/[`bgpq_serve::WorkerPool`], bounded in-flight
-//!   admission with `overloaded` backpressure, wall-clock deadlines mapped
-//!   onto deterministic step budgets, graceful drain, and per-client /
-//!   per-server counters with log-bucketed latency percentiles.
+//!   [`bgpq_serve::Server`], each running its admitted queries on its own
+//!   thread against a pinned snapshot; bounded in-flight admission with
+//!   `overloaded` backpressure, wall-clock deadlines mapped onto
+//!   deterministic step budgets, graceful drain, engine panics contained to
+//!   the request, and per-client / per-server counters with log-bucketed
+//!   latency percentiles.
 //! * [`client`] — [`Client`]: the blocking counterpart used by the
 //!   `bgpq serve` / `bgpq client` CLI subcommands and the benchmarks.
 //!

@@ -211,15 +211,13 @@ pub struct WireStats {
     pub fragment_nodes: Option<u64>,
     /// The plan's worst-case node bound, when the pattern was bounded.
     pub worst_case_nodes: Option<u64>,
-    /// Server span, phase 1: from the request frame's arrival to the job's
-    /// submission — request decode, admission, snapshot pin, pattern parse.
+    /// Server span, phase 1: from the request frame's arrival to the engine
+    /// call — request decode, admission, snapshot pin, pattern parse.
     pub parse_nanos: u64,
-    /// Server span, phase 2: what the pool round trip cost beyond the
-    /// engine's own time — queue wait and the two channel hops.
-    pub queue_nanos: u64,
-    /// Server span, phase 3: the engine's execution as the session saw it.
+    /// Server span, phase 2: the engine's execution, on the session thread
+    /// (equal to `total_nanos`; there is no queue in front of it).
     pub execute_nanos: u64,
-    /// Server span, phase 4: encoding the header and the row blocks, up to
+    /// Server span, phase 3: encoding the header and the row blocks, up to
     /// the moment this frame is sealed (the socket write that carries the
     /// reply follows it and is counted in the `stats` document only).
     pub render_nanos: u64,
@@ -647,7 +645,6 @@ impl Response {
                                 opt_u64_json(done.stats.worst_case_nodes),
                             ),
                             ("parse_nanos", Json::Int(done.stats.parse_nanos as i64)),
-                            ("queue_nanos", Json::Int(done.stats.queue_nanos as i64)),
                             ("execute_nanos", Json::Int(done.stats.execute_nanos as i64)),
                             ("render_nanos", Json::Int(done.stats.render_nanos as i64)),
                         ]),
@@ -747,7 +744,6 @@ impl Response {
                         fragment_nodes: opt_u64(stats, "fragment_nodes")?,
                         worst_case_nodes: opt_u64(stats, "worst_case_nodes")?,
                         parse_nanos: req_u64(stats, "parse_nanos")?,
-                        queue_nanos: req_u64(stats, "queue_nanos")?,
                         execute_nanos: req_u64(stats, "execute_nanos")?,
                         render_nanos: req_u64(stats, "render_nanos")?,
                     },
@@ -903,7 +899,6 @@ mod tests {
                 fragment_nodes: Some(9),
                 worst_case_nodes: None,
                 parse_nanos: 7,
-                queue_nanos: 8,
                 execute_nanos: 9,
                 render_nanos: 10,
             },
@@ -944,6 +939,19 @@ mod tests {
             Request::decode("{\"type\":\"query\",\"pattern\":\"node a: x\",\"deadline_ms\":1}")
                 .unwrap();
         assert!(matches!(ok, Request::Query(spec) if spec.deadline_ms == Some(1)));
+    }
+
+    /// `done.stats` lost `queue_nanos` without a version bump: this build
+    /// never writes the field, and a frame that still carries it (a server
+    /// one build older) decodes with the field ignored.
+    #[test]
+    fn the_dropped_queue_phase_is_neither_written_nor_required() {
+        let done = Response::Done(DoneFrame::default());
+        let text = String::from_utf8(done.encode()).unwrap();
+        assert!(!text.contains("queue"), "{text}");
+        let older = text.replace("\"parse_nanos\"", "\"queue_nanos\":8,\"parse_nanos\"");
+        assert_ne!(older, text);
+        assert_eq!(Response::decode(older.as_bytes()).unwrap(), done);
     }
 
     #[test]

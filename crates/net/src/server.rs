@@ -8,18 +8,21 @@
 //! engine: beyond `max_in_flight` concurrently admitted requests the
 //! server answers `overloaded` with a retry-after hint instead of
 //! queueing, and a draining server answers `draining` while admitted work
-//! runs to completion on its pinned snapshot. Admitted queries execute on
-//! the [`WorkerPool`] against a snapshot the
-//! session pins up front, so the rendered labels and values always belong
-//! to the exact version the answer was computed on.
+//! runs to completion on its pinned snapshot. An admitted query runs where
+//! it arrived: the session thread pins a snapshot, executes on it in place
+//! and renders from the same pin, so the rendered labels and values always
+//! belong to the exact version the answer was computed on, "admitted" means
+//! "running", and `max_in_flight` is the one bound on concurrent
+//! executions. An engine panic is contained to its request: the client gets
+//! `internal`, the admission slot is freed and the session lives on.
 //!
 //! A reply sequence — `answer` header, row blocks, `done` — is encoded into
 //! one per-session buffer and handed to the socket in one write; rows go
 //! from the engine's answer straight into binary blocks
 //! ([`crate::block`]), with no per-binding strings and no JSON tree. Each
-//! request carries a fixed-size span record (parse, queue, execute,
-//! render) that lands on its `done` frame and in per-phase histograms on
-//! the `stats` document.
+//! request carries a fixed-size span record (parse, execute, render) that
+//! lands on its `done` frame and in per-phase histograms on the `stats`
+//! document.
 //!
 //! Shutdown is drain-first: [`NetServerHandle::shutdown`] stops admitting,
 //! waits for in-flight permits to drop (bounded by
@@ -32,17 +35,20 @@ use crate::proto::{
     AnswerHeader, AnswerKind, DoneFrame, ErrorCode, QuerySpec, Request, Response, WireStats,
     PROTOCOL_VERSION,
 };
-use bgpq_engine::{parse_pattern, BgpqError, BudgetPolicy, NodeId, QueryAnswer, QueryRequest};
+use bgpq_engine::{
+    parse_pattern, BgpqError, BudgetPolicy, NodeId, QueryAnswer, QueryRequest, QueryResponse,
+};
 use bgpq_graph::io::json::Json;
 use bgpq_graph::Graph;
-use bgpq_serve::{Admission, AdmissionGate, GateStats, Server, Update, WorkerPool};
+use bgpq_serve::{Admission, AdmissionGate, GateStats, Server, Snapshot, Update};
 use bgpq_workload::histogram::LatencyHistogram;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -52,10 +58,10 @@ pub struct NetServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`NetServerHandle::local_addr`]).
     pub addr: String,
-    /// Worker threads executing admitted queries.
-    pub workers: usize,
-    /// Admission cap: maximum concurrently admitted queries/updates. Zero
-    /// is legal and rejects every request (out-of-rotation mode).
+    /// Admission cap: maximum concurrently admitted queries/updates — each
+    /// runs on its own session thread, so this is also the bound on
+    /// concurrent executions. Zero is legal and rejects every request
+    /// (out-of-rotation mode).
     pub max_in_flight: usize,
     /// Per-frame size limit for incoming frames.
     pub max_frame_bytes: u32,
@@ -77,7 +83,6 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 2,
             max_in_flight: 8,
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             read_timeout: None,
@@ -97,18 +102,15 @@ struct ClientCounters {
     bytes_out: u64,
 }
 
-/// The server-side span of one request: four phase durations in
+/// The server-side span of one request: three phase durations in
 /// nanoseconds, filled in as the request moves through its session.
 /// Fixed-size and allocation-free, so it is recorded for every request.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
-    /// Frame arrival to job submission: request decode, admission,
+    /// Frame arrival to the engine call: request decode, admission,
     /// snapshot pin, pattern parse.
     parse: u64,
-    /// The pool round trip beyond the engine's own time: queue wait and
-    /// the two channel hops.
-    queue: u64,
-    /// The engine's execution.
+    /// The engine's execution, by the engine's own clock.
     execute: u64,
     /// Row render and frame write: header, blocks, `done`, the socket
     /// write (on a `done` frame: up to the moment that frame is sealed).
@@ -116,32 +118,22 @@ struct Span {
 }
 
 /// Names of the [`Span`] phases, in the order [`Timings::phases`] holds them.
-const PHASES: [&str; 4] = ["parse", "queue", "execute", "render"];
+const PHASES: [&str; 3] = ["parse", "execute", "render"];
 
 /// Whole-request latency and the per-phase breakdown, in microseconds.
 #[derive(Default)]
 struct Timings {
     latency: LatencyHistogram,
-    phases: [LatencyHistogram; 4],
+    phases: [LatencyHistogram; 3],
 }
 
 impl Timings {
     fn record(&mut self, received: Instant, span: &Span) {
         self.latency.record(received.elapsed().as_micros() as u64);
-        let nanos = [span.parse, span.queue, span.execute, span.render];
+        let nanos = [span.parse, span.execute, span.render];
         for (hist, nanos) in self.phases.iter_mut().zip(nanos) {
             hist.record(nanos / 1_000);
         }
-    }
-}
-
-impl Span {
-    /// Splits a pool round trip that began at `submitted` by the engine's
-    /// own clock: what the engine ran is `execute`, the rest is `queue`.
-    fn split_round_trip(&mut self, submitted: Instant, engine_nanos: u64) {
-        let round_trip = nanos_since(submitted);
-        self.execute = engine_nanos.min(round_trip);
-        self.queue = round_trip - self.execute;
     }
 }
 
@@ -151,7 +143,6 @@ fn nanos_since(start: Instant) -> u64 {
 
 struct Shared {
     server: Arc<Server>,
-    pool: WorkerPool,
     gate: Arc<AdmissionGate>,
     config: NetServerConfig,
     stop: AtomicBool,
@@ -179,7 +170,6 @@ impl NetServer {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            pool: WorkerPool::new(Arc::clone(&server), config.workers.max(1)),
             gate: AdmissionGate::new(config.max_in_flight),
             server,
             config,
@@ -319,15 +309,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let session = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                session_loop(Arc::clone(&shared), stream);
-                // The session's own stream is gone, but the tracked clone
-                // keeps the descriptor open — shut the socket down so the
-                // peer sees EOF, and drop the clone to free the slot.
-                let mut conns = shared.conns.lock().expect("conns poisoned");
-                if let Some(pos) = conns.iter().position(|(id, _)| *id == conn_id) {
-                    let (_, conn) = conns.swap_remove(pos);
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
+                let tracked = TrackedConn { shared, conn_id };
+                session_loop(&tracked.shared, stream);
             })
         };
         shared
@@ -335,6 +318,31 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             .lock()
             .expect("sessions poisoned")
             .push(session);
+    }
+}
+
+/// A session's entry in `Shared::conns`, released when the session ends —
+/// by returning or by unwinding. The session's own stream is gone by then,
+/// but the tracked clone keeps the descriptor open: shut the socket down so
+/// the peer sees EOF, and drop the clone to free the slot.
+struct TrackedConn {
+    shared: Arc<Shared>,
+    conn_id: u64,
+}
+
+impl Drop for TrackedConn {
+    fn drop(&mut self) {
+        // `conns` is only ever pushed to and removed from, so the list is
+        // whole even if a panic poisoned the lock.
+        let mut conns = self
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(pos) = conns.iter().position(|(id, _)| *id == self.conn_id) {
+            let (_, conn) = conns.swap_remove(pos);
+            let _ = conn.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -362,7 +370,19 @@ struct SessionOut<'a> {
     pending: ClientCounters,
 }
 
-impl SessionOut<'_> {
+impl<'a> SessionOut<'a> {
+    fn new(shared: &'a Shared, stream: TcpStream) -> Self {
+        SessionOut {
+            shared,
+            stream,
+            buf: Vec::new(),
+            ids: Vec::new(),
+            distinct: Vec::new(),
+            client: None,
+            pending: ClientCounters::default(),
+        }
+    }
+
     /// Queues one control frame.
     fn push(&mut self, response: &Response) -> std::io::Result<()> {
         if matches!(response, Response::Error { .. }) {
@@ -450,21 +470,13 @@ impl SessionOut<'_> {
     }
 }
 
-fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
+fn session_loop(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut out = SessionOut {
-        shared: &shared,
-        stream,
-        buf: Vec::new(),
-        ids: Vec::new(),
-        distinct: Vec::new(),
-        client: None,
-        pending: ClientCounters::default(),
-    };
-    run_session(&shared, &mut reader, &mut out);
+    let mut out = SessionOut::new(shared, stream);
+    run_session(shared, &mut reader, &mut out);
     out.fold();
 }
 
@@ -531,7 +543,9 @@ fn run_session(shared: &Shared, reader: &mut BufReader<TcpStream>, out: &mut Ses
                 let _ = out.send_error(ErrorCode::Protocol, "duplicate hello", None);
                 return;
             }
-            Ok(Request::Query(spec)) => handle_query(shared, out, spec, received),
+            Ok(Request::Query(spec)) => {
+                handle_query(shared, out, spec, received, Snapshot::execute)
+            }
             Ok(Request::Update(updates)) => handle_update(shared, out, &updates),
             Ok(Request::Stats) => {
                 // Fold first, so the document counts this very request.
@@ -642,7 +656,7 @@ fn map_engine_error(err: &BgpqError) -> (ErrorCode, String) {
 /// Builds the engine request for one wire spec against a pinned snapshot.
 fn build_request(
     shared: &Shared,
-    snapshot: &bgpq_serve::Snapshot,
+    snapshot: &Snapshot,
     spec: &QuerySpec,
 ) -> Result<(QueryRequest, bgpq_pattern::Pattern), (ErrorCode, String)> {
     let pattern = parse_pattern(&spec.pattern, snapshot.graph().interner().clone())
@@ -679,11 +693,17 @@ fn deadline_blamed(shared: &Shared, spec: &QuerySpec, aborted: bool) -> bool {
         })
 }
 
+/// Serves one query on the session thread that read it: admission, one
+/// snapshot pin, the engine call in place, the reply rendered from the same
+/// pin. `execute` is [`Snapshot::execute`] everywhere but in the unit
+/// tests, which inject a panicking engine and a commit behind the engine's
+/// back.
 fn handle_query(
     shared: &Shared,
     out: &mut SessionOut<'_>,
     spec: QuerySpec,
     received: Instant,
+    execute: impl FnOnce(&Snapshot, &QueryRequest) -> Result<QueryResponse, BgpqError>,
 ) -> std::io::Result<()> {
     shared.queries.fetch_add(1, Ordering::Relaxed);
     let permit = match shared.gate.try_admit() {
@@ -691,8 +711,9 @@ fn handle_query(
         rejected => return reject(shared, out, rejected),
     };
 
-    // Pin one snapshot for the whole request: the pool executes on it and
-    // the row blocks below read labels/values from the same version.
+    // Pin one snapshot for the whole request: the engine runs on it and the
+    // row blocks below read labels/values from the same version, whatever
+    // commits land in between.
     let snapshot = shared.server.snapshot();
     let (request, pattern) = match build_request(shared, &snapshot, &spec) {
         Ok(built) => built,
@@ -701,28 +722,25 @@ fn handle_query(
             return out.send_error(code, message, None);
         }
     };
+    let executing = Instant::now();
     let mut span = Span {
-        parse: nanos_since(received),
+        parse: (executing - received).as_nanos() as u64,
         ..Span::default()
     };
-    let submitted = Instant::now();
-    let result = match shared
-        .pool
-        .submit_pinned(Arc::clone(&snapshot), request)
-        .recv()
-    {
-        Ok(result) => result,
-        Err(_) => {
-            drop(permit);
-            return out.send_error(ErrorCode::Internal, "worker pool unavailable", None);
-        }
+    // An engine panic costs this request, not the session thread: the
+    // call only reads its pinned snapshot, and the engine state it can
+    // leave half-done sits in mutexes, which poison themselves. The panic
+    // hook has already written message and location to the server's stderr.
+    let Ok(result) = catch_unwind(AssertUnwindSafe(|| execute(&snapshot, &request))) else {
+        drop(permit);
+        return out.send_error(ErrorCode::Internal, "query execution panicked", None);
     };
-    span.split_round_trip(
-        submitted,
-        result.as_ref().map_or(u64::MAX, |r| r.stats.total_nanos),
-    );
 
     let rendering = Instant::now();
+    span.execute = match &result {
+        Ok(response) => response.stats.total_nanos,
+        Err(_) => (rendering - executing).as_nanos() as u64,
+    };
     let flow = match result {
         Err(err) => {
             let (code, message) = map_engine_error(&err);
@@ -764,9 +782,9 @@ fn node_display(pattern: &bgpq_pattern::Pattern, u: bgpq_pattern::PatternNodeId)
 fn push_answer(
     shared: &Shared,
     out: &mut SessionOut<'_>,
-    response: &bgpq_engine::QueryResponse,
+    response: &QueryResponse,
     pattern: &bgpq_pattern::Pattern,
-    snapshot: &bgpq_serve::Snapshot,
+    snapshot: &Snapshot,
     span: &mut Span,
 ) -> std::io::Result<()> {
     let started = Instant::now();
@@ -834,7 +852,6 @@ fn push_answer(
             fragment_nodes: stats.fetch.as_ref().map(|f| f.fragment_nodes as u64),
             worst_case_nodes: stats.worst_case_nodes,
             parse_nanos: span.parse,
-            queue_nanos: span.queue,
             execute_nanos: span.execute,
             render_nanos: span.render,
         },
@@ -981,4 +998,163 @@ fn stats_json(shared: &Shared) -> Json {
         ),
         ("clients", clients),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use bgpq_engine::{AccessConstraint, AccessSchema};
+    use bgpq_graph::{GraphBuilder, Value};
+    use std::io::Read;
+
+    const QUERY: &str = "node y: year\nnode m: movie\nedge y -> m\n";
+
+    fn start() -> NetServerHandle {
+        let mut b = GraphBuilder::new();
+        let y = b.add_node("year", Value::Int(2012));
+        let m = b.add_node("movie", Value::str("Argo"));
+        b.add_edge(y, m).unwrap();
+        let graph = b.build();
+        let l = |name: &str| graph.interner().get(name).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::global(l("year"), 10),
+            AccessConstraint::unary(l("year"), l("movie"), 5),
+        ]);
+        let server = Arc::new(Server::new(graph, &schema));
+        NetServer::start(server, NetServerConfig::default()).expect("bind loopback")
+    }
+
+    /// A connected loopback pair: (the session's end, the peer's end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (session, _) = listener.accept().expect("accept");
+        (session, peer)
+    }
+
+    fn read_reply(peer: &mut TcpStream) -> Response {
+        let (payload, _) = read_frame(peer, crate::frame::DEFAULT_MAX_FRAME_BYTES).expect("frame");
+        Response::decode(&payload).expect("well-formed reply")
+    }
+
+    /// An engine that panics costs its request, nothing else: the client
+    /// gets `internal`, the admission slot is free again, the same session
+    /// answers its next query and a session beside it never notices.
+    #[test]
+    fn an_engine_panic_is_answered_internal_and_frees_the_slot() {
+        let handle = start();
+        let mut bystander = Client::connect(handle.local_addr(), "bystander").expect("connect");
+        let (session, mut peer) = socket_pair();
+        let mut out = SessionOut::new(&handle.shared, session);
+
+        let spec = QuerySpec::new(QUERY);
+        handle_query(
+            &handle.shared,
+            &mut out,
+            spec.clone(),
+            Instant::now(),
+            |_, _| panic!("injected engine fault"),
+        )
+        .expect("the reply is written, the session thread did not unwind");
+        match read_reply(&mut peer) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Internal),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        assert_eq!(handle.in_flight(), 0, "the permit was released");
+        assert_eq!(handle.gate_stats().admitted, 1);
+
+        // The same session serves its next query...
+        handle_query(
+            &handle.shared,
+            &mut out,
+            spec.clone(),
+            Instant::now(),
+            Snapshot::execute,
+        )
+        .expect("answer written");
+        match read_reply(&mut peer) {
+            Response::Answer(header) => assert_eq!(header.total, 1),
+            other => panic!("expected an answer header, got {other:?}"),
+        }
+        // ...and so does every other one.
+        assert_eq!(bystander.query(&spec).expect("bystander").header.total, 1);
+        bystander.goodbye().unwrap();
+        assert!(handle.shutdown());
+    }
+
+    /// The pin is the only thing tying the rendered rows to the version
+    /// they were computed on. A commit that lands exactly between the
+    /// engine call and the render — here it tombstones the matched movie —
+    /// must not leak into the reply: header, labels and values are all of
+    /// the pinned version.
+    #[test]
+    fn a_commit_between_execute_and_render_does_not_reach_the_reply() {
+        let handle = start();
+        let (session, mut peer) = socket_pair();
+        let mut out = SessionOut::new(&handle.shared, session);
+        handle_query(
+            &handle.shared,
+            &mut out,
+            QuerySpec::new(QUERY),
+            Instant::now(),
+            |snapshot, request| {
+                let result = snapshot.execute(request);
+                let movie = NodeId(1);
+                handle
+                    .server()
+                    .commit(&[Update::RemoveNode { node: movie }])
+                    .expect("commit");
+                result
+            },
+        )
+        .expect("answer written");
+
+        let current = handle.server().snapshot();
+        assert_eq!(current.version(), 1);
+        assert!(!current.graph().is_live(NodeId(1)), "the commit landed");
+        match read_reply(&mut peer) {
+            Response::Answer(header) => {
+                assert_eq!((header.snapshot_version, header.total), (0, 1));
+            }
+            other => panic!("expected an answer header, got {other:?}"),
+        }
+        match read_reply(&mut peer) {
+            Response::MatchRows(block) => {
+                assert_eq!(block.row(0), [0, 1]);
+                assert_eq!(block.node(0), ("year", &Value::Int(2012)));
+                assert_eq!(block.node(1), ("movie", &Value::str("Argo")));
+            }
+            other => panic!("expected the row block, got {other:?}"),
+        }
+        assert!(matches!(read_reply(&mut peer), Response::Done(_)));
+        assert!(handle.shutdown());
+    }
+
+    /// A session thread that unwinds outside the contained engine call
+    /// still releases its tracked socket: the peer reads EOF instead of
+    /// hanging on a descriptor nobody serves.
+    #[test]
+    fn an_unwinding_session_still_gives_its_peer_eof() {
+        let handle = start();
+        let (session, mut peer) = socket_pair();
+        let conn_id = u64::MAX;
+        handle
+            .shared
+            .conns
+            .lock()
+            .unwrap()
+            .push((conn_id, session.try_clone().unwrap()));
+        let shared = Arc::clone(&handle.shared);
+        let unwound = thread::spawn(move || {
+            let _tracked = TrackedConn { shared, conn_id };
+            let _stream = session;
+            panic!("injected session fault");
+        })
+        .join();
+        assert!(unwound.is_err());
+        assert_eq!(peer.read(&mut [0u8; 1]).expect("clean EOF"), 0);
+        assert!(handle.shared.conns.lock().unwrap().is_empty());
+        assert!(handle.shutdown());
+    }
 }

@@ -4,21 +4,29 @@
 //! value received over TCP equals direct [`Server::execute`] on the same
 //! snapshot, under both semantics), that
 //! admission control produces the typed `overloaded` / `draining`
-//! rejections, that drain lets in-flight queries finish, and that client
-//! deadlines map onto deterministic step budgets with the documented blame
-//! rule (deadline-derived abort → `budget_exceeded` error; explicit-budget
-//! abort → truncated answer with `aborted` set).
+//! rejections, that `max_in_flight` is the one bound on concurrent
+//! executions now that queries run on their session threads, that every
+//! answer is of one version whatever a racing writer does, that drain lets
+//! in-flight queries finish, and that client deadlines map onto
+//! deterministic step budgets with the documented blame rule
+//! (deadline-derived abort → `budget_exceeded` error; explicit-budget abort
+//! → truncated answer with `aborted` set).
 
 use bgpq_engine::{
     parse_pattern, AccessConstraint, AccessSchema, BudgetPolicy, QueryAnswer, QueryRequest,
     Semantics, StrategyKind,
 };
+use bgpq_graph::io::json::{parse_json, Json};
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
+use bgpq_net::frame::{read_frame, write_frame};
 use bgpq_net::{
-    AnswerKind, Client, ErrorCode, NetServer, NetServerConfig, NetServerHandle, QuerySpec,
+    AnswerKind, Client, ClientError, ErrorCode, NetServer, NetServerConfig, NetServerHandle,
+    QueryOutcome, QuerySpec, Request, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-use bgpq_serve::{Server, Update};
-use std::sync::Arc;
+use bgpq_serve::{Server, Snapshot, Update};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// IMDb-shaped fixture: `movies` clusters of (year, award) → movie → actors.
@@ -171,33 +179,15 @@ fn block_boundaries_and_partial_flushes_do_not_change_the_answer() {
         let mut client = connect(&handle, "blocks");
         let outcome = client.query(&QuerySpec::new(ALL_CASTS)).expect("query");
 
+        // Every row and every binding, also in the last (possibly short)
+        // block.
+        assert_eq!(
+            outcome.matches.len(),
+            10_000,
+            "rows_per_frame {rows_per_frame}"
+        );
         let snapshot = handle.server().snapshot();
-        let pattern =
-            parse_pattern(ALL_CASTS, snapshot.graph().interner().clone()).expect("pattern");
-        let direct = snapshot
-            .execute(&QueryRequest::build(pattern).finish())
-            .expect("direct");
-        let QueryAnswer::Matches(matches) = &direct.answer else {
-            panic!("isomorphism answer expected");
-        };
-        assert_eq!(matches.len(), 10_000);
-        assert_eq!(outcome.matches.len(), matches.len());
-        for (wire_row, direct_row) in outcome.matches.iter().zip(matches.iter()) {
-            let direct_ids: Vec<u32> = direct_row.assignment().iter().map(|v| v.0).collect();
-            assert_eq!(
-                wire_row.ids(),
-                direct_ids,
-                "rows_per_frame {rows_per_frame}"
-            );
-        }
-        // Every binding resolves, also in the last (possibly short) block.
-        let last = outcome.matches.iter().last().expect("rows");
-        for binding in last.iter() {
-            assert_eq!(
-                binding.label,
-                snapshot.graph().label_name(NodeId(binding.id))
-            );
-        }
+        assert_equals_direct(&outcome, &snapshot, &QuerySpec::new(ALL_CASTS));
         client.goodbye().unwrap();
         assert!(handle.shutdown());
     }
@@ -253,6 +243,170 @@ fn concurrent_clients_and_writer_see_consistent_snapshots() {
         reader.join().expect("reader thread");
     }
     assert_eq!(handle.server().version(), 6);
+    assert!(handle.shutdown());
+}
+
+/// Asserts a wire answer equals `snapshot.execute` on the same spec, row
+/// for row: ids, and the label and value `snapshot` holds for each id.
+fn assert_equals_direct(outcome: &QueryOutcome, snapshot: &Snapshot, spec: &QuerySpec) {
+    assert_eq!(outcome.header.snapshot_version, snapshot.version());
+    let graph = snapshot.graph();
+    let pattern = parse_pattern(&spec.pattern, graph.interner().clone()).expect("pattern");
+    let mut builder = QueryRequest::build(pattern);
+    if let Some(kind) = spec.strategy {
+        builder = builder.strategy(kind);
+    }
+    let direct = snapshot.execute(&builder.finish()).expect("direct");
+    let QueryAnswer::Matches(matches) = &direct.answer else {
+        panic!("isomorphism answer expected");
+    };
+    assert_eq!(outcome.header.total as usize, matches.len());
+    assert_eq!(outcome.matches.len(), matches.len());
+    for (wire_row, direct_row) in outcome.matches.iter().zip(matches.iter()) {
+        let direct_ids: Vec<u32> = direct_row.assignment().iter().map(|v| v.0).collect();
+        assert_eq!(wire_row.ids(), direct_ids);
+        for binding in wire_row.iter() {
+            let v = NodeId(binding.id);
+            assert_eq!(binding.label, graph.label_name(v), "label of {v:?}");
+            assert_eq!(binding.value, graph.value(v), "value of {v:?}");
+        }
+    }
+}
+
+/// Queries run on their session threads, so the admission gate is the only
+/// thing between six eager sessions and six concurrent executions: with
+/// `max_in_flight = 2` no more than two ever run, whoever is turned away
+/// gets the typed `overloaded` + retry hint, and whoever is admitted gets
+/// the engine's exact answer.
+#[test]
+fn max_in_flight_is_the_bound_on_concurrent_executions() {
+    const SESSIONS: usize = 6;
+    const ROUNDS: usize = 30;
+    let config = NetServerConfig {
+        max_in_flight: 2,
+        ..NetServerConfig::default()
+    };
+    let handle = start(400, config);
+    let addr = handle.local_addr();
+    // No commits in this test: every answer is of this one version.
+    let snapshot = handle.server().snapshot();
+    let mut spec = QuerySpec::new(YEAR_QUERY);
+    spec.strategy = Some(StrategyKind::Baseline); // long enough to overlap
+
+    let barrier = Arc::new(Barrier::new(SESSIONS));
+    let sessions: Vec<_> = (0..SESSIONS)
+        .map(|s| {
+            let (barrier, snapshot, spec) =
+                (Arc::clone(&barrier), Arc::clone(&snapshot), spec.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, &format!("eager-{s}")).expect("connect");
+                barrier.wait();
+                let (mut admitted, mut rejected) = (0u64, 0u64);
+                for _ in 0..ROUNDS {
+                    match client.query(&spec) {
+                        Ok(outcome) => {
+                            assert_equals_direct(&outcome, &snapshot, &spec);
+                            admitted += 1;
+                        }
+                        Err(ClientError::Server {
+                            code,
+                            retry_after_ms,
+                            ..
+                        }) => {
+                            assert_eq!(code, ErrorCode::Overloaded);
+                            assert!(retry_after_ms.is_some(), "overloaded carries a retry hint");
+                            rejected += 1;
+                        }
+                        Err(other) => panic!("neither an answer nor a rejection: {other:?}"),
+                    }
+                }
+                client.goodbye().unwrap();
+                (admitted, rejected)
+            })
+        })
+        .collect();
+    let (admitted, rejected) = sessions
+        .into_iter()
+        .map(|s| s.join().expect("session thread"))
+        .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+
+    assert_eq!(admitted + rejected, (SESSIONS * ROUNDS) as u64);
+    let stats = handle.gate_stats();
+    assert!((1..=2).contains(&stats.peak_in_flight), "{stats:?}");
+    assert_eq!(stats.admitted, admitted);
+    assert_eq!(stats.rejected_overloaded, rejected);
+    assert!(handle.shutdown());
+}
+
+/// Every answer is of one version — rows, labels, values and the header's
+/// `snapshot_version` — while a writer keeps tombstoning matched actors
+/// underneath the readers. The session's pin is the only thing that
+/// guarantees it: a reply rendered from a newer version than it was
+/// computed on would show a removed actor's placeholder label and `null`.
+/// (The exact execute → commit → render interleaving is forced in
+/// `server.rs`'s unit tests; this is the same property through real
+/// sessions, with the writer paced by the readers' progress.)
+#[test]
+fn answers_under_a_racing_writer_are_of_one_version() {
+    const MOVIES: usize = 40;
+    const ALL_CASTS: &str = "node m: movie\nnode a: actor\nedge m -> a\n";
+    let config = NetServerConfig {
+        rows_per_frame: 1, // a long render: many chances for a commit to land
+        ..NetServerConfig::default()
+    };
+    let handle = start(MOVIES, config);
+    let addr = handle.local_addr();
+    let answered = Arc::new(AtomicU64::new(0));
+
+    let readers: Vec<_> = (0..3)
+        .map(|r| {
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, &format!("reader-{r}")).expect("connect");
+                let mut outcomes = Vec::new();
+                loop {
+                    let outcome = client.query(&QuerySpec::new(ALL_CASTS)).expect("query");
+                    answered.fetch_add(1, Ordering::SeqCst);
+                    let done = outcome.header.snapshot_version == MOVIES as u64;
+                    outcomes.push(outcome);
+                    if done {
+                        break;
+                    }
+                }
+                client.goodbye().unwrap();
+                outcomes
+            })
+        })
+        .collect();
+
+    // One commit per movie, each removing that movie's first actor (fixture
+    // ids: 13 hubs, then movie, actor, actor per cluster), and each waiting
+    // for a reader to have answered since the previous one. Every version
+    // stays pinned here so the answers can be checked against it afterwards.
+    let server = handle.server();
+    let mut versions = vec![server.snapshot()];
+    for i in 0..MOVIES {
+        let seen = answered.load(Ordering::SeqCst);
+        while answered.load(Ordering::SeqCst) == seen {
+            std::thread::yield_now();
+        }
+        let actor = NodeId((13 + 3 * i + 1) as u32);
+        server
+            .commit(&[Update::RemoveNode { node: actor }])
+            .expect("commit");
+        versions.push(server.snapshot());
+    }
+
+    let mut seen_versions = std::collections::BTreeSet::new();
+    for reader in readers {
+        for outcome in reader.join().expect("reader thread") {
+            let version = outcome.header.snapshot_version as usize;
+            assert_eq!(outcome.header.total as usize, 2 * MOVIES - version);
+            assert_equals_direct(&outcome, &versions[version], &QuerySpec::new(ALL_CASTS));
+            seen_versions.insert(version);
+        }
+    }
+    assert!(seen_versions.len() > 2, "the readers ran beside the writer");
     assert!(handle.shutdown());
 }
 
@@ -460,10 +614,13 @@ fn stats_document_counts_requests_and_clients() {
     let latency = server.get("latency_us").expect("latency object");
     assert_eq!(latency.get("count").and_then(|v| v.as_u64()), Some(1));
     assert!(latency.get("p99").and_then(|v| v.as_u64()).unwrap() >= 1);
-    // The span of that one query, phase by phase.
-    let phases = server.get("phases_us").expect("phases object");
-    for phase in ["parse", "queue", "execute", "render"] {
-        let hist = phases.get(phase).unwrap_or_else(|| panic!("phase {phase}"));
+    // The span of that one query: exactly three phases, no queue.
+    let Some(Json::Obj(phases)) = server.get("phases_us") else {
+        panic!("phases object");
+    };
+    let names: Vec<&str> = phases.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["parse", "execute", "render"]);
+    for (phase, hist) in phases {
         assert_eq!(
             hist.get("count").and_then(|v| v.as_u64()),
             Some(1),
@@ -547,5 +704,60 @@ fn committed_updates_are_visible_to_later_queries() {
     let accounted: u64 = phases.iter().map(|p| micros(p).expect(p)).sum();
     assert!(accounted <= micros("commit").expect("whole commit"));
     client.goodbye().unwrap();
+    assert!(handle.shutdown());
+}
+
+/// The `done` frame as it is on the wire, not as the client's decoder sees
+/// it: the server span has three phases, `execute_nanos` is the engine's own
+/// `total_nanos`, and the `queue_nanos` of earlier builds is gone.
+#[test]
+fn done_stats_carry_a_three_phase_span_and_no_queue() {
+    let handle = start(10, NetServerConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut send = |request: Request| {
+        write_frame(&mut stream, request.encode().expect("encodable")).expect("send");
+        loop {
+            let (payload, _) = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("reply");
+            // Row blocks are binary; the last frame of every reply is JSON.
+            let Ok(text) = String::from_utf8(payload) else {
+                continue;
+            };
+            let Ok(json) = parse_json(&text) else {
+                continue;
+            };
+            match json.get("type").and_then(|t| t.as_str()) {
+                Some("answer") => continue,
+                _ => return json,
+            }
+        }
+    };
+    send(Request::Hello {
+        protocol: PROTOCOL_VERSION,
+        client: "raw".into(),
+    });
+    let done = send(Request::Query(QuerySpec::new(YEAR_QUERY)));
+    assert_eq!(done.get("type").and_then(|t| t.as_str()), Some("done"));
+    let Some(Json::Obj(stats)) = done.get("stats") else {
+        panic!("done carries stats: {}", done.render());
+    };
+    let names: Vec<&str> = stats.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "plan_nanos",
+            "fragment_build_nanos",
+            "match_nanos",
+            "total_nanos",
+            "fragment_nodes",
+            "worst_case_nodes",
+            "parse_nanos",
+            "execute_nanos",
+            "render_nanos",
+        ]
+    );
+    let nanos = |name: &str| done.get("stats").and_then(|s| s.get(name)?.as_u64());
+    assert_eq!(nanos("execute_nanos"), nanos("total_nanos"));
+    assert!(nanos("parse_nanos") > Some(0) && nanos("render_nanos") > Some(0));
+    send(Request::Goodbye);
     assert!(handle.shutdown());
 }

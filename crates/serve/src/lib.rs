@@ -35,16 +35,20 @@
 //!   commit costs `O(|ΔG|)` — publishes it with a pointer swap, and tears
 //!   the superseded version down after releasing the pointer's lock.
 //! * [`WorkerPool`] — a minimal thread pool executing
-//!   [`QueryRequest`](bgpq_engine::QueryRequest)s against pinned snapshots.
+//!   [`QueryRequest`](bgpq_engine::QueryRequest)s against the current
+//!   snapshot. Off the request path since `bgpq-net` runs queries on their
+//!   session threads; kept for the `benchmark/` package, which measures
+//!   the hand-off it used to add.
 //! * [`AdmissionGate`] — a bounded in-flight gate with queue-depth
 //!   backpressure and graceful draining; the hook `bgpq-net` puts in front
 //!   of its TCP sessions so overload turns into fast typed rejections
 //!   instead of unbounded buffering.
 //!
-//! Plan-cache correctness across versions is handled one layer down: the
+//! Cache correctness across versions is handled one layer down: the
 //! server hands every snapshot's engine the same
-//! [`SharedPlanCache`](bgpq_engine::SharedPlanCache), and cached planning
-//! outcomes are validated against the snapshot version on every probe.
+//! [`SharedResources`](bgpq_engine::SharedResources) — plan cache,
+//! fragment cache, scratch arenas — and cached outcomes are validated
+//! against the snapshot version on every probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

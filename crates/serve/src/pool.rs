@@ -1,16 +1,20 @@
 //! A minimal worker pool executing requests against pinned snapshots.
 //!
-//! The pool exists so callers get the serving contract without hand-rolling
-//! threads: each worker pins the **current** snapshot per request (so
-//! long-lived workers pick up new versions as the writer publishes them) and
-//! replies through a per-request channel. The workspace is dependency-free,
+//! Nothing on the request path uses it: the network front end runs an
+//! admitted query on the session thread that read it, because the hand-off
+//! to a pool thread and back cost more than the bounded query it carried.
+//! The pool stays only because the `benchmark/` package measures that very
+//! hand-off (`serve.pool_roundtrip_us`); it goes when that metric does.
+//!
+//! Each worker pins the **current** snapshot per request (so long-lived
+//! workers pick up new versions as the writer publishes them) and replies
+//! through a per-request channel. The workspace is dependency-free,
 //! so the queue is a `std::sync::mpsc` channel shared behind a mutex — job
 //! *pickup* is serialized, execution is parallel, which is the right
 //! trade-off for queries that cost orders of magnitude more than a channel
 //! receive.
 
 use crate::server::Server;
-use crate::snapshot::Snapshot;
 use bgpq_engine::{BgpqError, QueryRequest, QueryResponse};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -20,9 +24,6 @@ use std::thread;
 pub type PoolResult = Result<QueryResponse, BgpqError>;
 
 struct Job {
-    /// Pre-pinned snapshot to execute on; `None` pins the current one at
-    /// pickup time.
-    snapshot: Option<Arc<Snapshot>>,
     request: QueryRequest,
     reply: mpsc::Sender<PoolResult>,
 }
@@ -87,8 +88,7 @@ impl WorkerPool {
                         let Ok(job) = job else {
                             break; // all senders dropped: shutdown
                         };
-                        let snapshot = job.snapshot.unwrap_or_else(|| server.snapshot());
-                        let result = snapshot.execute(&job.request);
+                        let result = server.execute(&job.request);
                         served += 1;
                         // The caller may have dropped its receiver.
                         let _ = job.reply.send(result);
@@ -107,37 +107,11 @@ impl WorkerPool {
     /// request is executed against the snapshot that is current when a
     /// worker picks it up.
     pub fn submit(&self, request: QueryRequest) -> mpsc::Receiver<PoolResult> {
-        self.enqueue(None, request)
-    }
-
-    /// Enqueues one request to run against an explicitly pinned snapshot
-    /// instead of whichever is current at pickup. This is the hook the
-    /// network front end uses: the session pins a snapshot once, the pool
-    /// executes on it, and the session can then render labels and values
-    /// from the *same* version the answer was computed on — immune to
-    /// commits landing in between.
-    pub fn submit_pinned(
-        &self,
-        snapshot: Arc<Snapshot>,
-        request: QueryRequest,
-    ) -> mpsc::Receiver<PoolResult> {
-        self.enqueue(Some(snapshot), request)
-    }
-
-    fn enqueue(
-        &self,
-        snapshot: Option<Arc<Snapshot>>,
-        request: QueryRequest,
-    ) -> mpsc::Receiver<PoolResult> {
         let (reply, result) = mpsc::channel();
         self.jobs
             .as_ref()
             .expect("pool is shutting down")
-            .send(Job {
-                snapshot,
-                request,
-                reply,
-            })
+            .send(Job { request, reply })
             .expect("workers outlive the job sender");
         result
     }

@@ -2,9 +2,7 @@
 
 use crate::snapshot::Snapshot;
 use bgpq_access::{apply_deltas, AccessIndexSet, AccessSchema, GraphDelta, MaintenanceStats};
-use bgpq_engine::{
-    BgpqError, Engine, QueryRequest, QueryResponse, SharedFragmentCache, SharedPlanCache,
-};
+use bgpq_engine::{BgpqError, Engine, QueryRequest, QueryResponse, SharedResources};
 use bgpq_graph::{Graph, NodeId, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -163,13 +161,16 @@ pub struct ServerStats {
 ///   retire (183 each at 3.0M nodes), and a hub's own adjacency row is
 ///   rewritten when an edge lands on it.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
-///   [`SharedPlanCache`] *and* one [`SharedFragmentCache`]; slots are keyed
-///   by snapshot version, so a commit that changes index coverage or graph
-///   content makes every affected plan (and unbounded verdict) and every
-///   cached candidate set re-derive at the new version — retiring the
-///   superseded entries, the commit-piggybacked invalidation — while
-///   readers pinned to old snapshots keep their own cache population
-///   instead of fighting the current readers for slots.
+///   [`SharedResources`]: one plan cache, one fragment cache and one pool
+///   of scratch arenas. Cache slots are keyed by snapshot version, so a
+///   commit that changes index coverage or graph content makes every
+///   affected plan (and unbounded verdict) and every cached candidate set
+///   re-derive at the new version — retiring the superseded entries, the
+///   commit-piggybacked invalidation — while readers pinned to old
+///   snapshots keep their own cache population instead of fighting the
+///   current readers for slots. The arenas carry no version: the buffers
+///   one version's queries grew serve the next version's, and a pinned-old
+///   reader racing a current one still gets an arena of its own.
 ///
 /// ```
 /// use bgpq_engine::{AccessConstraint, AccessSchema, Value};
@@ -192,8 +193,8 @@ pub struct ServerStats {
 /// ```
 pub struct Server {
     current: RwLock<Arc<Snapshot>>,
-    cache: SharedPlanCache,
-    fragments: SharedFragmentCache,
+    /// Handed to the engine of every version the server publishes.
+    shared: SharedResources,
     /// Serializes writers; held across the whole copy-on-write commit.
     writer: Mutex<()>,
     commits: AtomicU64,
@@ -222,14 +223,11 @@ impl Server {
 
     /// Creates a server from pre-built indices.
     pub fn with_indices(graph: Graph, indices: AccessIndexSet) -> Self {
-        let cache = SharedPlanCache::default();
-        let fragments = SharedFragmentCache::default();
-        let engine =
-            Engine::with_caches_at_version(graph, indices, 0, cache.clone(), fragments.clone());
+        let shared = SharedResources::default();
+        let engine = Engine::with_shared_at_version(graph, indices, 0, shared.clone());
         Server {
             current: RwLock::new(Arc::new(Snapshot::new(engine))),
-            cache,
-            fragments,
+            shared,
             writer: Mutex::new(()),
             commits: AtomicU64::new(0),
             commit_nanos: AtomicU64::new(0),
@@ -359,13 +357,7 @@ impl Server {
         let chunks_copied = graph.chunks_copied() - base.graph().chunks_copied();
 
         let version = base.version() + 1;
-        let engine = Engine::with_caches_at_version(
-            graph,
-            indices,
-            version,
-            self.cache.clone(),
-            self.fragments.clone(),
-        );
+        let engine = Engine::with_shared_at_version(graph, indices, version, self.shared.clone());
         let next = Arc::new(Snapshot::new(engine));
 
         // Swap under the lock, tear down outside it: readers wait for a

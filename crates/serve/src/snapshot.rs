@@ -23,7 +23,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Wraps an engine built for one snapshot version
-    /// (see [`Engine::with_indices_at_version`]).
+    /// (see [`Engine::with_shared_at_version`]).
     pub(crate) fn new(engine: Engine) -> Self {
         Snapshot { engine }
     }

@@ -330,6 +330,54 @@ fn pinned_reader_reads_the_same_bytes_across_fifty_commits() {
     assert_graphs_identical(server.snapshot().graph(), &scratch);
 }
 
+/// One arena pool serves the whole version chain: a commit builds no pool
+/// of its own (and drops no warmed arenas with the superseded engine), and
+/// a reader pinned to an old version racing a current one checks out of the
+/// same pool without ever aliasing an arena.
+#[test]
+fn every_version_shares_one_arena_pool_without_aliasing() {
+    let (graph, schema) = fixture(10);
+    let server = Server::new(graph, &schema);
+    let first = server.snapshot();
+    for i in 0..5 {
+        server
+            .commit(&[Update::AddNode {
+                label: "actor".into(),
+                value: Value::Int(9_000 + i),
+            }])
+            .unwrap();
+    }
+    let current = server.snapshot();
+    assert_eq!((first.version(), current.version()), (0, 5));
+    assert!(Arc::ptr_eq(
+        first.engine().arena_pool(),
+        current.engine().arena_pool()
+    ));
+
+    // Both readers hold their arena across the barrier, so the addresses
+    // they publish describe overlapping checkouts.
+    let barrier = std::sync::Barrier::new(2);
+    let held = std::sync::atomic::AtomicUsize::new(0);
+    thread::scope(|scope| {
+        for snapshot in [&first, &current] {
+            let (barrier, held) = (&barrier, &held);
+            scope.spawn(move || {
+                snapshot.engine().arena_pool().with_any(|arena| {
+                    let addr = arena as *mut _ as usize;
+                    barrier.wait();
+                    let other = held.swap(addr, Ordering::SeqCst);
+                    assert_ne!(other, addr, "two versions aliased one arena");
+                    barrier.wait();
+                });
+            });
+        }
+    });
+    // Both still answer, each from its own version.
+    let request = QueryRequest::build(year_query(current.graph(), 2003)).finish();
+    assert_eq!(first.execute(&request).unwrap().stats.snapshot_version, 0);
+    assert_eq!(current.execute(&request).unwrap().stats.snapshot_version, 5);
+}
+
 #[test]
 fn worker_pool_serves_submitted_requests() {
     let (graph, schema) = fixture(10);

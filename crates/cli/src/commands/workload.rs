@@ -4,8 +4,7 @@
 //! The generator walks the schema's coverage structure, so every query it
 //! flags `bounded` is verified to plan under the schema and every query it
 //! flags `unbounded` is verified to be rejected by the planner. The output
-//! is a JSON-lines manifest consumable by `bgpq query --workload` and the
-//! engine's open-loop bench.
+//! is a JSON-lines manifest consumable by `bgpq query --workload`.
 
 use super::{
     dataset_source, discovery_config, knob_summary, resolve_scenario, scenario_config,

@@ -26,7 +26,7 @@ use bgpq_workload::{
     WorkloadConfig,
 };
 
-/// The engine bench's skewed scaling scenario, pinned to one seed.
+/// The bench harness's skewed scaling scenario, pinned to one seed.
 fn scaling_scenario(scale: usize) -> ScenarioConfig {
     ScenarioConfig {
         zipf: Some(1.1),

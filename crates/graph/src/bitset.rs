@@ -16,8 +16,8 @@
 //! slot table). Callers that only touch
 //! a handful of tiny sets should keep the sorted-vec path — see
 //! [`Graph::common_neighbors`](crate::Graph::common_neighbors), which
-//! switches representation adaptively and is benchmarked against the legacy
-//! intersection in the engine's bench harness.
+//! switches representation adaptively and is unit-tested against the legacy
+//! intersection.
 
 use crate::graph::NodeId;
 

@@ -395,7 +395,7 @@ impl Graph {
     /// list of [`BITMAP_INTERSECT_THRESHOLD`] nodes or more is loaded into a
     /// [`crate::NodeBitSet`] once so every membership probe is a single bit
     /// test instead of an `O(log n)` search. The answer is identical either
-    /// way (the engine bench compares both on a hub-heavy workload).
+    /// way (the unit tests compare both on a hub-heavy graph).
     pub fn common_neighbors(&self, nodes: &[NodeId]) -> Vec<NodeId> {
         if nodes.is_empty() {
             return self.nodes().filter(|&v| self.is_live(v)).collect();
@@ -426,9 +426,9 @@ impl Graph {
     }
 
     /// The pre-bitmap [`Graph::common_neighbors`]: sorted-vec intersection
-    /// via `binary_search` for every set. Kept as the comparison baseline for
-    /// the engine's `bitmap_intersection` bench; answers are always identical
-    /// to [`Graph::common_neighbors`].
+    /// via `binary_search` for every set. Kept as the oracle the unit tests
+    /// compare [`Graph::common_neighbors`] against; answers are always
+    /// identical.
     pub fn common_neighbors_sorted_vec(&self, nodes: &[NodeId]) -> Vec<NodeId> {
         if nodes.is_empty() {
             return self.nodes().filter(|&v| self.is_live(v)).collect();

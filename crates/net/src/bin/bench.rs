@@ -1,0 +1,999 @@
+//! The workspace's one benchmark harness, built as a table.
+//!
+//! *One section = one function returning a [`Json`] value = one key of one
+//! report (`BENCH.json`) = at most a few rows of [`GATES`]*, which `--check`
+//! evaluates with one generic loop. Every threshold and tier list is a
+//! constant next to its reason; the command line only picks the profile, the
+//! report path and, optionally, a single section.
+//!
+//! Every graph-backed section runs on one rig: the streamed skewed-social
+//! scenario ([`scaling_scenario`], seed 7), its discovered schema, uncapped
+//! indices and the same-seed `generate_workload` queries. `scaling` sweeps
+//! that rig over three `|G|` a decade apart and draws the paper's headline
+//! figure — `VF2` and `optVF2` over `bVF2` *as `|G|` grows* — next to the
+//! fragment, latency, maintenance and commit curves; `snapshot_load` times
+//! the checked-in datasets' binary against text loading; `serving` and `tcp`
+//! put the sweep's smallest graph behind `bgpq-serve` and `bgpq-net`.
+//!
+//! ```sh
+//! cargo run --release -p bgpq-net --bin bench                      # full profile, ~20 s
+//! cargo run --release -p bgpq-net --bin bench -- --smoke --check   # what CI runs, ~8 s
+//! ```
+
+use bgpq_engine::{
+    apply_deltas, discover_schema, load_snapshot, save_snapshot, AccessIndexSet, AccessSchema,
+    CacheOutcome, DiscoveryConfig, Engine, Graph, GraphDelta, NodeId, QueryRequest, QueryResponse,
+    Semantics, StrategyKind, Value,
+};
+use bgpq_graph::io::json::{write_json_string, Json};
+use bgpq_graph::io::{load_graph, load_graph_snapshot, load_jsonl, save_graph_snapshot};
+use bgpq_net::{Client, ErrorCode, NetServer, NetServerConfig, QuerySpec};
+use bgpq_serve::{Server, Update};
+use bgpq_workload::{
+    generate_workload, stream_graph, ArrivalClock, GeneratedQuery, LatencyHistogram, Scenario,
+    ScenarioConfig, Workload, WorkloadConfig,
+};
+use std::net::SocketAddr;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// What differs between the full run and the CI-sized one: the sweep and the
+/// `tcp` tiers. `window` and `load_rounds` have one production value each and
+/// are fields only so that the tests' toy profile can shrink them.
+struct Profile {
+    name: &'static str,
+    /// `ScenarioConfig::scale` of each sweep point (the graph has about 3x as
+    /// many nodes); `serving` and `tcp` run on the first.
+    scales: &'static [usize],
+    /// Measurement window of each `serving` round and `tcp` tier. Half a
+    /// second keeps the closed-loop qps comparison stable on shared runners.
+    window: Duration,
+    /// Offered-load tiers of `tcp`, queries per second. The first sits far
+    /// below capacity and is the gated one; the last overloads on purpose.
+    offered: &'static [u64],
+    /// Rounds each `snapshot_load` timing is the minimum of.
+    load_rounds: usize,
+}
+
+/// The checked-in `BENCH.json`: the sweep reaches a 3.0M-node graph.
+const FULL: Profile = Profile {
+    name: "full",
+    scales: &[10_000, 100_000, 1_000_000],
+    window: Duration::from_millis(500),
+    offered: &[200, 1_000, 4_000, 16_000],
+    load_rounds: 40,
+};
+
+/// `--smoke`: the same 100x sweep a decade lower, sized for shared runners.
+const SMOKE: Profile = Profile {
+    name: "smoke",
+    scales: &[2_000, 20_000, 200_000],
+    window: Duration::from_millis(500),
+    offered: &[100, 500, 2_000],
+    load_rounds: 40,
+};
+
+/// A section: its key in the report and the function that measures it.
+type Section = (&'static str, fn(&Profile) -> Json);
+
+const SECTIONS: [Section; 4] = [
+    ("scaling", scaling),
+    ("snapshot_load", snapshot_load),
+    ("serving", serving),
+    ("tcp", tcp),
+];
+
+/// Which side of its threshold a gated number must stay on.
+#[derive(Clone, Copy)]
+enum Bound {
+    Min,
+    Max,
+}
+use Bound::{Max, Min};
+
+/// One `--check` row: dotted key (a numeric segment indexes an array), bound,
+/// threshold, and what a violation means. The comment above a row says why
+/// the threshold has the value it has; the readings quoted are the `--smoke`
+/// sweep's (6k to 600k nodes), which is what CI checks. The full profile's
+/// top point is five times larger, and there `maintenance_growth` reads
+/// 2.1-3.3: a hub's answer list is still rewritten when an edge lands on it.
+type Gate = (&'static str, Bound, f64, &'static str);
+
+#[rustfmt::skip] // a table: one row per line, columns aligned
+const GATES: [Gate; 10] = [
+    // The paper's headline figure: bVF2 is flat in |G|, VF2 linear, so the
+    // ratio must favour bVF2 on the sweep's largest graph (14x smoke, 41x
+    // full) and must have grown since the smallest.
+    ("scaling.vf2_over_bvf2_largest", Min,      1.0, "bVF2 lost to whole-graph VF2"),
+    ("scaling.vf2_over_bvf2_growth",  Min,      1.0, "the speedup over VF2 shrank as |G| grew"),
+    // A hit skips planning and the fetch, not the view build or the match:
+    // the lowest per-scale ratio of the sweep reads 1.5-2.4x.
+    ("scaling.hit_speedup",           Min,      1.3, "a plan and fragment cache hit stopped paying off"),
+    // avg |G_Q| reads 0.9x over the 100x sweep.
+    ("scaling.fragment_growth",       Max,      2.0, "avg |G_Q| is tracking |G|"),
+    // One cold run per query: ~1.4x from first-touch misses, 7.5x when view
+    // builds still scanned hub neighbourhoods.
+    ("scaling.latency_growth",        Max,      4.0, "bounded query latency is tracking |G|"),
+    // Edge-local maintenance reads 0.6-2x; 350x when a touched hub's whole
+    // contribution was removed and re-enumerated.
+    ("scaling.maintenance_growth",    Max,      3.0, "index maintenance is tracking |G|"),
+    // 1.4-2.4x since the copy-on-write spine; 70x before it.
+    ("scaling.commit_growth",         Max,      8.0, "a copy-on-write commit is tracking |G|"),
+    // Bulk-reading sections against parsing, interning and sorting records
+    // reads 11-14x on the JSONL datasets and 5.0-5.7x on social.tsv, whose
+    // 45 us load puts the bound on the reading: about one run in six trips it.
+    ("snapshot_load.min_speedup",     Min,      5.0, "a binary snapshot lost its lead over text loading"),
+    // Readers never wait on the writer: 1.2-1.6x with the second core free,
+    // 0.8-1.0x when a shared host withholds it (four runs in ten on this box).
+    ("serving.multi_over_single",     Min,      1.0, "more readers served fewer queries"),
+    // The lowest tier sits far below capacity and reads 1-7 ms; 50 ms only
+    // trips on a wire path gone quadratic. Higher tiers overload by design.
+    ("tcp.tiers.0.latency_us.p99",    Max, 50_000.0, "p99 (us) far below capacity left the millisecond range"),
+];
+
+fn cores() -> usize {
+    thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `x` as a JSON number with `digits` decimals, rounded the way `{:.N}`
+/// rounds (non-finite values pass through and render as `null`).
+fn num(x: f64, digits: usize) -> Json {
+    Json::Float(format!("{x:.digits$}").parse().unwrap_or(f64::NAN))
+}
+
+fn int(n: impl TryInto<i64>) -> Json {
+    Json::Int(n.try_into().unwrap_or(i64::MAX))
+}
+
+/// The fixed skewed-social recipe: one seed and one knob set pin the graph
+/// shape and value domains across every scale, so only `|G|` varies between
+/// the sweep's points.
+fn scaling_scenario(scale: usize) -> ScenarioConfig {
+    ScenarioConfig {
+        zipf: Some(1.1),
+        hot_fraction: Some(0.5),
+        domain: Some(50),
+        ..ScenarioConfig::new(scale, 7)
+    }
+}
+
+/// The rig: graph, discovered schema, indices, and the endpoints update
+/// batches attach fresh posts to.
+struct Rig {
+    graph: Graph,
+    schema: AccessSchema,
+    indices: AccessIndexSet,
+    users: Vec<NodeId>,
+    tags: Vec<NodeId>,
+}
+
+impl Rig {
+    fn build(scale: usize) -> Rig {
+        let graph = stream_graph(Scenario::Social, &scaling_scenario(scale));
+        let schema = discover_schema(&graph, &DiscoveryConfig::simple());
+        // Uncapped build: the workload generator certifies boundedness
+        // against the schema alone, and the engine's planner excludes
+        // constraints whose index truncated at the combination cap — a
+        // truncated index here would turn certified-bounded queries into
+        // refusals. Unary/global constraints keep this O(|E|) regardless.
+        let indices = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
+        let nodes_of = |name: &str| {
+            let label = graph.interner().get(name).expect("social label exists");
+            graph.nodes_with_label(label).to_vec()
+        };
+        let (users, tags) = (nodes_of("user"), nodes_of("tag"));
+        Rig {
+            graph,
+            schema,
+            indices,
+            users,
+            tags,
+        }
+    }
+}
+
+/// Author and tag of the `i`-th fresh post: the update batch of the
+/// maintenance and commit curves and of the `serving` writer.
+fn post_endpoints(users: &[NodeId], tags: &[NodeId], i: usize) -> (NodeId, NodeId) {
+    (users[(i * 31) % users.len()], tags[(i * 17) % tags.len()])
+}
+
+/// Same-seed bounded workload on every graph: identical query recipe, so
+/// avg `|G_Q|` tracking `|G|` would be a violation of the boundedness
+/// contract, not workload drift.
+fn workload(graph: &Graph, schema: &AccessSchema) -> Workload {
+    let config = WorkloadConfig {
+        queries: 12,
+        seed: 0x1CDE_2015,
+        bounded_fraction: 1.0,
+        selectivity: Some(0.5),
+        min_nodes: 3,
+        max_nodes: 5,
+        semantics: Semantics::Isomorphism,
+        shape_weights: [2, 1, 0, 1],
+    };
+    generate_workload(graph, schema, &config)
+        .expect("curated social tier keeps bounded queries generable")
+}
+
+/// Fresh-post maintenance batches applied per scale point.
+const MAINTENANCE_BATCHES: usize = 200;
+
+/// Copy-on-write commits of the same batch timed per scale point.
+const COMMIT_BATCHES: usize = 50;
+
+/// Cached executions of each query per scale point; `hit_us` is the fastest.
+const HIT_PASSES: usize = 5;
+
+/// Names of a scale point's `commit_phases_us`, in order.
+const COMMIT_PHASES: [&str; 4] = ["clone", "replay", "maintain", "retire"];
+
+/// The evaluation tiers of a scale point, in execution order. The cold
+/// `bVF2` pass runs first, on the state the maintenance and commit batches
+/// left behind, so its numbers do not depend on the tiers after it; the
+/// second `bVF2` pass finds every plan and fragment cached.
+const TIERS: [(&str, StrategyKind); 4] = [
+    ("bvf2", StrategyKind::Bounded),
+    ("hit", StrategyKind::Bounded),
+    ("optvf2", StrategyKind::IndexSeeded),
+    ("vf2", StrategyKind::Baseline),
+];
+
+/// One fresh post attached to a rotating author and tag, applied to `graph`.
+fn post_batch(graph: &mut Graph, (u, tg): (NodeId, NodeId), value: usize) -> [GraphDelta; 3] {
+    let p = graph.insert_node("post", Value::Int(value as i64));
+    graph.insert_edge(u, p).expect("endpoints exist");
+    graph.insert_edge(p, tg).expect("endpoints exist");
+    [
+        GraphDelta::InsertNode(p),
+        GraphDelta::InsertEdge(u, p),
+        GraphDelta::InsertEdge(p, tg),
+    ]
+}
+
+/// One `|G|` of the sweep: avg `|G_Q|`, the incremental maintenance cost,
+/// the cost of a whole commit, and the three evaluation tiers on the same
+/// queries — the paper's size-independence claims (fragments bounded by the
+/// plan, updates bounded by `|ΔG ∪ Nb(ΔG)|`) and its speedup, per scale.
+fn scale_point(scale: usize) -> Json {
+    let t = Instant::now();
+    let rig = Rig::build(scale);
+    let build_ms = t.elapsed().as_nanos() as f64 / 1e6;
+    let (mut graph, mut indices) = (rig.graph, rig.indices);
+    let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
+    let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
+
+    // Maintenance-cost curve: absorb fresh post + author + tag edge
+    // batches. Locality says this cost must stay flat as |G| grows.
+    let mut maintenance_nanos = 0u128;
+    let mut refreshed = 0u64;
+    for i in 0..MAINTENANCE_BATCHES {
+        let deltas = post(&mut graph, i);
+        let t = Instant::now();
+        let stats = apply_deltas(&mut indices, &graph, &deltas);
+        maintenance_nanos += t.elapsed().as_nanos();
+        refreshed += stats.refreshed_contributions as u64;
+    }
+
+    // Commit-cost curve: the same batch as a serving commit. The published
+    // version stays alive (readers may pin it) while its copy-on-write
+    // successor is built, then is dropped — so the number includes what
+    // sharing, un-sharing and freeing cost (`Server::commit` minus its lock
+    // and pointer swap).
+    let mut engine = Engine::with_indices(graph, indices);
+    let mut phase_nanos = [0u128; 4];
+    let commits = Instant::now();
+    for i in MAINTENANCE_BATCHES..MAINTENANCE_BATCHES + COMMIT_BATCHES {
+        let t = Instant::now();
+        let mut graph = engine.graph().clone();
+        let mut indices = engine.indices().clone();
+        let cloned = t.elapsed();
+        let deltas = post(&mut graph, i);
+        let replayed = t.elapsed();
+        apply_deltas(&mut indices, &graph, &deltas);
+        let maintained = t.elapsed();
+        let next = Engine::with_indices(graph, indices);
+        let built = t.elapsed();
+        engine = next;
+        let retired = t.elapsed();
+        let spans = [
+            cloned,
+            replayed - cloned,
+            maintained - replayed,
+            retired - built,
+        ];
+        for (total, span) in phase_nanos.iter_mut().zip(spans) {
+            *total += span.as_nanos();
+        }
+    }
+    let commit_nanos = commits.elapsed().as_nanos();
+
+    let graph = engine.graph();
+    let workload = workload(graph, &rig.schema);
+    let queries = workload.queries.len().max(1) as f64;
+    let execute = |strategy, q: &GeneratedQuery| {
+        let request = QueryRequest::build(q.pattern.clone()).strategy(strategy);
+        let response = engine.execute(&request.finish());
+        response.expect("workload flagged bounded")
+    };
+    let runs = TIERS.map(|(_, strategy)| -> Vec<QueryResponse> {
+        let tier = workload.queries.iter().map(|q| execute(strategy, q));
+        tier.collect()
+    });
+    let [cold, hit, seeded, plain] = &runs;
+    let cached = |r: &QueryResponse| r.stats.fragment_cache == Some(CacheOutcome::Hit);
+    assert!(hit.iter().all(cached), "the second bVF2 pass hits");
+    for ((tier, _), tier_runs) in TIERS.iter().zip(&runs) {
+        for (response, cold) in tier_runs.iter().zip(cold) {
+            assert_eq!(response.answer, cold.answer, "{tier} diverged from bVF2");
+        }
+    }
+    let total_us = |r: &QueryResponse| r.stats.total_nanos as f64 / 1e3;
+    let avg_us = |tier: &Vec<QueryResponse>| tier.iter().map(total_us).sum::<f64>() / queries;
+    let [bvf2_us, optvf2_us, vf2_us] = [cold, seeded, plain].map(avg_us);
+    // A cold run happens once; a cached one repeats, so a stalled pass does
+    // not count against the cache: each query's fastest of `HIT_PASSES`.
+    let fastest_hit = |(q, first): (&GeneratedQuery, &QueryResponse)| {
+        let again = (1..HIT_PASSES).map(|_| total_us(&execute(StrategyKind::Bounded, q)));
+        again.fold(total_us(first), f64::min)
+    };
+    let hits = workload.queries.iter().zip(hit).map(fastest_hit);
+    let hit_us = hits.sum::<f64>() / queries;
+    let vf2_worst_us = plain.iter().map(total_us).fold(0.0, f64::max);
+    let fetches = cold.iter().filter_map(|r| r.stats.fetch.as_ref());
+    let fetches: Vec<_> = fetches.collect();
+    let per_fetch = |total: u64| total as f64 / fetches.len().max(1) as f64;
+    let avg_fragment = per_fetch(fetches.iter().map(|f| f.fragment_nodes as u64).sum());
+    let avg_reads = per_fetch(fetches.iter().map(|f| f.adjacency_reads).sum());
+    let answers: usize = cold.iter().map(|r| r.answer.len()).sum();
+    let nodes = graph.live_node_count();
+    let maintenance_us = maintenance_nanos as f64 / 1e3 / MAINTENANCE_BATCHES as f64;
+    let per_commit_us = |nanos: u128| num(nanos as f64 / 1e3 / COMMIT_BATCHES as f64, 2);
+    let phases = phase_nanos.map(per_commit_us);
+    let phases = Json::obj(COMMIT_PHASES.into_iter().zip(phases));
+    let fraction = avg_fragment / nodes.max(1) as f64;
+    let refreshed = refreshed as f64 / MAINTENANCE_BATCHES as f64;
+    println!(
+        "scale {scale:>8}: |G| = {nodes} nodes, avg |G_Q| = {avg_fragment:.1}; VF2 {vf2_us:.0} us, \
+         optVF2 {optvf2_us:.0} us, bVF2 {bvf2_us:.0} us cold / {hit_us:.0} us cached \
+         ({:.2}x over VF2)",
+        vf2_us / bvf2_us
+    );
+    Json::obj([
+        ("scale", int(scale)),
+        ("nodes", int(nodes)),
+        ("edges", int(graph.edge_count())),
+        ("build_ms", num(build_ms, 1)),
+        ("queries", int(workload.queries.len())),
+        ("avg_fragment_nodes", num(avg_fragment, 1)),
+        ("fragment_fraction", num(fraction, 6)),
+        ("avg_query_us", num(bvf2_us, 1)),
+        ("avg_adjacency_reads", num(avg_reads, 1)),
+        ("maintenance_us_per_batch", num(maintenance_us, 2)),
+        ("refreshed_per_batch", num(refreshed, 1)),
+        ("commit_us", per_commit_us(commit_nanos)),
+        ("commit_phases_us", phases),
+        ("answers", int(answers)),
+        ("hit_us", num(hit_us, 1)),
+        ("optvf2_us", num(optvf2_us, 1)),
+        ("vf2_us", num(vf2_us, 1)),
+        ("vf2_worst_us", num(vf2_worst_us, 1)),
+        ("vf2_over_bvf2", num(vf2_us / bvf2_us, 2)),
+        ("optvf2_over_bvf2", num(optvf2_us / bvf2_us, 2)),
+        ("hit_speedup", num(bvf2_us / hit_us, 2)),
+    ])
+}
+
+/// `key` of a row as a positive finite number.
+fn positive(row: Option<&Json>, key: &str) -> Option<f64> {
+    let x = row?.get(key)?.as_f64()?;
+    (x.is_finite() && x > 0.0).then_some(x)
+}
+
+/// `key` at the last row over `key` at the first. A zero, missing or
+/// non-finite operand yields NaN, which no gate passes.
+fn growth(rows: &[Json], key: &str) -> f64 {
+    match (positive(rows.first(), key), positive(rows.last(), key)) {
+        (Some(first), Some(last)) => last / first,
+        _ => f64::NAN,
+    }
+}
+
+fn scaling(profile: &Profile) -> Json {
+    let points: Vec<Json> = profile.scales.iter().map(|&s| scale_point(s)).collect();
+    let largest = positive(points.last(), "vf2_over_bvf2").unwrap_or(f64::NAN);
+    // A hit has to pay off at every scale: the lowest ratio of the sweep.
+    let mut hit_speedups = points.iter().map(|p| positive(Some(p), "hit_speedup"));
+    let hit_speedup = hit_speedups.try_fold(f64::INFINITY, |low, x| Some(low.min(x?)));
+    let growth_of = |key| num(growth(&points, key), 3);
+    Json::obj([
+        ("scenario", Json::str("social")),
+        ("zipf", num(1.1, 1)),
+        ("hot_fraction", num(0.5, 1)),
+        ("domain", int(50)),
+        ("maintenance_batches", int(MAINTENANCE_BATCHES)),
+        ("commit_batches", int(COMMIT_BATCHES)),
+        ("fragment_growth", growth_of("avg_fragment_nodes")),
+        ("latency_growth", growth_of("avg_query_us")),
+        ("maintenance_growth", growth_of("maintenance_us_per_batch")),
+        ("commit_growth", growth_of("commit_us")),
+        ("vf2_over_bvf2_largest", num(largest, 2)),
+        ("vf2_over_bvf2_growth", growth_of("vf2_over_bvf2")),
+        ("hit_speedup", num(hit_speedup.unwrap_or(f64::NAN), 2)),
+        ("scales", Json::Arr(points)),
+    ])
+}
+
+/// Minimum wall-clock over `rounds` runs of `f`, in milliseconds.
+fn min_ms<T>(rounds: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t.elapsed().as_nanos() as f64 / 1e6);
+    }
+    best
+}
+
+/// Times loading each checked-in dataset through its line-oriented parser
+/// vs. through a compiled binary snapshot. `text_parse_ms` and
+/// `snapshot_load_ms` are like for like (both produce exactly a `Graph`);
+/// `bundle_load_ms` also restores the embedded schema and pre-built indices,
+/// which the text path would pay discovery and an index build for.
+fn snapshot_load(profile: &Profile) -> Json {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+    let parse = |path: &Path| match path.extension() {
+        Some(extension) if extension == "jsonl" => load_jsonl(path),
+        _ => load_graph(path),
+    };
+    let tmp = std::env::temp_dir().join(format!("bgpq_bench_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let mut min_speedup = f64::INFINITY;
+    let datasets = [
+        ("social", "social.tsv"),
+        ("citation", "citation.jsonl"),
+        ("products", "products.jsonl"),
+    ];
+    let rows = datasets.map(|(name, file)| {
+        let path = data.join(file);
+        let graph = parse(&path).expect("checked-in dataset parses");
+        let schema = discover_schema(&graph, &DiscoveryConfig::default());
+        let indices = AccessIndexSet::build(&graph, &schema);
+        let (graph_snap, bundle_snap) = (tmp.join("graph.bgpq"), tmp.join("bundle.bgpq"));
+        save_graph_snapshot(&graph, &graph_snap).expect("compile graph snapshot");
+        save_snapshot(&graph, &indices, &bundle_snap).expect("compile bundle");
+        let rounds = profile.load_rounds;
+        let text_parse_ms = min_ms(rounds, || parse(&path));
+        let snapshot_load_ms = min_ms(rounds, || load_graph_snapshot(&graph_snap).expect("loads"));
+        let bundle_load_ms = min_ms(rounds, || load_snapshot(&bundle_snap).expect("loads"));
+        let speedup = text_parse_ms / snapshot_load_ms;
+        min_speedup = min_speedup.min(speedup);
+        let row = Json::obj([
+            ("text_parse_ms", num(text_parse_ms, 3)),
+            ("snapshot_load_ms", num(snapshot_load_ms, 3)),
+            ("bundle_load_ms", num(bundle_load_ms, 3)),
+            ("speedup", num(speedup, 2)),
+        ]);
+        (name, row)
+    });
+    std::fs::remove_dir_all(&tmp).ok();
+    let min_speedup = [("min_speedup", num(min_speedup, 2))];
+    Json::obj(rows.into_iter().chain(min_speedup))
+}
+
+/// Pause between the `serving` writer's commits (the update cadence).
+const WRITER_PERIOD: Duration = Duration::from_millis(3);
+
+/// One closed-loop `serving` tier on a fresh server: `readers` threads
+/// execute the workload back to back while one writer commits a fresh post
+/// every [`WRITER_PERIOD`].
+fn serving_tier(rig: &Rig, queries: &[GeneratedQuery], readers: usize, profile: &Profile) -> Json {
+    let server = Server::with_indices(rig.graph.clone(), rig.indices.clone());
+    let stop = AtomicBool::new(false);
+    let started = Instant::now();
+    let deadline = started + profile.window;
+    let reader = |r: usize| {
+        let mut served = 0u64;
+        while Instant::now() < deadline {
+            // Stagger the starting query per reader.
+            let q = &queries[(r + served as usize) % queries.len()];
+            let request = QueryRequest::build(q.pattern.clone()).finish();
+            let response = server
+                .execute(&request)
+                .expect("bounded queries never fail");
+            // Posts never break the schema's bounds on these queries.
+            assert_eq!(response.strategy, StrategyKind::Bounded);
+            served += 1;
+        }
+        served
+    };
+    let (served, elapsed) = thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let post = NodeId(server.snapshot().graph().node_count() as u32);
+                let (src, dst) = post_endpoints(&rig.users, &rig.tags, i);
+                let label = "post".into();
+                let value = Value::Int((profile.scales[0] + i) as i64);
+                let batch = [
+                    Update::AddNode { label, value },
+                    Update::AddEdge { src, dst: post },
+                    Update::AddEdge { src: post, dst },
+                ];
+                server.commit(&batch).expect("writer batches are valid");
+                thread::sleep(WRITER_PERIOD);
+            }
+        });
+        let handles: Vec<_> = (0..readers).map(|r| s.spawn(move || reader(r))).collect();
+        let served = handles
+            .into_iter()
+            .map(|h| h.join().expect("reader panicked"));
+        let served: u64 = served.sum();
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        (served, elapsed)
+    });
+    let stats = server.stats();
+    let per_commit_us = |nanos: u64| num(nanos as f64 / stats.commits.max(1) as f64 / 1e3, 1);
+    let fragment_cache_hits = server.snapshot().engine().stats().fragment_cache_hits;
+    Json::obj([
+        ("readers", int(readers)),
+        ("queries", int(served)),
+        ("qps", num(served as f64 / elapsed.as_secs_f64(), 0)),
+        ("commits", int(stats.commits)),
+        ("avg_commit_us", per_commit_us(stats.commit_nanos)),
+        ("avg_delta_apply_us", per_commit_us(stats.delta_apply_nanos)),
+        ("fragment_cache_hits", int(fragment_cache_hits)),
+    ])
+}
+
+/// Closed-loop serving throughput under a mixed read+update workload: one
+/// reader, then one per core, each against one writer. On a single core the
+/// two tiers are the same tier, measured once: the ratio is 1 by identity
+/// instead of by a coin flip between two equal runs.
+fn serving(profile: &Profile) -> Json {
+    let rig = Rig::build(profile.scales[0]);
+    let queries = workload(&rig.graph, &rig.schema).queries;
+    let mut readers = vec![1, cores()];
+    readers.dedup();
+    let tier = |readers| serving_tier(&rig, &queries, readers, profile);
+    let tiers: Vec<Json> = readers.into_iter().map(tier).collect();
+    Json::obj([
+        ("scale", int(profile.scales[0])),
+        ("window_ms", int(profile.window.as_millis())),
+        ("writer_period_us", int(WRITER_PERIOD.as_micros())),
+        ("multi_over_single", num(growth(&tiers, "qps"), 2)),
+        ("tiers", Json::Arr(tiers)),
+    ])
+}
+
+/// Sender connections of a `tcp` tier: more than the admission gate's
+/// default `max_in_flight` of 8, so an overload tier can actually trip it.
+const CONNECTIONS: usize = 12;
+
+/// A histogram of microseconds as percentiles.
+fn distribution(h: &LatencyHistogram) -> Json {
+    Json::obj([
+        ("p50", int(h.quantile(0.5))),
+        ("p95", int(h.quantile(0.95))),
+        ("p99", int(h.quantile(0.99))),
+        ("mean", int(h.mean())),
+        ("max", int(h.max())),
+    ])
+}
+
+/// One open-loop tier: arrivals on a strict clock at `offered` per second —
+/// sender `c` of `C` owns arrivals `c, c+C, c+2C, …` — with latency measured
+/// from the *scheduled* arrival, so queueing delay under overload is visible
+/// instead of being absorbed by a coordinating sender (no coordinated
+/// omission). The senders are blocking clients, so past capacity they fall
+/// behind their own schedule: `lateness_us` (scheduled arrival to actual
+/// send) says by how much, and `achieved_qps` divides by the span the tier
+/// really took, not by the nominal window late senders run past.
+fn tcp_tier(addr: SocketAddr, specs: &[QuerySpec], offered: u64, window: Duration) -> Json {
+    // A small lead lets every sender connect before arrival 0 is due.
+    let clock = ArrivalClock::new(offered, window, Duration::from_millis(5));
+    let first_arrival = clock.arrival(0).expect("a window holds an arrival");
+    let sender = |c: usize| {
+        let mut client = Client::connect(addr, &format!("bench-{c}")).expect("connect sender");
+        let (mut latency, mut lateness) = (LatencyHistogram::new(), LatencyHistogram::new());
+        let [mut scheduled, mut completed, mut rejected, mut bytes_in] = [0u64; 4];
+        let mut last_completion = first_arrival;
+        let mut i = c as u64;
+        while let Some(arrival) = clock.wait_for(i) {
+            scheduled += 1;
+            lateness.record(arrival.elapsed().as_micros() as u64);
+            let before = client.bytes_in();
+            match client.query(&specs[i as usize % specs.len()]) {
+                Ok(_) => {
+                    completed += 1;
+                    bytes_in += client.bytes_in() - before;
+                    latency.record(arrival.elapsed().as_micros() as u64);
+                    last_completion = Instant::now();
+                }
+                Err(e) if e.code() == Some(ErrorCode::Overloaded) => rejected += 1,
+                Err(e) => panic!("sender {c}: {e}"),
+            }
+            i += CONNECTIONS as u64;
+        }
+        client.goodbye().expect("goodbye");
+        let counts = [scheduled, completed, rejected, bytes_in];
+        (counts, last_completion, latency, lateness)
+    };
+    let lanes: Vec<_> = thread::scope(|s| {
+        let handles = (0..CONNECTIONS).map(|c| s.spawn(move || sender(c)));
+        let handles: Vec<_> = handles.collect();
+        let lanes = handles
+            .into_iter()
+            .map(|h| h.join().expect("sender panicked"));
+        lanes.collect()
+    });
+    let mut counts = [0u64; 4];
+    let (mut latency, mut lateness) = (LatencyHistogram::new(), LatencyHistogram::new());
+    let mut last_completion = first_arrival;
+    for (lane_counts, lane_last, lane_latency, lane_lateness) in &lanes {
+        for (total, n) in counts.iter_mut().zip(lane_counts) {
+            *total += n;
+        }
+        last_completion = last_completion.max(*lane_last);
+        latency.merge(lane_latency);
+        lateness.merge(lane_lateness);
+    }
+    let [scheduled, completed, rejected, bytes_in] = counts;
+    let reject_rate = rejected as f64 / scheduled.max(1) as f64;
+    // The schedule occupies the whole window even when its last request
+    // completes early, so the span never reads shorter than the window.
+    let span = (last_completion - first_arrival).max(window).as_secs_f64();
+    Json::obj([
+        ("offered_qps", int(offered)),
+        ("scheduled", int(scheduled)),
+        ("completed", int(completed)),
+        ("rejected", int(rejected)),
+        ("reject_rate", num(reject_rate, 4)),
+        ("span_ms", num(span * 1e3, 1)),
+        ("achieved_qps", num(completed as f64 / span, 0)),
+        ("bytes_in_per_query", int(bytes_in / completed.max(1))),
+        ("latency_us", distribution(&latency)),
+        ("lateness_us", distribution(&lateness)),
+    ])
+}
+
+/// Open-loop serving over real loopback connections: latency percentiles,
+/// generator lateness and reject rate per offered-load tier, then `layers` —
+/// the server's own per-phase histograms (parse, execute, render) from its
+/// `stats` frame, so a slow tier can be read as server time or as time spent
+/// outside it. There is no queue inside the server: a request the cores
+/// cannot run yet waits in its socket, in front of the admission gate, and
+/// shows up as its sender's lateness, not in `layers`.
+fn tcp(profile: &Profile) -> Json {
+    let scale = profile.scales[0];
+    let rig = Rig::build(scale);
+    let queries = workload(&rig.graph, &rig.schema).queries;
+    let specs = queries.into_iter().map(|q| QuerySpec::new(q.text));
+    let specs: Vec<QuerySpec> = specs.collect();
+    let config = NetServerConfig::default();
+    let max_in_flight = config.max_in_flight;
+    let server = Arc::new(Server::with_indices(rig.graph, rig.indices));
+    let handle = NetServer::start(server, config).expect("bind loopback");
+    let addr = handle.local_addr();
+    let tier = |&offered| tcp_tier(addr, &specs, offered, profile.window);
+    let tiers: Vec<Json> = profile.offered.iter().map(tier).collect();
+    let mut client = Client::connect(addr, "bench-layers").expect("connect for stats");
+    let stats = client.stats().expect("stats frame");
+    client.goodbye().expect("goodbye");
+    let layers = resolve(&stats, "server.phases_us");
+    let layers = layers.expect("the stats frame carries phases_us").clone();
+    assert!(handle.shutdown(), "bench server drains cleanly");
+    Json::obj([
+        ("scale", int(scale)),
+        ("window_ms", int(profile.window.as_millis())),
+        ("connections", int(CONNECTIONS)),
+        ("max_in_flight", int(max_in_flight)),
+        ("layers", layers),
+        ("tiers", Json::Arr(tiers)),
+    ])
+}
+
+/// Runs the selected sections (all of them for `None`) into one report.
+fn measure(profile: &Profile, only: Option<&str>) -> Json {
+    let scales = profile.scales.iter().map(|&s| int(s)).collect();
+    let config = Json::obj([
+        ("profile", Json::str(profile.name)),
+        ("cores", int(cores())),
+        ("scales", Json::Arr(scales)),
+    ]);
+    let mut fields = vec![("config".to_string(), config)];
+    for (name, section) in SECTIONS {
+        if only.map_or(true, |o| o == name) {
+            let t = Instant::now();
+            fields.push((name.to_string(), section(profile)));
+            println!("{name}: measured in {:.1} s", t.elapsed().as_secs_f64());
+        }
+    }
+    Json::Obj(fields)
+}
+
+/// Pretty-prints a report: one child per line down to the rows of a section
+/// (depth 3) and wherever nothing nests further, compact from there.
+fn pretty(out: &mut String, value: &Json, depth: usize) {
+    let (children, open, close): (Vec<(Option<&str>, &Json)>, _, _) = match value {
+        Json::Obj(fields) => (
+            fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            '{',
+            '}',
+        ),
+        Json::Arr(items) => (items.iter().map(|v| (None, v)).collect(), '[', ']'),
+        _ => (Vec::new(), ' ', ' '),
+    };
+    let nests = |v: &Json| matches!(v, Json::Obj(_) | Json::Arr(_));
+    if depth >= 3 || !children.iter().any(|(_, v)| nests(v)) {
+        return out.push_str(&value.render());
+    }
+    out.push(open);
+    for (i, (key, child)) in children.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            write_json_string(out, key);
+            out.push_str(": ");
+        }
+        pretty(out, child, depth + 1);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
+}
+
+/// The value a dotted key names in `report`; a numeric segment indexes an
+/// array.
+fn resolve<'a>(report: &'a Json, key: &str) -> Option<&'a Json> {
+    key.split('.')
+        .try_fold(report, |value, segment| match value {
+            Json::Arr(items) => items.get(segment.parse::<usize>().ok()?),
+            _ => value.get(segment),
+        })
+}
+
+/// One gate's line: `Ok` when it holds, `Err` when the number is on the
+/// wrong side of the threshold — or is not there at all: a key that does not
+/// resolve to a finite number (a renamed section, a ratio with a zero
+/// operand) fails its gate instead of silently disabling it.
+fn verdict(report: &Json, &(key, bound, threshold, meaning): &Gate) -> Result<String, String> {
+    let value = resolve(report, key).and_then(Json::as_f64);
+    let Some(value) = value.filter(|x| x.is_finite()) else {
+        return Err(format!(
+            "REGRESSION — {key} is not a finite number in the report"
+        ));
+    };
+    let (holds, relation) = match bound {
+        Min => (value >= threshold, ">="),
+        Max => (value <= threshold, "<="),
+    };
+    if holds {
+        Ok(format!(
+            "gate passed — {key} = {value} {relation} {threshold}"
+        ))
+    } else {
+        Err(format!(
+            "REGRESSION — {key} = {value}, required {relation} {threshold} ({meaning})"
+        ))
+    }
+}
+
+/// Evaluates `gates` against `report`, one line each; the exit code.
+fn check<'a>(report: &Json, gates: impl IntoIterator<Item = &'a Gate>) -> i32 {
+    let mut code = 0;
+    for gate in gates {
+        match verdict(report, gate) {
+            Ok(line) => println!("bench: {line}"),
+            Err(line) => {
+                eprintln!("bench: {line}");
+                code = 1;
+            }
+        }
+    }
+    code
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    smoke: bool,
+    check: bool,
+    out: Option<String>,
+    only: Option<String>,
+}
+
+impl Args {
+    fn parse(args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--check" => parsed.check = true,
+                "--out" => parsed.out = Some(it.next().ok_or("--out expects a path")?.clone()),
+                "--only" => {
+                    let name = it.next().ok_or("--only expects a section")?;
+                    if !SECTIONS.iter().any(|(section, _)| section == name) {
+                        return Err(format!("unknown section {name:?}"));
+                    }
+                    parsed.only = Some(name.clone());
+                }
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+fn run(args: &[String]) -> i32 {
+    let args = match Args::parse(args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("bench: {e}");
+            let sections: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+            let sections = sections.join("|");
+            eprintln!("usage: bench [--smoke] [--check] [--out PATH] [--only {sections}]");
+            return 2;
+        }
+    };
+    let only = args.only.as_deref();
+    let report = measure(if args.smoke { &SMOKE } else { &FULL }, only);
+    let mut text = String::new();
+    pretty(&mut text, &report, 0);
+    text.push('\n');
+    // `BENCH.json` is the checked-in full report: a smoke-sized or partial
+    // run writes only where `--out` says, and prints its report otherwise.
+    let whole = !args.smoke && only.is_none();
+    let out = args.out.as_deref().or(whole.then_some("BENCH.json"));
+    match out.map(|out| (out, std::fs::write(out, &text))) {
+        Some((out, Ok(()))) => println!("report -> {out}"),
+        Some((out, Err(e))) => {
+            eprintln!("bench: cannot write {out}: {e}");
+            return 2;
+        }
+        None => print!("{text}"),
+    }
+    if !args.check {
+        return 0;
+    }
+    let selected = |gate: &&Gate| only.map_or(true, |o| gate.0.split('.').next() == Some(o));
+    check(&report, GATES.iter().filter(selected))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(run(&args));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgpq_graph::io::json::parse_json;
+    use std::sync::OnceLock;
+
+    /// A two-point toy sweep: every section in process, seconds in a debug
+    /// build. Its timings mean nothing; its keys, counts and asserts do. Not
+    /// smaller: under a scale of ~1000 the scenario's curated tier is most of
+    /// the graph and whole-graph `VF2` enumerates answers by the million.
+    const TOY: Profile = Profile {
+        name: "toy",
+        scales: &[1_000, 2_000],
+        window: Duration::from_millis(40),
+        offered: &[200],
+        load_rounds: 1,
+    };
+
+    /// The toy report, measured once and read back from its own rendering —
+    /// what a consumer of `BENCH.json` sees.
+    fn report() -> &'static Json {
+        static REPORT: OnceLock<Json> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            let mut text = String::new();
+            pretty(&mut text, &measure(&TOY, None), 0);
+            parse_json(&text).expect("the rendered report is JSON")
+        })
+    }
+
+    #[test]
+    fn every_gate_key_resolves_to_a_finite_number() {
+        for gate in &GATES {
+            let value = resolve(report(), gate.0).and_then(Json::as_f64);
+            assert!(value.is_some_and(f64::is_finite), "{}: {value:?}", gate.0);
+        }
+    }
+
+    #[test]
+    fn a_gate_on_a_missing_key_or_a_zero_operand_fails_and_names_the_key() {
+        let renamed: Gate = ("scaling.renamed_away", Max, 1.0, "");
+        let line = verdict(report(), &renamed).unwrap_err();
+        assert!(line.contains("scaling.renamed_away"), "{line}");
+        assert_eq!(check(report(), [&renamed]), 1);
+
+        let rows = |first, last| [first, last].map(|x| Json::obj([("x", num(x, 2))]));
+        // Below 1.0 at both ends: the clamped ratio read 1.0 and passed.
+        assert_eq!(growth(&rows(0.25, 0.5), "x"), 2.0);
+        for broken in [rows(0.0, 0.5), rows(0.5, f64::NAN)] {
+            assert!(growth(&broken, "x").is_nan());
+            assert!(growth(&broken, "missing").is_nan());
+            let doctored = Json::obj([("x_growth", num(growth(&broken, "x"), 3))]);
+            let line = verdict(&doctored, &("x_growth", Max, 9.0, "")).unwrap_err();
+            assert!(line.contains("x_growth"), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_violated_threshold_exits_non_zero_naming_key_value_and_bound() {
+        let doctored = |x| Json::obj([("serving", Json::obj([("multi_over_single", num(x, 2))]))]);
+        let gate = GATES.iter().find(|g| g.0 == "serving.multi_over_single");
+        let gate = gate.expect("the serving gate is in the table");
+        let line = verdict(&doctored(0.5), gate).unwrap_err();
+        for part in ["REGRESSION", "serving.multi_over_single", "0.5", ">= 1"] {
+            assert!(line.contains(part), "{part:?} not in {line:?}");
+        }
+        assert_eq!(check(&doctored(0.5), [gate]), 1);
+        assert_eq!(check(&doctored(1.5), [gate]), 0);
+    }
+
+    #[test]
+    fn the_three_tiers_answer_alike_at_each_scale_point() {
+        // `scale_point` asserts answer equality tier by tier; what is left to
+        // check is that it ran at both points and on non-empty answers.
+        let points = resolve(report(), "scaling.scales").and_then(Json::as_arr);
+        let points = points.expect("scaling has its rows");
+        assert_eq!(points.len(), TOY.scales.len());
+        for point in points {
+            for key in ["answers", "vf2_us", "optvf2_us", "avg_query_us", "hit_us"] {
+                assert!(positive(Some(point), key).is_some(), "{key} in {point:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_open_loop_tier_reports_lateness_and_no_more_than_it_was_offered() {
+        let tier = resolve(report(), "tcp.tiers.0").expect("one tier");
+        let read = |key| resolve(tier, key).and_then(Json::as_f64).expect(key);
+        // Counted by the senders as the clock hands arrivals out: a dropped
+        // arrival or a wrong lane stride shows against the clock's own grid.
+        let offered = TOY.offered[0] as f64 * TOY.window.as_secs_f64();
+        assert_eq!(read("scheduled"), offered);
+        assert_eq!(read("completed") + read("rejected"), read("scheduled"));
+        assert!(read("span_ms") >= TOY.window.as_millis() as f64);
+        assert!(read("achieved_qps") <= read("offered_qps"));
+        assert!(read("lateness_us.p50") <= read("lateness_us.p99"));
+    }
+
+    #[test]
+    fn exactly_four_flags_and_every_removed_one_is_refused() {
+        let strings = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let all = strings(&["--smoke", "--check", "--out", "x.json", "--only", "tcp"]);
+        let parsed = Args {
+            smoke: true,
+            check: true,
+            out: Some("x.json".into()),
+            only: Some("tcp".into()),
+        };
+        assert_eq!(Args::parse(&all), Ok(parsed));
+        assert!(Args::parse(&strings(&["--only", "open_loop"])).is_err());
+        #[rustfmt::skip]
+        let removed = [
+            "--movies", "--queries", "--rounds", "--min-speedup", "--min-load-speedup",
+            "--min-fragment-hit-speedup", "--min-bitmap-speedup", "--open-loop", "--offered",
+            "--duration-ms", "--lanes", "--max-p99-ms", "--scales", "--workload-queries",
+            "--max-fragment-growth", "--max-latency-growth", "--max-maintenance-growth",
+            "--max-commit-growth", "--threads", "--writer-period-us", "--min-scaling",
+            "--connections", "--max-in-flight",
+        ];
+        for flag in removed {
+            let args = strings(&[flag, "1"]);
+            let refusal = Args::parse(&args).unwrap_err();
+            assert!(refusal.contains("unknown argument") && refusal.contains(flag));
+            assert_eq!(run(&args), 2);
+        }
+    }
+}

@@ -10,10 +10,11 @@
 //! from the *scheduled* arrival, so time spent waiting behind a stall is
 //! charged to the stalled requests.
 //!
-//! [`ArrivalClock`] encapsulates that grid. `bench_net` drives TCP
-//! connections with it and the engine bench drives in-process lanes; both
-//! share the interleaving convention that lane `c` of `C` owns arrivals
-//! `c, c + C, c + 2C, …`.
+//! [`ArrivalClock`] encapsulates that grid. The bench's `tcp` section
+//! drives its sender connections with it, under the interleaving convention
+//! that lane `c` of `C` owns arrivals `c, c + C, c + 2C, …`; the time from a
+//! scheduled arrival to the actual send is the generator's own lateness,
+//! which the bench reports beside the latency instead of hiding in it.
 
 use std::time::{Duration, Instant};
 

@@ -10,8 +10,7 @@
 //! latency is a sensible back-off.
 //!
 //! This module lives in `bgpq-workload` (it started out in `bgpq-net`) so
-//! the engine bench can use it without depending on the network stack;
-//! `bgpq-net` re-exports it unchanged.
+//! measuring code can use it without depending on the network stack.
 
 /// Sub-bucket resolution: values within one power of two split into
 /// `2^SUB_BITS` buckets.

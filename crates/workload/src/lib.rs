@@ -4,8 +4,8 @@
 //! query touches depends on the query and the access schema, never on `|G|`
 //! — is only worth anything if it is *measured*: on big skewed graphs, under
 //! open-loop load, with percentiles instead of averages. This crate gathers
-//! the machinery every measuring harness in the workspace shares, below the
-//! engine so benches, the CLI and the network layer can all reuse it:
+//! the machinery the workspace's measuring code shares — the one bench
+//! harness (`crates/net/src/bin/bench.rs`), the CLI and the network layer:
 //!
 //! * [`scenario`] — the three synthetic dataset generators (social,
 //!   citation, product catalog), streaming one [`scenario::Record`] at a
@@ -20,10 +20,10 @@
 //!   cycle / tree patterns derived from a discovered access schema, with a
 //!   bounded/unbounded mix and predicate-selectivity targets, all
 //!   deterministic in a seed.
-//! * [`histogram`] — the log-bucketed [`LatencyHistogram`] (moved here from
-//!   `bgpq-net` so the engine bench can use it without a dependency cycle).
-//! * [`clock`] — the fixed-interval [`ArrivalClock`] that open-loop benches
-//!   schedule requests with, immune to coordinated omission.
+//! * [`histogram`] — the log-bucketed [`LatencyHistogram`] behind the net
+//!   server's latency and span percentiles and the bench's open-loop tiers.
+//! * [`clock`] — the fixed-interval [`ArrivalClock`] the bench's open-loop
+//!   `tcp` tiers schedule requests with, immune to coordinated omission.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,6 +12,13 @@
 //! shard holds [`SHARD_LOAD`] to `2·SHARD_LOAD` entries when the map was
 //! sized for its content — and doubles when the map outgrows it, like a
 //! `HashMap` rehash.
+//!
+//! What a shard copy costs is what cloning its entries costs, so the index
+//! keeps its entries by value: keys and answer lists are
+//! [`bgpq_graph::Row`]s, which hold up to five ids inline. Copying a shard
+//! of such entries is one table allocation and a flat copy — a longer list
+//! costs one reference-count bump — and dropping the superseded copy frees
+//! one table, not two heap lists per entry.
 
 use bgpq_graph::{Spine, SpineShape};
 use std::borrow::Borrow;
@@ -141,26 +148,19 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     }
 
     /// The value under `key`, inserted as `V::default()` when absent.
-    pub fn entry_or_default<Q>(&mut self, key: &Q) -> &mut V
+    pub fn entry_or_default(&mut self, key: K) -> &mut V
     where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
         V: Default,
     {
-        let mut i = self.shard_of(key);
-        if self.shards.leaf(i).contains_key(key) {
-            return self
-                .shards
-                .make_mut(i)
-                .get_mut(key)
-                .expect("the key was just seen");
+        let mut i = self.shard_of(&key);
+        if !self.shards.leaf(i).contains_key(&key) {
+            if self.is_full() {
+                self.split();
+                i = self.shard_of(&key);
+            }
+            self.len += 1;
         }
-        if self.is_full() {
-            self.split();
-            i = self.shard_of(key);
-        }
-        self.len += 1;
-        self.shards.make_mut(i).entry(key.to_owned()).or_default()
+        self.shards.make_mut(i).entry(key).or_default()
     }
 
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -248,7 +248,7 @@ mod tests {
                 map.insert(vec![i, i + 1], i),
                 model.insert(vec![i, i + 1], i)
             );
-            *map.entry_or_default(&[i % 7][..]) += 1;
+            *map.entry_or_default(vec![i % 7]) += 1;
             *model.entry(vec![i % 7]).or_default() += 1;
         }
         for i in (0..1000u32).step_by(3) {

@@ -22,11 +22,18 @@
 //! shards the changed entries hash to. That is what lets the serving layer
 //! publish a new snapshot per commit at `O(|ΔG|)` cost while readers keep
 //! the old one.
+//!
+//! **Entries are stored by value.** Every key and every answer list is a
+//! [`Row`]: up to five ids inline in the shard's table, a longer list
+//! behind one shared buffer. Answer lists are bounded by `N` and keys by
+//! `|S|`, so nearly every entry is inline, and a shard copy is one table
+//! copy that touches no per-entry heap object; an edit changes its list in
+//! place, copying a long one only while a pinned version still shares it.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::cow_map::CowMap;
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, Label, NodeId, SpineShape};
+use bgpq_graph::{Graph, Label, NodeId, Row, SpineShape};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -36,16 +43,13 @@ use std::sync::Arc;
 /// against degenerate schemas; hitting it marks the index as truncated.
 pub const DEFAULT_MAX_COMBINATIONS_PER_NODE: usize = 4096;
 
-/// An index key: the sorted `S`-labeled node tuple.
-type Key = Vec<NodeId>;
-
 /// The index of a single access constraint.
 #[derive(Debug, Clone)]
 pub struct ConstraintIndex {
     pub(crate) constraint: AccessConstraint,
     /// Sorted `S`-labeled node tuple → sorted common neighbors labeled `l`.
     /// Global constraints use the empty key (always present).
-    map: CowMap<Key, Vec<NodeId>>,
+    map: CowMap<Row, Row>,
     /// Unary constraints: target node → number of keys it is listed under.
     /// Those keys are the target's `S`-labeled neighbors, which maintenance
     /// re-derives from the graph and the delta batch — so a hub target costs
@@ -53,7 +57,7 @@ pub struct ConstraintIndex {
     key_counts: CowMap<NodeId, u32>,
     /// Constraints with `|S| ≥ 2`: target node → the keys it is listed
     /// under (at most `cap` of them), for removing its contribution.
-    reverse: CowMap<NodeId, Vec<Key>>,
+    reverse: CowMap<NodeId, Vec<Row>>,
     /// Answer-list length → number of keys whose list is that long
     /// (non-empty lists only); the last entry is the maximum cardinality.
     lengths: BTreeMap<usize, usize>,
@@ -90,7 +94,7 @@ impl ConstraintIndex {
         }
         if index.constraint.is_global() {
             // The one key of a global index exists even without answers.
-            index.map.entry_or_default(&[][..]);
+            index.map.entry_or_default(Row::default());
         }
         index.shrink_to_fit();
         index
@@ -146,7 +150,7 @@ impl ConstraintIndex {
         } else {
             self.map.get(Self::canonical_key(vs).as_slice())
         };
-        answers.map_or(&[], Vec::as_slice)
+        answers.map_or(&[], |answers| answers)
     }
 
     /// True when `target` is a common neighbor (labeled `l`) of `vs`.
@@ -211,7 +215,7 @@ impl ConstraintIndex {
 
     /// Iterates over `(key, answers)` pairs.
     pub fn entries(&self) -> impl Iterator<Item = (&[NodeId], &[NodeId])> {
-        self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
+        self.map.iter().map(|(k, v)| (&k[..], &v[..]))
     }
 
     /// Number of copy-on-write shards the index's maps are spread over.
@@ -250,7 +254,7 @@ impl ConstraintIndex {
             + self.capped_targets.groups_copied()
     }
 
-    fn canonical_key(vs: &[NodeId]) -> Key {
+    fn canonical_key(vs: &[NodeId]) -> Vec<NodeId> {
         let mut key = vs.to_vec();
         key.sort_unstable();
         key.dedup();
@@ -273,7 +277,7 @@ impl ConstraintIndex {
 
     /// Lists `target` under `key`; returns whether the entry is new.
     fn list_insert(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        let answers = self.map.entry_or_default(key);
+        let answers = self.map.entry_or_default(Row::from(key));
         let Err(pos) = answers.binary_search(&target) else {
             return false;
         };
@@ -303,25 +307,26 @@ impl ConstraintIndex {
     /// Inserts one persisted `(key, answers)` entry (snapshot load). The
     /// caller guarantees both lists are sorted strictly; returns `false`
     /// when the key was already present.
-    pub(crate) fn insert_decoded(&mut self, key: Key, answers: Vec<NodeId>) -> bool {
-        if self.map.contains_key(key.as_slice()) {
+    pub(crate) fn insert_decoded(&mut self, key: &[NodeId], answers: &[NodeId]) -> bool {
+        if self.map.contains_key(key) {
             return false;
         }
+        let key = Row::from(key);
         match self.constraint.source_len() {
             0 => {}
             1 => {
-                for target in &answers {
+                for &target in answers {
                     *self.key_counts.entry_or_default(target) += 1;
                 }
             }
             _ => {
-                for target in &answers {
+                for &target in answers {
                     self.reverse.entry_or_default(target).push(key.clone());
                 }
             }
         }
         self.note_length(0, answers.len());
-        self.map.insert(key, answers);
+        self.map.insert(key, Row::from(answers));
         true
     }
 
@@ -453,7 +458,7 @@ impl ConstraintIndex {
         if per_label.iter().any(Vec::is_empty) {
             return; // `target` has no S-labeled neighbor set.
         }
-        let mut combos: Vec<Key> = vec![Vec::new()];
+        let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
         for bucket in &per_label {
             let mut next = Vec::with_capacity(combos.len() * bucket.len());
             'outer: for combo in &combos {
@@ -477,12 +482,15 @@ impl ConstraintIndex {
                 return;
             }
         }
+        let mut keys = Vec::with_capacity(combos.len());
         for key in &mut combos {
             key.sort_unstable();
+            if self.list_insert(key, target) {
+                keys.push(Row::from(&key[..]));
+            }
         }
-        combos.retain(|key| self.list_insert(key, target));
-        if !combos.is_empty() {
-            self.reverse.insert(target, combos);
+        if !keys.is_empty() {
+            self.reverse.insert(target, keys);
         }
     }
 }

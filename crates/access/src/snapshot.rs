@@ -241,7 +241,7 @@ pub fn decode_indices(
                     )));
                 }
             }
-            if !index.insert_decoded(key, answers) {
+            if !index.insert_decoded(&key, &answers) {
                 return Err(r.corrupt("duplicate index key"));
             }
         }

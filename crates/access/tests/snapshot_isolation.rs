@@ -15,28 +15,8 @@
 use bgpq_access::{
     apply_deltas, AccessConstraint, AccessIndexSet, AccessSchema, ConstraintId, GraphDelta,
 };
-use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
-
-/// SplitMix64: a dependency-free deterministic stream per seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn choose(&mut self, items: &[NodeId]) -> NodeId {
-        items[self.below(items.len())]
-    }
-}
+use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, INLINE_ROW};
+use bgpq_pattern::DetRng;
 
 const USERS: usize = 6;
 const TAGS: usize = 4;
@@ -44,7 +24,7 @@ const ITEMS: usize = 100;
 
 /// Users `0..6` (user 0 and 1 are hubs), tags `6..10`, then items, each
 /// with an author and a tag.
-fn initial(rng: &mut Rng) -> (Graph, AccessSchema) {
+fn initial(rng: &mut DetRng) -> (Graph, AccessSchema) {
     let mut b = GraphBuilder::new();
     let users: Vec<NodeId> = (0..USERS)
         .map(|i| b.add_node("user", Value::Int(i as i64)))
@@ -55,10 +35,14 @@ fn initial(rng: &mut Rng) -> (Graph, AccessSchema) {
     for i in 0..ITEMS {
         let item = b.add_node("item", Value::Int(i as i64));
         // Half of the items go to the two hub users.
-        let pool = if rng.below(2) == 0 { 2 } else { USERS };
-        let author = users[rng.below(pool)];
+        let pool = if rng.random_range(0..2) == 0 {
+            2
+        } else {
+            USERS
+        };
+        let author = users[rng.random_range(0..pool)];
         b.add_edge(author, item).unwrap();
-        b.add_edge(item, rng.choose(&tags)).unwrap();
+        b.add_edge(item, *rng.choose(&tags).unwrap()).unwrap();
     }
     let graph = b.build();
     let l = |name: &str| graph.interner().get(name).unwrap();
@@ -82,43 +66,52 @@ fn live_with(graph: &Graph, name: &str) -> Vec<NodeId> {
 }
 
 /// Applies one random update to `graph`, appending its deltas.
-fn mutate(rng: &mut Rng, graph: &mut Graph, deltas: &mut Vec<GraphDelta>) {
+fn mutate(rng: &mut DetRng, graph: &mut Graph, deltas: &mut Vec<GraphDelta>) {
     let (users, tags, items) = (
         live_with(graph, "user"),
         live_with(graph, "tag"),
         live_with(graph, "item"),
     );
     let live: Vec<NodeId> = graph.nodes().filter(|&v| graph.is_live(v)).collect();
-    match rng.below(12) {
+    match rng.random_range(0..12) {
         // A fresh item with an author (half the time a hub) and a tag.
         0..=5 => {
-            let item = graph.insert_node("item", Value::Int(rng.below(100) as i64));
+            let item = graph.insert_node("item", Value::Int(rng.random_range(0..100) as i64));
             deltas.push(GraphDelta::InsertNode(item));
-            let pool = if rng.below(2) == 0 { 1 } else { users.len() };
-            insert_edge(graph, users[rng.below(pool)], item, deltas);
-            insert_edge(graph, item, rng.choose(&tags), deltas);
+            let pool = if rng.random_range(0..2) == 0 {
+                1
+            } else {
+                users.len()
+            };
+            insert_edge(graph, users[rng.random_range(0..pool)], item, deltas);
+            insert_edge(graph, item, *rng.choose(&tags).unwrap(), deltas);
         }
         6 => {
-            let label = ["user", "tag"][rng.below(2)];
-            let node = graph.insert_node(label, Value::Int(rng.below(100) as i64));
+            let label = ["user", "tag"][rng.random_range(0..2)];
+            let node = graph.insert_node(label, Value::Int(rng.random_range(0..100) as i64));
             deltas.push(GraphDelta::InsertNode(node));
         }
         // Any edge at all, self-loops and odd label pairs included.
-        7..=8 => insert_edge(graph, rng.choose(&live), rng.choose(&live), deltas),
+        7..=8 => insert_edge(
+            graph,
+            *rng.choose(&live).unwrap(),
+            *rng.choose(&live).unwrap(),
+            deltas,
+        ),
         9..=10 => {
             let edges: Vec<_> = graph.edges().collect();
-            let e = edges[rng.below(edges.len())];
+            let e = edges[rng.random_range(0..edges.len())];
             assert!(graph.delete_edge(e.src, e.dst).unwrap());
             deltas.push(GraphDelta::DeleteEdge(e.src, e.dst));
         }
         _ => {
             // Spare the last user and tag so the stream can keep attaching.
-            let pool: &[NodeId] = match rng.below(3) {
+            let pool: &[NodeId] = match rng.random_range(0..3) {
                 0 if users.len() > 2 => &users[2..],
                 1 if tags.len() > 1 => &tags[1..],
                 _ => &items,
             };
-            delete_node(graph, rng.choose(pool), deltas);
+            delete_node(graph, *rng.choose(pool).unwrap(), deltas);
         }
     }
 }
@@ -170,7 +163,7 @@ fn assert_equals_rebuild(kept: &AccessIndexSet, graph: &Graph, cap: usize, ctx: 
 }
 
 fn run_stream(seed: u64, cap: usize) {
-    let mut rng = Rng(seed ^ 0x15_0CA7);
+    let mut rng = DetRng::seed_from_u64(seed ^ 0x15_0CA7);
     let (graph, schema) = initial(&mut rng);
     let indices = AccessIndexSet::build_with_cap(&graph, &schema, cap);
     let mut versions = vec![(graph, indices)];
@@ -182,7 +175,7 @@ fn run_stream(seed: u64, cap: usize) {
             // A hub goes, with every edge it had.
             delete_node(&mut graph, NodeId(0), &mut deltas);
         }
-        for _ in 0..4 + rng.below(10) {
+        for _ in 0..4 + rng.random_range(0..10) {
             mutate(&mut rng, &mut graph, &mut deltas);
         }
         apply_deltas(&mut indices, &graph, &deltas);
@@ -227,6 +220,98 @@ fn pinned_index_versions_survive_later_commits_at_the_cap() {
     for cap in [1, 2, 5] {
         for seed in 0..4 {
             run_stream(seed, cap);
+        }
+    }
+}
+
+/// Every `(constraint, key, answers)` entry of `set`, sorted.
+fn entries_of(set: &AccessIndexSet) -> Vec<(ConstraintId, Vec<NodeId>, Vec<NodeId>)> {
+    let mut entries: Vec<_> = set
+        .iter()
+        .flat_map(|(id, index)| {
+            index
+                .entries()
+                .map(move |(key, answers)| (id, key.to_vec(), answers.to_vec()))
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// Index entries are stored by value: up to `INLINE_ROW` answers inside the
+/// shard's table, more behind one shared buffer. On a clone of a built set,
+/// one user's answer list (unary and `(user, tag)` alike) grows from 0 to
+/// 8 items in a random order and shrinks back to 0 in another, crossing
+/// the inline limit both ways one edge per commit. A copy pinned at every
+/// step must keep what it held, and each step must equal a fresh build.
+#[test]
+fn pinned_copies_survive_an_answer_list_crossing_the_inline_limit() {
+    const GROWN: usize = 8;
+    const _: () = assert!(GROWN > INLINE_ROW);
+    for seed in 0..4 {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("user", Value::Int(0));
+        let tag = b.add_node("tag", Value::Int(0));
+        let mut items = Vec::new();
+        for i in 0..GROWN + 24 {
+            let item = b.add_node("item", Value::Int(i as i64));
+            b.add_edge(item, tag).unwrap();
+            if i >= GROWN {
+                // Other users and their items fill the shards around the
+                // hub's entry.
+                let user = b.add_node("user", Value::Int(i as i64));
+                b.add_edge(user, item).unwrap();
+            } else {
+                items.push(item);
+            }
+        }
+        let graph = b.build();
+        let l = |name: &str| graph.interner().get(name).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::unary(l("user"), l("item"), GROWN),
+            AccessConstraint::unary(l("item"), l("user"), 1),
+            AccessConstraint::new([l("user"), l("tag")], l("item"), GROWN),
+        ]);
+        let built = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
+        let (mut graph, mut indices) = (graph.clone(), built.clone());
+        let mut pins = vec![(entries_of(&built), built)];
+
+        let mut order = items.clone();
+        let mut steps = Vec::new();
+        while !order.is_empty() {
+            steps.push((true, order.swap_remove(rng.random_range(0..order.len()))));
+        }
+        let mut order = items.clone();
+        while !order.is_empty() {
+            steps.push((false, order.swap_remove(rng.random_range(0..order.len()))));
+        }
+        for (step, &(insert, item)) in steps.iter().enumerate() {
+            let delta = if insert {
+                assert!(graph.insert_edge(hub, item).unwrap());
+                GraphDelta::InsertEdge(hub, item)
+            } else {
+                assert!(graph.delete_edge(hub, item).unwrap());
+                GraphDelta::DeleteEdge(hub, item)
+            };
+            apply_deltas(&mut indices, &graph, &[delta]);
+            let listed = graph.out_degree(hub);
+            let lists = [&[hub][..], &[hub, tag][..]];
+            for (id, key) in [ConstraintId(0), ConstraintId(2)].into_iter().zip(lists) {
+                let answers = indices.get(id).unwrap().common_neighbors(key);
+                assert_eq!(answers.len(), listed, "seed {seed} step {step}");
+            }
+            assert_equals_rebuild(
+                &indices,
+                &graph,
+                usize::MAX,
+                &format!("seed {seed} step {step}"),
+            );
+            pins.push((entries_of(&indices), indices.clone()));
+        }
+        assert_eq!(graph.out_degree(hub), 0);
+        for (step, (held, pinned)) in pins.iter().enumerate() {
+            assert_eq!(&entries_of(pinned), held, "seed {seed}: pin {step} changed");
         }
     }
 }

@@ -6,8 +6,8 @@
 
 use bgpq_cli::dataset::{load_dataset, Format};
 use bgpq_engine::{
-    discover_schema, parse_pattern, read_snapshot, write_snapshot, AccessIndexSet, DiscoveryConfig,
-    Engine, QueryAnswer, QueryRequest, Semantics, StrategyKind,
+    discover_schema, parse_pattern, read_snapshot, save_snapshot, write_snapshot, AccessIndexSet,
+    DiscoveryConfig, Engine, QueryAnswer, QueryRequest, Semantics, StrategyKind,
 };
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -152,6 +152,41 @@ fn parity_survives_misleading_extensions() {
         normalize(&b.answer, &pattern)
     );
     std::fs::remove_file(disguised).ok();
+}
+
+/// Byte-wise FNV-1a 64, independent of the container's own checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `.bgpq` bytes are a contract with every file already compiled: how the
+/// indices store their entries in memory must not show in them. The digests
+/// are those `save_snapshot` wrote at the commit before index entries became
+/// value-typed rows, for each dataset under its discovered schema.
+#[test]
+fn saved_snapshots_of_the_checked_in_datasets_keep_their_bytes() {
+    let expected = [
+        ("social.tsv", 0x9fb8_f2b1_3ffb_be04),
+        ("citation.jsonl", 0x17bd_59e5_cfb7_6f47),
+        ("products.jsonl", 0xc888_073e_cfe6_3d23),
+    ];
+    let dir = std::env::temp_dir().join(format!("bgpq_snapshot_digest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut actual = Vec::new();
+    for (name, _) in expected {
+        let (graph, _) = load_dataset(&data_dir().join(name), None, "node").unwrap();
+        let schema = discover_schema(&graph, &DiscoveryConfig::default());
+        let indices = AccessIndexSet::build(&graph, &schema);
+        let path = dir.join(name).with_extension("bgpq");
+        save_snapshot(&graph, &indices, &path).unwrap();
+        actual.push((name, fnv64(&std::fs::read(&path).unwrap())));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    for ((name, want), (_, got)) in expected.iter().zip(&actual) {
+        assert_eq!(*got, *want, "{name}: digest {got:#018x}, all: {actual:#x?}");
+    }
 }
 
 /// The writer emits each chunked label bucket as the one contiguous run it

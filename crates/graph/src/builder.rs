@@ -5,10 +5,11 @@
 //! with sorted adjacency and a label index.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId, Row};
+use crate::graph::{Graph, NodeId};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
 use crate::paged::PagedVec;
+use crate::row::Row;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashSet;

@@ -40,11 +40,11 @@ use crate::error::GraphError;
 use crate::label::{Label, LabelInterner};
 use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
+use crate::row::Row;
 use crate::spine::SpineShape;
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
-use std::sync::Arc;
 
 /// Sentinel label carried by deleted node slots. It is never interned, so it
 /// compares unequal to every real label and [`LabelIndex`] lookups for it
@@ -56,56 +56,6 @@ pub(crate) const TOMBSTONE: Label = Label(u32::MAX);
 /// [`crate::NodeBitSet`]. Below this, loading the bitmap costs more than the
 /// handful of binary searches it replaces.
 pub const BITMAP_INTERSECT_THRESHOLD: usize = 64;
-
-/// Neighbours a [`Row`] holds in place, without an allocation of its own.
-const INLINE_ROW: usize = 5;
-
-/// One sorted adjacency list; a row is replaced, not edited.
-///
-/// A long row is shared between graph clones, so copying a page of rows
-/// never copies a hub's neighbours. A short one — most rows of a real graph
-/// — lives inside its page: no allocation, no reference count, and no
-/// pointer hop to read it. Both variants fill the 24 bytes of a `Vec`.
-#[derive(Debug, Clone)]
-pub(crate) enum Row {
-    Inline { len: u8, ids: [NodeId; INLINE_ROW] },
-    Shared(Arc<[NodeId]>),
-}
-
-impl Default for Row {
-    fn default() -> Self {
-        Row::Inline {
-            len: 0,
-            ids: [NodeId(0); INLINE_ROW],
-        }
-    }
-}
-
-impl From<&[NodeId]> for Row {
-    fn from(row: &[NodeId]) -> Self {
-        if row.len() > INLINE_ROW {
-            return Row::Shared(Arc::from(row));
-        }
-        let mut ids = [NodeId(0); INLINE_ROW];
-        ids[..row.len()].copy_from_slice(row);
-        Row::Inline {
-            len: row.len() as u8,
-            ids,
-        }
-    }
-}
-
-impl std::ops::Deref for Row {
-    type Target = [NodeId];
-
-    #[inline]
-    fn deref(&self) -> &[NodeId] {
-        match self {
-            Row::Inline { len, ids } => &ids[..usize::from(*len)],
-            Row::Shared(ids) => ids,
-        }
-    }
-}
 
 /// Identifier of a node in a [`Graph`]; contiguous from `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -519,11 +469,11 @@ impl Graph {
         match self.out[src.index()].binary_search(&dst) {
             Ok(_) => Ok(false),
             Err(pos) => {
-                edit_row(&mut self.out, src, |ids| ids.insert(pos, dst));
+                self.out.make_mut(src.index()).insert(pos, dst);
                 let ipos = self.inc[dst.index()]
                     .binary_search(&src)
                     .expect_err("out and in adjacency agree on membership");
-                edit_row(&mut self.inc, dst, |ids| ids.insert(ipos, src));
+                self.inc.make_mut(dst.index()).insert(ipos, src);
                 self.edge_count += 1;
                 Ok(true)
             }
@@ -543,15 +493,11 @@ impl Graph {
         match self.out[src.index()].binary_search(&dst) {
             Err(_) => Ok(false),
             Ok(pos) => {
-                edit_row(&mut self.out, src, |ids| {
-                    ids.remove(pos);
-                });
+                self.out.make_mut(src.index()).remove(pos);
                 let ipos = self.inc[dst.index()]
                     .binary_search(&src)
                     .expect("out and in adjacency agree on membership");
-                edit_row(&mut self.inc, dst, |ids| {
-                    ids.remove(ipos);
-                });
+                self.inc.make_mut(dst.index()).remove(ipos);
                 self.edge_count -= 1;
                 Ok(true)
             }
@@ -573,18 +519,14 @@ impl Graph {
             let pos = self.inc[dst.index()]
                 .binary_search(&v)
                 .expect("out and in adjacency agree on membership");
-            edit_row(&mut self.inc, dst, |ids| {
-                ids.remove(pos);
-            });
+            self.inc.make_mut(dst.index()).remove(pos);
             removed.push(EdgeId::new(v, dst));
         }
         for &src in std::mem::take(self.inc.make_mut(v.index())).iter() {
             let pos = self.out[src.index()]
                 .binary_search(&v)
                 .expect("out and in adjacency agree on membership");
-            edit_row(&mut self.out, src, |ids| {
-                ids.remove(pos);
-            });
+            self.out.make_mut(src.index()).remove(pos);
             removed.push(EdgeId::new(src, v));
         }
         self.edge_count -= removed.len();
@@ -594,13 +536,6 @@ impl Graph {
         self.dead_count += 1;
         Ok(removed)
     }
-}
-
-/// Replaces `rows[v]` by an edited copy of itself.
-fn edit_row(rows: &mut PagedVec<Row>, v: NodeId, edit: impl FnOnce(&mut Vec<NodeId>)) {
-    let mut ids = rows[v.index()].to_vec();
-    edit(&mut ids);
-    *rows.make_mut(v.index()) = Row::from(&ids[..]);
 }
 
 impl Default for Graph {
@@ -821,32 +756,35 @@ mod tests {
     }
 
     /// Rows switch from in-page to shared storage past `INLINE_ROW`
-    /// neighbours, in both directions, without changing what they read as.
+    /// neighbours, in both directions, without changing what they read as;
+    /// a clone pinned before each edit keeps the row it saw.
     #[test]
     fn rows_move_between_inline_and_shared_storage() {
-        use super::{Row, INLINE_ROW};
-        assert_eq!(
-            std::mem::size_of::<Row>(),
-            std::mem::size_of::<Vec<NodeId>>()
-        );
+        use crate::row::INLINE_ROW;
         let mut b = GraphBuilder::new();
         let hub = b.add_node("hub", Value::Null);
         let spokes: Vec<NodeId> = (0..2 * INLINE_ROW as i64)
             .map(|i| b.add_node("x", Value::Int(i)))
             .collect();
         let mut g = b.build();
+        let mut pinned = Vec::new();
         for (i, &spoke) in spokes.iter().enumerate().rev() {
+            pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
             assert!(g.insert_edge(hub, spoke).unwrap());
             assert_eq!(g.out_neighbors(hub), &spokes[i..]);
-            let shared = matches!(g.out[hub.index()], Row::Shared(_));
-            assert_eq!(shared, spokes.len() - i > INLINE_ROW);
+            let inline = g.out[hub.index()].is_inline();
+            assert_eq!(inline, spokes.len() - i <= INLINE_ROW);
         }
         for (i, &spoke) in spokes.iter().enumerate() {
+            pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
             assert!(g.delete_edge(hub, spoke).unwrap());
             assert_eq!(g.out_neighbors(hub), &spokes[i + 1..]);
             assert!(g.in_neighbors(spoke).is_empty());
         }
-        assert!(matches!(g.out[hub.index()], Row::Inline { len: 0, .. }));
+        assert!(g.out[hub.index()].is_inline() && g.out_degree(hub) == 0);
+        for (old, row) in &pinned {
+            assert_eq!(old.out_neighbors(hub), &row[..]);
+        }
     }
 
     #[test]

@@ -54,10 +54,11 @@
 //! slots are preserved exactly (unlike the text writer, which compacts
 //! ids), so a mutated graph round-trips with stable node ids.
 
-use crate::graph::{Graph, NodeId, Row, TOMBSTONE};
+use crate::graph::{Graph, NodeId, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
+use crate::row::Row;
 use crate::value::Value;
 use std::fmt;
 use std::io::{Read, Write};
@@ -680,13 +681,12 @@ fn decode_adjacency(
         .collect();
     r.expect_end()?;
 
-    let mut rows = Vec::with_capacity(n);
+    let row = |v: usize| &targets[offsets[v] as usize..offsets[v + 1] as usize];
     for v in 0..n {
-        let (start, end) = (offsets[v], offsets[v + 1]);
-        if start > end {
+        if offsets[v] > offsets[v + 1] {
             return Err(r.corrupt(format!("offsets of node {v} are not monotone")));
         }
-        let row = Row::from(&targets[start as usize..end as usize]);
+        let row = row(v);
         for pair in row.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(r.corrupt(format!("adjacency of node {v} is not sorted strictly")));
@@ -703,9 +703,8 @@ fn decode_adjacency(
         if !row.is_empty() && labels[v] == TOMBSTONE {
             return Err(r.corrupt(format!("deleted node {v} still has adjacency")));
         }
-        rows.push(row);
     }
-    Ok((rows.into_iter().collect(), total))
+    Ok(((0..n).map(|v| Row::from(row(v))).collect(), total))
 }
 
 /// Rebuilds a [`Graph`] from the archive's graph sections, validating

@@ -18,7 +18,9 @@
 //!   in structurally shared pages so a clone is cheap and a mutation copies
 //!   only what it touches;
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
-//!   (and the access indices' in `bgpq-access`) is built on;
+//!   (and the access indices' in `bgpq-access`) is built on, and [`Row`] —
+//!   the short sorted id list both store by value (adjacency rows here,
+//!   index keys and answer lists there);
 //! * [`Subgraph`] — the representation of the bounded fragment `G_Q` that a
 //!   query plan fetches from `G`;
 //! * [`view`] — zero-copy fragment execution: the [`GraphAccess`] trait the
@@ -49,6 +51,7 @@ pub mod label;
 pub mod label_index;
 mod paged;
 pub mod pool;
+pub mod row;
 pub mod spine;
 pub mod stats;
 pub mod subgraph;
@@ -64,6 +67,7 @@ pub use label::{Label, LabelInterner};
 pub use label_index::{LabelIndex, LabelNodes};
 pub use paged::PAGE_SIZE;
 pub use pool::ArenaPool;
+pub use row::{Row, INLINE_ROW};
 pub use spine::{Spine, SpineShape, SPINE_FANOUT};
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;

@@ -1,0 +1,302 @@
+//! [`Row`]: the workspace's one short sorted list of node ids, kept by value.
+//!
+//! The graph stores every adjacency list as a `Row`, and the access indices
+//! in `bgpq-access` store every key and every answer list as one. Most of
+//! those lists are short — a node's few neighbours, a unary constraint's 1–3
+//! answers, an `|S|`-tuple key — so the short ones live inside the row
+//! itself and a table of rows is a flat table: copying it allocates nothing
+//! and dropping it frees nothing per entry.
+
+use crate::graph::NodeId;
+use std::borrow::Borrow;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// Ids a [`Row`] holds in place, without an allocation of its own.
+pub const INLINE_ROW: usize = 5;
+
+/// A short sorted list of node ids.
+///
+/// Up to [`INLINE_ROW`] ids live inside the row: no allocation, no reference
+/// count, no pointer hop to read them. A longer row is one `Arc<[NodeId]>`
+/// that every clone shares, so copying a page or a shard of rows never
+/// copies a long list. Both forms fill the 24 bytes of a `Vec`.
+///
+/// A row reads, hashes and compares as the slice it holds, so a map keyed by
+/// rows is probed with a `&[NodeId]`. [`Row::insert`] and [`Row::remove`]
+/// edit it in place: an inline row stays inline while it fits and spills at
+/// the boundary; a shared row is edited inside its buffer while no clone
+/// shares it (growing into spare room it keeps at the tail, doubled when it
+/// runs out, like a `Vec`), is copied once when a clone does, and moves back
+/// inline when it shrinks to [`INLINE_ROW`] ids.
+#[derive(Clone)]
+pub struct Row(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        ids: [NodeId; INLINE_ROW],
+    },
+    /// The row is `ids[..len]`; the rest of the buffer is room to grow.
+    Shared {
+        len: u32,
+        ids: Arc<[NodeId]>,
+    },
+}
+
+impl Row {
+    /// True when the ids live inside the row rather than behind an `Arc`.
+    pub(crate) fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
+    /// Inserts `id` at `pos`, shifting the ids after it right.
+    ///
+    /// # Panics
+    /// Panics when `pos > self.len()`.
+    pub fn insert(&mut self, pos: usize, id: NodeId) {
+        let len = self.len();
+        assert!(pos <= len, "insert at {pos} into a row of {len}");
+        if let Some(buf) = self.buffer_mut(len + 1) {
+            buf.copy_within(pos..len, pos + 1);
+            buf[pos] = id;
+            self.set_len(len + 1);
+            return;
+        }
+        // Out of room: a buffer this row holds alone doubles, a shared one
+        // is copied at its new size.
+        let room = if self.buffer_mut(0).is_some() {
+            2 * len
+        } else {
+            len + 1
+        };
+        let old = &self[..];
+        let ids = old[..pos]
+            .iter()
+            .copied()
+            .chain([id])
+            .chain(old[pos..].iter().copied());
+        self.0 = shared(ids, len + 1, room);
+    }
+
+    /// Removes and returns the id at `pos`, shifting the ids after it left.
+    ///
+    /// # Panics
+    /// Panics when `pos >= self.len()`.
+    pub fn remove(&mut self, pos: usize) -> NodeId {
+        let len = self.len();
+        assert!(pos < len, "remove at {pos} from a row of {len}");
+        let id = self[pos];
+        if self.is_inline() || len - 1 > INLINE_ROW {
+            if let Some(buf) = self.buffer_mut(len) {
+                buf.copy_within(pos + 1..len, pos);
+                self.set_len(len - 1);
+                return id;
+            }
+        }
+        let old = &self[..];
+        let rest = old[..pos].iter().chain(&old[pos + 1..]).copied();
+        self.0 = if len - 1 > INLINE_ROW {
+            shared(rest, len - 1, len - 1)
+        } else {
+            let mut ids = [NodeId(0); INLINE_ROW];
+            for (slot, id) in ids.iter_mut().zip(rest) {
+                *slot = id;
+            }
+            Repr::Inline {
+                len: (len - 1) as u8,
+                ids,
+            }
+        };
+        id
+    }
+
+    /// The row's whole buffer, when no clone shares it and it has room for
+    /// `need` ids.
+    fn buffer_mut(&mut self, need: usize) -> Option<&mut [NodeId]> {
+        match &mut self.0 {
+            Repr::Inline { ids, .. } => (need <= INLINE_ROW).then_some(&mut ids[..]),
+            Repr::Shared { ids, .. } => Arc::get_mut(ids).filter(|buf| need <= buf.len()),
+        }
+    }
+
+    fn set_len(&mut self, new: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = new as u8,
+            Repr::Shared { len, .. } => *len = new as u32,
+        }
+    }
+}
+
+/// A shared row of the `len` ids `ids` yields, in a buffer of `room` ids.
+fn shared(ids: impl Iterator<Item = NodeId>, len: usize, room: usize) -> Repr {
+    let buf: Arc<[NodeId]> = ids.chain(std::iter::repeat(NodeId(0))).take(room).collect();
+    Repr::Shared {
+        len: len as u32,
+        ids: buf,
+    }
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::from(&[][..])
+    }
+}
+
+impl From<&[NodeId]> for Row {
+    fn from(ids: &[NodeId]) -> Self {
+        if ids.len() > INLINE_ROW {
+            return Row(Repr::Shared {
+                len: ids.len() as u32,
+                ids: Arc::from(ids),
+            });
+        }
+        let mut buf = [NodeId(0); INLINE_ROW];
+        buf[..ids.len()].copy_from_slice(ids);
+        Row(Repr::Inline {
+            len: ids.len() as u8,
+            ids: buf,
+        })
+    }
+}
+
+impl std::ops::Deref for Row {
+    type Target = [NodeId];
+
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Shared { len, ids } => &ids[..*len as usize],
+        }
+    }
+}
+
+impl Borrow<[NodeId]> for Row {
+    fn borrow(&self) -> &[NodeId] {
+        self
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Row {}
+
+/// Hashes exactly like the slice, as [`Borrow`] requires.
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::HashMap;
+
+    fn ids(range: std::ops::Range<u32>) -> Vec<NodeId> {
+        range.map(NodeId).collect()
+    }
+
+    #[test]
+    fn a_row_fills_the_bytes_of_a_vec() {
+        assert_eq!(
+            std::mem::size_of::<Row>(),
+            std::mem::size_of::<Vec<NodeId>>()
+        );
+    }
+
+    #[test]
+    fn a_row_hashes_and_compares_as_its_slice() {
+        let hash = |value: &dyn Fn(&mut DefaultHasher)| {
+            let mut hasher = DefaultHasher::new();
+            value(&mut hasher);
+            hasher.finish()
+        };
+        for n in [0, 1, INLINE_ROW, INLINE_ROW + 1, 40] {
+            let list = ids(3..3 + n as u32);
+            let row = Row::from(&list[..]);
+            assert_eq!(row.is_inline(), n <= INLINE_ROW);
+            assert_eq!(hash(&|h| row.hash(h)), hash(&|h| list[..].hash(h)));
+            assert_eq!(row, Row::from(&list[..]));
+            assert_eq!(format!("{row:?}"), format!("{list:?}"));
+        }
+        // A grown row with spare room still hashes as what it holds.
+        let mut grown = Row::from(&ids(0..INLINE_ROW as u32 + 1)[..]);
+        grown.insert(0, NodeId(99));
+        grown.insert(0, NodeId(98));
+        let list = grown.to_vec();
+        assert_eq!(hash(&|h| grown.hash(h)), hash(&|h| list[..].hash(h)));
+    }
+
+    #[test]
+    fn a_map_keyed_by_rows_is_probed_with_slices() {
+        let mut map: HashMap<Row, u32> = HashMap::new();
+        for n in 0..12u32 {
+            map.insert(Row::from(&ids(n..2 * n)[..]), n);
+        }
+        for n in 0..12u32 {
+            assert_eq!(map.get(&ids(n..2 * n)[..]), Some(&n));
+        }
+        assert_eq!(map.get(&ids(1..3)[..]), None);
+    }
+
+    /// Grows one row from empty past the inline limit and back, against a
+    /// `Vec` model, at the front, middle and back in turn; a clone pinned
+    /// at every step keeps what it held.
+    #[test]
+    fn edits_spill_and_unspill_at_the_inline_limit() {
+        let mut row = Row::default();
+        let mut model: Vec<NodeId> = Vec::new();
+        let mut pins: Vec<(Row, Vec<NodeId>)> = Vec::new();
+        for i in 0..4 * INLINE_ROW as u32 {
+            let pos = [0, model.len() / 2, model.len()][i as usize % 3];
+            row.insert(pos, NodeId(i));
+            model.insert(pos, NodeId(i));
+            assert_eq!(&row[..], &model[..]);
+            assert_eq!(row.is_inline(), model.len() <= INLINE_ROW);
+            if i % 2 == 0 {
+                pins.push((row.clone(), model.clone()));
+            }
+        }
+        while !model.is_empty() {
+            let pos = [0, model.len() / 2, model.len() - 1][model.len() % 3];
+            assert_eq!(row.remove(pos), model.remove(pos));
+            assert_eq!(&row[..], &model[..]);
+            assert_eq!(row.is_inline(), model.len() <= INLINE_ROW);
+            pins.push((row.clone(), model.clone()));
+        }
+        for (pinned, held) in &pins {
+            assert_eq!(&pinned[..], &held[..]);
+        }
+    }
+
+    #[test]
+    fn an_unshared_row_grows_in_place() {
+        let mut row = Row::from(&ids(0..INLINE_ROW as u32 + 1)[..]);
+        row.insert(6, NodeId(6)); // full: the buffer doubles
+        let buffer = row.as_ptr();
+        for i in 7..12 {
+            row.insert(i as usize, NodeId(i));
+        }
+        assert_eq!(row.as_ptr(), buffer, "no copy while there is room");
+        assert_eq!(&row[..], &ids(0..12)[..]);
+        let pinned = row.clone();
+        row.remove(0);
+        assert_ne!(row.as_ptr(), pinned.as_ptr(), "a shared buffer is copied");
+        assert_eq!((&row[..], &pinned[..]), (&ids(1..12)[..], &ids(0..12)[..]));
+    }
+}

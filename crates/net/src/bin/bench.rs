@@ -99,11 +99,15 @@ use Bound::{Max, Min};
 /// the threshold has the value it has; the readings quoted are the `--smoke`
 /// sweep's (6k to 600k nodes), which is what CI checks. The full profile's
 /// top point is five times larger, and there `maintenance_growth` reads
-/// 2.1-3.3: a hub's answer list is still rewritten when an edge lands on it.
+/// 2.0-2.9 and `maintain_growth` 3.4-3.8. Maintenance copies no list that
+/// grows with |G| (answer lists are bounded by N and live in the shard
+/// table); what grows is un-sharing a touched index, one reference count per
+/// 64 shards of each of its maps — 804 for the whole social schema at 3.0M
+/// nodes, which a probe times at ~15 us against a ~25 us maintain phase.
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned
-const GATES: [Gate; 10] = [
+const GATES: [Gate; 11] = [
     // The paper's headline figure: bVF2 is flat in |G|, VF2 linear, so the
     // ratio must favour bVF2 on the sweep's largest graph (14x smoke, 41x
     // full) and must have grown since the smallest.
@@ -122,6 +126,11 @@ const GATES: [Gate; 10] = [
     ("scaling.maintenance_growth",    Max,      3.0, "index maintenance is tracking |G|"),
     // 1.4-2.4x since the copy-on-write spine; 70x before it.
     ("scaling.commit_growth",         Max,      8.0, "a copy-on-write commit is tracking |G|"),
+    // The commit's maintain phase alone: 1.7-2.7x smoke, 3.80x in the full
+    // profile's BENCH.json (6.7 -> 12.6 -> 25.6 us; 3.4-3.8 over three runs),
+    // 3.9x (25.5 -> 100 us) when every shard copy still cloned two heap
+    // lists per entry. The threshold is the full reading with ~1.8x headroom.
+    ("scaling.maintain_growth",       Max,      7.0, "the commit's index maintenance is tracking |G|"),
     // Bulk-reading sections against parsing, interning and sorting records
     // reads 11-14x on the JSONL datasets and 5.0-5.7x on social.tsv, whose
     // 45 us load puts the bound on the reading: about one run in six trips it.
@@ -387,9 +396,9 @@ fn scale_point(scale: usize) -> Json {
     ])
 }
 
-/// `key` of a row as a positive finite number.
+/// `key` (dotted, like a gate's) of a row as a positive finite number.
 fn positive(row: Option<&Json>, key: &str) -> Option<f64> {
-    let x = row?.get(key)?.as_f64()?;
+    let x = resolve(row?, key)?.as_f64()?;
     (x.is_finite() && x > 0.0).then_some(x)
 }
 
@@ -420,6 +429,7 @@ fn scaling(profile: &Profile) -> Json {
         ("latency_growth", growth_of("avg_query_us")),
         ("maintenance_growth", growth_of("maintenance_us_per_batch")),
         ("commit_growth", growth_of("commit_us")),
+        ("maintain_growth", growth_of("commit_phases_us.maintain")),
         ("vf2_over_bvf2_largest", num(largest, 2)),
         ("vf2_over_bvf2_growth", growth_of("vf2_over_bvf2")),
         ("hit_speedup", num(hit_speedup.unwrap_or(f64::NAN), 2)),
@@ -918,6 +928,9 @@ mod tests {
         let rows = |first, last| [first, last].map(|x| Json::obj([("x", num(x, 2))]));
         // Below 1.0 at both ends: the clamped ratio read 1.0 and passed.
         assert_eq!(growth(&rows(0.25, 0.5), "x"), 2.0);
+        // A dotted key reads a nested number, as `maintain_growth` does.
+        let nested = [0.25, 0.75].map(|x| Json::obj([("phases", Json::obj([("x", num(x, 2))]))]));
+        assert_eq!(growth(&nested, "phases.x"), 3.0);
         for broken in [rows(0.0, 0.5), rows(0.5, f64::NAN)] {
             assert!(growth(&broken, "x").is_nan());
             assert!(growth(&broken, "missing").is_nan());

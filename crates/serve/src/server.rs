@@ -5,7 +5,7 @@ use bgpq_access::{apply_deltas, AccessIndexSet, AccessSchema, GraphDelta, Mainte
 use bgpq_engine::{BgpqError, Engine, QueryRequest, QueryResponse, SharedResources};
 use bgpq_graph::{Graph, NodeId, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// One logical mutation of the served graph, expressed in caller terms
@@ -156,10 +156,13 @@ pub struct ServerStats {
 ///   plus its group of 64 pointers; everything else stays shared with the
 ///   snapshots readers still pin, and dropping a superseded snapshot —
 ///   after the pointer swap, outside its lock — frees only what its
-///   successor replaced. What still follows `|G|`: `|V| / 16 384`
+///   successor replaced. Index keys and answer lists live inline in their
+///   shard's table ([`bgpq_graph::Row`]), so an index shard copies and
+///   retires as one flat table. What still follows `|G|`: `|V| / 16 384`
 ///   reference counts per per-node array on the clone and again on the
-///   retire (183 each at 3.0M nodes), and a hub's own adjacency row is
-///   rewritten when an edge lands on it.
+///   retire (183 each at 3.0M nodes), one per 64 shards of each map of a
+///   touched index, and a hub's own adjacency row, copied whole when an
+///   edge lands on it — the largest `|G|` term left in the replay.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedResources`]: one plan cache, one fragment cache and one pool
 ///   of scratch arenas. Cache slots are keyed by snapshot version, so a
@@ -256,7 +259,7 @@ impl Server {
     /// alive (graph, indices and engine) for as long as the reader holds it,
     /// no matter how many commits land in the meantime.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read().expect("snapshot pointer poisoned"))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The epoch of the current snapshot.
@@ -311,7 +314,10 @@ impl Server {
     /// assert_eq!(server.snapshot().graph().node_count(), 3);
     /// ```
     pub fn commit(&self, updates: &[Update]) -> Result<CommitReceipt, BgpqError> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        // Neither lock guards state a panic can tear — one guards `()`, the
+        // other a single pointer store — so a commit that panicked poisons
+        // nothing the next one needs: its private clone died with it.
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let commit_started = Instant::now();
         let base = self.snapshot();
         let mut graph = base.graph().clone();
@@ -364,7 +370,7 @@ impl Server {
         // pointer store, never for the superseded snapshot's teardown.
         let started = Instant::now();
         let retired = {
-            let mut current = self.current.write().expect("snapshot pointer poisoned");
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, next)
         };
         let publish_nanos = started.elapsed().as_nanos() as u64;
@@ -574,6 +580,41 @@ mod tests {
         assert_eq!(stats.retire_nanos, first.retire_nanos + second.retire_nanos);
         assert_eq!(stats.clone_nanos, first.clone_nanos + second.clone_nanos);
         assert_eq!(stats.commit_nanos, first.commit_nanos + second.commit_nanos);
+    }
+
+    /// A thread that panics while holding the writer lock (a commit dying
+    /// mid-maintenance) or the snapshot pointer poisons both; the server
+    /// still commits, and readers see the next version.
+    #[test]
+    fn a_panic_under_either_lock_leaves_the_server_serving() {
+        let (g, schema) = fixture();
+        let server = Server::new(g, &schema);
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _held = server.writer.lock();
+                panic!("a commit panics while it holds the writer lock");
+            });
+            assert!(writer.join().is_err());
+            let swapper = s.spawn(|| {
+                let _held = server.current.write();
+                panic!("a panic while the snapshot pointer is held");
+            });
+            assert!(swapper.join().is_err());
+        });
+        assert!(server.writer.is_poisoned() && server.current.is_poisoned());
+
+        let receipt = server
+            .commit(&[Update::AddNode {
+                label: "year".into(),
+                value: Value::Int(2020),
+            }])
+            .unwrap();
+        assert_eq!((receipt.version, server.version()), (1, 1));
+        let request = year_movie_actor_query(server.snapshot().graph(), 2012);
+        let response = server.execute(&request).unwrap();
+        assert_eq!(response.answer.len(), 1);
+        assert_eq!(response.stats.snapshot_version, 1);
+        assert_eq!(server.commit(&[]).unwrap().version, 2);
     }
 
     #[test]

@@ -22,18 +22,22 @@
 //! [`FragmentView`](bgpq_graph::FragmentView) instead of ever allocating a
 //! `Subgraph` on the hot path.
 //!
-//! All lookups go through a [`LookupMemo`]: the key set of a step is
-//! deduplicated before touching the index (via-combinations can repeat a
-//! canonical key, and two same-labeled pattern nodes fetched through the
-//! same constraint repeat whole key sets).
+//! A lookup is one [`ConstraintIndex::common_neighbors`] probe whose
+//! borrowed answer list is appended straight to the step's list: no key is
+//! copied, hashed or cached. Within a step no key repeats (the `via` nodes
+//! carry the constraint's distinct source labels). What does repeat is whole
+//! steps: two pattern nodes of one label fetched through the same constraint
+//! from the same `via` nodes probe the identical key set. The
+//! [`LookupMemo`] keeps such a step's answers for the later steps of the
+//! plan that repeat it, and each applies its own predicate.
+//!
+//! [`ConstraintIndex::common_neighbors`]: bgpq_access::ConstraintIndex::common_neighbors
 
-use crate::plan::QueryPlan;
-use bgpq_access::{AccessIndexSet, ConstraintId, ConstraintIndex};
+use crate::plan::{FetchStep, QueryPlan};
+use bgpq_access::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId, Subgraph};
 use bgpq_matching::seed::for_each_combination;
 use bgpq_pattern::Pattern;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Counters describing one plan execution.
@@ -43,17 +47,16 @@ use std::time::Instant;
 /// fetches are never byte-equal. Compare the individual counters instead.
 #[derive(Debug, Clone, Default)]
 pub struct FetchStats {
-    /// Number of **distinct** index lookups issued. A step's key set is
-    /// deduplicated before touching the index, and the [`LookupMemo`]
-    /// answers repeated keys from memory, so this counts lookups that
-    /// actually reached a [`bgpq_access::ConstraintIndex`] — repeats land
-    /// in [`FetchStats::lookups_deduped`] instead.
+    /// Probes that reached a [`bgpq_access::ConstraintIndex`]: one per key
+    /// combination of every step the [`LookupMemo`] did not serve.
     pub index_lookups: u64,
-    /// Lookup keys answered from the [`LookupMemo`] instead of the index:
-    /// repeated canonical keys within a step or across the steps of one
+    /// Keys not probed because their step repeated an earlier step's
+    /// `(constraint, via)` and reused its answers from the [`LookupMemo`].
+    /// `index_lookups + lookups_deduped` is every key combination of the
     /// plan.
     pub lookups_deduped: u64,
-    /// Total nodes returned by lookups, before deduplication/filtering.
+    /// Nodes the probes returned, before deduplication and filtering; a
+    /// step served from the [`LookupMemo`] adds none.
     pub nodes_returned: u64,
     /// Distinct fetched nodes dropped because the pattern node's predicate
     /// rejected them — a measure of how selective the query's predicates are
@@ -118,61 +121,24 @@ pub struct CandidateSet {
     pub stats: FetchStats,
 }
 
-/// A memo of index lookups, deduplicating repeated keys.
+/// A memo of plan steps: the sorted, deduplicated answers of a step,
+/// before its predicate, kept for the later steps of the same plan that
+/// repeat its `(constraint, via)` and would otherwise probe the identical
+/// key set. Finding the earlier step is a linear scan, with no hashing.
 ///
-/// Every fetch routes its lookups through one of these: repeated canonical
-/// keys — within a step, across the steps of a plan, or across fetches when
-/// the caller reuses the memo — are answered from memory and counted as
-/// [`FetchStats::lookups_deduped`] instead of re-reaching the index.
-///
-/// A memo is only valid against one [`AccessIndexSet`]: entries carry no
-/// version, so sharing a memo across snapshots would serve stale answers.
+/// Only steps a later step repeats are recorded, and
+/// [`fetch_candidate_sets`] clears the memo on entry: a step means nothing
+/// outside its plan, so nothing carries across fetches.
 #[derive(Debug, Default)]
 pub struct LookupMemo {
-    map: HashMap<(ConstraintId, Vec<NodeId>), Vec<NodeId>>,
+    /// `(step index, probes, answers)` per recorded step.
+    steps: Vec<(usize, u64, Vec<NodeId>)>,
 }
 
 impl LookupMemo {
     /// An empty memo.
     pub fn new() -> Self {
         LookupMemo::default()
-    }
-
-    /// Number of distinct `(constraint, key)` lookups memoized.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no lookup has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The common neighbors of `key` under `constraint`, from the memo when
-    /// the canonical key was already looked up, from `index` otherwise. The
-    /// key is canonicalized (sorted, deduplicated) exactly as
-    /// [`ConstraintIndex::common_neighbors`] does, so permuted via-tuples
-    /// share one entry.
-    fn lookup(
-        &mut self,
-        index: &ConstraintIndex,
-        constraint: ConstraintId,
-        key: &[NodeId],
-        stats: &mut FetchStats,
-    ) -> &[NodeId] {
-        let mut canonical = key.to_vec();
-        canonical.sort_unstable();
-        canonical.dedup();
-        match self.map.entry((constraint, canonical)) {
-            Entry::Occupied(slot) => {
-                stats.lookups_deduped += 1;
-                slot.into_mut()
-            }
-            Entry::Vacant(slot) => {
-                stats.index_lookups += 1;
-                slot.insert(index.common_neighbors(key).to_vec())
-            }
-        }
     }
 }
 
@@ -189,16 +155,13 @@ pub(crate) fn fetch_candidates(
     graph: &Graph,
     indices: &AccessIndexSet,
 ) -> CandidateSet {
-    let mut memo = LookupMemo::new();
-    fetch_candidate_sets(plan, pattern, graph, indices, &mut memo)
+    fetch_candidate_sets(plan, pattern, graph, indices, &mut LookupMemo::new())
 }
 
 /// Runs the index-lookup loop of `plan`, producing per-node candidates and
-/// their union, with all lookups routed through `memo`.
-///
-/// Callers pass a fresh memo per query, which deduplicates repeated keys
-/// within the plan itself. The memo must not outlive the `indices` it was
-/// first used with (see [`LookupMemo`]).
+/// their union. A step that repeats an earlier step's `(constraint, via)`
+/// reuses that step's answers from `memo`, which is cleared first (see
+/// [`LookupMemo`]).
 ///
 /// # Panics
 /// Panics if `plan` references constraints absent from `indices` (i.e. the
@@ -211,28 +174,41 @@ pub fn fetch_candidate_sets(
     memo: &mut LookupMemo,
 ) -> CandidateSet {
     let started = Instant::now();
-    let n = pattern.node_count();
-    let mut candidates: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    memo.steps.clear();
+    let mut candidates: Vec<Vec<NodeId>> = vec![Vec::new(); pattern.node_count()];
     let mut stats = FetchStats::default();
-    for step in &plan.steps {
-        let index = indices
-            .get(step.constraint)
-            .expect("plan constraint must exist in the index set");
-        let mut fetched: Vec<NodeId> = Vec::new();
-        if step.via.is_empty() {
-            fetched.extend_from_slice(memo.lookup(index, step.constraint, &[], &mut stats));
+    for (i, step) in plan.steps.iter().enumerate() {
+        let repeats = |s: &FetchStep| s.constraint == step.constraint && s.via == step.via;
+        let earlier = memo.steps.iter().find(|(j, ..)| repeats(&plan.steps[*j]));
+        let mut fetched = if let Some((_, probes, answers)) = earlier {
+            stats.lookups_deduped += probes;
+            answers.clone()
         } else {
+            let index = indices
+                .get(step.constraint)
+                .expect("plan constraint must exist in the index set");
+            let (mut fetched, mut probes) = (Vec::new(), 0);
             for_each_combination(&step.via, &candidates, &mut |key| {
-                fetched.extend_from_slice(memo.lookup(index, step.constraint, key, &mut stats));
+                probes += 1;
+                fetched.extend_from_slice(index.common_neighbors(key));
             });
+            stats.index_lookups += probes;
+            stats.nodes_returned += fetched.len() as u64;
+            // Sized by the fetched list, never by `|V|`.
+            fetched.sort_unstable();
+            fetched.dedup();
+            if plan.steps[i + 1..].iter().any(repeats) {
+                memo.steps.push((i, probes, fetched.clone()));
+            }
+            fetched
+        };
+        // An empty predicate accepts every node: read no value for it.
+        let predicate = pattern.predicate(step.node);
+        if !predicate.is_empty() {
+            let before_filter = fetched.len();
+            fetched.retain(|&v| predicate.eval(graph.value(v)));
+            stats.predicate_filtered += (before_filter - fetched.len()) as u64;
         }
-        stats.nodes_returned += fetched.len() as u64;
-        // Sized by the fetched list, never by `|V|`.
-        fetched.sort_unstable();
-        fetched.dedup();
-        let before_filter = fetched.len();
-        fetched.retain(|&v| pattern.predicate(step.node).eval(graph.value(v)));
-        stats.predicate_filtered += (before_filter - fetched.len()) as u64;
         candidates[step.node.index()] = fetched;
     }
 
@@ -384,60 +360,94 @@ mod tests {
         assert_eq!(fetched.stats.lookups_deduped, 0);
     }
 
-    /// Two same-labeled pattern nodes fetched through the same constraint
-    /// repeat each other's key set; the repeats must be answered from the
-    /// memo, not re-issued against the index.
-    #[test]
-    fn repeated_via_keys_are_looked_up_once() {
-        let (g, schema) = setup();
-        let indices = AccessIndexSet::build(&g, &schema);
+    /// year = `year` → movie → two actor nodes, the second one filtered by
+    /// `second_actor`: the actor nodes' steps share `(constraint, via)`.
+    fn two_actor_pattern(g: &Graph, year: i64, second_actor: Predicate) -> Pattern {
         let mut pb = PatternBuilder::with_interner(g.interner().clone());
         let m = pb.node("movie", Predicate::always());
-        let y = pb.node("year", Predicate::single(bgpq_pattern::Op::Eq, 2011));
+        let y = pb.node("year", Predicate::single(bgpq_pattern::Op::Eq, year));
         let a = pb.node("award", Predicate::always());
         let act1 = pb.node("actor", Predicate::always());
-        let act2 = pb.node("actor", Predicate::always());
+        let act2 = pb.node("actor", second_actor);
         pb.edge(y, m);
         pb.edge(a, m);
         pb.edge(m, act1);
         pb.edge(m, act2);
-        let q = pb.build();
+        pb.build()
+    }
+
+    /// Two same-labeled pattern nodes fetched through the same constraint
+    /// from the same `via` node repeat each other's key set; the second step
+    /// must reuse the first one's answers, not re-probe the index.
+    #[test]
+    fn repeated_via_keys_are_looked_up_once() {
+        let (g, schema) = setup();
+        let indices = AccessIndexSet::build(&g, &schema);
+        let q = two_actor_pattern(&g, 2011, Predicate::always());
         let plan = plan_query(&q, &schema, Semantics::Isomorphism).unwrap();
         let fetched = execute_plan(&plan, &q, &g, &indices);
         // year + award + 1 pair key + 2 movie→actor keys for the first
-        // actor node = 5 distinct lookups; the second actor node repeats
-        // the same 2 movie keys and is served from the memo.
+        // actor node = 5 probes; the second actor node's step repeats the
+        // first one's 2 keys and reuses its answers.
         assert_eq!(fetched.stats.index_lookups, 5);
         assert_eq!(fetched.stats.lookups_deduped, 2);
-        // Dedup never changes the answer: both actor nodes see all actors
+        assert_eq!(fetched.stats.nodes_returned, 2 + 1 + 2 + 4);
+        // Reuse never changes the answer: both actor nodes see all actors
         // of the 2011 movies.
         assert_eq!(fetched.candidates[3], fetched.candidates[4]);
         assert_eq!(fetched.candidates[3].len(), 4);
     }
 
-    /// A memo reused across fetches answers the second fetch's overlapping
-    /// lookups from memory, with identical results.
+    /// A reused step applies its own predicate to the shared answers, not
+    /// the predicate of the step it reuses.
     #[test]
-    fn shared_memo_feeds_overlapping_fetches() {
+    fn a_reused_step_applies_its_own_predicate() {
         let (g, schema) = setup();
         let indices = AccessIndexSet::build(&g, &schema);
-        let q = movie_pattern(&g);
+        let q = two_actor_pattern(&g, 2011, Predicate::single(bgpq_pattern::Op::Ge, 20));
         let plan = plan_query(&q, &schema, Semantics::Isomorphism).unwrap();
+        let fetched = execute_plan(&plan, &q, &g, &indices);
+        assert_eq!(fetched.stats.lookups_deduped, 2);
+        // The 2011 movies are movies 0 and 2: actors 0, 1, 20, 21.
+        let values = |u: usize| -> Vec<Value> {
+            let nodes = fetched.candidates[u].iter();
+            nodes.map(|&v| g.value(v).clone()).collect()
+        };
+        assert_eq!(values(3), [0, 1, 20, 21].map(Value::Int));
+        assert_eq!(values(4), [20, 21].map(Value::Int));
+        assert_eq!(fetched.stats.predicate_filtered, 1 + 2);
+    }
 
-        let solo = fetch_candidates(&plan, &q, &g, &indices);
+    /// A memo reused across fetches carries nothing: every fetch through it
+    /// equals a fresh-memo fetch, probes included — also when the earlier
+    /// plan recorded a step whose index means another step in the next one.
+    #[test]
+    fn a_shared_memo_carries_nothing_across_fetches() {
+        let (g, schema) = setup();
+        let indices = AccessIndexSet::build(&g, &schema);
+        let patterns = [
+            two_actor_pattern(&g, 2011, Predicate::always()),
+            two_actor_pattern(&g, 2012, Predicate::always()),
+            movie_pattern(&g),
+            two_actor_pattern(&g, 2011, Predicate::always()),
+        ];
         let mut memo = LookupMemo::new();
-        let first = fetch_candidate_sets(&plan, &q, &g, &indices, &mut memo);
-        let second = fetch_candidate_sets(&plan, &q, &g, &indices, &mut memo);
-
-        assert_eq!(first.candidates, solo.candidates);
-        assert_eq!(second.candidates, solo.candidates);
-        assert_eq!(second.all_nodes, solo.all_nodes);
-        assert_eq!(first.stats.index_lookups, 5);
-        assert_eq!(memo.len(), 5);
-        // The second pass issues nothing: every key is memoized.
-        assert_eq!(second.stats.index_lookups, 0);
-        assert_eq!(second.stats.lookups_deduped, 5);
-        assert!(!memo.is_empty());
+        for q in &patterns {
+            let plan = plan_query(q, &schema, Semantics::Isomorphism).unwrap();
+            let fresh = fetch_candidates(&plan, q, &g, &indices);
+            let shared = fetch_candidate_sets(&plan, q, &g, &indices, &mut memo);
+            assert_eq!(shared.candidates, fresh.candidates);
+            assert_eq!(shared.all_nodes, fresh.all_nodes);
+            assert_eq!(shared.stats.index_lookups, fresh.stats.index_lookups);
+            assert_eq!(shared.stats.lookups_deduped, fresh.stats.lookups_deduped);
+        }
+        // The 2012 pattern's actors are the 2012 movies' (1 and 3), not the
+        // 2011 ones a stale step would have served.
+        let plan = plan_query(&patterns[1], &schema, Semantics::Isomorphism).unwrap();
+        let fetched = fetch_candidate_sets(&plan, &patterns[1], &g, &indices, &mut memo);
+        let actor_values = fetched.candidates[4].iter().map(|&v| g.value(v).clone());
+        let expected = [10, 11, 30, 31].map(Value::Int);
+        assert_eq!(actor_values.collect::<Vec<_>>(), expected);
     }
 
     #[test]

@@ -13,19 +13,23 @@
 //!   rejection: the direct executor and the engine's forced-`Bounded` mode
 //!   report the same uncovered pattern nodes, while the fallback strategies
 //!   still return the exact whole-graph answer;
-//! * truncated indices are excluded from planning identically everywhere.
+//! * truncated indices are excluded from planning identically everywhere;
+//! * the fetch equals a reference that probes every key and reuses nothing,
+//!   on the indices as built and on capped (truncated) ones.
 //!
 //! Everything is seeded and deterministic: a failure reports its seed and
 //! pattern index, which reproduce the exact workload.
 
 use bgpq_engine::{
     bounded_simulation_match, bounded_subgraph_match, check_schema, discover_schema,
-    opt_simulation_match, opt_subgraph_match, simulation_match, AccessConstraint, AccessIndexSet,
-    AccessSchema, BgpqError, ConstraintId, DiscoveryConfig, Engine, Graph, GraphBuilder,
-    QueryRequest, Semantics, StrategyKind, SubgraphMatcher,
+    fetch_candidate_sets, opt_simulation_match, opt_subgraph_match, plan_query, simulation_match,
+    AccessConstraint, AccessIndexSet, AccessSchema, BgpqError, ConstraintId, DiscoveryConfig,
+    Engine, Graph, GraphBuilder, LookupMemo, NodeId, QueryPlan, QueryRequest, Semantics,
+    StrategyKind, SubgraphMatcher,
 };
 use bgpq_graph::Value;
 use bgpq_pattern::{DetRng, GeneratorConfig, Pattern, WorkloadGenerator};
+use std::collections::BTreeSet;
 
 /// Labels the random graphs draw from.
 const LABEL_POOL: [&str; 8] = [
@@ -203,13 +207,19 @@ fn check_simulation(
     );
 }
 
-fn run_seed(seed: u64) {
+/// The graph, schema and pattern workload of one seed of the matrix.
+fn seed_fixture(seed: u64) -> (Graph, AccessSchema, Vec<Pattern>) {
     let mut rng = DetRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1FF);
     let graph = random_graph(&mut rng);
     let schema = random_schema(&mut rng, &graph);
+    let patterns = workload(&mut rng, &graph, seed);
+    (graph, schema, patterns)
+}
+
+fn run_seed(seed: u64) {
+    let (graph, schema, patterns) = seed_fixture(seed);
     let indices = AccessIndexSet::build(&graph, &schema);
     let engine = Engine::with_indices(graph.clone(), indices.clone());
-    let patterns = workload(&mut rng, &graph, seed);
     for (i, q) in patterns.iter().enumerate() {
         check_isomorphism(seed, i, q, &graph, &indices, &engine);
         check_simulation(seed, i, q, &graph, &indices, &engine);
@@ -258,6 +268,103 @@ fn differential_seed_matrix_100_149() {
 #[test]
 fn differential_seed_matrix_150_199() {
     (150..200).for_each(run_seed);
+}
+
+/// The fetch with nothing reused: every key combination of every step
+/// probed through `common_neighbors`, every predicate evaluated. Returns the
+/// candidates, their union and the number of probes.
+fn reference_fetch(
+    plan: &QueryPlan,
+    q: &Pattern,
+    graph: &Graph,
+    indices: &AccessIndexSet,
+) -> (Vec<Vec<NodeId>>, Vec<NodeId>, u64) {
+    let mut candidates: Vec<Vec<NodeId>> = vec![Vec::new(); q.node_count()];
+    let mut probes = 0;
+    for step in &plan.steps {
+        let mut keys: Vec<Vec<NodeId>> = vec![Vec::new()];
+        for w in &step.via {
+            let extend = |key: &Vec<NodeId>| -> Vec<Vec<NodeId>> {
+                let nodes = candidates[w.index()].iter();
+                nodes.map(|&v| [key.as_slice(), &[v]].concat()).collect()
+            };
+            keys = keys.iter().flat_map(extend).collect();
+        }
+        let index = indices
+            .get(step.constraint)
+            .expect("plan constraint is indexed");
+        let mut fetched = BTreeSet::new();
+        for key in &keys {
+            probes += 1;
+            fetched.extend(index.common_neighbors(key));
+        }
+        let predicate = q.predicate(step.node);
+        let kept = fetched
+            .into_iter()
+            .filter(|&v| predicate.eval(graph.value(v)));
+        candidates[step.node.index()] = kept.collect();
+    }
+    let all_nodes: BTreeSet<NodeId> = candidates.iter().flatten().copied().collect();
+    (candidates, all_nodes.into_iter().collect(), probes)
+}
+
+/// `schema` with every global constraint dropped but the tightest: plans
+/// under it must reach most pattern nodes through keyed steps, which the
+/// seed's own schema (a global for every label) rarely needs.
+fn keyed_schema(schema: &AccessSchema) -> AccessSchema {
+    let globals = schema.iter().filter(|c| c.is_global());
+    let anchor = globals.min_by_key(|c| c.bound()).cloned();
+    let keyed = schema.iter().filter(|c| !c.is_global()).cloned();
+    AccessSchema::from_constraints(anchor.into_iter().chain(keyed))
+}
+
+/// `fetch_candidate_sets` against [`reference_fetch`] on every seed of the
+/// matrix, both semantics, under the seed's schema and its
+/// [`keyed_schema`], over indices uncapped and capped at two and one
+/// combinations per node. Plans come from the schema alone, so capped runs
+/// fetch through truncated indices too: the fetch contract does not depend
+/// on an index being complete. One memo serves every fetch of a seed.
+#[test]
+fn fetch_equals_a_reference_that_probes_every_key() {
+    // Fetches with a keyed step, with a reused step, through a truncated index.
+    let mut seen = [0usize; 3];
+    for seed in 0..200 {
+        let (graph, schema, patterns) = seed_fixture(seed);
+        let mut memo = LookupMemo::new();
+        for schema in [keyed_schema(&schema), schema] {
+            for cap in [usize::MAX, 2, 1] {
+                let indices = AccessIndexSet::build_with_cap(&graph, &schema, cap);
+                for (i, q) in patterns.iter().enumerate() {
+                    for semantics in [Semantics::Isomorphism, Semantics::Simulation] {
+                        let Ok(plan) = plan_query(q, &schema, semantics) else {
+                            continue;
+                        };
+                        let at = format!("seed {seed}, pattern {i}, {semantics:?}, cap {cap}");
+                        let (candidates, all_nodes, probes) =
+                            reference_fetch(&plan, q, &graph, &indices);
+                        let fetched = fetch_candidate_sets(&plan, q, &graph, &indices, &mut memo);
+                        assert_eq!(fetched.candidates, candidates, "{at}");
+                        assert_eq!(fetched.all_nodes, all_nodes, "{at}");
+                        let stats = &fetched.stats;
+                        assert_eq!(stats.index_lookups + stats.lookups_deduped, probes, "{at}");
+                        let truncated = |c| indices.get(c).unwrap().is_truncated();
+                        let hits = [
+                            plan.steps.iter().any(|s| !s.via.is_empty()),
+                            stats.lookups_deduped > 0,
+                            plan.steps.iter().any(|s| truncated(s.constraint)),
+                        ];
+                        for (count, hit) in seen.iter_mut().zip(hits) {
+                            *count += usize::from(hit);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "keyed, reused, truncated: {seen:?}"
+    );
 }
 
 /// Randomized hub fixtures whose pair index overflows the per-node

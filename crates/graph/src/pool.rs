@@ -9,7 +9,7 @@
 //! unrepresentable; the engine's concurrency test locks this down).
 
 use crate::view::ScratchArena;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError, TryLockError};
 
 /// A pool of [`ScratchArena`]s with one slot per expected concurrent caller.
 #[derive(Debug, Default)]
@@ -39,23 +39,22 @@ impl ArenaPool {
     /// Runs `f` with any free arena: the first unlocked slot, else an arena
     /// popped from (and returned to) the overflow stack. Never blocks on a
     /// busy slot, so concurrent callers always get distinct arenas.
+    ///
+    /// A slot whose previous user panicked stays in service: poison is
+    /// recovered, which is sound because every fragment build clears the
+    /// arena buffers it reads, so a torn arena holds nothing a caller sees.
     pub fn with_any<R>(&self, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
         for slot in &self.slots {
-            if let Ok(mut arena) = slot.try_lock() {
-                return f(&mut arena);
+            match slot.try_lock() {
+                Ok(mut arena) => return f(&mut arena),
+                Err(TryLockError::Poisoned(poisoned)) => return f(&mut poisoned.into_inner()),
+                Err(TryLockError::WouldBlock) => {}
             }
         }
-        let mut arena = self
-            .overflow
-            .lock()
-            .expect("arena overflow poisoned")
-            .pop()
-            .unwrap_or_default();
+        let overflow = || self.overflow.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut arena = overflow().pop().unwrap_or_default();
         let result = f(&mut arena);
-        self.overflow
-            .lock()
-            .expect("arena overflow poisoned")
-            .push(arena);
+        overflow().push(arena);
         result
     }
 }
@@ -65,6 +64,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    #[test]
+    fn a_panic_inside_with_any_leaves_its_slot_in_service() {
+        let pool = ArenaPool::new(1);
+        let addr = |arena: &mut ScratchArena| arena as *mut ScratchArena as usize;
+        let slot = pool.with_any(addr);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_any(|_| panic!("matcher panic"))
+        }));
+        assert!(panicked.is_err());
+        assert!(pool.slots[0].is_poisoned());
+        // The next caller gets the same slot, not an overflow arena.
+        assert_eq!(pool.with_any(addr), slot);
+        assert_eq!(pool.with_any(addr), slot);
+        assert!(pool.overflow.lock().unwrap().is_empty());
+    }
 
     #[test]
     fn with_any_never_hands_out_a_busy_arena() {

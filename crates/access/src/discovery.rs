@@ -124,7 +124,7 @@ fn pair_candidates(graph: &Graph, cap: usize) -> Vec<(Label, Label, Label)> {
     for v in graph.nodes() {
         let target = graph.label(v);
         let mut neighbor_labels: Vec<Label> =
-            graph.neighbors(v).iter().map(|&n| graph.label(n)).collect();
+            graph.neighbor_iter(v).map(|n| graph.label(n)).collect();
         neighbor_labels.sort_unstable();
         neighbor_labels.dedup();
         for (i, &l1) in neighbor_labels.iter().enumerate() {

@@ -80,6 +80,10 @@ impl ConstraintIndex {
     }
 
     /// Builds the index with an explicit combination cap per target node.
+    ///
+    /// A global or unary index is filled in bulk, each key inserted once
+    /// with its whole answer list, to the index that replaying maintenance
+    /// would give (the unit tests' oracle); `|S| ≥ 2` enumerates per target.
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
         // A unary key is one source-labeled node; sizing the shards for all
         // of them up front fills the maps in place, without re-splits.
@@ -87,17 +91,55 @@ impl ConstraintIndex {
             [source] => graph.label_count(*source),
             _ => 0,
         };
-        let targets = graph.label_count(constraint.target());
-        let mut index = Self::empty(constraint, cap, keys, targets);
-        for &v in graph.nodes_with_label(index.constraint.target()) {
-            index.refresh_target(graph, v, &[]);
-        }
-        if index.constraint.is_global() {
+        let target = constraint.target();
+        let mut index = Self::empty(constraint, cap, keys, graph.label_count(target));
+        match *index.constraint.source() {
             // The one key of a global index exists even without answers.
-            index.map.entry_or_default(Row::default());
+            [] => _ = index.insert_decoded(&[], &graph.nodes_with_label(target).to_vec()),
+            [source] => index.fill_unary(graph, source),
+            _ => {
+                for &v in graph.nodes_with_label(target) {
+                    index.add_combinations(graph, v);
+                }
+            }
         }
         index.shrink_to_fit();
         index
+    }
+
+    /// Fills an empty unary index: each source-labeled node, in id order,
+    /// lists its target-labeled neighbors, so a target is listed under its
+    /// first `cap` sources and capped at `cap` or more, as in maintenance.
+    fn fill_unary(&mut self, graph: &Graph, source: Label) {
+        let (target, cap) = (self.constraint.target(), self.cap.max(1));
+        let mut counts = vec![0u32; graph.node_count()];
+        let (mut histogram, mut answers) = (vec![0usize], Vec::new());
+        for &o in graph.nodes_with_label(source) {
+            for t in graph.neighbor_iter(o) {
+                if graph.label(t) == target && (counts[t.index()] as usize) < cap {
+                    counts[t.index()] += 1;
+                    answers.push(t);
+                }
+            }
+            if !answers.is_empty() {
+                histogram.resize(histogram.len().max(answers.len() + 1), 0);
+                histogram[answers.len()] += 1;
+                let key = Row::from(&[o][..]);
+                self.map.insert(key, Row::from(&answers[..]));
+                answers.clear();
+            }
+        }
+        let lengths = histogram.into_iter().enumerate();
+        self.lengths = lengths.filter(|&(_, keys)| keys > 0).collect();
+        for &t in graph.nodes_with_label(target) {
+            let count = counts[t.index()];
+            if count > 0 {
+                self.key_counts.insert(t, count);
+            }
+            if count as usize >= cap {
+                self.capped_targets.insert(t, ());
+            }
+        }
     }
 
     /// Re-fits maps that were sized for more entries than they received
@@ -304,9 +346,9 @@ impl ConstraintIndex {
         true
     }
 
-    /// Inserts one persisted `(key, answers)` entry (snapshot load). The
-    /// caller guarantees both lists are sorted strictly; returns `false`
-    /// when the key was already present.
+    /// Inserts one persisted `(key, answers)` entry (snapshot load, and a
+    /// global index's build). The caller guarantees both lists are sorted
+    /// strictly; returns `false` when the key was already present.
     pub(crate) fn insert_decoded(&mut self, key: &[NodeId], answers: &[NodeId]) -> bool {
         if self.map.contains_key(key) {
             return false;
@@ -337,7 +379,7 @@ impl ConstraintIndex {
     ///
     /// `partners` are the nodes an edge delta of the current batch pairs
     /// with `target`: former neighbors a unary index may still list it
-    /// under (a fresh build passes none).
+    /// under (replaying a fresh build, the unit tests' oracle, passes none).
     pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
         let is_target = graph.try_label(target) == Some(self.constraint.target());
         match self.constraint.source_len() {
@@ -447,9 +489,8 @@ impl ConstraintIndex {
     /// neighbors in `graph`, up to the cap.
     fn add_combinations(&mut self, graph: &Graph, target: NodeId) {
         // Group the target's neighbors by the source labels of the constraint.
-        let neighbors = graph.neighbors(target);
         let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
-        for &n in &neighbors {
+        for n in graph.neighbor_iter(target) {
             let ln = graph.label(n);
             if let Ok(pos) = self.constraint.source().binary_search(&ln) {
                 per_label[pos].push(n);
@@ -778,6 +819,153 @@ mod tests {
         let idx = ConstraintIndex::build(&g, AccessConstraint::unary(movie_l, actor_l, 1));
         assert!(!idx.within_bound());
         assert_eq!(idx.max_cardinality(), 2);
+    }
+
+    /// Maintenance replayed on every target-labeled node of an empty index:
+    /// the oracle a bulk build must equal.
+    fn replayed(graph: &Graph, constraint: AccessConstraint, cap: usize) -> ConstraintIndex {
+        let keys = match constraint.source() {
+            [source] => graph.label_count(*source),
+            _ => 0,
+        };
+        let target = constraint.target();
+        let mut index = ConstraintIndex::empty(constraint, cap, keys, graph.label_count(target));
+        for &v in graph.nodes_with_label(target) {
+            index.refresh_target(graph, v, &[]);
+        }
+        if index.constraint.is_global() {
+            index.map.entry_or_default(Row::default());
+        }
+        index.shrink_to_fit();
+        index
+    }
+
+    fn assert_same_index(a: &ConstraintIndex, b: &ConstraintIndex, graph: &Graph, ctx: &str) {
+        let sorted = |index: &ConstraintIndex| {
+            let mut entries: Vec<(Vec<NodeId>, Vec<NodeId>)> = index
+                .entries()
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            entries.sort_unstable();
+            entries
+        };
+        assert_eq!(sorted(a), sorted(b), "entries ({ctx})");
+        assert_eq!(a.lengths, b.lengths, "lengths ({ctx})");
+        assert_eq!(a.max_cardinality(), b.max_cardinality(), "max ({ctx})");
+        assert_eq!(a.is_truncated(), b.is_truncated(), "truncated ({ctx})");
+        assert_eq!(a.key_count(), b.key_count(), "key count ({ctx})");
+        assert_eq!(a.shard_count(), b.shard_count(), "shards ({ctx})");
+        for v in graph.nodes() {
+            let state = |i: &ConstraintIndex| {
+                let counted = i.key_counts.get(&v).copied();
+                let capped = i.capped_targets.contains_key(&v);
+                (i.has_contribution(v), counted, capped)
+            };
+            assert_eq!(state(a), state(b), "node {v} ({ctx})");
+        }
+    }
+
+    /// A random graph over three labels, self-loops and repeated edges
+    /// included, with a few nodes deleted, and a fourth label on no node.
+    /// One in eight is large enough to spread its maps over several shards.
+    fn random_graph(rng: &mut bgpq_pattern::DetRng) -> Graph {
+        let mut b = GraphBuilder::new();
+        b.intern_label("ghost");
+        let n = if rng.random_range(0..8) == 0 {
+            rng.random_range(300..800)
+        } else {
+            rng.random_range(10..60)
+        };
+        for _ in 0..n {
+            b.add_node(["a", "b", "c"][rng.random_range(0..3)], Value::Null);
+        }
+        // Low ids are hubs, so caps of 1 and 2 bite.
+        for _ in 0..rng.random_range(0..4 * n) {
+            let hub = NodeId(rng.random_range(0..n.min(4)) as u32);
+            let other = NodeId(rng.random_range(0..n) as u32);
+            let (src, dst) = if rng.random_bool(0.5) {
+                (hub, other)
+            } else {
+                (other, hub)
+            };
+            b.add_edge(src, dst).unwrap();
+            let (x, y) = (rng.random_range(0..n), rng.random_range(0..n));
+            b.add_edge(NodeId(x as u32), NodeId(y as u32)).unwrap();
+        }
+        let mut g = b.build();
+        for _ in 0..rng.random_range(0..4) {
+            let v = NodeId(rng.random_range(0..n) as u32);
+            if g.is_live(v) {
+                g.delete_node(v).unwrap();
+            }
+        }
+        g
+    }
+
+    /// Bulk-built global and unary indices equal the maintenance replay,
+    /// and stay equal through one batch of maintenance.
+    #[test]
+    fn bulk_build_equals_maintenance_replay() {
+        use crate::maintenance::{apply_deltas, GraphDelta};
+        for seed in 0..60 {
+            let mut rng = bgpq_pattern::DetRng::seed_from_u64(seed);
+            let graph = random_graph(&mut rng);
+            let labels: Vec<Label> = graph.interner().labels().collect();
+            let mut constraints: Vec<AccessConstraint> = labels
+                .iter()
+                .map(|&l| AccessConstraint::global(l, 8))
+                .collect();
+            for &s in &labels {
+                constraints.extend(labels.iter().map(|&t| AccessConstraint::unary(s, t, 8)));
+            }
+            let schema = AccessSchema::from_constraints(constraints.iter().cloned());
+
+            let mut next = graph.clone();
+            let mut deltas = Vec::new();
+            let live: Vec<NodeId> = next.nodes().filter(|&v| next.is_live(v)).collect();
+            for _ in 0..rng.random_range(1..8) {
+                let (x, y) = (*rng.choose(&live).unwrap(), *rng.choose(&live).unwrap());
+                if !next.is_live(x) || !next.is_live(y) {
+                    continue;
+                }
+                if rng.random_bool(0.3) {
+                    if next.delete_edge(x, y).unwrap() {
+                        deltas.push(GraphDelta::DeleteEdge(x, y));
+                    }
+                } else if next.insert_edge(x, y).unwrap() {
+                    deltas.push(GraphDelta::InsertEdge(x, y));
+                }
+            }
+            let fresh = next.insert_node("a", Value::Null);
+            deltas.push(GraphDelta::InsertNode(fresh));
+            next.insert_edge(fresh, live[0]).unwrap();
+            deltas.push(GraphDelta::InsertEdge(fresh, live[0]));
+            let doomed = *rng.choose(&live).unwrap();
+            for e in next.delete_node(doomed).unwrap() {
+                deltas.push(GraphDelta::DeleteEdge(e.src, e.dst));
+            }
+            deltas.push(GraphDelta::DeleteNode(doomed));
+
+            for cap in [usize::MAX, 2, 1] {
+                let build = |make: fn(&Graph, AccessConstraint, usize) -> ConstraintIndex| {
+                    let indices = constraints.iter().map(|c| make(&graph, c.clone(), cap));
+                    AccessIndexSet::from_indices(schema.clone(), indices.collect())
+                };
+                let mut bulk = build(ConstraintIndex::build_with_cap);
+                let mut replay = build(replayed);
+                for (step, g) in [("build", &graph), ("maintained", &next)] {
+                    if step == "maintained" {
+                        apply_deltas(&mut bulk, g, &deltas);
+                        apply_deltas(&mut replay, g, &deltas);
+                    }
+                    for ((id, a), (_, b)) in bulk.iter().zip(replay.iter()) {
+                        let ctx =
+                            format!("seed {seed}, cap {cap}, {step}, {id} {}", a.constraint());
+                        assert_same_index(a, b, g, &ctx);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Incremental construction of [`Graph`]s.
 //!
 //! The builder accepts nodes (label name + value) and directed edges in any
-//! order, deduplicates parallel edges, and produces an immutable [`Graph`]
-//! with sorted adjacency and a label index.
+//! order and produces a [`Graph`] with sorted adjacency and a label index.
+//! Adding an edge only appends it to a list: parallel edges are dropped in
+//! [`GraphBuilder::build`], whose counting sort puts each node's neighbours
+//! side by side anyway, so a streamed graph costs no hash probe per edge.
 
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
@@ -12,7 +14,6 @@ use crate::paged::PagedVec;
 use crate::row::Row;
 use crate::value::Value;
 use crate::Result;
-use std::collections::HashSet;
 
 /// Builder for [`Graph`].
 ///
@@ -33,7 +34,6 @@ pub struct GraphBuilder {
     labels: Vec<Label>,
     values: Vec<Value>,
     edges: Vec<(NodeId, NodeId)>,
-    edge_set: HashSet<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -59,7 +59,6 @@ impl GraphBuilder {
             labels: Vec::with_capacity(nodes),
             values: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            edge_set: HashSet::with_capacity(edges),
         }
     }
 
@@ -89,8 +88,8 @@ impl GraphBuilder {
 
     /// Adds a directed edge `(src, dst)`.
     ///
-    /// Duplicate edges are ignored (the graph is simple); referencing a
-    /// missing endpoint is an error.
+    /// Duplicate edges are dropped at [`GraphBuilder::build`] (the graph is
+    /// simple); referencing a missing endpoint is an error.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> Result<()> {
         let n = self.labels.len() as u32;
         if src.0 >= n || dst.0 >= n {
@@ -99,9 +98,7 @@ impl GraphBuilder {
                 dst: dst.0 as u64,
             });
         }
-        if self.edge_set.insert((src, dst)) {
-            self.edges.push((src, dst));
-        }
+        self.edges.push((src, dst));
         Ok(())
     }
 
@@ -121,16 +118,12 @@ impl GraphBuilder {
         self.labels.len()
     }
 
-    /// Number of distinct edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
         let n = self.labels.len();
         let out = sorted_rows(n, self.edges.iter().copied());
         let inc = sorted_rows(n, self.edges.iter().map(|&(src, dst)| (dst, src)));
+        let edge_count = out.iter().map(|row| row.len()).sum();
         let label_index = LabelIndex::build(&self.labels);
         Graph {
             interner: self.interner,
@@ -138,15 +131,16 @@ impl GraphBuilder {
             values: self.values.into_iter().collect(),
             out,
             inc,
-            edge_count: self.edges.len(),
+            edge_count,
             label_index,
             dead_count: 0,
         }
     }
 }
 
-/// Groups `(node, neighbor)` pairs into one sorted row per node: a counting
-/// sort into a flat array, then each row is cut out as its own allocation.
+/// Groups `(node, neighbor)` pairs into one sorted, duplicate-free row per
+/// node: a counting sort into a flat array, then each row is cut out,
+/// sorted and rid of repeats.
 fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) -> PagedVec<Row> {
     let mut end = vec![0usize; n + 1];
     for (node, _) in pairs.clone() {
@@ -161,13 +155,15 @@ fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) 
         flat[end[node.index()]] = neighbor;
         end[node.index()] += 1;
     }
-    let mut start = 0;
+    let (mut start, mut row) = (0, Vec::new());
     (0..n)
         .map(|v| {
-            let ids = &mut flat[start..end[v]];
+            row.clear();
+            row.extend_from_slice(&flat[start..end[v]]);
             start = end[v];
-            ids.sort_unstable();
-            Row::from(&*ids)
+            row.sort_unstable();
+            row.dedup();
+            Row::from(&row[..])
         })
         .collect()
 }
@@ -183,7 +179,6 @@ mod tests {
         let c = b.add_node("b", Value::Int(1));
         b.add_edge(a, c).unwrap();
         assert_eq!(b.node_count(), 2);
-        assert_eq!(b.edge_count(), 1);
         let g = b.build();
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
@@ -198,10 +193,57 @@ mod tests {
         let c = b.add_node("b", Value::Null);
         b.add_edge(a, c).unwrap();
         b.add_edge(a, c).unwrap();
-        assert_eq!(b.edge_count(), 1);
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.out_neighbors(a), &[c]);
+        assert_eq!(g.in_neighbors(c), &[a]);
+    }
+
+    /// Random edge lists, self-loops and repeats included, added in random
+    /// orders: the graph is the one a set of the edges describes.
+    #[test]
+    fn repeated_edges_in_any_order_build_the_set_model() {
+        use std::collections::BTreeSet;
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for round in 0..40 {
+            let n = 1 + next(30);
+            let mut edges: Vec<(NodeId, NodeId)> = (0..next(4 * n + 1))
+                .map(|_| (NodeId(next(n) as u32), NodeId(next(n) as u32)))
+                .collect();
+            for i in 0..next(edges.len() + 1) {
+                edges.push(edges[i]);
+            }
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, next(i + 1));
+            }
+            let mut b = GraphBuilder::new();
+            for _ in 0..n {
+                b.add_node("x", Value::Null);
+            }
+            b.add_edges(edges.iter().copied()).unwrap();
+            let g = b.build();
+            let model: BTreeSet<(NodeId, NodeId)> = edges.into_iter().collect();
+            assert_eq!(g.edge_count(), model.len(), "round {round}");
+            assert!(g.edges().map(|e| (e.src, e.dst)).eq(model.iter().copied()));
+            for v in g.nodes() {
+                let inc: Vec<NodeId> = model.iter().filter(|e| e.1 == v).map(|e| e.0).collect();
+                assert_eq!(g.in_neighbors(v), inc.as_slice(), "round {round}");
+                let mut both: Vec<NodeId> = model
+                    .iter()
+                    .filter_map(|&(s, d)| (s == v).then_some(d).or((d == v).then_some(s)))
+                    .collect();
+                both.sort_unstable();
+                both.dedup();
+                assert_eq!(g.neighbors(v), both, "round {round}");
+                assert_eq!(g.degree(v), both.len());
+            }
+        }
     }
 
     #[test]

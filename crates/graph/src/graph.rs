@@ -259,35 +259,21 @@ impl Graph {
     }
 
     /// All neighbors of `v` (union of in- and out-neighbors, deduplicated,
-    /// sorted).
+    /// sorted): [`Graph::neighbor_iter`], collected.
     ///
     /// The paper treats neighborhood as undirected: `v` is a neighbor of `v'`
     /// when either `(v, v')` or `(v', v)` is an edge.
     pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let out = &self.out[v.index()];
-        let inc = &self.inc[v.index()];
-        let mut merged = Vec::with_capacity(out.len() + inc.len());
-        let (mut i, mut j) = (0, 0);
-        while i < out.len() && j < inc.len() {
-            match out[i].cmp(&inc[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(out[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(inc[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(out[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        self.neighbor_iter(v).collect()
+    }
+
+    /// The neighbors of [`Graph::neighbors`], merged from the out- and
+    /// in-row as they are read, without allocating.
+    pub fn neighbor_iter(&self, v: NodeId) -> Neighbors<'_> {
+        Neighbors {
+            out: &self.out[v.index()],
+            inc: &self.inc[v.index()],
         }
-        merged.extend_from_slice(&out[i..]);
-        merged.extend_from_slice(&inc[j..]);
-        merged
     }
 
     /// Out-degree of `v`.
@@ -302,7 +288,7 @@ impl Graph {
 
     /// Undirected degree of `v` (number of distinct neighbors).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.neighbors(v).len()
+        self.neighbor_iter(v).count()
     }
 
     /// True when the directed edge `(src, dst)` exists.
@@ -329,8 +315,7 @@ impl Graph {
 
     /// Neighbors of `v` (either direction) that carry `label`.
     pub fn neighbors_with_label(&self, v: NodeId, label: Label) -> Vec<NodeId> {
-        self.neighbors(v)
-            .into_iter()
+        self.neighbor_iter(v)
             .filter(|&n| self.label(n) == label)
             .collect()
     }
@@ -541,6 +526,32 @@ impl Graph {
 impl Default for Graph {
     fn default() -> Self {
         Graph::empty()
+    }
+}
+
+/// A node's neighbors in either direction, ascending, each once
+/// ([`Graph::neighbor_iter`]): the graph's one merge of an out- and in-row.
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    out: &'a [NodeId],
+    inc: &'a [NodeId],
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let next = match (self.out.first(), self.inc.first()) {
+            (Some(&a), Some(&b)) => a.min(b),
+            (a, b) => *a.or(b)?,
+        };
+        for row in [&mut self.out, &mut self.inc] {
+            if row.first() == Some(&next) {
+                *row = &row[1..];
+            }
+        }
+        Some(next)
     }
 }
 

@@ -10,6 +10,10 @@
 //!   `l'`-labeled neighbors any `l`-labeled node has (type-2 constraints
 //!   `l → (l', N)`, and `N = 1` corresponds to an FD);
 //! * degree distribution summaries used for reporting.
+//!
+//! The pass walks the label index one label at a time and counts neighbour
+//! labels into arrays indexed by label id: an adjacency entry costs an
+//! array increment, and each map entry is written once.
 
 use crate::graph::{Graph, NodeId};
 use crate::label::Label;
@@ -34,45 +38,52 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for `graph` in `O(|V| + Σ_v deg(v)·1)` plus the
-    /// per-node label-grouping cost.
+    /// Computes statistics for `graph` in `O(|V| + Σ_v deg(v))` time and
+    /// `O(|Σ|)` scratch space.
     pub fn compute(graph: &Graph) -> Self {
-        let mut label_counts: HashMap<Label, usize> = HashMap::new();
-        let mut max_label_fanout: HashMap<(Label, Label), usize> = HashMap::new();
-        let mut max_degree = 0usize;
-        let mut total_degree = 0usize;
-
-        let mut per_label: HashMap<Label, usize> = HashMap::new();
-        for v in graph.nodes().filter(|&v| graph.is_live(v)) {
-            let lv = graph.label(v);
-            *label_counts.entry(lv).or_insert(0) += 1;
-
-            let neighbors = graph.neighbors(v);
-            max_degree = max_degree.max(neighbors.len());
-            total_degree += neighbors.len();
-
-            per_label.clear();
-            for &n in &neighbors {
-                *per_label.entry(graph.label(n)).or_insert(0) += 1;
+        let mut label_counts = HashMap::new();
+        let mut max_label_fanout = HashMap::new();
+        let (mut max_degree, mut total_degree) = (0, 0);
+        // By label id (one slot per label bucket): the current node's
+        // neighbour counts and their maxima over the current label, each
+        // with the ids it has made nonzero.
+        let width = graph.label_index.buckets().count();
+        let (mut per_node, mut per_label) = (vec![0usize; width], vec![0usize; width]);
+        let (mut node_seen, mut label_seen) = (Vec::new(), Vec::new());
+        // Deleted slots are in no bucket: the statistics describe the live
+        // graph, so tombstones must not dilute counts or averages.
+        for (lv, nodes) in graph.label_index().iter() {
+            label_counts.insert(lv, nodes.len());
+            for &v in nodes {
+                let mut degree = 0;
+                for n in graph.neighbor_iter(v) {
+                    degree += 1;
+                    let ln = graph.label(n).index();
+                    if per_node[ln] == 0 {
+                        node_seen.push(ln);
+                    }
+                    per_node[ln] += 1;
+                }
+                max_degree = max_degree.max(degree);
+                total_degree += degree;
+                for ln in node_seen.drain(..) {
+                    if per_label[ln] == 0 {
+                        label_seen.push(ln);
+                    }
+                    per_label[ln] = per_label[ln].max(std::mem::take(&mut per_node[ln]));
+                }
             }
-            for (&ln, &count) in &per_label {
-                let entry = max_label_fanout.entry((lv, ln)).or_insert(0);
-                *entry = (*entry).max(count);
+            for ln in label_seen.drain(..) {
+                let max = std::mem::take(&mut per_label[ln]);
+                max_label_fanout.insert((lv, Label(ln as u32)), max);
             }
         }
-
-        // Statistics describe the live graph: deleted slots carry no label
-        // or edges and must not dilute counts or averages.
         let node_count = graph.live_node_count();
         GraphStats {
             label_counts,
             max_label_fanout,
             max_degree,
-            avg_degree: if node_count == 0 {
-                0.0
-            } else {
-                total_degree as f64 / node_count as f64
-            },
+            avg_degree: total_degree as f64 / node_count.max(1) as f64,
             node_count,
             edge_count: graph.edge_count(),
         }
@@ -161,6 +172,43 @@ mod tests {
         assert_eq!(order.len(), 2);
         assert_eq!(order[0].1, 1);
         assert_eq!(order[1].1, 7);
+    }
+
+    /// Self-loops, a label on no node and a deleted node: the dense counts
+    /// equal a per-node recount of the live graph.
+    #[test]
+    fn counts_equal_a_per_node_recount() {
+        let mut b = GraphBuilder::new();
+        b.intern_label("ghost");
+        let ids: Vec<NodeId> = (0..40)
+            .map(|i| b.add_node(["a", "b", "c"][i * 7 % 3], Value::Null))
+            .collect();
+        for i in 0..120 {
+            b.add_edge(ids[i % 5], ids[i * 13 % 40]).unwrap();
+        }
+        let mut g = b.build();
+        g.delete_node(ids[3]).unwrap();
+        let stats = GraphStats::compute(&g);
+        let (mut counts, mut fanout) = (HashMap::new(), HashMap::new());
+        for v in g.nodes().filter(|&v| g.is_live(v)) {
+            *counts.entry(g.label(v)).or_insert(0) += 1;
+            let mut per_label = HashMap::new();
+            for n in g.neighbors(v) {
+                *per_label.entry(g.label(n)).or_insert(0) += 1;
+            }
+            for (l, c) in per_label {
+                let max = fanout.entry((g.label(v), l)).or_insert(0);
+                *max = c.max(*max);
+            }
+        }
+        assert_eq!(stats.label_counts, counts);
+        assert_eq!(stats.max_label_fanout, fanout);
+        let degrees: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+        assert_eq!(stats.max_degree, *degrees.iter().max().unwrap());
+        assert_eq!(
+            stats.avg_degree,
+            degrees.iter().sum::<usize>() as f64 / 39.0
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -135,6 +135,14 @@ impl Timings {
             hist.record(nanos / 1_000);
         }
     }
+}
+
+/// Locks one of the server's bookkeeping mutexes (`timings`, `clients`,
+/// `conns`, `sessions`). Each guards counters, histograms or a list that is
+/// only pushed to and drained, all usable after a torn update, so a panic
+/// under one is recovered from instead of taking every later session down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn nanos_since(start: Instant) -> u64 {
@@ -259,16 +267,10 @@ impl NetServerHandle {
         // Unblock the blocking accept() with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = acceptor.join();
-        for (_, conn) in self.shared.conns.lock().expect("conns poisoned").drain(..) {
+        for (_, conn) in lock(&self.shared.conns).drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        let sessions: Vec<_> = self
-            .shared
-            .sessions
-            .lock()
-            .expect("sessions poisoned")
-            .drain(..)
-            .collect();
+        let sessions: Vec<_> = lock(&self.shared.sessions).drain(..).collect();
         for session in sessions {
             let _ = session.join();
         }
@@ -300,11 +302,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let _ = stream.set_nodelay(true);
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .expect("conns poisoned")
-                .push((conn_id, clone));
+            lock(&shared.conns).push((conn_id, clone));
         }
         let session = {
             let shared = Arc::clone(&shared);
@@ -313,11 +311,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 session_loop(&tracked.shared, stream);
             })
         };
-        shared
-            .sessions
-            .lock()
-            .expect("sessions poisoned")
-            .push(session);
+        lock(&shared.sessions).push(session);
     }
 }
 
@@ -332,13 +326,7 @@ struct TrackedConn {
 
 impl Drop for TrackedConn {
     fn drop(&mut self) {
-        // `conns` is only ever pushed to and removed from, so the list is
-        // whole even if a panic poisoned the lock.
-        let mut conns = self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut conns = lock(&self.shared.conns);
         if let Some(pos) = conns.iter().position(|(id, _)| *id == self.conn_id) {
             let (_, conn) = conns.swap_remove(pos);
             let _ = conn.shutdown(Shutdown::Both);
@@ -460,7 +448,7 @@ impl<'a> SessionOut<'a> {
             return;
         };
         let pending = std::mem::take(&mut self.pending);
-        let mut clients = self.shared.clients.lock().expect("clients poisoned");
+        let mut clients = lock(&self.shared.clients);
         if let Some(counters) = clients.get_mut(name) {
             counters.requests += pending.requests;
             counters.rejected += pending.rejected;
@@ -498,12 +486,7 @@ fn run_session(shared: &Shared, reader: &mut BufReader<TcpStream>, out: &mut Ses
                 );
                 return;
             }
-            shared
-                .clients
-                .lock()
-                .expect("clients poisoned")
-                .entry(client.clone())
-                .or_default();
+            lock(&shared.clients).entry(client.clone()).or_default();
             out.client = Some(client);
             let ack = Response::HelloAck {
                 protocol: PROTOCOL_VERSION,
@@ -620,7 +603,7 @@ fn next_payload(
 /// Back-off hint for `overloaded` rejections: about half the typical
 /// (p50) query latency, clamped to [1, 1000] ms; 5 ms before any sample.
 fn retry_hint_ms(shared: &Shared) -> u64 {
-    let timings = shared.timings.lock().expect("timings poisoned");
+    let timings = lock(&shared.timings);
     if timings.latency.count() == 0 {
         return 5;
     }
@@ -761,11 +744,7 @@ fn handle_query(
     }
     .and_then(|()| out.flush());
     span.render = nanos_since(rendering);
-    shared
-        .timings
-        .lock()
-        .expect("timings poisoned")
-        .record(received, &span);
+    lock(&shared.timings).record(received, &span);
     drop(permit); // response fully written: free the admission slot
     flow
 }
@@ -919,7 +898,7 @@ fn stats_json(shared: &Shared) -> Json {
     let gate = shared.gate.stats();
     let server = shared.server.stats();
     let (latency, phases) = {
-        let timings = shared.timings.lock().expect("timings poisoned");
+        let timings = lock(&shared.timings);
         (
             histogram_json(&timings.latency),
             Json::obj(
@@ -930,7 +909,7 @@ fn stats_json(shared: &Shared) -> Json {
         )
     };
     let clients = {
-        let clients = shared.clients.lock().expect("clients poisoned");
+        let clients = lock(&shared.clients);
         Json::Arr(
             clients
                 .iter()
@@ -1128,6 +1107,35 @@ mod tests {
             other => panic!("expected the row block, got {other:?}"),
         }
         assert!(matches!(read_reply(&mut peer), Response::Done(_)));
+        assert!(handle.shutdown());
+    }
+
+    /// A panic under the bookkeeping locks poisons them and nothing else:
+    /// a new session still gets its query answered, its request timed and
+    /// counted, and a `stats` document.
+    #[test]
+    fn poisoned_bookkeeping_locks_are_recovered() {
+        let handle = start();
+        let shared = Arc::clone(&handle.shared);
+        let poisoner = thread::spawn(move || {
+            let _timings = shared.timings.lock().unwrap();
+            let _clients = shared.clients.lock().unwrap();
+            panic!("injected fault under the bookkeeping locks");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(handle.shared.timings.is_poisoned() && handle.shared.clients.is_poisoned());
+
+        let mut client = Client::connect(handle.local_addr(), "after").expect("connect");
+        let answer = client.query(&QuerySpec::new(QUERY)).expect("query");
+        assert_eq!(answer.header.total, 1);
+        let stats = client.stats().expect("stats");
+        let server = stats.get("server").unwrap();
+        let latency = server.get("latency_us").unwrap().get("count");
+        assert_eq!(latency.and_then(Json::as_u64), Some(1));
+        let clients = stats.get("clients").and_then(Json::as_arr).unwrap();
+        assert_eq!(clients[0].get("name").and_then(Json::as_str), Some("after"));
+        assert_eq!(clients[0].get("requests").and_then(Json::as_u64), Some(2));
+        client.goodbye().unwrap();
         assert!(handle.shutdown());
     }
 

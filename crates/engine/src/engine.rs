@@ -1,15 +1,11 @@
 //! The session-oriented engine.
 
-use crate::cache::{
-    FragmentEntry, PlanOutcome, SharedFragmentCache, SharedPlanCache, SharedResources,
-};
+use crate::cache::{CacheEntry, QueryCache, SharedResources};
 use crate::error::BgpqError;
 use crate::request::QueryRequest;
 use crate::response::{Explain, QueryAnswer, QueryResponse};
 use crate::stats::{CacheOutcome, EngineStats, ExecStats};
-use crate::strategy::{
-    vf2_config, Baseline, Bounded, IndexSeeded, Strategy, StrategyKind, StrategyRun,
-};
+use crate::strategy::{vf2_config, StrategyKind, StrategyRun};
 use bgpq_access::{AccessIndexSet, AccessSchema};
 use bgpq_core::{
     bounded_simulation_match_prefetched, bounded_subgraph_match_prefetched, fetch_candidate_sets,
@@ -23,32 +19,25 @@ use std::time::Instant;
 /// The version of a standalone engine's (only) snapshot.
 pub const INITIAL_SNAPSHOT_VERSION: u64 = 0;
 
-/// Default number of planning outcomes the engine memoizes.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Default number of fetched candidate sets the engine memoizes. Fragments
-/// are heavier than plans (whole candidate sets instead of a handful of
-/// steps), so the default is smaller than
-/// [`DEFAULT_PLAN_CACHE_CAPACITY`].
-pub const DEFAULT_FRAGMENT_CACHE_CAPACITY: usize = 128;
-
 /// A session-oriented query engine over one graph and one access schema.
 ///
 /// The engine owns the [`Graph`](bgpq_graph::Graph) and the
 /// [`AccessIndexSet`] built for its schema, and serves repeated
 /// [`QueryRequest`]s through [`Engine::execute`]. Per request it
 ///
-/// 1. retrieves the planning outcome from the LRU plan cache (keyed by the
+/// 1. retrieves the query's entry from the LRU [`QueryCache`] (keyed by the
 ///    pattern's canonical fingerprint and the semantics), running the
 ///    effective-boundedness decision only on a miss;
-/// 2. selects a [`Strategy`]: [`Bounded`] when a plan exists, else
-///    [`IndexSeeded`] when the schema is non-empty, else [`Baseline`] — or
-///    the strategy the request forced;
-/// 3. executes it and returns a typed [`QueryResponse`] with the answer,
-///    the strategy used, and unified [`ExecStats`].
+/// 2. selects a [`StrategyKind`]: `Bounded` when a plan exists, else
+///    `IndexSeeded` when the schema is non-empty, else `Baseline` — or the
+///    strategy the request forced;
+/// 3. executes it — the bounded tier fetching its candidate sets into the
+///    cache entry unless an earlier run already did — and returns a typed
+///    [`QueryResponse`] with the answer, the strategy used, and unified
+///    [`ExecStats`].
 ///
 /// `execute` takes `&self` — the engine is `Sync` and can be shared across
-/// threads behind an `Arc`, with the plan cache guarded internally.
+/// threads behind an `Arc`, with the cache guarded internally.
 ///
 /// ```
 /// use bgpq_engine::{AccessConstraint, AccessSchema, Engine, QueryRequest};
@@ -85,7 +74,7 @@ pub const DEFAULT_FRAGMENT_CACHE_CAPACITY: usize = 128;
 /// let response = engine.execute(&request).unwrap();
 /// assert_eq!(response.answer.len(), 1);
 /// assert_eq!(response.strategy, bgpq_engine::StrategyKind::Bounded);
-/// // A second identical request is served from the plan cache.
+/// // A second identical request is served from the query cache.
 /// let again = engine.execute(&request).unwrap();
 /// assert_eq!(engine.stats().plan_cache_hits, 1);
 /// assert_eq!(again.answer, response.answer);
@@ -97,11 +86,10 @@ pub struct Engine {
     /// [`INITIAL_SNAPSHOT_VERSION`]; a serving layer derives one engine per
     /// graph snapshot with monotonically increasing versions.
     version: u64,
-    strategies: Vec<Box<dyn Strategy>>,
-    cache: SharedPlanCache,
-    /// Cached fetched candidate sets, keyed like the plan cache: a repeated
-    /// bounded query reuses its fragment instead of re-issuing lookups.
-    fragments: SharedFragmentCache,
+    /// Plans and fetched candidate sets: a repeated query skips planning,
+    /// and a repeated bounded query reuses its fragment instead of
+    /// re-issuing lookups.
+    cache: QueryCache,
     /// Pool of fragment-construction arenas, one checked out per in-flight
     /// bounded execution; buffers are reused across queries — and, in a
     /// serving chain, across versions — so steady-state fragment builds
@@ -123,7 +111,7 @@ impl Engine {
 
     /// Creates an engine from pre-built indices (e.g. indices maintained
     /// incrementally by `bgpq_access::maintenance` across graph updates),
-    /// with caches and arenas of its own.
+    /// with a cache and arenas of its own.
     pub fn with_indices(graph: bgpq_graph::Graph, indices: AccessIndexSet) -> Self {
         Self::with_shared_at_version(
             graph,
@@ -135,14 +123,11 @@ impl Engine {
 
     /// Creates the engine of one **graph snapshot** in a serving chain: the
     /// graph and indices as of `version`, plus the [`SharedResources`] it
-    /// has in common with the engines of the other snapshots. Cached plans
-    /// (and unbounded verdicts) and cached fragments are keyed by snapshot
-    /// version, so a version bump — which may change the schema's index
-    /// coverage or the graph region a fragment was fetched from — makes
-    /// them re-derive instead of being served stale, newer versions retire
-    /// strictly-older entries, and engines of different versions coexist in
-    /// the shared caches. The arena pool hands every in-flight execution of
-    /// any version an arena of its own.
+    /// has in common with the engines of the other snapshots. Cache entries
+    /// are keyed by snapshot version, so a version bump makes them re-derive
+    /// instead of being served stale, and engines of different versions
+    /// coexist in the shared cache (see [`QueryCache`]). The arena pool
+    /// hands every in-flight execution of any version an arena of its own.
     pub fn with_shared_at_version(
         graph: bgpq_graph::Graph,
         indices: AccessIndexSet,
@@ -153,9 +138,7 @@ impl Engine {
             graph,
             indices,
             version,
-            strategies: vec![Box::new(Bounded), Box::new(IndexSeeded), Box::new(Baseline)],
-            cache: shared.plans,
-            fragments: shared.fragments,
+            cache: shared.cache,
             scratch: shared.arenas,
             queries: AtomicU64::new(0),
             bounded_runs: AtomicU64::new(0),
@@ -171,23 +154,13 @@ impl Engine {
         Self::with_indices(bundle.graph, bundle.indices)
     }
 
-    /// Replaces the plan cache with one of the given capacity (`0` disables
-    /// caching). Existing cached plans and cache counters are dropped (the
-    /// new cache is private to this engine).
-    pub fn with_plan_cache_capacity(self, capacity: usize) -> Self {
+    /// Replaces the query cache with one holding at most `capacity` queries
+    /// (`0` disables caching — every query plans, and every bounded query
+    /// fetches, afresh). Existing entries and cache counters are dropped
+    /// (the new cache is private to this engine).
+    pub fn with_cache_capacity(self, capacity: usize) -> Self {
         Engine {
-            cache: SharedPlanCache::with_capacity(capacity),
-            ..self
-        }
-    }
-
-    /// Replaces the fragment cache with one of the given capacity (`0`
-    /// disables fragment caching — every bounded query re-fetches). Existing
-    /// cached candidate sets and cache counters are dropped (the new cache
-    /// is private to this engine).
-    pub fn with_fragment_cache_capacity(self, capacity: usize) -> Self {
-        Engine {
-            fragments: SharedFragmentCache::with_capacity(capacity),
+            cache: QueryCache::with_capacity(capacity),
             ..self
         }
     }
@@ -232,19 +205,22 @@ impl Engine {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.check_pattern_alignment(request.pattern())?;
 
-        let (outcome, cache_outcome) = self.planning_outcome(request);
+        let key = (request.pattern().fingerprint(), request.semantics());
+        let (entry, plan_cache) = self.cache.entry(key, self.version, || {
+            plan_for_indices(request.pattern(), &self.indices, request.semantics())
+        });
         let plan_nanos = started.elapsed().as_nanos() as u64;
-        let plan = outcome.as_ref().as_ref().ok();
+        let plan = entry.plan.as_ref().ok();
 
-        let strategy = self.select_strategy(request, plan, outcome.as_ref().as_ref().err())?;
-        if strategy.kind() == StrategyKind::Bounded {
+        let strategy = self.select_strategy(request, &entry.plan)?;
+        if strategy == StrategyKind::Bounded {
             self.bounded_runs.fetch_add(1, Ordering::Relaxed);
         } else if plan.is_none() && request.forced_strategy().is_none() {
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
 
         let match_started = Instant::now();
-        let run = strategy.execute(self, request, plan);
+        let run = self.run_strategy(strategy, request, &entry, plan_cache);
         let exec_nanos = match_started.elapsed().as_nanos() as u64;
         let fragment_build_nanos = run
             .fetch
@@ -257,134 +233,89 @@ impl Engine {
             fragment_build_nanos,
             match_nanos: exec_nanos.saturating_sub(fragment_build_nanos),
             total_nanos: started.elapsed().as_nanos() as u64,
-            plan_cache: Some(cache_outcome),
+            plan_cache: Some(plan_cache),
             fragment_cache: run.fragment_cache,
             predicate_filtered: run.predicate_filtered,
             fetch: run.fetch,
             worst_case_nodes: plan.map(QueryPlan::worst_case_nodes),
-            matcher_steps: run.matcher_steps,
-            aborted: run.aborted,
+            matcher_steps: run.search.as_ref().map(|search| search.steps),
+            aborted: run.search.as_ref().is_some_and(|search| search.aborted),
         };
         let explain = request.explain_requested().then(|| Explain {
-            strategy: strategy.kind(),
+            strategy,
             plan: plan.cloned(),
-            fallback_reason: outcome.as_ref().as_ref().err().map(PlanError::to_string),
+            fallback_reason: entry.plan.as_ref().err().map(PlanError::to_string),
         });
         Ok(QueryResponse {
             answer: run.answer,
-            strategy: strategy.kind(),
+            strategy,
             stats,
             explain,
         })
     }
 
-    /// Runs the bounded tier: fragment-cache probe, fetch on a miss,
-    /// zero-copy view build and match. Cached candidate sets are keyed
-    /// exactly like cached plans — (pattern fingerprint, semantics,
-    /// snapshot version) — which is sound because the fingerprint
-    /// canonically covers the pattern's structure, labels and predicate
-    /// constants, and planning and fetching are deterministic for a fixed
-    /// snapshot.
-    pub(crate) fn run_bounded(&self, request: &QueryRequest, plan: &QueryPlan) -> StrategyRun {
-        let key = (request.pattern().fingerprint(), request.semantics());
-        let (enabled, probed) = {
-            let mut cache = self.fragments.0.lock().expect("fragment cache poisoned");
-            (cache.is_enabled(), cache.probe(&key, self.version))
-        };
-        let (entry, fragment_cache) = match probed {
-            Some(entry) => (entry, CacheOutcome::Hit),
-            None => {
-                // Fetch outside the cache lock; racing misses both fetch and
-                // the second insert harmlessly replaces the first (fetching
-                // is deterministic per snapshot).
-                let fetched = fetch_candidate_sets(
-                    plan,
-                    request.pattern(),
-                    &self.graph,
-                    &self.indices,
-                    &mut LookupMemo::new(),
-                );
-                let entry: FragmentEntry = Arc::new(fetched);
-                if enabled {
-                    self.fragments
-                        .0
-                        .lock()
-                        .expect("fragment cache poisoned")
-                        .insert(key, self.version, Arc::clone(&entry));
-                    (entry, CacheOutcome::Miss)
-                } else {
-                    (entry, CacheOutcome::Bypass)
-                }
-            }
-        };
-
-        match request.semantics() {
+    /// Runs the bounded tier: the entry's candidate sets — fetched now
+    /// unless an earlier run at this version already did, which is sound
+    /// because the cache key canonically covers the pattern's structure,
+    /// labels and predicate constants, and planning and fetching are
+    /// deterministic for a fixed snapshot — then a zero-copy view build
+    /// and the match. `plan_cache` is what the cache did for the entry.
+    pub(crate) fn run_bounded(
+        &self,
+        request: &QueryRequest,
+        entry: &CacheEntry,
+        plan_cache: CacheOutcome,
+    ) -> StrategyRun {
+        let plan = entry.plan.as_ref();
+        let plan = plan.expect("the bounded tier is selected only with a plan");
+        let pattern = request.pattern();
+        let cached = plan_cache != CacheOutcome::Bypass;
+        let (fragment, fragment_cache) = self.cache.fragment(entry, cached, || {
+            let memo = &mut LookupMemo::new();
+            fetch_candidate_sets(plan, pattern, &self.graph, &self.indices, memo)
+        });
+        let (answer, mut fetch, search) = match request.semantics() {
             Semantics::Isomorphism => {
-                let (matches, mut fetch, stats) = self.scratch.with_any(|scratch| {
+                let (matches, fetch, stats) = self.scratch.with_any(|scratch| {
+                    let config = vf2_config(request);
                     bounded_subgraph_match_prefetched(
-                        request.pattern(),
+                        pattern,
                         &self.graph,
-                        &entry,
-                        vf2_config(request),
+                        fragment,
+                        config,
                         scratch,
                     )
                 });
-                if fragment_cache == CacheOutcome::Hit {
-                    subtract_cached_baseline(&mut fetch, &entry.stats);
-                }
-                StrategyRun {
-                    answer: QueryAnswer::Matches(matches),
-                    predicate_filtered: fetch.predicate_filtered,
-                    fetch: Some(fetch),
-                    matcher_steps: Some(stats.steps),
-                    aborted: stats.aborted,
-                    fragment_cache: Some(fragment_cache),
-                }
+                (QueryAnswer::Matches(matches), fetch, Some(stats))
             }
             Semantics::Simulation => {
-                let (relation, mut fetch) = self.scratch.with_any(|scratch| {
-                    bounded_simulation_match_prefetched(
-                        request.pattern(),
-                        &self.graph,
-                        &entry,
-                        scratch,
-                    )
+                let (relation, fetch) = self.scratch.with_any(|scratch| {
+                    bounded_simulation_match_prefetched(pattern, &self.graph, fragment, scratch)
                 });
-                if fragment_cache == CacheOutcome::Hit {
-                    subtract_cached_baseline(&mut fetch, &entry.stats);
-                }
-                StrategyRun {
-                    answer: QueryAnswer::Simulation(relation),
-                    predicate_filtered: fetch.predicate_filtered,
-                    fetch: Some(fetch),
-                    matcher_steps: None,
-                    aborted: false,
-                    fragment_cache: Some(fragment_cache),
-                }
+                (QueryAnswer::Simulation(relation), fetch, None)
             }
+        };
+        if fragment_cache == CacheOutcome::Hit {
+            subtract_cached_baseline(&mut fetch, &fragment.stats);
+        }
+        StrategyRun {
+            answer,
+            search,
+            predicate_filtered: fetch.predicate_filtered,
+            fetch: Some(fetch),
+            fragment_cache: Some(fragment_cache),
         }
     }
 
-    /// Lifetime counters: queries served, bounded runs, fallbacks and plan
+    /// Lifetime counters: queries served, bounded runs, fallbacks and
     /// cache behavior.
     pub fn stats(&self) -> EngineStats {
-        let cache = self.cache.0.lock().expect("plan cache poisoned");
-        let fragments = self.fragments.0.lock().expect("fragment cache poisoned");
         EngineStats {
             snapshot_version: self.version,
             queries: self.queries.load(Ordering::Relaxed),
             bounded_runs: self.bounded_runs.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            plan_cache_hits: cache.hits(),
-            plan_cache_misses: cache.misses(),
-            plan_cache_evictions: cache.evictions(),
-            plan_cache_invalidations: cache.invalidations(),
-            cached_plans: cache.len(),
-            fragment_cache_hits: fragments.hits(),
-            fragment_cache_misses: fragments.misses(),
-            fragment_cache_evictions: fragments.evictions(),
-            fragment_cache_invalidations: fragments.invalidations(),
-            cached_fragments: fragments.len(),
+            ..self.cache.stats()
         }
     }
 
@@ -415,70 +346,6 @@ impl Engine {
             }
         }
         Ok(())
-    }
-
-    /// Cached planning outcome for the request's (fingerprint, semantics).
-    ///
-    /// The planner runs *outside* the cache lock: concurrent requests only
-    /// contend for the duration of a map probe or insert, never a planning
-    /// closure. Two threads racing on the same miss both plan; the second
-    /// insert harmlessly replaces the first (same schema, same pattern —
-    /// planning is deterministic).
-    fn planning_outcome(&self, request: &QueryRequest) -> (PlanOutcome, CacheOutcome) {
-        let key = (request.pattern().fingerprint(), request.semantics());
-        let (enabled, probed) = {
-            let mut cache = self.cache.0.lock().expect("plan cache poisoned");
-            (cache.is_enabled(), cache.probe(&key, self.version))
-        };
-        if let Some(outcome) = probed {
-            return (outcome, CacheOutcome::Hit);
-        }
-        let outcome: PlanOutcome = Arc::new(plan_for_indices(
-            request.pattern(),
-            &self.indices,
-            request.semantics(),
-        ));
-        if !enabled {
-            return (outcome, CacheOutcome::Bypass);
-        }
-        self.cache.0.lock().expect("plan cache poisoned").insert(
-            key,
-            self.version,
-            Arc::clone(&outcome),
-        );
-        (outcome, CacheOutcome::Miss)
-    }
-
-    /// First applicable strategy in tier order, or the forced one.
-    fn select_strategy(
-        &self,
-        request: &QueryRequest,
-        plan: Option<&QueryPlan>,
-        plan_err: Option<&PlanError>,
-    ) -> Result<&dyn Strategy, BgpqError> {
-        if let Some(kind) = request.forced_strategy() {
-            let strategy = self
-                .strategies
-                .iter()
-                .find(|s| s.kind() == kind)
-                .expect("all kinds are registered");
-            if strategy.is_applicable(self, request, plan) {
-                return Ok(strategy.as_ref());
-            }
-            return Err(match (kind, plan_err) {
-                (StrategyKind::Bounded, Some(err)) => BgpqError::Unbounded(err.clone()),
-                _ => BgpqError::StrategyUnavailable {
-                    requested: kind,
-                    reason: "the engine's access schema cannot support it".into(),
-                },
-            });
-        }
-        let strategy = self
-            .strategies
-            .iter()
-            .find(|s| s.is_applicable(self, request, plan))
-            .expect("Baseline is always applicable");
-        Ok(strategy.as_ref())
     }
 }
 

@@ -12,8 +12,9 @@
 //! once, per session:
 //!
 //! ```text
-//!  QueryRequest ──► plan cache (LRU, keyed by pattern fingerprint
-//!       │            + semantics; caches unbounded verdicts too)
+//!  QueryRequest ──► query cache (LRU, keyed by pattern fingerprint
+//!       │            + semantics + snapshot version; one entry holds the
+//!       │            plan or unbounded verdict, and the fetched fragment)
 //!       ▼
 //!  strategy selection ──► Bounded (bVF2/bSim)        when a plan exists
 //!       │                 IndexSeeded (optVF2/optgsim)  else, with indices
@@ -45,15 +46,13 @@ pub mod stats;
 pub mod strategy;
 
 pub use budget::BudgetPolicy;
-pub use cache::{SharedFragmentCache, SharedPlanCache, SharedResources};
-pub use engine::{
-    Engine, DEFAULT_FRAGMENT_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY, INITIAL_SNAPSHOT_VERSION,
-};
+pub use cache::{QueryCache, SharedResources, DEFAULT_CACHE_CAPACITY};
+pub use engine::{Engine, INITIAL_SNAPSHOT_VERSION};
 pub use error::BgpqError;
 pub use request::{QueryRequest, QueryRequestBuilder};
 pub use response::{Explain, QueryAnswer, QueryResponse};
 pub use stats::{CacheOutcome, EngineStats, ExecStats};
-pub use strategy::{Baseline, Bounded, IndexSeeded, Strategy, StrategyKind, StrategyRun};
+pub use strategy::StrategyKind;
 
 // The workspace's request-facing surface, re-exported so applications can
 // depend on `bgpq-engine` alone.

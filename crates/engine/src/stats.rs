@@ -3,14 +3,16 @@
 use bgpq_core::FetchStats;
 use std::fmt;
 
-/// What the plan cache did for one request.
+/// What the query cache did for one request's plan
+/// ([`ExecStats::plan_cache`]) or fragment ([`ExecStats::fragment_cache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The plan (or the planner's refusal) was served from the cache.
+    /// Served from the cache: the plan (or the planner's refusal), or the
+    /// fetched candidate sets.
     Hit,
-    /// The planner ran and its outcome was inserted into the cache.
+    /// Computed (planned or fetched) and stored in the cache.
     Miss,
-    /// The cache is disabled (capacity 0); the planner ran uncached.
+    /// The cache is disabled (capacity 0); computed uncached.
     Bypass,
 }
 
@@ -47,10 +49,10 @@ pub struct ExecStats {
     pub match_nanos: u64,
     /// End-to-end nanoseconds for the request inside the engine.
     pub total_nanos: u64,
-    /// What the plan cache did for this request.
+    /// What the query cache did for this request's plan.
     pub plan_cache: Option<CacheOutcome>,
-    /// What the fragment cache did for this request (`Some` iff the bounded
-    /// strategy ran). On a [`CacheOutcome::Hit`] the fetch skipped every
+    /// What the query cache did for this request's fetched candidate sets
+    /// (`Some` iff the bounded strategy ran). On a [`CacheOutcome::Hit`] the fetch skipped every
     /// index lookup: [`ExecStats::fetch`] then reports only this request's
     /// own work (zero lookups, the view-construction time), while the
     /// fragment-size fields still describe the reused fragment.
@@ -102,30 +104,30 @@ pub struct EngineStats {
     /// Requests that wanted the bounded strategy but fell back because the
     /// pattern is unbounded under the engine's schema.
     pub fallbacks: u64,
-    /// Plan-cache hits.
+    /// Requests whose query entry (plan or unbounded verdict) was cached.
     pub plan_cache_hits: u64,
-    /// Plan-cache misses (planner runs that were cached).
+    /// Requests that planned and cached a new entry.
     pub plan_cache_misses: u64,
-    /// Plans evicted to respect the cache capacity.
+    /// Entries evicted to respect the cache capacity.
     pub plan_cache_evictions: u64,
-    /// Cached planning outcomes dropped because they were computed against a
-    /// different snapshot version than the probing engine's — the cost of a
-    /// version bump under a shared plan cache.
+    /// Entries retired because the same query was planned at a newer
+    /// snapshot version — the cost of a version bump under a shared cache.
     pub plan_cache_invalidations: u64,
-    /// Plans (or negative outcomes) currently cached.
+    /// Entries (plans or negative outcomes) currently cached.
     pub cached_plans: usize,
-    /// Fragment-cache hits: bounded queries that reused a cached candidate
-    /// set and skipped every index lookup.
+    /// Bounded runs that found their entry holding candidate sets and
+    /// skipped every index lookup.
     pub fragment_cache_hits: u64,
-    /// Fragment-cache misses (fetch passes whose candidate set was cached).
+    /// Bounded runs that fetched into a cache-owned entry (possibly evicted
+    /// since).
     pub fragment_cache_misses: u64,
-    /// Candidate sets evicted to respect the fragment-cache capacity.
+    /// Evicted entries that held candidate sets.
     pub fragment_cache_evictions: u64,
-    /// Cached candidate sets retired because a newer snapshot version
-    /// re-fetched the same key — the commit-piggybacked invalidation of the
-    /// fragment cache.
+    /// Retired entries (see [`EngineStats::plan_cache_invalidations`]) that
+    /// held candidate sets — the commit-piggybacked invalidation of cached
+    /// fragments.
     pub fragment_cache_invalidations: u64,
-    /// Candidate sets currently cached.
+    /// Entries currently holding candidate sets.
     pub cached_fragments: usize,
 }
 

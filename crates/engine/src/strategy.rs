@@ -1,33 +1,24 @@
-//! Evaluation strategies and their selection contract.
-//!
-//! The paper's three evaluation tiers become implementations of one
-//! [`Strategy`] trait:
-//!
-//! * [`Bounded`] — `bVF2`/`bSim`: fetch the bounded fragment `G_Q` through
-//!   access-constraint indices and match on it. Requires a [`QueryPlan`],
-//!   i.e. the pattern must be effectively bounded under the engine's schema
-//!   for the requested semantics.
-//! * [`IndexSeeded`] — `optVF2`/`optgsim`: match on the whole graph, but
-//!   narrow candidate sets through the indices first. Sound for every
-//!   pattern; useful whenever the schema is non-empty.
-//! * [`Baseline`] — `VF2`/`gsim`: plain whole-graph matching. Always
-//!   applicable.
+//! The paper's three evaluation tiers and how the engine picks one.
 //!
 //! All three return identical answers (the equivalence suites lock this
-//! down); they differ only in cost. The [`Engine`] walks its
-//! strategies in this order and runs the first applicable one, which gives
-//! the automatic bounded → seeded → baseline fallback the paper's
-//! experiments hand-wired.
+//! down); they differ only in cost. The [`Engine`] runs the first tier that
+//! applies — `Bounded` when the pattern is effectively bounded under its
+//! schema for the requested semantics, `IndexSeeded` when the schema is
+//! non-empty, `Baseline` always — which gives the automatic bounded → seeded
+//! → baseline fallback the paper's experiments hand-wired, or the tier the
+//! request forced.
 
+use crate::cache::CacheEntry;
 use crate::engine::Engine;
+use crate::error::BgpqError;
 use crate::request::QueryRequest;
 use crate::response::QueryAnswer;
 use crate::stats::CacheOutcome;
-use bgpq_core::{FetchStats, QueryPlan, Semantics};
+use bgpq_core::{FetchStats, PlanError, QueryPlan, Semantics};
 use bgpq_graph::Graph;
 use bgpq_matching::{
     opt_simulation_match_stats, opt_subgraph_match_stats, simulation_match, SubgraphMatcher,
-    Vf2Config,
+    Vf2Config, Vf2Stats,
 };
 use bgpq_pattern::Pattern;
 use std::fmt;
@@ -35,12 +26,13 @@ use std::fmt;
 /// Identifies a strategy, in responses and for per-request overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
-    /// Bounded evaluation on the fetched fragment (`bVF2`/`bSim`).
+    /// Bounded evaluation on the fetched fragment (`bVF2`/`bSim`). Requires
+    /// a plan.
     Bounded,
     /// Whole-graph matching with index-seeded candidates
-    /// (`optVF2`/`optgsim`).
+    /// (`optVF2`/`optgsim`). Requires a non-empty schema.
     IndexSeeded,
-    /// Plain whole-graph matching (`VF2`/`gsim`).
+    /// Plain whole-graph matching (`VF2`/`gsim`). Always applicable.
     Baseline,
 }
 
@@ -54,56 +46,35 @@ impl fmt::Display for StrategyKind {
     }
 }
 
-/// What a strategy hands back to the engine: the answer plus whatever
-/// counters the tier produces.
-#[derive(Debug, Clone)]
-pub struct StrategyRun {
+/// What a tier hands back to the engine: the answer plus whatever counters
+/// the tier produces.
+pub(crate) struct StrategyRun {
     /// The answer, over node ids of the engine's graph.
-    pub answer: QueryAnswer,
-    /// Fetch counters, when the strategy fetched a fragment.
-    pub fetch: Option<FetchStats>,
+    pub(crate) answer: QueryAnswer,
+    /// The VF2-family search's counters (`None` for simulation).
+    pub(crate) search: Option<Vf2Stats>,
     /// Candidate nodes the pattern's predicates rejected before matching
     /// (see [`ExecStats::predicate_filtered`](crate::ExecStats::predicate_filtered)
-    /// for the per-strategy meaning). Populated by every strategy.
-    pub predicate_filtered: u64,
-    /// Search-tree steps, when the strategy ran a VF2-family search.
-    pub matcher_steps: Option<u64>,
-    /// True when the search stopped on the request's step budget.
-    pub aborted: bool,
-    /// What the fragment cache did, when the bounded strategy consulted it
-    /// (`None` for the non-bounded tiers, which fetch no fragment).
-    pub fragment_cache: Option<CacheOutcome>,
+    /// for the per-tier meaning).
+    pub(crate) predicate_filtered: u64,
+    /// Fetch counters, when the tier fetched a fragment.
+    pub(crate) fetch: Option<FetchStats>,
+    /// What the cache did for the fragment (`None` for the whole-graph
+    /// tiers, which fetch none).
+    pub(crate) fragment_cache: Option<CacheOutcome>,
 }
 
-/// One evaluation tier the engine can dispatch a request to.
-///
-/// Implementations must return, for every request they claim to be
-/// applicable to, exactly the same answer as every other strategy (modulo
-/// truncation by the request's budgets): strategies trade cost, never
-/// correctness. The engine guarantees `execute` is only called when
-/// `is_applicable` returned true with the same arguments.
-pub trait Strategy: Send + Sync {
-    /// The tier this strategy implements.
-    fn kind(&self) -> StrategyKind;
-
-    /// Whether this strategy can serve `request` on `engine`. `plan` is the
-    /// cached planning outcome for the request's pattern and semantics —
-    /// `Some` iff the pattern is effectively bounded under the engine's
-    /// schema.
-    fn is_applicable(
-        &self,
-        engine: &Engine,
-        request: &QueryRequest,
-        plan: Option<&QueryPlan>,
-    ) -> bool;
-
-    /// Evaluates `request` on `engine`.
-    fn execute(
-        &self,
-        engine: &Engine,
-        request: &QueryRequest,
-        plan: Option<&QueryPlan>,
-    ) -> StrategyRun;
+impl StrategyRun {
+    /// A whole-graph tier's run: no fetch, no fragment.
+    fn whole_graph(answer: QueryAnswer, search: Option<Vf2Stats>, predicate_filtered: u64) -> Self {
+        StrategyRun {
+            answer,
+            search,
+            predicate_filtered,
+            fetch: None,
+            fragment_cache: None,
+        }
+    }
 }
 
 /// Translates the request's budgets into matcher knobs.
@@ -114,127 +85,87 @@ pub(crate) fn vf2_config(request: &QueryRequest) -> Vf2Config {
     }
 }
 
-/// `bVF2`/`bSim` on the fetched bounded fragment.
-pub struct Bounded;
-
-impl Strategy for Bounded {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Bounded
-    }
-
-    fn is_applicable(&self, _: &Engine, _: &QueryRequest, plan: Option<&QueryPlan>) -> bool {
-        plan.is_some()
-    }
-
-    fn execute(
+impl Engine {
+    /// The first applicable tier, or the forced one. `plan` is the cached
+    /// planning outcome for the request's pattern and semantics.
+    pub(crate) fn select_strategy(
         &self,
-        engine: &Engine,
         request: &QueryRequest,
-        plan: Option<&QueryPlan>,
-    ) -> StrategyRun {
-        let plan = plan.expect("engine dispatches Bounded only with a plan");
-        engine.run_bounded(request, plan)
+        plan: &Result<QueryPlan, PlanError>,
+    ) -> Result<StrategyKind, BgpqError> {
+        use StrategyKind::{Baseline, Bounded, IndexSeeded};
+        let applicable = |kind| match kind {
+            Bounded => plan.is_ok(),
+            // With no indices, seeding degenerates to label scans — identical
+            // to the baseline at strictly more bookkeeping, so don't claim it.
+            IndexSeeded => !self.indices().is_empty(),
+            Baseline => true,
+        };
+        match (request.forced_strategy(), plan) {
+            (None, _) => Ok([Bounded, IndexSeeded, Baseline]
+                .into_iter()
+                .find(|&kind| applicable(kind))
+                .expect("Baseline is always applicable")),
+            (Some(kind), _) if applicable(kind) => Ok(kind),
+            (Some(Bounded), Err(err)) => Err(BgpqError::Unbounded(err.clone())),
+            (Some(kind), _) => Err(BgpqError::StrategyUnavailable {
+                requested: kind,
+                reason: "the engine's access schema cannot support it".into(),
+            }),
+        }
     }
-}
 
-/// `optVF2`/`optgsim`: whole-graph matching with index-narrowed candidates.
-pub struct IndexSeeded;
-
-impl Strategy for IndexSeeded {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::IndexSeeded
-    }
-
-    fn is_applicable(&self, engine: &Engine, _: &QueryRequest, _: Option<&QueryPlan>) -> bool {
-        // With no indices, seeding degenerates to label scans — identical to
-        // the baseline at strictly more bookkeeping, so don't claim it.
-        !engine.indices().is_empty()
-    }
-
-    fn execute(
+    /// Runs `kind`, which [`Engine::select_strategy`] chose for `request`;
+    /// `plan_cache` is what the cache did when `entry` was looked up.
+    pub(crate) fn run_strategy(
         &self,
-        engine: &Engine,
+        kind: StrategyKind,
         request: &QueryRequest,
-        _: Option<&QueryPlan>,
+        entry: &CacheEntry,
+        plan_cache: CacheOutcome,
     ) -> StrategyRun {
-        match request.semantics() {
+        match kind {
+            StrategyKind::Bounded => self.run_bounded(request, entry, plan_cache),
+            StrategyKind::IndexSeeded => self.run_seeded(request),
+            StrategyKind::Baseline => self.run_baseline(request),
+        }
+    }
+
+    /// `optVF2`/`optgsim`: whole-graph matching with index-narrowed
+    /// candidates.
+    fn run_seeded(&self, request: &QueryRequest) -> StrategyRun {
+        let (pattern, graph, indices) = (request.pattern(), self.graph(), self.indices());
+        let (answer, search, seed) = match request.semantics() {
             Semantics::Isomorphism => {
-                let (matches, stats, seed) = opt_subgraph_match_stats(
-                    request.pattern(),
-                    engine.graph(),
-                    engine.indices(),
-                    vf2_config(request),
-                );
-                StrategyRun {
-                    answer: QueryAnswer::Matches(matches),
-                    fetch: None,
-                    predicate_filtered: seed.predicate_filtered,
-                    matcher_steps: Some(stats.steps),
-                    aborted: stats.aborted,
-                    fragment_cache: None,
-                }
+                let config = vf2_config(request);
+                let (matches, stats, seed) =
+                    opt_subgraph_match_stats(pattern, graph, indices, config);
+                (QueryAnswer::Matches(matches), Some(stats), seed)
             }
             Semantics::Simulation => {
-                let (relation, seed) =
-                    opt_simulation_match_stats(request.pattern(), engine.graph(), engine.indices());
-                StrategyRun {
-                    answer: QueryAnswer::Simulation(relation),
-                    fetch: None,
-                    predicate_filtered: seed.predicate_filtered,
-                    matcher_steps: None,
-                    aborted: false,
-                    fragment_cache: None,
-                }
+                let (relation, seed) = opt_simulation_match_stats(pattern, graph, indices);
+                (QueryAnswer::Simulation(relation), None, seed)
             }
-        }
-    }
-}
-
-/// `VF2`/`gsim`: plain whole-graph matching, the always-available floor.
-pub struct Baseline;
-
-impl Strategy for Baseline {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Baseline
+        };
+        StrategyRun::whole_graph(answer, search, seed.predicate_filtered)
     }
 
-    fn is_applicable(&self, _: &Engine, _: &QueryRequest, _: Option<&QueryPlan>) -> bool {
-        true
-    }
-
-    fn execute(
-        &self,
-        engine: &Engine,
-        request: &QueryRequest,
-        _: Option<&QueryPlan>,
-    ) -> StrategyRun {
-        let predicate_filtered = label_scan_predicate_filtered(request.pattern(), engine.graph());
-        match request.semantics() {
+    /// `VF2`/`gsim`: plain whole-graph matching, the always-available floor.
+    fn run_baseline(&self, request: &QueryRequest) -> StrategyRun {
+        let (pattern, graph) = (request.pattern(), self.graph());
+        let (answer, search) = match request.semantics() {
             Semantics::Isomorphism => {
-                let (matches, stats) = SubgraphMatcher::new(request.pattern(), engine.graph())
-                    .with_config(vf2_config(request))
-                    .run();
-                StrategyRun {
-                    answer: QueryAnswer::Matches(matches),
-                    fetch: None,
-                    predicate_filtered,
-                    matcher_steps: Some(stats.steps),
-                    aborted: stats.aborted,
-                    fragment_cache: None,
-                }
+                let matcher = SubgraphMatcher::new(pattern, graph).with_config(vf2_config(request));
+                let (matches, stats) = matcher.run();
+                (QueryAnswer::Matches(matches), Some(stats))
             }
-            Semantics::Simulation => StrategyRun {
-                answer: QueryAnswer::Simulation(simulation_match(
-                    request.pattern(),
-                    engine.graph(),
-                )),
-                fetch: None,
-                predicate_filtered,
-                matcher_steps: None,
-                aborted: false,
-                fragment_cache: None,
-            },
-        }
+            Semantics::Simulation => (
+                QueryAnswer::Simulation(simulation_match(pattern, graph)),
+                None,
+            ),
+        };
+        let predicate_filtered = label_scan_predicate_filtered(pattern, graph);
+        StrategyRun::whole_graph(answer, search, predicate_filtered)
     }
 }
 

@@ -225,12 +225,10 @@ fn run_seed(seed: u64) {
         check_simulation(seed, i, q, &graph, &indices, &engine);
     }
 
-    // The checks above warmed `engine`'s plan and fragment caches. Replays
-    // through the warm caches must reproduce the answers of a fully
+    // The checks above warmed `engine`'s cache: plans and fragments. Replays
+    // through the warm cache must reproduce the answers of a fully
     // uncached engine bit for bit.
-    let uncached = Engine::with_indices(graph.clone(), indices.clone())
-        .with_plan_cache_capacity(0)
-        .with_fragment_cache_capacity(0);
+    let uncached = Engine::with_indices(graph.clone(), indices.clone()).with_cache_capacity(0);
     for semantics in [Semantics::Isomorphism, Semantics::Simulation] {
         let requests: Vec<QueryRequest> = patterns
             .iter()
@@ -439,21 +437,20 @@ fn truncated_indices_agree_across_strategies() {
     }
 }
 
-/// Interleaved-commit differential: a serving chain shares one plan cache
-/// and one fragment cache across snapshot versions. After every "commit"
+/// Interleaved-commit differential: a serving chain shares one query cache
+/// across snapshot versions. After every "commit"
 /// (graph mutation + index rebuild + version bump), answers served through
-/// the shared caches — cold and warm — must equal a fully
-/// uncached engine on the same snapshot. Deliberately tiny cache
-/// capacities force eviction and version churn to interact.
+/// the shared cache — cold and warm — must equal a fully
+/// uncached engine on the same snapshot. A deliberately tiny cache
+/// capacity forces eviction and version churn to interact.
 #[test]
 fn cached_answers_agree_across_interleaved_commits() {
-    use bgpq_engine::{SharedFragmentCache, SharedPlanCache, SharedResources};
+    use bgpq_engine::{QueryCache, SharedResources};
     for seed in [7u64, 21, 42, 63, 84] {
         let mut rng = DetRng::seed_from_u64(seed);
         let mut graph = random_graph(&mut rng);
         let shared = SharedResources {
-            plans: SharedPlanCache::with_capacity(8),
-            fragments: SharedFragmentCache::with_capacity(8),
+            cache: QueryCache::with_capacity(8),
             ..SharedResources::default()
         };
         for version in 0..4u64 {
@@ -465,9 +462,8 @@ fn cached_answers_agree_across_interleaved_commits() {
                 version,
                 shared.clone(),
             );
-            let uncached = Engine::with_indices(graph.clone(), indices.clone())
-                .with_plan_cache_capacity(0)
-                .with_fragment_cache_capacity(0);
+            let uncached =
+                Engine::with_indices(graph.clone(), indices.clone()).with_cache_capacity(0);
             let patterns = workload(&mut rng, &graph, seed ^ version);
             let requests: Vec<QueryRequest> = patterns
                 .iter()
@@ -488,7 +484,7 @@ fn cached_answers_agree_across_interleaved_commits() {
             }
 
             // The "commit": mutate the graph for the next version while the
-            // shared caches keep holding this version's entries.
+            // shared cache keeps holding this version's entries.
             let live: Vec<_> = graph.nodes().filter(|&v| graph.is_live(v)).collect();
             let label = LABEL_POOL[rng.random_range(0..LABEL_POOL.len())];
             let new = graph.insert_node(label, Value::Int(rng.random_range(0..9) as i64));

@@ -128,7 +128,7 @@ fn second_identical_request_is_a_plan_cache_hit() {
 
 #[test]
 fn tiny_cache_evicts_least_recently_used() {
-    let engine = engine().with_plan_cache_capacity(2);
+    let engine = engine().with_cache_capacity(2);
     let years = [2010, 2011, 2012];
     for y in years {
         let r = engine
@@ -144,10 +144,12 @@ fn tiny_cache_evicts_least_recently_used() {
         .execute(&QueryRequest::build(movie_pattern(engine.graph(), 2012)).finish())
         .unwrap();
     assert_eq!(r.stats.plan_cache, Some(CacheOutcome::Hit));
+    // The evicted entry took its fragment with it.
     let r = engine
         .execute(&QueryRequest::build(movie_pattern(engine.graph(), 2010)).finish())
         .unwrap();
     assert_eq!(r.stats.plan_cache, Some(CacheOutcome::Miss));
+    assert_eq!(r.stats.fragment_cache, Some(CacheOutcome::Miss));
 }
 
 #[test]
@@ -455,11 +457,77 @@ fn repeated_bounded_query_hits_the_fragment_cache() {
     assert_eq!(stats.cached_fragments, 2);
 }
 
+/// A query first served by a non-bounded tier leaves an entry with a plan
+/// and no fragment: the first bounded run fills it, the next one reads it.
+#[test]
+fn a_cached_plan_without_a_fragment_is_filled_by_the_first_bounded_run() {
+    let engine = engine();
+    let request = || QueryRequest::build(movie_pattern(engine.graph(), 2011));
+    let seeded = request().strategy(StrategyKind::IndexSeeded).finish();
+    let seeded = engine.execute(&seeded).unwrap();
+    assert_eq!(seeded.stats.plan_cache, Some(CacheOutcome::Miss));
+    assert_eq!(seeded.stats.fragment_cache, None);
+    let stats = engine.stats();
+    assert_eq!((stats.cached_plans, stats.cached_fragments), (1, 0));
+
+    let cold = engine.execute(&request().finish()).unwrap();
+    assert_eq!(cold.strategy, StrategyKind::Bounded);
+    assert_eq!(cold.stats.plan_cache, Some(CacheOutcome::Hit));
+    assert_eq!(cold.stats.fragment_cache, Some(CacheOutcome::Miss));
+    assert!(cold.stats.fetch.as_ref().unwrap().index_lookups > 0);
+
+    let hot = engine.execute(&request().finish()).unwrap();
+    assert_eq!(hot.stats.plan_cache, Some(CacheOutcome::Hit));
+    assert_eq!(hot.stats.fragment_cache, Some(CacheOutcome::Hit));
+    assert_eq!(hot.stats.fetch.as_ref().unwrap().index_lookups, 0);
+
+    assert_eq!(seeded.answer, cold.answer);
+    assert_eq!(cold.answer, hot.answer);
+    let stats = engine.stats();
+    assert_eq!((stats.cached_plans, stats.cached_fragments), (1, 1));
+    assert_eq!(
+        (stats.fragment_cache_hits, stats.fragment_cache_misses),
+        (1, 1)
+    );
+}
+
+/// Concurrent cold runs of one bounded query share one entry: each run is
+/// counted once, as the fetch that filled the entry or as a hit on it, and
+/// every answer is the same.
+#[test]
+fn racing_cold_bounded_requests_share_one_entry() {
+    let engine = engine();
+    let threads = 4;
+    let barrier = std::sync::Barrier::new(threads);
+    let answers: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let request = QueryRequest::build(movie_pattern(engine.graph(), 2011)).finish();
+                    barrier.wait();
+                    let r = engine.execute(&request).unwrap();
+                    assert_eq!(r.strategy, StrategyKind::Bounded);
+                    r.answer
+                })
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    assert!(!answers[0].is_empty());
+    assert!(answers.iter().all(|a| *a == answers[0]));
+    let stats = engine.stats();
+    assert_eq!((stats.cached_plans, stats.cached_fragments), (1, 1));
+    assert_eq!(
+        stats.fragment_cache_hits + stats.fragment_cache_misses,
+        threads as u64
+    );
+}
+
 /// Capacity 0 disables the fragment cache: every bounded run re-fetches and
 /// reports a bypass, and nothing is retained or counted.
 #[test]
 fn fragment_cache_capacity_zero_bypasses() {
-    let engine = engine().with_fragment_cache_capacity(0);
+    let engine = engine().with_cache_capacity(0);
     let request = || QueryRequest::build(movie_pattern(engine.graph(), 2011)).finish();
     let first = engine.execute(&request()).unwrap();
     let second = engine.execute(&request()).unwrap();

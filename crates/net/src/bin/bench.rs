@@ -253,7 +253,7 @@ const COMMIT_BATCHES: usize = 50;
 /// Cached executions of each query per scale point; `hit_us` is the fastest.
 const HIT_PASSES: usize = 5;
 
-/// Cold `bVF2` passes per scale point, each on an engine with fresh caches;
+/// Cold `bVF2` passes per scale point, each on an engine with a fresh cache;
 /// `avg_query_us` and `fetch_us` take each query's median.
 const COLD_PASSES: usize = 3;
 
@@ -354,7 +354,7 @@ fn scale_point(scale: usize) -> Json {
     };
     // Every cold pass gets an engine over copy-on-write clones of the same
     // snapshot, so none finds a plan or fragment cached; the last one's
-    // caches serve the `hit` tier.
+    // cache serves the `hit` tier.
     let cold: Vec<Vec<QueryResponse>> = (0..COLD_PASSES)
         .map(|_| {
             engine = Engine::with_indices(engine.graph().clone(), engine.indices().clone());

@@ -16,7 +16,7 @@
 //! drops.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The outcome of one admission attempt.
@@ -145,7 +145,7 @@ impl AdmissionGate {
     /// permits can appear.
     pub fn await_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.idle.lock().expect("gate mutex poisoned");
+        let mut guard = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
         while self.in_flight.load(Ordering::Acquire) > 0 {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
@@ -153,7 +153,7 @@ impl AdmissionGate {
             let (g, _) = self
                 .idle_cv
                 .wait_timeout(guard, remaining)
-                .expect("gate mutex poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             guard = g;
         }
         true
@@ -170,7 +170,9 @@ impl AdmissionGate {
     }
 
     fn release(&self) {
-        let _guard = self.idle.lock().expect("gate mutex poisoned");
+        // The idle lock guards `()`, so a poisoned one tears nothing; and this
+        // runs in a permit's `Drop`, where a panic while unwinding aborts.
+        let _guard = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
         self.idle_cv.notify_all();
     }
@@ -242,6 +244,25 @@ mod tests {
         drop(permit);
         assert!(gate.await_idle(Duration::from_millis(100)));
         assert_eq!(gate.stats().rejected_draining, 1);
+    }
+
+    #[test]
+    fn a_poisoned_idle_lock_is_recovered() {
+        let gate = AdmissionGate::new(1);
+        thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = gate.idle.lock();
+                panic!("a panic while the idle lock is held");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(gate.idle.is_poisoned());
+        let Admission::Admitted(permit) = gate.try_admit() else {
+            panic!("admit on a poisoned gate");
+        };
+        drop(permit);
+        assert!(gate.await_idle(Duration::from_millis(100)));
+        assert!(matches!(gate.try_admit(), Admission::Admitted(_)));
     }
 
     #[test]

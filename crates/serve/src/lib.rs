@@ -46,9 +46,9 @@
 //!
 //! Cache correctness across versions is handled one layer down: the
 //! server hands every snapshot's engine the same
-//! [`SharedResources`](bgpq_engine::SharedResources) — plan cache,
-//! fragment cache, scratch arenas — and cached outcomes are validated
-//! against the snapshot version on every probe.
+//! [`SharedResources`](bgpq_engine::SharedResources) — the query cache
+//! (one entry per query: plan and fragment) and the scratch arenas — and
+//! cache entries are validated against the snapshot version on every probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -164,14 +164,14 @@ pub struct ServerStats {
 ///   touched index, and a hub's own adjacency row, copied whole when an
 ///   edge lands on it — the largest `|G|` term left in the replay.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
-///   [`SharedResources`]: one plan cache, one fragment cache and one pool
-///   of scratch arenas. Cache slots are keyed by snapshot version, so a
-///   commit that changes index coverage or graph content makes every
-///   affected plan (and unbounded verdict) and every cached candidate set
-///   re-derive at the new version — retiring the superseded entries, the
-///   commit-piggybacked invalidation — while readers pinned to old
-///   snapshots keep their own cache population instead of fighting the
-///   current readers for slots. The arenas carry no version: the buffers
+///   [`SharedResources`]: one query cache, whose entry per query holds its
+///   plan and fetched candidate sets, and one pool of scratch arenas. Cache
+///   slots are keyed by snapshot version, so a commit that changes index
+///   coverage or graph content makes every affected plan (and unbounded
+///   verdict) and every cached candidate set re-derive at the new version —
+///   retiring the superseded entries, the commit-piggybacked invalidation —
+///   while readers pinned to old snapshots keep their own cache population
+///   instead of fighting the current readers for slots. The arenas carry no version: the buffers
 ///   one version's queries grew serve the next version's, and a pinned-old
 ///   reader racing a current one still gets an arena of its own.
 ///

@@ -14,9 +14,9 @@ use bgpq_graph::Graph;
 /// graph pages, adjacency rows, label-bucket chunks, whole constraint indices and
 /// the shards inside them — and differ only in what a commit wrote, so
 /// keeping an old version pinned costs the memory of its differences, and
-/// dropping it frees exactly those. The engine's plan cache is shared across
-/// the whole snapshot chain and validated per version, so pinning an old
-/// snapshot can never observe a newer schema's plans.
+/// dropping it frees exactly those. The engine's query cache is shared
+/// across the whole snapshot chain and validated per version, so pinning an
+/// old snapshot can never observe a newer version's plans or fragments.
 pub struct Snapshot {
     engine: Engine,
 }

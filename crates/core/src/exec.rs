@@ -23,11 +23,17 @@
 //! suite locks down — is that the result equals whole-graph matching
 //! exactly: `bVF2(Q, G_Q) = VF2(Q, G)` and `bSim(Q, G_Q) = gsim(Q, G)`,
 //! while `|G_Q|` is bounded by `Q` and `A` alone.
+//!
+//! The paper's optimized baselines `optVF2` and `optgsim`
+//! ([`opt_subgraph_match`], [`opt_simulation_match`]) are the same matchers
+//! on the whole of `G`, seeded through the same planner and fetch
+//! ([`seeded_candidates`]): they differ from `bVF2`/`bSim` only in whether
+//! the coverage closure reaches every pattern node.
 
-use crate::fetch::{fetch_candidates, CandidateSet, FetchStats};
+use crate::fetch::{fetch_candidates, seeded_candidates, CandidateSet, FetchStats};
 use crate::plan::{plan_query_filtered, PlanError, QueryPlan, Semantics};
 use bgpq_access::AccessIndexSet;
-use bgpq_graph::{FragmentView, Graph, GraphAccess, ScratchArena};
+use bgpq_graph::{FragmentView, Graph, GraphAccess, NodeId, ScratchArena};
 use bgpq_matching::{
     MatchSet, SimulationMatcher, SimulationRelation, SubgraphMatcher, Vf2Config, Vf2Stats,
 };
@@ -52,69 +58,26 @@ pub struct BoundedRun<T> {
 /// Constraints whose index was truncated during its build are excluded from
 /// planning — a truncated index cannot honor the fetch contract.
 ///
-/// Allocates a fresh [`ScratchArena`] per call; session layers that serve
-/// repeated queries should plan once and call
-/// [`bounded_subgraph_match_planned`] with a pooled arena instead.
+/// Allocates a fresh [`ScratchArena`] per call. Session layers that serve
+/// repeated queries plan once ([`plan_for_indices`]), fetch
+/// ([`fetch_candidate_sets`](crate::fetch::fetch_candidate_sets)) and call
+/// [`bounded_subgraph_match_prefetched`] with a pooled arena instead.
 pub fn bounded_subgraph_match(
     pattern: &Pattern,
     graph: &Graph,
     indices: &AccessIndexSet,
 ) -> Result<BoundedRun<MatchSet>, PlanError> {
     let plan = plan_for_indices(pattern, indices, Semantics::Isomorphism)?;
-    let mut scratch = ScratchArena::new();
-    let (result, fetch, _) = bounded_subgraph_match_planned(
-        &plan,
-        pattern,
-        graph,
-        indices,
-        Vf2Config::default(),
-        &mut scratch,
-    );
+    let fetched = fetch_candidates(&plan, pattern, graph, indices);
+    let scratch = &mut ScratchArena::new();
+    let config = Vf2Config::default();
+    let (result, fetch, _) =
+        bounded_subgraph_match_prefetched(pattern, graph, &fetched, config, scratch);
     Ok(BoundedRun {
         result,
         plan,
         fetch,
     })
-}
-
-/// `bVF2` with a precomputed plan, explicit matcher knobs and a caller-owned
-/// scratch arena.
-///
-/// Session layers (the plan cache of `bgpq-engine`) plan once per distinct
-/// pattern and replay the plan here on every request, so the planner's
-/// closure computation is off the per-query hot path. The fragment view is
-/// built into `scratch`, whose buffers are reused across calls — in steady
-/// state the per-query fragment construction allocates nothing. Also returns
-/// the fragment-side search statistics, letting callers enforce step
-/// budgets.
-///
-/// `plan` must have been produced for this `pattern` against the schema
-/// behind `indices` (e.g. by [`plan_for_indices`]); a plan from a
-/// *different* schema whose constraint ids happen to exist in `indices`
-/// fetches through the wrong indices and corrupts the answer undetected.
-///
-/// The plan is only borrowed — the per-query hot path allocates nothing
-/// plan-shaped; callers that want a [`BoundedRun`] assemble it from the
-/// returned parts and the plan they own.
-///
-/// # Panics
-/// Panics if `plan` was built for [`Semantics::Simulation`], or if it
-/// references a constraint id absent from `indices`.
-pub fn bounded_subgraph_match_planned(
-    plan: &QueryPlan,
-    pattern: &Pattern,
-    graph: &Graph,
-    indices: &AccessIndexSet,
-    config: Vf2Config,
-    scratch: &mut ScratchArena,
-) -> (MatchSet, FetchStats, Vf2Stats) {
-    assert_eq!(
-        plan.semantics,
-        Semantics::Isomorphism,
-        "bVF2 requires an isomorphism plan"
-    );
-    let fetched = fetch_candidates(plan, pattern, graph, indices);
-    bounded_subgraph_match_prefetched(pattern, graph, &fetched, config, scratch)
 }
 
 /// `bVF2` from an already-fetched [`CandidateSet`]: builds the zero-copy
@@ -164,37 +127,14 @@ pub fn bounded_simulation_match(
     indices: &AccessIndexSet,
 ) -> Result<BoundedRun<SimulationRelation>, PlanError> {
     let plan = plan_for_indices(pattern, indices, Semantics::Simulation)?;
-    let mut scratch = ScratchArena::new();
-    let (result, fetch) =
-        bounded_simulation_match_planned(&plan, pattern, graph, indices, &mut scratch);
+    let fetched = fetch_candidates(&plan, pattern, graph, indices);
+    let scratch = &mut ScratchArena::new();
+    let (result, fetch) = bounded_simulation_match_prefetched(pattern, graph, &fetched, scratch);
     Ok(BoundedRun {
         result,
         plan,
         fetch,
     })
-}
-
-/// `bSim` with a precomputed plan and a caller-owned scratch arena, the
-/// simulation counterpart of [`bounded_subgraph_match_planned`] — the same
-/// plan/schema contract applies, and the plan is likewise only borrowed.
-///
-/// # Panics
-/// Panics if `plan` was built for [`Semantics::Isomorphism`], or if it
-/// references a constraint id absent from `indices`.
-pub fn bounded_simulation_match_planned(
-    plan: &QueryPlan,
-    pattern: &Pattern,
-    graph: &Graph,
-    indices: &AccessIndexSet,
-    scratch: &mut ScratchArena,
-) -> (SimulationRelation, FetchStats) {
-    assert_eq!(
-        plan.semantics,
-        Semantics::Simulation,
-        "bSim requires a simulation plan"
-    );
-    let fetched = fetch_candidates(plan, pattern, graph, indices);
-    bounded_simulation_match_prefetched(pattern, graph, &fetched, scratch)
 }
 
 /// `bSim` from an already-fetched [`CandidateSet`], the simulation
@@ -235,6 +175,39 @@ pub fn plan_for_indices(
     })
 }
 
+/// `optVF2`: whole-graph subgraph-isomorphism matching from candidates
+/// seeded through the planner's (possibly partial) plan. Equals `VF2`
+/// whenever `graph` satisfies the schema behind `indices`.
+pub fn opt_subgraph_match(pattern: &Pattern, graph: &Graph, indices: &AccessIndexSet) -> MatchSet {
+    let candidates = seed(pattern, graph, indices, Semantics::Isomorphism);
+    let matcher = SubgraphMatcher::new(pattern, graph).with_candidates(candidates);
+    matcher.find_all()
+}
+
+/// `optgsim`: whole-graph simulation from candidates seeded through the
+/// planner's (possibly partial) simulation plan. Equals `gsim` whenever
+/// `graph` satisfies the schema behind `indices`.
+pub fn opt_simulation_match(
+    pattern: &Pattern,
+    graph: &Graph,
+    indices: &AccessIndexSet,
+) -> SimulationRelation {
+    let candidates = seed(pattern, graph, indices, Semantics::Simulation);
+    SimulationMatcher::new(pattern, graph)
+        .with_candidates(candidates)
+        .run()
+}
+
+pub(crate) fn seed(
+    pattern: &Pattern,
+    graph: &Graph,
+    indices: &AccessIndexSet,
+    semantics: Semantics,
+) -> Vec<Vec<NodeId>> {
+    let plan = plan_for_indices(pattern, indices, semantics).unwrap_or_else(|err| err.partial);
+    seeded_candidates(&plan, pattern, graph, indices).0
+}
+
 /// The pre-zero-copy execution path, kept as the differential oracle: fetch,
 /// **materialize** `G_Q` as a standalone graph, remap candidates to local
 /// ids, match, and remap the answers back to parent ids.
@@ -242,7 +215,6 @@ pub fn plan_for_indices(
 mod oracle {
     use super::*;
     use crate::fetch::execute_plan;
-    use bgpq_graph::NodeId;
 
     pub fn bounded_subgraph_match_materialized(
         plan: &QueryPlan,
@@ -464,14 +436,9 @@ mod tests {
 
         let q = movie_pattern(&g);
         let plan = plan_for_indices(&q, &indices, Semantics::Isomorphism).unwrap();
-        let (fast, fast_fetch, _) = bounded_subgraph_match_planned(
-            &plan,
-            &q,
-            &g,
-            &indices,
-            Vf2Config::default(),
-            &mut scratch,
-        );
+        let fetched = fetch_candidates(&plan, &q, &g, &indices);
+        let (fast, fast_fetch, _) =
+            bounded_subgraph_match_prefetched(&q, &g, &fetched, Vf2Config::default(), &mut scratch);
         let (oracle, oracle_fetch) = super::oracle::bounded_subgraph_match_materialized(
             &plan,
             &q,
@@ -509,7 +476,8 @@ mod tests {
         pb.edge(pa, pbn);
         let q2 = pb.build();
         let plan2 = plan_for_indices(&q2, &indices2, Semantics::Simulation).unwrap();
-        let (fast, _) = bounded_simulation_match_planned(&plan2, &q2, &g2, &indices2, &mut scratch);
+        let fetched2 = fetch_candidates(&plan2, &q2, &g2, &indices2);
+        let (fast, _) = bounded_simulation_match_prefetched(&q2, &g2, &fetched2, &mut scratch);
         let (oracle, _) =
             super::oracle::bounded_simulation_match_materialized(&plan2, &q2, &g2, &indices2);
         assert_eq!(fast, oracle);
@@ -527,14 +495,10 @@ mod tests {
         let plan = plan_for_indices(&q, &indices, Semantics::Isomorphism).unwrap();
         let baseline = SubgraphMatcher::new(&q, &g).find_all();
         for _ in 0..5 {
-            let (matches, fetch, _) = bounded_subgraph_match_planned(
-                &plan,
-                &q,
-                &g,
-                &indices,
-                Vf2Config::default(),
-                &mut scratch,
-            );
+            let fetched = fetch_candidates(&plan, &q, &g, &indices);
+            let config = Vf2Config::default();
+            let (matches, fetch, _) =
+                bounded_subgraph_match_prefetched(&q, &g, &fetched, config, &mut scratch);
             assert_eq!(matches, baseline);
             assert!(fetch.fragment_nodes <= 8);
         }
@@ -545,7 +509,6 @@ mod tests {
     /// from bounded planning rather than silently losing matches.
     #[test]
     fn truncated_indices_are_excluded_from_plans() {
-        use bgpq_matching::opt_subgraph_match;
         let mut gb = GraphBuilder::new();
         let hub = gb.add_node("hub", Value::Null);
         for i in 0..70 {

@@ -31,13 +31,17 @@
 //! [`LookupMemo`] keeps such a step's answers for the later steps of the
 //! plan that repeat it, and each applies its own predicate.
 //!
+//! The index-seeded tier (`optVF2`/`optgsim`) fetches through the same loop:
+//! [`seeded_candidates`] runs it on the plan the planner built — complete,
+//! or the partial plan of a [`PlanError`](crate::plan::PlanError) — and
+//! gives every node the plan leaves uncovered its label-compatible nodes.
+//!
 //! [`ConstraintIndex::common_neighbors`]: bgpq_access::ConstraintIndex::common_neighbors
 
 use crate::plan::{FetchStep, QueryPlan};
 use bgpq_access::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId, Subgraph};
-use bgpq_matching::seed::for_each_combination;
-use bgpq_pattern::Pattern;
+use bgpq_pattern::{Pattern, PatternNodeId};
 use std::time::Instant;
 
 /// Counters describing one plan execution.
@@ -161,7 +165,8 @@ pub(crate) fn fetch_candidates(
 /// Runs the index-lookup loop of `plan`, producing per-node candidates and
 /// their union. A step that repeats an earlier step's `(constraint, via)`
 /// reuses that step's answers from `memo`, which is cleared first (see
-/// [`LookupMemo`]).
+/// [`LookupMemo`]). `plan` must come from the schema behind `indices`: a
+/// foreign plan whose constraint ids exist there fetches wrong candidates.
 ///
 /// # Panics
 /// Panics if `plan` references constraints absent from `indices` (i.e. the
@@ -188,7 +193,7 @@ pub fn fetch_candidate_sets(
                 .get(step.constraint)
                 .expect("plan constraint must exist in the index set");
             let (mut fetched, mut probes) = (Vec::new(), 0);
-            for_each_combination(&step.via, &candidates, &mut |key| {
+            for_each_combination(&step.via, &candidates, &mut Vec::new(), &mut |key| {
                 probes += 1;
                 fetched.extend_from_slice(index.common_neighbors(key));
             });
@@ -224,6 +229,59 @@ pub fn fetch_candidate_sets(
         candidates,
         all_nodes,
         stats,
+    }
+}
+
+/// Sound candidate sets for whole-graph matching (`optVF2`/`optgsim`):
+/// the nodes `plan` covers get what its fetch returns, every other node its
+/// label-compatible nodes of `graph` that pass its predicate (a `|G|`-sized
+/// scan). `plan` is the planner's outcome for `pattern` against the schema
+/// behind `indices`: the plan, or the partial plan of its
+/// [`PlanError`](crate::plan::PlanError) for an unbounded pattern.
+///
+/// # Panics
+/// Panics if `plan` references constraints absent from `indices`.
+pub fn seeded_candidates(
+    plan: &QueryPlan,
+    pattern: &Pattern,
+    graph: &Graph,
+    indices: &AccessIndexSet,
+) -> (Vec<Vec<NodeId>>, FetchStats) {
+    let CandidateSet {
+        mut candidates,
+        mut stats,
+        ..
+    } = fetch_candidates(plan, pattern, graph, indices);
+    for u in pattern.nodes().filter(|&u| plan.step_for(u).is_none()) {
+        let labelled = graph.nodes_with_label(pattern.label(u));
+        let predicate = pattern.predicate(u);
+        let kept: Vec<NodeId> = labelled
+            .iter()
+            .copied()
+            .filter(|&v| predicate.is_empty() || predicate.eval(graph.value(v)))
+            .collect();
+        stats.predicate_filtered += (labelled.len() - kept.len()) as u64;
+        candidates[u.index()] = kept;
+    }
+    (candidates, stats)
+}
+
+/// Invokes `emit` with every combination of candidates of the `via` nodes
+/// (the cartesian product of their candidate sets, in order), each appended
+/// to `key`.
+fn for_each_combination(
+    via: &[PatternNodeId],
+    candidates: &[Vec<NodeId>],
+    key: &mut Vec<NodeId>,
+    emit: &mut impl FnMut(&[NodeId]),
+) {
+    let Some((w, rest)) = via.split_first() else {
+        return emit(key);
+    };
+    for &v in &candidates[w.index()] {
+        key.push(v);
+        for_each_combination(rest, candidates, key, emit);
+        key.pop();
     }
 }
 
@@ -448,6 +506,80 @@ mod tests {
         let actor_values = fetched.candidates[4].iter().map(|&v| g.value(v).clone());
         let expected = [10, 11, 30, 31].map(Value::Int);
         assert_eq!(actor_values.collect::<Vec<_>>(), expected);
+    }
+
+    /// The index-seeded tier's candidates: the planner's plan, or the
+    /// partial plan of its refusal, through [`seeded_candidates`].
+    fn seeded(q: &Pattern, g: &Graph, schema: &AccessSchema, sem: Semantics) -> Vec<Vec<NodeId>> {
+        let indices = AccessIndexSet::build(g, schema);
+        let plan = crate::exec::plan_for_indices(q, &indices, sem).unwrap_or_else(|e| e.partial);
+        seeded_candidates(&plan, q, g, &indices).0
+    }
+
+    #[test]
+    fn globals_seed_directly() {
+        let (g, schema) = setup();
+        let mut pb = PatternBuilder::with_interner(g.interner().clone());
+        pb.node("year", Predicate::single(bgpq_pattern::Op::Ge, 2012));
+        let cand = seeded(&pb.build(), &g, &schema, Semantics::Isomorphism);
+        // Global year constraint plus the predicate keeps only year 2012.
+        assert_eq!(cand[0], vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn propagation_narrows_through_pair_constraint() {
+        let (g, schema) = setup();
+        let cand = seeded(&movie_pattern(&g), &g, &schema, Semantics::Isomorphism);
+        // year narrowed to 2011 → movies narrowed to the two 2011 movies
+        // via (year, award) → movie, then actors to those movies' actors.
+        assert_eq!(cand[1].len(), 1, "year candidates");
+        assert_eq!(cand[0].len(), 2, "movie candidates");
+        assert_eq!(cand[3].len(), 4, "actor candidates");
+    }
+
+    /// Pattern movie -> actor: for simulation, `actor` may not be narrowed
+    /// via its parent `movie` (a data actor node could simulate `actor`
+    /// without any movie parent), so it falls back to the label scan.
+    #[test]
+    fn simulation_semantics_ignores_parent_side_constraints() {
+        let (g, schema) = setup();
+        let mut pb = PatternBuilder::with_interner(g.interner().clone());
+        let m = pb.node("movie", Predicate::always());
+        let act = pb.node("actor", Predicate::always());
+        pb.edge(m, act);
+        let q = pb.build();
+        let label_count = |name| g.label_count(g.interner().get(name).unwrap());
+        let sim = seeded(&q, &g, &schema, Semantics::Simulation);
+        assert_eq!(sim[1].len(), label_count("actor"));
+        // Isomorphism cannot narrow the movie node either: no global movie
+        // constraint, and year/award are absent from the pattern.
+        let iso = seeded(&q, &g, &schema, Semantics::Isomorphism);
+        assert_eq!(iso[0].len(), label_count("movie"));
+    }
+
+    /// A node the plan leaves uncovered gets its label's nodes, filtered by
+    /// its predicate, and the rejected ones are counted.
+    #[test]
+    fn unseeded_nodes_fall_back_to_label_scan() {
+        let (g, _) = setup();
+        let indices = AccessIndexSet::build(&g, &AccessSchema::new());
+        let mut pb = PatternBuilder::with_interner(g.interner().clone());
+        pb.node("movie", Predicate::single(bgpq_pattern::Op::Ge, 1));
+        let q = pb.build();
+        let plan = crate::exec::plan_for_indices(&q, &indices, Semantics::Isomorphism)
+            .unwrap_err()
+            .partial;
+        let (cand, stats) = seeded_candidates(&plan, &q, &g, &indices);
+        let movies = g.nodes_with_label(g.interner().get("movie").unwrap());
+        assert_eq!(cand[0], movies.to_vec()[1..]);
+        assert_eq!((stats.predicate_filtered, stats.index_lookups), (1, 0));
+    }
+
+    #[test]
+    fn empty_pattern_yields_no_sets() {
+        let (g, schema) = setup();
+        let q = PatternBuilder::with_interner(g.interner().clone()).build();
+        assert!(seeded(&q, &g, &schema, Semantics::Simulation).is_empty());
     }
 
     #[test]

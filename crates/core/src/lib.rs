@@ -22,10 +22,15 @@
 //!   [`FragmentView`](bgpq_graph::FragmentView) of `G_Q` (built into a
 //!   reusable [`ScratchArena`](bgpq_graph::ScratchArena) — no fragment
 //!   materialization, no id remapping), returning answers that are
-//!   **identical** to whole-graph `VF2` / `gsim`.
+//!   **identical** to whole-graph `VF2` / `gsim`; and the index-seeded
+//!   baselines [`opt_subgraph_match`] (`optVF2`) and
+//!   [`opt_simulation_match`] (`optgsim`), the same matchers on the whole
+//!   graph from [`seeded_candidates`]: the same fetch, through the plan or
+//!   the partial plan a [`PlanError`] carries.
 //!
-//! The cross-algorithm equivalence suite in `tests/equivalence.rs` asserts
-//! that identity on generated workloads: `VF2 = optVF2 = bVF2` and
+//! How a pattern node gets its candidates from the indices is decided here
+//! alone. The cross-algorithm equivalence suite in `tests/equivalence.rs`
+//! asserts the identity on generated workloads: `VF2 = optVF2 = bVF2` and
 //! `gsim = optgsim = bSim`, node for node.
 
 #![forbid(unsafe_code)]
@@ -35,12 +40,18 @@ pub mod exec;
 pub mod fetch;
 pub mod plan;
 
+#[cfg(test)]
+mod opt_simulation;
+#[cfg(test)]
+mod opt_vf2;
+
 pub use exec::{
-    bounded_simulation_match, bounded_simulation_match_planned,
-    bounded_simulation_match_prefetched, bounded_subgraph_match, bounded_subgraph_match_planned,
-    bounded_subgraph_match_prefetched, plan_for_indices, BoundedRun,
+    bounded_simulation_match, bounded_simulation_match_prefetched, bounded_subgraph_match,
+    bounded_subgraph_match_prefetched, opt_simulation_match, opt_subgraph_match, plan_for_indices,
+    BoundedRun,
 };
 pub use fetch::{
-    execute_plan, fetch_candidate_sets, CandidateSet, FetchResult, FetchStats, LookupMemo,
+    execute_plan, fetch_candidate_sets, seeded_candidates, CandidateSet, FetchResult, FetchStats,
+    LookupMemo,
 };
 pub use plan::{plan_query, plan_query_filtered, FetchStep, PlanError, QueryPlan, Semantics};

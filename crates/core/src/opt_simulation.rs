@@ -1,55 +1,15 @@
-//! `optgsim`: graph simulation seeded by access-constraint indices.
-//!
-//! Same idea as [`crate::opt_vf2`], applied to the simulation baseline of
-//! [`crate::simulation`]: candidate sets are narrowed with the indices of an
-//! access schema before the fixpoint refinement runs. Seeding uses
-//! [`SeedSemantics::Simulation`], which only propagates narrowing from
-//! pattern *children* — the direction in which simulation guarantees witness
-//! edges — so the computed relation is exactly the one `gsim` returns on the
-//! whole graph.
-
-use crate::result::SimulationRelation;
-use crate::seed::{seeded_candidates_with_stats, SeedSemantics, SeedStats};
-use crate::simulation::SimulationMatcher;
-use bgpq_access::AccessIndexSet;
-use bgpq_graph::Graph;
-use bgpq_pattern::Pattern;
-
-/// Computes the maximum graph-simulation relation of `pattern` in `graph`,
-/// seeding the refinement with candidate sets narrowed by `indices`.
-///
-/// Equivalent to [`crate::simulation::simulation_match`] whenever `graph`
-/// satisfies the schema behind `indices`.
-pub fn opt_simulation_match(
-    pattern: &Pattern,
-    graph: &Graph,
-    indices: &AccessIndexSet,
-) -> SimulationRelation {
-    opt_simulation_match_stats(pattern, graph, indices).0
-}
-
-/// [`opt_simulation_match`] that additionally reports the candidate-seeding
-/// counters ([`SeedStats`]).
-pub fn opt_simulation_match_stats(
-    pattern: &Pattern,
-    graph: &Graph,
-    indices: &AccessIndexSet,
-) -> (SimulationRelation, SeedStats) {
-    let (candidates, seed) =
-        seeded_candidates_with_stats(pattern, graph, indices, SeedSemantics::Simulation);
-    let relation = SimulationMatcher::new(pattern, graph)
-        .with_candidates(candidates)
-        .run();
-    (relation, seed)
-}
+//! Fixture tests of `optgsim`
+//! ([`opt_simulation_match`](crate::opt_simulation_match)): seeding never
+//! changes `gsim`'s answers, and it narrows a node only through its
+//! children, never through a parent.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::simulation::simulation_match;
-    use bgpq_access::{AccessConstraint, AccessSchema};
-    use bgpq_graph::{GraphBuilder, Value};
-    use bgpq_pattern::{PatternBuilder, PatternNodeId, Predicate};
+    use crate::opt_simulation_match;
+    use bgpq_access::{AccessConstraint, AccessIndexSet, AccessSchema};
+    use bgpq_graph::{Graph, GraphBuilder, Value};
+    use bgpq_matching::simulation_match;
+    use bgpq_pattern::{Pattern, PatternBuilder, PatternNodeId, Predicate};
 
     /// a1 -> b1, a2 -> b2, plus b3 with no incoming a-edge.
     fn ab_graph() -> Graph {

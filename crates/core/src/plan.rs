@@ -24,10 +24,13 @@
 //! paper's coverage check: when it succeeds the resulting [`QueryPlan`] lists
 //! one [`FetchStep`] per pattern node in dependency order, together with a
 //! worst-case candidate bound per node; when it fails, [`PlanError`] reports
-//! the uncovered nodes.
+//! the uncovered nodes and carries the partial plan for the covered ones,
+//! through which the index-seeded tier fetches
+//! ([`seeded_candidates`](crate::fetch::seeded_candidates)). Both tiers get
+//! their candidates from `A` through this one closure.
 
 use bgpq_access::{AccessSchema, ConstraintId};
-use bgpq_matching::seed::pick_via_nodes;
+use bgpq_graph::Label;
 use bgpq_pattern::{Pattern, PatternNodeId};
 use std::fmt;
 
@@ -104,10 +107,12 @@ impl QueryPlan {
 /// under the schema for the requested semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanError {
-    /// The semantics that was requested.
-    pub semantics: Semantics,
     /// Pattern nodes no constraint could cover.
     pub uncovered: Vec<PatternNodeId>,
+    /// The steps the closure found for the nodes it did cover, in
+    /// dependency order, under the requested semantics — a plan covering
+    /// all but [`PlanError::uncovered`].
+    pub partial: QueryPlan,
 }
 
 impl fmt::Display for PlanError {
@@ -117,7 +122,7 @@ impl fmt::Display for PlanError {
             f,
             "query is not effectively bounded under the schema for {} semantics: \
              pattern nodes [{}] cannot be covered",
-            self.semantics,
+            self.partial.semantics,
             nodes.join(", ")
         )
     }
@@ -178,12 +183,13 @@ pub fn plan_query_filtered(
     }
 
     let uncovered: Vec<PatternNodeId> = pattern.nodes().filter(|u| !covered[u.index()]).collect();
+    let plan = QueryPlan { semantics, steps };
     if uncovered.is_empty() {
-        Ok(QueryPlan { semantics, steps })
+        Ok(plan)
     } else {
         Err(PlanError {
-            semantics,
             uncovered,
+            partial: plan,
         })
     }
 }
@@ -215,8 +221,7 @@ fn cover_node(
                 candidate_bound: constraint.bound() as u64,
             });
         }
-        let weight = |w: PatternNodeId| covered[w.index()].then(|| bound[w.index()]);
-        if let Some(via) = pick_via_nodes(pattern, constraint.source(), &pool, &weight) {
+        if let Some(via) = pick_via_nodes(pattern, constraint.source(), &pool, covered, bound) {
             // Each combination of via-candidates keys one lookup of ≤ N
             // answers: bound(u) = N · ∏ bound(via_i).
             let combos = via
@@ -231,6 +236,27 @@ fn cover_node(
         }
     }
     None
+}
+
+/// Picks, for every source label of a constraint, a covered pattern node
+/// from `pool` carrying that label — the one with the smallest bound (ties
+/// broken by node id, keeping the choice deterministic).
+fn pick_via_nodes(
+    pattern: &Pattern,
+    source: &[Label],
+    pool: &[PatternNodeId],
+    covered: &[bool],
+    bound: &[u64],
+) -> Option<Vec<PatternNodeId>> {
+    source
+        .iter()
+        .map(|&label| {
+            pool.iter()
+                .copied()
+                .filter(|&w| covered[w.index()] && pattern.label(w) == label)
+                .min_by_key(|&w| (bound[w.index()], w))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -316,6 +342,10 @@ mod tests {
             vec![PatternNodeId(3), PatternNodeId(4), PatternNodeId(5)]
         );
         assert!(err.to_string().contains("simulation"));
+        // The partial plan keeps the steps for the covered nodes.
+        let mut partial: Vec<PatternNodeId> = err.partial.steps.iter().map(|s| s.node).collect();
+        partial.sort();
+        assert_eq!(partial, [0, 1, 2].map(PatternNodeId));
     }
 
     #[test]

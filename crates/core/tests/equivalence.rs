@@ -12,9 +12,11 @@
 //! fetched through access-constraint indices.
 
 use bgpq_access::{check_schema, discover_schema, AccessIndexSet, DiscoveryConfig};
-use bgpq_core::{bounded_simulation_match, bounded_subgraph_match};
+use bgpq_core::{
+    bounded_simulation_match, bounded_subgraph_match, opt_simulation_match, opt_subgraph_match,
+};
 use bgpq_graph::{Graph, GraphBuilder, Value};
-use bgpq_matching::{opt_simulation_match, opt_subgraph_match, simulation_match, SubgraphMatcher};
+use bgpq_matching::{simulation_match, SubgraphMatcher};
 use bgpq_pattern::{Pattern, WorkloadGenerator};
 
 /// A deterministic IMDb-shaped graph: years, awards, movies, actors,

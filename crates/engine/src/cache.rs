@@ -489,8 +489,11 @@ mod tests {
         let k = key(7);
         assert!(cache.probe(&k, 0).is_none());
         let refusal = PlanError {
-            semantics: Semantics::Isomorphism,
             uncovered: vec![],
+            partial: QueryPlan {
+                semantics: Semantics::Isomorphism,
+                steps: vec![],
+            },
         };
         cache.insert(k, 0, entry(Err(refusal)));
         let cached = cache.probe(&k, 0).expect("unbounded verdicts are memoized");

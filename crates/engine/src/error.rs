@@ -100,8 +100,11 @@ mod tests {
         assert!(g.to_string().contains("node 3 not found"));
 
         let p: BgpqError = PlanError {
-            semantics: Semantics::Isomorphism,
             uncovered: vec![PatternNodeId(0)],
+            partial: bgpq_core::QueryPlan {
+                semantics: Semantics::Isomorphism,
+                steps: vec![],
+            },
         }
         .into();
         assert!(matches!(p, BgpqError::Unbounded(_)));
@@ -125,8 +128,11 @@ mod tests {
         }
         fn fails_plan() -> Result<(), BgpqError> {
             Err(PlanError {
-                semantics: Semantics::Simulation,
                 uncovered: vec![],
+                partial: bgpq_core::QueryPlan {
+                    semantics: Semantics::Simulation,
+                    steps: vec![],
+                },
             })?;
             Ok(())
         }

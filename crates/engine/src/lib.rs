@@ -63,20 +63,18 @@ pub use bgpq_access::{
     DiscoveryConfig, GraphDelta, MaintenanceStats, SnapshotBundle, TouchedNodes,
 };
 pub use bgpq_core::{
-    bounded_simulation_match, bounded_simulation_match_planned,
-    bounded_simulation_match_prefetched, bounded_subgraph_match, bounded_subgraph_match_planned,
-    bounded_subgraph_match_prefetched, execute_plan, fetch_candidate_sets, plan_for_indices,
-    plan_query, BoundedRun, CandidateSet, FetchResult, FetchStats, LookupMemo, PlanError,
-    QueryPlan, Semantics,
+    bounded_simulation_match, bounded_simulation_match_prefetched, bounded_subgraph_match,
+    bounded_subgraph_match_prefetched, execute_plan, fetch_candidate_sets, opt_simulation_match,
+    opt_subgraph_match, plan_for_indices, plan_query, seeded_candidates, BoundedRun, CandidateSet,
+    FetchResult, FetchStats, LookupMemo, PlanError, QueryPlan, Semantics,
 };
 pub use bgpq_graph::{
     FragmentView, Graph, GraphAccess, GraphBuilder, GraphError, Label, LabelInterner, NodeId,
     ScratchArena, SnapshotError, Subgraph, Value,
 };
 pub use bgpq_matching::{
-    opt_simulation_match, opt_simulation_match_stats, opt_subgraph_match, opt_subgraph_match_stats,
-    simulation_match, Match, MatchSet, SeedStats, SimulationMatcher, SimulationRelation,
-    SubgraphMatcher, Vf2Config, Vf2Stats,
+    simulation_match, Match, MatchSet, SimulationMatcher, SimulationRelation, SubgraphMatcher,
+    Vf2Config, Vf2Stats,
 };
 pub use bgpq_pattern::{
     parse_pattern, Pattern, PatternBuilder, PatternFingerprint, Predicate, WorkloadGenerator,

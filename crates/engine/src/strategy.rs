@@ -14,12 +14,9 @@ use crate::error::BgpqError;
 use crate::request::QueryRequest;
 use crate::response::QueryAnswer;
 use crate::stats::CacheOutcome;
-use bgpq_core::{FetchStats, PlanError, QueryPlan, Semantics};
+use bgpq_core::{seeded_candidates, FetchStats, PlanError, QueryPlan, Semantics};
 use bgpq_graph::Graph;
-use bgpq_matching::{
-    opt_simulation_match_stats, opt_subgraph_match_stats, simulation_match, SubgraphMatcher,
-    Vf2Config, Vf2Stats,
-};
+use bgpq_matching::{simulation_match, SimulationMatcher, SubgraphMatcher, Vf2Config, Vf2Stats};
 use bgpq_pattern::Pattern;
 use std::fmt;
 
@@ -126,28 +123,33 @@ impl Engine {
     ) -> StrategyRun {
         match kind {
             StrategyKind::Bounded => self.run_bounded(request, entry, plan_cache),
-            StrategyKind::IndexSeeded => self.run_seeded(request),
+            StrategyKind::IndexSeeded => self.run_seeded(request, entry),
             StrategyKind::Baseline => self.run_baseline(request),
         }
     }
 
-    /// `optVF2`/`optgsim`: whole-graph matching with index-narrowed
-    /// candidates.
-    fn run_seeded(&self, request: &QueryRequest) -> StrategyRun {
-        let (pattern, graph, indices) = (request.pattern(), self.graph(), self.indices());
-        let (answer, search, seed) = match request.semantics() {
+    /// `optVF2`/`optgsim`: whole-graph matching with candidates fetched
+    /// through the entry's plan — the cached plan, or the partial plan of
+    /// the cached refusal — and label scans for the nodes it leaves
+    /// uncovered.
+    fn run_seeded(&self, request: &QueryRequest, entry: &CacheEntry) -> StrategyRun {
+        let (pattern, graph) = (request.pattern(), self.graph());
+        let plan = entry.plan.as_ref().unwrap_or_else(|err| &err.partial);
+        let (candidates, fetch) = seeded_candidates(plan, pattern, graph, self.indices());
+        let (answer, search) = match request.semantics() {
             Semantics::Isomorphism => {
-                let config = vf2_config(request);
-                let (matches, stats, seed) =
-                    opt_subgraph_match_stats(pattern, graph, indices, config);
-                (QueryAnswer::Matches(matches), Some(stats), seed)
+                let matcher = SubgraphMatcher::new(pattern, graph)
+                    .with_candidates(candidates)
+                    .with_config(vf2_config(request));
+                let (matches, stats) = matcher.run();
+                (QueryAnswer::Matches(matches), Some(stats))
             }
             Semantics::Simulation => {
-                let (relation, seed) = opt_simulation_match_stats(pattern, graph, indices);
-                (QueryAnswer::Simulation(relation), None, seed)
+                let matcher = SimulationMatcher::new(pattern, graph).with_candidates(candidates);
+                (QueryAnswer::Simulation(matcher.run()), None)
             }
         };
-        StrategyRun::whole_graph(answer, search, seed.predicate_filtered)
+        StrategyRun::whole_graph(answer, search, fetch.predicate_filtered)
     }
 
     /// `VF2`/`gsim`: plain whole-graph matching, the always-available floor.

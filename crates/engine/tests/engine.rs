@@ -186,6 +186,28 @@ fn unbounded_isomorphism_query_falls_back_with_identical_answer() {
     assert_eq!(r.stats.plan_cache, Some(CacheOutcome::Hit));
 }
 
+/// The seeded tier fetches through the entry's plan — here the partial
+/// plan of a simulation refusal (year, award, movie covered; actor only
+/// through its parent) — so a repeated forced run is served from the cache
+/// entry like a bounded one, with the `gsim` answer both times.
+#[test]
+fn repeated_seeded_run_of_an_unbounded_pattern_hits_the_plan_cache() {
+    let engine = engine();
+    let request = QueryRequest::build(movie_pattern(engine.graph(), 2011))
+        .semantics(Semantics::Simulation)
+        .strategy(StrategyKind::IndexSeeded)
+        .explain(true)
+        .finish();
+    let expected = simulation_match(request.pattern(), engine.graph());
+    let first = engine.execute(&request).unwrap();
+    let second = engine.execute(&request).unwrap();
+    assert!(second.explain.unwrap().fallback_reason.is_some());
+    assert_eq!(first.stats.plan_cache, Some(CacheOutcome::Miss));
+    assert_eq!(second.stats.plan_cache, Some(CacheOutcome::Hit));
+    assert_eq!(first.answer.as_simulation(), Some(&expected));
+    assert_eq!(second.answer, first.answer);
+}
+
 #[test]
 fn empty_schema_falls_back_to_baseline_identical_to_vf2_and_gsim() {
     let g = data_graph();

@@ -1,44 +1,34 @@
 //! # bgpq-matching
 //!
-//! Baseline graph pattern matching algorithms for the `bgpq` workspace:
+//! The pattern matchers of the `bgpq` workspace, over any
+//! [`GraphAccess`](bgpq_graph::GraphAccess) and with optional candidate sets
+//! supplied by the caller:
 //!
 //! * [`vf2`] — subgraph-isomorphism matching (the paper's `VF2` baseline): a
 //!   backtracking search enumerating every injective mapping of the pattern
 //!   into the data graph that preserves labels, predicates and edges;
-//! * [`opt_vf2`] — `optVF2`: the same search seeded with candidate sets
-//!   narrowed by access-constraint indices;
 //! * [`simulation`] — maximum graph simulation (the paper's `gsim` baseline,
 //!   after Henzinger, Henzinger & Kopke);
-//! * [`opt_simulation`] — `optgsim`: simulation seeded from index-restricted
-//!   candidate sets;
-//! * [`seed`] — the index-seeded candidate computation shared by the two
-//!   optimized baselines (and semantics-aware: isomorphism may narrow
-//!   through any pattern neighbor, simulation only through children);
-//! * [`result`] — the match/relation types shared with the bounded
-//!   executors of `bgpq-core`.
+//! * [`result`] — the match/relation types shared with the executors of
+//!   `bgpq-core`.
 //!
-//! The bounded evaluation of the paper (`bVF2`, `bSim`) lives in
-//! `bgpq_core::exec` — `bounded_subgraph_match` and
-//! `bounded_simulation_match` there plan a fetch over the access indices
-//! (`bgpq_core::plan`), materialize the bounded fragment `G_Q`
-//! (`bgpq_core::fetch`), and reuse these matchers on the fragment instead of
-//! `G`. (This crate cannot intra-doc-link those items: `bgpq-core` depends
-//! on `bgpq-matching`, not the other way around. The session-oriented entry
-//! point wrapping both sides is the `bgpq-engine` crate.)
+//! This crate knows nothing of access schemas. How a pattern node gets its
+//! candidates from the indices of `A` is decided in `bgpq_core` alone: its
+//! planner covers the pattern and its fetch probes the indices, and both
+//! evaluation tiers built on them hand the candidates to these matchers —
+//! `bVF2`/`bSim` on the fetched fragment `G_Q`, `optVF2`/`optgsim` on the
+//! whole graph (`bgpq_core::exec`). All of them return the answer plain
+//! `VF2`/`gsim` return on `G`: `VF2 = optVF2 = bVF2` and
+//! `gsim = optgsim = bSim`. (This crate cannot intra-doc-link those items:
+//! `bgpq-core` depends on `bgpq-matching`, not the other way around.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod opt_simulation;
-pub mod opt_vf2;
 pub mod result;
-pub mod seed;
 pub mod simulation;
 pub mod vf2;
 
-pub use opt_simulation::{opt_simulation_match, opt_simulation_match_stats};
-pub use opt_vf2::{opt_subgraph_match, opt_subgraph_match_stats, opt_subgraph_match_with_config};
 pub use result::{Match, MatchSet, SimulationRelation};
-pub use seed::{seeded_candidates, seeded_candidates_with_stats, SeedSemantics, SeedStats};
 pub use simulation::{simulation_match, SimulationMatcher};
 pub use vf2::{SubgraphMatcher, Vf2Config, Vf2Stats};

@@ -15,8 +15,8 @@
 //! pairs that lost their last witness, until stable.
 //!
 //! Like [`crate::vf2`], the matcher accepts optional externally supplied
-//! candidate sets; `optgsim` ([`crate::opt_simulation`]) and the bounded
-//! executor `bSim` (`bgpq_core::exec::bounded_simulation_match`) seed it with
+//! candidate sets; `optgsim` (`bgpq_core::exec::opt_simulation_match`) and
+//! the bounded executor `bSim` (`bgpq_core::exec::bounded_simulation_match`) seed it with
 //! index-restricted candidates, which never changes the result as long as
 //! the candidate sets cover the maximum relation.
 

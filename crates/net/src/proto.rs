@@ -440,7 +440,15 @@ fn update_from_json(json: &Json) -> Result<Update, String> {
     }
 }
 
-fn query_to_json(spec: &QuerySpec) -> Json {
+/// A request integer as JSON: the wire's integers are `i64`, so a value
+/// above `i64::MAX` is refused rather than sent as a negative number.
+fn wire_int(key: &str, n: u64) -> Result<Json, String> {
+    i64::try_from(n)
+        .map(Json::Int)
+        .map_err(|_| format!("field {key:?} exceeds the wire's integer range (0..=2^63-1)"))
+}
+
+fn query_to_json(spec: &QuerySpec) -> Result<Json, String> {
     let mut fields = vec![
         ("type".to_string(), Json::str("query")),
         ("pattern".to_string(), Json::str(spec.pattern.clone())),
@@ -452,19 +460,20 @@ fn query_to_json(spec: &QuerySpec) -> Json {
     if let Some(kind) = spec.strategy {
         fields.push(("strategy".to_string(), Json::str(strategy_name(kind))));
     }
-    if let Some(n) = spec.max_matches {
-        fields.push(("max_matches".to_string(), Json::Int(n as i64)));
-    }
-    if let Some(n) = spec.step_budget {
-        fields.push(("step_budget".to_string(), Json::Int(n as i64)));
-    }
-    if let Some(n) = spec.deadline_ms {
-        fields.push(("deadline_ms".to_string(), Json::Int(n as i64)));
+    let limits = [
+        ("max_matches", spec.max_matches.map(|n| n as u64)),
+        ("step_budget", spec.step_budget),
+        ("deadline_ms", spec.deadline_ms),
+    ];
+    for (key, value) in limits {
+        if let Some(n) = value {
+            fields.push((key.to_string(), wire_int(key, n)?));
+        }
     }
     if spec.explain {
         fields.push(("explain".to_string(), Json::Bool(true)));
     }
-    Json::Obj(fields)
+    Ok(Json::Obj(fields))
 }
 
 /// Decodes the query-spec fields of a `query` frame. `deadline_ms: 0` is
@@ -513,10 +522,10 @@ impl Request {
         let json = match self {
             Request::Hello { protocol, client } => Json::obj([
                 ("type", Json::str("hello")),
-                ("protocol", Json::Int(*protocol as i64)),
+                ("protocol", wire_int("protocol", *protocol)?),
                 ("client", Json::str(client.clone())),
             ]),
-            Request::Query(spec) => query_to_json(spec),
+            Request::Query(spec) => query_to_json(spec)?,
             Request::Update(updates) => Json::obj([
                 ("type", Json::str("update")),
                 (
@@ -756,11 +765,12 @@ impl Response {
                 new_nodes: req_arr(&json, "new_nodes")?
                     .iter()
                     .map(|v| {
-                        v.as_u64()
-                            .map(|n| n as u32)
-                            .ok_or_else(|| "new node ids must be non-negative integers".to_string())
+                        let n = v
+                            .as_u64()
+                            .ok_or("new node ids must be non-negative integers")?;
+                        u32::try_from(n).map_err(|_| "a new node id exceeds the u32 node-id range")
                     })
-                    .collect::<Result<Vec<_>, String>>()?,
+                    .collect::<Result<Vec<_>, &str>>()?,
             }),
             "stats" => Ok(Response::Stats(
                 json.get("stats")
@@ -975,6 +985,39 @@ mod tests {
         assert!(ErrorCode::Overloaded.is_retryable());
         assert!(ErrorCode::Draining.is_retryable());
         assert!(!ErrorCode::Parse.is_retryable());
+    }
+
+    /// The wire's integers are `i64`: a `u64` above `i64::MAX` is refused
+    /// at encode, not sent as a negative number the server cannot parse.
+    #[test]
+    fn integers_above_i64_max_are_refused_at_encode() {
+        let spec = |step_budget| QuerySpec {
+            step_budget,
+            ..QuerySpec::new("a:x")
+        };
+        let over = Request::Query(spec(Some(u64::MAX))).encode().unwrap_err();
+        assert!(over.contains("step_budget"), "{over}");
+        round_trip_request(Request::Query(spec(Some(i64::MAX as u64))));
+        let hello = Request::Hello {
+            protocol: 1 << 63,
+            client: "c".into(),
+        };
+        assert!(hello.encode().unwrap_err().contains("protocol"));
+    }
+
+    /// New node ids are `u32`s: a larger id is a decode error, as it is in
+    /// an update's `src`/`dst`/`node`, never truncated.
+    #[test]
+    fn new_node_ids_above_u32_max_are_rejected() {
+        let committed = |id: u64| {
+            let text = format!(
+                "{{\"type\":\"committed\",\"version\":1,\"deltas\":1,\"new_nodes\":[{id}]}}"
+            );
+            Response::decode(text.as_bytes())
+        };
+        assert!(committed(1 << 32).unwrap_err().contains("u32"));
+        let max = committed(u32::MAX as u64).unwrap();
+        assert!(matches!(max, Response::Committed { new_nodes, .. } if new_nodes == [u32::MAX]));
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //! of such entries is one table allocation and a flat copy — a longer list
 //! costs one reference-count bump — and dropping the superseded copy frees
 //! one table, not two heap lists per entry.
+//!
+//! **Bulk fills go shard by shard.** Inserting a whole index one key at a
+//! time lands each key in a random one of thousands of shards, and every
+//! shard's table rehashes as it grows. [`CowMap::from_records`] instead
+//! takes one record per key from the caller's buffer (a record names its
+//! key and how to make its entry — an index passes a node id and a range
+//! of one flat answer list), sorts the buffer by shard in place with a
+//! counting sort, and then builds each shard's table in one pass at its
+//! final size. The index build, snapshot decoding and the map's own
+//! re-bucketing (`split`, `shrink_to_fit`) all go through it; maintenance
+//! inserts key by key.
 
 use bgpq_graph::{Spine, SpineShape};
 use std::borrow::Borrow;
@@ -72,20 +83,92 @@ pub(crate) struct CowMap<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     /// An empty map sized for `entries` entries.
     pub fn with_capacity(entries: usize) -> Self {
+        let bits = bits_for(entries);
+        CowMap {
+            shards: (0..1usize << bits).map(|_| HashMap::new()).collect(),
+            bits,
+            len: 0,
+        }
+    }
+
+    /// The map of one entry per record: the map `with_capacity(sized_for)`
+    /// followed by an insert per record and [`CowMap::shrink_to_fit`] would
+    /// be, shard for shard. `hash` is the [`shard_hash`] of a record's key
+    /// (no two records may share a key) and `entry` makes the entry. The
+    /// records are sorted by shard in place and drained, so `records` comes
+    /// back empty with its capacity kept.
+    pub fn from_records<T>(
+        sized_for: usize,
+        records: &mut Vec<T>,
+        hash: impl Fn(&T) -> u64,
+        entry: impl FnMut(T) -> (K, V),
+    ) -> Self {
         let mut map = CowMap {
             shards: Spine::default(),
             bits: 0,
             len: 0,
         };
-        map.open_shards(entries);
+        map.fill(sized_for, records, hash, entry);
         map
     }
 
-    /// Opens the empty shards of a map sized for `entries` entries.
-    fn open_shards(&mut self, entries: usize) {
-        self.bits = (entries / SHARD_LOAD).max(1).ilog2();
-        self.shards
-            .extend((0..1usize << self.bits).map(|_| HashMap::new()));
+    /// Fills a map whose spine is empty; see [`CowMap::from_records`].
+    fn fill<T>(
+        &mut self,
+        sized_for: usize,
+        records: &mut Vec<T>,
+        hash: impl Fn(&T) -> u64,
+        mut entry: impl FnMut(T) -> (K, V),
+    ) {
+        debug_assert!(self.shards.is_empty());
+        self.len = records.len();
+        self.bits = bits_for(sized_for);
+        if 4 * self.len < SHARD_LOAD << self.bits {
+            self.bits = bits_for(self.len);
+        }
+        while self.len > (2 * SHARD_LOAD) << self.bits {
+            self.bits += 1;
+        }
+        let mut shard_of: Vec<u32> = records
+            .iter()
+            .map(|record| self.shard(hash(record)) as u32)
+            .collect();
+        let mut sizes = vec![0usize; 1 << self.bits];
+        for &shard in &shard_of {
+            sizes[shard as usize] += 1;
+        }
+        // Counting sort in place: `next[s]` is the first slot of shard `s`'s
+        // range not yet known to hold one of its records; each swap moves a
+        // record to its own range for good.
+        let mut next = Vec::with_capacity(sizes.len());
+        let mut end = 0;
+        for &size in &sizes {
+            next.push(end);
+            end += size;
+        }
+        let mut start = 0;
+        for (s, &size) in sizes.iter().enumerate() {
+            start += size;
+            while next[s] < start {
+                let i = next[s];
+                let home = shard_of[i] as usize;
+                if home == s {
+                    next[s] += 1;
+                } else {
+                    records.swap(i, next[home]);
+                    shard_of.swap(i, next[home]);
+                    next[home] += 1;
+                }
+            }
+        }
+        drop((shard_of, next));
+        let mut sorted = records.drain(..);
+        self.shards.extend(sizes.iter().map(|&size| {
+            let mut shard = HashMap::with_capacity(size);
+            shard.extend(sorted.by_ref().take(size).map(&mut entry));
+            debug_assert_eq!(shard.len(), size, "records share a key");
+            shard
+        }));
     }
 
     pub fn len(&self) -> usize {
@@ -109,12 +192,15 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     }
 
     fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
+        self.shard(shard_hash(key))
+    }
+
+    /// The shard named by the top `bits` bits of a [`shard_hash`].
+    fn shard(&self, hash: u64) -> usize {
         if self.bits == 0 {
             return 0;
         }
-        let mut hasher = ShardHasher::default();
-        key.hash(&mut hasher);
-        (hasher.finish() >> (64 - self.bits)) as usize
+        (hash >> (64 - self.bits)) as usize
     }
 
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
@@ -201,37 +287,43 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     /// Re-buckets a map that ended up with under a quarter of the entries
     /// it was sized for, so clones stop paying for shards it does not need.
     pub fn shrink_to_fit(&mut self) {
-        if 4 * self.len >= SHARD_LOAD * self.shards.len() {
-            return;
-        }
-        let entries = self.shards.take_leaves();
-        self.open_shards(self.len);
-        self.len = 0;
-        for (key, value) in entries.into_iter().flatten() {
-            self.insert(key, value);
+        if 4 * self.len < SHARD_LOAD * self.shards.len() {
+            self.rebucket(self.len);
         }
     }
 
-    /// Doubles the shard count, moving every entry to the half of its old
-    /// shard its next hash bit names. Shards still shared with another
-    /// clone are copied (and counted) like any other write.
+    /// Doubles the shard count: shard `i`'s entries move to `2i` and
+    /// `2i + 1`, by their next hash bit.
     fn split(&mut self) {
-        let old = self.shards.take_leaves();
-        self.bits += 1;
-        let mut halves = Vec::with_capacity(2 * old.len());
-        for entries in old {
-            let (mut low, mut high) = (HashMap::new(), HashMap::new());
-            for (key, value) in entries {
-                if self.shard_of(&key) & 1 == 0 {
-                    low.insert(key, value);
-                } else {
-                    high.insert(key, value);
-                }
-            }
-            halves.extend([low, high]);
-        }
-        self.shards.extend(halves);
+        self.rebucket(SHARD_LOAD << (self.bits + 1));
     }
+
+    /// Refills the map as one sized for `sized_for` entries. Shards still
+    /// shared with another clone are copied (and counted) like any other
+    /// write; the copy counters stay.
+    fn rebucket(&mut self, sized_for: usize) {
+        let leaves = self.shards.take_leaves();
+        let mut entries: Vec<(K, V)> = leaves.into_iter().flatten().collect();
+        self.fill(
+            sized_for,
+            &mut entries,
+            |(key, _)| shard_hash(key),
+            |entry| entry,
+        );
+    }
+}
+
+/// The hash a key's shard is picked from; a key and anything it borrows as
+/// (a [`bgpq_graph::Row`] and its id slice) hash alike.
+pub(crate) fn shard_hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
+    let mut hasher = ShardHasher::default();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Shard bits of a map sized for `entries` entries.
+fn bits_for(entries: usize) -> u32 {
+    (entries / SHARD_LOAD).max(1).ilog2()
 }
 
 #[cfg(test)]
@@ -262,6 +354,47 @@ mod tests {
             assert_eq!(map.get(key.as_slice()), Some(value));
         }
         assert_eq!(map.get_mut(&[5000u32][..]), None);
+    }
+
+    #[test]
+    fn a_bulk_fill_equals_inserting_key_by_key() {
+        let per_shard = |map: &CowMap<u32, u64>| -> Vec<Vec<(u32, u64)>> {
+            let shards = map.shards.iter().map(|shard| {
+                let mut entries: Vec<(u32, u64)> = shard.iter().map(|(&k, &v)| (k, v)).collect();
+                entries.sort_unstable();
+                entries
+            });
+            shards.collect()
+        };
+        let load = SHARD_LOAD;
+        // Sized right, for many more (a quarter and under), for fewer (the
+        // map grows past its sizing), and empty.
+        let cases = [
+            (100 * load, 90 * load),
+            (64 * load, 16 * load),
+            (64 * load, 15 * load),
+        ];
+        let cases = cases
+            .into_iter()
+            .chain([(0, 5 * load + 1), (3 * load, 0), (load, 1)]);
+        for (sized_for, len) in cases {
+            let keys = (0..len as u32).map(|i| i.wrapping_mul(2_654_435_761));
+            let mut one_by_one = CowMap::with_capacity(sized_for);
+            for key in keys.clone() {
+                one_by_one.insert(key, u64::from(key) + 1);
+            }
+            one_by_one.shrink_to_fit();
+            let mut records: Vec<u32> = keys.collect();
+            let bulk = CowMap::from_records(sized_for, &mut records, shard_hash, |key| {
+                (key, u64::from(key) + 1)
+            });
+            let ctx = format!("sized for {sized_for}, {len} keys");
+            assert_eq!(bulk.shape(), one_by_one.shape(), "{ctx}");
+            assert_eq!(bulk.len(), len, "{ctx}");
+            assert_eq!(per_shard(&bulk), per_shard(&one_by_one), "{ctx}");
+            assert!(records.is_empty() && records.capacity() >= len, "{ctx}");
+            assert_eq!(bulk.copied(), 0, "a fresh map copies nothing ({ctx})");
+        }
     }
 
     #[test]

@@ -29,9 +29,26 @@
 //! `|S|`, so nearly every entry is inline, and a shard copy is one table
 //! copy that touches no per-entry heap object; an edit changes its list in
 //! place, copying a long one only while a pinned version still shares it.
+//!
+//! **The build reads each source label once and fills each map in shard
+//! order.** [`AccessIndexSet::build_with_cap`] groups the unary
+//! constraints by source label and makes one id-order pass over each
+//! label's nodes, reading every neighbor's label once and handing the
+//! neighbor to each constraint of the group that targets it (one count per
+//! node keeps every target's first `cap` sources, as maintenance does).
+//! Each constraint collects one flat answer list; its map is then filled
+//! shard by shard (`CowMap::from_records`) from compact `(source, start,
+//! end)` key records in one buffer the whole group reuses, and so are its
+//! key counts. The scan's buffers are allocated at their final capacity
+//! and freed before the next group, the largest group first, so that the
+//! tables built after them reuse what they freed instead of growing the
+//! heap. Snapshot decoding fills the maps the same way from the key-sorted
+//! entries it reads. Maintenance edits entries one at a time; `|S| ≥ 2`
+//! indices still enumerate their combinations per target and insert key
+//! by key.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
-use crate::cow_map::CowMap;
+use crate::cow_map::{shard_hash, CowMap};
 use crate::schema::AccessSchema;
 use bgpq_graph::{Graph, Label, NodeId, Row, SpineShape};
 use std::collections::BTreeMap;
@@ -81,65 +98,206 @@ impl ConstraintIndex {
 
     /// Builds the index with an explicit combination cap per target node.
     ///
-    /// A global or unary index is filled in bulk, each key inserted once
-    /// with its whole answer list, to the index that replaying maintenance
-    /// would give (the unit tests' oracle); `|S| ≥ 2` enumerates per target.
+    /// A global or unary index is filled in bulk — its entries collected
+    /// first, then each map filled shard by shard — to the index that
+    /// replaying maintenance would give (the unit tests' oracle); `|S| ≥ 2`
+    /// enumerates per target.
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
-        // A unary key is one source-labeled node; sizing the shards for all
-        // of them up front fills the maps in place, without re-splits.
-        let keys = match constraint.source() {
-            [source] => graph.label_count(*source),
-            _ => 0,
-        };
         let target = constraint.target();
-        let mut index = Self::empty(constraint, cap, keys, graph.label_count(target));
-        match *index.constraint.source() {
+        match *constraint.source() {
+            [source] => {
+                let mut built = Self::build_unary(graph, source, vec![constraint], cap);
+                built.pop().expect("one index per constraint")
+            }
             // The one key of a global index exists even without answers.
-            [] => _ = index.insert_decoded(&[], &graph.nodes_with_label(target).to_vec()),
-            [source] => index.fill_unary(graph, source),
+            [] => {
+                let all = graph.nodes_with_label(target).to_vec();
+                let mut spans = vec![(0, 0, all.len())];
+                Self::from_entries(graph, constraint, cap, Vec::new(), &all, &mut spans)
+            }
             _ => {
+                let targets = graph.label_count(target);
+                let mut index = Self::empty(constraint, cap, 0, targets);
                 for &v in graph.nodes_with_label(target) {
                     index.add_combinations(graph, v);
                 }
+                index.shrink_to_fit();
+                index
             }
         }
-        index.shrink_to_fit();
+    }
+
+    /// Builds the unary indices of `constraints`, all on source label
+    /// `source`, in one id-order pass over the source-labeled nodes: each
+    /// neighbor's label is read once, and the neighbor handed to every
+    /// constraint that targets that label. A target is listed under its
+    /// first `cap` sources and capped at `cap` or more, as in maintenance.
+    /// A node carries one label, so one count per node serves every
+    /// constraint (those sharing a target label count alike). Each index's
+    /// maps are then filled shard by shard from compact key records, one
+    /// record buffer serving every constraint of the group.
+    fn build_unary(
+        graph: &Graph,
+        source: Label,
+        constraints: Vec<AccessConstraint>,
+        cap: usize,
+    ) -> Vec<Self> {
+        let limit = cap.max(1);
+        // Label id → the constraints targeting it; a label past the table
+        // (a deleted node's tombstone among them) is nobody's target.
+        let width = constraints.iter().map(|c| c.target().index() + 1).max();
+        let mut takers = vec![Vec::new(); width.unwrap_or(0)];
+        for (i, constraint) in constraints.iter().enumerate() {
+            takers[constraint.target().index()].push(i);
+        }
+        let sources = graph.nodes_with_label(source);
+        // Per constraint: the flat answer list, and where each source's
+        // answers end in it. Every list is allocated at its final capacity —
+        // an answer list for all the edges of the scanned nodes, of which
+        // only the written pages are ever touched — because the buffers a
+        // doubling list frees behind it end up interleaved with the tables
+        // built next, and a process that rebuilds its indices keeps growing
+        // its heap around them.
+        let edges = sources
+            .iter()
+            .map(|&o| graph.out_degree(o) + graph.in_degree(o));
+        let edges: usize = edges.sum();
+        let mut lists: Vec<(Vec<NodeId>, Vec<u32>)> = constraints
+            .iter()
+            .map(|_| (Vec::with_capacity(edges), Vec::with_capacity(sources.len())))
+            .collect();
+        let mut counts = vec![0u32; graph.node_count()];
+        for &o in sources.iter() {
+            for t in graph.neighbor_iter(o) {
+                let Some(takers) = takers.get(graph.label(t).index()) else {
+                    continue;
+                };
+                if takers.is_empty() || counts[t.index()] as usize >= limit {
+                    continue;
+                }
+                counts[t.index()] += 1;
+                for &i in takers {
+                    lists[i].0.push(t);
+                }
+            }
+            for (answers, ends) in &mut lists {
+                ends.push(u32::try_from(answers.len()).expect("under 2^32 answers"));
+            }
+        }
+        // One `(key, start, end)` record per key with answers.
+        let mut records: Vec<(NodeId, u32, u32)> = Vec::with_capacity(sources.len());
+        let built = constraints.into_iter().zip(lists);
+        let built = built.map(|(constraint, (answers, ends))| {
+            let mut start = 0;
+            for (&o, &end) in sources.iter().zip(&ends) {
+                if end > start {
+                    records.push((o, start, end));
+                }
+                start = end;
+            }
+            drop(ends);
+            let mut index = Self::empty(constraint, cap, 0, 0);
+            index.note_lengths(
+                records
+                    .iter()
+                    .map(|&(_, start, end)| (end - start) as usize),
+            );
+            index.map = CowMap::from_records(
+                sources.len(),
+                &mut records,
+                |(o, ..)| shard_hash(std::slice::from_ref(o)),
+                |(o, start, end)| {
+                    let answers = &answers[start as usize..end as usize];
+                    (Row::from(&[o][..]), Row::from(answers))
+                },
+            );
+            drop(answers);
+            index.count_keys(graph, &counts);
+            let target = index.constraint.target();
+            let capped = graph.nodes_with_label(target).iter();
+            let mut capped: Vec<NodeId> = capped
+                .copied()
+                .filter(|t| counts[t.index()] as usize >= limit)
+                .collect();
+            index.capped_targets = CowMap::from_records(0, &mut capped, shard_hash, |t| (t, ()));
+            index
+        });
+        built.collect()
+    }
+
+    /// The index holding `spans` — each a key and then its answers in the
+    /// flat `ids` list, as `ids[start..mid]` and `ids[mid..end]`, every key
+    /// distinct and both lists sorted strictly — with its per-target
+    /// bookkeeping derived from them and `capped` as its capped targets
+    /// (snapshot load, and a global index's build). The spans are drained.
+    pub(crate) fn from_entries(
+        graph: &Graph,
+        constraint: AccessConstraint,
+        cap: usize,
+        mut capped: Vec<NodeId>,
+        ids: &[NodeId],
+        spans: &mut Vec<(usize, usize, usize)>,
+    ) -> Self {
+        let target = constraint.target();
+        let mut index = Self::empty(constraint, cap, 0, graph.label_count(target));
+        index.note_lengths(spans.iter().map(|&(_, mid, end)| end - mid));
+        let answers = spans
+            .iter()
+            .map(|&(start, mid, end)| (start..mid, &ids[mid..end]));
+        match index.constraint.source_len() {
+            0 => {}
+            1 => {
+                let mut counts = vec![0u32; graph.node_count()];
+                for t in answers.flat_map(|(_, answers)| answers) {
+                    counts[t.index()] += 1;
+                }
+                index.count_keys(graph, &counts);
+            }
+            _ => {
+                for (key, answers) in answers {
+                    let key = Row::from(&ids[key]);
+                    for &t in answers {
+                        index.reverse.entry_or_default(t).push(key.clone());
+                    }
+                }
+                index.reverse.shrink_to_fit();
+            }
+        }
+        index.map = CowMap::from_records(
+            spans.len(),
+            spans,
+            |&(start, mid, _)| shard_hash(&ids[start..mid]),
+            |(start, mid, end)| (Row::from(&ids[start..mid]), Row::from(&ids[mid..end])),
+        );
+        index.capped_targets = CowMap::from_records(0, &mut capped, shard_hash, |t| (t, ()));
         index
     }
 
-    /// Fills an empty unary index: each source-labeled node, in id order,
-    /// lists its target-labeled neighbors, so a target is listed under its
-    /// first `cap` sources and capped at `cap` or more, as in maintenance.
-    fn fill_unary(&mut self, graph: &Graph, source: Label) {
-        let (target, cap) = (self.constraint.target(), self.cap.max(1));
-        let mut counts = vec![0u32; graph.node_count()];
-        let (mut histogram, mut answers) = (vec![0usize], Vec::new());
-        for &o in graph.nodes_with_label(source) {
-            for t in graph.neighbor_iter(o) {
-                if graph.label(t) == target && (counts[t.index()] as usize) < cap {
-                    counts[t.index()] += 1;
-                    answers.push(t);
-                }
-            }
-            if !answers.is_empty() {
-                histogram.resize(histogram.len().max(answers.len() + 1), 0);
-                histogram[answers.len()] += 1;
-                let key = Row::from(&[o][..]);
-                self.map.insert(key, Row::from(&answers[..]));
-                answers.clear();
-            }
+    /// Fills a unary index's key counts from `counts`, the number of keys
+    /// each node is listed under (only target-labeled nodes are read).
+    fn count_keys(&mut self, graph: &Graph, counts: &[u32]) {
+        let target = self.constraint.target();
+        let targets = graph.label_count(target);
+        let mut counted = Vec::with_capacity(targets);
+        let listed = graph.nodes_with_label(target).iter();
+        counted.extend(
+            listed
+                .map(|&t| (t, counts[t.index()]))
+                .filter(|&(_, n)| n > 0),
+        );
+        self.key_counts =
+            CowMap::from_records(targets, &mut counted, |(t, _)| shard_hash(t), |entry| entry);
+    }
+
+    /// Counts answer lists of the given lengths into `lengths`.
+    fn note_lengths(&mut self, lengths: impl Iterator<Item = usize>) {
+        let mut histogram = vec![0usize];
+        for len in lengths {
+            histogram.resize(histogram.len().max(len + 1), 0);
+            histogram[len] += 1;
         }
-        let lengths = histogram.into_iter().enumerate();
+        let lengths = histogram.into_iter().enumerate().skip(1);
         self.lengths = lengths.filter(|&(_, keys)| keys > 0).collect();
-        for &t in graph.nodes_with_label(target) {
-            let count = counts[t.index()];
-            if count > 0 {
-                self.key_counts.insert(t, count);
-            }
-            if count as usize >= cap {
-                self.capped_targets.insert(t, ());
-            }
-        }
     }
 
     /// Re-fits maps that were sized for more entries than they received
@@ -346,32 +504,6 @@ impl ConstraintIndex {
         true
     }
 
-    /// Inserts one persisted `(key, answers)` entry (snapshot load, and a
-    /// global index's build). The caller guarantees both lists are sorted
-    /// strictly; returns `false` when the key was already present.
-    pub(crate) fn insert_decoded(&mut self, key: &[NodeId], answers: &[NodeId]) -> bool {
-        if self.map.contains_key(key) {
-            return false;
-        }
-        let key = Row::from(key);
-        match self.constraint.source_len() {
-            0 => {}
-            1 => {
-                for &target in answers {
-                    *self.key_counts.entry_or_default(target) += 1;
-                }
-            }
-            _ => {
-                for &target in answers {
-                    self.reverse.entry_or_default(target).push(key.clone());
-                }
-            }
-        }
-        self.note_length(0, answers.len());
-        self.map.insert(key, Row::from(answers));
-        true
-    }
-
     /// Brings the contribution of `target` — every entry listing it — to
     /// what a fresh build over `graph` would hold, under the index's own
     /// combination cap. Deleted nodes end with no contribution: a tombstoned
@@ -555,12 +687,36 @@ impl AccessIndexSet {
     /// Builds all indices with an explicit per-node combination cap. The cap
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
+    ///
+    /// The unary constraints are built a source label at a time: one scan
+    /// of that label's nodes fills every unary index reading it.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
-        let indices = schema
-            .iter()
-            .map(|c| ConstraintIndex::build_with_cap(graph, c.clone(), cap))
-            .collect();
-        Self::from_indices(schema.clone(), indices)
+        let mut indices: Vec<Option<ConstraintIndex>> = vec![None; schema.len()];
+        let mut unary: BTreeMap<Label, Vec<usize>> = BTreeMap::new();
+        for (i, constraint) in schema.iter().enumerate() {
+            if let [source] = *constraint.source() {
+                unary.entry(source).or_default().push(i);
+            } else {
+                let index = ConstraintIndex::build_with_cap(graph, constraint.clone(), cap);
+                indices[i] = Some(index);
+            }
+        }
+        // The largest group first: the tables built after it reuse the
+        // buffers its scan freed.
+        let mut unary: Vec<(Label, Vec<usize>)> = unary.into_iter().collect();
+        unary.sort_by_key(|(source, _)| std::cmp::Reverse(graph.label_count(*source)));
+        let constraints: Vec<&AccessConstraint> = schema.iter().collect();
+        for (source, members) in unary {
+            let group = members.iter().map(|&i| constraints[i].clone()).collect();
+            let built = ConstraintIndex::build_unary(graph, source, group, cap);
+            for (i, index) in members.into_iter().zip(built) {
+                indices[i] = Some(index);
+            }
+        }
+        let indices = indices
+            .into_iter()
+            .map(|index| index.expect("every constraint is built"));
+        Self::from_indices(schema.clone(), indices.collect())
     }
 
     /// Packs already-built indices, one per constraint of `schema`, in order.
@@ -854,7 +1010,7 @@ mod tests {
         assert_eq!(a.max_cardinality(), b.max_cardinality(), "max ({ctx})");
         assert_eq!(a.is_truncated(), b.is_truncated(), "truncated ({ctx})");
         assert_eq!(a.key_count(), b.key_count(), "key count ({ctx})");
-        assert_eq!(a.shard_count(), b.shard_count(), "shards ({ctx})");
+        assert_eq!(a.spines(), b.spines(), "shard spines ({ctx})");
         for v in graph.nodes() {
             let state = |i: &ConstraintIndex| {
                 let counted = i.key_counts.get(&v).copied();
@@ -903,7 +1059,9 @@ mod tests {
     }
 
     /// Bulk-built global and unary indices equal the maintenance replay,
-    /// and stay equal through one batch of maintenance.
+    /// and stay equal through one batch of maintenance — built alone and
+    /// built as a set, where every source label's unary constraints (four
+    /// targets, one of them at two bounds) share one scan.
     #[test]
     fn bulk_build_equals_maintenance_replay() {
         use crate::maintenance::{apply_deltas, GraphDelta};
@@ -917,6 +1075,13 @@ mod tests {
                 .collect();
             for &s in &labels {
                 constraints.extend(labels.iter().map(|&t| AccessConstraint::unary(s, t, 8)));
+                // The same pair again, at another bound.
+                let t = labels[rng.random_range(0..labels.len())];
+                constraints.push(AccessConstraint::unary(s, t, 3));
+            }
+            // Members of one scan sit anywhere in the schema.
+            for i in (1..constraints.len()).rev() {
+                constraints.swap(i, rng.random_range(0..i + 1));
             }
             let schema = AccessSchema::from_constraints(constraints.iter().cloned());
 
@@ -951,17 +1116,21 @@ mod tests {
                     let indices = constraints.iter().map(|c| make(&graph, c.clone(), cap));
                     AccessIndexSet::from_indices(schema.clone(), indices.collect())
                 };
-                let mut bulk = build(ConstraintIndex::build_with_cap);
+                let mut alone = build(ConstraintIndex::build_with_cap);
+                let mut shared = AccessIndexSet::build_with_cap(&graph, &schema, cap);
                 let mut replay = build(replayed);
                 for (step, g) in [("build", &graph), ("maintained", &next)] {
                     if step == "maintained" {
-                        apply_deltas(&mut bulk, g, &deltas);
-                        apply_deltas(&mut replay, g, &deltas);
+                        for set in [&mut alone, &mut shared, &mut replay] {
+                            apply_deltas(set, g, &deltas);
+                        }
                     }
-                    for ((id, a), (_, b)) in bulk.iter().zip(replay.iter()) {
-                        let ctx =
-                            format!("seed {seed}, cap {cap}, {step}, {id} {}", a.constraint());
-                        assert_same_index(a, b, g, &ctx);
+                    for (bulk, how) in [(&alone, "alone"), (&shared, "shared")] {
+                        for ((id, a), (_, b)) in bulk.iter().zip(replay.iter()) {
+                            let c = a.constraint();
+                            let ctx = format!("seed {seed}, cap {cap}, {how}, {step}, {id} {c}");
+                            assert_same_index(a, b, g, &ctx);
+                        }
                     }
                 }
             }

@@ -165,30 +165,37 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
     w
 }
 
-/// Reads a sorted node-id list, checking bounds and strict order.
+/// Reads a sorted node-id list onto the end of `ids`, checking bounds and
+/// strict order.
 fn read_sorted_ids(
     r: &mut SectionReader<'_>,
     len: usize,
     node_count: usize,
     what: &str,
-) -> Result<Vec<NodeId>, SnapshotError> {
-    let ids = r.read_u32_vec(len)?;
-    for pair in ids.windows(2) {
-        if pair[0] >= pair[1] {
-            return Err(r.corrupt(format!("{what} is not sorted strictly")));
-        }
+    ids: &mut Vec<NodeId>,
+) -> Result<(), SnapshotError> {
+    let size = len
+        .checked_mul(4)
+        .ok_or_else(|| r.corrupt(format!("{what} length {len} overflows")))?;
+    let start = ids.len();
+    let words = r.read_bytes(size)?.chunks_exact(4);
+    ids.extend(words.map(|word| NodeId(u32::from_le_bytes(word.try_into().unwrap()))));
+    let read = &ids[start..];
+    if read.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(r.corrupt(format!("{what} is not sorted strictly")));
     }
-    for &id in &ids {
-        if id as usize >= node_count {
-            return Err(r.corrupt(format!("{what} references out-of-bounds node {id}")));
-        }
+    if let Some(&last) = read.last().filter(|v| v.index() >= node_count) {
+        return Err(r.corrupt(format!("{what} references out-of-bounds node {last}")));
     }
-    Ok(ids.into_iter().map(NodeId).collect())
+    Ok(())
 }
 
 /// Decodes the `Indices` section against the graph and schema decoded from
 /// the same archive, rebuilding the per-target bookkeeping and cardinality
-/// counts that are derivable from the persisted entries.
+/// counts that are derivable from the persisted entries. Each index's
+/// entries must come in strictly increasing key order, as
+/// [`write_snapshot`] writes them: a repeated or out-of-order key is
+/// refused as corrupt.
 pub fn decode_indices(
     archive: &SnapshotArchive,
     graph: &Graph,
@@ -205,47 +212,53 @@ pub fn decode_indices(
     }
     let node_count = graph.node_count();
     let mut indices = Vec::with_capacity(count);
+    // Every entry's key and then its answers in one flat id list, and one
+    // `(start, mid, end)` span per entry; both buffers serve every index.
+    let (mut ids, mut spans) = (Vec::new(), Vec::new());
     for constraint in schema.iter() {
         let cap = r.read_count()?;
         let capped_len = r.read_u32()? as usize;
-        let capped = read_sorted_ids(&mut r, capped_len, node_count, "capped-target list")?;
+        let mut capped = Vec::new();
+        read_sorted_ids(
+            &mut r,
+            capped_len,
+            node_count,
+            "capped-target list",
+            &mut capped,
+        )?;
 
         let entry_count = r.read_u32()? as usize;
-        // Sized from what the section can actually hold (an entry is at
-        // least its two length words), not from an unchecked count.
-        let mut index = ConstraintIndex::empty(
-            constraint.clone(),
-            cap,
-            entry_count.min(bytes.len() / 8),
-            graph.label_count(constraint.target()),
-        );
-        for v in capped {
-            index.capped_targets.insert(v, ());
-        }
+        ids.clear();
         for _ in 0..entry_count {
+            let start = ids.len();
             let key_len = r.read_u32()? as usize;
-            let key = read_sorted_ids(&mut r, key_len, node_count, "index key")?;
-            for &v in &key {
+            read_sorted_ids(&mut r, key_len, node_count, "index key", &mut ids)?;
+            let mid = ids.len();
+            for &v in &ids[start..mid] {
                 if constraint.source().binary_search(&graph.label(v)).is_err() {
                     return Err(r.corrupt(format!(
                         "key node {v} does not carry a source label of {constraint}"
                     )));
                 }
             }
+            if let Some(&(before, before_mid, _)) = spans.last() {
+                if ids[before..before_mid] >= ids[start..mid] {
+                    return Err(r.corrupt("index keys are not in strictly increasing order"));
+                }
+            }
             let ans_len = r.read_u32()? as usize;
-            let answers = read_sorted_ids(&mut r, ans_len, node_count, "index answer")?;
-            for &v in &answers {
+            read_sorted_ids(&mut r, ans_len, node_count, "index answer", &mut ids)?;
+            for &v in &ids[mid..] {
                 if graph.label(v) != constraint.target() {
                     return Err(r.corrupt(format!(
                         "answer node {v} does not carry the target label of {constraint}"
                     )));
                 }
             }
-            if !index.insert_decoded(&key, &answers) {
-                return Err(r.corrupt("duplicate index key"));
-            }
+            spans.push((start, mid, ids.len()));
         }
-        index.shrink_to_fit();
+        let constraint = constraint.clone();
+        let index = ConstraintIndex::from_entries(graph, constraint, cap, capped, &ids, &mut spans);
         indices.push(index);
     }
     r.expect_end()?;
@@ -299,6 +312,61 @@ mod tests {
             assert_eq!(loaded.is_truncated(), fresh.is_truncated());
         }
         assert_eq!(bundle.indices.total_size(), indices.total_size());
+    }
+
+    /// `toy`'s snapshot bytes with the unary index's entries (constraint 1,
+    /// three one-id keys) passed through `edit` before they are written.
+    fn with_unary_entries(edit: impl Fn(&mut Vec<(&[NodeId], &[NodeId])>)) -> Vec<u8> {
+        let (g, schema) = toy();
+        let indices = AccessIndexSet::build(&g, &schema);
+        let mut w = SectionWriter::new();
+        w.put_u32(indices.len() as u32);
+        for (id, index) in indices.iter() {
+            w.put_u64(index.cap() as u64);
+            w.put_u32(0); // nothing is capped
+            let mut entries: Vec<(&[NodeId], &[NodeId])> = index.entries().collect();
+            entries.sort_unstable();
+            if id.index() == 1 {
+                edit(&mut entries);
+            }
+            w.put_u32(entries.len() as u32);
+            for list in entries.iter().flat_map(|&(key, answers)| [key, answers]) {
+                w.put_u32(list.len() as u32);
+                list.iter().for_each(|v| w.put_u32(v.0));
+            }
+        }
+        let mut writer = SnapshotWriter::new();
+        encode_graph(&g, &mut writer);
+        writer.add_section(Section::Schema, encode_schema(&schema).into_bytes());
+        writer.add_section(Section::Indices, w.into_bytes());
+        let mut buf = Vec::new();
+        writer.write_to(&mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn index_keys_must_come_in_strictly_increasing_order() {
+        // Unedited, the hand-written section is what `write_snapshot` writes.
+        let (g, schema) = toy();
+        let mut written = Vec::new();
+        write_snapshot(&g, &AccessIndexSet::build(&g, &schema), &mut written).unwrap();
+        assert_eq!(with_unary_entries(|_| {}), written);
+        assert!(read_snapshot(std::io::Cursor::new(written)).is_ok());
+
+        let duplicated = with_unary_entries(|entries| entries[1] = entries[0]);
+        let swapped = with_unary_entries(|entries| entries.swap(0, 1));
+        for (what, bytes) in [
+            ("a duplicated key", duplicated),
+            ("a swapped pair", swapped),
+        ] {
+            match read_snapshot(std::io::Cursor::new(bytes)) {
+                Err(SnapshotError::Corrupt { section, message }) => {
+                    assert_eq!(section, Section::Indices, "{what}");
+                    assert!(message.contains("strictly increasing"), "{what}: {message}");
+                }
+                other => panic!("{what} must be refused as corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// bounds independently of `|G|`.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
+#[cfg(test)]
+thread_local! {
+    /// Set by a fault test: the next fetch on this thread panics inside the
+    /// entry's `OnceLock` initialiser.
+    pub(crate) static PANIC_IN_FETCH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Cache key: what the planner's outcome — and, given the deterministic
 /// planner, the fetched candidate set — depends on, given a fixed schema.
 pub(crate) type CacheKey = (PatternFingerprint, Semantics);
@@ -161,6 +168,10 @@ impl QueryCache {
         let mut fetched = false;
         let fragment = entry.fragment.get_or_init(|| {
             fetched = true;
+            #[cfg(test)]
+            if PANIC_IN_FETCH.replace(false) {
+                panic!("injected fetch panic");
+            }
             fetch()
         });
         let (outcome, counter) = match (cached, fetched) {

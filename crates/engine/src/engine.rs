@@ -379,4 +379,72 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
     }
+
+    /// A panic inside the bounded tier's fetch — in the cache entry's
+    /// `OnceLock` initialiser — unwinds to the caller and leaves nothing
+    /// behind: the counters still read, the entry is refetched by the next
+    /// identical request and answers as the index-seeded tier does, and the
+    /// arena pool keeps its slot.
+    #[test]
+    fn a_panic_inside_the_fetch_leaves_the_entry_refetchable() {
+        use crate::cache::PANIC_IN_FETCH;
+        use bgpq_access::AccessConstraint;
+        use bgpq_graph::{GraphBuilder, ScratchArena, Value};
+        use bgpq_pattern::{PatternBuilder, Predicate};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut b = GraphBuilder::new();
+        let users: Vec<_> = (0..3).map(|i| b.add_node("user", Value::Int(i))).collect();
+        for i in 0..12 {
+            let post = b.add_node("post", Value::Int(i));
+            b.add_edge(users[i as usize % 3], post).unwrap();
+        }
+        let graph = b.build();
+        let label = |name: &str| graph.interner().get(name).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::global(label("user"), 3),
+            AccessConstraint::unary(label("user"), label("post"), 4),
+        ]);
+        let mut pb = PatternBuilder::with_interner(graph.interner().clone());
+        let (user, post) = (
+            pb.node("user", Predicate::always()),
+            pb.node("post", Predicate::always()),
+        );
+        pb.edge(user, post);
+        let pattern = pb.build();
+        let engine = Engine::new(graph, &schema);
+        let request = |kind| {
+            let request = QueryRequest::build(pattern.clone()).strategy(kind);
+            request.finish()
+        };
+        let arena = |pool: &ArenaPool| pool.with_any(|a| a as *mut ScratchArena as usize);
+        let slot = arena(engine.arena_pool());
+
+        PANIC_IN_FETCH.set(true);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.execute(&request(StrategyKind::Bounded))
+        }));
+        assert!(unwound.is_err(), "the injected panic must reach the caller");
+        let stats = engine.stats();
+        assert_eq!((stats.cached_plans, stats.cached_fragments), (1, 0));
+        assert_eq!(stats.fragment_cache_misses, 0);
+
+        let bounded = engine.execute(&request(StrategyKind::Bounded)).unwrap();
+        assert_eq!(
+            bounded.stats.fragment_cache,
+            Some(CacheOutcome::Miss),
+            "refetched"
+        );
+        let seeded = engine.execute(&request(StrategyKind::IndexSeeded)).unwrap();
+        assert_eq!(bounded.answer, seeded.answer);
+        assert_eq!(bounded.answer.as_matches().map(|m| m.len()), Some(12));
+        let again = engine.execute(&request(StrategyKind::Bounded)).unwrap();
+        assert_eq!(again.stats.fragment_cache, Some(CacheOutcome::Hit));
+        assert_eq!(engine.stats().cached_fragments, 1);
+        assert_eq!(
+            arena(engine.arena_pool()),
+            slot,
+            "the pool's slot is still in service"
+        );
+    }
 }

@@ -110,7 +110,7 @@ use Bound::{Max, Min};
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned
-const GATES: [Gate; 11] = [
+const GATES: [Gate; 12] = [
     // The paper's headline figure: bVF2 is flat in |G|, VF2 linear, so the
     // ratio must favour bVF2 on the sweep's largest graph (14x smoke, 41x
     // full) and must have grown since the smallest.
@@ -136,6 +136,13 @@ const GATES: [Gate; 11] = [
     // 3.9x (25.5 -> 100 us) when every shard copy still cloned two heap
     // lists per entry. The threshold is the full reading with ~1.8x headroom.
     ("scaling.maintain_growth",       Max,      7.0, "the commit's index maintenance is tracking |G|"),
+    // Offline setup (stream + discover + index) per decade of |G|, the
+    // larger of the two steps; 10 is linear. 10.8-14.6 over 10 back-to-back
+    // --smoke runs of the shard-order index build, 10.3-16.5 over 20 with an
+    // earlier build of it (the 6k-node point takes 4-9 ms, so the ratio is
+    // noisy); 20 is the highest reading plus ~20%. The full profile reads
+    // 10.7-17.6, and 16.5 with one scan and a hash insert per index key.
+    ("scaling.build_growth",          Max,     20.0, "the offline setup is growing faster than |G|"),
     // Bulk-reading sections against parsing, interning and sorting records,
     // on the 30k-node rig graph (the datasets load in tens of us and are not
     // gated): 4.27-4.52x over 10 back-to-back --smoke runs (text 16-19 ms,
@@ -479,7 +486,7 @@ fn scaling(profile: &Profile) -> Json {
     let hit_speedup = hit_speedups.try_fold(f64::INFINITY, |low, x| Some(low.min(x?)));
     let growth_of = |key| num(growth(&points, key), 3);
     // Offline setup per decade of |G|, the larger of the two steps: 10 is
-    // linear. Reported, not gated.
+    // linear (gated, see `GATES`).
     let step =
         |w: &[Json]| Some(positive(w.get(1), "build_ms")? / positive(w.first(), "build_ms")?);
     let mut build_steps = points.windows(2).map(step);
@@ -496,6 +503,8 @@ fn scaling(profile: &Profile) -> Json {
         ("maintenance_growth", growth_of("maintenance_us_per_batch")),
         ("commit_growth", growth_of("commit_us")),
         ("maintain_growth", growth_of("commit_phases_us.maintain")),
+        // The commit's graph-edit phase; reported, not gated.
+        ("replay_growth", growth_of("commit_phases_us.replay")),
         ("build_growth", num(build_growth.unwrap_or(f64::NAN), 2)),
         ("vf2_over_bvf2_largest", num(largest, 2)),
         ("vf2_over_bvf2_growth", growth_of("vf2_over_bvf2")),

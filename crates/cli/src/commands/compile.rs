@@ -7,17 +7,11 @@
 //! `load`/`index`/`serve-demo`) bulk-loads the result without re-paying any
 //! of those costs.
 
-use super::{
-    dataset_source, discovery_config, fmt_nanos, knob_summary, resolve_scenario, scenario_config,
-    DISCOVERY_FLAGS, SCENARIO_FLAGS, SIMPLE_SWITCH, SNAPSHOT_FLAG,
-};
+use super::{fmt_nanos, knob_summary, DISCOVERY_FLAGS, SCENARIO_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::dataset::{
-    default_edge_label, load_dataset_full, load_or_discover_schema, Format, LoadedDataset,
-};
+use crate::dataset::{open_input, GraphSource};
 use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
-use bgpq_engine::{save_snapshot, AccessIndexSet};
-use bgpq_workload::stream_graph_counted;
+use bgpq_engine::save_snapshot;
 use std::error::Error;
 use std::io::Write;
 use std::path::Path;
@@ -54,97 +48,58 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             .ok_or("missing --out FILE.bgpq (see `bgpq compile --help`)")?,
     );
     let cap: usize = args.flag_or("cap", DEFAULT_MAX_COMBINATIONS_PER_NODE)?;
-    let schema_path = args.flag("schema").map(Path::new);
-
-    let (loaded, source_display) = match args.flag("gen") {
-        Some(name) => {
-            if args.positional(0).is_some() || args.flag(SNAPSHOT_FLAG).is_some() {
-                return Err("--gen conflicts with a dataset path or --snapshot".into());
-            }
-            let scenario = resolve_scenario(name)?;
-            let config = scenario_config(&args)?;
-            let started = Instant::now();
-            // Streaming path: records go straight from the generator into
-            // the graph builder, never through a Vec or a dataset file.
-            let (graph, records) = stream_graph_counted(scenario, &config);
-            writeln!(
-                out,
-                "generated {} graph (scale {}, seed {}{}): {} nodes, {} edges \
-                 streamed from {} records in {}",
-                scenario,
-                config.scale,
-                config.seed,
-                knob_summary(&config),
-                graph.live_node_count(),
-                graph.edge_count(),
-                records,
-                fmt_nanos(started.elapsed().as_nanos() as u64)
-            )?;
-            let loaded = LoadedDataset {
-                graph,
-                format: Format::Text,
-                embedded: None,
-            };
-            (loaded, format!("gen:{scenario}"))
-        }
-        None => {
-            let (path, format) = dataset_source(&args)?;
-            let label = args.flag("label").unwrap_or(default_edge_label());
-            let started = Instant::now();
-            let loaded = load_dataset_full(path, format, label)?;
-            writeln!(
-                out,
-                "dataset {} ({}): {} nodes, {} edges, loaded in {}",
-                path.display(),
-                loaded.format,
-                loaded.graph.live_node_count(),
-                loaded.graph.edge_count(),
-                fmt_nanos(started.elapsed().as_nanos() as u64)
-            )?;
-            let display = path.display().to_string();
-            (loaded, display)
-        }
-    };
-
-    let (graph, schema, indices, source) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 recompile from the original dataset instead"
-                    .into(),
-            );
-        }
-        (Some((schema, indices)), None) => (loaded.graph, schema, indices, "reused from snapshot"),
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
-            let started = Instant::now();
-            let indices = AccessIndexSet::build_with_cap(&loaded.graph, &schema, cap);
-            let build_nanos = started.elapsed().as_nanos() as u64;
+    let input = open_input(&args, Some(cap))?;
+    let (graph, schema) = (&input.graph, &input.schema);
+    let loaded_in = fmt_nanos(input.load_nanos);
+    match &input.source {
+        GraphSource::Generated {
+            scenario,
+            config,
+            records,
+        } => writeln!(
+            out,
+            "generated {} graph (scale {}, seed {}{}): {} nodes, {} edges \
+             streamed from {} records in {loaded_in}",
+            scenario,
+            config.scale,
+            config.seed,
+            knob_summary(config),
+            graph.live_node_count(),
+            graph.edge_count(),
+            records,
+        )?,
+        GraphSource::File(path, format) => writeln!(
+            out,
+            "dataset {} ({format}): {} nodes, {} edges, loaded in {loaded_in}",
+            path.display(),
+            graph.live_node_count(),
+            graph.edge_count(),
+        )?,
+    }
+    let indices = input.indices.as_ref().expect("indices requested");
+    let built = match input.index_nanos {
+        Some(nanos) => {
             writeln!(
                 out,
                 "schema: {} constraints ({}); indices built in {}",
                 schema.len(),
-                match schema_path {
-                    Some(p) => format!("from {}", p.display()),
-                    None => "discovered".into(),
-                },
-                fmt_nanos(build_nanos)
+                input.schema_source,
+                fmt_nanos(nanos)
             )?;
-            (loaded.graph, schema, indices, "freshly built")
+            "freshly built"
         }
+        None => "reused from snapshot",
     };
 
     let started = Instant::now();
-    save_snapshot(&graph, &indices, out_path)
-        .map_err(|e| format!("{}: {e}", out_path.display()))?;
+    save_snapshot(graph, indices, out_path).map_err(|e| format!("{}: {e}", out_path.display()))?;
     let write_nanos = started.elapsed().as_nanos() as u64;
     let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     writeln!(
         out,
-        "compiled {} -> {}: {} constraints, |index| = {} node ids ({source}), \
+        "compiled {} -> {}: {} constraints, |index| = {} node ids ({built}), \
          {} bytes written in {}",
-        source_display,
+        input.source,
         out_path.display(),
         schema.len(),
         indices.total_size(),

@@ -2,8 +2,7 @@
 
 use super::{discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::commands::load::parse_format;
-use crate::dataset::{default_edge_label, load_dataset};
+use crate::dataset::{default_edge_label, load_dataset, parse_format};
 use bgpq_engine::{discover_schema, save_schema, ConstraintKind};
 use std::error::Error;
 use std::io::Write;

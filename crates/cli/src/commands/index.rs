@@ -1,13 +1,11 @@
 //! `bgpq index` — build the access indices and report their sizes.
 
-use super::{dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
+use super::{DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
-use bgpq_engine::AccessIndexSet;
+use crate::dataset::open_input;
+use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
-use std::time::Instant;
 
 const USAGE: &str = "USAGE: bgpq index <dataset|--snapshot FILE> [--schema FILE]
                      [discovery flags] [--format text|jsonl|edges|snapshot]
@@ -27,44 +25,23 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
-    let (path, format) = dataset_source(&args)?;
-    let label = args.flag("label").unwrap_or(default_edge_label());
-    let loaded = load_dataset_full(path, format, label)?;
-    let schema_path = args.flag("schema").map(Path::new);
-
-    let (graph, indices) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 index the original dataset to use a different schema"
-                    .into(),
-            );
-        }
-        (Some((_, indices)), None) => {
-            writeln!(
-                out,
-                "loaded {} indices from snapshot {} (no rebuild)",
-                indices.len(),
-                path.display()
-            )?;
-            (loaded.graph, indices)
-        }
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
-            let started = Instant::now();
-            let indices = AccessIndexSet::build(&loaded.graph, &schema);
-            let build_nanos = started.elapsed().as_nanos() as u64;
-            writeln!(
-                out,
-                "built {} indices over {} in {}",
-                indices.len(),
-                path.display(),
-                super::fmt_nanos(build_nanos)
-            )?;
-            (loaded.graph, indices)
-        }
-    };
+    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let (graph, indices) = (&input.graph, input.indices.expect("indices requested"));
+    match input.index_nanos {
+        Some(nanos) => writeln!(
+            out,
+            "built {} indices over {} in {}",
+            indices.len(),
+            input.source,
+            super::fmt_nanos(nanos)
+        )?,
+        None => writeln!(
+            out,
+            "loaded {} indices from snapshot {} (no rebuild)",
+            indices.len(),
+            input.source
+        )?,
+    }
     writeln!(
         out,
         "  {:<34} {:>8} {:>10} {:>8}  status",

@@ -1,8 +1,7 @@
 //! `bgpq load` — parse a dataset and print its statistics.
 
-use super::dataset_source;
 use crate::args::Args;
-use crate::dataset::{default_edge_label, load_dataset_full, Format};
+use crate::dataset::{dataset_source, default_edge_label, load_dataset_full, Format};
 use bgpq_engine::Graph;
 use bgpq_graph::GraphStats;
 use std::error::Error;
@@ -39,16 +38,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         )?;
     }
     Ok(())
-}
-
-/// Resolves the optional `--format` flag (shared with other subcommands).
-pub(crate) fn parse_format(args: &Args) -> Result<Option<Format>, Box<dyn Error>> {
-    match args.flag("format") {
-        None => Ok(None),
-        Some(name) => Format::from_name(name).map(Some).ok_or_else(|| {
-            format!("invalid --format {name:?} (text, jsonl, edges or snapshot)").into()
-        }),
-    }
 }
 
 fn report(

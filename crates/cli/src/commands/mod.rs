@@ -12,11 +12,9 @@ pub mod serve_demo;
 pub mod workload;
 
 use crate::args::Args;
-use crate::dataset::Format;
 use crate::scenario::{Scenario, ScenarioConfig};
 use bgpq_engine::DiscoveryConfig;
 use std::error::Error;
-use std::path::Path;
 use std::str::FromStr;
 
 /// Renders a nanosecond count with a readable unit.
@@ -124,18 +122,6 @@ pub(crate) fn knob_summary(config: &ScenarioConfig) -> String {
         s.push_str(&format!(", domain {d}"));
     }
     s
-}
-
-/// Resolves a subcommand's dataset input: either the positional path (with
-/// the usual content sniffing + `--format` override) or `--snapshot FILE`,
-/// which forces the binary reader. Exactly one must be given.
-pub(crate) fn dataset_source(args: &Args) -> Result<(&Path, Option<Format>), Box<dyn Error>> {
-    match (args.flag(SNAPSHOT_FLAG), args.positional(0)) {
-        (Some(_), Some(_)) => Err("give either a dataset path or --snapshot FILE, not both".into()),
-        (Some(snap), None) => Ok((Path::new(snap), Some(Format::Snapshot))),
-        (None, Some(path)) => Ok((Path::new(path), load::parse_format(args)?)),
-        (None, None) => Err("missing dataset (positional path or --snapshot FILE)".into()),
-    }
 }
 
 /// Builds a [`DiscoveryConfig`] from the shared discovery flags.

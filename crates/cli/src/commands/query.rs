@@ -1,9 +1,10 @@
 //! `bgpq query` — run one pattern query through the engine.
 
-use super::{dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
+use super::{fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
+use crate::dataset::open_input;
 use crate::render::{write_answer, AnswerView, BindingView, SimRowView};
+use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::{
     parse_pattern, Engine, QueryAnswer, QueryRequest, QueryResponse, Semantics, StrategyKind,
 };
@@ -11,7 +12,6 @@ use bgpq_pattern::Pattern;
 use bgpq_workload::{parse_manifest, LatencyHistogram};
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
 
 const USAGE: &str = "USAGE: bgpq query <dataset|--snapshot FILE> --pattern FILE
                      [--workload FILE] [--schema FILE] [--semantics iso|sim]
@@ -55,7 +55,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
-    let (path, format) = dataset_source(&args)?;
     let pattern_path = match (args.flag("pattern"), args.flag("workload")) {
         (Some(_), Some(_)) => return Err("give --pattern FILE or --workload FILE, not both".into()),
         (None, None) => {
@@ -69,44 +68,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let strategy = parse_strategy(args.flag("strategy"))?;
     let show = args.flag_or("show", 10usize)?;
 
-    let label = args.flag("label").unwrap_or(default_edge_label());
-    let loaded = load_dataset_full(path, format, label)?;
-    let schema_path = args.flag("schema").map(Path::new);
-    let (engine, schema_len, schema_desc) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 query the original dataset to use a different schema"
-                    .into(),
-            );
-        }
-        (Some((schema, indices)), None) => {
-            // The snapshot carries everything: no discovery, no index build.
-            let len = schema.len();
-            let engine = Engine::with_indices(loaded.graph, indices);
-            (engine, len, " (embedded in snapshot)".to_string())
-        }
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
-            let desc = match schema_path {
-                Some(p) => format!(" (from {})", p.display()),
-                None => " (discovered)".into(),
-            };
-            let len = schema.len();
-            (Engine::new(loaded.graph, &schema), len, desc)
-        }
-    };
-
-    writeln!(
-        out,
-        "dataset {}: {} nodes, {} edges; schema: {} constraints{}",
-        path.display(),
-        engine.graph().live_node_count(),
-        engine.graph().edge_count(),
-        schema_len,
-        schema_desc
-    )?;
+    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    writeln!(out, "dataset {}", input.summary())?;
+    let indices = input.indices.expect("indices requested");
+    let engine = Engine::with_indices(input.graph, indices);
     let Some(pattern_path) = pattern_path else {
         // --workload: run every manifest query closed-loop and aggregate.
         let manifest_path = args.flag("workload").expect("checked above");
@@ -262,13 +227,6 @@ pub(crate) fn parse_strategy(raw: Option<&str>) -> Result<Option<StrategyKind>, 
     }
 }
 
-fn node_display(pattern: &Pattern, u: bgpq_pattern::PatternNodeId) -> String {
-    match pattern.node_name(u) {
-        Some(name) => name.to_string(),
-        None => u.to_string(),
-    }
-}
-
 fn report(
     response: &QueryResponse,
     pattern: &Pattern,
@@ -292,7 +250,7 @@ fn report(
                         .map(|u| {
                             let v = m.node_for(u);
                             BindingView {
-                                node: node_display(pattern, u),
+                                node: pattern.column_name(u),
                                 id: v.0,
                                 label: graph.label_name(v).to_string(),
                                 value: graph.value(v).to_string(),
@@ -309,7 +267,7 @@ fn report(
                 .map(|u| {
                     let vs = relation.matches_of(u);
                     SimRowView {
-                        node: node_display(pattern, u),
+                        node: pattern.column_name(u),
                         label: pattern.label_name(u),
                         total: vs.len(),
                         ids: vs.iter().take(show).map(|v| v.0).collect(),

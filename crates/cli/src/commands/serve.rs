@@ -1,14 +1,14 @@
 //! `bgpq serve` — expose a dataset over the TCP wire protocol.
 
-use super::{commit_phases, dataset_source, discovery_config, DISCOVERY_FLAGS, SIMPLE_SWITCH};
+use super::{commit_phases, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
+use crate::dataset::open_input;
+use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::BudgetPolicy;
 use bgpq_net::{NetServer, NetServerConfig, DEFAULT_MAX_FRAME_BYTES};
 use bgpq_serve::Server;
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,7 +52,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
-    let (path, format) = dataset_source(&args)?;
     let host = args.flag("host").unwrap_or("127.0.0.1");
     let port: u16 = args.flag_or("port", 0u16)?;
     let max_in_flight: usize = args.flag_or("max-in-flight", 8usize)?;
@@ -63,37 +62,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let drain_after_ms: u64 = args.flag_or("drain-after-ms", 0u64)?;
     let name = args.flag("name").unwrap_or("bgpq-net").to_string();
 
-    let label = args.flag("label").unwrap_or(default_edge_label());
-    let loaded = load_dataset_full(path, format, label)?;
-    let schema_path = args.flag("schema").map(Path::new);
-    let (graph, schema_len, schema_desc, indices) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 serve the original dataset to use a different schema"
-                    .into(),
-            );
-        }
-        (Some((schema, indices)), None) => (
-            loaded.graph,
-            schema.len(),
-            " (embedded in snapshot)".to_string(),
-            indices,
-        ),
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
-            let desc = match schema_path {
-                Some(p) => format!(" (from {})", p.display()),
-                None => " (discovered)".into(),
-            };
-            let len = schema.len();
-            let indices = bgpq_access::AccessIndexSet::build(&loaded.graph, &schema);
-            (loaded.graph, len, desc, indices)
-        }
-    };
-    let (nodes, edges) = (graph.live_node_count(), graph.edge_count());
-    let server = Arc::new(Server::with_indices(graph, indices));
+    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let summary = input.summary();
+    let indices = input.indices.expect("indices requested");
+    let server = Arc::new(Server::with_indices(input.graph, indices));
 
     let config = NetServerConfig {
         addr: format!("{host}:{port}"),
@@ -110,15 +82,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let handle = NetServer::start(Arc::clone(&server), config)
         .map_err(|e| format!("cannot listen on {host}:{port}: {e}"))?;
 
-    writeln!(
-        out,
-        "serving {}: {} nodes, {} edges; schema: {} constraints{}",
-        path.display(),
-        nodes,
-        edges,
-        schema_len,
-        schema_desc
-    )?;
+    writeln!(out, "serving {summary}")?;
     writeln!(
         out,
         "listening on {} (max in-flight {})",

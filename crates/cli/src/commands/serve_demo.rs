@@ -1,18 +1,16 @@
 //! `bgpq serve-demo` — drive the concurrent server with a scripted mixed
 //! read/update workload.
 
-use super::{
-    commit_phases, dataset_source, discovery_config, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH,
-};
+use super::{commit_phases, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
-use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
+use crate::dataset::open_input;
+use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::{parse_pattern, Graph, NodeId, PatternBuilder, Predicate, QueryRequest};
 use bgpq_pattern::{DetRng, Pattern};
 use bgpq_serve::{Server, Update};
 use std::collections::HashMap;
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
 use std::time::Instant;
 
 const USAGE: &str = "USAGE: bgpq serve-demo <dataset|--snapshot FILE> [--commits N] [--batch N]
@@ -38,33 +36,16 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
-    let (path, format) = dataset_source(&args)?;
     let commits: usize = args.flag_or("commits", 5)?;
     let batch: usize = args.flag_or("batch", 8)?;
     let queries: usize = args.flag_or("queries", 100)?;
     let seed: u64 = args.flag_or("seed", 42)?;
 
-    let label = args.flag("label").unwrap_or(default_edge_label());
-    let loaded = load_dataset_full(path, format, label)?;
-    let schema_path = args.flag("schema").map(Path::new);
-    let (graph, schema, embedded_indices) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 serve the original dataset to use a different schema"
-                    .into(),
-            );
-        }
-        (Some((schema, indices)), None) => (loaded.graph, schema, Some(indices)),
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(&args)?)?;
-            (loaded.graph, schema, None)
-        }
-    };
+    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let (graph, source) = (input.graph, input.source);
 
     if graph.live_node_count() == 0 {
-        return Err(format!("{}: dataset has no nodes to serve", path.display()).into());
+        return Err(format!("{source}: dataset has no nodes to serve").into());
     }
     let pattern = match args.flag("pattern") {
         Some(pattern_path) => {
@@ -85,21 +66,16 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     writeln!(
         out,
         "serving {}: {} nodes, {} edges, {} constraints; {} commits x {} updates, {} queries/round",
-        path.display(),
+        source,
         graph.live_node_count(),
         graph.edge_count(),
-        schema.len(),
+        input.schema.len(),
         commits,
         batch,
         queries
     )?;
 
-    let server = match embedded_indices {
-        // Snapshot inputs hand the server pre-built indices: version 0
-        // starts serving without any build cost.
-        Some(indices) => Server::with_indices(graph, indices),
-        None => Server::new(graph, &schema),
-    };
+    let server = Server::with_indices(graph, input.indices.expect("indices requested"));
     let request = QueryRequest::build(pattern).finish();
     let mut rng = DetRng::seed_from_u64(seed);
     let mut fresh_value = 1_000_000i64;

@@ -6,19 +6,13 @@
 //! flags `unbounded` is verified to be rejected by the planner. The output
 //! is a JSON-lines manifest consumable by `bgpq query --workload`.
 
-use super::{
-    dataset_source, discovery_config, knob_summary, resolve_scenario, scenario_config,
-    DISCOVERY_FLAGS, SCENARIO_FLAGS, SIMPLE_SWITCH, SNAPSHOT_FLAG,
-};
+use super::{knob_summary, DISCOVERY_FLAGS, SCENARIO_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::commands::query::parse_semantics;
-use crate::dataset::{default_edge_label, load_dataset_full, load_or_discover_schema};
-use bgpq_engine::AccessSchema;
-use bgpq_graph::Graph;
-use bgpq_workload::{generate_workload, stream_graph, Shape, Workload, WorkloadConfig};
+use crate::dataset::{open_input, GraphSource};
+use bgpq_workload::{generate_workload, Shape, Workload, WorkloadConfig};
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
 
 const USAGE: &str = "USAGE: bgpq workload <dataset|--snapshot FILE|--gen SCENARIO> [--out FILE]
                      [--queries N] [--seed N] [--bounded-fraction F]
@@ -93,8 +87,28 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         return Err("--bounded-fraction expects a value in [0, 1]".into());
     }
 
-    let (graph, schema, source) = load_graph_and_schema(&args, out)?;
-    let workload = generate_workload(&graph, &schema, &config)?;
+    let input = open_input(&args, None)?;
+    let (graph, schema) = (&input.graph, &input.schema);
+    match &input.source {
+        GraphSource::Generated {
+            scenario,
+            config: scenario_config,
+            ..
+        } => writeln!(
+            out,
+            "generated {} graph (scale {}, seed {}{}): {} nodes, {} edges; \
+             schema: {} constraints",
+            scenario,
+            scenario_config.scale,
+            scenario_config.seed,
+            knob_summary(scenario_config),
+            graph.live_node_count(),
+            graph.edge_count(),
+            schema.len()
+        )?,
+        GraphSource::File(..) => writeln!(out, "dataset {}", input.summary())?,
+    }
+    let workload = generate_workload(graph, schema, &config)?;
 
     let manifest = workload.to_manifest();
     let written = match args.flag("out") {
@@ -111,8 +125,9 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let [chains, stars, cycles, trees] = workload.shape_counts();
     writeln!(
         out,
-        "workload over {source}: {} queries ({} bounded / {} unbounded; \
+        "workload over {}: {} queries ({} bounded / {} unbounded; \
          chain {chains}, star {stars}, cycle {cycles}, tree {trees}), seed {}{written}",
+        input.source,
         workload.queries.len(),
         workload.bounded_count(),
         workload.queries.len() - workload.bounded_count(),
@@ -120,70 +135,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     )?;
     summarize(&workload, out)?;
     Ok(())
-}
-
-/// Resolves the graph + schema input shared with `query`/`compile`: a
-/// dataset path or snapshot, or a streamed `--gen` scenario.
-fn load_graph_and_schema(
-    args: &Args,
-    out: &mut dyn Write,
-) -> Result<(Graph, AccessSchema, String), Box<dyn Error>> {
-    let schema_path = args.flag("schema").map(Path::new);
-    if let Some(name) = args.flag("gen") {
-        if args.positional(0).is_some() || args.flag(SNAPSHOT_FLAG).is_some() {
-            return Err("--gen conflicts with a dataset path or --snapshot".into());
-        }
-        let scenario = resolve_scenario(name)?;
-        let config = scenario_config(args)?;
-        let graph = stream_graph(scenario, &config);
-        let schema = load_or_discover_schema(&graph, schema_path, &discovery_config(args)?)?;
-        writeln!(
-            out,
-            "generated {} graph (scale {}, seed {}{}): {} nodes, {} edges; \
-             schema: {} constraints",
-            scenario,
-            config.scale,
-            config.seed,
-            knob_summary(&config),
-            graph.live_node_count(),
-            graph.edge_count(),
-            schema.len()
-        )?;
-        return Ok((graph, schema, format!("gen:{scenario}")));
-    }
-    let (path, format) = dataset_source(args)?;
-    let label = args.flag("label").unwrap_or(default_edge_label());
-    let loaded = load_dataset_full(path, format, label)?;
-    let (schema, desc) = match (loaded.embedded, schema_path) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--schema conflicts with a snapshot input's embedded schema; \
-                 generate from the original dataset to use a different schema"
-                    .into(),
-            )
-        }
-        (Some((schema, _)), None) => (schema, " (embedded in snapshot)".to_string()),
-        (None, schema_path) => {
-            let schema =
-                load_or_discover_schema(&loaded.graph, schema_path, &discovery_config(args)?)?;
-            let desc = match schema_path {
-                Some(p) => format!(" (from {})", p.display()),
-                None => " (discovered)".into(),
-            };
-            (schema, desc)
-        }
-    };
-    writeln!(
-        out,
-        "dataset {}: {} nodes, {} edges; schema: {} constraints{}",
-        path.display(),
-        loaded.graph.live_node_count(),
-        loaded.graph.edge_count(),
-        schema.len(),
-        desc
-    )?;
-    let display = path.display().to_string();
-    Ok((loaded.graph, schema, display))
 }
 
 /// Parses `--shapes chain=2,star,cycle=0` into [`Shape::ALL`]-indexed

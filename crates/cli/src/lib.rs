@@ -55,8 +55,8 @@ or --format text|jsonl|edges|snapshot):
   .tsv/.txt  typed n/e records   .jsonl  JSON lines   .el/.edges  edge list
   .bgpq      binary snapshot (graph + schema + indices, via `bgpq compile`)
 
-load/index/query/serve-demo also accept `--snapshot FILE` instead of the
-dataset path. Run `bgpq <command> --help` for the flags of one command.";
+Every command that reads a dataset, except discover, also accepts
+`--snapshot FILE` instead of the dataset path. Run `bgpq <command> --help` for the flags of one command.";
 
 /// Dispatches one CLI invocation (`argv` excludes the program name),
 /// writing human-readable output to `out`.

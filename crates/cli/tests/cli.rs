@@ -428,3 +428,56 @@ fn schema_flag_conflicts_with_embedded_snapshot_schema() {
     std::fs::remove_file(snap).ok();
     std::fs::remove_file(schema).ok();
 }
+
+/// The front door's refusals, one wording each: every command that takes
+/// `--schema` refuses it beside a snapshot that embeds a schema, and
+/// `compile` and `workload` refuse `--gen` beside a dataset path or
+/// `--snapshot`.
+#[test]
+fn input_conflicts_are_refused_in_one_wording() {
+    let snap = temp_path("front_door.bgpq");
+    let schema = temp_path("front_door.schema");
+    let out = temp_path("front_door.out.bgpq");
+    let (snap, schema, out) = (
+        snap.to_str().unwrap(),
+        schema.to_str().unwrap(),
+        out.to_str().unwrap(),
+    );
+    stdout_of(&["compile", "data/social.tsv", "--out", snap]);
+    stdout_of(&["discover", "data/social.tsv", "--out", schema]);
+    let refused = |args: &[&str], message: &str| {
+        let output = bgpq(args);
+        assert!(!output.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr, format!("error: {message}\n"), "{args:?}");
+        assert!(!Path::new(out).exists(), "{args:?} wrote {out}");
+    };
+
+    let schema_conflict = format!(
+        "--schema conflicts with the schema embedded in {snap}; \
+         use the original dataset to apply a different schema"
+    );
+    let takes_schema: [&[&str]; 6] = [
+        &["compile", "--out", out],
+        &["index"],
+        &["query", "--pattern", "data/queries/social.pat"],
+        &["serve", "--port", "0", "--drain-after-ms", "1"],
+        &["serve-demo"],
+        &["workload"],
+    ];
+    for command in takes_schema {
+        let args = [command, &["--snapshot", snap, "--schema", schema]].concat();
+        refused(&args, &schema_conflict);
+    }
+
+    let takes_gen: [&[&str]; 2] = [&["compile", "--out", out], &["workload"]];
+    let sources: [&[&str]; 2] = [&["data/social.tsv"], &["--snapshot", snap]];
+    for command in takes_gen {
+        for source in sources {
+            let args = [command, &["--gen", "social"], source].concat();
+            refused(&args, "--gen conflicts with a dataset path or --snapshot");
+        }
+    }
+    std::fs::remove_file(snap).ok();
+    std::fs::remove_file(schema).ok();
+}

@@ -75,23 +75,20 @@ impl Explain {
         schema: &bgpq_access::AccessSchema,
         interner: &bgpq_graph::LabelInterner,
     ) -> Vec<String> {
-        let node_display = |u: bgpq_pattern::PatternNodeId| match pattern.node_name(u) {
-            Some(name) => name.to_string(),
-            None => u.to_string(),
-        };
         let mut lines = Vec::new();
         match &self.plan {
             Some(plan) => {
                 lines.push(format!("plan ({:?} semantics):", plan.semantics));
                 for step in &plan.steps {
-                    let via: Vec<String> = step.via.iter().map(|&u| node_display(u)).collect();
+                    let via: Vec<String> =
+                        step.via.iter().map(|&u| pattern.column_name(u)).collect();
                     let constraint = schema
                         .get(step.constraint)
                         .map(|c| c.display_with(interner))
                         .unwrap_or_else(|| step.constraint.to_string());
                     lines.push(format!(
                         "  fetch {} via {} [{}] (≤ {} candidates)",
-                        node_display(step.node),
+                        pattern.column_name(step.node),
                         constraint,
                         if via.is_empty() {
                             "∅".to_string()

@@ -51,12 +51,6 @@ use std::fmt;
 /// return the empty list.
 pub(crate) const TOMBSTONE: Label = Label(u32::MAX);
 
-/// Neighbor-list size from which [`Graph::common_neighbors`] switches one
-/// intersection side from sorted-vec `binary_search` to a
-/// [`crate::NodeBitSet`]. Below this, loading the bitmap costs more than the
-/// handful of binary searches it replaces.
-pub const BITMAP_INTERSECT_THRESHOLD: usize = 64;
-
 /// Identifier of a node in a [`Graph`]; contiguous from `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
@@ -311,81 +305,6 @@ impl Graph {
     /// Number of nodes carrying `label`.
     pub fn label_count(&self, label: Label) -> usize {
         self.label_index.count(label)
-    }
-
-    /// Neighbors of `v` (either direction) that carry `label`.
-    pub fn neighbors_with_label(&self, v: NodeId, label: Label) -> Vec<NodeId> {
-        self.neighbor_iter(v)
-            .filter(|&n| self.label(n) == label)
-            .collect()
-    }
-
-    /// Common neighbors of every node in `nodes` (in either direction).
-    ///
-    /// Following the paper, the common neighbors of the empty set are **all**
-    /// (live) nodes of the graph.
-    ///
-    /// Each pairwise intersection picks its representation adaptively: small
-    /// neighbor lists stay on the sorted-vec `binary_search` path, while a
-    /// list of [`BITMAP_INTERSECT_THRESHOLD`] nodes or more is loaded into a
-    /// [`crate::NodeBitSet`] once so every membership probe is a single bit
-    /// test instead of an `O(log n)` search. The answer is identical either
-    /// way (the unit tests compare both on a hub-heavy graph).
-    pub fn common_neighbors(&self, nodes: &[NodeId]) -> Vec<NodeId> {
-        if nodes.is_empty() {
-            return self.nodes().filter(|&v| self.is_live(v)).collect();
-        }
-        // Start from the node with the smallest neighborhood to keep the
-        // intersection cheap.
-        let mut sets: Vec<Vec<NodeId>> = nodes.iter().map(|&v| self.neighbors(v)).collect();
-        sets.sort_by_key(Vec::len);
-        let mut acc = sets[0].clone();
-        let mut bits: Option<crate::NodeBitSet> = None;
-        for set in &sets[1..] {
-            if acc.is_empty() {
-                break;
-            }
-            if set.len() >= BITMAP_INTERSECT_THRESHOLD {
-                let bits =
-                    bits.get_or_insert_with(|| crate::NodeBitSet::with_capacity(self.node_count()));
-                bits.clear();
-                for &v in set {
-                    bits.insert(v);
-                }
-                acc.retain(|&v| bits.contains(v));
-            } else {
-                acc.retain(|v| set.binary_search(v).is_ok());
-            }
-        }
-        acc
-    }
-
-    /// The pre-bitmap [`Graph::common_neighbors`]: sorted-vec intersection
-    /// via `binary_search` for every set. Kept as the oracle the unit tests
-    /// compare [`Graph::common_neighbors`] against; answers are always
-    /// identical.
-    pub fn common_neighbors_sorted_vec(&self, nodes: &[NodeId]) -> Vec<NodeId> {
-        if nodes.is_empty() {
-            return self.nodes().filter(|&v| self.is_live(v)).collect();
-        }
-        let mut sets: Vec<Vec<NodeId>> = nodes.iter().map(|&v| self.neighbors(v)).collect();
-        sets.sort_by_key(Vec::len);
-        let mut acc = sets[0].clone();
-        for set in &sets[1..] {
-            acc.retain(|v| set.binary_search(v).is_ok());
-            if acc.is_empty() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Common neighbors of `nodes` that carry `label`.
-    pub fn common_neighbors_with_label(&self, nodes: &[NodeId], label: Label) -> Vec<NodeId> {
-        self.common_neighbors(nodes)
-            .into_iter()
-            .filter(|&v| self.label(v) == label)
-            .collect()
     }
 
     /// Total number of distinct labels that appear on at least one node.
@@ -647,32 +566,6 @@ mod tests {
         let movie_label = g.interner().get("movie").unwrap();
         assert_eq!(g.nodes_with_label(movie_label), &[ids[2]]);
         assert_eq!(g.label_count(movie_label), 1);
-        let actor_label = g.interner().get("actor").unwrap();
-        assert_eq!(g.neighbors_with_label(ids[2], actor_label), vec![ids[3]]);
-    }
-
-    #[test]
-    fn common_neighbors_of_pairs() {
-        let (g, ids) = movie_graph();
-        let (award, year, movie, actor, actress, country) =
-            (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
-        // award and year share exactly the movie.
-        assert_eq!(g.common_neighbors(&[award, year]), vec![movie]);
-        // actor and actress share movie and country.
-        assert_eq!(g.common_neighbors(&[actor, actress]), vec![movie, country]);
-        let country_label = g.interner().get("country").unwrap();
-        assert_eq!(
-            g.common_neighbors_with_label(&[actor, actress], country_label),
-            vec![country]
-        );
-        // Disconnected pair shares nothing.
-        assert!(g.common_neighbors(&[award, country]).is_empty());
-    }
-
-    #[test]
-    fn common_neighbors_of_empty_set_is_all_nodes() {
-        let (g, _) = movie_graph();
-        assert_eq!(g.common_neighbors(&[]).len(), g.node_count());
     }
 
     #[test]
@@ -693,7 +586,6 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.nodes().count(), 0);
         assert_eq!(g.edges().count(), 0);
-        assert!(g.common_neighbors(&[]).is_empty());
     }
 
     #[test]
@@ -806,34 +698,6 @@ mod tests {
         assert_eq!(
             crate::graph::EdgeId::new(ids[0], ids[2]),
             crate::graph::EdgeId::new(ids[0], ids[2])
-        );
-    }
-
-    /// Two hubs with large overlapping neighborhoods push the intersection
-    /// over [`BITMAP_INTERSECT_THRESHOLD`]: the bitmap path must agree with
-    /// the sorted-vec baseline exactly, order included.
-    #[test]
-    fn bitmap_and_sorted_vec_intersections_agree() {
-        let mut b = crate::GraphBuilder::new();
-        let h1 = b.add_node("hub", Value::Null);
-        let h2 = b.add_node("hub", Value::Null);
-        for i in 0..200 {
-            let x = b.add_node("x", Value::Int(i));
-            b.add_edge(h1, x).unwrap();
-            if i % 3 != 0 {
-                b.add_edge(h2, x).unwrap();
-            }
-        }
-        let g = b.build();
-        let fast = g.common_neighbors(&[h1, h2]);
-        let slow = g.common_neighbors_sorted_vec(&[h1, h2]);
-        assert_eq!(fast, slow);
-        assert!(fast.len() > super::BITMAP_INTERSECT_THRESHOLD);
-        // Below the threshold both take the sorted-vec path; still equal.
-        let x0 = fast[0];
-        assert_eq!(
-            g.common_neighbors(&[h1, x0]),
-            g.common_neighbors_sorted_vec(&[h1, x0])
         );
     }
 }

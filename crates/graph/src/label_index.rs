@@ -275,13 +275,6 @@ impl LabelIndex {
         self.buckets().filter(|(_, nodes)| !nodes.is_empty())
     }
 
-    /// The most frequent label and its frequency, if any node exists.
-    pub fn max_frequency(&self) -> Option<(Label, usize)> {
-        self.iter()
-            .map(|(l, nodes)| (l, nodes.len()))
-            .max_by_key(|&(_, n)| n)
-    }
-
     /// Registers `node` under `label`, keeping the bucket sorted. A no-op
     /// when the node is already present. Used by graph mutation to keep the
     /// index in sync with label assignments.
@@ -378,7 +371,6 @@ mod tests {
     fn empty_index() {
         let idx = LabelIndex::build(&[]);
         assert_eq!(idx.distinct_labels(), 0);
-        assert_eq!(idx.max_frequency(), None);
         assert_eq!(idx.iter().count(), 0);
     }
 
@@ -513,12 +505,5 @@ mod tests {
         assert!(nodes.contains(NodeId(27)) && !nodes.contains(NodeId(28)));
         assert_eq!(format!("{nodes:?}"), format!("{ids:?}"));
         assert!(LabelNodes::from(&[][..]).is_empty());
-    }
-
-    #[test]
-    fn max_frequency_finds_dominant_label() {
-        let labels = vec![Label(0), Label(1), Label(1), Label(1), Label(2)];
-        let idx = LabelIndex::build(&labels);
-        assert_eq!(idx.max_frequency(), Some((Label(1), 3)));
     }
 }

@@ -14,15 +14,17 @@
 //! * [`Value`] — attribute values with a total order, used by pattern
 //!   predicates;
 //! * [`Graph`] and [`GraphBuilder`] — the graph storage with out/in adjacency
-//!   lists, per-label node indexes and neighbor/common-neighbor queries, held
-//!   in structurally shared pages so a clone is cheap and a mutation copies
-//!   only what it touches;
+//!   lists, per-label node indexes and neighbor queries, held in structurally
+//!   shared pages so a clone is cheap and a mutation copies only what it
+//!   touches (common neighbours are answered by the access indices of
+//!   `bgpq-access`, not here);
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on, and [`Row`] —
 //!   the short sorted id list both store by value (adjacency rows here,
 //!   index keys and answer lists there);
-//! * [`Subgraph`] — the representation of the bounded fragment `G_Q` that a
-//!   query plan fetches from `G`;
+//! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
+//!   a standalone graph: the slow, obviously-correct test oracle that
+//!   [`FragmentView`] and the bounded executors are checked against;
 //! * [`view`] — zero-copy fragment execution: the [`GraphAccess`] trait the
 //!   matchers are generic over, and [`FragmentView`], a borrow of `G` plus a
 //!   fragment's node set that the bounded executors match on directly
@@ -42,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod builder;
 pub mod error;
 pub mod graph;
@@ -58,7 +59,6 @@ pub mod subgraph;
 pub mod value;
 pub mod view;
 
-pub use bitset::NodeBitSet;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};

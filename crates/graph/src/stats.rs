@@ -15,7 +15,7 @@
 //! labels into arrays indexed by label id: an adjacency entry costs an
 //! array increment, and each map entry is written once.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::label::Label;
 use std::collections::HashMap;
 
@@ -106,17 +106,13 @@ impl GraphStats {
         v.sort_by_key(|&(l, c)| (c, l));
         v
     }
-
-    /// The undirected degree of a specific node, recomputed from the graph.
-    pub fn degree_of(graph: &Graph, v: NodeId) -> usize {
-        graph.degree(v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::graph::NodeId;
     use crate::value::Value;
 
     fn star_graph(center_label: &str, leaf_label: &str, leaves: usize) -> Graph {
@@ -161,7 +157,7 @@ mod tests {
         assert_eq!(stats.max_degree, 3);
         // degrees: center 3, three leaves 1 → avg 6/4
         assert!((stats.avg_degree - 1.5).abs() < 1e-9);
-        assert_eq!(GraphStats::degree_of(&g, NodeId(0)), 3);
+        assert_eq!(g.degree(NodeId(0)), 3);
     }
 
     #[test]

@@ -749,13 +749,6 @@ fn handle_query(
     flow
 }
 
-fn node_display(pattern: &bgpq_pattern::Pattern, u: bgpq_pattern::PatternNodeId) -> String {
-    match pattern.node_name(u) {
-        Some(name) => name.to_string(),
-        None => u.to_string(),
-    }
-}
-
 /// Queues a whole answer: the header naming the columns, the rows as
 /// binary blocks cut straight from the engine's answer, and `done`.
 fn push_answer(
@@ -781,7 +774,7 @@ fn push_answer(
         strategy: response.strategy.to_string(),
         snapshot_version: response.stats.snapshot_version,
         total: response.answer.len() as u64,
-        columns: pattern.nodes().map(|u| node_display(pattern, u)).collect(),
+        columns: pattern.nodes().map(|u| pattern.column_name(u)).collect(),
         labels,
     }))?;
 

@@ -107,6 +107,15 @@ impl Pattern {
         self.nodes[u.index()].name.as_deref()
     }
 
+    /// The column name of `u` in answers and explain text: its build-time
+    /// name, else `u{i}`.
+    pub fn column_name(&self, u: PatternNodeId) -> String {
+        match self.node_name(u) {
+            Some(name) => name.to_string(),
+            None => u.to_string(),
+        }
+    }
+
     /// The label name of `u` (falls back to a placeholder).
     pub fn label_name(&self, u: PatternNodeId) -> String {
         self.interner.name_or_placeholder(self.label(u))
@@ -344,5 +353,14 @@ mod tests {
         assert!(rendered.contains("movie"));
         assert!(rendered.contains("pattern (1 nodes, 0 edges)"));
         assert_eq!(u.to_string(), "u0");
+        // A column is named after the node, else after its id.
+        let mut b = PatternBuilder::new();
+        b.named_node("m", "movie", Predicate::always());
+        let v = b.node("year", Predicate::always());
+        let q2 = b.build();
+        assert_eq!(
+            (q2.column_name(u), q2.column_name(v)),
+            ("m".into(), "u1".into())
+        );
     }
 }

@@ -1,5 +1,7 @@
-//! A hash-sharded copy-on-write map: the storage of a
-//! [`crate::ConstraintIndex`].
+//! A hash-sharded copy-on-write map: the storage of a global or `|S| ≥ 2`
+//! [`crate::ConstraintIndex`], whose keys are node-id tuples. (A unary
+//! index is keyed by one node id and is an array instead,
+//! [`bgpq_graph::PagedVec`].)
 //!
 //! The serving layer keeps many versions of one index alive at once, and a
 //! commit changes a handful of entries. [`CowMap`] spreads its entries over
@@ -20,16 +22,15 @@
 //! costs one reference-count bump — and dropping the superseded copy frees
 //! one table, not two heap lists per entry.
 //!
-//! **Bulk fills go shard by shard.** Inserting a whole index one key at a
-//! time lands each key in a random one of thousands of shards, and every
-//! shard's table rehashes as it grows. [`CowMap::from_records`] instead
-//! takes one record per key from the caller's buffer (a record names its
-//! key and how to make its entry — an index passes a node id and a range
-//! of one flat answer list), sorts the buffer by shard in place with a
-//! counting sort, and then builds each shard's table in one pass at its
-//! final size. The index build, snapshot decoding and the map's own
-//! re-bucketing (`split`, `shrink_to_fit`) all go through it; maintenance
-//! inserts key by key.
+//! **Bulk fills go shard by shard.** Inserting a whole map one key at a
+//! time lands each key in a random shard, and every shard's table rehashes
+//! as it grows. [`CowMap::from_records`] instead takes one record per key
+//! from the caller's buffer (a record names its key and how to make its
+//! entry — an index passes a span of one flat id list), sorts the buffer by
+//! shard in place with a counting sort, and then builds each shard's table
+//! in one pass at its final size. A global index's build, snapshot decoding
+//! and the map's own re-bucketing (`split`, `shrink_to_fit`) all go through
+//! it; maintenance inserts key by key.
 
 use bgpq_graph::{Spine, SpineShape};
 use std::borrow::Borrow;
@@ -189,6 +190,21 @@ impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
     /// Shape of the shard spine: its groups are what a clone bumps.
     pub fn shape(&self) -> SpineShape {
         self.shards.shape()
+    }
+
+    /// Bytes the map's storage holds, counted from its shape: every
+    /// shard's table at its capacity (an entry and a control byte per
+    /// slot), a pointer per shard, and what `held` says each entry points
+    /// to.
+    pub fn storage_bytes(&self, held: impl Fn(&K, &V) -> usize) -> usize {
+        let slot = std::mem::size_of::<(K, V)>() + 1;
+        let tables: usize = self
+            .shards
+            .iter()
+            .map(|shard| shard.capacity() * slot)
+            .sum();
+        let pointers = self.shards.len() * std::mem::size_of::<usize>();
+        tables + pointers + self.iter().map(|(k, v)| held(k, v)).sum::<usize>()
     }
 
     fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {

@@ -20,9 +20,11 @@
 //! for node deltas, for constraints with `|S| ≥ 2`, and for targets at the
 //! combination cap.
 //!
-//! Index storage is copy-on-write (the `cow_map` module): a maintenance call
-//! on a cloned [`AccessIndexSet`] un-shares only the constraints it changes
-//! and, inside them, the shards its entries hash to.
+//! Index storage is copy-on-write: a maintenance call on a cloned
+//! [`AccessIndexSet`] un-shares only the constraints it changes and, inside
+//! them, the pages its node ids fall in (unary indices) or the shards its
+//! keys hash to (the others). The new nodes of a batch have consecutive
+//! ids, so their entries share a page.
 
 use crate::index::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId};
@@ -277,7 +279,7 @@ mod tests {
             assert_eq!(kept.size(), fresh.size(), "size mismatch for {id}");
             for (key, answers) in fresh.entries() {
                 assert_eq!(
-                    kept.common_neighbors(key),
+                    kept.common_neighbors(&key),
                     answers,
                     "answers mismatch for {id} key {key:?}"
                 );
@@ -441,9 +443,9 @@ mod tests {
     }
 
     /// One edge at a hub target repairs one entry: maintaining a shared
-    /// clone copies the shard of that key and of the hub's counter — not
-    /// the shards of the hub's other keys — and re-applying the same delta
-    /// changes nothing.
+    /// clone copies the page of that key's answers and the page of the
+    /// hub's counter — not the pages of the hub's other keys — and
+    /// re-applying the same delta changes nothing.
     #[test]
     fn an_edge_at_a_hub_is_repaired_locally() {
         let mut b = GraphBuilder::new();
@@ -457,7 +459,8 @@ mod tests {
         let schema =
             AccessSchema::from_constraints([AccessConstraint::unary(l("post"), l("tag"), 1)]);
         let base = AccessIndexSet::build(&g, &schema);
-        assert!(base.get(ConstraintId(0)).unwrap().shard_count() > 16);
+        // The hub's 2 000 keys span 8 answer pages, one more the counters.
+        assert_eq!(base.get(ConstraintId(0)).unwrap().shard_count(), 9);
 
         let post = g.insert_node("post", Value::Int(-1));
         g.insert_edge(post, hub).unwrap();
@@ -643,7 +646,7 @@ mod tests {
         assert_eq!(kept.key_count(), fresh.key_count());
         assert_eq!(kept.size(), fresh.size());
         for (key, answers) in fresh.entries() {
-            assert_eq!(kept.common_neighbors(key), answers);
+            assert_eq!(kept.common_neighbors(&key), answers);
         }
         assert_eq!(kept.max_cardinality(), fresh.max_cardinality());
         assert_eq!(kept.is_truncated(), fresh.is_truncated());

@@ -27,7 +27,7 @@ use bgpq_graph::io::snapshot::{
     decode_graph, encode_graph, Section, SectionReader, SectionWriter, SnapshotArchive,
     SnapshotError, SnapshotWriter,
 };
-use bgpq_graph::{Graph, Label, NodeId};
+use bgpq_graph::{Graph, Label, NodeId, Row};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -141,19 +141,18 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
     w.put_u32(indices.len() as u32);
     for (_, index) in indices.iter() {
         w.put_u64(index.cap() as u64);
-        let mut capped: Vec<NodeId> = index.capped_targets.iter().map(|(&v, ())| v).collect();
-        capped.sort_unstable();
+        let capped = index.capped_targets();
         w.put_u32(capped.len() as u32);
         for v in capped {
             w.put_u32(v.0);
         }
         // Entries sorted by key so identical indices serialize identically.
-        let mut entries: Vec<(&[NodeId], &[NodeId])> = index.entries().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut entries: Vec<(Row, &[NodeId])> = index.entries().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         w.put_u32(entries.len() as u32);
         for (key, answers) in entries {
             w.put_u32(key.len() as u32);
-            for v in key {
+            for v in key.iter() {
                 w.put_u32(v.0);
             }
             w.put_u32(answers.len() as u32);
@@ -232,6 +231,9 @@ pub fn decode_indices(
         for _ in 0..entry_count {
             let start = ids.len();
             let key_len = r.read_u32()? as usize;
+            if key_len != constraint.source_len() {
+                return Err(r.corrupt(format!("index key of {key_len} ids for {constraint}")));
+            }
             read_sorted_ids(&mut r, key_len, node_count, "index key", &mut ids)?;
             let mid = ids.len();
             for &v in &ids[start..mid] {
@@ -247,6 +249,9 @@ pub fn decode_indices(
                 }
             }
             let ans_len = r.read_u32()? as usize;
+            if ans_len == 0 && key_len == 1 {
+                return Err(r.corrupt(format!("unary index key {} has no answers", ids[start])));
+            }
             read_sorted_ids(&mut r, ans_len, node_count, "index answer", &mut ids)?;
             for &v in &ids[mid..] {
                 if graph.label(v) != constraint.target() {
@@ -258,7 +263,15 @@ pub fn decode_indices(
             spans.push((start, mid, ids.len()));
         }
         let constraint = constraint.clone();
+        let persisted = capped.clone();
         let index = ConstraintIndex::from_entries(graph, constraint, cap, capped, &ids, &mut spans);
+        // A unary index derives its capped targets from its entries.
+        if index.capped_targets() != persisted {
+            return Err(r.corrupt(format!(
+                "the capped targets of {} disagree with its entries",
+                index.constraint()
+            )));
+        }
         indices.push(index);
     }
     r.expect_end()?;
@@ -315,22 +328,28 @@ mod tests {
     }
 
     /// `toy`'s snapshot bytes with the unary index's entries (constraint 1,
-    /// three one-id keys) passed through `edit` before they are written.
-    fn with_unary_entries(edit: impl Fn(&mut Vec<(&[NodeId], &[NodeId])>)) -> Vec<u8> {
+    /// three one-id keys) passed through `edit` before they are written,
+    /// and `capped` written as its capped targets (nothing is capped).
+    fn with_unary_entries(capped: &[NodeId], edit: impl Fn(&mut Vec<(Row, &[NodeId])>)) -> Vec<u8> {
         let (g, schema) = toy();
         let indices = AccessIndexSet::build(&g, &schema);
         let mut w = SectionWriter::new();
         w.put_u32(indices.len() as u32);
         for (id, index) in indices.iter() {
             w.put_u64(index.cap() as u64);
-            w.put_u32(0); // nothing is capped
-            let mut entries: Vec<(&[NodeId], &[NodeId])> = index.entries().collect();
+            let capped = if id.index() == 1 { capped } else { &[] };
+            w.put_u32(capped.len() as u32);
+            capped.iter().for_each(|v| w.put_u32(v.0));
+            let mut entries: Vec<(Row, &[NodeId])> = index.entries().collect();
             entries.sort_unstable();
             if id.index() == 1 {
                 edit(&mut entries);
             }
             w.put_u32(entries.len() as u32);
-            for list in entries.iter().flat_map(|&(key, answers)| [key, answers]) {
+            for list in entries
+                .iter()
+                .flat_map(|(key, answers)| [&key[..], answers])
+            {
                 w.put_u32(list.len() as u32);
                 list.iter().for_each(|v| w.put_u32(v.0));
             }
@@ -350,11 +369,11 @@ mod tests {
         let (g, schema) = toy();
         let mut written = Vec::new();
         write_snapshot(&g, &AccessIndexSet::build(&g, &schema), &mut written).unwrap();
-        assert_eq!(with_unary_entries(|_| {}), written);
+        assert_eq!(with_unary_entries(&[], |_| {}), written);
         assert!(read_snapshot(std::io::Cursor::new(written)).is_ok());
 
-        let duplicated = with_unary_entries(|entries| entries[1] = entries[0]);
-        let swapped = with_unary_entries(|entries| entries.swap(0, 1));
+        let duplicated = with_unary_entries(&[], |entries| entries[1] = entries[0].clone());
+        let swapped = with_unary_entries(&[], |entries| entries.swap(0, 1));
         for (what, bytes) in [
             ("a duplicated key", duplicated),
             ("a swapped pair", swapped),
@@ -363,6 +382,42 @@ mod tests {
                 Err(SnapshotError::Corrupt { section, message }) => {
                     assert_eq!(section, Section::Indices, "{what}");
                     assert!(message.contains("strictly increasing"), "{what}: {message}");
+                }
+                other => panic!("{what} must be refused as corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// A unary index is stored as arrays over its keys' one id each, and
+    /// derives its capped targets from its entries: a key of another
+    /// length, a key without answers, and a capped list the entries do not
+    /// bear out are refused as corrupt.
+    #[test]
+    fn malformed_unary_entries_are_refused() {
+        let (g, _) = toy();
+        let actor = g.nodes_with_label(g.interner().get("actor").unwrap());
+        let cases = [
+            (
+                "an empty key",
+                with_unary_entries(&[], |entries| entries[0].0 = Row::default()),
+                "index key of 0 ids",
+            ),
+            (
+                "a key without answers",
+                with_unary_entries(&[], |entries| entries[0].1 = &[]),
+                "has no answers",
+            ),
+            (
+                "an uncapped target listed as capped",
+                with_unary_entries(&[*actor.first().unwrap()], |_| {}),
+                "capped targets",
+            ),
+        ];
+        for (what, bytes, wording) in cases {
+            match read_snapshot(std::io::Cursor::new(bytes)) {
+                Err(SnapshotError::Corrupt { section, message }) => {
+                    assert_eq!(section, Section::Indices, "{what}");
+                    assert!(message.contains(wording), "{what}: {message}");
                 }
                 other => panic!("{what} must be refused as corrupt, got {other:?}"),
             }

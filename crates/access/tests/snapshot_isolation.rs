@@ -8,8 +8,8 @@
 //! each one must still equal a from-scratch rebuild over its own graph —
 //! every entry, cardinality, truncation verdict and contribution probe.
 //!
-//! The streams grow the unary `item → user` index from one shard through a
-//! re-split, and run once uncapped and once under a combination cap small
+//! The streams grow the unary `item → user` index's arrays past their first
+//! page, and run once uncapped and once under a combination cap small
 //! enough that hub targets sit at it.
 
 use bgpq_access::{
@@ -56,7 +56,7 @@ fn initial(rng: &mut DetRng) -> (Graph, AccessSchema) {
     (graph, schema)
 }
 
-/// The index the stream grows through a re-split: `item → user`.
+/// The index the stream grows past its first page: `item → user`.
 const GROWING: ConstraintId = ConstraintId(1);
 
 fn live_with(graph: &Graph, name: &str) -> Vec<NodeId> {
@@ -136,10 +136,10 @@ fn assert_equals_rebuild(kept: &AccessIndexSet, graph: &Graph, cap: usize, ctx: 
         assert_eq!(kept.key_count(), fresh.key_count(), "key count ({ctx})");
         assert_eq!(kept.size(), fresh.size(), "size ({ctx})");
         for (key, answers) in fresh.entries() {
-            assert_eq!(kept.common_neighbors(key), answers, "key {key:?} ({ctx})");
+            assert_eq!(kept.common_neighbors(&key), answers, "key {key:?} ({ctx})");
         }
         for (key, answers) in kept.entries() {
-            assert_eq!(fresh.common_neighbors(key), answers, "key {key:?} ({ctx})");
+            assert_eq!(fresh.common_neighbors(&key), answers, "key {key:?} ({ctx})");
         }
         assert_eq!(
             kept.max_cardinality(),
@@ -185,17 +185,17 @@ fn run_stream(seed: u64, cap: usize) {
     }
 
     // Under a cap the hub targets stop accepting keys, so only the uncapped
-    // stream is guaranteed to outgrow the index's first shard.
+    // stream is guaranteed to outgrow the index's first page.
     let shards = |set: &AccessIndexSet| set.get(GROWING).unwrap().shard_count();
     let most = versions.iter().map(|(_, set)| shards(set)).max().unwrap();
     assert!(
         cap < usize::MAX || most > shards(&versions[0].1),
-        "seed {seed}: the stream must re-split the growing index (still {most} shards)"
+        "seed {seed}: the stream must grow the index past its first page (still {most} pages)"
     );
     let last = &versions.last().unwrap().1;
     assert!(
         last.shards_copied() > 0,
-        "seed {seed}: maintaining a shared set copies the shards it writes to"
+        "seed {seed}: maintaining a shared set copies the pages and shards it writes to"
     );
     // The point of the test: later commits changed nothing in older versions.
     for (version, (graph, indices)) in versions.iter().enumerate() {
@@ -239,7 +239,7 @@ fn entries_of(set: &AccessIndexSet) -> Vec<(ConstraintId, Vec<NodeId>, Vec<NodeI
 }
 
 /// Index entries are stored by value: up to `INLINE_ROW` answers inside the
-/// shard's table, more behind one shared buffer. On a clone of a built set,
+/// page or shard, more behind one shared buffer. On a clone of a built set,
 /// one user's answer list (unary and `(user, tag)` alike) grows from 0 to
 /// 8 items in a random order and shrinks back to 0 in another, crossing
 /// the inline limit both ways one edge per commit. A copy pinned at every

@@ -8,12 +8,13 @@
 //! hubs inside the fragment grow with the graph. The update side is held to
 //! the same standard: a fixed batch of posts attached to the graph's
 //! biggest hubs must copy the same number of storage pages, label-bucket
-//! chunks, index shards and spine groups, and repair the same number of
-//! contributions, at both scales — and what a commit pays just to *share*
-//! the previous version is counted against its structural bound, one
-//! reference count per 64 pages or shards. A
-//! nightly `--ignored` smoke streams the full million-node scenario to
-//! verify the generator holds its contiguous-id contract at that size.
+//! chunks, index pages or shards, and spine groups, and repair the same
+//! number of contributions, at both scales — and what a commit pays just
+//! to *share* the previous version is counted against its structural
+//! bound, one reference count per 64 pages or shards. The indices'
+//! storage per node stays in a constant band too. A nightly `--ignored`
+//! smoke streams the full million-node scenario to verify the generator
+//! holds its contiguous-id contract at that size.
 
 use bgpq_engine::{
     discover_schema, AccessIndexSet, DiscoveryConfig, NodeId, QueryRequest, Semantics,
@@ -48,8 +49,8 @@ struct ScalePoint {
     max_out_degree: usize,
     /// Degree of the smallest hub the commit batches attach posts to.
     touched_hub_degree: usize,
-    /// Per commit: storage pages, bucket chunks and index shards copied,
-    /// spine groups un-shared (graph and indices), and contributions
+    /// Per commit: storage pages, bucket chunks and index pages or shards
+    /// copied, spine groups un-shared (graph and indices), and contributions
     /// repaired — the commit's work, counted, not timed.
     pages_copied: f64,
     chunks_copied: f64,
@@ -59,6 +60,9 @@ struct ScalePoint {
     /// Reference counts bumped by one `Graph::clone` plus un-sharing every
     /// index the batch touches.
     share_refcounts: usize,
+    /// Bytes of index storage per node of the graph as built
+    /// (`AccessIndexSet::storage_bytes`: counted, not measured).
+    index_bytes_per_node: f64,
 }
 
 /// Every spine holds `⌈leaves / 64⌉` groups; returns their sum — the
@@ -90,6 +94,7 @@ fn measure(scale: usize) -> ScalePoint {
     // Uncapped: a truncated index would make the engine's filtered planner
     // refuse queries the generator certified bounded against the schema.
     let indices = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
+    let index_bytes_per_node = indices.storage_bytes() as f64 / graph.node_count() as f64;
     let config = WorkloadConfig {
         queries: 8,
         seed: 0x1CDE_2015,
@@ -187,6 +192,7 @@ fn measure(scale: usize) -> ScalePoint {
         groups_copied: groups_copied as f64 / COMMITS as f64,
         refreshed: refreshed as f64 / COMMITS as f64,
         share_refcounts,
+        index_bytes_per_node,
     }
 }
 
@@ -269,6 +275,22 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
              band while the touched hubs grew {hub_growth:.1}x"
         );
     }
+
+    // The indices grow with the graph, not faster: their storage per node
+    // stays put over the decade. Unary indices are arrays over node ids, so
+    // a label's pages or a blank page leaking in per key would show here.
+    let bytes_growth = large.index_bytes_per_node / small.index_bytes_per_node;
+    eprintln!(
+        "index bytes per node {:.1} -> {:.1} ({bytes_growth:.3}x)",
+        small.index_bytes_per_node, large.index_bytes_per_node
+    );
+    assert!(
+        (0.5..=2.0).contains(&bytes_growth),
+        "index bytes per node {:.1} -> {:.1} ({bytes_growth:.2}x) left the constant band while \
+         |G| grew {graph_growth:.1}x",
+        small.index_bytes_per_node,
+        large.index_bytes_per_node
+    );
 
     // Sharing the previous version is the one cost left that follows `|G|`:
     // one reference count per 64 pages or shards (checked spine by spine in

@@ -19,9 +19,11 @@
 //!   touches (common neighbours are answered by the access indices of
 //!   `bgpq-access`, not here);
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
-//!   (and the access indices' in `bgpq-access`) is built on, and [`Row`] —
-//!   the short sorted id list both store by value (adjacency rows here,
-//!   index keys and answer lists there);
+//!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
+//!   the one per-node array on top of it, under the graph's per-node storage
+//!   and the unary access indices; and [`Row`] — the short sorted id list
+//!   both store by value (adjacency rows here, index keys and answer lists
+//!   there);
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
 //!   a standalone graph: the slow, obviously-correct test oracle that
 //!   [`FragmentView`] and the bounded executors are checked against;
@@ -65,7 +67,7 @@ pub use graph::{EdgeId, Graph, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
 pub use label_index::{LabelIndex, LabelNodes};
-pub use paged::PAGE_SIZE;
+pub use paged::{PagedVec, PagedVecBuilder, PAGE_SIZE};
 pub use pool::ArenaPool;
 pub use row::{Row, INLINE_ROW};
 pub use spine::{Spine, SpineShape, SPINE_FANOUT};

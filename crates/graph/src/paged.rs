@@ -1,4 +1,6 @@
-//! A paged copy-on-write vector: the per-node storage of [`crate::Graph`].
+//! A paged copy-on-write vector: the workspace's one per-node array, under
+//! the per-node storage of [`crate::Graph`] and the unary access indices of
+//! `bgpq-access` alike.
 //!
 //! A snapshot chain keeps many versions of one graph alive at once, and a
 //! commit changes a handful of nodes. [`PagedVec`] makes that cheap: the
@@ -8,13 +10,20 @@
 //! only the page it lands in plus that page's group of pointers (and only
 //! while they are still shared). Reads pay two cache-resident pointer hops
 //! over a flat `Vec`.
+//!
+//! **Pages nothing was written to share one blank page.** An array indexed
+//! by node id but written only at the ids of one label — an access index
+//! keyed by its source nodes — leaves whole pages at their defaults. Every
+//! such page is the same shared page of defaults, so the array allocates
+//! pages only where it holds values. A read past the end is `None`; a write
+//! past the end extends the array, the whole pages it skips blank.
 
 use crate::spine::Spine;
 use std::sync::Arc;
 
 const PAGE_BITS: u32 = 8;
 
-/// Elements per page of the graph's copy-on-write storage: node ids
+/// Elements per page of the workspace's copy-on-write arrays: node ids
 /// `k·PAGE_SIZE .. (k+1)·PAGE_SIZE` share one page of every per-node array.
 ///
 /// Chosen to balance the two costs of a commit: cloning a graph bumps
@@ -24,14 +33,20 @@ pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 const PAGE_MASK: usize = PAGE_SIZE - 1;
 
-/// A growable vector stored in `Arc`-shared pages of [`PAGE_SIZE`] elements.
+type Page<T> = [T; PAGE_SIZE];
+
+/// A growable vector stored in `Arc`-shared pages of [`PAGE_SIZE`] elements
+/// (see the module docs).
 ///
-/// Slots of the last page past `len` hold `T::default()` and are never
-/// observable.
+/// Slots past `len` in the last page, and every slot of a blank page, hold
+/// `T::default()`.
 #[derive(Debug, Clone)]
-pub(crate) struct PagedVec<T> {
-    pages: Spine<[T; PAGE_SIZE]>,
+pub struct PagedVec<T> {
+    pages: Spine<Page<T>>,
     len: usize,
+    /// The page of defaults that every page no write has reached shares;
+    /// made by the first extension that skips a page.
+    blank: Option<Arc<Page<T>>>,
 }
 
 impl<T> Default for PagedVec<T> {
@@ -39,58 +54,175 @@ impl<T> Default for PagedVec<T> {
         PagedVec {
             pages: Spine::default(),
             len: 0,
+            blank: None,
         }
     }
 }
 
 impl<T: Clone + Default> PagedVec<T> {
+    /// Number of elements, defaults in skipped pages included.
     pub fn len(&self) -> usize {
         self.len
     }
 
+    /// True when the array has no element.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
+    /// Element `i`, or `None` past the end.
+    #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {
         (i < self.len).then(|| &self.pages.leaf(i >> PAGE_BITS)[i & PAGE_MASK])
     }
 
     /// Mutable access to element `i`, copying its page first when another
-    /// clone still shares it.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of range.
+    /// clone (or the blank page's other users) still shares it. Past the
+    /// end the array is extended to `i + 1` elements first: the page `i`
+    /// lands in is allocated, the whole pages before it are blank.
     pub fn make_mut(&mut self, i: usize) -> &mut T {
-        assert!(i < self.len, "index {i} out of range for {}", self.len);
+        if i >= self.len {
+            self.extend_to(i + 1);
+        }
         &mut self.pages.make_mut(i >> PAGE_BITS)[i & PAGE_MASK]
     }
 
     /// Appends `value`. Opening a new page allocates it; it copies nothing.
     pub fn push(&mut self, value: T) {
-        if self.len & PAGE_MASK == 0 {
-            let defaults = std::iter::repeat_with(T::default).take(PAGE_SIZE);
-            self.pages.push(page(defaults.collect()));
-        }
-        self.len += 1;
-        *self.make_mut(self.len - 1) = value;
+        *self.make_mut(self.len) = value;
     }
 
+    /// Grows the array to `len` elements of which the new ones are defaults.
+    fn extend_to(&mut self, len: usize) {
+        let last = (len - 1) >> PAGE_BITS;
+        if last >= self.pages.len() {
+            let gap = last - self.pages.len();
+            if gap > 0 {
+                let blank = self.blank();
+                self.pages.extend(std::iter::repeat(blank).take(gap));
+            }
+            self.pages.push(defaults());
+        }
+        self.len = len;
+    }
+
+    /// The shared blank page, made on first use.
+    fn blank(&mut self) -> Arc<Page<T>> {
+        self.blank.get_or_insert_with(defaults).clone()
+    }
+
+    /// The array holding each `(i, value)` of `items` at `i` and defaults
+    /// elsewhere, built by a [`PagedVecBuilder`].
+    ///
+    /// # Panics
+    /// Panics when the indices are not strictly increasing.
+    pub fn from_sparse(items: impl IntoIterator<Item = (usize, T)>) -> Self {
+        let mut builder = PagedVecBuilder::default();
+        for (i, value) in items {
+            builder.set(i, value);
+        }
+        builder.finish()
+    }
+
+    /// Iterates over the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.pages.iter().flat_map(|p| p.iter()).take(self.len)
     }
 
     /// The spine the pages hang off (its shape and copy counters).
-    pub fn pages(&self) -> &Spine<[T; PAGE_SIZE]> {
+    pub fn pages(&self) -> &Spine<Page<T>> {
         &self.pages
     }
+
+    /// Bytes the array's own storage holds: its pages, the blank page
+    /// counted once however many slots share it, and one pointer per page.
+    /// What the elements themselves point to is not included.
+    pub fn storage_bytes(&self) -> usize {
+        let blank = self.blank.as_deref();
+        let is_blank = |p: &&Page<T>| blank.is_some_and(|b| std::ptr::eq(*p, b));
+        let blanks = self.pages.iter().filter(is_blank).count();
+        let held = self.pages.len() - blanks + usize::from(blanks > 0);
+        held * std::mem::size_of::<Page<T>>() + self.pages.len() * std::mem::size_of::<usize>()
+    }
+}
+
+/// Fills a [`PagedVec`] front to back: values set at strictly increasing
+/// indices go into a page being filled, and each page joins the array once,
+/// full and uniquely owned; the whole pages nothing is set in share one
+/// blank page. A writer that fills several arrays in one pass holds a
+/// builder per array.
+#[derive(Debug)]
+pub struct PagedVecBuilder<T> {
+    vec: PagedVec<T>,
+    pages: Vec<Arc<Page<T>>>,
+    /// The values of page `pages.len()`, the one being filled.
+    open: Vec<T>,
+}
+
+impl<T> Default for PagedVecBuilder<T> {
+    fn default() -> Self {
+        PagedVecBuilder {
+            vec: PagedVec::default(),
+            pages: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone + Default> PagedVecBuilder<T> {
+    /// Sets element `i` of the array.
+    ///
+    /// # Panics
+    /// Panics unless `i` is past every index set before.
+    pub fn set(&mut self, i: usize, value: T) {
+        assert!(i >= self.vec.len, "index {i} after {}", self.vec.len);
+        if i >> PAGE_BITS > self.pages.len() {
+            self.turn_to(i >> PAGE_BITS);
+        }
+        self.open.resize_with(i & PAGE_MASK, T::default);
+        self.open.push(value);
+        self.vec.len = i + 1;
+    }
+
+    /// The array, one element past the last index set long.
+    pub fn finish(mut self) -> PagedVec<T> {
+        if !self.open.is_empty() {
+            self.close();
+        }
+        self.vec.pages = self.pages.into_iter().collect();
+        self.vec
+    }
+
+    /// Moves on to page `at`: closes the page being filled, if anything
+    /// was set in it, and blanks the whole pages before `at`.
+    fn turn_to(&mut self, at: usize) {
+        if !self.open.is_empty() {
+            self.close();
+        }
+        if at > self.pages.len() {
+            let blank = self.vec.blank();
+            self.pages.resize(at, blank);
+        }
+    }
+
+    /// Pads the page being filled with defaults and adds it to the pages.
+    fn close(&mut self) {
+        let mut open = std::mem::replace(&mut self.open, Vec::with_capacity(PAGE_SIZE));
+        open.resize_with(PAGE_SIZE, T::default);
+        self.pages.push(page(open.into()));
+    }
+}
+
+/// A page of defaults.
+fn defaults<T: Default>() -> Arc<Page<T>> {
+    page(std::iter::repeat_with(T::default).take(PAGE_SIZE).collect())
 }
 
 /// Types a full page's worth of items as a page. Pages are collected
 /// straight into their `Arc` allocation and typed afterwards: a
 /// `[T; PAGE_SIZE]` built by value is built element by element behind a drop
 /// guard and then moved twice.
-fn page<T>(items: Arc<[T]>) -> Arc<[T; PAGE_SIZE]> {
+fn page<T>(items: Arc<[T]>) -> Arc<Page<T>> {
     items.try_into().ok().expect("a page holds PAGE_SIZE items")
 }
 
@@ -104,7 +236,9 @@ impl<T: Clone + Default> std::ops::Index<usize> for PagedVec<T> {
     }
 }
 
-/// Builds every page once, uniquely owned.
+/// Builds every page once, uniquely owned. A dense fill takes a page's
+/// items at a time, which runs about three times as fast as setting them
+/// one by one through a [`PagedVecBuilder`].
 impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
@@ -120,7 +254,11 @@ impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
             Some(page(items.into()))
         });
         let pages = pages.collect();
-        PagedVec { pages, len }
+        PagedVec {
+            pages,
+            len,
+            blank: None,
+        }
     }
 }
 
@@ -189,5 +327,71 @@ mod tests {
     fn indexing_the_padding_of_the_last_page_panics() {
         let paged: PagedVec<u32> = (0..3).collect();
         let _ = paged[3];
+    }
+
+    /// A model of a sparse array: the values written, by index.
+    fn assert_model(paged: &PagedVec<u32>, model: &std::collections::BTreeMap<usize, u32>) {
+        let len = model.keys().next_back().map_or(0, |&i| i + 1);
+        assert!(paged.len() >= len);
+        for i in 0..paged.len() + PAGE_SIZE {
+            let want = model.get(&i).copied().or((i < paged.len()).then_some(0));
+            assert_eq!(paged.get(i).copied(), want, "index {i}");
+        }
+    }
+
+    #[test]
+    fn skipped_pages_share_one_blank_page() {
+        let ids = [3 * PAGE_SIZE + 1, 3 * PAGE_SIZE + 9, 7 * PAGE_SIZE];
+        let sparse = PagedVec::from_sparse(ids.iter().map(|&i| (i, i as u32)));
+        let model = ids.iter().map(|&i| (i, i as u32)).collect();
+        assert_model(&sparse, &model);
+        assert_eq!((sparse.len(), sparse.pages.len()), (7 * PAGE_SIZE + 1, 8));
+        let blank = sparse.pages.leaf(0);
+        let blanks = (0..8).filter(|&p| std::ptr::eq(sparse.pages.leaf(p), blank));
+        assert_eq!(blanks.collect::<Vec<_>>(), [0, 1, 2, 4, 5, 6]);
+        // Two held pages and the blank one, each behind a page pointer.
+        let page = std::mem::size_of::<Page<u32>>();
+        let pointer = std::mem::size_of::<usize>();
+        assert_eq!(sparse.storage_bytes(), 3 * page + 8 * pointer);
+        let dense: PagedVec<u32> = (0..8 * PAGE_SIZE as u32).collect();
+        assert_eq!(dense.storage_bytes(), 8 * page + 8 * pointer);
+    }
+
+    /// Writes past the end and into blank pages, under a clone pinned at
+    /// every step, against a map model.
+    #[test]
+    fn writes_past_the_end_extend_and_blank_pages_copy_on_write() {
+        let mut paged: PagedVec<u32> = PagedVec::default();
+        let mut model = std::collections::BTreeMap::new();
+        let mut pins = Vec::new();
+        let writes = [
+            5 * PAGE_SIZE + 3,
+            2,
+            2 * PAGE_SIZE,
+            5 * PAGE_SIZE + 4,
+            9 * PAGE_SIZE - 1,
+        ];
+        for (n, &i) in writes.iter().enumerate() {
+            let before = paged.pages.leaves_copied();
+            let opens = i >> PAGE_BITS >= paged.pages.len();
+            *paged.make_mut(i) = n as u32 + 1;
+            model.insert(i, n as u32 + 1);
+            assert_model(&paged, &model);
+            // A write into a blank page or a pinned one copies it; a page
+            // opened at the end is new, and copies nothing.
+            let copied = paged.pages.leaves_copied() - before;
+            assert_eq!(copied, u64::from(!opens), "write {n} at {i}");
+            pins.push((paged.clone(), model.clone()));
+        }
+        assert_eq!(paged.get(9 * PAGE_SIZE), None);
+        for (pinned, held) in &pins {
+            assert_model(pinned, held);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "after")]
+    fn a_sparse_build_refuses_indices_out_of_order() {
+        let _ = PagedVec::from_sparse([(4, 1u32), (4, 2)]);
     }
 }

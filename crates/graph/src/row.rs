@@ -73,12 +73,7 @@ impl Row {
             len + 1
         };
         let old = &self[..];
-        let ids = old[..pos]
-            .iter()
-            .copied()
-            .chain([id])
-            .chain(old[pos..].iter().copied());
-        self.0 = shared(ids, len + 1, room);
+        self.0 = shared(&[&old[..pos], &[id], &old[pos..]], room);
     }
 
     /// Removes and returns the id at `pos`, shifting the ids after it left.
@@ -97,20 +92,31 @@ impl Row {
             }
         }
         let old = &self[..];
-        let rest = old[..pos].iter().chain(&old[pos + 1..]).copied();
+        let (before, after) = (&old[..pos], &old[pos + 1..]);
         self.0 = if len - 1 > INLINE_ROW {
-            shared(rest, len - 1, len - 1)
+            shared(&[before, after], len - 1)
         } else {
             let mut ids = [NodeId(0); INLINE_ROW];
-            for (slot, id) in ids.iter_mut().zip(rest) {
-                *slot = id;
-            }
+            ids[..pos].copy_from_slice(before);
+            ids[pos..len - 1].copy_from_slice(after);
             Repr::Inline {
                 len: (len - 1) as u8,
                 ids,
             }
         };
         id
+    }
+
+    /// Bytes the row holds outside itself: a shared row's buffer, spare
+    /// room included (counted whole by every row that shares it). An inline
+    /// row holds none.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Shared { ids, .. } => {
+                2 * std::mem::size_of::<usize>() + std::mem::size_of_val::<[NodeId]>(ids)
+            }
+        }
     }
 
     /// The row's whole buffer, when no clone shares it and it has room for
@@ -130,12 +136,19 @@ impl Row {
     }
 }
 
-/// A shared row of the `len` ids `ids` yields, in a buffer of `room` ids.
-fn shared(ids: impl Iterator<Item = NodeId>, len: usize, room: usize) -> Repr {
-    let buf: Arc<[NodeId]> = ids.chain(std::iter::repeat(NodeId(0))).take(room).collect();
+/// A shared row of `parts` laid end to end, in a new buffer of `room` ids:
+/// one allocation, then a slice copy per part.
+fn shared(parts: &[&[NodeId]], room: usize) -> Repr {
+    let mut ids: Arc<[NodeId]> = std::iter::repeat(NodeId(0)).take(room).collect();
+    let buf = Arc::get_mut(&mut ids).expect("a new buffer is not shared");
+    let mut len = 0;
+    for part in parts {
+        buf[len..len + part.len()].copy_from_slice(part);
+        len += part.len();
+    }
     Repr::Shared {
         len: len as u32,
-        ids: buf,
+        ids,
     }
 }
 
@@ -187,6 +200,19 @@ impl PartialEq for Row {
 }
 
 impl Eq for Row {}
+
+/// Orders exactly like the slice.
+impl Ord for Row {
+    fn cmp(&self, other: &Row) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Row) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Hashes exactly like the slice, as [`Borrow`] requires.
 impl Hash for Row {

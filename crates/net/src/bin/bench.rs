@@ -103,10 +103,10 @@ use Bound::{Max, Min};
 /// sweep's (6k to 600k nodes), which is what CI checks. The full profile's
 /// top point is five times larger, and there `maintenance_growth` reads
 /// 2.0-2.9 and `maintain_growth` 3.4-3.8. Maintenance copies no list that
-/// grows with |G| (answer lists are bounded by N and live in the shard
-/// table); what grows is un-sharing a touched index, one reference count per
-/// 64 shards of each of its maps — 804 for the whole social schema at 3.0M
-/// nodes, which a probe times at ~15 us against a ~25 us maintain phase.
+/// grows with |G| (answer lists are bounded by N and live in their page or
+/// shard); what grows is un-sharing a touched index, one reference count
+/// per 64 pages of each of its arrays (64 shards of each map of a keyed
+/// index).
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned
@@ -142,6 +142,8 @@ const GATES: [Gate; 12] = [
     // earlier build of it (the 6k-node point takes 4-9 ms, so the ratio is
     // noisy); 20 is the highest reading plus ~20%. The full profile reads
     // 10.7-17.6, and 16.5 with one scan and a hash insert per index key.
+    // With unary indices as arrays: 8.5-13.2 over 20 back-to-back --smoke
+    // runs, 11.1-12.2 at full profile.
     ("scaling.build_growth",          Max,     20.0, "the offline setup is growing faster than |G|"),
     // Bulk-reading sections against parsing, interning and sorting records,
     // on the 30k-node rig graph (the datasets load in tens of us and are not
@@ -296,6 +298,8 @@ fn post_batch(graph: &mut Graph, (u, tg): (NodeId, NodeId), value: usize) -> [Gr
 fn scale_point(scale: usize) -> Json {
     let rig = Rig::build(scale);
     let [stream_ms, discover_ms, index_ms] = rig.stages_ms;
+    // What the index storage holds, counted from its shape (MiB, as RSS is).
+    let index_mb = rig.indices.storage_bytes() as f64 / (1u64 << 20) as f64;
     let (mut graph, mut indices) = (rig.graph, rig.indices);
     let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
     let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
@@ -441,6 +445,7 @@ fn scale_point(scale: usize) -> Json {
         ("stream_ms", num(stream_ms, 1)),
         ("discover_ms", num(discover_ms, 1)),
         ("index_ms", num(index_ms, 1)),
+        ("index_mb", num(index_mb, 2)),
         ("queries", int(workload.queries.len())),
         ("avg_fragment_nodes", num(avg_fragment, 1)),
         ("fragment_fraction", num(fraction, 6)),

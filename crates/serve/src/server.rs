@@ -87,8 +87,8 @@ pub struct CommitReceipt {
     /// base snapshot still shared them
     /// ([`Graph::pages_copied`](bgpq_graph::Graph::pages_copied)).
     pub pages_copied: u64,
-    /// Index shards this commit copied, for the same reason
-    /// ([`AccessIndexSet::shards_copied`]).
+    /// Index pages (unary indices) and shards (the others) this commit
+    /// copied, for the same reason ([`AccessIndexSet::shards_copied`]).
     pub shards_copied: u64,
     /// Label-bucket chunks this commit copied, for the same reason
     /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)). All
@@ -126,7 +126,7 @@ pub struct ServerStats {
     pub retire_nanos: u64,
     /// Graph storage pages copied on write across all commits.
     pub pages_copied: u64,
-    /// Index shards copied on write across all commits.
+    /// Index pages and shards copied on write across all commits.
     pub shards_copied: u64,
     /// Label-bucket chunks copied on write across all commits.
     pub chunks_copied: u64,
@@ -150,17 +150,19 @@ pub struct ServerStats {
 ///   graph and indices (reference-count bumps, one per group of 64 storage
 ///   pages and per constraint), applies the batch as graph mutations, and
 ///   repairs the clone's indices with [`apply_deltas`]. Each write copies
-///   only the page, adjacency row, label-bucket chunk or index shard it
-///   lands in ([`CommitReceipt::pages_copied`],
+///   only the page, adjacency row, label-bucket chunk or index page or
+///   shard it lands in ([`CommitReceipt::pages_copied`],
 ///   [`CommitReceipt::chunks_copied`], [`CommitReceipt::shards_copied`])
 ///   plus its group of 64 pointers; everything else stays shared with the
 ///   snapshots readers still pin, and dropping a superseded snapshot —
 ///   after the pointer swap, outside its lock — frees only what its
-///   successor replaced. Index keys and answer lists live inline in their
-///   shard's table ([`bgpq_graph::Row`]), so an index shard copies and
-///   retires as one flat table. What still follows `|G|`: `|V| / 16 384`
-///   reference counts per per-node array on the clone and again on the
-///   retire (183 each at 3.0M nodes), one per 64 shards of each map of a
+///   successor replaced. A unary index is a pair of arrays over node ids,
+///   so a batch's new nodes, whose ids are consecutive, write one page of
+///   it; index keys and answer lists live inline in their page or shard
+///   ([`bgpq_graph::Row`]), so either copies and retires as one flat
+///   table. What still follows `|G|`: `|V| / 16 384` reference counts per
+///   per-node array on the clone and again on the retire (183 each at 3.0M
+///   nodes), one per 64 pages of each array (or shards of each map) of a
 ///   touched index, and a hub's own adjacency row, copied whole when an
 ///   edge lands on it — the largest `|G|` term left in the replay.
 /// * **Caches stay correct across epochs.** All snapshot engines share one

@@ -3,15 +3,20 @@
 //! For a constraint `S → (l, N)` the paper requires an index that, given any
 //! `S`-labeled node set `V_S`, returns all common neighbors of `V_S` labeled
 //! `l` in `O(N)` time. [`ConstraintIndex`] realizes that contract, and
-//! [`AccessIndexSet`] packs one index per constraint of a schema:
+//! [`AccessIndexSet`] packs one index per constraint of a schema. Each kind
+//! of constraint keeps its entries in the one copy-on-write array of the
+//! workspace, [`PagedVec`], addressed by node id:
 //!
+//! * a **global** constraint `∅ → (l, N)` has one key, the empty set, and
+//!   its index is that key's answer list — every `l`-labeled node;
 //! * a **unary** constraint `l' → (l, N)` — a per-node degree bound, the
-//!   commonest kind — is keyed by a single node id, so its index is an
-//!   array addressed by that id: the answers of source node `o` sit in slot
-//!   `o` of a [`PagedVec`], and a second array counts, per target node, the
-//!   keys it is listed under;
-//! * a **global** (`S = ∅`) or `|S| ≥ 2` constraint keeps a hash map keyed
-//!   by the sorted node-id tuple of `V_S` (the `cow_map` module).
+//!   commonest kind — is keyed by a single node id: the answers of source
+//!   node `o` sit in slot `o` of an array, and a second array counts, per
+//!   target node, the keys it is listed under;
+//! * an **`|S| ≥ 2`** constraint is keyed by a sorted node-id tuple: slot
+//!   `k[0]` of an array holds the keys whose smallest id is `k[0]`, sorted,
+//!   each with its answers, and a second array lists, per target node, the
+//!   keys it is listed under and whether its enumeration hit the cap.
 //!
 //! The experiments of the paper build these indices as MySQL tables; here
 //! they are in-memory structures with the same asymptotic access contract,
@@ -20,27 +25,26 @@
 //!
 //! **Storage is structurally shared.** An [`AccessIndexSet`] holds each
 //! [`ConstraintIndex`] behind an `Arc`, and an index keeps all of its
-//! per-entry state in copy-on-write pages or shards, the leaves of
-//! [`bgpq_graph::Spine`]s. Cloning a set costs one reference-count bump per
+//! per-entry state in copy-on-write pages, the leaves of
+//! [`bgpq_graph::Spine`]s — all but a global index, whose one answer list is
+//! bounded by `N`. Cloning a set costs one reference-count bump per
 //! constraint; maintaining the clone un-shares only the constraints a delta
-//! touches — one bump per [`bgpq_graph::SPINE_FANOUT`] leaves
+//! touches — one bump per [`bgpq_graph::SPINE_FANOUT`] pages
 //! ([`ConstraintIndex::spines`]), no copy sized by the index's content — and
-//! inside those copies only the pages the changed node ids fall in, or the
-//! shards the changed keys hash to. That is what lets the serving layer
-//! publish a new snapshot per commit at `O(|ΔG|)` cost while readers keep
-//! the old one. A unary array holds pages only where its label's node ids
-//! are; the pages in between share one blank page. The worst case, a label
-//! whose nodes sit one to a page, costs a page per key (~7 KB with the
-//! target's counter page, where a map entry took ~100 bytes); the scenario
-//! generators give each label's nodes consecutive ids, ~35 bytes per key.
+//! inside those copies only the pages the changed node ids fall in. That is
+//! what lets the serving layer publish a new snapshot per commit at
+//! `O(|ΔG|)` cost while readers keep the old one. An array holds pages only
+//! where its label's node ids are; the pages in between share one blank
+//! page. The worst case, a label whose nodes sit one to a page, costs a page
+//! per key (~7 KB with the target's page); the scenario generators give each
+//! label's nodes consecutive ids, ~35 bytes per unary key.
 //!
-//! **Entries are stored by value.** Every answer list, and every key of a
-//! map, is a [`Row`]: up to five ids inline in its page or table, a longer
+//! **Entries are stored by value.** Every answer list, and every key of an
+//! `|S| ≥ 2` index, is a [`Row`]: up to five ids inline in its page, a longer
 //! list behind one shared buffer. Answer lists are bounded by `N` and keys
-//! by `|S|`, so nearly every entry is inline, and a page or shard copy is
-//! one flat copy that touches no per-entry heap object; an edit changes its
-//! list in place, copying a long one only while a pinned version still
-//! shares it.
+//! by `|S|`, so nearly every entry is inline, and a page copy is one flat
+//! copy; an edit changes its list in place, copying a long one only while a
+//! pinned version still shares it.
 //!
 //! **The build reads each source label once and fills pages in id order.**
 //! [`AccessIndexSet::build_with_cap`] groups the unary constraints by
@@ -50,14 +54,11 @@
 //! target's first `cap` sources, as maintenance does). Each source's
 //! answers go straight into its slot, so the pages fill front to back, and
 //! the key counts are filled from the scan's per-node counts. Snapshot
-//! decoding fills the arrays the same way from the key-sorted entries it
-//! reads, and fills a global index's map shard by shard
-//! (`CowMap::from_records`). Maintenance edits entries one at a time;
-//! `|S| ≥ 2` indices enumerate their combinations per target and insert
-//! key by key.
+//! decoding fills the arrays from the entries it reads, which come in key
+//! order. Maintenance edits entries one at a time; `|S| ≥ 2` indices
+//! enumerate their combinations per target, in the build too.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
-use crate::cow_map::{shard_hash, CowMap};
 use crate::schema::AccessSchema;
 use bgpq_graph::{Graph, Label, NodeId, PagedVec, PagedVecBuilder, Row, SpineShape};
 use std::collections::BTreeMap;
@@ -83,12 +84,17 @@ pub struct ConstraintIndex {
     cap: usize,
 }
 
-/// Where an index keeps its entries: by source node id for a unary
-/// constraint, in maps keyed by node tuple otherwise.
+/// Where an index keeps its entries: one variant per constraint kind,
+/// chosen by `|S|`.
 #[derive(Debug, Clone)]
 enum Entries {
+    /// `S = ∅`: the answers of the one key, the empty set, which always
+    /// exists. Nothing is ever capped.
+    Global(Row),
+    /// `|S| = 1`.
     BySource(BySource),
-    Keyed(Keyed),
+    /// `|S| ≥ 2`.
+    ByFirst(ByFirst),
 }
 
 /// A unary index: arrays addressed by node id.
@@ -111,21 +117,30 @@ struct BySource {
     capped: usize,
 }
 
-/// A global or `|S| ≥ 2` index: copy-on-write maps.
-#[derive(Debug, Clone)]
-struct Keyed {
-    /// Sorted `S`-labeled node tuple → sorted common neighbors labeled `l`.
-    /// Global constraints use the empty key (always present).
-    map: CowMap<Row, Row>,
-    /// Constraints with `|S| ≥ 2`: target node → the keys it is listed
-    /// under (at most `cap` of them), for removing its contribution.
-    reverse: CowMap<NodeId, Vec<Row>>,
-    /// Target nodes whose combination enumeration hit the cap. Tracked per
-    /// node (not as a sticky flag) so that maintenance removing or repairing
-    /// a capped node's contribution leaves the truncation verdict exactly
-    /// where a fresh rebuild would put it. A map like the others, so that
-    /// un-sharing the index copies none of it.
-    capped_targets: CowMap<NodeId, ()>,
+/// An `|S| ≥ 2` index: arrays addressed by node id.
+#[derive(Debug, Clone, Default)]
+struct ByFirst {
+    /// Node `v` → the keys whose smallest id is `v`, each with its sorted
+    /// answers (never empty), in increasing key order.
+    keys: PagedVec<Vec<(Row, Row)>>,
+    /// Target node → what removing its contribution needs.
+    targets: PagedVec<Listing>,
+    /// Number of keys.
+    len: usize,
+    /// Number of targets whose listing is capped.
+    capped: usize,
+}
+
+/// The contribution of one target node to an `|S| ≥ 2` index.
+#[derive(Debug, Clone, Default)]
+struct Listing {
+    /// The keys the target is listed under (at most `cap` of them).
+    keys: Vec<Row>,
+    /// True when the target's combination enumeration hit the cap. Kept per
+    /// node (not as a sticky flag) so that maintenance removing or
+    /// repairing a capped node's contribution leaves the truncation verdict
+    /// exactly where a fresh rebuild would put it.
+    capped: bool,
 }
 
 impl BySource {
@@ -136,6 +151,66 @@ impl BySource {
     fn key_count(&self, target: NodeId) -> u32 {
         self.key_counts.get(target.index()).copied().unwrap_or(0)
     }
+}
+
+impl ByFirst {
+    /// The answers of `key` (strictly increasing), empty when it is not
+    /// indexed.
+    fn answers(&self, key: &[NodeId]) -> &[NodeId] {
+        let Some(slot) = key.first().and_then(|first| self.keys.get(first.index())) else {
+            return &[];
+        };
+        match slot.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            Ok(i) => &slot[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// The answers of `key` (strictly increasing) to edit, an empty list
+    /// inserted when the key is new.
+    fn answers_mut(&mut self, key: &[NodeId]) -> &mut Row {
+        let slot = self.keys.make_mut(key[0].index());
+        let i = match slot.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            Ok(i) => i,
+            Err(i) => {
+                slot.insert(i, (Row::from(key), Row::default()));
+                self.len += 1;
+                i
+            }
+        };
+        &mut slot[i].1
+    }
+
+    /// Removes `key`, whose answers ran out.
+    fn remove_key(&mut self, key: &[NodeId]) {
+        let slot = self.keys.make_mut(key[0].index());
+        let i = slot.binary_search_by(|(k, _)| (**k).cmp(key));
+        slot.remove(i.expect("the key is indexed"));
+        self.len -= 1;
+    }
+
+    fn listing(&self, target: NodeId) -> Option<&Listing> {
+        self.targets.get(target.index())
+    }
+
+    /// Takes `target`'s listing out, leaving it empty; writes nothing when
+    /// it already is.
+    fn unlist(&mut self, target: NodeId) -> Vec<Row> {
+        let listed = self.listing(target);
+        if !listed.is_some_and(|listing| listing.capped || !listing.keys.is_empty()) {
+            return Vec::new();
+        }
+        let listing = std::mem::take(self.targets.make_mut(target.index()));
+        self.capped -= usize::from(listing.capped);
+        listing.keys
+    }
+}
+
+/// Shape and copy counters of one page array: `(shape, pages copied,
+/// groups copied)`.
+fn array_stats<T: Clone + Default>(array: &PagedVec<T>) -> (SpineShape, u64, u64) {
+    let pages = array.pages();
+    (pages.shape(), pages.leaves_copied(), pages.groups_copied())
 }
 
 impl ConstraintIndex {
@@ -156,19 +231,15 @@ impl ConstraintIndex {
                 let mut built = Self::build_unary(graph, source, vec![constraint], cap);
                 built.pop().expect("one index per constraint")
             }
-            // The one key of a global index exists even without answers.
             [] => {
                 let all = graph.nodes_with_label(target).to_vec();
-                let mut spans = vec![(0, 0, all.len())];
-                Self::from_entries(graph, constraint, cap, Vec::new(), &all, &mut spans)
+                Self::global(constraint, cap, Row::from(&all[..]))
             }
             _ => {
-                let targets = graph.label_count(target);
-                let mut index = Self::empty(constraint, cap, targets);
+                let mut index = Self::empty(constraint, cap);
                 for &v in graph.nodes_with_label(target) {
                     index.add_combinations(graph, v);
                 }
-                index.shrink_to_fit();
                 index
             }
         }
@@ -266,88 +337,87 @@ impl ConstraintIndex {
         index
     }
 
+    /// The global index whose one key has answers `all`.
+    fn global(constraint: AccessConstraint, cap: usize, all: Row) -> Self {
+        let len = all.len();
+        let mut index = Self::with_entries(constraint, cap, Entries::Global(all));
+        index.note_length(0, len);
+        index
+    }
+
     /// The index holding `spans` — each a key and then its answers in the
     /// flat `ids` list, as `ids[start..mid]` and `ids[mid..end]`, keys
     /// strictly increasing and both lists sorted strictly — with its
-    /// per-target bookkeeping derived from them (snapshot load, and a global
-    /// index's build). A keyed index takes `capped` as its capped targets; a
-    /// unary one, whose every key is one id with answers, derives them. The
-    /// spans are drained.
+    /// per-target bookkeeping derived from them (snapshot load). A global
+    /// index has exactly one span. An `|S| ≥ 2` index takes `capped` as its
+    /// capped targets; a unary one, whose every key is one id with answers,
+    /// derives them. The spans are drained.
     pub(crate) fn from_entries(
         graph: &Graph,
         constraint: AccessConstraint,
         cap: usize,
-        mut capped: Vec<NodeId>,
+        capped: Vec<NodeId>,
         ids: &[NodeId],
         spans: &mut Vec<(usize, usize, usize)>,
     ) -> Self {
-        let target = constraint.target();
         let mut histogram = vec![0];
         for &(_, mid, end) in spans.iter() {
             histogram.resize(histogram.len().max(end - mid + 1), 0);
             histogram[end - mid] += 1;
         }
-        let source_len = constraint.source_len();
-        if source_len == 1 {
-            let mut counts = vec![0u32; graph.node_count()];
-            for &t in spans.iter().flat_map(|&(_, mid, end)| &ids[mid..end]) {
-                counts[t.index()] += 1;
+        match constraint.source_len() {
+            0 => {
+                let [(_, mid, end)] = spans[..] else {
+                    unreachable!("a global index has one key")
+                };
+                spans.clear();
+                Self::global(constraint, cap, Row::from(&ids[mid..end]))
             }
-            let rows = spans.drain(..).map(|(start, mid, end)| {
-                debug_assert_eq!(mid - start, 1, "a unary key is one id");
-                (ids[start].index(), Row::from(&ids[mid..end]))
-            });
-            let answers = PagedVec::from_sparse(rows);
-            return Self::unary(graph, constraint, cap, answers, histogram, &counts);
-        }
-        let mut reverse: CowMap<NodeId, Vec<Row>> = CowMap::with_capacity(0);
-        if source_len > 1 {
-            reverse = CowMap::with_capacity(graph.label_count(target));
-            for &(start, mid, end) in spans.iter() {
-                let key = Row::from(&ids[start..mid]);
-                for &t in &ids[mid..end] {
-                    reverse.entry_or_default(t).push(key.clone());
+            1 => {
+                let mut counts = vec![0u32; graph.node_count()];
+                for &t in spans.iter().flat_map(|&(_, mid, end)| &ids[mid..end]) {
+                    counts[t.index()] += 1;
                 }
+                let rows = spans.drain(..).map(|(start, mid, end)| {
+                    debug_assert_eq!(mid - start, 1, "a unary key is one id");
+                    (ids[start].index(), Row::from(&ids[mid..end]))
+                });
+                let answers = PagedVec::from_sparse(rows);
+                Self::unary(graph, constraint, cap, answers, histogram, &counts)
             }
-            reverse.shrink_to_fit();
-        }
-        let map = CowMap::from_records(
-            spans.len(),
-            spans,
-            |&(start, mid, _)| shard_hash(&ids[start..mid]),
-            |(start, mid, end)| (Row::from(&ids[start..mid]), Row::from(&ids[mid..end])),
-        );
-        let capped_targets = CowMap::from_records(0, &mut capped, shard_hash, |t| (t, ()));
-        let entries = Entries::Keyed(Keyed {
-            map,
-            reverse,
-            capped_targets,
-        });
-        let mut index = Self::with_entries(constraint, cap, entries);
-        index.lengths = lengths(histogram);
-        index
-    }
-
-    /// Re-fits maps that were sized for more entries than they received
-    /// (every target-labeled node a contributor), so clones stop paying for
-    /// shards nothing lives in. Arrays hold no room to give back.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        if let Entries::Keyed(keyed) = &mut self.entries {
-            keyed.map.shrink_to_fit();
-            keyed.reverse.shrink_to_fit();
+            _ => {
+                // Keys come in increasing order, so their first ids never
+                // decrease and every slot is written in order.
+                let mut by_first = ByFirst {
+                    len: spans.len(),
+                    capped: capped.len(),
+                    ..ByFirst::default()
+                };
+                for (start, mid, end) in spans.drain(..) {
+                    let key = Row::from(&ids[start..mid]);
+                    for &t in &ids[mid..end] {
+                        by_first.targets.make_mut(t.index()).keys.push(key.clone());
+                    }
+                    let slot = by_first.keys.make_mut(ids[start].index());
+                    slot.push((key, Row::from(&ids[mid..end])));
+                }
+                for t in capped {
+                    by_first.targets.make_mut(t.index()).capped = true;
+                }
+                let entries = Entries::ByFirst(by_first);
+                let mut index = Self::with_entries(constraint, cap, entries);
+                index.lengths = lengths(histogram);
+                index
+            }
         }
     }
 
-    /// An index with no entries; a `|S| ≥ 2` one sized for `targets`
-    /// contributing targets.
-    pub(crate) fn empty(constraint: AccessConstraint, cap: usize, targets: usize) -> Self {
+    /// An index with no entries (a global one with its empty key).
+    pub(crate) fn empty(constraint: AccessConstraint, cap: usize) -> Self {
         let entries = match constraint.source_len() {
+            0 => Entries::Global(Row::default()),
             1 => Entries::BySource(BySource::default()),
-            source_len => Entries::Keyed(Keyed {
-                map: CowMap::with_capacity(0),
-                reverse: CowMap::with_capacity(if source_len > 1 { targets } else { 0 }),
-                capped_targets: CowMap::with_capacity(0),
-            }),
+            _ => Entries::ByFirst(ByFirst::default()),
         };
         Self::with_entries(constraint, cap, entries)
     }
@@ -371,25 +441,21 @@ impl ConstraintIndex {
     /// is not indexed, which for a graph satisfying the constraint means the
     /// answer is empty.
     pub fn common_neighbors(&self, vs: &[NodeId]) -> &[NodeId] {
-        let answers = match &self.entries {
+        match &self.entries {
+            Entries::Global(all) if vs.is_empty() => all,
+            Entries::Global(_) => &[],
             // One slot per node: `vs` names it once or more, or no key.
-            Entries::BySource(unary) => {
-                return match vs.split_first() {
-                    Some((&o, rest)) if rest.iter().all(|&v| v == o) => unary.answers(o),
-                    _ => &[],
-                }
+            Entries::BySource(unary) => match vs.split_first() {
+                Some((&o, rest)) if rest.iter().all(|&v| v == o) => unary.answers(o),
+                _ => &[],
+            },
+            // A strictly increasing probe already is its own key: no
+            // allocation on the fetch path.
+            Entries::ByFirst(by_first) if vs.windows(2).all(|w| w[0] < w[1]) => {
+                by_first.answers(vs)
             }
-            // A strictly increasing probe already is its own key (always so
-            // for global lookups): no allocation on the fetch path.
-            Entries::Keyed(keyed) if vs.windows(2).all(|w| w[0] < w[1]) => keyed.map.get(vs),
-            Entries::Keyed(keyed) => keyed.map.get(Self::canonical_key(vs).as_slice()),
-        };
-        answers.map_or(&[], |answers| answers)
-    }
-
-    /// True when `target` is a common neighbor (labeled `l`) of `vs`.
-    pub fn contains(&self, vs: &[NodeId], target: NodeId) -> bool {
-        self.common_neighbors(vs).contains(&target)
+            Entries::ByFirst(by_first) => by_first.answers(&Self::canonical_key(vs)),
+        }
     }
 
     /// All nodes labeled `l` for a global (`S = ∅`) constraint.
@@ -416,25 +482,26 @@ impl ConstraintIndex {
     /// as a fresh rebuild would.
     pub fn is_truncated(&self) -> bool {
         match &self.entries {
+            Entries::Global(_) => false,
             Entries::BySource(unary) => unary.capped > 0,
-            Entries::Keyed(keyed) => keyed.capped_targets.len() > 0,
+            Entries::ByFirst(by_first) => by_first.capped > 0,
         }
     }
 
     /// The target nodes whose enumeration hit the cap, sorted.
     pub(crate) fn capped_targets(&self) -> Vec<NodeId> {
         match &self.entries {
+            Entries::Global(_) => Vec::new(),
             Entries::BySource(unary) => {
                 let limit = self.cap.max(1) as u32;
                 let counts = unary.key_counts.iter().enumerate();
                 let capped = counts.filter(|&(_, &n)| n >= limit);
                 capped.map(|(t, _)| NodeId(t as u32)).collect()
             }
-            Entries::Keyed(keyed) => {
-                let mut capped: Vec<NodeId> =
-                    keyed.capped_targets.iter().map(|(&t, ())| t).collect();
-                capped.sort_unstable();
-                capped
+            Entries::ByFirst(by_first) => {
+                let listings = by_first.targets.iter().enumerate();
+                let capped = listings.filter(|(_, listing)| listing.capped);
+                capped.map(|(t, _)| NodeId(t as u32)).collect()
             }
         }
     }
@@ -451,19 +518,17 @@ impl ConstraintIndex {
     /// stale contribution removed.
     pub fn has_contribution(&self, target: NodeId) -> bool {
         match &self.entries {
-            Entries::BySource(unary) => unary.key_count(target) > 0,
-            Entries::Keyed(_) if self.constraint.is_global() => {
-                self.global_nodes().binary_search(&target).is_ok()
-            }
-            Entries::Keyed(keyed) => keyed.reverse.contains_key(&target),
+            Entries::Global(all) => all.binary_search(&target).is_ok(),
+            Entries::BySource(_) | Entries::ByFirst(_) => self.key_count_of(target) > 0,
         }
     }
 
     /// Number of distinct keys indexed.
     pub fn key_count(&self) -> usize {
         match &self.entries {
+            Entries::Global(_) => 1,
             Entries::BySource(unary) => unary.keys,
-            Entries::Keyed(keyed) => keyed.map.len(),
+            Entries::ByFirst(by_first) => by_first.len,
         }
     }
 
@@ -474,97 +539,96 @@ impl ConstraintIndex {
         self.key_count() * self.constraint.source_len() + answers
     }
 
-    /// Iterates over `(key, answers)` pairs. A unary index stores no key,
-    /// so its keys are made (inline, as one-id rows) on the way out.
+    /// Iterates over `(key, answers)` pairs in increasing key order. A
+    /// global or unary index stores no key, so its keys are made (inline)
+    /// on the way out.
     pub fn entries(&self) -> impl Iterator<Item = (Row, &[NodeId])> {
-        let (unary, keyed) = match &self.entries {
-            Entries::BySource(unary) => (Some(unary), None),
-            Entries::Keyed(keyed) => (None, Some(keyed)),
+        let entries: Box<dyn Iterator<Item = (Row, &[NodeId])>> = match &self.entries {
+            Entries::Global(all) => Box::new(std::iter::once((Row::default(), &all[..]))),
+            Entries::BySource(unary) => {
+                let slots = unary.answers.iter().enumerate();
+                let keys = slots.filter(|(_, answers)| !answers.is_empty());
+                Box::new(
+                    keys.map(|(o, answers)| (Row::from(&[NodeId(o as u32)][..]), &answers[..])),
+                )
+            }
+            Entries::ByFirst(by_first) => {
+                let keys = by_first.keys.iter().flatten();
+                Box::new(keys.map(|(key, answers)| (key.clone(), &answers[..])))
+            }
         };
-        let by_source = unary.into_iter().flat_map(|unary| {
-            let slots = unary.answers.iter().enumerate();
-            let keys = slots.filter(|(_, answers)| !answers.is_empty());
-            keys.map(|(o, answers)| (Row::from(&[NodeId(o as u32)][..]), &answers[..]))
-        });
-        let keyed = keyed.into_iter().flat_map(|keyed| keyed.map.iter());
-        by_source.chain(keyed.map(|(key, answers)| (key.clone(), &answers[..])))
+        entries
     }
 
-    /// Bytes this index's storage holds: its pages or shard tables, and the
-    /// buffers of long rows (one per row that points to it) — counted from
-    /// the storage's shape, not measured. Shared storage counts in full.
+    /// Bytes this index's storage holds: its pages and the vectors they
+    /// point to, and the buffers of long rows (one per row that points to
+    /// it) — counted from the storage's shape, not measured. Shared storage
+    /// counts in full.
     pub fn storage_bytes(&self) -> usize {
-        let row_tables = |rows: &[Row]| -> usize {
-            std::mem::size_of_val(rows) + rows.iter().map(Row::heap_bytes).sum::<usize>()
-        };
+        let row = std::mem::size_of::<Row>();
         match &self.entries {
+            Entries::Global(all) => row + all.heap_bytes(),
             Entries::BySource(unary) => {
                 let long: usize = unary.answers.iter().map(Row::heap_bytes).sum();
                 unary.answers.storage_bytes() + long + unary.key_counts.storage_bytes()
             }
-            Entries::Keyed(keyed) => {
-                keyed
-                    .map
-                    .storage_bytes(|key, answers| key.heap_bytes() + answers.heap_bytes())
-                    + keyed.reverse.storage_bytes(|_, keys| row_tables(keys))
-                    + keyed.capped_targets.storage_bytes(|_, ()| 0)
+            Entries::ByFirst(by_first) => {
+                let slots = by_first.keys.iter().map(|slot| {
+                    let long = slot.iter().map(|(k, a)| k.heap_bytes() + a.heap_bytes());
+                    slot.capacity() * 2 * row + long.sum::<usize>()
+                });
+                let listings = by_first.targets.iter().map(|listing| {
+                    let long = listing.keys.iter().map(Row::heap_bytes);
+                    listing.keys.capacity() * row + long.sum::<usize>()
+                });
+                by_first.keys.storage_bytes()
+                    + slots.sum::<usize>()
+                    + by_first.targets.storage_bytes()
+                    + listings.sum::<usize>()
             }
         }
     }
 
-    /// Number of copy-on-write leaves the index's storage is spread over:
-    /// the pages of a unary index's arrays, the shards of a keyed index's
-    /// maps.
+    /// Number of copy-on-write pages the index's storage is spread over.
     pub fn shard_count(&self) -> usize {
         self.spines().iter().map(|spine| spine.leaves).sum()
     }
 
-    /// The shapes of the spines un-sharing this index walks: answers and
-    /// key counts of a unary index; entries, reverse keys and capped
-    /// targets of a keyed one. The sum of their `groups` is the number of
-    /// reference counts that costs.
-    pub fn spines(&self) -> Vec<SpineShape> {
+    /// Shape and copy counters of the page arrays the index keeps: answers
+    /// and key counts of a unary index, keys and target listings of an
+    /// `|S| ≥ 2` one, none for a global index.
+    fn arrays(&self) -> Vec<(SpineShape, u64, u64)> {
         match &self.entries {
-            Entries::BySource(unary) => vec![
-                unary.answers.pages().shape(),
-                unary.key_counts.pages().shape(),
-            ],
-            Entries::Keyed(keyed) => vec![
-                keyed.map.shape(),
-                keyed.reverse.shape(),
-                keyed.capped_targets.shape(),
-            ],
-        }
-    }
-
-    /// Pages and shards copied because a write found them still shared
-    /// with another clone of this index. The count is inherited by clones,
-    /// so the copy work of one maintenance call is the difference across
-    /// it.
-    pub fn shards_copied(&self) -> u64 {
-        match &self.entries {
+            Entries::Global(_) => Vec::new(),
             Entries::BySource(unary) => {
-                unary.answers.pages().leaves_copied() + unary.key_counts.pages().leaves_copied()
+                vec![array_stats(&unary.answers), array_stats(&unary.key_counts)]
             }
-            Entries::Keyed(keyed) => {
-                keyed.map.copied() + keyed.reverse.copied() + keyed.capped_targets.copied()
+            Entries::ByFirst(by_first) => {
+                vec![array_stats(&by_first.keys), array_stats(&by_first.targets)]
             }
         }
     }
 
-    /// Groups of page or shard pointers copied on write, counted like
+    /// The shapes of the spines un-sharing this index walks (see
+    /// `arrays`). The sum of their `groups` is the number of reference
+    /// counts that costs.
+    pub fn spines(&self) -> Vec<SpineShape> {
+        self.arrays().into_iter().map(|(shape, ..)| shape).collect()
+    }
+
+    /// Pages copied because a write found them still shared with another
+    /// clone of this index. The count is inherited by clones, so the copy
+    /// work of one maintenance call is the difference across it. A global
+    /// index keeps no pages: an edit of its one answer list copies the list
+    /// when a clone shares it, and counts nothing here.
+    pub fn shards_copied(&self) -> u64 {
+        self.arrays().iter().map(|&(_, pages, _)| pages).sum()
+    }
+
+    /// Groups of page pointers copied on write, counted like
     /// [`ConstraintIndex::shards_copied`].
     pub fn groups_copied(&self) -> u64 {
-        match &self.entries {
-            Entries::BySource(unary) => {
-                unary.answers.pages().groups_copied() + unary.key_counts.pages().groups_copied()
-            }
-            Entries::Keyed(keyed) => {
-                keyed.map.groups_copied()
-                    + keyed.reverse.groups_copied()
-                    + keyed.capped_targets.groups_copied()
-            }
-        }
+        self.arrays().iter().map(|&(_, _, groups)| groups).sum()
     }
 
     fn canonical_key(vs: &[NodeId]) -> Vec<NodeId> {
@@ -595,12 +659,13 @@ impl ConstraintIndex {
             return false;
         };
         let answers = match &mut self.entries {
+            Entries::Global(all) => all,
             Entries::BySource(unary) => {
                 let answers = unary.answers.make_mut(key[0].index());
                 unary.keys += usize::from(answers.is_empty());
                 answers
             }
-            Entries::Keyed(keyed) => keyed.map.entry_or_default(Row::from(key)),
+            Entries::ByFirst(by_first) => by_first.answers_mut(key),
         };
         answers.insert(pos, target);
         let len = answers.len();
@@ -609,24 +674,29 @@ impl ConstraintIndex {
     }
 
     /// Unlists `target` from `key` (strictly increasing), dropping a key
-    /// left without answers; returns whether the entry existed.
+    /// left without answers (the global key stays); returns whether the
+    /// entry existed.
     fn list_remove(&mut self, key: &[NodeId], target: NodeId) -> bool {
         let Ok(pos) = self.common_neighbors(key).binary_search(&target) else {
             return false;
         };
         let len = match &mut self.entries {
+            Entries::Global(all) => {
+                all.remove(pos);
+                all.len()
+            }
             Entries::BySource(unary) => {
                 let answers = unary.answers.make_mut(key[0].index());
                 answers.remove(pos);
                 unary.keys -= usize::from(answers.is_empty());
                 answers.len()
             }
-            Entries::Keyed(keyed) => {
-                let answers = keyed.map.get_mut(key).expect("the key was just read");
+            Entries::ByFirst(by_first) => {
+                let answers = by_first.answers_mut(key);
                 answers.remove(pos);
                 let len = answers.len();
-                if len == 0 && !key.is_empty() {
-                    keyed.map.remove(key);
+                if len == 0 {
+                    by_first.remove_key(key);
                 }
                 len
             }
@@ -646,17 +716,15 @@ impl ConstraintIndex {
     pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
         let is_target = graph.try_label(target) == Some(self.constraint.target());
         match &mut self.entries {
-            Entries::BySource(_) => self.refresh_unary_target(graph, target, is_target, partners),
-            Entries::Keyed(_) if self.constraint.is_global() => {
-                if is_target {
-                    self.list_insert(&[], target);
-                } else {
-                    self.list_remove(&[], target);
-                }
+            Entries::Global(_) if is_target => {
+                self.list_insert(&[], target);
             }
-            Entries::Keyed(keyed) => {
-                keyed.capped_targets.remove(&target);
-                for key in keyed.reverse.remove(&target).unwrap_or_default() {
+            Entries::Global(_) => {
+                self.list_remove(&[], target);
+            }
+            Entries::BySource(_) => self.refresh_unary_target(graph, target, is_target, partners),
+            Entries::ByFirst(by_first) => {
+                for key in by_first.unlist(target) {
                     self.list_remove(&key, target);
                 }
                 if is_target {
@@ -666,11 +734,14 @@ impl ConstraintIndex {
         }
     }
 
-    /// Number of keys `target` is listed under in a unary index.
+    /// Number of keys `target` is listed under (zero in a global index).
     fn key_count_of(&self, target: NodeId) -> u32 {
         match &self.entries {
+            Entries::Global(_) => 0,
             Entries::BySource(unary) => unary.key_count(target),
-            Entries::Keyed(_) => 0,
+            Entries::ByFirst(by_first) => by_first
+                .listing(target)
+                .map_or(0, |listing| listing.keys.len() as u32),
         }
     }
 
@@ -757,9 +828,9 @@ impl ConstraintIndex {
         }
     }
 
-    /// Adds the contribution of `target` (a node labeled `l`) to an index
-    /// with `|S| ≥ 2` by enumerating every `S`-labeled combination of its
-    /// neighbors in `graph`, up to the cap.
+    /// Adds the contribution of `target` (a node labeled `l`, listed under
+    /// no key) to an index with `|S| ≥ 2` by enumerating every `S`-labeled
+    /// combination of its neighbors in `graph`, up to the cap.
     fn add_combinations(&mut self, graph: &Graph, target: NodeId) {
         // Group the target's neighbors by the source labels of the constraint.
         let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
@@ -804,14 +875,12 @@ impl ConstraintIndex {
                 keys.push(Row::from(&key[..]));
             }
         }
-        let Entries::Keyed(keyed) = &mut self.entries else {
-            unreachable!("{} is not keyed", self.constraint)
+        let Entries::ByFirst(by_first) = &mut self.entries else {
+            unreachable!("{} is not |S| ≥ 2", self.constraint)
         };
-        if capped {
-            keyed.capped_targets.insert(target, ());
-        }
-        if !keys.is_empty() {
-            keyed.reverse.insert(target, keys);
+        if capped || !keys.is_empty() {
+            by_first.capped += usize::from(capped);
+            *by_first.targets.make_mut(target.index()) = Listing { keys, capped };
         }
     }
 }
@@ -923,7 +992,7 @@ impl AccessIndexSet {
         self.iter().map(|(_, index)| index.storage_bytes()).sum()
     }
 
-    /// Pages and shards copied by maintenance along this set's clone
+    /// Index pages copied by maintenance along this set's clone
     /// lineage (see [`ConstraintIndex::shards_copied`]): the copy work of
     /// one commit is the difference between the new snapshot's count and
     /// its base's.
@@ -931,7 +1000,7 @@ impl AccessIndexSet {
         self.iter().map(|(_, index)| index.shards_copied()).sum()
     }
 
-    /// Groups of page or shard pointers copied by maintenance along this
+    /// Groups of page pointers copied by maintenance along this
     /// set's clone lineage (see [`ConstraintIndex::groups_copied`]).
     pub fn groups_copied(&self) -> u64 {
         self.iter().map(|(_, index)| index.groups_copied()).sum()
@@ -1052,8 +1121,7 @@ mod tests {
             idx.common_neighbors(&[awards[0], years[0]]),
             idx.common_neighbors(&[years[0], awards[0]])
         );
-        assert!(idx.contains(&[years[0], awards[0]], m_y1[0]));
-        assert!(!idx.contains(&[years[1], awards[0]], m_y1[0]));
+        assert!(!m_y2.contains(&m_y1[0]));
         assert_eq!(idx.max_cardinality(), 2);
         assert!(idx.within_bound());
     }
@@ -1144,16 +1212,10 @@ mod tests {
     /// the oracle a bulk build must equal.
     fn replayed(graph: &Graph, constraint: AccessConstraint, cap: usize) -> ConstraintIndex {
         let target = constraint.target();
-        let mut index = ConstraintIndex::empty(constraint, cap, graph.label_count(target));
+        let mut index = ConstraintIndex::empty(constraint, cap);
         for &v in graph.nodes_with_label(target) {
             index.refresh_target(graph, v, &[]);
         }
-        if let Entries::Keyed(keyed) = &mut index.entries {
-            if index.constraint.is_global() {
-                keyed.map.entry_or_default(Row::default());
-            }
-        }
-        index.shrink_to_fit();
         index
     }
 
@@ -1161,15 +1223,7 @@ mod tests {
     /// them alike: counts, cardinality, truncation, and per node of `graph`
     /// its contribution, key count and cap.
     fn assert_same_content(a: &ConstraintIndex, b: &ConstraintIndex, graph: &Graph, ctx: &str) {
-        let sorted = |index: &ConstraintIndex| {
-            let mut entries: Vec<(Vec<NodeId>, Vec<NodeId>)> = index
-                .entries()
-                .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                .collect();
-            entries.sort_unstable();
-            entries
-        };
-        assert_eq!(sorted(a), sorted(b), "entries ({ctx})");
+        assert!(a.entries().eq(b.entries()), "entries ({ctx})");
         assert_eq!(a.lengths, b.lengths, "lengths ({ctx})");
         assert_eq!(a.max_cardinality(), b.max_cardinality(), "max ({ctx})");
         assert_eq!(a.is_truncated(), b.is_truncated(), "truncated ({ctx})");
@@ -1191,7 +1245,7 @@ mod tests {
 
     /// A random graph over three labels, self-loops and repeated edges
     /// included, with a few nodes deleted, and a fourth label on no node.
-    /// One in eight is large enough to spread its maps over several shards.
+    /// One in eight is large enough to spread its arrays over several pages.
     fn random_graph(rng: &mut bgpq_pattern::DetRng) -> Graph {
         let mut b = GraphBuilder::new();
         b.intern_label("ghost");
@@ -1390,12 +1444,13 @@ mod tests {
         deltas
     }
 
-    /// The unary arrays equal the oracle through a stream of commits, under
-    /// caps 1, 2 and none: the maintained indices, maintenance replayed
-    /// from empty on the new graph, a fresh build and a snapshot round trip
-    /// of the maintained set agree entry by entry and node by node, and the
-    /// maintained set writes the fresh build's snapshot bytes. The decoded
-    /// arrays also take the fresh build's page layout.
+    /// The arrays of every kind — unary, global and `|S| = 2` — equal the
+    /// oracle through a stream of commits, under caps 1, 2 and none: the
+    /// maintained indices, maintenance replayed from empty on the new graph,
+    /// a fresh build and a snapshot round trip of the maintained set agree
+    /// entry by entry and node by node, and the maintained set writes the
+    /// fresh build's snapshot bytes. The decoded arrays also take the fresh
+    /// build's page layout.
     #[test]
     fn array_indices_equal_the_oracle_through_commits() {
         use crate::maintenance::apply_deltas;
@@ -1408,9 +1463,17 @@ mod tests {
             let pairs = labels
                 .iter()
                 .flat_map(|&s| labels.iter().map(move |&t| (s, t)));
-            let schema = AccessSchema::from_constraints(
-                pairs.map(|(s, t)| AccessConstraint::unary(s, t, 8)),
-            );
+            let mut constraints: Vec<AccessConstraint> = pairs
+                .map(|(s, t)| AccessConstraint::unary(s, t, 8))
+                .collect();
+            for (i, &t) in labels.iter().enumerate() {
+                constraints.push(AccessConstraint::global(t, 8));
+                // `{a, b} → c`, `{a, c} → b` and `{b, c} → a`.
+                let others = labels.iter().enumerate().filter(|&(j, _)| j != i);
+                let source: Vec<Label> = others.map(|(_, &l)| l).collect();
+                constraints.push(AccessConstraint::new(source, t, 8));
+            }
+            let schema = AccessSchema::from_constraints(constraints);
             for cap in [1, 2, usize::MAX] {
                 let mut g = graph.clone();
                 let mut maintained = AccessIndexSet::build_with_cap(&g, &schema, cap);

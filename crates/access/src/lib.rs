@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod constraint;
-mod cow_map;
 pub mod discovery;
 pub mod index;
 pub mod maintenance;

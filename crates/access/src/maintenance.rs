@@ -22,9 +22,10 @@
 //!
 //! Index storage is copy-on-write: a maintenance call on a cloned
 //! [`AccessIndexSet`] un-shares only the constraints it changes and, inside
-//! them, the pages its node ids fall in (unary indices) or the shards its
-//! keys hash to (the others). The new nodes of a batch have consecutive
-//! ids, so their entries share a page.
+//! them, the pages its node ids fall in — a unary key's source, an
+//! `|S| ≥ 2` key's smallest id, a target's own id — or a global index's one
+//! answer list. The new nodes of a batch have consecutive ids, so their
+//! entries share a page.
 
 use crate::index::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId};

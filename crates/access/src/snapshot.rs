@@ -146,20 +146,30 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
         for v in capped {
             w.put_u32(v.0);
         }
-        // Entries sorted by key so identical indices serialize identically.
-        let mut entries: Vec<(Row, &[NodeId])> = index.entries().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        w.put_u32(entries.len() as u32);
-        for (key, answers) in entries {
-            w.put_u32(key.len() as u32);
-            for v in key.iter() {
-                w.put_u32(v.0);
+        // Entries come in increasing key order, so identical indices
+        // serialize identically.
+        w.put_u32(index.key_count() as u32);
+        let (mut written, mut previous) = (0, None::<Row>);
+        for (key, answers) in index.entries() {
+            debug_assert!(
+                previous.as_ref().map_or(true, |p| p[..] < key[..]),
+                "{key:?} out of order"
+            );
+            for list in [&key[..], answers] {
+                w.put_u32(list.len() as u32);
+                for v in list {
+                    w.put_u32(v.0);
+                }
             }
-            w.put_u32(answers.len() as u32);
-            for v in answers {
-                w.put_u32(v.0);
-            }
+            written += 1;
+            previous = Some(key);
         }
+        debug_assert_eq!(
+            written,
+            index.key_count(),
+            "entries of {}",
+            index.constraint()
+        );
     }
     w
 }
@@ -226,7 +236,24 @@ pub fn decode_indices(
             &mut capped,
         )?;
 
+        if constraint.is_global() && !capped.is_empty() {
+            return Err(r.corrupt(format!(
+                "the global index of {constraint} lists capped targets"
+            )));
+        }
+        if let Some(v) = capped
+            .iter()
+            .find(|&&v| graph.label(v) != constraint.target())
+        {
+            return Err(r.corrupt(format!(
+                "capped target {v} does not carry the target label of {constraint}"
+            )));
+        }
+
         let entry_count = r.read_u32()? as usize;
+        if constraint.is_global() && entry_count != 1 {
+            return Err(r.corrupt(format!("{entry_count} keys for the global {constraint}")));
+        }
         ids.clear();
         for _ in 0..entry_count {
             let start = ids.len();
@@ -249,8 +276,11 @@ pub fn decode_indices(
                 }
             }
             let ans_len = r.read_u32()? as usize;
-            if ans_len == 0 && key_len == 1 {
-                return Err(r.corrupt(format!("unary index key {} has no answers", ids[start])));
+            // Only the global index's one key may be empty: maintenance
+            // drops any other key whose answers run out.
+            if ans_len == 0 && key_len > 0 {
+                let key = &ids[start..mid];
+                return Err(r.corrupt(format!("index key {key:?} has no answers")));
             }
             read_sorted_ids(&mut r, ans_len, node_count, "index answer", &mut ids)?;
             for &v in &ids[mid..] {
@@ -265,7 +295,8 @@ pub fn decode_indices(
         let constraint = constraint.clone();
         let persisted = capped.clone();
         let index = ConstraintIndex::from_entries(graph, constraint, cap, capped, &ids, &mut spans);
-        // A unary index derives its capped targets from its entries.
+        // A unary index derives its capped targets from its entries; an
+        // `|S| ≥ 2` one keeps the list it was given.
         if index.capped_targets() != persisted {
             return Err(r.corrupt(format!(
                 "the capped targets of {} disagree with its entries",
@@ -327,22 +358,26 @@ mod tests {
         assert_eq!(bundle.indices.total_size(), indices.total_size());
     }
 
-    /// `toy`'s snapshot bytes with the unary index's entries (constraint 1,
-    /// three one-id keys) passed through `edit` before they are written,
-    /// and `capped` written as its capped targets (nothing is capped).
-    fn with_unary_entries(capped: &[NodeId], edit: impl Fn(&mut Vec<(Row, &[NodeId])>)) -> Vec<u8> {
+    /// `toy`'s snapshot bytes with the entries of index `edited` passed
+    /// through `edit` before they are written, and `capped` written as its
+    /// capped targets (nothing is capped). Index 0 is global, 1 unary (three
+    /// one-id keys) and 2 a pair index.
+    fn with_entries(
+        edited: usize,
+        capped: &[NodeId],
+        edit: impl Fn(&mut Vec<(Row, &[NodeId])>),
+    ) -> Vec<u8> {
         let (g, schema) = toy();
         let indices = AccessIndexSet::build(&g, &schema);
         let mut w = SectionWriter::new();
         w.put_u32(indices.len() as u32);
         for (id, index) in indices.iter() {
             w.put_u64(index.cap() as u64);
-            let capped = if id.index() == 1 { capped } else { &[] };
+            let capped = if id.index() == edited { capped } else { &[] };
             w.put_u32(capped.len() as u32);
             capped.iter().for_each(|v| w.put_u32(v.0));
             let mut entries: Vec<(Row, &[NodeId])> = index.entries().collect();
-            entries.sort_unstable();
-            if id.index() == 1 {
+            if id.index() == edited {
                 edit(&mut entries);
             }
             w.put_u32(entries.len() as u32);
@@ -369,11 +404,11 @@ mod tests {
         let (g, schema) = toy();
         let mut written = Vec::new();
         write_snapshot(&g, &AccessIndexSet::build(&g, &schema), &mut written).unwrap();
-        assert_eq!(with_unary_entries(&[], |_| {}), written);
+        assert_eq!(with_entries(1, &[], |_| {}), written);
         assert!(read_snapshot(std::io::Cursor::new(written)).is_ok());
 
-        let duplicated = with_unary_entries(&[], |entries| entries[1] = entries[0].clone());
-        let swapped = with_unary_entries(&[], |entries| entries.swap(0, 1));
+        let duplicated = with_entries(1, &[], |entries| entries[1] = entries[0].clone());
+        let swapped = with_entries(1, &[], |entries| entries.swap(0, 1));
         for (what, bytes) in [
             ("a duplicated key", duplicated),
             ("a swapped pair", swapped),
@@ -391,26 +426,52 @@ mod tests {
     /// A unary index is stored as arrays over its keys' one id each, and
     /// derives its capped targets from its entries: a key of another
     /// length, a key without answers, and a capped list the entries do not
-    /// bear out are refused as corrupt.
+    /// bear out are refused as corrupt. The other kinds are checked too: a
+    /// pair key has answers, a global index caps nothing and has its one
+    /// key, and a capped target of any index carries the target label.
     #[test]
     fn malformed_unary_entries_are_refused() {
         let (g, _) = toy();
-        let actor = g.nodes_with_label(g.interner().get("actor").unwrap());
+        let first = |label: &str| {
+            *g.nodes_with_label(g.interner().get(label).unwrap())
+                .first()
+                .unwrap()
+        };
         let cases = [
             (
                 "an empty key",
-                with_unary_entries(&[], |entries| entries[0].0 = Row::default()),
+                with_entries(1, &[], |entries| entries[0].0 = Row::default()),
                 "index key of 0 ids",
             ),
             (
                 "a key without answers",
-                with_unary_entries(&[], |entries| entries[0].1 = &[]),
+                with_entries(1, &[], |entries| entries[0].1 = &[]),
                 "has no answers",
             ),
             (
                 "an uncapped target listed as capped",
-                with_unary_entries(&[*actor.first().unwrap()], |_| {}),
+                with_entries(1, &[first("actor")], |_| {}),
                 "capped targets",
+            ),
+            (
+                "a capped global index",
+                with_entries(0, &[first("year")], |_| {}),
+                "lists capped targets",
+            ),
+            (
+                "a global index without its key",
+                with_entries(0, &[], |entries| entries.clear()),
+                "0 keys for the global",
+            ),
+            (
+                "a pair key without answers",
+                with_entries(2, &[], |entries| entries[0].1 = &[]),
+                "has no answers",
+            ),
+            (
+                "a capped pair target without the target label",
+                with_entries(2, &[first("actor")], |_| {}),
+                "does not carry the target label",
             ),
         ];
         for (what, bytes, wording) in cases {
@@ -422,6 +483,12 @@ mod tests {
                 other => panic!("{what} must be refused as corrupt, got {other:?}"),
             }
         }
+        // A capped target of a pair index carrying the target label is
+        // taken as persisted.
+        let movie = first("movie");
+        let bundle = read_snapshot(std::io::Cursor::new(with_entries(2, &[movie], |_| {})));
+        let pair = bundle.unwrap().indices;
+        assert!(pair.get(crate::ConstraintId(2)).unwrap().is_truncated());
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn run_stream(seed: u64, cap: usize) {
     let last = &versions.last().unwrap().1;
     assert!(
         last.shards_copied() > 0,
-        "seed {seed}: maintaining a shared set copies the pages and shards it writes to"
+        "seed {seed}: maintaining a shared set copies the pages it writes to"
     );
     // The point of the test: later commits changed nothing in older versions.
     for (version, (graph, indices)) in versions.iter().enumerate() {
@@ -258,7 +258,7 @@ fn pinned_copies_survive_an_answer_list_crossing_the_inline_limit() {
             let item = b.add_node("item", Value::Int(i as i64));
             b.add_edge(item, tag).unwrap();
             if i >= GROWN {
-                // Other users and their items fill the shards around the
+                // Other users and their items fill the pages around the
                 // hub's entry.
                 let user = b.add_node("user", Value::Int(i as i64));
                 b.add_edge(user, item).unwrap();

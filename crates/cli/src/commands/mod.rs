@@ -33,7 +33,7 @@ pub(crate) fn commit_phases(stats: &bgpq_serve::ServerStats) -> String {
     let avg = |nanos: u64| fmt_nanos(nanos / stats.commits.max(1));
     format!(
         "commit phases (avg of {}): clone {}, replay {}, maintain {}, publish {}, \
-         retire {} of {}; copied {} pages, {} shards, {} chunks",
+         retire {} of {}; copied {} graph pages, {} index pages, {} chunks",
         stats.commits,
         avg(stats.clone_nanos),
         avg(stats.replay_nanos),

@@ -8,10 +8,10 @@
 //! hubs inside the fragment grow with the graph. The update side is held to
 //! the same standard: a fixed batch of posts attached to the graph's
 //! biggest hubs must copy the same number of storage pages, label-bucket
-//! chunks, index pages or shards, and spine groups, and repair the same
+//! chunks, index pages, and spine groups, and repair the same
 //! number of contributions, at both scales — and what a commit pays just
 //! to *share* the previous version is counted against its structural
-//! bound, one reference count per 64 pages or shards. The indices'
+//! bound, one reference count per 64 pages. The indices'
 //! storage per node stays in a constant band too. A nightly `--ignored`
 //! smoke streams the full million-node scenario to verify the generator
 //! holds its contiguous-id contract at that size.
@@ -49,7 +49,7 @@ struct ScalePoint {
     max_out_degree: usize,
     /// Degree of the smallest hub the commit batches attach posts to.
     touched_hub_degree: usize,
-    /// Per commit: storage pages, bucket chunks and index pages or shards
+    /// Per commit: storage pages, bucket chunks and index pages
     /// copied, spine groups un-shared (graph and indices), and contributions
     /// repaired — the commit's work, counted, not timed.
     pages_copied: f64,
@@ -293,9 +293,9 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
     );
 
     // Sharing the previous version is the one cost left that follows `|G|`:
-    // one reference count per 64 pages or shards (checked spine by spine in
+    // one reference count per 64 pages (checked spine by spine in
     // `measure`), so a 10x graph pays at most 10x of a number that starts
-    // in the teens — a flat table of pages and shards would start 64x up.
+    // in the teens — a flat table of pages would start 64x up.
     let flat = |p: &ScalePoint| 4 * p.nodes.div_ceil(PAGE_SIZE);
     assert!(
         large.share_refcounts < flat(&large) / 8 && small.share_refcounts < 64,

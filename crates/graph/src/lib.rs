@@ -21,7 +21,7 @@
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
 //!   the one per-node array on top of it, under the graph's per-node storage
-//!   and the unary access indices; and [`Row`] — the short sorted id list
+//!   and the access indices; and [`Row`] — the short sorted id list
 //!   both store by value (adjacency rows here, index keys and answer lists
 //!   there);
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into

@@ -1,5 +1,5 @@
 //! A paged copy-on-write vector: the workspace's one per-node array, under
-//! the per-node storage of [`crate::Graph`] and the unary access indices of
+//! the per-node storage of [`crate::Graph`] and the access indices of
 //! `bgpq-access` alike.
 //!
 //! A snapshot chain keeps many versions of one graph alive at once, and a

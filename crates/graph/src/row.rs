@@ -20,7 +20,7 @@ pub const INLINE_ROW: usize = 5;
 ///
 /// Up to [`INLINE_ROW`] ids live inside the row: no allocation, no reference
 /// count, no pointer hop to read them. A longer row is one `Arc<[NodeId]>`
-/// that every clone shares, so copying a page or a shard of rows never
+/// that every clone shares, so copying a page of rows never
 /// copies a long list. Both forms fill the 24 bytes of a `Vec`.
 ///
 /// A row reads, hashes and compares as the slice it holds, so a map keyed by
@@ -200,19 +200,6 @@ impl PartialEq for Row {
 }
 
 impl Eq for Row {}
-
-/// Orders exactly like the slice.
-impl Ord for Row {
-    fn cmp(&self, other: &Row) -> std::cmp::Ordering {
-        (**self).cmp(&**other)
-    }
-}
-
-impl PartialOrd for Row {
-    fn partial_cmp(&self, other: &Row) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Hashes exactly like the slice, as [`Borrow`] requires.
 impl Hash for Row {

@@ -1,7 +1,7 @@
 //! The two-level copy-on-write spine under every structurally shared
 //! container of the workspace: the pages of a [`crate::Graph`]'s per-node
-//! arrays, the chunks of its label buckets, and the shards of the access
-//! indices' maps in `bgpq-access`.
+//! arrays, the chunks of its label buckets, and the pages of the access
+//! indices in `bgpq-access`.
 //!
 //! A snapshot chain keeps many versions of one container alive at once, and
 //! a commit changes a handful of leaves. A [`Spine`] holds its leaves behind

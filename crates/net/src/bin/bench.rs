@@ -103,10 +103,9 @@ use Bound::{Max, Min};
 /// sweep's (6k to 600k nodes), which is what CI checks. The full profile's
 /// top point is five times larger, and there `maintenance_growth` reads
 /// 2.0-2.9 and `maintain_growth` 3.4-3.8. Maintenance copies no list that
-/// grows with |G| (answer lists are bounded by N and live in their page or
-/// shard); what grows is un-sharing a touched index, one reference count
-/// per 64 pages of each of its arrays (64 shards of each map of a keyed
-/// index).
+/// grows with |G| (answer lists are bounded by N and live in their page);
+/// what grows is un-sharing a touched index, one reference count per 64
+/// pages of each of its arrays.
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned

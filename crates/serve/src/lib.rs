@@ -30,8 +30,8 @@
 //!   pointer. Readers pin a snapshot with one `Arc` clone and are never
 //!   blocked by mutation work; the single writer builds the next snapshot
 //!   **off to the side** — a structurally shared clone whose writes copy
-//!   only the storage pages, label-bucket chunks and index pages and
-//!   shards they land in, plus incremental index maintenance instead of a rebuild, so a
+//!   only the storage pages, label-bucket chunks and index pages they
+//!   land in, plus incremental index maintenance instead of a rebuild, so a
 //!   commit costs `O(|ΔG|)` — publishes it with a pointer swap, and tears
 //!   the superseded version down after releasing the pointer's lock.
 //! * [`WorkerPool`] — a minimal thread pool executing

@@ -65,7 +65,7 @@ pub struct CommitReceipt {
     pub delta_apply_nanos: u64,
     /// Nanoseconds for the whole commit: sharing the base snapshot's graph
     /// and indices (reference-count bumps), mutation replay and incremental
-    /// maintenance (each copying only the pages and shards it writes to),
+    /// maintenance (each copying only the pages it writes to),
     /// the pointer swap, and retiring the superseded snapshot. The five
     /// phase timers below plus `delta_apply_nanos` account for it, up to
     /// building the next engine.
@@ -87,8 +87,9 @@ pub struct CommitReceipt {
     /// base snapshot still shared them
     /// ([`Graph::pages_copied`](bgpq_graph::Graph::pages_copied)).
     pub pages_copied: u64,
-    /// Index pages (unary indices) and shards (the others) this commit
-    /// copied, for the same reason ([`AccessIndexSet::shards_copied`]).
+    /// Index pages this commit copied, for the same reason
+    /// ([`AccessIndexSet::shards_copied`]). A global index's answer list
+    /// is not a page and counts nothing.
     pub shards_copied: u64,
     /// Label-bucket chunks this commit copied, for the same reason
     /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)). All
@@ -126,7 +127,7 @@ pub struct ServerStats {
     pub retire_nanos: u64,
     /// Graph storage pages copied on write across all commits.
     pub pages_copied: u64,
-    /// Index pages and shards copied on write across all commits.
+    /// Index pages copied on write across all commits.
     pub shards_copied: u64,
     /// Label-bucket chunks copied on write across all commits.
     pub chunks_copied: u64,
@@ -150,20 +151,20 @@ pub struct ServerStats {
 ///   graph and indices (reference-count bumps, one per group of 64 storage
 ///   pages and per constraint), applies the batch as graph mutations, and
 ///   repairs the clone's indices with [`apply_deltas`]. Each write copies
-///   only the page, adjacency row, label-bucket chunk or index page or
-///   shard it lands in ([`CommitReceipt::pages_copied`],
+///   only the page, adjacency row, label-bucket chunk or index page it
+///   lands in ([`CommitReceipt::pages_copied`],
 ///   [`CommitReceipt::chunks_copied`], [`CommitReceipt::shards_copied`])
 ///   plus its group of 64 pointers; everything else stays shared with the
 ///   snapshots readers still pin, and dropping a superseded snapshot —
 ///   after the pointer swap, outside its lock — frees only what its
-///   successor replaced. A unary index is a pair of arrays over node ids,
-///   so a batch's new nodes, whose ids are consecutive, write one page of
-///   it; index keys and answer lists live inline in their page or shard
-///   ([`bgpq_graph::Row`]), so either copies and retires as one flat
-///   table. What still follows `|G|`: `|V| / 16 384` reference counts per
-///   per-node array on the clone and again on the retire (183 each at 3.0M
-///   nodes), one per 64 pages of each array (or shards of each map) of a
-///   touched index, and a hub's own adjacency row, copied whole when an
+///   successor replaced. A unary or `|S| ≥ 2` index is a pair of arrays
+///   over node ids, so a batch's new nodes, whose ids are consecutive,
+///   write one page of each; index keys and answer lists live inline in
+///   their page ([`bgpq_graph::Row`]), so a page copies and retires as one
+///   flat table. What still follows `|G|`: `|V| / 16 384` reference counts
+///   per per-node array on the clone and again on the retire (183 each at
+///   3.0M nodes), one per 64 pages of each array of a touched index, and a
+///   hub's own adjacency row, copied whole when an
 ///   edge lands on it — the largest `|G|` term left in the replay.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedResources`]: one query cache, whose entry per query holds its

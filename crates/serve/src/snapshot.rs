@@ -12,7 +12,7 @@ use bgpq_graph::Graph;
 /// keeps evaluating against a consistent graph/index pair even while the
 /// writer publishes newer versions. Successive snapshots share storage —
 /// graph pages, adjacency rows, label-bucket chunks, whole constraint indices and
-/// the pages and shards inside them — and differ only in what a commit wrote, so
+/// the pages inside them — and differ only in what a commit wrote, so
 /// keeping an old version pinned costs the memory of its differences, and
 /// dropping it frees exactly those. The engine's query cache is shared
 /// across the whole snapshot chain and validated per version, so pinning an

@@ -287,8 +287,7 @@ fn pinned_reader_reads_the_same_bytes_across_fifty_commits() {
                     }
                 }
                 for (id, index) in pinned.indices().iter() {
-                    let mut entries: Vec<_> = index.entries().collect();
-                    entries.sort_unstable();
+                    let entries: Vec<_> = index.entries().collect();
                     out += &format!("{id} {} {entries:?}\n", index.max_cardinality());
                 }
                 for v in pinned.graph().nodes() {

@@ -19,7 +19,7 @@
 use crate::constraint::AccessConstraint;
 use crate::index::ConstraintIndex;
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, GraphStats, Label};
+use bgpq_graph::{Graph, Label};
 use std::collections::BTreeSet;
 
 /// Thresholds controlling which discovered constraints are kept.
@@ -72,7 +72,7 @@ impl DiscoveryConfig {
 /// Every returned constraint is tight (its bound is the observed maximum) and
 /// therefore satisfied by `graph` by construction.
 pub fn discover_schema(graph: &Graph, config: &DiscoveryConfig) -> AccessSchema {
-    let stats = GraphStats::compute(graph);
+    let stats = graph.stats();
     let mut schema = AccessSchema::new();
 
     // Type (1): global label counts, rarest labels first so that truncation
@@ -86,9 +86,9 @@ pub fn discover_schema(graph: &Graph, config: &DiscoveryConfig) -> AccessSchema 
     // Type (2): neighbor fanout bounds per ordered label pair (includes
     // FD-like constraints when the bound is 1).
     let mut fanouts: Vec<((Label, Label), usize)> = stats
-        .max_label_fanout
-        .iter()
-        .map(|(&k, &v)| (k, v))
+        .answer_lengths
+        .keys()
+        .map(|&(l1, l2)| ((l1, l2), stats.fanout(l1, l2)))
         .collect();
     fanouts.sort_by_key(|&((l1, l2), n)| (n, l1, l2));
     for ((source, target), bound) in fanouts {
@@ -123,10 +123,7 @@ fn pair_candidates(graph: &Graph, cap: usize) -> Vec<(Label, Label, Label)> {
     let mut seen: BTreeSet<(Label, Label, Label)> = BTreeSet::new();
     for v in graph.nodes() {
         let target = graph.label(v);
-        let mut neighbor_labels: Vec<Label> =
-            graph.neighbor_iter(v).map(|n| graph.label(n)).collect();
-        neighbor_labels.sort_unstable();
-        neighbor_labels.dedup();
+        let neighbor_labels: Vec<Label> = graph.neighbor_runs(v).map(|(l, _)| l).collect();
         for (i, &l1) in neighbor_labels.iter().enumerate() {
             for &l2 in &neighbor_labels[i + 1..] {
                 seen.insert((l1, l2, target));

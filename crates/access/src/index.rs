@@ -4,15 +4,18 @@
 //! `S`-labeled node set `V_S`, returns all common neighbors of `V_S` labeled
 //! `l` in `O(N)` time. [`ConstraintIndex`] realizes that contract, and
 //! [`AccessIndexSet`] packs one index per constraint of a schema. Each kind
-//! of constraint keeps its entries in the one copy-on-write array of the
-//! workspace, [`PagedVec`], addressed by node id:
+//! of constraint keeps its entries where they are cheapest to keep:
 //!
 //! * a **global** constraint `∅ → (l, N)` has one key, the empty set, and
 //!   its index is that key's answer list — every `l`-labeled node;
 //! * a **unary** constraint `l' → (l, N)` — a per-node degree bound, the
-//!   commonest kind — is keyed by a single node id: the answers of source
-//!   node `o` sit in slot `o` of an array, and a second array counts, per
-//!   target node, the keys it is listed under;
+//!   commonest kind — is answered by the graph itself. Adjacency rows are
+//!   sorted by `(neighbour label, id)`, so the answers of an `l'`-node `o`
+//!   are the `l`-segment of its out-row and the `l`-segment of its in-row,
+//!   found by binary search and merged as they are read
+//!   ([`Graph::neighbors_labeled`]). The index holds a handle on the graph
+//!   version it describes and the histogram of answer-list lengths, nothing
+//!   per node; it never truncates;
 //! * an **`|S| ≥ 2`** constraint is keyed by a sorted node-id tuple: slot
 //!   `k[0]` of an array holds the keys whose smallest id is `k[0]`, sorted,
 //!   each with its answers, and a second array lists, per target node, the
@@ -21,53 +24,50 @@
 //! The experiments of the paper build these indices as MySQL tables; here
 //! they are in-memory structures with the same asymptotic access contract,
 //! plus size accounting used to reproduce the `|index_Q|/|G|` measurements of
-//! Fig. 5(d,h,l).
+//! Fig. 5(d,h,l). A unary index's size counts the entries it answers, as a
+//! table would hold them, though it stores none.
 //!
 //! **Storage is structurally shared.** An [`AccessIndexSet`] holds each
-//! [`ConstraintIndex`] behind an `Arc`, and an index keeps all of its
-//! per-entry state in copy-on-write pages, the leaves of
-//! [`bgpq_graph::Spine`]s — all but a global index, whose one answer list is
-//! bounded by `N`. Cloning a set costs one reference-count bump per
-//! constraint; maintaining the clone un-shares only the constraints a delta
-//! touches — one bump per [`bgpq_graph::SPINE_FANOUT`] pages
-//! ([`ConstraintIndex::spines`]), no copy sized by the index's content — and
-//! inside those copies only the pages the changed node ids fall in. That is
-//! what lets the serving layer publish a new snapshot per commit at
-//! `O(|ΔG|)` cost while readers keep the old one. An array holds pages only
-//! where its label's node ids are; the pages in between share one blank
-//! page. The worst case, a label whose nodes sit one to a page, costs a page
-//! per key (~7 KB with the target's page); the scenario generators give each
-//! label's nodes consecutive ids, ~35 bytes per unary key.
+//! [`ConstraintIndex`] behind an `Arc`, and an `|S| ≥ 2` index keeps all of
+//! its per-entry state in copy-on-write pages, the leaves of
+//! [`bgpq_graph::Spine`]s, in the one copy-on-write array of the workspace,
+//! [`PagedVec`], addressed by node id. Cloning a set costs one
+//! reference-count bump per constraint; maintaining the clone un-shares only
+//! the constraints a delta touches — one bump per
+//! [`bgpq_graph::SPINE_FANOUT`] pages ([`ConstraintIndex::spines`]), no copy
+//! sized by the index's content — and inside those copies only the pages
+//! the changed node ids fall in. A unary index shares the graph's own
+//! pages. That is what lets the serving layer publish a new snapshot per
+//! commit at `O(|ΔG|)` cost while readers keep the old one.
 //!
-//! **Entries are stored by value.** Every answer list, and every key of an
-//! `|S| ≥ 2` index, is a [`Row`]: up to five ids inline in its page, a longer
+//! **Entries are stored by value.** Every answer list and key of a global or
+//! `|S| ≥ 2` index is a [`Row`]: up to five ids inline in its page, a longer
 //! list behind one shared buffer. Answer lists are bounded by `N` and keys
 //! by `|S|`, so nearly every entry is inline, and a page copy is one flat
 //! copy; an edit changes its list in place, copying a long one only while a
 //! pinned version still shares it.
 //!
-//! **The build reads each source label once and fills pages in id order.**
-//! [`AccessIndexSet::build_with_cap`] groups the unary constraints by
-//! source label and makes one id-order pass over each label's nodes,
-//! reading every neighbor's label once and handing the neighbor to each
-//! constraint of the group that targets it (one count per node keeps every
-//! target's first `cap` sources, as maintenance does). Each source's
-//! answers go straight into its slot, so the pages fill front to back, and
-//! the key counts are filled from the scan's per-node counts. Snapshot
-//! decoding fills the arrays from the entries it reads, which come in key
-//! order. Maintenance edits entries one at a time; `|S| ≥ 2` indices
-//! enumerate their combinations per target, in the build too.
+//! **A unary build is a lookup.** A unary index's histogram is the
+//! `answer_lengths` entry of its label pair in the graph's statistics
+//! ([`Graph::stats`]), the one pass over each node's label-grouped
+//! neighbours that schema discovery makes too; the graph builder's row sort
+//! did the rest of the paper's preprocessing. Snapshot decoding fills the
+//! `|S| ≥ 2` arrays from the entries it reads, which come in key order.
+//! Maintenance edits entries one at a time; `|S| ≥ 2` indices enumerate
+//! their combinations per target, in the build too.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, Label, NodeId, PagedVec, PagedVecBuilder, Row, SpineShape};
+use bgpq_graph::{Graph, Label, Neighbors, NodeId, PagedVec, Row, SpineShape};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Upper bound on the number of `S`-labeled combinations materialized per
-/// target node. Real access constraints have small source fanouts (a movie
-/// has one year and one award), so this cap exists only as a safety valve
-/// against degenerate schemas; hitting it marks the index as truncated.
+/// target node of an `|S| ≥ 2` constraint. Real access constraints have
+/// small source fanouts (a movie has one year and one award), so this cap
+/// exists only as a safety valve against degenerate schemas; hitting it
+/// marks the index as truncated. Global and unary indices never truncate.
 pub const DEFAULT_MAX_COMBINATIONS_PER_NODE: usize = 4096;
 
 /// The index of a single access constraint.
@@ -80,7 +80,7 @@ pub struct ConstraintIndex {
     lengths: BTreeMap<usize, usize>,
     /// The per-node combination cap this index was built with. Incremental
     /// maintenance reuses it so refreshed contributions are enumerated
-    /// exactly like a fresh build's.
+    /// exactly like a fresh build's; only `|S| ≥ 2` indices enumerate.
     cap: usize,
 }
 
@@ -91,30 +91,20 @@ enum Entries {
     /// `S = ∅`: the answers of the one key, the empty set, which always
     /// exists. Nothing is ever capped.
     Global(Row),
-    /// `|S| = 1`.
-    BySource(BySource),
+    /// `|S| = 1`: the graph, whose rows hold every answer list.
+    Adjacency(Adjacency),
     /// `|S| ≥ 2`.
     ByFirst(ByFirst),
 }
 
-/// A unary index: arrays addressed by node id.
-#[derive(Debug, Clone, Default)]
-struct BySource {
-    /// Source node → its sorted answers; an empty list is no key.
-    answers: PagedVec<Row>,
-    /// Target node → number of keys it is listed under. Those keys are the
-    /// target's source-labeled neighbors, which maintenance re-derives from
-    /// the graph and the delta batch — so a hub target costs one counter
-    /// here, not a key list that every edge would rewrite. A target listed
-    /// under `max(cap, 1)` keys is capped: build and maintenance list a
-    /// target under at most that many keys and reach that many exactly when
-    /// it has at least that many, so the counter is the cap verdict and no
-    /// capped-target set is kept beside it.
-    key_counts: PagedVec<u32>,
-    /// Number of non-empty answer lists.
-    keys: usize,
-    /// Number of targets at the cap.
-    capped: usize,
+/// The graph version a unary index answers from, shared with its owner.
+#[derive(Clone)]
+struct Adjacency(Arc<Graph>);
+
+impl fmt::Debug for Adjacency {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Adjacency({})", self.0)
+    }
 }
 
 /// An `|S| ≥ 2` index: arrays addressed by node id.
@@ -141,16 +131,6 @@ struct Listing {
     /// repairing a capped node's contribution leaves the truncation verdict
     /// exactly where a fresh rebuild would put it.
     capped: bool,
-}
-
-impl BySource {
-    fn answers(&self, o: NodeId) -> &[NodeId] {
-        self.answers.get(o.index()).map_or(&[], |answers| answers)
-    }
-
-    fn key_count(&self, target: NodeId) -> u32 {
-        self.key_counts.get(target.index()).copied().unwrap_or(0)
-    }
 }
 
 impl ByFirst {
@@ -213,24 +193,28 @@ fn array_stats<T: Clone + Default>(array: &PagedVec<T>) -> (SpineShape, u64, u64
     (pages.shape(), pages.leaves_copied(), pages.groups_copied())
 }
 
+/// The length of `source`-labeled node `o`'s answer list under a unary
+/// constraint targeting `target`: `0` when `o` is missing, deleted or
+/// carries another label.
+fn unary_len(graph: &Graph, source: Label, target: Label, o: NodeId) -> usize {
+    if graph.try_label(o) != Some(source) {
+        return 0;
+    }
+    graph.neighbors_labeled(o, target).count()
+}
+
 impl ConstraintIndex {
     /// Builds the index for `constraint` over `graph`.
     pub fn build(graph: &Graph, constraint: AccessConstraint) -> Self {
         Self::build_with_cap(graph, constraint, DEFAULT_MAX_COMBINATIONS_PER_NODE)
     }
 
-    /// Builds the index with an explicit combination cap per target node.
-    ///
-    /// A global or unary index is filled in bulk, to the index that
-    /// replaying maintenance would give (the unit tests' oracle); `|S| ≥ 2`
-    /// enumerates per target.
+    /// Builds the index with an explicit combination cap per target node
+    /// (it bounds only the enumeration of an `|S| ≥ 2` index).
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
         let target = constraint.target();
         match *constraint.source() {
-            [source] => {
-                let mut built = Self::build_unary(graph, source, vec![constraint], cap);
-                built.pop().expect("one index per constraint")
-            }
+            [_] => Self::unary(Arc::new(graph.clone()), constraint, cap),
             [] => {
                 let all = graph.nodes_with_label(target).to_vec();
                 Self::global(constraint, cap, Row::from(&all[..]))
@@ -245,95 +229,14 @@ impl ConstraintIndex {
         }
     }
 
-    /// Builds the unary indices of `constraints`, all on source label
-    /// `source`, in one id-order pass over the source-labeled nodes: each
-    /// neighbor's label is read once, and the neighbor handed to every
-    /// constraint that targets that label. A target is listed under its
-    /// first `cap` sources and capped at `cap` or more, as in maintenance.
-    /// A node carries one label, so one count per node serves every
-    /// constraint (those sharing a target label count alike). Each source's
-    /// answers are written into its slot of each index as the scan leaves
-    /// it, so every index's pages fill in id order.
-    fn build_unary(
-        graph: &Graph,
-        source: Label,
-        constraints: Vec<AccessConstraint>,
-        cap: usize,
-    ) -> Vec<Self> {
-        let limit = cap.max(1);
-        // Label id → the constraints targeting it; a label past the table
-        // (a deleted node's tombstone among them) is nobody's target.
-        let width = constraints.iter().map(|c| c.target().index() + 1).max();
-        let mut takers = vec![Vec::new(); width.unwrap_or(0)];
-        for (i, constraint) in constraints.iter().enumerate() {
-            takers[constraint.target().index()].push(i);
-        }
-        // Per constraint: its answers array being filled, and a histogram
-        // of answer-list lengths.
-        let mut filling: Vec<(PagedVecBuilder<Row>, Vec<usize>)> = constraints
-            .iter()
-            .map(|_| (PagedVecBuilder::default(), vec![0]))
-            .collect();
-        // The answers of the node being scanned, per constraint.
-        let mut scanned: Vec<Vec<NodeId>> = vec![Vec::new(); constraints.len()];
-        let mut counts = vec![0u32; graph.node_count()];
-        for &o in graph.nodes_with_label(source).iter() {
-            for t in graph.neighbor_iter(o) {
-                let Some(takers) = takers.get(graph.label(t).index()) else {
-                    continue;
-                };
-                if takers.is_empty() || counts[t.index()] as usize >= limit {
-                    continue;
-                }
-                counts[t.index()] += 1;
-                for &i in takers {
-                    scanned[i].push(t);
-                }
-            }
-            for (answers, (array, histogram)) in scanned.iter_mut().zip(&mut filling) {
-                if answers.is_empty() {
-                    continue;
-                }
-                array.set(o.index(), Row::from(&answers[..]));
-                histogram.resize(histogram.len().max(answers.len() + 1), 0);
-                histogram[answers.len()] += 1;
-                answers.clear();
-            }
-        }
-        let built = constraints.into_iter().zip(filling);
-        let built = built.map(|(constraint, (answers, histogram))| {
-            Self::unary(graph, constraint, cap, answers.finish(), histogram, &counts)
-        });
-        built.collect()
-    }
-
-    /// The unary index holding `answers`, whose list lengths `histogram`
-    /// counts (`histogram[len]` lists of `len` answers) and which lists
-    /// every node `counts` times.
-    fn unary(
-        graph: &Graph,
-        constraint: AccessConstraint,
-        cap: usize,
-        answers: PagedVec<Row>,
-        histogram: Vec<usize>,
-        counts: &[u32],
-    ) -> Self {
-        let limit = cap.max(1);
-        let targets = graph.nodes_with_label(constraint.target());
-        let counted = targets.iter().map(|&t| (t.index(), counts[t.index()]));
-        let key_counts = PagedVec::from_sparse(counted.filter(|&(_, n)| n > 0));
-        let capped = targets
-            .iter()
-            .filter(|t| counts[t.index()] as usize >= limit);
-        let capped = capped.count();
-        let unary = BySource {
-            answers,
-            key_counts,
-            keys: histogram[1..].iter().sum(),
-            capped,
-        };
-        let mut index = Self::with_entries(constraint, cap, Entries::BySource(unary));
-        index.lengths = lengths(histogram);
+    /// The unary index answering from `graph`, its answer-length histogram
+    /// read off the graph's statistics ([`Graph::stats`]): the pass that
+    /// discovery makes serves the build too.
+    fn unary(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
+        let pair = (constraint.source()[0], constraint.target());
+        let lengths = graph.stats().answer_lengths.get(&pair).cloned();
+        let mut index = Self::with_entries(constraint, cap, Entries::Adjacency(Adjacency(graph)));
+        index.lengths = lengths.unwrap_or_default();
         index
     }
 
@@ -350,16 +253,18 @@ impl ConstraintIndex {
     /// strictly increasing and both lists sorted strictly — with its
     /// per-target bookkeeping derived from them (snapshot load). A global
     /// index has exactly one span. An `|S| ≥ 2` index takes `capped` as its
-    /// capped targets; a unary one, whose every key is one id with answers,
-    /// derives them. The spans are drained.
+    /// capped targets. A unary index answers from `graph`: its spans must be
+    /// exactly the entries `graph`'s rows give, and a list that differs is
+    /// an `Err` naming the first node where they part. The spans are
+    /// drained.
     pub(crate) fn from_entries(
-        graph: &Graph,
+        graph: &Arc<Graph>,
         constraint: AccessConstraint,
         cap: usize,
         capped: Vec<NodeId>,
         ids: &[NodeId],
         spans: &mut Vec<(usize, usize, usize)>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut histogram = vec![0];
         for &(_, mid, end) in spans.iter() {
             histogram.resize(histogram.len().max(end - mid + 1), 0);
@@ -371,19 +276,26 @@ impl ConstraintIndex {
                     unreachable!("a global index has one key")
                 };
                 spans.clear();
-                Self::global(constraint, cap, Row::from(&ids[mid..end]))
+                Ok(Self::global(constraint, cap, Row::from(&ids[mid..end])))
             }
             1 => {
-                let mut counts = vec![0u32; graph.node_count()];
-                for &t in spans.iter().flat_map(|&(_, mid, end)| &ids[mid..end]) {
-                    counts[t.index()] += 1;
+                let entries = Entries::Adjacency(Adjacency(Arc::clone(graph)));
+                let mut index = Self::with_entries(constraint, cap, entries);
+                let mut persisted = spans.drain(..);
+                for (key, answers) in index.entries() {
+                    let o = key[0];
+                    let Some((start, mid, end)) = persisted.next() else {
+                        return Err(format!("the entry of node {o} is missing"));
+                    };
+                    if ids[start] != o || !answers.eq(ids[mid..end].iter().copied()) {
+                        return Err(format!("the entries part at node {}", ids[start].min(o)));
+                    }
                 }
-                let rows = spans.drain(..).map(|(start, mid, end)| {
-                    debug_assert_eq!(mid - start, 1, "a unary key is one id");
-                    (ids[start].index(), Row::from(&ids[mid..end]))
-                });
-                let answers = PagedVec::from_sparse(rows);
-                Self::unary(graph, constraint, cap, answers, histogram, &counts)
+                if let Some((start, ..)) = persisted.next() {
+                    return Err(format!("node {} has no such entry", ids[start]));
+                }
+                index.lengths = lengths(histogram);
+                Ok(index)
             }
             _ => {
                 // Keys come in increasing order, so their first ids never
@@ -407,16 +319,17 @@ impl ConstraintIndex {
                 let entries = Entries::ByFirst(by_first);
                 let mut index = Self::with_entries(constraint, cap, entries);
                 index.lengths = lengths(histogram);
-                index
+                Ok(index)
             }
         }
     }
 
-    /// An index with no entries (a global one with its empty key).
-    pub(crate) fn empty(constraint: AccessConstraint, cap: usize) -> Self {
+    /// An index with no entries (a global one with its empty key); not
+    /// for a unary constraint, whose entries are its graph's.
+    fn empty(constraint: AccessConstraint, cap: usize) -> Self {
         let entries = match constraint.source_len() {
             0 => Entries::Global(Row::default()),
-            1 => Entries::BySource(BySource::default()),
+            1 => unreachable!("a unary index answers from a graph"),
             _ => Entries::ByFirst(ByFirst::default()),
         };
         Self::with_entries(constraint, cap, entries)
@@ -437,31 +350,42 @@ impl ConstraintIndex {
     }
 
     /// Common neighbors labeled `l` of the `S`-labeled set `vs`
-    /// (order of `vs` does not matter). Returns an empty slice when the set
-    /// is not indexed, which for a graph satisfying the constraint means the
-    /// answer is empty.
-    pub fn common_neighbors(&self, vs: &[NodeId]) -> &[NodeId] {
+    /// (order of `vs` does not matter), ascending. Returns an empty list
+    /// when the set is not indexed, which for a graph satisfying the
+    /// constraint means the answer is empty. A unary answer is two borrowed
+    /// segments of the graph's rows, merged as they are read.
+    pub fn common_neighbors(&self, vs: &[NodeId]) -> Neighbors<'_> {
         match &self.entries {
-            Entries::Global(all) if vs.is_empty() => all,
-            Entries::Global(_) => &[],
-            // One slot per node: `vs` names it once or more, or no key.
-            Entries::BySource(unary) => match vs.split_first() {
-                Some((&o, rest)) if rest.iter().all(|&v| v == o) => unary.answers(o),
-                _ => &[],
+            Entries::Global(all) if vs.is_empty() => Neighbors::from(&all[..]),
+            Entries::Global(_) => Neighbors::default(),
+            // `vs` names one node once or more, or no key.
+            Entries::Adjacency(Adjacency(graph)) => match vs.split_first() {
+                Some((&o, rest))
+                    if rest.iter().all(|&v| v == o)
+                        && graph.try_label(o) == Some(self.constraint.source()[0]) =>
+                {
+                    graph.neighbors_labeled(o, self.constraint.target())
+                }
+                _ => Neighbors::default(),
             },
             // A strictly increasing probe already is its own key: no
             // allocation on the fetch path.
             Entries::ByFirst(by_first) if vs.windows(2).all(|w| w[0] < w[1]) => {
-                by_first.answers(vs)
+                Neighbors::from(by_first.answers(vs))
             }
-            Entries::ByFirst(by_first) => by_first.answers(&Self::canonical_key(vs)),
+            Entries::ByFirst(by_first) => {
+                Neighbors::from(by_first.answers(&Self::canonical_key(vs)))
+            }
         }
     }
 
     /// All nodes labeled `l` for a global (`S = ∅`) constraint.
     pub fn global_nodes(&self) -> &[NodeId] {
         debug_assert!(self.constraint.is_global());
-        self.common_neighbors(&[])
+        match &self.entries {
+            Entries::Global(all) => all,
+            _ => &[],
+        }
     }
 
     /// The largest answer set across all indexed keys — the graph satisfies
@@ -477,13 +401,13 @@ impl ConstraintIndex {
     }
 
     /// True when some target node's combination enumeration hit the cap —
-    /// at build time or during an incremental refresh. Maintenance keeps
+    /// at build time or during an incremental refresh. Only an `|S| ≥ 2`
+    /// index enumerates, so only one can be truncated. Maintenance keeps
     /// this exact: deleting or repairing the offending node clears it, just
     /// as a fresh rebuild would.
     pub fn is_truncated(&self) -> bool {
         match &self.entries {
-            Entries::Global(_) => false,
-            Entries::BySource(unary) => unary.capped > 0,
+            Entries::Global(_) | Entries::Adjacency(_) => false,
             Entries::ByFirst(by_first) => by_first.capped > 0,
         }
     }
@@ -491,13 +415,7 @@ impl ConstraintIndex {
     /// The target nodes whose enumeration hit the cap, sorted.
     pub(crate) fn capped_targets(&self) -> Vec<NodeId> {
         match &self.entries {
-            Entries::Global(_) => Vec::new(),
-            Entries::BySource(unary) => {
-                let limit = self.cap.max(1) as u32;
-                let counts = unary.key_counts.iter().enumerate();
-                let capped = counts.filter(|&(_, &n)| n >= limit);
-                capped.map(|(t, _)| NodeId(t as u32)).collect()
-            }
+            Entries::Global(_) | Entries::Adjacency(_) => Vec::new(),
             Entries::ByFirst(by_first) => {
                 let listings = by_first.targets.iter().enumerate();
                 let capped = listings.filter(|(_, listing)| listing.capped);
@@ -519,7 +437,16 @@ impl ConstraintIndex {
     pub fn has_contribution(&self, target: NodeId) -> bool {
         match &self.entries {
             Entries::Global(all) => all.binary_search(&target).is_ok(),
-            Entries::BySource(_) | Entries::ByFirst(_) => self.key_count_of(target) > 0,
+            // Listed under its source-labeled neighbours.
+            Entries::Adjacency(Adjacency(graph)) => {
+                graph.try_label(target) == Some(self.constraint.target())
+                    && !graph
+                        .neighbors_labeled(target, self.constraint.source()[0])
+                        .is_empty()
+            }
+            Entries::ByFirst(by_first) => by_first
+                .listing(target)
+                .is_some_and(|listing| !listing.keys.is_empty()),
         }
     }
 
@@ -527,7 +454,7 @@ impl ConstraintIndex {
     pub fn key_count(&self) -> usize {
         match &self.entries {
             Entries::Global(_) => 1,
-            Entries::BySource(unary) => unary.keys,
+            Entries::Adjacency(_) => self.lengths.values().sum(),
             Entries::ByFirst(by_first) => by_first.len,
         }
     }
@@ -541,20 +468,22 @@ impl ConstraintIndex {
 
     /// Iterates over `(key, answers)` pairs in increasing key order. A
     /// global or unary index stores no key, so its keys are made (inline)
-    /// on the way out.
-    pub fn entries(&self) -> impl Iterator<Item = (Row, &[NodeId])> {
-        let entries: Box<dyn Iterator<Item = (Row, &[NodeId])>> = match &self.entries {
-            Entries::Global(all) => Box::new(std::iter::once((Row::default(), &all[..]))),
-            Entries::BySource(unary) => {
-                let slots = unary.answers.iter().enumerate();
-                let keys = slots.filter(|(_, answers)| !answers.is_empty());
-                Box::new(
-                    keys.map(|(o, answers)| (Row::from(&[NodeId(o as u32)][..]), &answers[..])),
-                )
+    /// on the way out; a unary index's keys are its source-labeled nodes
+    /// with at least one answer.
+    pub fn entries(&self) -> impl Iterator<Item = (Row, Neighbors<'_>)> {
+        let entries: Box<dyn Iterator<Item = (Row, Neighbors<'_>)>> = match &self.entries {
+            Entries::Global(all) => Box::new(std::iter::once((Row::default(), (&all[..]).into()))),
+            Entries::Adjacency(Adjacency(graph)) => {
+                let target = self.constraint.target();
+                let sources = graph.nodes_with_label(self.constraint.source()[0]);
+                Box::new(sources.iter().filter_map(move |&o| {
+                    let answers = graph.neighbors_labeled(o, target);
+                    (!answers.is_empty()).then(|| (Row::from(&[o][..]), answers))
+                }))
             }
             Entries::ByFirst(by_first) => {
                 let keys = by_first.keys.iter().flatten();
-                Box::new(keys.map(|(key, answers)| (key.clone(), &answers[..])))
+                Box::new(keys.map(|(key, answers)| (key.clone(), (&answers[..]).into())))
             }
         };
         entries
@@ -563,15 +492,13 @@ impl ConstraintIndex {
     /// Bytes this index's storage holds: its pages and the vectors they
     /// point to, and the buffers of long rows (one per row that points to
     /// it) — counted from the storage's shape, not measured. Shared storage
-    /// counts in full.
+    /// counts in full. A unary index holds none: its answers are the
+    /// graph's rows.
     pub fn storage_bytes(&self) -> usize {
         let row = std::mem::size_of::<Row>();
         match &self.entries {
             Entries::Global(all) => row + all.heap_bytes(),
-            Entries::BySource(unary) => {
-                let long: usize = unary.answers.iter().map(Row::heap_bytes).sum();
-                unary.answers.storage_bytes() + long + unary.key_counts.storage_bytes()
-            }
+            Entries::Adjacency(_) => 0,
             Entries::ByFirst(by_first) => {
                 let slots = by_first.keys.iter().map(|slot| {
                     let long = slot.iter().map(|(k, a)| k.heap_bytes() + a.heap_bytes());
@@ -594,15 +521,12 @@ impl ConstraintIndex {
         self.spines().iter().map(|spine| spine.leaves).sum()
     }
 
-    /// Shape and copy counters of the page arrays the index keeps: answers
-    /// and key counts of a unary index, keys and target listings of an
-    /// `|S| ≥ 2` one, none for a global index.
+    /// Shape and copy counters of the page arrays the index keeps: keys and
+    /// target listings of an `|S| ≥ 2` index, none for a global or unary
+    /// one.
     fn arrays(&self) -> Vec<(SpineShape, u64, u64)> {
         match &self.entries {
-            Entries::Global(_) => Vec::new(),
-            Entries::BySource(unary) => {
-                vec![array_stats(&unary.answers), array_stats(&unary.key_counts)]
-            }
+            Entries::Global(_) | Entries::Adjacency(_) => Vec::new(),
             Entries::ByFirst(by_first) => {
                 vec![array_stats(&by_first.keys), array_stats(&by_first.targets)]
             }
@@ -620,7 +544,8 @@ impl ConstraintIndex {
     /// clone of this index. The count is inherited by clones, so the copy
     /// work of one maintenance call is the difference across it. A global
     /// index keeps no pages: an edit of its one answer list copies the list
-    /// when a clone shares it, and counts nothing here.
+    /// when a clone shares it, and counts nothing here. A unary index keeps
+    /// none either; the graph counts the pages its commit copies.
     pub fn shards_copied(&self) -> u64 {
         self.arrays().iter().map(|&(_, pages, _)| pages).sum()
     }
@@ -652,19 +577,16 @@ impl ConstraintIndex {
         }
     }
 
-    /// Lists `target` under `key` (strictly increasing); returns whether
-    /// the entry is new. An entry already there copies nothing.
+    /// Lists `target` under `key` (strictly increasing) of a global or
+    /// `|S| ≥ 2` index; returns whether the entry is new. An entry already
+    /// there copies nothing.
     fn list_insert(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        let Err(pos) = self.common_neighbors(key).binary_search(&target) else {
+        let Err(pos) = self.common_neighbors(key).lists()[0].binary_search(&target) else {
             return false;
         };
         let answers = match &mut self.entries {
             Entries::Global(all) => all,
-            Entries::BySource(unary) => {
-                let answers = unary.answers.make_mut(key[0].index());
-                unary.keys += usize::from(answers.is_empty());
-                answers
-            }
+            Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => by_first.answers_mut(key),
         };
         answers.insert(pos, target);
@@ -673,11 +595,11 @@ impl ConstraintIndex {
         true
     }
 
-    /// Unlists `target` from `key` (strictly increasing), dropping a key
-    /// left without answers (the global key stays); returns whether the
-    /// entry existed.
+    /// Unlists `target` from `key` (strictly increasing) of a global or
+    /// `|S| ≥ 2` index, dropping a key left without answers (the global key
+    /// stays); returns whether the entry existed.
     fn list_remove(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        let Ok(pos) = self.common_neighbors(key).binary_search(&target) else {
+        let Ok(pos) = self.common_neighbors(key).lists()[0].binary_search(&target) else {
             return false;
         };
         let len = match &mut self.entries {
@@ -685,12 +607,7 @@ impl ConstraintIndex {
                 all.remove(pos);
                 all.len()
             }
-            Entries::BySource(unary) => {
-                let answers = unary.answers.make_mut(key[0].index());
-                answers.remove(pos);
-                unary.keys -= usize::from(answers.is_empty());
-                answers.len()
-            }
+            Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => {
                 let answers = by_first.answers_mut(key);
                 answers.remove(pos);
@@ -705,15 +622,12 @@ impl ConstraintIndex {
         true
     }
 
-    /// Brings the contribution of `target` — every entry listing it — to
-    /// what a fresh build over `graph` would hold, under the index's own
-    /// combination cap. Deleted nodes end with no contribution: a tombstoned
-    /// slot's label matches no constraint target.
-    ///
-    /// `partners` are the nodes an edge delta of the current batch pairs
-    /// with `target`: former neighbors a unary index may still list it
-    /// under (replaying a fresh build, the unit tests' oracle, passes none).
-    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
+    /// Brings the contribution of `target` to a global or `|S| ≥ 2` index —
+    /// every entry listing it — to what a fresh build over `graph` would
+    /// hold, under the index's own combination cap. Deleted nodes end with
+    /// no contribution: a tombstoned slot's label matches no constraint
+    /// target.
+    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId) {
         let is_target = graph.try_label(target) == Some(self.constraint.target());
         match &mut self.entries {
             Entries::Global(_) if is_target => {
@@ -722,7 +636,7 @@ impl ConstraintIndex {
             Entries::Global(_) => {
                 self.list_remove(&[], target);
             }
-            Entries::BySource(_) => self.refresh_unary_target(graph, target, is_target, partners),
+            Entries::Adjacency(_) => unreachable!("a unary index is re-read, not refreshed"),
             Entries::ByFirst(by_first) => {
                 for key in by_first.unlist(target) {
                     self.list_remove(&key, target);
@@ -734,110 +648,43 @@ impl ConstraintIndex {
         }
     }
 
-    /// Number of keys `target` is listed under (zero in a global index).
-    fn key_count_of(&self, target: NodeId) -> u32 {
-        match &self.entries {
-            Entries::Global(_) => 0,
-            Entries::BySource(unary) => unary.key_count(target),
-            Entries::ByFirst(by_first) => by_first
-                .listing(target)
-                .map_or(0, |listing| listing.keys.len() as u32),
-        }
-    }
-
-    /// Edge-local maintenance of a unary index: after edge deltas between
-    /// `target` and each of `partners`, entry `[o] → target` must exist iff
-    /// the two are neighbors in `graph` with the constraint's labels. Only
-    /// those pairs are looked at — never the rest of `target`'s
-    /// neighborhood — unless `target` sits at the combination cap, where
-    /// which neighbors are listed depends on all of them.
-    pub(crate) fn reconcile_edges(&mut self, graph: &Graph, target: NodeId, partners: &[NodeId]) {
-        debug_assert_eq!(self.constraint.source_len(), 1);
-        let is_target = graph.try_label(target) == Some(self.constraint.target());
-        let limit = self.cap.max(1);
-        let mut count = self.key_count_of(target);
-        if count as usize >= limit {
-            return self.refresh_unary_target(graph, target, is_target, partners);
-        }
-        let source = self.constraint.source()[0];
-        for &o in partners {
-            let wanted =
-                is_target && graph.try_label(o) == Some(source) && graph.are_neighbors(o, target);
-            if wanted && self.list_insert(&[o], target) {
-                count += 1;
-            } else if !wanted && self.list_remove(&[o], target) {
-                count -= 1;
-            }
-        }
-        self.set_key_count(target, count);
-        if count as usize >= limit {
-            // The batch took the target to the cap (or past it): which
-            // neighbors are listed now depends on all of them.
-            self.refresh_unary_target(graph, target, is_target, partners);
-        }
-    }
-
-    /// The whole-contribution refresh of a unary index: the first `cap`
-    /// source-labeled neighbors by id list `target`, as in a fresh build.
-    /// Anything else that still lists it is a former neighbor, hence a
-    /// current neighbor or one of `partners`, and is unlisted.
-    fn refresh_unary_target(
-        &mut self,
-        graph: &Graph,
-        target: NodeId,
-        is_target: bool,
-        partners: &[NodeId],
-    ) {
-        let neighbors = if graph.contains_node(target) {
-            graph.neighbors(target)
-        } else {
-            Vec::new()
-        };
-        let source = self.constraint.source()[0];
-        let mut listed: Vec<NodeId> = neighbors
-            .iter()
-            .copied()
-            .filter(|&o| is_target && graph.label(o) == source)
-            .collect();
-        listed.truncate(self.cap.max(1));
-        if self.key_count_of(target) > 0 {
-            for &o in neighbors.iter().chain(partners) {
-                if listed.binary_search(&o).is_err() {
-                    self.list_remove(&[o], target);
-                }
-            }
-        }
-        for &o in &listed {
-            self.list_insert(&[o], target);
-        }
-        self.set_key_count(target, listed.len() as u32);
-    }
-
-    /// Sets the number of keys `target` is listed under, and with it
-    /// whether the target is capped. A count that does not change writes
-    /// nothing.
-    fn set_key_count(&mut self, target: NodeId, count: u32) {
-        let limit = self.cap.max(1) as u32;
-        let Entries::BySource(unary) = &mut self.entries else {
+    /// Moves a unary index to `graph`, the version after a batch of deltas
+    /// that touched the nodes `touched` (sorted, each once): the answer
+    /// list of every touched node carrying the source label, before or
+    /// after, is measured on both versions and its length histogram
+    /// updated. Untouched nodes keep their lists, so nothing else is read.
+    /// Returns the number of lists measured.
+    pub(crate) fn reread_sources(&mut self, graph: &Arc<Graph>, touched: &[NodeId]) -> usize {
+        let (source, target) = (self.constraint.source()[0], self.constraint.target());
+        let Entries::Adjacency(Adjacency(held)) = &mut self.entries else {
             unreachable!("{} is not unary", self.constraint)
         };
-        let old = unary.key_count(target);
-        if old != count {
-            *unary.key_counts.make_mut(target.index()) = count;
-            unary.capped = unary.capped + usize::from(count >= limit) - usize::from(old >= limit);
+        let old = std::mem::replace(held, Arc::clone(graph));
+        let mut measured = 0;
+        for &o in touched {
+            if old.try_label(o) != Some(source) && graph.try_label(o) != Some(source) {
+                continue;
+            }
+            measured += 1;
+            let from = unary_len(&old, source, target, o);
+            let to = unary_len(graph, source, target, o);
+            if from != to {
+                self.note_length(from, to);
+            }
         }
+        measured
     }
 
     /// Adds the contribution of `target` (a node labeled `l`, listed under
     /// no key) to an index with `|S| ≥ 2` by enumerating every `S`-labeled
     /// combination of its neighbors in `graph`, up to the cap.
     fn add_combinations(&mut self, graph: &Graph, target: NodeId) {
-        // Group the target's neighbors by the source labels of the constraint.
+        // The target's neighbors carrying each source label of the
+        // constraint: one run of its label-grouped neighbors each.
         let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
-        for n in graph.neighbor_iter(target) {
-            let ln = graph.label(n);
-            if let Ok(pos) = self.constraint.source().binary_search(&ln) {
-                per_label[pos].push(n);
+        for (label, run) in graph.neighbor_runs(target) {
+            if let Ok(pos) = self.constraint.source().binary_search(&label) {
+                per_label[pos].extend(run);
             }
         }
         if per_label.iter().any(Vec::is_empty) {
@@ -912,35 +759,22 @@ impl AccessIndexSet {
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
     ///
-    /// The unary constraints are built a source label at a time: one scan
-    /// of that label's nodes fills every unary index reading it.
+    /// The unary indices share one handle on `graph`, and take their
+    /// answer-length histograms from the one statistics pass of this graph
+    /// version, which schema discovery has usually made already.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
-        let mut indices: Vec<Option<ConstraintIndex>> = vec![None; schema.len()];
-        let mut unary: BTreeMap<Label, Vec<usize>> = BTreeMap::new();
-        for (i, constraint) in schema.iter().enumerate() {
-            if let [source] = *constraint.source() {
-                unary.entry(source).or_default().push(i);
-            } else {
-                let index = ConstraintIndex::build_with_cap(graph, constraint.clone(), cap);
-                indices[i] = Some(index);
-            }
-        }
-        // The largest group first: the tables built after it reuse the
-        // buffers its scan freed.
-        let mut unary: Vec<(Label, Vec<usize>)> = unary.into_iter().collect();
-        unary.sort_by_key(|(source, _)| std::cmp::Reverse(graph.label_count(*source)));
-        let constraints: Vec<&AccessConstraint> = schema.iter().collect();
-        for (source, members) in unary {
-            let group = members.iter().map(|&i| constraints[i].clone()).collect();
-            let built = ConstraintIndex::build_unary(graph, source, group, cap);
-            for (i, index) in members.into_iter().zip(built) {
-                indices[i] = Some(index);
-            }
-        }
-        let indices = indices
-            .into_iter()
-            .map(|index| index.expect("every constraint is built"));
-        Self::from_indices(schema.clone(), indices.collect())
+        let mut shared: Option<Arc<Graph>> = None;
+        let indices = schema
+            .iter()
+            .map(|constraint| match constraint.source_len() {
+                1 => {
+                    let graph = shared.get_or_insert_with(|| Arc::new(graph.clone()));
+                    ConstraintIndex::unary(Arc::clone(graph), constraint.clone(), cap)
+                }
+                _ => ConstraintIndex::build_with_cap(graph, constraint.clone(), cap),
+            });
+        let indices = indices.collect();
+        Self::from_indices(schema.clone(), indices)
     }
 
     /// Packs already-built indices, one per constraint of `schema`, in order.
@@ -1096,7 +930,7 @@ mod tests {
         for &m in g.nodes_with_label(movie_l) {
             let actors = idx.common_neighbors(&[m]);
             assert_eq!(actors.len(), 2);
-            for &a in actors {
+            for a in actors {
                 assert!(g.are_neighbors(m, a));
                 assert_eq!(g.label(a), actor_l);
             }
@@ -1112,8 +946,8 @@ mod tests {
         let years = g.nodes_with_label(year_l).to_vec();
         let awards = g.nodes_with_label(award_l).to_vec();
         // (y1, a1) has movies 0 and 2; (y2, a1) has movie 1.
-        let m_y1 = idx.common_neighbors(&[years[0], awards[0]]);
-        let m_y2 = idx.common_neighbors(&[years[1], awards[0]]);
+        let m_y1 = idx.common_neighbors(&[years[0], awards[0]]).to_vec();
+        let m_y2 = idx.common_neighbors(&[years[1], awards[0]]).to_vec();
         assert_eq!(m_y1.len(), 2);
         assert_eq!(m_y2.len(), 1);
         // Order of the lookup key must not matter.
@@ -1209,19 +1043,24 @@ mod tests {
     }
 
     /// Maintenance replayed on every target-labeled node of an empty index:
-    /// the oracle a bulk build must equal.
+    /// the oracle a bulk build must equal. A unary index has no entries to
+    /// replay (its answers are the graph's rows): its oracle is its build,
+    /// one constraint alone.
     fn replayed(graph: &Graph, constraint: AccessConstraint, cap: usize) -> ConstraintIndex {
+        if constraint.source_len() == 1 {
+            return ConstraintIndex::build_with_cap(graph, constraint, cap);
+        }
         let target = constraint.target();
         let mut index = ConstraintIndex::empty(constraint, cap);
         for &v in graph.nodes_with_label(target) {
-            index.refresh_target(graph, v, &[]);
+            index.refresh_target(graph, v);
         }
         index
     }
 
     /// `a` and `b` hold the same entries and answer every question about
     /// them alike: counts, cardinality, truncation, and per node of `graph`
-    /// its contribution, key count and cap.
+    /// its contribution.
     fn assert_same_content(a: &ConstraintIndex, b: &ConstraintIndex, graph: &Graph, ctx: &str) {
         assert!(a.entries().eq(b.entries()), "entries ({ctx})");
         assert_eq!(a.lengths, b.lengths, "lengths ({ctx})");
@@ -1232,7 +1071,7 @@ mod tests {
         let (capped_a, capped_b) = (a.capped_targets(), b.capped_targets());
         assert_eq!(capped_a, capped_b, "capped targets ({ctx})");
         for v in graph.nodes() {
-            let state = |i: &ConstraintIndex| (i.has_contribution(v), i.key_count_of(v));
+            let state = |i: &ConstraintIndex| i.has_contribution(v);
             assert_eq!(state(a), state(b), "node {v} ({ctx})");
         }
     }
@@ -1280,10 +1119,11 @@ mod tests {
         g
     }
 
-    /// Bulk-built global and unary indices equal the maintenance replay,
-    /// and stay equal through one batch of maintenance — built alone and
-    /// built as a set, where every source label's unary constraints (four
-    /// targets, one of them at two bounds) share one scan.
+    /// Bulk-built global and unary indices equal the maintenance replay (a
+    /// unary index's is its build alone), and stay equal through one batch
+    /// of maintenance — built alone and built as a set, where the unary
+    /// constraints (four targets per source, one of them at two bounds)
+    /// share one graph handle.
     #[test]
     fn bulk_build_equals_maintenance_replay() {
         use crate::maintenance::{apply_deltas, GraphDelta};
@@ -1444,8 +1284,10 @@ mod tests {
         deltas
     }
 
-    /// The arrays of every kind — unary, global and `|S| = 2` — equal the
-    /// oracle through a stream of commits, under caps 1, 2 and none: the
+    /// The indices of every kind — unary, global and `|S| = 2` — equal the
+    /// oracle through a stream of commits, under caps 1, 2 and none (the
+    /// cap bounds the `|S| = 2` enumeration only; unary and global indices
+    /// never truncate, at any cap): the
     /// maintained indices, maintenance replayed from empty on the new graph,
     /// a fresh build and a snapshot round trip of the maintained set agree
     /// entry by entry and node by node, and the maintained set writes the
@@ -1498,10 +1340,10 @@ mod tests {
                         assert_same_content(fresh, &oracle, &g, &format!("fresh, {ctx}"));
                         let decoded = loaded.indices.get(id).unwrap();
                         assert_same_index(decoded, fresh, &g, &format!("decoded, {ctx}"));
-                        if let Entries::BySource(unary) = &fresh.entries {
-                            let page = std::mem::size_of::<[Row; bgpq_graph::PAGE_SIZE]>();
-                            let dense = unary.answers.pages().len() * page;
-                            blank_pages_seen += usize::from(unary.answers.storage_bytes() < dense);
+                        if let Entries::ByFirst(by_first) = &fresh.entries {
+                            let slot = std::mem::size_of::<Vec<(Row, Row)>>();
+                            let dense = by_first.keys.pages().len() * slot * bgpq_graph::PAGE_SIZE;
+                            blank_pages_seen += usize::from(by_first.keys.storage_bytes() < dense);
                         }
                     }
                 }

@@ -5,27 +5,30 @@
 //! inspect `ΔG ∪ Nb(ΔG)` — the changed nodes/edges and their neighbors —
 //! regardless of how big `G` is.
 //!
-//! Our [`crate::ConstraintIndex`] stores, for a constraint `S → (l, N)`, the
-//! contribution of every `l`-labeled node `u`: the set of `S`-labeled
-//! neighbor combinations of `u`. That contribution depends only on `u`'s
-//! neighborhood, so an edge insertion or deletion `(a, b)` can only change
-//! the contributions of `a` and `b` (when they carry the target label), and
-//! a node insertion only adds a (possibly empty) contribution for the new
-//! node. [`apply_delta`] repairs exactly those contributions against the
-//! *new* graph — and for the unary constraints that make up most schemas it
-//! repairs them **edge-locally**: an edge delta `(a, b)` decides the one
-//! entry `[a] → b` (and `[b] → a`) from the new graph, without re-reading
-//! the rest of either endpoint's neighborhood, so a hub is never rescanned
-//! because one edge touched it. The whole contribution is recomputed only
-//! for node deltas, for constraints with `|S| ≥ 2`, and for targets at the
-//! combination cap.
+//! A **unary** constraint's answers are segments of the graph's own
+//! adjacency rows, so the graph's mutation already maintained them. What
+//! [`apply_deltas`] keeps for it is the histogram of answer-list lengths
+//! behind `max_cardinality`: it moves the index to the new graph and
+//! measures, on the old version and the new, the answer list of each node
+//! of `ΔG` carrying the source label — two segment lookups per node and
+//! version, nothing else read, so a hub is never rescanned.
+//!
+//! The other constraints store, for `S → (l, N)`, the contribution of every
+//! `l`-labeled node `u`: the set of `S`-labeled neighbor combinations of `u`
+//! (the empty set for a global constraint). That contribution depends only
+//! on `u`'s neighborhood, so an edge insertion or deletion `(a, b)` can only
+//! change the contributions of `a` and `b` (when they carry the target
+//! label), and a node insertion only adds a (possibly empty) contribution
+//! for the new node. [`apply_deltas`] recomputes exactly those contributions
+//! against the *new* graph.
 //!
 //! Index storage is copy-on-write: a maintenance call on a cloned
 //! [`AccessIndexSet`] un-shares only the constraints it changes and, inside
-//! them, the pages its node ids fall in — a unary key's source, an
-//! `|S| ≥ 2` key's smallest id, a target's own id — or a global index's one
-//! answer list. The new nodes of a batch have consecutive ids, so their
-//! entries share a page.
+//! them, the pages its node ids fall in — an `|S| ≥ 2` key's smallest id, a
+//! target's own id — or a global index's one answer list. A unary index is
+//! un-shared on every call, to take the new graph; it owns no pages. The
+//! new nodes of a batch have consecutive ids, so their entries share a
+//! page.
 
 use crate::index::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId};
@@ -115,10 +118,11 @@ impl GraphDelta {
 pub struct MaintenanceStats {
     /// Distinct nodes in `ΔG` (after deduplicating the batch).
     pub touched_nodes: usize,
-    /// `(constraint, node)` contributions repaired: one per touched node
-    /// and constraint whose target label the node carries, or that still
-    /// lists the node. A repair looks at the node's delta edges, or at its
-    /// neighborhood in the new graph when the whole contribution is redone.
+    /// `(constraint, node)` contributions repaired: per touched node, one
+    /// per global or `|S| ≥ 2` constraint whose target label the node
+    /// carries or that still lists the node, and one per unary constraint
+    /// whose source label it carries (or carried), whose answer list is
+    /// re-measured.
     pub refreshed_contributions: usize,
 }
 
@@ -136,13 +140,14 @@ pub fn apply_delta(
 /// Applies a batch of deltas at once; the contribution of each affected node
 /// is repaired a single time per index.
 ///
-/// A node is repaired when it currently carries an index's target label
-/// **or** when it previously contributed to that index — the latter covers
-/// deleted nodes, whose stale contributions must be removed even though a
-/// tombstone's label matches no target. Repairs are idempotent,
-/// independent of the order of the batch, and run under the combination cap
-/// each index was built with, so a maintained index stays byte-for-byte
-/// equivalent to a fresh rebuild even at the cap.
+/// A unary index moves to `new_graph` and re-measures the answer lists of
+/// the touched nodes (see the module docs). In any other index a node is
+/// repaired when it currently carries the target label **or** when it
+/// previously contributed — the latter covers deleted nodes, whose stale
+/// contributions must be removed even though a tombstone's label matches no
+/// target. Repairs are idempotent, independent of the order of the batch,
+/// and run under the combination cap each index was built with, so a
+/// maintained index stays equivalent to a fresh rebuild even at the cap.
 pub fn apply_deltas(
     indices: &mut AccessIndexSet,
     new_graph: &Graph,
@@ -152,29 +157,19 @@ pub fn apply_deltas(
     touched.sort_unstable();
     touched.dedup();
 
-    // Nodes inserted or deleted: their whole contribution is recomputed.
-    let mut whole: Vec<NodeId> = Vec::new();
-    // Edge deltas as `(endpoint, partner)` in both orientations, sorted, so
-    // the partners of one endpoint are one contiguous run.
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * deltas.len());
-    for delta in deltas {
-        match *delta {
-            GraphDelta::InsertEdge(a, b) | GraphDelta::DeleteEdge(a, b) => {
-                pairs.extend([(a, b), (b, a)]);
-            }
-            GraphDelta::InsertNode(v) | GraphDelta::DeleteNode(v) => whole.push(v),
-        }
-    }
-    whole.sort_unstable();
-    pairs.sort_unstable();
-    pairs.dedup();
-    let partners: Vec<NodeId> = pairs.iter().map(|&(_, partner)| partner).collect();
-
     let mut stats = MaintenanceStats {
         touched_nodes: touched.len(),
         refreshed_contributions: 0,
     };
+    // The new graph, shared by every unary index: one clone per call.
+    let mut shared_graph: Option<Arc<Graph>> = None;
     for shared in &mut indices.indices {
+        if shared.constraint().source_len() == 1 {
+            let graph = shared_graph.get_or_insert_with(|| Arc::new(new_graph.clone()));
+            let index = Arc::make_mut(shared);
+            stats.refreshed_contributions += index.reread_sources(graph, &touched);
+            continue;
+        }
         let target_label = shared.constraint().target();
         let stale: Vec<NodeId> = touched
             .iter()
@@ -188,15 +183,8 @@ pub fn apply_deltas(
         }
         stats.refreshed_contributions += stale.len();
         let index = Arc::make_mut(shared);
-        let edge_local = index.constraint().source_len() == 1;
         for node in stale {
-            let run = pairs.partition_point(|&(endpoint, _)| endpoint < node)
-                ..pairs.partition_point(|&(endpoint, _)| endpoint <= node);
-            if edge_local && whole.binary_search(&node).is_err() {
-                index.reconcile_edges(new_graph, node, &partners[run]);
-            } else {
-                index.refresh_target(new_graph, node, &partners[run]);
-            }
+            index.refresh_target(new_graph, node);
         }
     }
     stats
@@ -443,9 +431,9 @@ mod tests {
         assert_equivalent_to_rebuild(&indices, &g);
     }
 
-    /// One edge at a hub target repairs one entry: maintaining a shared
-    /// clone copies the page of that key's answers and the page of the
-    /// hub's counter — not the pages of the hub's other keys — and
+    /// One edge at a hub target re-measures one answer list: maintaining a
+    /// shared clone measures the new post (not the hub's 2 000 other
+    /// sources), copies no index page — a unary index keeps none — and
     /// re-applying the same delta changes nothing.
     #[test]
     fn an_edge_at_a_hub_is_repaired_locally() {
@@ -460,8 +448,7 @@ mod tests {
         let schema =
             AccessSchema::from_constraints([AccessConstraint::unary(l("post"), l("tag"), 1)]);
         let base = AccessIndexSet::build(&g, &schema);
-        // The hub's 2 000 keys span 8 answer pages, one more the counters.
-        assert_eq!(base.get(ConstraintId(0)).unwrap().shard_count(), 9);
+        assert_eq!(base.get(ConstraintId(0)).unwrap().shard_count(), 0);
 
         let post = g.insert_node("post", Value::Int(-1));
         g.insert_edge(post, hub).unwrap();
@@ -471,8 +458,11 @@ mod tests {
         ];
         let mut next = base.clone();
         let stats = apply_deltas(&mut next, &g, &deltas);
-        assert_eq!(stats.refreshed_contributions, 1, "only the hub is a target");
-        assert_eq!(next.shards_copied() - base.shards_copied(), 2);
+        assert_eq!(
+            stats.refreshed_contributions, 1,
+            "only the post is a source"
+        );
+        assert_eq!(next.shards_copied(), base.shards_copied());
         assert_equivalent_to_rebuild(&next, &g);
         assert_equivalent_to_rebuild(&base, &{
             let mut old = g.clone();
@@ -480,19 +470,18 @@ mod tests {
             old
         });
 
-        // Idempotent: the entry is already what the new graph says.
-        let before = next.shards_copied();
+        // Idempotent: the lists already have the new graph's lengths.
         apply_deltas(&mut next, &g, &deltas);
-        assert_eq!(next.shards_copied(), before);
         assert_equivalent_to_rebuild(&next, &g);
     }
 
-    /// A batch of plain edge deltas can take an uncapped unary target to
-    /// the cap and past it; the edge-local repair must then fall back to the
-    /// whole-contribution rule (first `cap` neighbors by id) and unlist the
-    /// entries it had just added beyond it.
+    /// Unary indices never truncate: a hub target listed under more
+    /// sources than the cap — a batch of edge deltas takes it there — is
+    /// answered in full for every source, under caps 1, 2 and 3 alike, and
+    /// no index reports truncation; dropping the edges again leaves the
+    /// one source left.
     #[test]
-    fn edge_local_repairs_respect_a_cap_reached_mid_batch() {
+    fn a_unary_hub_target_outgrowing_the_cap_is_never_truncated() {
         for cap in [1, 2, 3] {
             let mut b = GraphBuilder::new();
             let tag = b.add_node("tag", Value::Null);
@@ -503,8 +492,6 @@ mod tests {
                 AccessSchema::from_constraints([AccessConstraint::unary(l("post"), l("tag"), 9)]);
             let mut indices = AccessIndexSet::build_with_cap(&g, &schema, cap);
 
-            // Highest ids first, so the entries added first are the ones
-            // the cap must drop again.
             let mut deltas = Vec::new();
             for &post in posts.iter().rev() {
                 g.insert_edge(post, tag).unwrap();
@@ -516,17 +503,14 @@ mod tests {
                 indices.get(ConstraintId(0)).unwrap(),
                 rebuilt.get(ConstraintId(0)).unwrap(),
             );
-            assert!(fresh.is_truncated() && kept.is_truncated(), "cap {cap}");
-            assert_eq!(kept.key_count(), cap, "cap {cap}");
+            assert!(!fresh.is_truncated() && !kept.is_truncated(), "cap {cap}");
+            assert_eq!(kept.key_count(), posts.len(), "cap {cap}");
             for &post in &posts {
-                assert_eq!(
-                    kept.common_neighbors(&[post]),
-                    fresh.common_neighbors(&[post]),
-                    "cap {cap}, key {post}"
-                );
+                assert_eq!(kept.common_neighbors(&[post]).to_vec(), [tag], "cap {cap}");
             }
+            assert!(kept.has_contribution(tag));
+            assert_equivalent_to_rebuild(&indices, &g);
 
-            // Dropping edges un-caps the target again.
             let mut deltas = Vec::new();
             for &post in &posts[..3] {
                 g.delete_edge(post, tag).unwrap();
@@ -534,8 +518,8 @@ mod tests {
             }
             apply_deltas(&mut indices, &g, &deltas);
             let kept = indices.get(ConstraintId(0)).unwrap();
-            assert_eq!(kept.is_truncated(), cap == 1, "cap {cap}");
-            assert_eq!(kept.common_neighbors(&[posts[3]]), &[tag]);
+            assert!(!kept.is_truncated(), "cap {cap}");
+            assert_eq!(kept.common_neighbors(&[posts[3]]).to_vec(), [tag]);
             assert_eq!(kept.key_count(), 1);
         }
     }

@@ -14,6 +14,15 @@
 //!   nodes — enough to reproduce the exact [`ConstraintIndex`] a fresh
 //!   build would produce, including its `is_truncated` verdict.
 //!
+//! A unary index's entries are the graph's own adjacency segments, so its
+//! part of the `Indices` section is **derived, checked and dropped**: the
+//! writer emits the entries the rows give (the bytes of format version 1,
+//! unchanged), and the reader checks the persisted entries against the rows
+//! and keeps nothing of them but their length counts. A file whose unary
+//! entries disagree with its rows — edited, or written by a build whose cap
+//! truncated unary indices (such a file also lists capped targets for them)
+//! — is refused as corrupt, with a message saying to recompile it.
+//!
 //! Loading re-validates everything against the graph decoded from the same
 //! container (label ids interned, node ids live and carrying the labels the
 //! constraint requires, keys and answers sorted), so a corrupt or
@@ -30,6 +39,7 @@ use bgpq_graph::io::snapshot::{
 use bgpq_graph::{Graph, Label, NodeId, Row};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Everything a snapshot holds: the graph, the access schema discovered for
 /// it, and the indices built over it. Loading one is the binary equivalent
@@ -155,11 +165,13 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
                 previous.as_ref().map_or(true, |p| p[..] < key[..]),
                 "{key:?} out of order"
             );
-            for list in [&key[..], answers] {
-                w.put_u32(list.len() as u32);
-                for v in list {
-                    w.put_u32(v.0);
-                }
+            w.put_u32(key.len() as u32);
+            for v in key.iter() {
+                w.put_u32(v.0);
+            }
+            w.put_u32(answers.len() as u32);
+            for v in answers {
+                w.put_u32(v.0);
             }
             written += 1;
             previous = Some(key);
@@ -204,7 +216,9 @@ fn read_sorted_ids(
 /// counts that are derivable from the persisted entries. Each index's
 /// entries must come in strictly increasing key order, as
 /// [`write_snapshot`] writes them: a repeated or out-of-order key is
-/// refused as corrupt.
+/// refused as corrupt. A unary index's entries must be exactly those the
+/// graph's rows give, with no capped target; they are then dropped, and a
+/// mismatch is refused as corrupt with a word to recompile the file.
 pub fn decode_indices(
     archive: &SnapshotArchive,
     graph: &Graph,
@@ -224,6 +238,8 @@ pub fn decode_indices(
     // Every entry's key and then its answers in one flat id list, and one
     // `(start, mid, end)` span per entry; both buffers serve every index.
     let (mut ids, mut spans) = (Vec::new(), Vec::new());
+    // The graph the unary indices answer from, made for the first of them.
+    let mut shared: Option<Arc<Graph>> = None;
     for constraint in schema.iter() {
         let cap = r.read_count()?;
         let capped_len = r.read_u32()? as usize;
@@ -239,6 +255,12 @@ pub fn decode_indices(
         if constraint.is_global() && !capped.is_empty() {
             return Err(r.corrupt(format!(
                 "the global index of {constraint} lists capped targets"
+            )));
+        }
+        if constraint.source_len() == 1 && !capped.is_empty() {
+            return Err(r.corrupt(format!(
+                "the unary index of {constraint} lists capped targets, written by a build \
+                 that truncated unary indices; recompile the snapshot"
             )));
         }
         if let Some(v) = capped
@@ -292,17 +314,22 @@ pub fn decode_indices(
             }
             spans.push((start, mid, ids.len()));
         }
-        let constraint = constraint.clone();
-        let persisted = capped.clone();
-        let index = ConstraintIndex::from_entries(graph, constraint, cap, capped, &ids, &mut spans);
-        // A unary index derives its capped targets from its entries; an
-        // `|S| ≥ 2` one keeps the list it was given.
-        if index.capped_targets() != persisted {
-            return Err(r.corrupt(format!(
-                "the capped targets of {} disagree with its entries",
-                index.constraint()
-            )));
-        }
+        let shared = shared.get_or_insert_with(|| Arc::new(graph.clone()));
+        let index = ConstraintIndex::from_entries(
+            shared,
+            constraint.clone(),
+            cap,
+            capped,
+            &ids,
+            &mut spans,
+        );
+        let index = index.map_err(|at| {
+            r.corrupt(format!(
+                "the entries of {constraint} disagree with the adjacency ({at}): the file was \
+                 edited, or its unary index was truncated when it was written; recompile the \
+                 snapshot"
+            ))
+        })?;
         indices.push(index);
     }
     r.expect_end()?;
@@ -365,7 +392,7 @@ mod tests {
     fn with_entries(
         edited: usize,
         capped: &[NodeId],
-        edit: impl Fn(&mut Vec<(Row, &[NodeId])>),
+        edit: impl Fn(&mut Vec<(Row, Vec<NodeId>)>),
     ) -> Vec<u8> {
         let (g, schema) = toy();
         let indices = AccessIndexSet::build(&g, &schema);
@@ -376,14 +403,17 @@ mod tests {
             let capped = if id.index() == edited { capped } else { &[] };
             w.put_u32(capped.len() as u32);
             capped.iter().for_each(|v| w.put_u32(v.0));
-            let mut entries: Vec<(Row, &[NodeId])> = index.entries().collect();
+            let entries = index
+                .entries()
+                .map(|(key, answers)| (key, answers.to_vec()));
+            let mut entries: Vec<(Row, Vec<NodeId>)> = entries.collect();
             if id.index() == edited {
                 edit(&mut entries);
             }
             w.put_u32(entries.len() as u32);
             for list in entries
                 .iter()
-                .flat_map(|(key, answers)| [&key[..], answers])
+                .flat_map(|(key, answers)| [&key[..], &answers[..]])
             {
                 w.put_u32(list.len() as u32);
                 list.iter().for_each(|v| w.put_u32(v.0));
@@ -423,12 +453,13 @@ mod tests {
         }
     }
 
-    /// A unary index is stored as arrays over its keys' one id each, and
-    /// derives its capped targets from its entries: a key of another
-    /// length, a key without answers, and a capped list the entries do not
-    /// bear out are refused as corrupt. The other kinds are checked too: a
-    /// pair key has answers, a global index caps nothing and has its one
-    /// key, and a capped target of any index carries the target label.
+    /// A unary index's entries are the graph's adjacency segments, checked
+    /// and dropped: a key of another length, a key without answers, a
+    /// capped target (no unary index truncates), an entry missing and an
+    /// answer list that is not the node's segments are refused as corrupt,
+    /// the stale ones with a word to recompile. The other kinds are checked
+    /// too: a pair key has answers, a global index caps nothing and has its
+    /// one key, and a capped target of any index carries the target label.
     #[test]
     fn malformed_unary_entries_are_refused() {
         let (g, _) = toy();
@@ -445,13 +476,28 @@ mod tests {
             ),
             (
                 "a key without answers",
-                with_entries(1, &[], |entries| entries[0].1 = &[]),
+                with_entries(1, &[], |entries| entries[0].1.clear()),
                 "has no answers",
             ),
             (
-                "an uncapped target listed as capped",
+                "a unary target listed as capped",
                 with_entries(1, &[first("actor")], |_| {}),
-                "capped targets",
+                "capped targets, written by a build that truncated unary indices; recompile",
+            ),
+            (
+                "a unary entry missing",
+                with_entries(1, &[], |entries| drop(entries.remove(1))),
+                "disagree with the adjacency (the entries part at node",
+            ),
+            (
+                "a unary entry missing at the end",
+                with_entries(1, &[], |entries| drop(entries.pop())),
+                "is missing): the file was edited, or its unary index was truncated",
+            ),
+            (
+                "another node's answers",
+                with_entries(1, &[], |entries| entries[0].1 = entries[1].1.clone()),
+                "; recompile the snapshot",
             ),
             (
                 "a capped global index",
@@ -465,7 +511,7 @@ mod tests {
             ),
             (
                 "a pair key without answers",
-                with_entries(2, &[], |entries| entries[0].1 = &[]),
+                with_entries(2, &[], |entries| entries[0].1.clear()),
                 "has no answers",
             ),
             (

@@ -93,11 +93,12 @@ fn fixture() -> Graph {
 }
 
 /// A star graph whose hub has more neighbor combinations than a small cap
-/// allows, forcing `is_truncated` on the grouped constraint.
+/// allows, forcing `is_truncated` on the grouped `{spoke, rim} → hub`
+/// constraint. Its two spoke labels alternate along the ids.
 fn hub_graph() -> Graph {
     let mut b = GraphBuilder::new();
     let spokes: Vec<NodeId> = (0..24)
-        .map(|i| b.add_node("spoke", Value::Int(i)))
+        .map(|i| b.add_node(["spoke", "rim"][i as usize % 2], Value::Int(i)))
         .collect();
     let hubs: Vec<NodeId> = (0..3).map(|i| b.add_node("hub", Value::Int(i))).collect();
     for &h in &hubs {
@@ -190,4 +191,70 @@ fn empty_schema_round_trips() {
     let bundle = round_trip(&graph, &fresh);
     assert_eq!(bundle.schema.len(), 0);
     assert_index_sets_identical(&fresh, &bundle.indices);
+}
+
+/// A file written when unary indices truncated at the combination cap —
+/// `spoke → hub` at cap 4, each hub listed under its first 4 spokes, with
+/// or without the capped list that build kept — no longer matches its rows.
+/// Loading it fails with a typed error naming the `Indices` section and
+/// saying to recompile; the untruncated section is what the writer writes.
+#[test]
+fn a_unary_section_truncated_when_written_is_refused_with_a_word_to_recompile() {
+    use bgpq_graph::io::snapshot::{
+        Section, SectionWriter, SnapshotArchive, SnapshotError, SnapshotWriter,
+    };
+    let graph = hub_graph();
+    let (spoke, hub) = (graph.interner().get("spoke"), graph.interner().get("hub"));
+    let schema =
+        bgpq_access::AccessSchema::from_constraints([bgpq_access::AccessConstraint::unary(
+            spoke.unwrap(),
+            hub.unwrap(),
+            3,
+        )]);
+    let mut written = Vec::new();
+    let indices = AccessIndexSet::build_with_cap(&graph, &schema, 4);
+    write_snapshot(&graph, &indices, &mut written).unwrap();
+    let hubs = graph.nodes_with_label(hub.unwrap()).to_vec();
+    let spokes = graph.nodes_with_label(spoke.unwrap()).to_vec();
+    // Every spoke neighbours every hub: the first `cap` spokes list them all.
+    let section = |cap: usize, capped: &[NodeId]| {
+        let mut w = SectionWriter::new();
+        w.put_u32(1);
+        w.put_u64(4);
+        w.put_u32(capped.len() as u32);
+        capped.iter().for_each(|v| w.put_u32(v.0));
+        let listed = &spokes[..cap.min(spokes.len())];
+        w.put_u32(listed.len() as u32);
+        for o in listed {
+            w.put_u32(1);
+            w.put_u32(o.0);
+            w.put_u32(hubs.len() as u32);
+            hubs.iter().for_each(|v| w.put_u32(v.0));
+        }
+        w.into_bytes()
+    };
+    let archive = SnapshotArchive::from_bytes(written.clone()).unwrap();
+    assert_eq!(
+        section(usize::MAX, &[]),
+        archive.section(Section::Indices).unwrap()
+    );
+    for capped in [&hubs[..], &[]] {
+        let mut w = SnapshotWriter::new();
+        for (id, range) in archive.sections() {
+            let payload = match id {
+                Section::Indices => section(4, capped),
+                _ => written[range].to_vec(),
+            };
+            w.add_section(id, payload);
+        }
+        let mut stale = Vec::new();
+        w.write_to(&mut stale).unwrap();
+        match read_snapshot(Cursor::new(stale)) {
+            Err(SnapshotError::Corrupt { section, message }) => {
+                assert_eq!(section, Section::Indices);
+                assert!(message.contains("recompile the snapshot"), "{message}");
+            }
+            other => panic!("a truncated unary section must be refused, got {other:?}"),
+        }
+    }
 }

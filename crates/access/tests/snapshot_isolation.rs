@@ -8,9 +8,10 @@
 //! each one must still equal a from-scratch rebuild over its own graph —
 //! every entry, cardinality, truncation verdict and contribution probe.
 //!
-//! The streams grow the unary `item → user` index's arrays past their first
-//! page, and run once uncapped and once under a combination cap small
-//! enough that hub targets sit at it.
+//! The streams grow the `(user, tag) → item` index's arrays past their
+//! first page, and run once uncapped and once under a combination cap small
+//! enough that hub targets sit at it. Unary indices answer from the graph's
+//! own rows, so every pinned version of them reads its own graph.
 
 use bgpq_access::{
     apply_deltas, AccessConstraint, AccessIndexSet, AccessSchema, ConstraintId, GraphDelta,
@@ -56,8 +57,10 @@ fn initial(rng: &mut DetRng) -> (Graph, AccessSchema) {
     (graph, schema)
 }
 
-/// The index the stream grows past its first page: `item → user`.
-const GROWING: ConstraintId = ConstraintId(1);
+/// The index the stream grows past its first page: `(user, tag) → item`,
+/// whose target listings are addressed by item id. (A unary index keeps no
+/// pages: its answers are the graph's rows.)
+const GROWING: ConstraintId = ConstraintId(4);
 
 fn live_with(graph: &Graph, name: &str) -> Vec<NodeId> {
     graph
@@ -211,10 +214,10 @@ fn pinned_index_versions_survive_later_commits() {
     }
 }
 
-/// Under a small cap the hub users (as `item → user` targets) and every
-/// busy item (as a `(user, tag) → item` target) sit at the cap, so whole
-/// contributions are re-enumerated under it on most commits, and edge
-/// deltas keep carrying targets up to the cap and back below it.
+/// Under a small cap every busy item (as a `(user, tag) → item` target)
+/// sits at the cap, so whole contributions are re-enumerated under it on
+/// most commits, and edge deltas keep carrying targets up to the cap and
+/// back below it. The unary indices ignore the cap.
 #[test]
 fn pinned_index_versions_survive_later_commits_at_the_cap() {
     for cap in [1, 2, 5] {

@@ -3,7 +3,6 @@
 use crate::args::Args;
 use crate::dataset::{dataset_source, default_edge_label, load_dataset_full, Format};
 use bgpq_engine::Graph;
-use bgpq_graph::GraphStats;
 use std::error::Error;
 use std::io::Write;
 use std::path::Path;
@@ -46,7 +45,7 @@ fn report(
     format: Format,
     out: &mut dyn Write,
 ) -> Result<(), Box<dyn Error>> {
-    let stats = GraphStats::compute(graph);
+    let stats = graph.stats();
     writeln!(out, "dataset {} ({format})", path.display())?;
     writeln!(
         out,

@@ -553,4 +553,46 @@ mod tests {
         assert_eq!(plain.len(), 70 * 70);
         assert_eq!(plain, opt_subgraph_match(&q, &g, &indices));
     }
+
+    /// A unary hub target listed under more sources than the cap: a unary
+    /// index answers from the graph's rows and never truncates, so under a
+    /// cap of 1 and the default cap alike every lookup is complete and the
+    /// query plans and answers in full.
+    #[test]
+    fn a_unary_hub_target_past_the_cap_still_plans() {
+        let posts = bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE + 10;
+        let mut gb = GraphBuilder::new();
+        let hub = gb.add_node("tag", Value::Null);
+        for i in 0..posts {
+            let post = gb.add_node("post", Value::Int(i as i64));
+            gb.add_edge(post, hub).unwrap();
+        }
+        let g = gb.build();
+        let post_l = g.interner().get("post").unwrap();
+        let tag_l = g.interner().get("tag").unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::global(post_l, posts),
+            AccessConstraint::unary(post_l, tag_l, 1),
+        ]);
+        let mut pb = PatternBuilder::with_interner(g.interner().clone());
+        let pp = pb.node("post", Predicate::always());
+        let pt = pb.node("tag", Predicate::always());
+        pb.edge(pp, pt);
+        let q = pb.build();
+        for indices in [
+            AccessIndexSet::build_with_cap(&g, &schema, 1),
+            AccessIndexSet::build(&g, &schema),
+        ] {
+            let unary = indices.get(bgpq_access::ConstraintId(1)).unwrap();
+            assert!(!unary.is_truncated());
+            assert_eq!(unary.key_count(), posts);
+            for &post in g.nodes_with_label(post_l) {
+                assert_eq!(unary.common_neighbors(&[post]).to_vec(), [hub]);
+            }
+            let plan = plan_for_indices(&q, &indices, Semantics::Isomorphism);
+            assert!(plan.is_ok(), "cap {}", unary.cap());
+            let run = bounded_subgraph_match(&q, &g, &indices).unwrap();
+            assert_eq!(run.result.len(), posts);
+        }
+    }
 }

@@ -23,8 +23,9 @@
 //! `Subgraph` on the hot path.
 //!
 //! A lookup is one [`ConstraintIndex::common_neighbors`] probe whose
-//! borrowed answer list is appended straight to the step's list: no key is
-//! copied, hashed or cached. Within a step no key repeats (the `via` nodes
+//! borrowed answer lists are appended straight to the step's list — one
+//! list, or a unary answer's out- and in-segment of the graph's rows merged
+//! on the way: no key is copied, hashed or cached. Within a step no key repeats (the `via` nodes
 //! carry the constraint's distinct source labels). What does repeat is whole
 //! steps: two pattern nodes of one label fetched through the same constraint
 //! from the same `via` nodes probe the identical key set. The
@@ -195,7 +196,13 @@ pub fn fetch_candidate_sets(
             let (mut fetched, mut probes) = (Vec::new(), 0);
             for_each_combination(&step.via, &candidates, &mut Vec::new(), &mut |key| {
                 probes += 1;
-                fetched.extend_from_slice(index.common_neighbors(key));
+                // A unary answer is two segments of the graph's rows; one
+                // alone is copied whole.
+                let answers = index.common_neighbors(key);
+                match answers.lists() {
+                    [list, []] | [[], list] => fetched.extend_from_slice(list),
+                    _ => fetched.extend(answers),
+                }
             });
             stats.index_lookups += probes;
             stats.nodes_returned += fetched.len() as u64;

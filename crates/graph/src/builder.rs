@@ -1,13 +1,14 @@
 //! Incremental construction of [`Graph`]s.
 //!
 //! The builder accepts nodes (label name + value) and directed edges in any
-//! order and produces a [`Graph`] with sorted adjacency and a label index.
-//! Adding an edge only appends it to a list: parallel edges are dropped in
-//! [`GraphBuilder::build`], whose counting sort puts each node's neighbours
-//! side by side anyway, so a streamed graph costs no hash probe per edge.
+//! order and produces a [`Graph`] whose adjacency rows are sorted by
+//! `(neighbour label, id)`, and a label index. Adding an edge only appends
+//! it to a list: parallel edges are dropped in [`GraphBuilder::build`],
+//! whose counting sort puts each node's neighbours side by side anyway, so a
+//! streamed graph costs no hash probe per edge.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
 use crate::paged::PagedVec;
@@ -121,10 +122,12 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
         let n = self.labels.len();
-        let out = sorted_rows(n, self.edges.iter().copied());
-        let inc = sorted_rows(n, self.edges.iter().map(|&(src, dst)| (dst, src)));
+        let labels = &self.labels[..];
+        let out = sorted_rows(labels, self.edges.iter().copied());
+        let inc = sorted_rows(labels, self.edges.iter().map(|&(src, dst)| (dst, src)));
         let edge_count = out.iter().map(|row| row.len()).sum();
         let label_index = LabelIndex::build(&self.labels);
+        debug_assert_eq!(out.len(), n);
         Graph {
             interner: self.interner,
             labels: self.labels.into_iter().collect(),
@@ -134,14 +137,23 @@ impl GraphBuilder {
             edge_count,
             label_index,
             dead_count: 0,
+            stats: Default::default(),
         }
     }
 }
 
-/// Groups `(node, neighbor)` pairs into one sorted, duplicate-free row per
-/// node: a counting sort into a flat array, then each row is cut out,
-/// sorted and rid of repeats.
-fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) -> PagedVec<Row> {
+/// Groups `(node, neighbor)` pairs into one duplicate-free row per node,
+/// sorted by `(label, id)` of the neighbour: a counting sort into a flat
+/// array, then each row is cut out, sorted by id and rid of repeats. When
+/// labels do not descend anywhere along the ids — each label a contiguous
+/// id range in interning order, as the scenario generators emit them — id
+/// order already is that order; otherwise a row whose labels descend is
+/// sorted again by label.
+pub(crate) fn sorted_rows(
+    labels: &[Label],
+    pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+) -> PagedVec<Row> {
+    let n = labels.len();
     let mut end = vec![0usize; n + 1];
     for (node, _) in pairs.clone() {
         end[node.index() + 1] += 1;
@@ -155,6 +167,7 @@ fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) 
         flat[end[node.index()]] = neighbor;
         end[node.index()] += 1;
     }
+    let by_id = labels_ascend(labels);
     let (mut start, mut row) = (0, Vec::new());
     (0..n)
         .map(|v| {
@@ -163,9 +176,30 @@ fn sorted_rows(n: usize, pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) 
             start = end[v];
             row.sort_unstable();
             row.dedup();
+            if !by_id {
+                group_by_label(&mut row, labels);
+            }
             Row::from(&row[..])
         })
         .collect()
+}
+
+/// True when no live node's label is below an earlier live node's: then
+/// every id-sorted row is in `(label, id)` order already. Deleted slots
+/// carry the tombstone sentinel and sit in no row, so they are skipped.
+pub(crate) fn labels_ascend(labels: &[Label]) -> bool {
+    let mut live = labels.iter().filter(|&&label| label != TOMBSTONE);
+    let mut previous = Label(0);
+    live.all(|&label| std::mem::replace(&mut previous, label) <= label)
+}
+
+/// Reorders an id-sorted row into `(label, id)` order, reading each label
+/// once; a row whose labels already ascend is left as it is.
+pub(crate) fn group_by_label(row: &mut [NodeId], labels: &[Label]) {
+    let label = |v: NodeId| labels[v.index()];
+    if row.windows(2).any(|pair| label(pair[0]) > label(pair[1])) {
+        row.sort_by_key(|&v| (label(v), v));
+    }
 }
 
 #[cfg(test)]

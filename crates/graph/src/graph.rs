@@ -4,20 +4,24 @@
 //! of accesses the bounded-evaluation machinery performs:
 //!
 //! * neighbor and label lookups in O(degree);
-//! * `has_edge` in O(log degree) (adjacency lists are kept sorted);
+//! * **neighbours by label in O(log degree)**: every adjacency row is sorted
+//!   by `(neighbour label, id)`, so the `l'`-labelled neighbours of a node —
+//!   the answer a unary access constraint `l → (l', N)` asks for — are one
+//!   contiguous segment of its out-row plus one of its in-row
+//!   ([`Graph::neighbors_labeled`]). The graph *is* the unary index;
+//!   `bgpq-access` keeps no copy of it;
+//! * `has_edge` in O(log degree) (a binary search on the `(label, id)` key);
 //! * enumeration of all nodes carrying a given label (via the embedded
 //!   [`LabelIndex`]);
-//! * **common-neighbor** queries for a set of nodes, the primitive behind
-//!   access-constraint indices (`S → (l, N)` asks for the common neighbors of
-//!   an `S`-labeled node set that carry label `l`).
+//! * [`GraphStats`] of each version, computed once ([`Graph::stats`]).
 //!
 //! Construction goes through [`crate::GraphBuilder`], which performs the
 //! necessary sorting and deduplication once. For serving scenarios the graph
 //! additionally supports **in-place mutation** ([`Graph::insert_node`],
 //! [`Graph::insert_edge`], [`Graph::delete_edge`], [`Graph::delete_node`])
-//! that keeps the adjacency lists sorted and the embedded [`LabelIndex`] in
-//! sync, so access-constraint indices can be maintained incrementally
-//! against the mutated graph instead of rebuilt.
+//! that keeps the adjacency rows in `(label, id)` order and the embedded
+//! [`LabelIndex`] in sync, so access-constraint indices can be maintained
+//! incrementally against the mutated graph instead of rebuilt.
 //!
 //! **Storage is structurally shared**, all of it on one mechanism: the
 //! two-level copy-on-write [`crate::Spine`]. The four per-node arrays
@@ -42,9 +46,11 @@ use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
 use crate::row::Row;
 use crate::spine::SpineShape;
+use crate::stats::GraphStats;
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel label carried by deleted node slots. It is never interned, so it
 /// compares unequal to every real label and [`LabelIndex`] lookups for it
@@ -100,15 +106,18 @@ pub struct Graph {
     pub(crate) interner: LabelInterner,
     pub(crate) labels: PagedVec<Label>,
     pub(crate) values: PagedVec<Value>,
-    /// Sorted out-adjacency per node.
+    /// Out-adjacency per node, sorted by `(label, id)`.
     pub(crate) out: PagedVec<Row>,
-    /// Sorted in-adjacency per node.
+    /// In-adjacency per node, sorted by `(label, id)`.
     pub(crate) inc: PagedVec<Row>,
     pub(crate) edge_count: usize,
     pub(crate) label_index: LabelIndex,
     /// Number of deleted (tombstoned) node slots; node ids stay contiguous
     /// so deletion marks the slot instead of shifting ids.
     pub(crate) dead_count: usize,
+    /// This version's statistics, computed on first use and shared by its
+    /// clones; a mutation starts a new one.
+    pub(crate) stats: Arc<OnceLock<GraphStats>>,
 }
 
 impl Graph {
@@ -123,6 +132,7 @@ impl Graph {
             edge_count: 0,
             label_index: LabelIndex::default(),
             dead_count: 0,
+            stats: Arc::default(),
         }
     }
 
@@ -163,11 +173,12 @@ impl Graph {
         (0..self.labels.len() as u32).map(NodeId)
     }
 
-    /// Returns every directed edge `(src, dst)`.
+    /// Returns every directed edge `(src, dst)`, ascending by `(src, dst)`
+    /// (a row not already in id order is sorted on the way out).
     pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.out.iter().enumerate().flat_map(|(src, dsts)| {
-            dsts.iter()
-                .map(move |&dst| EdgeId::new(NodeId(src as u32), dst))
+        self.out.iter().enumerate().flat_map(|(src, row)| {
+            let dsts = by_id(row);
+            (0..dsts.len()).map(move |i| EdgeId::new(NodeId(src as u32), dsts[i]))
         })
     }
 
@@ -232,6 +243,30 @@ impl Graph {
         ]
     }
 
+    /// The statistics of this version of the graph ([`GraphStats`]):
+    /// computed by the first call, then shared by every clone until one of
+    /// them mutates. Schema discovery and the unary access indices read the
+    /// same pass.
+    pub fn stats(&self) -> &GraphStats {
+        self.stats.get_or_init(|| GraphStats::compute(self))
+    }
+
+    /// Bytes the per-node storage holds: the pages of the four per-node
+    /// arrays and the buffers of long adjacency rows — counted from the
+    /// storage's shape, not measured, so the same for the same graph on
+    /// every run. The label buckets and the heap of string values are not
+    /// included. Since the rows are also the unary access indices, this is
+    /// their storage too.
+    pub fn storage_bytes(&self) -> usize {
+        let rows = |array: &PagedVec<Row>| {
+            array.storage_bytes() + array.iter().map(Row::heap_bytes).sum::<usize>()
+        };
+        self.labels.storage_bytes()
+            + self.values.storage_bytes()
+            + rows(&self.out)
+            + rows(&self.inc)
+    }
+
     /// The attribute value `ν(v)` of node `v`.
     pub fn value(&self, v: NodeId) -> &Value {
         &self.values[v.index()]
@@ -242,32 +277,68 @@ impl Graph {
         self.interner.name_or_placeholder(self.label(v))
     }
 
-    /// Out-neighbors of `v`, sorted by node id.
+    /// Out-neighbors of `v`, sorted by `(label, id)`: each label's
+    /// neighbours are one segment, in id order.
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.out[v.index()]
     }
 
-    /// In-neighbors of `v`, sorted by node id.
+    /// In-neighbors of `v`, sorted by `(label, id)` like
+    /// [`Graph::out_neighbors`].
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.inc[v.index()]
     }
 
-    /// All neighbors of `v` (union of in- and out-neighbors, deduplicated,
-    /// sorted): [`Graph::neighbor_iter`], collected.
+    /// The neighbors of `v` labeled `label` in either direction, ascending,
+    /// each once: the `label` segments of its out- and in-row, merged as
+    /// they are read — the answer of a unary access constraint
+    /// `f(v) → (label, N)` at `v`. Empty when `v` is out of range.
+    pub fn neighbors_labeled(&self, v: NodeId, label: Label) -> Neighbors<'_> {
+        Neighbors {
+            out: self.labeled(&self.out, v, label),
+            inc: self.labeled(&self.inc, v, label),
+        }
+    }
+
+    /// All neighbors of `v` (union of in- and out-neighbors, deduplicated),
+    /// sorted by id.
     ///
     /// The paper treats neighborhood as undirected: `v` is a neighbor of `v'`
     /// when either `(v, v')` or `(v', v)` is an edge.
     pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        self.neighbor_iter(v).collect()
+        let mut all: Vec<NodeId> = self.neighbor_runs(v).flat_map(|(_, run)| run).collect();
+        all.sort_unstable();
+        all
     }
 
-    /// The neighbors of [`Graph::neighbors`], merged from the out- and
-    /// in-row as they are read, without allocating.
-    pub fn neighbor_iter(&self, v: NodeId) -> Neighbors<'_> {
-        Neighbors {
+    /// The neighbors of `v` grouped by label, labels ascending: one
+    /// `(label, neighbors)` pair per label some neighbor carries. A group's
+    /// bounds are found by galloping, so a label's neighbors cost
+    /// `O(log run)` label reads, not one per neighbor.
+    pub fn neighbor_runs(&self, v: NodeId) -> NeighborRuns<'_, impl Fn(NodeId) -> Label + '_> {
+        self.neighbor_runs_by(v, move |w| self.label(w))
+    }
+
+    /// [`Graph::neighbor_runs`] with the labels read through `label_of`,
+    /// which must agree with [`Graph::label`] on every neighbor: a pass over
+    /// the whole graph reads them from a flat copy ([`Graph::labels`]), one
+    /// load each instead of a walk down the pages.
+    pub fn neighbor_runs_by<F: Fn(NodeId) -> Label>(
+        &self,
+        v: NodeId,
+        label_of: F,
+    ) -> NeighborRuns<'_, F> {
+        NeighborRuns {
+            label_of,
             out: &self.out[v.index()],
             inc: &self.inc[v.index()],
         }
+    }
+
+    /// The label of every node slot, in id order (a deleted slot's is a
+    /// sentinel no node carries).
+    pub fn labels(&self) -> impl Iterator<Item = Label> + '_ {
+        self.labels.iter().copied()
     }
 
     /// Out-degree of `v`.
@@ -282,14 +353,16 @@ impl Graph {
 
     /// Undirected degree of `v` (number of distinct neighbors).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.neighbor_iter(v).count()
+        self.neighbor_runs(v).map(|(_, run)| run.count()).sum()
     }
 
     /// True when the directed edge `(src, dst)` exists.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out
-            .get(src.index())
-            .is_some_and(|dsts| dsts.binary_search(&dst).is_ok())
+        self.contains_node(dst)
+            && self
+                .out
+                .get(src.index())
+                .is_some_and(|dsts| self.find(dsts, dst).is_ok())
     }
 
     /// True when `a` and `b` are neighbors in either direction.
@@ -325,13 +398,93 @@ impl Graph {
     pub fn live_node_count(&self) -> usize {
         self.labels.len() - self.dead_count
     }
+
+    /// Where `v` sits in `row`, a row of this graph: `Ok` at its position,
+    /// `Err` where inserting it keeps the `(label, id)` order.
+    fn find(&self, row: &[NodeId], v: NodeId) -> std::result::Result<usize, usize> {
+        let key = (self.label(v), v);
+        row.binary_search_by(|&w| (self.label(w), w).cmp(&key))
+    }
+
+    /// The `label` segment of `v`'s row in `rows` (empty past the end).
+    fn labeled<'a>(&'a self, rows: &'a PagedVec<Row>, v: NodeId, label: Label) -> &'a [NodeId] {
+        let row = rows.get(v.index()).map_or(&[][..], |row| row);
+        segment(row, label, |w| self.label(w))
+    }
+
+    /// The `label` segment of `v`'s out-row, and the number of row entries
+    /// read to find it (for `FragmentView::adjacency_reads`).
+    pub(crate) fn out_segment(&self, v: NodeId, label: Label) -> (&[NodeId], u64) {
+        let reads = std::cell::Cell::new(0);
+        let row = &self.out[v.index()];
+        let segment = segment(row, label, |w| {
+            reads.set(reads.get() + 1);
+            self.label(w)
+        });
+        (segment, reads.get())
+    }
+}
+
+/// The `label` segment of `row`, a row sorted by `(label, id)` whose labels
+/// `label_of` reads: the labels at both ends settle a row that lacks the
+/// label or holds nothing else; otherwise a binary search finds its start
+/// and a gallop its end.
+fn segment(row: &[NodeId], label: Label, label_of: impl Fn(NodeId) -> Label) -> &[NodeId] {
+    let (Some(&first), Some(&last)) = (row.first(), row.last()) else {
+        return row;
+    };
+    let (first, last) = (label_of(first), label_of(last));
+    if last < label || first > label {
+        return &[];
+    }
+    let start = match first == label {
+        true => 0,
+        false => 1 + row[1..].partition_point(|&w| label_of(w) < label),
+    };
+    let rest = &row[start..];
+    match last == label {
+        true => rest,
+        false => &rest[..run_len(rest, label, &label_of)],
+    }
+}
+
+/// How many ids at the front of `row` (a row suffix whose labels are all
+/// `≥ label`) carry `label`: all of them when the last one does, else a
+/// gallop from the front, so a short run costs a few label reads however
+/// long the row.
+fn run_len(row: &[NodeId], label: Label, label_of: &impl Fn(NodeId) -> Label) -> usize {
+    let carries = |i: usize| label_of(row[i]) == label;
+    if row.is_empty() || !carries(0) {
+        return 0;
+    }
+    if carries(row.len() - 1) {
+        return row.len();
+    }
+    // `row[lo]` carries the label; double the stride until one does not.
+    let (mut lo, mut stride) = (0, 1);
+    while lo + stride < row.len() && carries(lo + stride) {
+        lo += stride;
+        stride *= 2;
+    }
+    let hi = (lo + stride).min(row.len());
+    lo + 1 + row[lo + 1..hi].partition_point(|&w| label_of(w) == label)
+}
+
+/// `row` in id order: borrowed when it already is, else a sorted copy.
+pub(crate) fn by_id(row: &[NodeId]) -> std::borrow::Cow<'_, [NodeId]> {
+    if row.windows(2).all(|pair| pair[0] < pair[1]) {
+        return std::borrow::Cow::Borrowed(row);
+    }
+    let mut sorted = row.to_vec();
+    sorted.sort_unstable();
+    std::borrow::Cow::Owned(sorted)
 }
 
 /// In-place mutation, the write side of the serving subsystem.
 ///
 /// These operations keep every invariant the read API relies on: adjacency
-/// lists stay sorted and deduplicated, `edge_count` stays exact, and the
-/// embedded [`LabelIndex`] tracks label membership. Deleting a node
+/// rows stay sorted by `(label, id)` and deduplicated, `edge_count` stays
+/// exact, and the embedded [`LabelIndex`] tracks label membership. Deleting a node
 /// tombstones its slot (ids never shift): the slot keeps existing for
 /// [`Graph::contains_node`], but carries a reserved sentinel label that
 /// matches no interned label, has no adjacency, and is absent from the label
@@ -351,6 +504,7 @@ impl Graph {
     /// Panics when `label` is the reserved tombstone sentinel.
     pub fn insert_node_labeled(&mut self, label: Label, value: Value) -> NodeId {
         assert!(label != TOMBSTONE, "the tombstone label cannot be assigned");
+        self.stats = Arc::default();
         let id = NodeId(self.labels.len() as u32);
         self.labels.push(label);
         self.values.push(value);
@@ -370,12 +524,13 @@ impl Graph {
                 dst: dst.0 as u64,
             });
         }
-        match self.out[src.index()].binary_search(&dst) {
+        match self.find(&self.out[src.index()], dst) {
             Ok(_) => Ok(false),
             Err(pos) => {
+                self.stats = Arc::default();
                 self.out.make_mut(src.index()).insert(pos, dst);
-                let ipos = self.inc[dst.index()]
-                    .binary_search(&src)
+                let ipos = self
+                    .find(&self.inc[dst.index()], src)
                     .expect_err("out and in adjacency agree on membership");
                 self.inc.make_mut(dst.index()).insert(ipos, src);
                 self.edge_count += 1;
@@ -394,12 +549,13 @@ impl Graph {
                 dst: dst.0 as u64,
             });
         }
-        match self.out[src.index()].binary_search(&dst) {
+        match self.find(&self.out[src.index()], dst) {
             Err(_) => Ok(false),
             Ok(pos) => {
+                self.stats = Arc::default();
                 self.out.make_mut(src.index()).remove(pos);
-                let ipos = self.inc[dst.index()]
-                    .binary_search(&src)
+                let ipos = self
+                    .find(&self.inc[dst.index()], src)
                     .expect("out and in adjacency agree on membership");
                 self.inc.make_mut(dst.index()).remove(ipos);
                 self.edge_count -= 1;
@@ -418,17 +574,18 @@ impl Graph {
         if !self.is_live(v) {
             return Err(GraphError::NodeNotFound(v.0 as u64));
         }
+        self.stats = Arc::default();
         let mut removed = Vec::new();
         for &dst in std::mem::take(self.out.make_mut(v.index())).iter() {
-            let pos = self.inc[dst.index()]
-                .binary_search(&v)
+            let pos = self
+                .find(&self.inc[dst.index()], v)
                 .expect("out and in adjacency agree on membership");
             self.inc.make_mut(dst.index()).remove(pos);
             removed.push(EdgeId::new(v, dst));
         }
         for &src in std::mem::take(self.inc.make_mut(v.index())).iter() {
-            let pos = self.out[src.index()]
-                .binary_search(&v)
+            let pos = self
+                .find(&self.out[src.index()], v)
                 .expect("out and in adjacency agree on membership");
             self.out.make_mut(src.index()).remove(pos);
             removed.push(EdgeId::new(src, v));
@@ -448,12 +605,42 @@ impl Default for Graph {
     }
 }
 
-/// A node's neighbors in either direction, ascending, each once
-/// ([`Graph::neighbor_iter`]): the graph's one merge of an out- and in-row.
-#[derive(Debug, Clone)]
+/// Two id-sorted lists of neighbours merged as they are read: ascending,
+/// each id once — a label's out- and in-segment ([`Graph::neighbors_labeled`],
+/// [`Graph::neighbor_runs`]), or one list alone ([`Neighbors::from`]).
+#[derive(Clone, Copy, Default)]
 pub struct Neighbors<'a> {
     out: &'a [NodeId],
     inc: &'a [NodeId],
+}
+
+impl<'a> Neighbors<'a> {
+    /// True when both lists are empty.
+    pub fn is_empty(&self) -> bool {
+        self.out.is_empty() && self.inc.is_empty()
+    }
+
+    /// Number of distinct ids (one list alone is counted without being
+    /// read).
+    pub fn len(&self) -> usize {
+        self.count()
+    }
+
+    /// The ids, ascending, collected.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        self.collect()
+    }
+
+    /// The two lists, as borrowed.
+    pub fn lists(&self) -> [&'a [NodeId]; 2] {
+        [self.out, self.inc]
+    }
+}
+
+impl<'a> From<&'a [NodeId]> for Neighbors<'a> {
+    fn from(ids: &'a [NodeId]) -> Self {
+        Neighbors { out: ids, inc: &[] }
+    }
 }
 
 impl Iterator for Neighbors<'_> {
@@ -471,6 +658,79 @@ impl Iterator for Neighbors<'_> {
             }
         }
         Some(next)
+    }
+
+    /// Both lengths, less the ids the lists share: lists whose id ranges
+    /// do not overlap (one alone, too) are counted without being read, and
+    /// others by one branch-free merge.
+    fn count(self) -> usize {
+        let (a, b) = (self.out, self.inc);
+        let (Some((&a_first, &a_last)), Some((&b_first, &b_last))) =
+            (a.first().zip(a.last()), b.first().zip(b.last()))
+        else {
+            return a.len() + b.len();
+        };
+        if a_last < b_first || b_last < a_first {
+            return a.len() + b.len();
+        }
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            shared += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        a.len() + b.len() - shared
+    }
+}
+
+/// Equal when they hold the same ids, however split between the lists.
+impl PartialEq for Neighbors<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        Iterator::eq(*self, *other)
+    }
+}
+
+impl Eq for Neighbors<'_> {}
+
+impl fmt::Debug for Neighbors<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(*self).finish()
+    }
+}
+
+/// A node's neighbors grouped by label ([`Graph::neighbor_runs`]), labels
+/// read through `F`.
+#[derive(Clone)]
+pub struct NeighborRuns<'a, F> {
+    label_of: F,
+    out: &'a [NodeId],
+    inc: &'a [NodeId],
+}
+
+impl<'a, F: Fn(NodeId) -> Label> Iterator for NeighborRuns<'a, F> {
+    type Item = (Label, Neighbors<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let label_of = &self.label_of;
+        let heads = [self.out, self.inc].map(|row| row.first().map(|&w| label_of(w)));
+        let label = match heads {
+            [Some(a), Some(b)] => a.min(b),
+            [a, b] => a.or(b)?,
+        };
+        // A row whose first id carries the label runs on from there.
+        let take = |row: &mut &'a [NodeId], head: Option<Label>| {
+            let len = match head {
+                Some(first) if first == label => 1 + run_len(&row[1..], label, label_of),
+                _ => 0,
+            };
+            let (run, rest) = row.split_at(len);
+            *row = rest;
+            run
+        };
+        let out = take(&mut self.out, heads[0]);
+        let inc = take(&mut self.inc, heads[1]);
+        Some((label, Neighbors { out, inc }))
     }
 }
 
@@ -688,6 +948,46 @@ mod tests {
         for (old, row) in &pinned {
             assert_eq!(old.out_neighbors(hub), &row[..]);
         }
+    }
+
+    /// Labels interleaved along the ids: every row stays grouped by label
+    /// through edits, a label's segments answer `neighbors_labeled`, and the
+    /// memoized statistics follow the edits.
+    #[test]
+    fn rows_stay_grouped_by_label_through_edits() {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("hub", Value::Null);
+        let ids: Vec<NodeId> = (0..12)
+            .map(|i| b.add_node(["b", "a", "c"][i % 3], Value::Int(i as i64)))
+            .collect();
+        for &v in ids.iter().rev() {
+            b.add_edge(hub, v).unwrap();
+        }
+        b.add_edge(ids[4], hub).unwrap();
+        let mut g = b.build();
+        let a = g.interner().get("a").unwrap();
+        let grouped = |g: &crate::Graph| {
+            let key = |&w: &NodeId| (g.label(w), w);
+            let mut sorted = g.out_neighbors(hub).to_vec();
+            sorted.sort_by_key(key);
+            assert_eq!(g.out_neighbors(hub), &sorted[..]);
+            let of_a = g.neighbors(hub).into_iter().filter(|&w| g.label(w) == a);
+            assert_eq!(
+                g.neighbors_labeled(hub, a).to_vec(),
+                of_a.collect::<Vec<_>>()
+            );
+        };
+        grouped(&g);
+        assert_eq!(g.stats().fanout(g.label(hub), a), 4);
+        assert!(g.delete_edge(hub, ids[1]).unwrap());
+        assert!(g.has_edge(hub, ids[4]) && g.has_edge(ids[4], hub));
+        grouped(&g);
+        assert_eq!(g.stats().fanout(g.label(hub), a), 3);
+        let fresh = g.insert_node("a", Value::Null);
+        assert!(g.insert_edge(fresh, hub).unwrap());
+        grouped(&g);
+        assert_eq!(g.neighbors_labeled(hub, a).len(), 4);
+        assert_eq!(g.stats().fanout(g.label(hub), a), 4);
     }
 
     #[test]

@@ -32,14 +32,26 @@
 //! | `Labels`       | node count, then one `u32` label id per slot (deleted    |
 //! |                | slots carry `u32::MAX`, the tombstone sentinel)          |
 //! | `Values`       | tag byte per node, a `u64` payload per node, string blob |
-//! | `OutAdjacency` | CSR: `offsets: (n+1) x u64`, then targets `m x u32`      |
+//! | `OutAdjacency` | CSR: `offsets: (n+1) x u64`, then targets `m x u32`,     |
+//! |                | each row sorted by id                                    |
 //! | `InAdjacency`  | same shape as `OutAdjacency`                             |
 //! | `LabelIndex`   | CSR of per-label sorted node-id buckets                  |
+//!
+//! In memory a row is sorted by `(neighbour label, id)` — each label's
+//! neighbours one segment, which is what lets the graph answer unary access
+//! constraints. The file keeps the id order it has always had: the writer
+//! sorts a row by id on the way out, and the reader validates the id order
+//! and regroups each row by label. A graph whose labels ascend along the
+//! ids (every scenario generator's) is in both orders at once, so its
+//! regrouping is one pass over the labels.
 //!
 //! `Schema` and `Indices` sections are written and read by `bgpq-access`,
 //! which layers access-schema and constraint-index serialization on top of
 //! this container (the section ids are reserved here so one table names
-//! every section).
+//! every section). A unary index's entries in `Indices` are derived from
+//! the adjacency rows when written, and checked against them and dropped
+//! when read, so those bytes are unchanged; dropping them from the format
+//! is a later, declared version bump.
 //!
 //! Section id **9 is retired, never to be reused**: builds that had
 //! partitioned execution wrote per-shard index blobs under it. It now
@@ -48,15 +60,16 @@
 //! files would be misread.
 //!
 //! Decoding validates structural invariants — adjacency sorted strictly
-//! increasing, ids in bounds, in == transpose(out), label-index buckets
+//! by id, ids in bounds, in == transpose(out), label-index buckets
 //! consistent with the label assignment — and reports every failure as a
 //! typed [`SnapshotError`] naming the offending [`Section`]. Tombstoned
 //! slots are preserved exactly (unlike the text writer, which compacts
 //! ids), so a mutated graph round-trips with stable node ids.
 
-use crate::graph::{Graph, NodeId, TOMBSTONE};
+use crate::builder::{group_by_label, labels_ascend};
+use crate::graph::{by_id, Graph, NodeId, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
-use crate::label_index::{LabelIndex, LabelNodes};
+use crate::label_index::LabelIndex;
 use crate::paged::PagedVec;
 use crate::row::Row;
 use crate::value::Value;
@@ -619,47 +632,85 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
 
     // A chunked bucket is written as the one contiguous run it stands for.
     let buckets = || graph.label_index.buckets().map(|(_, nodes)| nodes);
-    let index = encode_csr(buckets().count(), buckets);
+    let ids = buckets().flat_map(|nodes| nodes.into_iter().copied());
+    let index = encode_csr(buckets().map(|nodes| nodes.len()), ids);
     writer.add_section(Section::LabelIndex, index.into_bytes());
 }
 
+/// Writes the rows in id order, the layout the format has always had: a
+/// row held in `(label, id)` order is sorted by id on the way out.
 fn encode_adjacency(rows: &PagedVec<Row>) -> SectionWriter {
-    encode_csr(rows.len(), || {
-        rows.iter().map(|row| LabelNodes::from(&row[..]))
-    })
+    let ids = rows.iter().flat_map(|row| {
+        let row = by_id(row);
+        (0..row.len()).map(move |i| row[i])
+    });
+    encode_csr(rows.iter().map(|row| row.len()), ids)
 }
 
 /// The CSR layout shared by the adjacency and label-index sections: row
-/// count, id total, `count + 1` offsets, then the ids.
-fn encode_csr<'a, I>(count: usize, rows: impl Fn() -> I) -> SectionWriter
-where
-    I: Iterator<Item = LabelNodes<'a>>,
-{
+/// count, id total, `count + 1` offsets, then the ids, `lens[i]` of them
+/// for row `i`.
+fn encode_csr(
+    lens: impl Iterator<Item = usize>,
+    ids: impl Iterator<Item = NodeId>,
+) -> SectionWriter {
+    let lens: Vec<u64> = lens.map(|len| len as u64).collect();
     let mut w = SectionWriter::new();
-    w.put_u32(count as u32);
-    w.put_u64(rows().map(|r| r.len() as u64).sum());
+    w.put_u32(lens.len() as u32);
+    w.put_u64(lens.iter().sum());
     let mut offset = 0u64;
-    for row in rows() {
+    for len in lens {
         w.put_u64(offset);
-        offset += row.len() as u64;
+        offset += len;
     }
     w.put_u64(offset);
-    for row in rows() {
-        for v in row {
-            w.put_u32(v.0);
-        }
+    for v in ids {
+        w.put_u32(v.0);
     }
     w
 }
 
-/// Decodes a CSR adjacency section into per-node sorted rows, validating
-/// monotone offsets, in-bounds ids and strictly increasing rows.
+/// A decoded adjacency section: row `v` is `targets[offsets[v]..offsets[v + 1]]`,
+/// in id order as the file holds it.
+struct Csr {
+    offsets: Vec<u64>,
+    targets: Vec<NodeId>,
+}
+
+impl Csr {
+    fn row(&self, v: usize) -> &[NodeId] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
+    /// The rows as the graph holds them, regrouped by `(label, id)`. When
+    /// labels ascend along the ids, id order is that order and a row costs
+    /// a copy; otherwise a row is checked and reordered where it needs it.
+    fn into_rows(self, labels: &[Label]) -> PagedVec<Row> {
+        let by_id = labels_ascend(labels);
+        let mut scratch = Vec::new();
+        (0..self.offsets.len() - 1)
+            .map(|v| {
+                let row = self.row(v);
+                if by_id {
+                    return Row::from(row);
+                }
+                scratch.clear();
+                scratch.extend_from_slice(row);
+                group_by_label(&mut scratch, labels);
+                Row::from(&scratch[..])
+            })
+            .collect()
+    }
+}
+
+/// Decodes a CSR adjacency section, validating monotone offsets, in-bounds
+/// ids and rows sorted strictly by id.
 fn decode_adjacency(
     section: Section,
     payload: &[u8],
     node_count: usize,
     labels: &[Label],
-) -> Result<(PagedVec<Row>, u64), SnapshotError> {
+) -> Result<Csr, SnapshotError> {
     let mut r = SectionReader::new(section, payload);
     let n = r.read_u32()? as usize;
     if n != node_count {
@@ -681,12 +732,14 @@ fn decode_adjacency(
         .collect();
     r.expect_end()?;
 
-    let row = |v: usize| &targets[offsets[v] as usize..offsets[v + 1] as usize];
     for v in 0..n {
         if offsets[v] > offsets[v + 1] {
             return Err(r.corrupt(format!("offsets of node {v} are not monotone")));
         }
-        let row = row(v);
+    }
+    let csr = Csr { offsets, targets };
+    for v in 0..n {
+        let row = csr.row(v);
         for pair in row.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(r.corrupt(format!("adjacency of node {v} is not sorted strictly")));
@@ -704,7 +757,7 @@ fn decode_adjacency(
             return Err(r.corrupt(format!("deleted node {v} still has adjacency")));
         }
     }
-    Ok(((0..n).map(|v| Row::from(row(v))).collect(), total))
+    Ok(csr)
 }
 
 /// Rebuilds a [`Graph`] from the archive's graph sections, validating
@@ -786,28 +839,34 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         values.push(value);
     }
 
-    // Adjacency, both directions, cross-validated.
-    let (out, out_total) = decode_adjacency(
+    // Adjacency, both directions, cross-validated in the file's id order,
+    // then regrouped by label.
+    let out = decode_adjacency(
         Section::OutAdjacency,
         archive.require(Section::OutAdjacency)?,
         node_count,
         &labels,
     )?;
-    let (inc, in_total) = decode_adjacency(
+    let inc = decode_adjacency(
         Section::InAdjacency,
         archive.require(Section::InAdjacency)?,
         node_count,
         &labels,
     )?;
+    let (out_total, in_total) = (out.targets.len(), inc.targets.len());
     if out_total != in_total {
         return Err(SnapshotError::Corrupt {
             section: Section::InAdjacency,
             message: format!("edge totals disagree: out {out_total}, in {in_total}"),
         });
     }
-    for (src, row) in out.iter().enumerate() {
-        for &dst in row.iter() {
-            if inc[dst.index()].binary_search(&NodeId(src as u32)).is_err() {
+    for src in 0..node_count {
+        for &dst in out.row(src) {
+            if inc
+                .row(dst.index())
+                .binary_search(&NodeId(src as u32))
+                .is_err()
+            {
                 return Err(SnapshotError::Corrupt {
                     section: Section::InAdjacency,
                     message: format!("edge ({src}, {dst}) is missing from the in-adjacency"),
@@ -872,13 +931,14 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
 
     Ok(Graph {
         interner,
+        out: out.into_rows(&labels),
+        inc: inc.into_rows(&labels),
         labels: labels.into_iter().collect(),
         values: values.into_iter().collect(),
-        out,
-        inc,
-        edge_count: out_total as usize,
+        edge_count: out_total,
         label_index,
         dead_count,
+        stats: Default::default(),
     })
 }
 

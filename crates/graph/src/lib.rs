@@ -14,16 +14,17 @@
 //! * [`Value`] — attribute values with a total order, used by pattern
 //!   predicates;
 //! * [`Graph`] and [`GraphBuilder`] — the graph storage with out/in adjacency
-//!   lists, per-label node indexes and neighbor queries, held in structurally
-//!   shared pages so a clone is cheap and a mutation copies only what it
-//!   touches (common neighbours are answered by the access indices of
-//!   `bgpq-access`, not here);
+//!   rows sorted by `(neighbour label, id)` (so a node's neighbours of one
+//!   label, the answer of a unary access constraint, are one segment per
+//!   direction: [`Graph::neighbors_labeled`]), per-label node indexes and
+//!   neighbor queries, held in structurally shared pages so a clone is cheap
+//!   and a mutation copies only what it touches (common neighbours of `|S|
+//!   ≥ 2` nodes are answered by the access indices of `bgpq-access`);
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
 //!   the one per-node array on top of it, under the graph's per-node storage
-//!   and the access indices; and [`Row`] — the short sorted id list
-//!   both store by value (adjacency rows here, index keys and answer lists
-//!   there);
+//!   and the access indices; and [`Row`] — the short id list both store
+//!   by value (adjacency rows here, index keys and answer lists there);
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
 //!   a standalone graph: the slow, obviously-correct test oracle that
 //!   [`FragmentView`] and the bounded executors are checked against;
@@ -63,11 +64,11 @@ pub mod view;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use graph::{EdgeId, Graph, NodeId};
+pub use graph::{EdgeId, Graph, NeighborRuns, Neighbors, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
 pub use label_index::{LabelIndex, LabelNodes};
-pub use paged::{PagedVec, PagedVecBuilder, PAGE_SIZE};
+pub use paged::{PagedVec, PAGE_SIZE};
 pub use pool::ArenaPool;
 pub use row::{Row, INLINE_ROW};
 pub use spine::{Spine, SpineShape, SPINE_FANOUT};

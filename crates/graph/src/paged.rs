@@ -111,19 +111,6 @@ impl<T: Clone + Default> PagedVec<T> {
         self.blank.get_or_insert_with(defaults).clone()
     }
 
-    /// The array holding each `(i, value)` of `items` at `i` and defaults
-    /// elsewhere, built by a [`PagedVecBuilder`].
-    ///
-    /// # Panics
-    /// Panics when the indices are not strictly increasing.
-    pub fn from_sparse(items: impl IntoIterator<Item = (usize, T)>) -> Self {
-        let mut builder = PagedVecBuilder::default();
-        for (i, value) in items {
-            builder.set(i, value);
-        }
-        builder.finish()
-    }
-
     /// Iterates over the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.pages.iter().flat_map(|p| p.iter()).take(self.len)
@@ -143,73 +130,6 @@ impl<T: Clone + Default> PagedVec<T> {
         let blanks = self.pages.iter().filter(is_blank).count();
         let held = self.pages.len() - blanks + usize::from(blanks > 0);
         held * std::mem::size_of::<Page<T>>() + self.pages.len() * std::mem::size_of::<usize>()
-    }
-}
-
-/// Fills a [`PagedVec`] front to back: values set at strictly increasing
-/// indices go into a page being filled, and each page joins the array once,
-/// full and uniquely owned; the whole pages nothing is set in share one
-/// blank page. A writer that fills several arrays in one pass holds a
-/// builder per array.
-#[derive(Debug)]
-pub struct PagedVecBuilder<T> {
-    vec: PagedVec<T>,
-    pages: Vec<Arc<Page<T>>>,
-    /// The values of page `pages.len()`, the one being filled.
-    open: Vec<T>,
-}
-
-impl<T> Default for PagedVecBuilder<T> {
-    fn default() -> Self {
-        PagedVecBuilder {
-            vec: PagedVec::default(),
-            pages: Vec::new(),
-            open: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone + Default> PagedVecBuilder<T> {
-    /// Sets element `i` of the array.
-    ///
-    /// # Panics
-    /// Panics unless `i` is past every index set before.
-    pub fn set(&mut self, i: usize, value: T) {
-        assert!(i >= self.vec.len, "index {i} after {}", self.vec.len);
-        if i >> PAGE_BITS > self.pages.len() {
-            self.turn_to(i >> PAGE_BITS);
-        }
-        self.open.resize_with(i & PAGE_MASK, T::default);
-        self.open.push(value);
-        self.vec.len = i + 1;
-    }
-
-    /// The array, one element past the last index set long.
-    pub fn finish(mut self) -> PagedVec<T> {
-        if !self.open.is_empty() {
-            self.close();
-        }
-        self.vec.pages = self.pages.into_iter().collect();
-        self.vec
-    }
-
-    /// Moves on to page `at`: closes the page being filled, if anything
-    /// was set in it, and blanks the whole pages before `at`.
-    fn turn_to(&mut self, at: usize) {
-        if !self.open.is_empty() {
-            self.close();
-        }
-        if at > self.pages.len() {
-            let blank = self.vec.blank();
-            self.pages.resize(at, blank);
-        }
-    }
-
-    /// Pads the page being filled with defaults and adds it to the pages.
-    fn close(&mut self) {
-        let mut open = std::mem::replace(&mut self.open, Vec::with_capacity(PAGE_SIZE));
-        open.resize_with(PAGE_SIZE, T::default);
-        self.pages.push(page(open.into()));
     }
 }
 
@@ -236,9 +156,7 @@ impl<T: Clone + Default> std::ops::Index<usize> for PagedVec<T> {
     }
 }
 
-/// Builds every page once, uniquely owned. A dense fill takes a page's
-/// items at a time, which runs about three times as fast as setting them
-/// one by one through a [`PagedVecBuilder`].
+/// Builds every page once, uniquely owned, a page's items at a time.
 impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
@@ -342,7 +260,10 @@ mod tests {
     #[test]
     fn skipped_pages_share_one_blank_page() {
         let ids = [3 * PAGE_SIZE + 1, 3 * PAGE_SIZE + 9, 7 * PAGE_SIZE];
-        let sparse = PagedVec::from_sparse(ids.iter().map(|&i| (i, i as u32)));
+        let mut sparse = PagedVec::default();
+        for &i in &ids {
+            *sparse.make_mut(i) = i as u32;
+        }
         let model = ids.iter().map(|&i| (i, i as u32)).collect();
         assert_model(&sparse, &model);
         assert_eq!((sparse.len(), sparse.pages.len()), (7 * PAGE_SIZE + 1, 8));
@@ -387,11 +308,5 @@ mod tests {
         for (pinned, held) in &pins {
             assert_model(pinned, held);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "after")]
-    fn a_sparse_build_refuses_indices_out_of_order() {
-        let _ = PagedVec::from_sparse([(4, 1u32), (4, 2)]);
     }
 }

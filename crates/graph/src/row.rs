@@ -1,32 +1,30 @@
 //! [`Row`]: the workspace's one short sorted list of node ids, kept by value.
 //!
-//! The graph stores every adjacency list as a `Row`, and the access indices
-//! in `bgpq-access` store every key and every answer list as one. Most of
-//! those lists are short — a node's few neighbours, a unary constraint's 1–3
-//! answers, an `|S|`-tuple key — so the short ones live inside the row
-//! itself and a table of rows is a flat table: copying it allocates nothing
-//! and dropping it frees nothing per entry.
+//! The graph stores every adjacency list as a `Row` (sorted by `(label,
+//! id)`), and the access indices in `bgpq-access` store every key and every
+//! answer list of a global or `|S| ≥ 2` constraint as one (sorted by id).
+//! Most of those lists are short — a node's few neighbours, an `|S|`-tuple
+//! key — so the short ones live inside the row itself and a table of rows is
+//! a flat table: copying it allocates nothing and dropping it frees nothing
+//! per entry.
 
 use crate::graph::NodeId;
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Ids a [`Row`] holds in place, without an allocation of its own.
 pub const INLINE_ROW: usize = 5;
 
-/// A short sorted list of node ids.
+/// A short list of node ids, kept in whatever order its owner sorts it by.
 ///
 /// Up to [`INLINE_ROW`] ids live inside the row: no allocation, no reference
 /// count, no pointer hop to read them. A longer row is one `Arc<[NodeId]>`
 /// that every clone shares, so copying a page of rows never
 /// copies a long list. Both forms fill the 24 bytes of a `Vec`.
 ///
-/// A row reads, hashes and compares as the slice it holds, so a map keyed by
-/// rows is probed with a `&[NodeId]`. [`Row::insert`] and [`Row::remove`]
-/// edit it in place: an inline row stays inline while it fits and spills at
-/// the boundary; a shared row is edited inside its buffer while no clone
+/// A row reads and compares as the slice it holds. [`Row::insert`] and
+/// [`Row::remove`] edit it in place: an inline row stays inline while it
+/// fits and spills at the boundary; a shared row is edited inside its buffer while no clone
 /// shares it (growing into spare room it keeps at the tail, doubled when it
 /// runs out, like a `Vec`), is copied once when a clone does, and moves back
 /// inline when it shrinks to [`INLINE_ROW`] ids.
@@ -187,12 +185,6 @@ impl std::ops::Deref for Row {
     }
 }
 
-impl Borrow<[NodeId]> for Row {
-    fn borrow(&self) -> &[NodeId] {
-        self
-    }
-}
-
 impl PartialEq for Row {
     fn eq(&self, other: &Row) -> bool {
         **self == **other
@@ -200,13 +192,6 @@ impl PartialEq for Row {
 }
 
 impl Eq for Row {}
-
-/// Hashes exactly like the slice, as [`Borrow`] requires.
-impl Hash for Row {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
-    }
-}
 
 impl fmt::Debug for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -217,8 +202,6 @@ impl fmt::Debug for Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashMap;
 
     fn ids(range: std::ops::Range<u32>) -> Vec<NodeId> {
         range.map(NodeId).collect()
@@ -230,41 +213,6 @@ mod tests {
             std::mem::size_of::<Row>(),
             std::mem::size_of::<Vec<NodeId>>()
         );
-    }
-
-    #[test]
-    fn a_row_hashes_and_compares_as_its_slice() {
-        let hash = |value: &dyn Fn(&mut DefaultHasher)| {
-            let mut hasher = DefaultHasher::new();
-            value(&mut hasher);
-            hasher.finish()
-        };
-        for n in [0, 1, INLINE_ROW, INLINE_ROW + 1, 40] {
-            let list = ids(3..3 + n as u32);
-            let row = Row::from(&list[..]);
-            assert_eq!(row.is_inline(), n <= INLINE_ROW);
-            assert_eq!(hash(&|h| row.hash(h)), hash(&|h| list[..].hash(h)));
-            assert_eq!(row, Row::from(&list[..]));
-            assert_eq!(format!("{row:?}"), format!("{list:?}"));
-        }
-        // A grown row with spare room still hashes as what it holds.
-        let mut grown = Row::from(&ids(0..INLINE_ROW as u32 + 1)[..]);
-        grown.insert(0, NodeId(99));
-        grown.insert(0, NodeId(98));
-        let list = grown.to_vec();
-        assert_eq!(hash(&|h| grown.hash(h)), hash(&|h| list[..].hash(h)));
-    }
-
-    #[test]
-    fn a_map_keyed_by_rows_is_probed_with_slices() {
-        let mut map: HashMap<Row, u32> = HashMap::new();
-        for n in 0..12u32 {
-            map.insert(Row::from(&ids(n..2 * n)[..]), n);
-        }
-        for n in 0..12u32 {
-            assert_eq!(map.get(&ids(n..2 * n)[..]), Some(&n));
-        }
-        assert_eq!(map.get(&ids(1..3)[..]), None);
     }
 
     /// Grows one row from empty past the inline limit and back, against a

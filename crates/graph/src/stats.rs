@@ -6,27 +6,34 @@
 //! graph which [`GraphStats`] collects in one pass:
 //!
 //! * how many nodes carry each label (type-1 constraints `∅ → (l, N)`);
-//! * for each ordered label pair `(l, l')`, the maximum number of
-//!   `l'`-labeled neighbors any `l`-labeled node has (type-2 constraints
-//!   `l → (l', N)`, and `N = 1` corresponds to an FD);
+//! * for each ordered label pair `(l, l')`, how many `l`-labeled nodes have
+//!   each number of `l'`-labeled neighbors, whose maximum bounds the
+//!   type-2 constraint `l → (l', N)` (`N = 1` corresponds to an FD);
 //! * degree distribution summaries used for reporting.
 //!
-//! The pass walks the label index one label at a time and counts neighbour
-//! labels into arrays indexed by label id: an adjacency entry costs an
-//! array increment, and each map entry is written once.
+//! The pass walks the label index one label at a time and reads each node's
+//! neighbours label by label ([`Graph::neighbor_runs_by`]): adjacency rows
+//! are sorted by `(label, id)`, so a label's neighbours are one segment per
+//! direction whose length is read off its bounds, not counted entry by
+//! entry. Each `(l, l')` count lands in a histogram — the answer-length
+//! histogram of the unary constraint `l → (l', N)` — so the access indices
+//! of `bgpq-access` take their cardinality bookkeeping from this one pass.
+//! [`Graph::stats`] computes it once per graph version.
 
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId};
 use crate::label::Label;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Aggregate statistics of a data graph.
 #[derive(Debug, Clone)]
 pub struct GraphStats {
     /// Number of nodes per label.
     pub label_counts: HashMap<Label, usize>,
-    /// `fanout[(l, l')]` = max over `l`-labeled nodes of the number of
-    /// neighbors (either direction) labeled `l'`.
-    pub max_label_fanout: HashMap<(Label, Label), usize>,
+    /// `answer_lengths[(l, l')]` maps each `k ≥ 1` to the number of
+    /// `l`-labeled nodes with exactly `k` neighbors (either direction)
+    /// labeled `l'`: the answer-length histogram of the unary constraint
+    /// `l → (l', N)`, whose last key is the pair's [`GraphStats::fanout`].
+    pub answer_lengths: HashMap<(Label, Label), BTreeMap<usize, usize>>,
     /// Maximum undirected degree over all nodes.
     pub max_degree: usize,
     /// Average undirected degree over all nodes.
@@ -42,46 +49,47 @@ impl GraphStats {
     /// `O(|Σ|)` scratch space.
     pub fn compute(graph: &Graph) -> Self {
         let mut label_counts = HashMap::new();
-        let mut max_label_fanout = HashMap::new();
+        let mut answer_lengths = HashMap::new();
         let (mut max_degree, mut total_degree) = (0, 0);
-        // By label id (one slot per label bucket): the current node's
-        // neighbour counts and their maxima over the current label, each
-        // with the ids it has made nonzero.
+        // By label id (one slot per label bucket): the current label's
+        // histogram of neighbour counts, with the ids made nonempty.
         let width = graph.label_index.buckets().count();
-        let (mut per_node, mut per_label) = (vec![0usize; width], vec![0usize; width]);
-        let (mut node_seen, mut label_seen) = (Vec::new(), Vec::new());
+        let mut per_label = vec![Vec::new(); width];
+        let mut label_seen = Vec::new();
+        // Every label by id, read once: a neighbour's label is then one load.
+        let labels: Vec<Label> = graph.labels().collect();
+        let label_of = |w: NodeId| labels[w.index()];
         // Deleted slots are in no bucket: the statistics describe the live
         // graph, so tombstones must not dilute counts or averages.
         for (lv, nodes) in graph.label_index().iter() {
             label_counts.insert(lv, nodes.len());
             for &v in nodes {
                 let mut degree = 0;
-                for n in graph.neighbor_iter(v) {
-                    degree += 1;
-                    let ln = graph.label(n).index();
-                    if per_node[ln] == 0 {
-                        node_seen.push(ln);
+                for (ln, run) in graph.neighbor_runs_by(v, label_of) {
+                    let count = run.count();
+                    degree += count;
+                    let histogram: &mut Vec<usize> = &mut per_label[ln.index()];
+                    if histogram.is_empty() {
+                        label_seen.push(ln);
                     }
-                    per_node[ln] += 1;
+                    if histogram.len() <= count {
+                        histogram.resize(count + 1, 0);
+                    }
+                    histogram[count] += 1;
                 }
                 max_degree = max_degree.max(degree);
                 total_degree += degree;
-                for ln in node_seen.drain(..) {
-                    if per_label[ln] == 0 {
-                        label_seen.push(ln);
-                    }
-                    per_label[ln] = per_label[ln].max(std::mem::take(&mut per_node[ln]));
-                }
             }
             for ln in label_seen.drain(..) {
-                let max = std::mem::take(&mut per_label[ln]);
-                max_label_fanout.insert((lv, Label(ln as u32)), max);
+                let histogram = std::mem::take(&mut per_label[ln.index()]);
+                let lengths = histogram.into_iter().enumerate().filter(|&(_, n)| n > 0);
+                answer_lengths.insert((lv, ln), lengths.collect());
             }
         }
         let node_count = graph.live_node_count();
         GraphStats {
             label_counts,
-            max_label_fanout,
+            answer_lengths,
             max_degree,
             avg_degree: total_degree as f64 / node_count.max(1) as f64,
             node_count,
@@ -96,7 +104,10 @@ impl GraphStats {
 
     /// Maximum number of `l2`-labeled neighbors of any `l1`-labeled node.
     pub fn fanout(&self, l1: Label, l2: Label) -> usize {
-        self.max_label_fanout.get(&(l1, l2)).copied().unwrap_or(0)
+        let lengths = self.answer_lengths.get(&(l1, l2));
+        lengths
+            .and_then(|l| l.keys().next_back().copied())
+            .unwrap_or(0)
     }
 
     /// Labels sorted by increasing frequency (rarest first); useful when
@@ -185,7 +196,7 @@ mod tests {
         let mut g = b.build();
         g.delete_node(ids[3]).unwrap();
         let stats = GraphStats::compute(&g);
-        let (mut counts, mut fanout) = (HashMap::new(), HashMap::new());
+        let (mut counts, mut lengths) = (HashMap::new(), HashMap::new());
         for v in g.nodes().filter(|&v| g.is_live(v)) {
             *counts.entry(g.label(v)).or_insert(0) += 1;
             let mut per_label = HashMap::new();
@@ -193,12 +204,13 @@ mod tests {
                 *per_label.entry(g.label(n)).or_insert(0) += 1;
             }
             for (l, c) in per_label {
-                let max = fanout.entry((g.label(v), l)).or_insert(0);
-                *max = c.max(*max);
+                let histogram: &mut BTreeMap<usize, usize> =
+                    lengths.entry((g.label(v), l)).or_default();
+                *histogram.entry(c).or_insert(0) += 1;
             }
         }
         assert_eq!(stats.label_counts, counts);
-        assert_eq!(stats.max_label_fanout, fanout);
+        assert_eq!(stats.answer_lengths, lengths);
         let degrees: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
         assert_eq!(stats.max_degree, *degrees.iter().max().unwrap());
         assert_eq!(

@@ -24,13 +24,15 @@
 //!   fragment construction performs no allocations at all.
 //!
 //! Nothing is sized by the parent graph: every arena buffer holds `O(|G_Q|)`
-//! entries. An induced out-list intersects a (sorted) parent out-list with
-//! the (sorted) fragment nodes from the cheaper side — `d` reads for
-//! out-degree `d ≤ 8·|V(G_Q)|`, `O(|V(G_Q)| · log d)` gallop probes for a
-//! hub. In-lists are the transpose of the kept out-edges, so parent
-//! in-adjacency is never read. [`FragmentView::adjacency_reads`] counts it.
+//! entries. Parent rows are sorted by `(label, id)`, and so are the view's
+//! local rows. An induced out-list reads a parent out-list of `d ≤
+//! 8·|V(G_Q)|` whole; a longer one (a hub) is read only in the segments of
+//! labels the fragment holds, each intersected with that label's fragment
+//! nodes from the cheaper side. In-lists are the transpose of the kept
+//! out-edges, so parent in-adjacency is never read.
+//! [`FragmentView::adjacency_reads`] counts what is read.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{by_id, EdgeId, Graph, NodeId};
 use crate::label::Label;
 use crate::label_index::LabelNodes;
 use crate::value::Value;
@@ -63,12 +65,13 @@ pub trait GraphAccess {
     /// May panic when `v` is not a node of the underlying graph.
     fn value(&self, v: NodeId) -> &Value;
 
-    /// Visible out-neighbors of `v`, sorted by node id. Empty when `v` is
-    /// not visible.
+    /// Visible out-neighbors of `v`, sorted by `(label, id)`: a label's
+    /// neighbours are one segment, in id order. Empty when `v` is not
+    /// visible.
     fn out_neighbors(&self, v: NodeId) -> &[NodeId];
 
-    /// Visible in-neighbors of `v`, sorted by node id. Empty when `v` is
-    /// not visible.
+    /// Visible in-neighbors of `v`, sorted by `(label, id)`. Empty when `v`
+    /// is not visible.
     fn in_neighbors(&self, v: NodeId) -> &[NodeId];
 
     /// True when the directed edge `(src, dst)` is visible.
@@ -169,19 +172,24 @@ pub struct ScratchArena {
     slot_table: Vec<u64>,
     /// `32 - log2(slot_table.len())`: the hash keeps that many top bits.
     slot_shift: u32,
+    /// The label of every fragment node, by slot.
+    slot_label: Vec<Label>,
     /// CSR offsets into `out_adj`, one entry per fragment node plus one.
     out_start: Vec<u32>,
-    /// Concatenated fragment-local out-adjacency, sorted per node.
+    /// Concatenated fragment-local out-adjacency, each row sorted by
+    /// `(label, id)`.
     out_adj: Vec<NodeId>,
-    /// The slot of every `out_adj` entry, kept for the transpose.
+    /// The slot of every `out_adj` entry, for the transpose and `has_edge`.
     out_slot: Vec<u32>,
     /// CSR offsets into `in_adj`.
     in_start: Vec<u32>,
-    /// Concatenated fragment-local in-adjacency, sorted per node.
+    /// Concatenated fragment-local in-adjacency, each row sorted by
+    /// `(label, id)`.
     in_adj: Vec<NodeId>,
     /// Scratch for the regrouping: every fragment node with its label, read
-    /// from the parent once per node rather than once per comparison.
-    labelled: Vec<(Label, NodeId)>,
+    /// from the parent once per node rather than once per comparison, and
+    /// its slot.
+    labelled: Vec<(Label, NodeId, u32)>,
     /// Fragment nodes regrouped by label (each group sorted by node id).
     by_label: Vec<NodeId>,
     /// `(label, start, end)` ranges into `by_label`, sorted by label.
@@ -219,6 +227,10 @@ fn intersect_sorted(short: &[NodeId], long: &[NodeId], mut hit: impl FnMut(usize
 /// gallop costs `2·log2(d / |V(G_Q)|) + 2` poorly predicted comparisons per
 /// fragment node. Measured flat between 4 and 16 at 30k and 600k nodes.
 const GALLOP_RATIO: usize = 8;
+
+/// A local row up to this long is scanned by `has_edge`, which then needs
+/// no slot of the far end.
+const SCANNED_ROW: usize = 16;
 
 impl ScratchArena {
     /// Creates an empty arena.
@@ -274,30 +286,40 @@ impl ScratchArena {
     /// Fills the adjacency CSR with the *induced* edges: every parent edge
     /// between fragment members. An out-list is the parent out-list
     /// intersected with the fragment nodes — scanned against the slot table
-    /// up to [`GALLOP_RATIO`], galloped into beyond, so no hub list is read
-    /// whole. In-lists transpose the kept out-edges: no parent in-list is read.
+    /// up to [`GALLOP_RATIO`]; beyond, only the segments of the fragment's
+    /// labels are read, each galloped into or scanned as its own length
+    /// says, so no hub list is read whole. Both keep the parent's `(label,
+    /// id)` order. In-lists transpose the kept out-edges, sources taken in
+    /// `(label, id)` order: no parent in-list is read.
     fn fill_induced_adjacency(&mut self, graph: &Graph) {
         let n = self.nodes.len();
         self.out_start.clear();
         self.out_adj.clear();
         self.out_slot.clear();
         self.adjacency_reads = 0;
-        for &v in &self.nodes {
+        for i in 0..n {
             self.out_start.push(self.out_adj.len() as u32);
-            let parent = graph.out_neighbors(v);
+            let parent = graph.out_neighbors(self.nodes[i]);
             if parent.len() <= GALLOP_RATIO * n {
                 self.adjacency_reads += parent.len() as u64;
-                for &w in parent {
-                    if let Some(slot) = self.slot(w) {
-                        self.out_adj.push(w);
-                        self.out_slot.push(slot as u32);
-                    }
+                self.keep_members(parent);
+                continue;
+            }
+            for r in 0..self.label_ranges.len() {
+                let (label, start, end) = self.label_ranges[r];
+                let (segment, probes) = graph.out_segment(self.nodes[i], label);
+                self.adjacency_reads += probes;
+                let members = start as usize..end as usize;
+                if segment.len() <= GALLOP_RATIO * members.len() {
+                    self.adjacency_reads += segment.len() as u64;
+                    self.keep_members(segment);
+                    continue;
                 }
-            } else {
                 let (out_adj, out_slot) = (&mut self.out_adj, &mut self.out_slot);
-                self.adjacency_reads += intersect_sorted(&self.nodes, parent, |slot, p| {
-                    out_adj.push(parent[p]);
-                    out_slot.push(slot as u32);
+                let (nodes, labelled) = (&self.by_label[members.clone()], &self.labelled[members]);
+                self.adjacency_reads += intersect_sorted(nodes, segment, |m, p| {
+                    out_adj.push(segment[p]);
+                    out_slot.push(labelled[m].2);
                 });
             }
         }
@@ -316,8 +338,8 @@ impl ScratchArena {
             self.in_start[s] += self.in_start[s - 1];
         }
         self.in_adj.resize(self.out_adj.len(), NodeId(0));
-        for (i, &src) in self.nodes.iter().enumerate() {
-            let row = self.out_start[i] as usize..self.out_start[i + 1] as usize;
+        for &(_, src, i) in &self.labelled {
+            let row = self.out_start[i as usize] as usize..self.out_start[i as usize + 1] as usize;
             for &slot in &self.out_slot[row] {
                 let cursor = &mut self.in_start[slot as usize + 1];
                 self.in_adj[*cursor as usize] = src;
@@ -327,18 +349,36 @@ impl ScratchArena {
         self.in_start.truncate(n + 1);
     }
 
-    /// Groups the fragment nodes by label for `nodes_with_label` lookups.
+    /// Appends the fragment members of `parent` (a parent row, or a segment
+    /// of one) to the out-list being filled, in its order.
+    fn keep_members(&mut self, parent: &[NodeId]) {
+        for &w in parent {
+            if let Some(slot) = self.slot(w) {
+                self.out_adj.push(w);
+                self.out_slot.push(slot as u32);
+            }
+        }
+    }
+
+    /// Groups the fragment nodes by label for `nodes_with_label` lookups
+    /// and the segment-wise intersection, and records each node's label by
+    /// slot.
     fn fill_label_ranges(&mut self, graph: &Graph) {
         self.labelled.clear();
-        let labelled = self.nodes.iter().map(|&v| (graph.label(v), v));
+        let labelled = self.nodes.iter().enumerate();
+        let labelled = labelled.map(|(slot, &v)| (graph.label(v), v, slot as u32));
         self.labelled.extend(labelled);
+        self.slot_label.clear();
+        self.slot_label
+            .extend(self.labelled.iter().map(|&(label, ..)| label));
         self.labelled.sort_unstable();
         self.by_label.clear();
-        self.by_label.extend(self.labelled.iter().map(|&(_, v)| v));
+        self.by_label
+            .extend(self.labelled.iter().map(|&(_, v, _)| v));
         self.label_ranges.clear();
         let mut start = 0usize;
-        while let Some(&(label, _)) = self.labelled.get(start) {
-            let run = self.labelled[start..].partition_point(|&(l, _)| l == label);
+        while let Some(&(label, ..)) = self.labelled.get(start) {
+            let run = self.labelled[start..].partition_point(|&(l, ..)| l == label);
             let end = start + run;
             self.label_ranges.push((label, start as u32, end as u32));
             start = end;
@@ -371,8 +411,8 @@ impl<'a> FragmentView<'a> {
             "fragment node out of range"
         );
         arena.set_nodes(nodes);
-        arena.fill_induced_adjacency(graph);
         arena.fill_label_ranges(graph);
+        arena.fill_induced_adjacency(graph);
         FragmentView { graph, arena }
     }
 
@@ -387,8 +427,9 @@ impl<'a> FragmentView<'a> {
     }
 
     /// Parent adjacency entries read or probed to build this view: a whole
-    /// out-list within 8x of `|V(G_Q)|`, `O(|V(G_Q)| · log deg)` gallop
-    /// probes of a longer one (`FetchStats::adjacency_reads` in `bgpq-core`).
+    /// out-list within 8x of `|V(G_Q)|`; of a longer one, the probes that
+    /// find the segment of each fragment label and the segment's entries
+    /// read or galloped into (`FetchStats::adjacency_reads` in `bgpq-core`).
     pub fn adjacency_reads(&self) -> u64 {
         self.arena.adjacency_reads
     }
@@ -424,8 +465,25 @@ impl GraphAccess for FragmentView<'_> {
         self.arena.row(v, &self.arena.in_start, &self.arena.in_adj)
     }
 
+    /// A short local row is scanned; a longer one is binary searched on
+    /// the `(label, id)` key, read from the arena: slots ascend with ids, so
+    /// `(label, slot)` orders the row alike.
     fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out_neighbors(src).binary_search(&dst).is_ok()
+        let arena = self.arena;
+        let Some(s) = arena.slot(src) else {
+            return false;
+        };
+        let row = arena.out_start[s] as usize..arena.out_start[s + 1] as usize;
+        if row.len() <= SCANNED_ROW {
+            return arena.out_adj[row].contains(&dst);
+        }
+        let Some(d) = arena.slot(dst) else {
+            return false;
+        };
+        let key = (arena.slot_label[d], d as u32);
+        arena.out_slot[row]
+            .binary_search_by(|&t| (arena.slot_label[t as usize], t).cmp(&key))
+            .is_ok()
     }
 
     fn nodes_with_label(&self, label: Label) -> LabelNodes<'_> {
@@ -446,8 +504,8 @@ impl GraphAccess for FragmentView<'_> {
 
     fn edge_ids(&self) -> Box<dyn Iterator<Item = EdgeId> + '_> {
         Box::new(self.nodes().flat_map(move |src| {
-            let dsts = self.out_neighbors(src).iter();
-            dsts.map(move |&dst| EdgeId::new(src, dst))
+            let dsts = by_id(self.out_neighbors(src));
+            (0..dsts.len()).map(move |i| EdgeId::new(src, dsts[i]))
         }))
     }
 }

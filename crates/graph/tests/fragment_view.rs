@@ -109,9 +109,11 @@ fn assert_view_equals_oracle(g: &Graph, nodes: &[NodeId], arena: &mut ScratchAre
     );
     for v in g.nodes() {
         assert_eq!(view.contains_node(v), oracle.contains_node(v), "{v:?}");
-        let out: Vec<NodeId> = edges.iter().filter(|e| e.0 == v).map(|e| e.1).collect();
+        // Local rows keep the parent's `(label, id)` order.
+        let mut out: Vec<NodeId> = edges.iter().filter(|e| e.0 == v).map(|e| e.1).collect();
         let mut inc: Vec<NodeId> = edges.iter().filter(|e| e.1 == v).map(|e| e.0).collect();
-        inc.sort_unstable();
+        out.sort_by_key(|&w| (g.label(w), w));
+        inc.sort_by_key(|&w| (g.label(w), w));
         assert_eq!(view.out_neighbors(v), out.as_slice(), "out of {v:?}");
         assert_eq!(view.in_neighbors(v), inc.as_slice(), "in of {v:?}");
     }
@@ -132,14 +134,17 @@ fn assert_view_equals_oracle(g: &Graph, nodes: &[NodeId], arena: &mut ScratchAre
         assert_eq!(view.nodes_with_label(label), expect);
     }
 
-    // The work counter: a list within 8x of the fragment is read whole, a
-    // longer one costs a gallop and a bisection per fragment node.
+    // The work counter: a list within 8x of the fragment is read whole; of
+    // a longer one, each fragment label costs a bisection and a gallop to
+    // find its segment, and each fragment node at most a gallop and a
+    // bisection into its label's segment.
     let n = members.len() as u64;
+    let labels = groups.len() as u64;
     let bound: u64 = members
         .iter()
         .map(|&v| match g.out_degree(v) as u64 {
             d if d <= 8 * n => d,
-            d => n * (2 * u64::from(d.ilog2()) + 3),
+            d => (n + labels) * (3 * u64::from(d.ilog2()) + 5),
         })
         .sum();
     assert!(view.adjacency_reads() <= bound);

@@ -62,19 +62,26 @@ fn assert_reads_like(graph: &Graph, model: &Model, ctx: &str) {
     );
     let edges: BTreeSet<(u32, u32)> = graph.edges().map(|e| (e.src.0, e.dst.0)).collect();
     assert_eq!(edges, model.edges, "{ctx}: edge set");
+    // Rows are sorted by `(label, id)` of the neighbour.
+    let key = |w: &u32| {
+        let (name, _) = model.nodes[*w as usize].expect("a row holds live nodes");
+        (graph.interner().get(name), *w)
+    };
     for (v, slot) in model.nodes.iter().enumerate() {
         let id = NodeId(v as u32);
-        let out: Vec<u32> = model
+        let mut out: Vec<u32> = model
             .edges
             .range((v as u32, 0)..=(v as u32, u32::MAX))
             .map(|&(_, d)| d)
             .collect();
-        let inc: Vec<u32> = model
+        let mut inc: Vec<u32> = model
             .edges
             .iter()
             .filter(|&&(_, d)| d == v as u32)
             .map(|&(s, _)| s)
             .collect();
+        out.sort_by_key(key);
+        inc.sort_by_key(key);
         let ids = |row: &[NodeId]| row.iter().map(|n| n.0).collect::<Vec<u32>>();
         assert_eq!(ids(graph.out_neighbors(id)), out, "{ctx}: out row of {v}");
         assert_eq!(ids(graph.in_neighbors(id)), inc, "{ctx}: in row of {v}");

@@ -208,8 +208,8 @@ impl Rig {
         // Uncapped build: the workload generator certifies boundedness
         // against the schema alone, and the engine's planner excludes
         // constraints whose index truncated at the combination cap — a
-        // truncated index here would turn certified-bounded queries into
-        // refusals. Unary/global constraints keep this O(|E|) regardless.
+        // truncated `|S| ≥ 2` index here would turn certified-bounded
+        // queries into refusals. Unary and global indices never truncate.
         let indices = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
         let stages = [streamed, discovered - streamed, t.elapsed() - discovered];
         let nodes_of = |name: &str| {
@@ -297,8 +297,13 @@ fn post_batch(graph: &mut Graph, (u, tg): (NodeId, NodeId), value: usize) -> [Gr
 fn scale_point(scale: usize) -> Json {
     let rig = Rig::build(scale);
     let [stream_ms, discover_ms, index_ms] = rig.stages_ms;
-    // What the index storage holds, counted from its shape (MiB, as RSS is).
-    let index_mb = rig.indices.storage_bytes() as f64 / (1u64 << 20) as f64;
+    // What the index and the graph storage hold, counted from their shape
+    // (MiB, as RSS is). The unary indices are the graph's rows.
+    let mib = |bytes: usize| bytes as f64 / (1u64 << 20) as f64;
+    let (index_mb, graph_mb) = (
+        mib(rig.indices.storage_bytes()),
+        mib(rig.graph.storage_bytes()),
+    );
     let (mut graph, mut indices) = (rig.graph, rig.indices);
     let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
     let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
@@ -445,6 +450,7 @@ fn scale_point(scale: usize) -> Json {
         ("discover_ms", num(discover_ms, 1)),
         ("index_ms", num(index_ms, 1)),
         ("index_mb", num(index_mb, 2)),
+        ("graph_mb", num(graph_mb, 2)),
         ("queries", int(workload.queries.len())),
         ("avg_fragment_nodes", num(avg_fragment, 1)),
         ("fragment_fraction", num(fraction, 6)),

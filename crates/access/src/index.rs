@@ -248,27 +248,23 @@ impl ConstraintIndex {
         index
     }
 
-    /// The index holding `spans` — each a key and then its answers in the
-    /// flat `ids` list, as `ids[start..mid]` and `ids[mid..end]`, keys
-    /// strictly increasing and both lists sorted strictly — with its
-    /// per-target bookkeeping derived from them (snapshot load). A global
-    /// index has exactly one span. An `|S| ≥ 2` index takes `capped` as its
-    /// capped targets. A unary index answers from `graph`: its spans must be
-    /// exactly the entries `graph`'s rows give, and a list that differs is
-    /// an `Err` naming the first node where they part. The spans are
-    /// drained.
+    /// The global or `|S| ≥ 2` index holding `spans` — each a key and then
+    /// its answers in the flat `ids` list, as `ids[start..mid]` and
+    /// `ids[mid..end]`, keys strictly increasing and both lists sorted
+    /// strictly — with its per-target bookkeeping derived from them
+    /// (snapshot load). A global index has exactly one span. An `|S| ≥ 2`
+    /// index takes `capped` as its capped targets. The spans are drained.
+    /// A unary index is loaded through [`UnaryCheck`] instead.
     pub(crate) fn from_entries(
-        graph: &Arc<Graph>,
         constraint: AccessConstraint,
         cap: usize,
         capped: Vec<NodeId>,
         ids: &[NodeId],
         spans: &mut Vec<(usize, usize, usize)>,
-    ) -> Result<Self, String> {
+    ) -> Self {
         let mut histogram = vec![0];
         for &(_, mid, end) in spans.iter() {
-            histogram.resize(histogram.len().max(end - mid + 1), 0);
-            histogram[end - mid] += 1;
+            count_length(&mut histogram, end - mid);
         }
         match constraint.source_len() {
             0 => {
@@ -276,27 +272,9 @@ impl ConstraintIndex {
                     unreachable!("a global index has one key")
                 };
                 spans.clear();
-                Ok(Self::global(constraint, cap, Row::from(&ids[mid..end])))
+                Self::global(constraint, cap, Row::from(&ids[mid..end]))
             }
-            1 => {
-                let entries = Entries::Adjacency(Adjacency(Arc::clone(graph)));
-                let mut index = Self::with_entries(constraint, cap, entries);
-                let mut persisted = spans.drain(..);
-                for (key, answers) in index.entries() {
-                    let o = key[0];
-                    let Some((start, mid, end)) = persisted.next() else {
-                        return Err(format!("the entry of node {o} is missing"));
-                    };
-                    if ids[start] != o || !answers.eq(ids[mid..end].iter().copied()) {
-                        return Err(format!("the entries part at node {}", ids[start].min(o)));
-                    }
-                }
-                if let Some((start, ..)) = persisted.next() {
-                    return Err(format!("node {} has no such entry", ids[start]));
-                }
-                index.lengths = lengths(histogram);
-                Ok(index)
-            }
+            1 => unreachable!("a unary index is loaded through `UnaryCheck`"),
             _ => {
                 // Keys come in increasing order, so their first ids never
                 // decrease and every slot is written in order.
@@ -319,7 +297,7 @@ impl ConstraintIndex {
                 let entries = Entries::ByFirst(by_first);
                 let mut index = Self::with_entries(constraint, cap, entries);
                 index.lengths = lengths(histogram);
-                Ok(index)
+                index
             }
         }
     }
@@ -474,12 +452,8 @@ impl ConstraintIndex {
         let entries: Box<dyn Iterator<Item = (Row, Neighbors<'_>)>> = match &self.entries {
             Entries::Global(all) => Box::new(std::iter::once((Row::default(), (&all[..]).into()))),
             Entries::Adjacency(Adjacency(graph)) => {
-                let target = self.constraint.target();
-                let sources = graph.nodes_with_label(self.constraint.source()[0]);
-                Box::new(sources.iter().filter_map(move |&o| {
-                    let answers = graph.neighbors_labeled(o, target);
-                    (!answers.is_empty()).then(|| (Row::from(&[o][..]), answers))
-                }))
+                let entries = unary_entries(graph, &self.constraint);
+                Box::new(entries.map(|(o, answers)| (Row::from(&[o][..]), answers)))
             }
             Entries::ByFirst(by_first) => {
                 let keys = by_first.keys.iter().flatten();
@@ -730,6 +704,87 @@ impl ConstraintIndex {
             *by_first.targets.make_mut(target.index()) = Listing { keys, capped };
         }
     }
+}
+
+/// The entries of the unary index of `constraint` over `graph`, by key:
+/// every source-labelled node with at least one answer, ascending, and its
+/// answers.
+fn unary_entries<'g>(
+    graph: &'g Graph,
+    constraint: &AccessConstraint,
+) -> impl Iterator<Item = (NodeId, Neighbors<'g>)> + 'g {
+    let target = constraint.target();
+    let sources = graph.nodes_with_label(constraint.source()[0]);
+    sources.into_iter().filter_map(move |&o| {
+        let answers = graph.neighbors_labeled(o, target);
+        (!answers.is_empty()).then_some((o, answers))
+    })
+}
+
+/// Checks the entries a snapshot persisted for a unary index against the
+/// rows of the graph it answers from, one entry at a time as they are read
+/// (snapshot load): nothing of them is kept but the histogram of their
+/// lengths. The verdict waits for [`UnaryCheck::finish`], so that the
+/// section's own checks of every entry come first, as they did when the
+/// entries were read whole before they were compared.
+pub(crate) struct UnaryCheck<'g> {
+    expected: Box<dyn Iterator<Item = (NodeId, Neighbors<'g>)> + 'g>,
+    histogram: Vec<usize>,
+    /// Where the persisted entries first parted from the rows.
+    parted: Option<String>,
+}
+
+impl<'g> UnaryCheck<'g> {
+    /// A check of the unary `constraint`'s entries against `graph`.
+    pub(crate) fn new(graph: &'g Graph, constraint: &AccessConstraint) -> Self {
+        UnaryCheck {
+            expected: Box::new(unary_entries(graph, constraint)),
+            histogram: vec![0],
+            parted: None,
+        }
+    }
+
+    /// The next persisted entry, key `o` with sorted `answers`.
+    pub(crate) fn entry(&mut self, o: NodeId, answers: &[NodeId]) {
+        count_length(&mut self.histogram, answers.len());
+        if self.parted.is_some() {
+            return;
+        }
+        self.parted = match self.expected.next() {
+            None => Some(format!("node {o} has no such entry")),
+            Some((key, expected)) if key != o || !expected.eq(answers.iter().copied()) => {
+                Some(format!("the entries part at node {}", o.min(key)))
+            }
+            Some(_) => None,
+        };
+    }
+
+    /// The index answering from `graph` once every persisted entry was
+    /// read, or an `Err` naming the first node where the entries and the
+    /// rows part.
+    pub(crate) fn finish(
+        mut self,
+        graph: &Arc<Graph>,
+        constraint: AccessConstraint,
+        cap: usize,
+    ) -> Result<ConstraintIndex, String> {
+        if let Some(at) = self.parted {
+            return Err(at);
+        }
+        if let Some((o, _)) = self.expected.next() {
+            return Err(format!("the entry of node {o} is missing"));
+        }
+        let entries = Entries::Adjacency(Adjacency(Arc::clone(graph)));
+        let mut index = ConstraintIndex::with_entries(constraint, cap, entries);
+        index.lengths = lengths(self.histogram);
+        Ok(index)
+    }
+}
+
+/// Counts one answer list of `len` ids in a histogram indexed by length.
+fn count_length(histogram: &mut Vec<usize>, len: usize) {
+    histogram.resize(histogram.len().max(len + 1), 0);
+    histogram[len] += 1;
 }
 
 /// The answer-length counts of a histogram (`histogram[len]` keys have

@@ -30,7 +30,7 @@
 //! section instead of a wrong query answer.
 
 use crate::constraint::AccessConstraint;
-use crate::index::{AccessIndexSet, ConstraintIndex};
+use crate::index::{AccessIndexSet, ConstraintIndex, UnaryCheck};
 use crate::schema::AccessSchema;
 use bgpq_graph::io::snapshot::{
     decode_graph, encode_graph, Section, SectionReader, SectionWriter, SnapshotArchive,
@@ -237,8 +237,10 @@ pub fn decode_indices(
     let mut indices = Vec::with_capacity(count);
     // Every entry's key and then its answers in one flat id list, and one
     // `(start, mid, end)` span per entry; both buffers serve every index.
+    // A unary index's entries are checked against the rows as they are
+    // read and then dropped, so they never fill the buffers.
     let (mut ids, mut spans) = (Vec::new(), Vec::new());
-    // The graph the unary indices answer from, made for the first of them.
+    // The graph the unary indices answer from, made for the first index.
     let mut shared: Option<Arc<Graph>> = None;
     for constraint in schema.iter() {
         let cap = r.read_count()?;
@@ -276,7 +278,10 @@ pub fn decode_indices(
         if constraint.is_global() && entry_count != 1 {
             return Err(r.corrupt(format!("{entry_count} keys for the global {constraint}")));
         }
+        let shared: &Arc<Graph> = shared.get_or_insert_with(|| Arc::new(graph.clone()));
+        let mut unary = (constraint.source_len() == 1).then(|| UnaryCheck::new(shared, constraint));
         ids.clear();
+        let mut previous = None::<Row>;
         for _ in 0..entry_count {
             let start = ids.len();
             let key_len = r.read_u32()? as usize;
@@ -292,11 +297,10 @@ pub fn decode_indices(
                     )));
                 }
             }
-            if let Some(&(before, before_mid, _)) = spans.last() {
-                if ids[before..before_mid] >= ids[start..mid] {
-                    return Err(r.corrupt("index keys are not in strictly increasing order"));
-                }
+            if previous.is_some_and(|before| before[..] >= ids[start..mid]) {
+                return Err(r.corrupt("index keys are not in strictly increasing order"));
             }
+            previous = Some(Row::from(&ids[start..mid]));
             let ans_len = r.read_u32()? as usize;
             // Only the global index's one key may be empty: maintenance
             // drops any other key whose answers run out.
@@ -312,24 +316,28 @@ pub fn decode_indices(
                     )));
                 }
             }
-            spans.push((start, mid, ids.len()));
+            match &mut unary {
+                Some(check) => {
+                    check.entry(ids[start], &ids[mid..]);
+                    ids.clear();
+                }
+                None => spans.push((start, mid, ids.len())),
+            }
         }
-        let shared = shared.get_or_insert_with(|| Arc::new(graph.clone()));
-        let index = ConstraintIndex::from_entries(
-            shared,
-            constraint.clone(),
-            cap,
-            capped,
-            &ids,
-            &mut spans,
-        );
-        let index = index.map_err(|at| {
-            r.corrupt(format!(
-                "the entries of {constraint} disagree with the adjacency ({at}): the file was \
-                 edited, or its unary index was truncated when it was written; recompile the \
-                 snapshot"
-            ))
-        })?;
+        let index = match unary {
+            None => {
+                ConstraintIndex::from_entries(constraint.clone(), cap, capped, &ids, &mut spans)
+            }
+            Some(check) => check
+                .finish(shared, constraint.clone(), cap)
+                .map_err(|at| {
+                    r.corrupt(format!(
+                        "the entries of {constraint} disagree with the adjacency ({at}): the \
+                         file was edited, or its unary index was truncated when it was \
+                         written; recompile the snapshot"
+                    ))
+                })?,
+        };
         indices.push(index);
     }
     r.expect_end()?;

@@ -249,7 +249,11 @@ impl LabelIndex {
             buckets[label.index()].push(NodeId(i as u32));
         }
         // Node ids are pushed in increasing order, so each bucket is sorted.
-        Self::from_buckets(buckets)
+        let mut index = LabelIndex::default();
+        for bucket in &buckets {
+            index.push_bucket(bucket);
+        }
+        index
     }
 
     /// All nodes carrying `label` (empty when the label is unused).
@@ -301,13 +305,11 @@ impl LabelIndex {
         buckets.map(|(i, bucket)| (Label(i as u32), bucket.nodes()))
     }
 
-    /// Reassembles an index from a validated bucket table (snapshot load).
-    /// The caller guarantees each bucket is sorted, deduplicated and lists
-    /// exactly the nodes carrying its label.
-    pub(crate) fn from_buckets(buckets: Vec<Vec<NodeId>>) -> Self {
-        LabelIndex {
-            buckets: buckets.iter().map(|b| Bucket::from_sorted(b)).collect(),
-        }
+    /// Appends the bucket of the next label id (the build, and a snapshot
+    /// load bucket by bucket). The caller guarantees `nodes` is sorted,
+    /// deduplicated and lists exactly the nodes carrying that label.
+    pub(crate) fn push_bucket(&mut self, nodes: &[NodeId]) {
+        self.buckets.push(Bucket::from_sorted(nodes));
     }
 
     /// Chunks copied because a write found them still shared with another

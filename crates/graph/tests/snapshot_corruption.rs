@@ -4,7 +4,7 @@
 
 use bgpq_graph::io::snapshot::{
     checksum, read_graph_snapshot, write_graph_snapshot, Section, SnapshotArchive, SnapshotError,
-    FORMAT_VERSION, MAGIC,
+    SnapshotWriter, FORMAT_VERSION, MAGIC,
 };
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use std::io::Cursor;
@@ -259,6 +259,111 @@ fn structurally_invalid_content_is_a_corrupt_error() {
     match load(&copy).unwrap_err() {
         SnapshotError::Corrupt { section, .. } => assert_eq!(section, Section::OutAdjacency),
         other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// `bytes` with `section`'s payload replaced, every checksum recomputed.
+fn with_payload(bytes: &[u8], section: Section, payload: Vec<u8>) -> Vec<u8> {
+    let mut writer = SnapshotWriter::new();
+    for (id, range) in section_table(bytes) {
+        let body = if id == section {
+            payload.clone()
+        } else {
+            bytes[range].to_vec()
+        };
+        writer.add_section(id, body);
+    }
+    let mut out = Vec::new();
+    writer.write_to(&mut out).unwrap();
+    out
+}
+
+/// An adjacency payload's rows: `n`, the id total, `n + 1` `u64` offsets,
+/// then the `u32` targets.
+fn adjacency_rows(payload: &[u8]) -> Vec<Vec<u32>> {
+    let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+    let word = |at: usize, width: usize| {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(&payload[at..at + width]);
+        u64::from_le_bytes(le) as usize
+    };
+    let offset = |v: usize| word(12 + 8 * v, 8);
+    let targets = 12 + 8 * (n + 1);
+    (0..n)
+        .map(|v| {
+            let ids = offset(v)..offset(v + 1);
+            ids.map(|i| word(targets + 4 * i, 4) as u32).collect()
+        })
+        .collect()
+}
+
+/// The payload of `rows`, laid out as the writer lays it out.
+fn adjacency_payload(rows: &[Vec<u32>]) -> Vec<u8> {
+    let total: usize = rows.iter().map(Vec::len).sum();
+    let mut out = (rows.len() as u32).to_le_bytes().to_vec();
+    out.extend((total as u64).to_le_bytes());
+    let mut offset = 0u64;
+    for row in rows {
+        out.extend(offset.to_le_bytes());
+        offset += row.len() as u64;
+    }
+    out.extend(offset.to_le_bytes());
+    for &id in rows.iter().flatten() {
+        out.extend(id.to_le_bytes());
+    }
+    out
+}
+
+/// The in-adjacency must be the out-adjacency transposed. Behind correct
+/// checksums, an in-row whose first source is rewritten to another node
+/// (the totals still agree) and an in-row short of one source (they do
+/// not) are both refused, naming the in-adjacency and what is wrong.
+#[test]
+fn an_in_adjacency_that_is_not_the_transpose_is_rejected() {
+    let graph = sample_graph();
+    let bytes = snapshot_bytes(&graph);
+    let archive = SnapshotArchive::from_bytes(bytes.clone()).unwrap();
+    let inc = adjacency_rows(archive.section(Section::InAdjacency).unwrap());
+    let out = adjacency_rows(archive.section(Section::OutAdjacency).unwrap());
+    assert_eq!(
+        adjacency_payload(&inc),
+        archive.section(Section::InAdjacency).unwrap()
+    );
+    let dst = inc.iter().position(|row| !row.is_empty()).unwrap();
+    let src = inc[dst][0];
+    let other = (0..graph.node_count() as u32)
+        .find(|v| !inc[dst].contains(v))
+        .unwrap();
+    let total = graph.edge_count();
+
+    let mut rewritten = inc.clone();
+    rewritten[dst][0] = other;
+    rewritten[dst].sort_unstable();
+    let mut shortened = inc.clone();
+    shortened[dst].remove(0);
+    let cases = [
+        (
+            rewritten,
+            format!(
+                "edge ({src}, {}) is missing from the in-adjacency",
+                NodeId(dst as u32)
+            ),
+        ),
+        (
+            shortened,
+            format!("edge totals disagree: out {total}, in {}", total - 1),
+        ),
+    ];
+    assert_eq!(out.iter().map(Vec::len).sum::<usize>(), total);
+    for (rows, message) in cases {
+        let copy = with_payload(&bytes, Section::InAdjacency, adjacency_payload(&rows));
+        assert_eq!(
+            load(&copy).unwrap_err(),
+            SnapshotError::Corrupt {
+                section: Section::InAdjacency,
+                message,
+            }
+        );
     }
 }
 

@@ -196,13 +196,33 @@ struct Rig {
     tags: Vec<NodeId>,
     /// Milliseconds the three offline stages took: stream, discover, index.
     stages_ms: [f64; 3],
+    /// How far streaming the graph raised the process's peak RSS, in MiB
+    /// (`None` off Linux). The sweep runs its scales in ascending order, so
+    /// each row's build is the largest yet and the rise is what it held
+    /// above every earlier row's peak.
+    build_peak_mb: Option<f64>,
+}
+
+/// The process's peak resident set size (`VmHWM`) in MiB, where
+/// `/proc/self/status` reports one.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 impl Rig {
     fn build(scale: usize) -> Rig {
+        let peak_before = peak_rss_mb();
         let t = Instant::now();
         let graph = stream_graph(Scenario::Social, &scaling_scenario(scale));
         let streamed = t.elapsed();
+        let build_peak_mb = peak_rss_mb()
+            .zip(peak_before)
+            .map(|(after, before)| after - before);
         let schema = discover_schema(&graph, &DiscoveryConfig::simple());
         let discovered = t.elapsed();
         // Uncapped build: the workload generator certifies boundedness
@@ -224,6 +244,7 @@ impl Rig {
             users,
             tags,
             stages_ms: stages.map(|stage| stage.as_nanos() as f64 / 1e6),
+            build_peak_mb,
         }
     }
 }
@@ -451,6 +472,11 @@ fn scale_point(scale: usize) -> Json {
         ("index_ms", num(index_ms, 1)),
         ("index_mb", num(index_mb, 2)),
         ("graph_mb", num(graph_mb, 2)),
+        // Reported, not gated: the rise depends on the allocator.
+        (
+            "build_peak_mb",
+            rig.build_peak_mb.map_or(Json::Null, |mb| num(mb, 1)),
+        ),
         ("queries", int(workload.queries.len())),
         ("avg_fragment_nodes", num(avg_fragment, 1)),
         ("fragment_fraction", num(fraction, 6)),

@@ -11,6 +11,15 @@
 //! * every node is emitted before any edge referencing it, so edges can be
 //!   added immediately.
 //!
+//! **What it costs in memory.** No record is buffered; what the build holds
+//! beyond the graph is the edge list (8 bytes an edge) while records
+//! arrive, then CSR scratch of `4·|E| + 4·|V|` bytes per direction while
+//! [`GraphBuilder::build`] cuts the rows (see `bgpq_graph::builder`). The
+//! peak is the finished graph plus one direction's CSR: streaming the
+//! 600k-node benchmark graph (1.78M edges) in a fresh process peaks at
+//! 65 MB of RSS against 56 MB once built, on 64-bit Linux with glibc's
+//! allocator.
+//!
 //! The sink also counts the records it saw, which lets tests prove the
 //! streaming path was actually used: a path that buffered and replayed
 //! would still produce the same graph, but only the sink's counter reflects
@@ -97,7 +106,8 @@ impl GraphSink {
 }
 
 /// Streams `scenario` under `config` directly into a graph — no record
-/// buffer, constant memory beyond the graph itself.
+/// buffer; the peak is the graph plus one direction's CSR scratch (see the
+/// module docs).
 pub fn stream_graph(scenario: Scenario, config: &ScenarioConfig) -> Graph {
     stream_graph_counted(scenario, config).0
 }

@@ -58,7 +58,7 @@
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, Label, Neighbors, NodeId, PagedVec, Row, SpineShape};
+use bgpq_graph::{Graph, Ids, Label, Neighbors, NodeId, PagedVec, Row, SpineShape};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -136,13 +136,13 @@ struct Listing {
 impl ByFirst {
     /// The answers of `key` (strictly increasing), empty when it is not
     /// indexed.
-    fn answers(&self, key: &[NodeId]) -> &[NodeId] {
+    fn answers(&self, key: &[NodeId]) -> Ids<'_> {
         let Some(slot) = key.first().and_then(|first| self.keys.get(first.index())) else {
-            return &[];
+            return Ids::default();
         };
-        match slot.binary_search_by(|(k, _)| (**k).cmp(key)) {
-            Ok(i) => &slot[i].1,
-            Err(_) => &[],
+        match slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key)) {
+            Ok(i) => slot[i].1.ids(),
+            Err(_) => Ids::default(),
         }
     }
 
@@ -150,7 +150,7 @@ impl ByFirst {
     /// inserted when the key is new.
     fn answers_mut(&mut self, key: &[NodeId]) -> &mut Row {
         let slot = self.keys.make_mut(key[0].index());
-        let i = match slot.binary_search_by(|(k, _)| (**k).cmp(key)) {
+        let i = match slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key)) {
             Ok(i) => i,
             Err(i) => {
                 slot.insert(i, (Row::from(key), Row::default()));
@@ -164,7 +164,7 @@ impl ByFirst {
     /// Removes `key`, whose answers ran out.
     fn remove_key(&mut self, key: &[NodeId]) {
         let slot = self.keys.make_mut(key[0].index());
-        let i = slot.binary_search_by(|(k, _)| (**k).cmp(key));
+        let i = slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key));
         slot.remove(i.expect("the key is indexed"));
         self.len -= 1;
     }
@@ -200,7 +200,7 @@ fn unary_len(graph: &Graph, source: Label, target: Label, o: NodeId) -> usize {
     if graph.try_label(o) != Some(source) {
         return 0;
     }
-    graph.neighbors_labeled(o, target).count()
+    graph.neighbors_labeled(o, target).len()
 }
 
 impl ConstraintIndex {
@@ -334,7 +334,7 @@ impl ConstraintIndex {
     /// segments of the graph's rows, merged as they are read.
     pub fn common_neighbors(&self, vs: &[NodeId]) -> Neighbors<'_> {
         match &self.entries {
-            Entries::Global(all) if vs.is_empty() => Neighbors::from(&all[..]),
+            Entries::Global(all) if vs.is_empty() => Neighbors::from(all.ids()),
             Entries::Global(_) => Neighbors::default(),
             // `vs` names one node once or more, or no key.
             Entries::Adjacency(Adjacency(graph)) => match vs.split_first() {
@@ -358,11 +358,11 @@ impl ConstraintIndex {
     }
 
     /// All nodes labeled `l` for a global (`S = ∅`) constraint.
-    pub fn global_nodes(&self) -> &[NodeId] {
+    pub fn global_nodes(&self) -> Ids<'_> {
         debug_assert!(self.constraint.is_global());
         match &self.entries {
-            Entries::Global(all) => all,
-            _ => &[],
+            Entries::Global(all) => all.ids(),
+            _ => Ids::default(),
         }
     }
 
@@ -414,7 +414,7 @@ impl ConstraintIndex {
     /// stale contribution removed.
     pub fn has_contribution(&self, target: NodeId) -> bool {
         match &self.entries {
-            Entries::Global(all) => all.binary_search(&target).is_ok(),
+            Entries::Global(all) => all.ids().contains(target),
             // Listed under its source-labeled neighbours.
             Entries::Adjacency(Adjacency(graph)) => {
                 graph.try_label(target) == Some(self.constraint.target())
@@ -450,14 +450,14 @@ impl ConstraintIndex {
     /// with at least one answer.
     pub fn entries(&self) -> impl Iterator<Item = (Row, Neighbors<'_>)> {
         let entries: Box<dyn Iterator<Item = (Row, Neighbors<'_>)>> = match &self.entries {
-            Entries::Global(all) => Box::new(std::iter::once((Row::default(), (&all[..]).into()))),
+            Entries::Global(all) => Box::new(std::iter::once((Row::default(), all.ids().into()))),
             Entries::Adjacency(Adjacency(graph)) => {
                 let entries = unary_entries(graph, &self.constraint);
                 Box::new(entries.map(|(o, answers)| (Row::from(&[o][..]), answers)))
             }
             Entries::ByFirst(by_first) => {
                 let keys = by_first.keys.iter().flatten();
-                Box::new(keys.map(|(key, answers)| (key.clone(), (&answers[..]).into())))
+                Box::new(keys.map(|(key, answers)| (key.clone(), answers.ids().into())))
             }
         };
         entries
@@ -555,15 +555,15 @@ impl ConstraintIndex {
     /// `|S| ≥ 2` index; returns whether the entry is new. An entry already
     /// there copies nothing.
     fn list_insert(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        let Err(pos) = self.common_neighbors(key).lists()[0].binary_search(&target) else {
+        if self.common_neighbors(key).lists()[0].contains(target) {
             return false;
-        };
+        }
         let answers = match &mut self.entries {
             Entries::Global(all) => all,
             Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => by_first.answers_mut(key),
         };
-        answers.insert(pos, target);
+        answers.insert_by(target, |w| w.cmp(&target));
         let len = answers.len();
         self.note_length(len - 1, len);
         true
@@ -573,18 +573,19 @@ impl ConstraintIndex {
     /// `|S| ≥ 2` index, dropping a key left without answers (the global key
     /// stays); returns whether the entry existed.
     fn list_remove(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        let Ok(pos) = self.common_neighbors(key).lists()[0].binary_search(&target) else {
+        if !self.common_neighbors(key).lists()[0].contains(target) {
             return false;
-        };
+        }
+        let by_id = |w: NodeId| w.cmp(&target);
         let len = match &mut self.entries {
             Entries::Global(all) => {
-                all.remove(pos);
+                all.remove_by(by_id);
                 all.len()
             }
             Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => {
                 let answers = by_first.answers_mut(key);
-                answers.remove(pos);
+                answers.remove_by(by_id);
                 let len = answers.len();
                 if len == 0 {
                     by_first.remove_key(key);
@@ -613,7 +614,7 @@ impl ConstraintIndex {
             Entries::Adjacency(_) => unreachable!("a unary index is re-read, not refreshed"),
             Entries::ByFirst(by_first) => {
                 for key in by_first.unlist(target) {
-                    self.list_remove(&key, target);
+                    self.list_remove(&key.ids().to_vec(), target);
                 }
                 if is_target {
                     self.add_combinations(graph, target);
@@ -752,7 +753,7 @@ impl<'g> UnaryCheck<'g> {
         }
         self.parted = match self.expected.next() {
             None => Some(format!("node {o} has no such entry")),
-            Some((key, expected)) if key != o || !expected.eq(answers.iter().copied()) => {
+            Some((key, expected)) if key != o || !expected.iter().eq(answers.iter().copied()) => {
                 Some(format!("the entries part at node {}", o.min(key)))
             }
             Some(_) => None,

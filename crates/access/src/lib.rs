@@ -51,7 +51,9 @@ pub use constraint::{AccessConstraint, ConstraintId, ConstraintKind};
 pub use discovery::{discover_schema, DiscoveryConfig};
 pub use index::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 pub use index::{AccessIndexSet, ConstraintIndex};
-pub use maintenance::{apply_delta, apply_deltas, GraphDelta, MaintenanceStats, TouchedNodes};
+pub use maintenance::{
+    apply_delta, apply_deltas, apply_deltas_shared, GraphDelta, MaintenanceStats, TouchedNodes,
+};
 pub use satisfy::{check_schema, Violation};
 pub use schema::AccessSchema;
 pub use serialize::{load_schema, read_schema, save_schema, write_schema};

@@ -148,9 +148,34 @@ pub fn apply_delta(
 /// target. Repairs are idempotent, independent of the order of the batch,
 /// and run under the combination cap each index was built with, so a
 /// maintained index stays equivalent to a fresh rebuild even at the cap.
+///
+/// The unary indices answer from `new_graph` itself, so they take a clone of
+/// it behind one new `Arc`; a caller that holds the new graph behind an
+/// `Arc` already shares that one through [`apply_deltas_shared`].
 pub fn apply_deltas(
     indices: &mut AccessIndexSet,
     new_graph: &Graph,
+    deltas: &[GraphDelta],
+) -> MaintenanceStats {
+    maintain(indices, new_graph, || Arc::new(new_graph.clone()), deltas)
+}
+
+/// [`apply_deltas`] with `new_graph` already behind an `Arc`: every unary
+/// index takes that handle, and nothing of the graph is cloned.
+pub fn apply_deltas_shared(
+    indices: &mut AccessIndexSet,
+    new_graph: &Arc<Graph>,
+    deltas: &[GraphDelta],
+) -> MaintenanceStats {
+    maintain(indices, new_graph, || Arc::clone(new_graph), deltas)
+}
+
+/// The body of [`apply_deltas`]; `share` hands out the handle on
+/// `new_graph` the unary indices take, asked for at most once.
+fn maintain(
+    indices: &mut AccessIndexSet,
+    new_graph: &Graph,
+    share: impl Fn() -> Arc<Graph>,
     deltas: &[GraphDelta],
 ) -> MaintenanceStats {
     let mut touched: Vec<NodeId> = deltas.iter().flat_map(GraphDelta::touched_nodes).collect();
@@ -161,11 +186,11 @@ pub fn apply_deltas(
         touched_nodes: touched.len(),
         refreshed_contributions: 0,
     };
-    // The new graph, shared by every unary index: one clone per call.
+    // The new graph, one handle shared by every unary index.
     let mut shared_graph: Option<Arc<Graph>> = None;
     for shared in &mut indices.indices {
         if shared.constraint().source_len() == 1 {
-            let graph = shared_graph.get_or_insert_with(|| Arc::new(new_graph.clone()));
+            let graph = shared_graph.get_or_insert_with(&share);
             let index = Arc::make_mut(shared);
             stats.refreshed_contributions += index.reread_sources(graph, &touched);
             continue;
@@ -268,7 +293,7 @@ mod tests {
             assert_eq!(kept.size(), fresh.size(), "size mismatch for {id}");
             for (key, answers) in fresh.entries() {
                 assert_eq!(
-                    kept.common_neighbors(&key),
+                    kept.common_neighbors(&key.ids().to_vec()),
                     answers,
                     "answers mismatch for {id} key {key:?}"
                 );
@@ -631,7 +656,7 @@ mod tests {
         assert_eq!(kept.key_count(), fresh.key_count());
         assert_eq!(kept.size(), fresh.size());
         for (key, answers) in fresh.entries() {
-            assert_eq!(kept.common_neighbors(&key), answers);
+            assert_eq!(kept.common_neighbors(&key.ids().to_vec()), answers);
         }
         assert_eq!(kept.max_cardinality(), fresh.max_cardinality());
         assert_eq!(kept.is_truncated(), fresh.is_truncated());

@@ -162,11 +162,13 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
         let (mut written, mut previous) = (0, None::<Row>);
         for (key, answers) in index.entries() {
             debug_assert!(
-                previous.as_ref().map_or(true, |p| p[..] < key[..]),
+                previous
+                    .as_ref()
+                    .map_or(true, |p| p.ids().iter().lt(key.ids())),
                 "{key:?} out of order"
             );
             w.put_u32(key.len() as u32);
-            for v in key.iter() {
+            for v in key.ids() {
                 w.put_u32(v.0);
             }
             w.put_u32(answers.len() as u32);
@@ -297,7 +299,7 @@ pub fn decode_indices(
                     )));
                 }
             }
-            if previous.is_some_and(|before| before[..] >= ids[start..mid]) {
+            if previous.is_some_and(|before| before.ids().iter().ge(&ids[start..mid])) {
                 return Err(r.corrupt("index keys are not in strictly increasing order"));
             }
             previous = Some(Row::from(&ids[start..mid]));
@@ -347,7 +349,7 @@ pub fn decode_indices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpq_graph::{GraphBuilder, Value};
+    use bgpq_graph::{GraphBuilder, Ids, Value};
 
     fn toy() -> (Graph, AccessSchema) {
         let mut b = GraphBuilder::new();
@@ -421,7 +423,7 @@ mod tests {
             w.put_u32(entries.len() as u32);
             for list in entries
                 .iter()
-                .flat_map(|(key, answers)| [&key[..], &answers[..]])
+                .flat_map(|(key, answers)| [key.ids(), Ids::from(&answers[..])])
             {
                 w.put_u32(list.len() as u32);
                 list.iter().for_each(|v| w.put_u32(v.0));

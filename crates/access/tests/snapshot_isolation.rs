@@ -139,10 +139,18 @@ fn assert_equals_rebuild(kept: &AccessIndexSet, graph: &Graph, cap: usize, ctx: 
         assert_eq!(kept.key_count(), fresh.key_count(), "key count ({ctx})");
         assert_eq!(kept.size(), fresh.size(), "size ({ctx})");
         for (key, answers) in fresh.entries() {
-            assert_eq!(kept.common_neighbors(&key), answers, "key {key:?} ({ctx})");
+            assert_eq!(
+                kept.common_neighbors(&key.ids().to_vec()),
+                answers,
+                "key {key:?} ({ctx})"
+            );
         }
         for (key, answers) in kept.entries() {
-            assert_eq!(fresh.common_neighbors(&key), answers, "key {key:?} ({ctx})");
+            assert_eq!(
+                fresh.common_neighbors(&key.ids().to_vec()),
+                answers,
+                "key {key:?} ({ctx})"
+            );
         }
         assert_eq!(
             kept.max_cardinality(),
@@ -234,7 +242,7 @@ fn entries_of(set: &AccessIndexSet) -> Vec<(ConstraintId, Vec<NodeId>, Vec<NodeI
         .flat_map(|(id, index)| {
             index
                 .entries()
-                .map(move |(key, answers)| (id, key.to_vec(), answers.to_vec()))
+                .map(move |(key, answers)| (id, key.ids().to_vec(), answers.to_vec()))
         })
         .collect();
     entries.sort();

@@ -79,12 +79,16 @@ impl Args {
 
     /// The value of `--name` parsed as `T`, or `default` when absent.
     pub fn flag_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value {raw:?} for --{name}")),
-        }
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    /// The value of `--name` parsed, or `None` when the flag was not given.
+    pub fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |raw: &str| {
+            raw.parse()
+                .map_err(|_| format!("invalid value {raw:?} for --{name}"))
+        };
+        self.flag(name).map(parse).transpose()
     }
 
     /// True when `--name` was given.

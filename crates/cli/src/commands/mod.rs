@@ -33,7 +33,7 @@ pub(crate) fn commit_phases(stats: &bgpq_serve::ServerStats) -> String {
     let avg = |nanos: u64| fmt_nanos(nanos / stats.commits.max(1));
     format!(
         "commit phases (avg of {}): clone {}, replay {}, maintain {}, publish {}, \
-         retire {} of {}; copied {} graph pages, {} index pages, {} chunks",
+         retire {} of {}; copied {} graph pages, {} index pages, {} chunks, {} row ids",
         stats.commits,
         avg(stats.clone_nanos),
         avg(stats.replay_nanos),
@@ -43,7 +43,8 @@ pub(crate) fn commit_phases(stats: &bgpq_serve::ServerStats) -> String {
         avg(stats.commit_nanos),
         stats.pages_copied,
         stats.shards_copied,
-        stats.chunks_copied
+        stats.chunks_copied,
+        stats.row_ids_copied
     )
 }
 

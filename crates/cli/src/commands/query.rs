@@ -6,7 +6,8 @@ use crate::dataset::open_input;
 use crate::render::{write_answer, AnswerView, BindingView, SimRowView};
 use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::{
-    parse_pattern, Engine, QueryAnswer, QueryRequest, QueryResponse, Semantics, StrategyKind,
+    parse_pattern, Engine, QueryAnswer, QueryRequest, QueryRequestBuilder, QueryResponse,
+    Semantics, StrategyKind,
 };
 use bgpq_pattern::Pattern;
 use bgpq_workload::{parse_manifest, LatencyHistogram};
@@ -67,6 +68,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let semantics = parse_semantics(args.flag("semantics"))?;
     let strategy = parse_strategy(args.flag("strategy"))?;
     let show = args.flag_or("show", 10usize)?;
+    let limits = Limits {
+        strategy,
+        max_matches: args.parsed("max-matches")?,
+        step_budget: args.parsed("step-budget")?,
+    };
 
     let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
     writeln!(out, "dataset {}", input.summary())?;
@@ -75,7 +81,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let Some(pattern_path) = pattern_path else {
         // --workload: run every manifest query closed-loop and aggregate.
         let manifest_path = args.flag("workload").expect("checked above");
-        return run_workload(&engine, manifest_path, strategy, show, out);
+        return run_workload(&engine, manifest_path, &limits, show, out);
     };
     let pattern_text =
         std::fs::read_to_string(pattern_path).map_err(|e| format!("{pattern_path}: {e}"))?;
@@ -89,29 +95,44 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         pattern.edge_count()
     )?;
 
-    let mut builder = QueryRequest::build(pattern.clone()).semantics(semantics);
-    if let Some(kind) = strategy {
-        builder = builder.strategy(kind);
-    }
-    if args.flag("max-matches").is_some() {
-        builder = builder.max_matches(args.flag_or("max-matches", 0usize)?);
-    }
-    if args.flag("step-budget").is_some() {
-        builder = builder.step_budget(args.flag_or("step-budget", 0u64)?);
-    }
+    let builder = limits.apply(QueryRequest::build(pattern.clone()).semantics(semantics));
     let request = builder.explain(args.switch("explain")).finish();
     let response = engine.execute(&request)?;
     report(&response, &pattern, &engine, show, out)?;
     Ok(())
 }
 
+/// What the command line forces on every request: `--strategy`,
+/// `--max-matches` and `--step-budget`.
+struct Limits {
+    strategy: Option<StrategyKind>,
+    max_matches: Option<usize>,
+    step_budget: Option<u64>,
+}
+
+impl Limits {
+    fn apply(&self, mut builder: QueryRequestBuilder) -> QueryRequestBuilder {
+        if let Some(kind) = self.strategy {
+            builder = builder.strategy(kind);
+        }
+        if let Some(n) = self.max_matches {
+            builder = builder.max_matches(n);
+        }
+        if let Some(steps) = self.step_budget {
+            builder = builder.step_budget(steps);
+        }
+        builder
+    }
+}
+
 /// Closed-loop manifest runner behind `--workload FILE`: executes every
-/// query of a `bgpq workload` manifest through the engine and reports
-/// latency percentiles, the strategy mix and the aggregate fragment size.
+/// query of a `bgpq workload` manifest through the engine, under the
+/// command line's limits, and reports latency percentiles, the strategy
+/// mix and the aggregate fragment size.
 fn run_workload(
     engine: &Engine,
     manifest_path: &str,
-    strategy: Option<StrategyKind>,
+    limits: &Limits,
     show: usize,
     out: &mut dyn Write,
 ) -> Result<(), Box<dyn Error>> {
@@ -135,10 +156,7 @@ fn run_workload(
     for (ran, q) in manifest.iter().enumerate() {
         let pattern = parse_pattern(&q.pattern, engine.graph().interner().clone())
             .map_err(|e| format!("{manifest_path}: query {}: {e}", q.index))?;
-        let mut builder = QueryRequest::build(pattern).semantics(q.semantics);
-        if let Some(kind) = strategy {
-            builder = builder.strategy(kind);
-        }
+        let builder = limits.apply(QueryRequest::build(pattern).semantics(q.semantics));
         let response = match engine.execute(&builder.finish()) {
             Ok(response) => response,
             // Forcing --strategy bounded makes the engine refuse the

@@ -150,7 +150,9 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
                 _ => {
                     let src = pick_live(&mut rng);
                     let out_edges = snapshot_graph.out_neighbors(src);
-                    if let Some(&dst) = rng.choose(out_edges) {
+                    let pick =
+                        (!out_edges.is_empty()).then(|| rng.random_range(0..out_edges.len()));
+                    if let Some(&dst) = pick.and_then(|i| out_edges.get(i)) {
                         if Some(dst) != removed {
                             updates.push(Update::RemoveEdge { src, dst });
                         }

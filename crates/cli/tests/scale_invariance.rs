@@ -8,9 +8,9 @@
 //! hubs inside the fragment grow with the graph. The update side is held to
 //! the same standard: a fixed batch of posts attached to the graph's
 //! biggest hubs must copy the same number of storage pages, label-bucket
-//! chunks and spine groups (and no index page: the unary indices are the
-//! graph's rows), and repair the same number of contributions, at both
-//! scales — and what a commit pays just
+//! chunks, adjacency-row ids and spine groups (and no index page: the unary
+//! indices are the graph's rows), and repair the same number of
+//! contributions, at both scales — and what a commit pays just
 //! to *share* the previous version is counted against its structural
 //! bound, one reference count per 64 pages. The graph's and the indices'
 //! storage per node stays in a constant band too, and every generated query
@@ -52,11 +52,12 @@ struct ScalePoint {
     max_out_degree: usize,
     /// Degree of the smallest hub the commit batches attach posts to.
     touched_hub_degree: usize,
-    /// Per commit: storage pages, bucket chunks and index pages
-    /// copied, spine groups un-shared (graph and indices), and contributions
-    /// repaired — the commit's work, counted, not timed.
+    /// Per commit: storage pages, bucket chunks, adjacency-row ids and
+    /// index pages copied, spine groups un-shared (graph and indices), and
+    /// contributions repaired — the commit's work, counted, not timed.
     pages_copied: f64,
     chunks_copied: f64,
+    row_ids_copied: f64,
     shards_copied: f64,
     groups_copied: f64,
     refreshed: f64,
@@ -70,13 +71,16 @@ struct ScalePoint {
     bytes_per_node: f64,
 }
 
-/// Every spine holds `⌈leaves / 64⌉` groups; returns their sum — the
-/// reference counts cloning (or un-sharing) the spines' owner bumps.
+/// Every spine holds its last leaf apart and the others in
+/// `⌈(leaves − 1) / 64⌉` groups; returns the reference counts cloning (or
+/// un-sharing) the spines' owner bumps — a group's each, and the last
+/// leaf's.
 fn refcounts(spines: &[SpineShape]) -> usize {
     for spine in spines {
-        assert_eq!(spine.groups, spine.leaves.div_ceil(SPINE_FANOUT));
+        let grouped = spine.leaves.saturating_sub(1);
+        assert_eq!(spine.groups, grouped.div_ceil(SPINE_FANOUT));
     }
-    spines.iter().map(|spine| spine.groups).sum()
+    spines.iter().map(SpineShape::refcounts).sum()
 }
 
 /// Commit batches applied per scale point, each attaching one post to each
@@ -149,7 +153,7 @@ fn measure(scale: usize) -> ScalePoint {
     }
 
     let (mut pages_copied, mut shards_copied, mut refreshed) = (0u64, 0u64, 0usize);
-    let (mut chunks_copied, mut groups_copied) = (0u64, 0u64);
+    let (mut chunks_copied, mut groups_copied, mut row_ids_copied) = (0u64, 0u64, 0u64);
     let groups = |server: &Server| {
         let snapshot = server.snapshot();
         snapshot.graph().groups_copied() + snapshot.indices().groups_copied()
@@ -175,6 +179,7 @@ fn measure(scale: usize) -> ScalePoint {
         let receipt = server.commit(&batch).expect("the batch is valid");
         pages_copied += receipt.pages_copied;
         chunks_copied += receipt.chunks_copied;
+        row_ids_copied += receipt.row_ids_copied;
         shards_copied += receipt.shards_copied;
         groups_copied += groups(&server) - groups_before;
         refreshed += receipt.maintenance.refreshed_contributions;
@@ -204,6 +209,7 @@ fn measure(scale: usize) -> ScalePoint {
         touched_hub_degree,
         pages_copied: pages_copied as f64 / COMMITS as f64,
         chunks_copied: chunks_copied as f64 / COMMITS as f64,
+        row_ids_copied: row_ids_copied as f64 / COMMITS as f64,
         shards_copied: shards_copied as f64 / COMMITS as f64,
         groups_copied: groups_copied as f64 / COMMITS as f64,
         refreshed: refreshed as f64 / COMMITS as f64,
@@ -287,11 +293,15 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
         (1.0, 1.0),
         "three posts share one tail chunk of their bucket, however long the bucket"
     );
+    // A hub's row is chunked: an edit copies the chunk it lands in, not
+    // the row, however many neighbours the hub has.
     for (what, small, large) in [
         ("pages", small.pages_copied, large.pages_copied),
         ("groups", small.groups_copied, large.groups_copied),
+        ("row ids", small.row_ids_copied, large.row_ids_copied),
     ] {
         let growth = large / small;
+        eprintln!("{what} copied per commit {small:.1} -> {large:.1} ({growth:.2}x)");
         assert!(
             (0.5..=2.0).contains(&growth),
             "{what} copied per commit {small:.1} -> {large:.1} ({growth:.2}x) left the constant \

@@ -202,6 +202,8 @@ fn workload_command_is_deterministic_and_feeds_query() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // q3 and q4 of this manifest have millions of answers; the cap keeps
+    // the run to the answers it reports.
     let manifest_path = dir.join("a.jsonl");
     let out = bgpq(&[
         "query",
@@ -209,6 +211,8 @@ fn workload_command_is_deterministic_and_feeds_query() {
         &snap_str,
         "--workload",
         manifest_path.to_str().unwrap(),
+        "--max-matches",
+        "1000",
     ]);
     assert!(
         out.status.success(),
@@ -219,4 +223,9 @@ fn workload_command_is_deterministic_and_feeds_query() {
     assert!(stdout.contains("workload"), "{stdout}");
     assert!(stdout.contains("6 queries"), "{stdout}");
     assert!(stdout.contains("latency: p50"), "{stdout}");
+    for q in ["q3 ", "q4 "] {
+        let line = stdout.lines().find(|l| l.trim_start().starts_with(q));
+        let line = line.unwrap_or_else(|| panic!("no {q}line: {stdout}"));
+        assert!(line.contains(", 1000 answers,"), "{q}is capped: {line}");
+    }
 }

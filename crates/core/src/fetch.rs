@@ -197,10 +197,12 @@ pub fn fetch_candidate_sets(
             for_each_combination(&step.via, &candidates, &mut Vec::new(), &mut |key| {
                 probes += 1;
                 // A unary answer is two segments of the graph's rows; one
-                // alone is copied whole.
+                // alone is copied whole, a piece at a time.
                 let answers = index.common_neighbors(key);
                 match answers.lists() {
-                    [list, []] | [[], list] => fetched.extend_from_slice(list),
+                    [list, other] | [other, list] if other.is_empty() => list
+                        .chunks()
+                        .for_each(|piece| fetched.extend_from_slice(piece)),
                     _ => fetched.extend(answers),
                 }
             });

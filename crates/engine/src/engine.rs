@@ -11,7 +11,7 @@ use bgpq_core::{
     bounded_simulation_match_prefetched, bounded_subgraph_match_prefetched, fetch_candidate_sets,
     plan_for_indices, FetchStats, LookupMemo, PlanError, QueryPlan, Semantics,
 };
-use bgpq_graph::ArenaPool;
+use bgpq_graph::{ArenaPool, Graph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +21,8 @@ pub const INITIAL_SNAPSHOT_VERSION: u64 = 0;
 
 /// A session-oriented query engine over one graph and one access schema.
 ///
-/// The engine owns the [`Graph`](bgpq_graph::Graph) and the
+/// The engine holds the [`Graph`] (behind an `Arc` it shares with the
+/// unary access indices, which answer from the graph's rows) and the
 /// [`AccessIndexSet`] built for its schema, and serves repeated
 /// [`QueryRequest`]s through [`Engine::execute`]. Per request it
 ///
@@ -80,7 +81,7 @@ pub const INITIAL_SNAPSHOT_VERSION: u64 = 0;
 /// assert_eq!(again.answer, response.answer);
 /// ```
 pub struct Engine {
-    graph: bgpq_graph::Graph,
+    graph: Arc<Graph>,
     indices: AccessIndexSet,
     /// The snapshot version this engine serves. Standalone engines stay at
     /// [`INITIAL_SNAPSHOT_VERSION`]; a serving layer derives one engine per
@@ -104,7 +105,8 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine for `graph` under `schema`, building one index per
     /// constraint (the one-off session setup cost).
-    pub fn new(graph: bgpq_graph::Graph, schema: &AccessSchema) -> Self {
+    pub fn new(graph: impl Into<Arc<Graph>>, schema: &AccessSchema) -> Self {
+        let graph = graph.into();
         let indices = AccessIndexSet::build(&graph, schema);
         Self::with_indices(graph, indices)
     }
@@ -112,7 +114,7 @@ impl Engine {
     /// Creates an engine from pre-built indices (e.g. indices maintained
     /// incrementally by `bgpq_access::maintenance` across graph updates),
     /// with a cache and arenas of its own.
-    pub fn with_indices(graph: bgpq_graph::Graph, indices: AccessIndexSet) -> Self {
+    pub fn with_indices(graph: impl Into<Arc<Graph>>, indices: AccessIndexSet) -> Self {
         Self::with_shared_at_version(
             graph,
             indices,
@@ -129,13 +131,13 @@ impl Engine {
     /// coexist in the shared cache (see [`QueryCache`]). The arena pool
     /// hands every in-flight execution of any version an arena of its own.
     pub fn with_shared_at_version(
-        graph: bgpq_graph::Graph,
+        graph: impl Into<Arc<Graph>>,
         indices: AccessIndexSet,
         version: u64,
         shared: SharedResources,
     ) -> Self {
         Engine {
-            graph,
+            graph: graph.into(),
             indices,
             version,
             cache: shared.cache,
@@ -172,7 +174,7 @@ impl Engine {
     }
 
     /// The data graph the engine serves queries over.
-    pub fn graph(&self) -> &bgpq_graph::Graph {
+    pub fn graph(&self) -> &Graph {
         &self.graph
     }
 

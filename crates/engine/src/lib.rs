@@ -57,10 +57,10 @@ pub use strategy::StrategyKind;
 // The workspace's request-facing surface, re-exported so applications can
 // depend on `bgpq-engine` alone.
 pub use bgpq_access::{
-    apply_delta, apply_deltas, check_schema, discover_schema, load_schema, load_snapshot,
-    read_schema, read_snapshot, save_schema, save_snapshot, write_schema, write_snapshot,
-    AccessConstraint, AccessIndexSet, AccessSchema, ConstraintId, ConstraintIndex, ConstraintKind,
-    DiscoveryConfig, GraphDelta, MaintenanceStats, SnapshotBundle, TouchedNodes,
+    apply_delta, apply_deltas, apply_deltas_shared, check_schema, discover_schema, load_schema,
+    load_snapshot, read_schema, read_snapshot, save_schema, save_snapshot, write_schema,
+    write_snapshot, AccessConstraint, AccessIndexSet, AccessSchema, ConstraintId, ConstraintIndex,
+    ConstraintKind, DiscoveryConfig, GraphDelta, MaintenanceStats, SnapshotBundle, TouchedNodes,
 };
 pub use bgpq_core::{
     bounded_simulation_match, bounded_simulation_match_prefetched, bounded_subgraph_match,

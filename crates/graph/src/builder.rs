@@ -159,6 +159,7 @@ impl GraphBuilder {
             inc,
             label_index,
             dead_count: 0,
+            row_ids_copied: 0,
             stats: Default::default(),
         }
     }

@@ -27,19 +27,26 @@
 //! two-level copy-on-write [`crate::Spine`]. The four per-node arrays
 //! (labels, values, out- and in-adjacency) are paged vectors
 //! ([`crate::PAGE_SIZE`] nodes per page, [`crate::SPINE_FANOUT`] pages per
-//! group), every adjacency row longer than a few neighbours is its own
-//! `Arc<[NodeId]>` (shorter ones live inside their page), label buckets are
-//! lists of bounded-size chunks, and the label alphabet sits behind one
-//! `Arc`. [`Graph::clone`] therefore bumps `|V| / 16 384` reference counts
-//! per array ([`Graph::spines`] counts them: 183 each at 3.0M nodes — a
-//! 64th of a count per page, not a constant), and a mutation of the clone
-//! copies only the pages, rows and chunk it lands in plus their groups of
-//! 64 pointers — nothing sized by `|G|` — which is what lets a serving
-//! commit keep the previous snapshot alive for its readers at `O(|ΔG|)`
-//! cost. The price is on the read side: `label()`, `value()` and the
-//! neighbour accessors follow one more pointer than a flat page table
-//! would, through a top level of at most a few dozen entries.
+//! group, the last page apart), an adjacency row ([`Row`]) lives inside its
+//! page up to a few neighbours, behind its own `Arc<[NodeId]>` up to one
+//! chunk's worth, and in chunks of [`crate::CHUNK_TARGET`] ids past that
+//! (a hub), label buckets are the same chunked lists, and the label
+//! alphabet sits behind one `Arc`. [`Graph::clone`] therefore bumps `|V| /
+//! 16 384` reference counts per array ([`Graph::spines`] counts them: 184
+//! each at 3.0M nodes — a 64th of a count per page, not a constant), and a
+//! mutation of the clone copies only the pages, short rows and chunks it
+//! lands in plus their groups of 64 pointers (none for an array's last
+//! page or a list's last chunk, where appends land) — nothing sized by
+//! `|G|`, a hub's row included ([`Graph::row_ids_copied`] counts the row
+//! ids copied) — which is what lets a serving commit keep the previous
+//! snapshot alive for its readers at `O(|ΔG|)` cost. Rows are read through
+//! the borrowed [`Ids`] handle, piece by piece; nothing on the query path
+//! flattens a chunked row. The price is on the read side: `label()`,
+//! `value()` and the neighbour accessors follow one more pointer than a
+//! flat page table would, through a top level of at most a few dozen
+//! entries.
 
+use crate::chunked::Ids;
 use crate::error::GraphError;
 use crate::label::{Label, LabelInterner};
 use crate::label_index::{LabelIndex, LabelNodes};
@@ -49,6 +56,7 @@ use crate::spine::SpineShape;
 use crate::stats::GraphStats;
 use crate::value::Value;
 use crate::Result;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -115,6 +123,10 @@ pub struct Graph {
     /// Number of deleted (tombstoned) node slots; node ids stay contiguous
     /// so deletion marks the slot instead of shifting ids.
     pub(crate) dead_count: usize,
+    /// Row ids copied because an edit found their buffer or chunk still
+    /// shared with another clone; inherited by clones, like the spines'
+    /// copy counters.
+    pub(crate) row_ids_copied: u64,
     /// This version's statistics, computed on first use and shared by its
     /// clones; a mutation starts a new one.
     pub(crate) stats: Arc<OnceLock<GraphStats>>,
@@ -132,6 +144,7 @@ impl Graph {
             edge_count: 0,
             label_index: LabelIndex::default(),
             dead_count: 0,
+            row_ids_copied: 0,
             stats: Arc::default(),
         }
     }
@@ -177,7 +190,7 @@ impl Graph {
     /// (a row not already in id order is sorted on the way out).
     pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.out.iter().enumerate().flat_map(|(src, row)| {
-            let dsts = by_id(row);
+            let dsts = by_id(row.ids());
             (0..dsts.len()).map(move |i| EdgeId::new(NodeId(src as u32), dsts[i]))
         })
     }
@@ -217,6 +230,14 @@ impl Graph {
     /// frequency.
     pub fn chunks_copied(&self) -> u64 {
         self.label_index.chunks_copied()
+    }
+
+    /// Adjacency-row ids copied on write, counted like
+    /// [`Graph::pages_copied`]: the ids of a shared row's buffer, or of one
+    /// chunk of a chunked row, each time an edit un-shares it. An edit
+    /// copies at most one chunk's worth, whatever the row's length.
+    pub fn row_ids_copied(&self) -> u64 {
+        self.row_ids_copied
     }
 
     /// Groups of page or chunk pointers copied on write, counted like
@@ -278,15 +299,18 @@ impl Graph {
     }
 
     /// Out-neighbors of `v`, sorted by `(label, id)`: each label's
-    /// neighbours are one segment, in id order.
-    pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.out[v.index()]
+    /// neighbours are one segment, in id order. Borrowed as stored, a hub's
+    /// row in chunks.
+    #[inline]
+    pub fn out_neighbors(&self, v: NodeId) -> Ids<'_> {
+        self.out[v.index()].ids()
     }
 
     /// In-neighbors of `v`, sorted by `(label, id)` like
     /// [`Graph::out_neighbors`].
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.inc[v.index()]
+    #[inline]
+    pub fn in_neighbors(&self, v: NodeId) -> Ids<'_> {
+        self.inc[v.index()].ids()
     }
 
     /// The neighbors of `v` labeled `label` in either direction, ascending,
@@ -330,8 +354,8 @@ impl Graph {
     ) -> NeighborRuns<'_, F> {
         NeighborRuns {
             label_of,
-            out: &self.out[v.index()],
-            inc: &self.inc[v.index()],
+            out: self.out_neighbors(v),
+            inc: self.in_neighbors(v),
         }
     }
 
@@ -353,7 +377,7 @@ impl Graph {
 
     /// Undirected degree of `v` (number of distinct neighbors).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.neighbor_runs(v).map(|(_, run)| run.count()).sum()
+        self.neighbor_runs(v).map(|(_, run)| run.len()).sum()
     }
 
     /// True when the directed edge `(src, dst)` exists.
@@ -362,7 +386,7 @@ impl Graph {
             && self
                 .out
                 .get(src.index())
-                .is_some_and(|dsts| self.find(dsts, dst).is_ok())
+                .is_some_and(|dsts| dsts.ids().contains_by(order(&self.labels, dst)))
     }
 
     /// True when `a` and `b` are neighbors in either direction.
@@ -399,25 +423,17 @@ impl Graph {
         self.labels.len() - self.dead_count
     }
 
-    /// Where `v` sits in `row`, a row of this graph: `Ok` at its position,
-    /// `Err` where inserting it keeps the `(label, id)` order.
-    fn find(&self, row: &[NodeId], v: NodeId) -> std::result::Result<usize, usize> {
-        let key = (self.label(v), v);
-        row.binary_search_by(|&w| (self.label(w), w).cmp(&key))
-    }
-
     /// The `label` segment of `v`'s row in `rows` (empty past the end).
-    fn labeled<'a>(&'a self, rows: &'a PagedVec<Row>, v: NodeId, label: Label) -> &'a [NodeId] {
-        let row = rows.get(v.index()).map_or(&[][..], |row| row);
+    fn labeled<'a>(&'a self, rows: &'a PagedVec<Row>, v: NodeId, label: Label) -> Ids<'a> {
+        let row = rows.get(v.index()).map_or(Ids::default(), Row::ids);
         segment(row, label, |w| self.label(w))
     }
 
     /// The `label` segment of `v`'s out-row, and the number of row entries
     /// read to find it (for `FragmentView::adjacency_reads`).
-    pub(crate) fn out_segment(&self, v: NodeId, label: Label) -> (&[NodeId], u64) {
+    pub(crate) fn out_segment(&self, v: NodeId, label: Label) -> (Ids<'_>, u64) {
         let reads = std::cell::Cell::new(0);
-        let row = &self.out[v.index()];
-        let segment = segment(row, label, |w| {
+        let segment = segment(self.out_neighbors(v), label, |w| {
             reads.set(reads.get() + 1);
             self.label(w)
         });
@@ -425,59 +441,49 @@ impl Graph {
     }
 }
 
+/// Orders a row entry `w` against `v` by `(label, id)`, the order of every
+/// row, the labels read from `labels`.
+fn order(labels: &PagedVec<Label>, v: NodeId) -> impl Fn(NodeId) -> Ordering + '_ {
+    let key = (labels[v.index()], v);
+    move |w| (labels[w.index()], w).cmp(&key)
+}
+
 /// The `label` segment of `row`, a row sorted by `(label, id)` whose labels
 /// `label_of` reads: the labels at both ends settle a row that lacks the
 /// label or holds nothing else; otherwise a binary search finds its start
-/// and a gallop its end.
-fn segment(row: &[NodeId], label: Label, label_of: impl Fn(NodeId) -> Label) -> &[NodeId] {
+/// and a gallop its end, so a short segment costs a few label reads
+/// however long the row.
+fn segment(row: Ids<'_>, label: Label, label_of: impl Fn(NodeId) -> Label) -> Ids<'_> {
     let (Some(&first), Some(&last)) = (row.first(), row.last()) else {
         return row;
     };
     let (first, last) = (label_of(first), label_of(last));
     if last < label || first > label {
-        return &[];
+        return Ids::default();
     }
-    let start = match first == label {
-        true => 0,
-        false => 1 + row[1..].partition_point(|&w| label_of(w) < label),
+    let rest = match first == label {
+        true => row,
+        false => row.split_by(|w| label_of(w) < label).1,
     };
-    let rest = &row[start..];
     match last == label {
         true => rest,
-        false => &rest[..run_len(rest, label, &label_of)],
+        false => rest.split_run(|w| label_of(w) == label).0,
     }
 }
 
-/// How many ids at the front of `row` (a row suffix whose labels are all
-/// `≥ label`) carry `label`: all of them when the last one does, else a
-/// gallop from the front, so a short run costs a few label reads however
-/// long the row.
-fn run_len(row: &[NodeId], label: Label, label_of: &impl Fn(NodeId) -> Label) -> usize {
-    let carries = |i: usize| label_of(row[i]) == label;
-    if row.is_empty() || !carries(0) {
-        return 0;
+/// `row` in id order: borrowed when it is one slice already in that order,
+/// else a sorted copy.
+pub(crate) fn by_id(row: Ids<'_>) -> std::borrow::Cow<'_, [NodeId]> {
+    match row.as_slice() {
+        Some(ids) if ids.windows(2).all(|pair| pair[0] < pair[1]) => {
+            std::borrow::Cow::Borrowed(ids)
+        }
+        _ => {
+            let mut sorted = row.to_vec();
+            sorted.sort_unstable();
+            std::borrow::Cow::Owned(sorted)
+        }
     }
-    if carries(row.len() - 1) {
-        return row.len();
-    }
-    // `row[lo]` carries the label; double the stride until one does not.
-    let (mut lo, mut stride) = (0, 1);
-    while lo + stride < row.len() && carries(lo + stride) {
-        lo += stride;
-        stride *= 2;
-    }
-    let hi = (lo + stride).min(row.len());
-    lo + 1 + row[lo + 1..hi].partition_point(|&w| label_of(w) == label)
-}
-
-/// `row` in id order: borrowed when it already is, else a sorted copy.
-pub(crate) fn by_id(row: &[NodeId]) -> std::borrow::Cow<'_, [NodeId]> {
-    if row.windows(2).all(|pair| pair[0] < pair[1]) {
-        return std::borrow::Cow::Borrowed(row);
-    }
-    let mut sorted = row.to_vec();
-    sorted.sort_unstable();
-    std::borrow::Cow::Owned(sorted)
 }
 
 /// In-place mutation, the write side of the serving subsystem.
@@ -524,19 +530,25 @@ impl Graph {
                 dst: dst.0 as u64,
             });
         }
-        match self.find(&self.out[src.index()], dst) {
-            Ok(_) => Ok(false),
-            Err(pos) => {
-                self.stats = Arc::default();
-                self.out.make_mut(src.index()).insert(pos, dst);
-                let ipos = self
-                    .find(&self.inc[dst.index()], src)
-                    .expect_err("out and in adjacency agree on membership");
-                self.inc.make_mut(dst.index()).insert(ipos, src);
-                self.edge_count += 1;
-                Ok(true)
-            }
+        if self.has_edge(src, dst) {
+            return Ok(false);
         }
+        self.stats = Arc::default();
+        let labels = &self.labels;
+        let copied = [
+            self.out
+                .make_mut(src.index())
+                .insert_by(dst, order(labels, dst)),
+            self.inc
+                .make_mut(dst.index())
+                .insert_by(src, order(labels, src)),
+        ];
+        self.row_ids_copied += copied
+            .iter()
+            .map(|c| c.expect("out and in adjacency agree on membership") as u64)
+            .sum::<u64>();
+        self.edge_count += 1;
+        Ok(true)
     }
 
     /// Deletes the directed edge `(src, dst)`. Returns `Ok(true)` when the
@@ -549,19 +561,21 @@ impl Graph {
                 dst: dst.0 as u64,
             });
         }
-        match self.find(&self.out[src.index()], dst) {
-            Err(_) => Ok(false),
-            Ok(pos) => {
-                self.stats = Arc::default();
-                self.out.make_mut(src.index()).remove(pos);
-                let ipos = self
-                    .find(&self.inc[dst.index()], src)
-                    .expect("out and in adjacency agree on membership");
-                self.inc.make_mut(dst.index()).remove(ipos);
-                self.edge_count -= 1;
-                Ok(true)
-            }
+        if !self.has_edge(src, dst) {
+            return Ok(false);
         }
+        self.stats = Arc::default();
+        let labels = &self.labels;
+        let copied = [
+            self.out.make_mut(src.index()).remove_by(order(labels, dst)),
+            self.inc.make_mut(dst.index()).remove_by(order(labels, src)),
+        ];
+        self.row_ids_copied += copied
+            .iter()
+            .map(|c| c.expect("out and in adjacency agree on membership") as u64)
+            .sum::<u64>();
+        self.edge_count -= 1;
+        Ok(true)
     }
 
     /// Deletes node `v`: removes every incident edge, unregisters the node
@@ -576,18 +590,16 @@ impl Graph {
         }
         self.stats = Arc::default();
         let mut removed = Vec::new();
-        for &dst in std::mem::take(self.out.make_mut(v.index())).iter() {
-            let pos = self
-                .find(&self.inc[dst.index()], v)
-                .expect("out and in adjacency agree on membership");
-            self.inc.make_mut(dst.index()).remove(pos);
+        let labels = &self.labels;
+        let listed = "out and in adjacency agree on membership";
+        for &dst in std::mem::take(self.out.make_mut(v.index())).ids() {
+            let copied = self.inc.make_mut(dst.index()).remove_by(order(labels, v));
+            self.row_ids_copied += copied.expect(listed) as u64;
             removed.push(EdgeId::new(v, dst));
         }
-        for &src in std::mem::take(self.inc.make_mut(v.index())).iter() {
-            let pos = self
-                .find(&self.out[src.index()], v)
-                .expect("out and in adjacency agree on membership");
-            self.out.make_mut(src.index()).remove(pos);
+        for &src in std::mem::take(self.inc.make_mut(v.index())).ids() {
+            let copied = self.out.make_mut(src.index()).remove_by(order(labels, v));
+            self.row_ids_copied += copied.expect(listed) as u64;
             removed.push(EdgeId::new(src, v));
         }
         self.edge_count -= removed.len();
@@ -610,8 +622,8 @@ impl Default for Graph {
 /// [`Graph::neighbor_runs`]), or one list alone ([`Neighbors::from`]).
 #[derive(Clone, Copy, Default)]
 pub struct Neighbors<'a> {
-    out: &'a [NodeId],
-    inc: &'a [NodeId],
+    out: Ids<'a>,
+    inc: Ids<'a>,
 }
 
 impl<'a> Neighbors<'a> {
@@ -620,74 +632,94 @@ impl<'a> Neighbors<'a> {
         self.out.is_empty() && self.inc.is_empty()
     }
 
-    /// Number of distinct ids (one list alone is counted without being
-    /// read).
+    /// Number of distinct ids: both lengths, less the ids the lists share.
+    /// Lists whose id ranges do not overlap (one alone, too) are counted
+    /// without being read, two plain slices by one branch-free merge.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.count()
+        let (a, b) = (&self.out, &self.inc);
+        if let (Some(a), Some(b)) = (a.as_slice(), b.as_slice()) {
+            return distinct(a, b);
+        }
+        if a.is_empty() || b.is_empty() || a.last() < b.first() || b.last() < a.first() {
+            return a.len() + b.len();
+        }
+        self.iter().count()
     }
 
     /// The ids, ascending, collected.
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.collect()
+        self.iter().collect()
     }
 
     /// The two lists, as borrowed.
-    pub fn lists(&self) -> [&'a [NodeId]; 2] {
+    pub fn lists(&self) -> [Ids<'a>; 2] {
         [self.out, self.inc]
+    }
+
+    /// Iterates over the ids, ascending, each once.
+    #[inline]
+    pub fn iter(&self) -> Merge<'a> {
+        let (mut out, mut inc) = (self.out.iter(), self.inc.iter());
+        Merge {
+            next: [out.next().copied(), inc.next().copied()],
+            out,
+            inc,
+        }
+    }
+}
+
+/// The number of distinct ids of two id-sorted slices: both lengths, less
+/// the ids they share, found by one branch-free merge unless their ranges
+/// do not overlap.
+#[inline]
+fn distinct(a: &[NodeId], b: &[NodeId]) -> usize {
+    let (Some((&a_first, &a_last)), Some((&b_first, &b_last))) =
+        (a.first().zip(a.last()), b.first().zip(b.last()))
+    else {
+        return a.len() + b.len();
+    };
+    if a_last < b_first || b_last < a_first {
+        return a.len() + b.len();
+    }
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        shared += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a.len() + b.len() - shared
+}
+
+impl<'a> From<Ids<'a>> for Neighbors<'a> {
+    fn from(ids: Ids<'a>) -> Self {
+        Neighbors {
+            out: ids,
+            inc: Ids::default(),
+        }
     }
 }
 
 impl<'a> From<&'a [NodeId]> for Neighbors<'a> {
     fn from(ids: &'a [NodeId]) -> Self {
-        Neighbors { out: ids, inc: &[] }
+        Neighbors::from(Ids::from(ids))
     }
 }
 
-impl Iterator for Neighbors<'_> {
+impl<'a> IntoIterator for Neighbors<'a> {
     type Item = NodeId;
+    type IntoIter = Merge<'a>;
 
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        let next = match (self.out.first(), self.inc.first()) {
-            (Some(&a), Some(&b)) => a.min(b),
-            (a, b) => *a.or(b)?,
-        };
-        for row in [&mut self.out, &mut self.inc] {
-            if row.first() == Some(&next) {
-                *row = &row[1..];
-            }
-        }
-        Some(next)
-    }
-
-    /// Both lengths, less the ids the lists share: lists whose id ranges
-    /// do not overlap (one alone, too) are counted without being read, and
-    /// others by one branch-free merge.
-    fn count(self) -> usize {
-        let (a, b) = (self.out, self.inc);
-        let (Some((&a_first, &a_last)), Some((&b_first, &b_last))) =
-            (a.first().zip(a.last()), b.first().zip(b.last()))
-        else {
-            return a.len() + b.len();
-        };
-        if a_last < b_first || b_last < a_first {
-            return a.len() + b.len();
-        }
-        let (mut i, mut j, mut shared) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            let (x, y) = (a[i], b[j]);
-            shared += usize::from(x == y);
-            i += usize::from(x <= y);
-            j += usize::from(y <= x);
-        }
-        a.len() + b.len() - shared
+    fn into_iter(self) -> Merge<'a> {
+        self.iter()
     }
 }
 
 /// Equal when they hold the same ids, however split between the lists.
 impl PartialEq for Neighbors<'_> {
     fn eq(&self, other: &Self) -> bool {
-        Iterator::eq(*self, *other)
+        self.iter().eq(other.iter())
     }
 }
 
@@ -695,7 +727,35 @@ impl Eq for Neighbors<'_> {}
 
 impl fmt::Debug for Neighbors<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(*self).finish()
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The ids of a [`Neighbors`] pair, ascending, each once.
+#[derive(Clone)]
+pub struct Merge<'a> {
+    /// The next id of each list, read ahead.
+    next: [Option<NodeId>; 2],
+    out: crate::chunked::Iter<'a>,
+    inc: crate::chunked::Iter<'a>,
+}
+
+impl Iterator for Merge<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let next = match self.next {
+            [Some(a), Some(b)] => a.min(b),
+            [a, b] => a.or(b)?,
+        };
+        if self.next[0] == Some(next) {
+            self.next[0] = self.out.next().copied();
+        }
+        if self.next[1] == Some(next) {
+            self.next[1] = self.inc.next().copied();
+        }
+        Some(next)
     }
 }
 
@@ -704,27 +764,27 @@ impl fmt::Debug for Neighbors<'_> {
 #[derive(Clone)]
 pub struct NeighborRuns<'a, F> {
     label_of: F,
-    out: &'a [NodeId],
-    inc: &'a [NodeId],
+    out: Ids<'a>,
+    inc: Ids<'a>,
 }
 
 impl<'a, F: Fn(NodeId) -> Label> Iterator for NeighborRuns<'a, F> {
     type Item = (Label, Neighbors<'a>);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let label_of = &self.label_of;
-        let heads = [self.out, self.inc].map(|row| row.first().map(|&w| label_of(w)));
+        let heads = [self.out.first(), self.inc.first()].map(|w| w.map(|&w| label_of(w)));
         let label = match heads {
             [Some(a), Some(b)] => a.min(b),
             [a, b] => a.or(b)?,
         };
         // A row whose first id carries the label runs on from there.
-        let take = |row: &mut &'a [NodeId], head: Option<Label>| {
-            let len = match head {
-                Some(first) if first == label => 1 + run_len(&row[1..], label, label_of),
-                _ => 0,
-            };
-            let (run, rest) = row.split_at(len);
+        let take = |row: &mut Ids<'a>, head: Option<Label>| {
+            if head != Some(label) {
+                return Ids::default();
+            }
+            let (run, rest) = row.split_run(|w| label_of(w) == label);
             *row = rest;
             run
         };
@@ -952,42 +1012,86 @@ mod tests {
 
     /// Labels interleaved along the ids: every row stays grouped by label
     /// through edits, a label's segments answer `neighbors_labeled`, and the
-    /// memoized statistics follow the edits.
+    /// memoized statistics follow the edits — for a short row, and for a
+    /// hub's row past one chunk, which is then cut back below one chunk and
+    /// grown past it again, edits at its front, middle and end in turn, a
+    /// clone pinned every few steps.
     #[test]
     fn rows_stay_grouped_by_label_through_edits() {
-        let mut b = GraphBuilder::new();
-        let hub = b.add_node("hub", Value::Null);
-        let ids: Vec<NodeId> = (0..12)
-            .map(|i| b.add_node(["b", "a", "c"][i % 3], Value::Int(i as i64)))
-            .collect();
-        for &v in ids.iter().rev() {
-            b.add_edge(hub, v).unwrap();
+        use crate::chunked::CHUNK_TARGET;
+        for n in [12, 3 * CHUNK_TARGET + 7] {
+            let mut b = GraphBuilder::new();
+            let hub = b.add_node("hub", Value::Null);
+            let ids: Vec<NodeId> = (0..n)
+                .map(|i| b.add_node(["b", "a", "c"][i % 3], Value::Int(i as i64)))
+                .collect();
+            for &v in ids.iter().rev() {
+                b.add_edge(hub, v).unwrap();
+            }
+            b.add_edge(ids[4], hub).unwrap();
+            let mut g = b.build();
+            let a = g.interner().get("a").unwrap();
+            let grouped = |g: &crate::Graph| {
+                let key = |&w: &NodeId| (g.label(w), w);
+                let mut sorted = g.out_neighbors(hub).to_vec();
+                sorted.sort_by_key(key);
+                assert_eq!(g.out_neighbors(hub), &sorted[..]);
+                let of_a = g.neighbors(hub).into_iter().filter(|&w| g.label(w) == a);
+                assert_eq!(
+                    g.neighbors_labeled(hub, a).to_vec(),
+                    of_a.collect::<Vec<_>>()
+                );
+                for run in g.out_neighbors(hub).chunks() {
+                    assert!(run.iter().all(|&w| g.has_edge(hub, w)));
+                }
+            };
+            let chunked = |g: &crate::Graph| g.out[hub.index()].is_chunked();
+            let of_a = n / 3;
+            grouped(&g);
+            assert_eq!(chunked(&g), n >= 2 * CHUNK_TARGET);
+            assert_eq!(g.stats().fanout(g.label(hub), a), of_a);
+            assert!(g.delete_edge(hub, ids[1]).unwrap());
+            assert!(g.has_edge(hub, ids[4]) && g.has_edge(ids[4], hub));
+            grouped(&g);
+            assert_eq!(g.stats().fanout(g.label(hub), a), of_a - 1);
+            let fresh = g.insert_node("a", Value::Null);
+            assert!(g.insert_edge(fresh, hub).unwrap());
+            grouped(&g);
+            assert_eq!(g.neighbors_labeled(hub, a).len(), of_a);
+            assert_eq!(g.stats().fanout(g.label(hub), a), of_a);
+            if n < 2 * CHUNK_TARGET {
+                continue;
+            }
+            // Down below one chunk, then back up past two.
+            let mut pins = Vec::new();
+            let mut step = 0;
+            while g.out_degree(hub) > CHUNK_TARGET / 2 {
+                let row = g.out_neighbors(hub);
+                let at = [0, row.len() / 2, row.len() - 1][step % 3];
+                let w = *row.get(at).unwrap();
+                if step % 50 == 0 {
+                    pins.push((g.clone(), row.to_vec()));
+                    grouped(&g);
+                }
+                assert!(g.delete_edge(hub, w).unwrap());
+                step += 1;
+            }
+            assert!(!chunked(&g), "shrunk below one chunk, the row is one slice");
+            grouped(&g);
+            for (i, &v) in ids.iter().enumerate() {
+                g.insert_edge(hub, v).unwrap();
+                if i % 50 == 0 {
+                    pins.push((g.clone(), g.out_neighbors(hub).to_vec()));
+                    grouped(&g);
+                }
+            }
+            assert!(chunked(&g), "grown back past two chunks");
+            grouped(&g);
+            assert!(g.row_ids_copied() > 0, "pinned rows were copied");
+            for (pinned, row) in &pins {
+                assert_eq!(pinned.out_neighbors(hub), &row[..]);
+            }
         }
-        b.add_edge(ids[4], hub).unwrap();
-        let mut g = b.build();
-        let a = g.interner().get("a").unwrap();
-        let grouped = |g: &crate::Graph| {
-            let key = |&w: &NodeId| (g.label(w), w);
-            let mut sorted = g.out_neighbors(hub).to_vec();
-            sorted.sort_by_key(key);
-            assert_eq!(g.out_neighbors(hub), &sorted[..]);
-            let of_a = g.neighbors(hub).into_iter().filter(|&w| g.label(w) == a);
-            assert_eq!(
-                g.neighbors_labeled(hub, a).to_vec(),
-                of_a.collect::<Vec<_>>()
-            );
-        };
-        grouped(&g);
-        assert_eq!(g.stats().fanout(g.label(hub), a), 4);
-        assert!(g.delete_edge(hub, ids[1]).unwrap());
-        assert!(g.has_edge(hub, ids[4]) && g.has_edge(ids[4], hub));
-        grouped(&g);
-        assert_eq!(g.stats().fanout(g.label(hub), a), 3);
-        let fresh = g.insert_node("a", Value::Null);
-        assert!(g.insert_edge(fresh, hub).unwrap());
-        grouped(&g);
-        assert_eq!(g.neighbors_labeled(hub, a).len(), 4);
-        assert_eq!(g.stats().fanout(g.label(hub), a), 4);
     }
 
     #[test]

@@ -675,7 +675,7 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
 /// row held in `(label, id)` order is sorted by id on the way out.
 fn encode_adjacency(rows: &PagedVec<Row>) -> SectionWriter {
     let ids = rows.iter().flat_map(|row| {
-        let row = by_id(row);
+        let row = by_id(row.ids());
         (0..row.len()).map(move |i| row[i])
     });
     encode_csr(rows.iter().map(|row| row.len()), ids)
@@ -1022,6 +1022,7 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         edge_count: out_total,
         label_index,
         dead_count,
+        row_ids_copied: 0,
         stats: Default::default(),
     })
 }

@@ -23,8 +23,11 @@
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
 //!   the one per-node array on top of it, under the graph's per-node storage
-//!   and the access indices; and [`Row`] — the short id list both store
-//!   by value (adjacency rows here, index keys and answer lists there);
+//!   and the access indices; [`Row`] — the sorted id list both store by
+//!   value (adjacency rows here, index keys and answer lists there), held
+//!   in chunks of [`CHUNK_TARGET`] ids past one chunk's worth, the same
+//!   chunked list as a label bucket; and [`Ids`] — the borrowed handle
+//!   every row and bucket is read through;
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
 //!   a standalone graph: the slow, obviously-correct test oracle that
 //!   [`FragmentView`] and the bounded executors are checked against;
@@ -48,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+mod chunked;
 pub mod error;
 pub mod graph;
 pub mod io;
@@ -63,8 +67,9 @@ pub mod value;
 pub mod view;
 
 pub use builder::GraphBuilder;
+pub use chunked::{Ids, CHUNK_TARGET};
 pub use error::GraphError;
-pub use graph::{EdgeId, Graph, NeighborRuns, Neighbors, NodeId};
+pub use graph::{EdgeId, Graph, Merge, NeighborRuns, Neighbors, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
 pub use label_index::{LabelIndex, LabelNodes};

@@ -6,10 +6,12 @@
 //! commit changes a handful of nodes. [`PagedVec`] makes that cheap: the
 //! elements live in fixed-size pages, and the pages are the leaves of a
 //! [`Spine`] — cloning the vector bumps one reference count per *group* of
-//! [`crate::SPINE_FANOUT`] pages (`len / 16 384` of them), and a write copies
-//! only the page it lands in plus that page's group of pointers (and only
-//! while they are still shared). Reads pay two cache-resident pointer hops
-//! over a flat `Vec`.
+//! [`crate::SPINE_FANOUT`] pages (`len / 16 384` of them) and one for the
+//! last page, and a write copies only the page it lands in plus that
+//! page's group of pointers (and only while they are still shared). The
+//! last page is kept outside the groups, so an append — a new node's slot —
+//! copies that page alone. Reads pay two cache-resident pointer hops over
+//! a flat `Vec`.
 //!
 //! **Pages nothing was written to share one blank page.** An array indexed
 //! by node id but written only at the ids of one label — an access index

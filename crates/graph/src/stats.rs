@@ -66,7 +66,7 @@ impl GraphStats {
             for &v in nodes {
                 let mut degree = 0;
                 for (ln, run) in graph.neighbor_runs_by(v, label_of) {
-                    let count = run.count();
+                    let count = run.len();
                     degree += count;
                     let histogram: &mut Vec<usize> = &mut per_label[ln.index()];
                     if histogram.is_empty() {

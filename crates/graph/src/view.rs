@@ -32,6 +32,7 @@
 //! out-edges, so parent in-adjacency is never read.
 //! [`FragmentView::adjacency_reads`] counts what is read.
 
+use crate::chunked::Ids;
 use crate::graph::{by_id, EdgeId, Graph, NodeId};
 use crate::label::Label;
 use crate::label_index::LabelNodes;
@@ -68,11 +69,11 @@ pub trait GraphAccess {
     /// Visible out-neighbors of `v`, sorted by `(label, id)`: a label's
     /// neighbours are one segment, in id order. Empty when `v` is not
     /// visible.
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId];
+    fn out_neighbors(&self, v: NodeId) -> Ids<'_>;
 
     /// Visible in-neighbors of `v`, sorted by `(label, id)`. Empty when `v`
     /// is not visible.
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId];
+    fn in_neighbors(&self, v: NodeId) -> Ids<'_>;
 
     /// True when the directed edge `(src, dst)` is visible.
     fn has_edge(&self, src: NodeId, dst: NodeId) -> bool;
@@ -128,11 +129,11 @@ impl GraphAccess for Graph {
         Graph::value(self, v)
     }
 
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
+    fn out_neighbors(&self, v: NodeId) -> Ids<'_> {
         Graph::out_neighbors(self, v)
     }
 
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+    fn in_neighbors(&self, v: NodeId) -> Ids<'_> {
         Graph::in_neighbors(self, v)
     }
 
@@ -198,11 +199,36 @@ pub struct ScratchArena {
     adjacency_reads: u64,
 }
 
-/// Calls `hit(i, j)` for every `short[i] == long[j]`, ascending. Both slices
-/// are sorted and duplicate-free; each element of `short` is galloped into
-/// `long` from the previous probe's position, `O(log(|long| / |short|))`
-/// each. Returns an upper bound on the number of `long` entries compared.
-fn intersect_sorted(short: &[NodeId], long: &[NodeId], mut hit: impl FnMut(usize, usize)) -> u64 {
+/// Calls `hit(i)` for every `short[i]` that `long` lists, ascending. Both
+/// lists are sorted and duplicate-free. A list held in chunks is entered
+/// at the piece of the next `short` element (galloped to in the next
+/// piece, else found by a binary search over the pieces), that piece is
+/// intersected with the run of `short` it covers, and the pieces between
+/// are skipped: no chunk is visited that no `short` element falls in.
+/// Returns an upper bound on the number of `long` entries compared.
+fn intersect_sorted(short: &[NodeId], long: Ids<'_>, mut hit: impl FnMut(usize)) -> u64 {
+    if let Some(long) = long.as_slice() {
+        return intersect_slices(short, long, hit);
+    }
+    let (mut probes, mut from, mut long) = (0, 0, long);
+    while let Some(&x) = short.get(from) {
+        let Some((piece, rest)) = long.split_run(|w| w < x).1.split_first() else {
+            break;
+        };
+        let last = piece[piece.len() - 1];
+        let upto = from + short[from..].partition_point(|&y| y <= last);
+        probes += intersect_slices(&short[from..upto], piece, |i| hit(from + i));
+        (from, long) = (upto, rest);
+    }
+    probes
+}
+
+/// Calls `hit(i)` for every `short[i]` that `long` lists, ascending. Both
+/// slices are sorted and duplicate-free; each element of `short` is
+/// galloped into `long` from the previous probe's position,
+/// `O(log(|long| / |short|))` each. Returns an upper bound on the number of
+/// `long` entries compared.
+fn intersect_slices(short: &[NodeId], long: &[NodeId], mut hit: impl FnMut(usize)) -> u64 {
     let (mut probes, mut lo) = (0u64, 0usize);
     for (i, &x) in short.iter().enumerate() {
         // Everything before `lo` is `< x`: double the stride until
@@ -216,7 +242,7 @@ fn intersect_sorted(short: &[NodeId], long: &[NodeId], mut hit: impl FnMut(usize
         probes += 1 + u64::from(usize::BITS - (hi - lo).leading_zeros());
         lo += long[lo..hi].partition_point(|&y| y < x);
         if long.get(lo) == Some(&x) {
-            hit(i, lo);
+            hit(i);
         }
     }
     probes
@@ -310,15 +336,22 @@ impl ScratchArena {
                 let (segment, probes) = graph.out_segment(self.nodes[i], label);
                 self.adjacency_reads += probes;
                 let members = start as usize..end as usize;
-                if segment.len() <= GALLOP_RATIO * members.len() {
-                    self.adjacency_reads += segment.len() as u64;
+                // Counted a piece at a time, and only up to the bound: a
+                // segment over many chunks of a hub's row is not walked.
+                let bound = GALLOP_RATIO * members.len();
+                let count = |n: usize, piece: &[NodeId]| {
+                    let n = n + piece.len();
+                    (n <= bound).then_some(n)
+                };
+                if let Some(len) = segment.chunks().try_fold(0, count) {
+                    self.adjacency_reads += len as u64;
                     self.keep_members(segment);
                     continue;
                 }
                 let (out_adj, out_slot) = (&mut self.out_adj, &mut self.out_slot);
                 let (nodes, labelled) = (&self.by_label[members.clone()], &self.labelled[members]);
-                self.adjacency_reads += intersect_sorted(nodes, segment, |m, p| {
-                    out_adj.push(segment[p]);
+                self.adjacency_reads += intersect_sorted(nodes, segment, |m| {
+                    out_adj.push(nodes[m]);
                     out_slot.push(labelled[m].2);
                 });
             }
@@ -351,11 +384,13 @@ impl ScratchArena {
 
     /// Appends the fragment members of `parent` (a parent row, or a segment
     /// of one) to the out-list being filled, in its order.
-    fn keep_members(&mut self, parent: &[NodeId]) {
-        for &w in parent {
-            if let Some(slot) = self.slot(w) {
-                self.out_adj.push(w);
-                self.out_slot.push(slot as u32);
+    fn keep_members(&mut self, parent: Ids<'_>) {
+        for piece in parent.chunks() {
+            for &w in piece {
+                if let Some(slot) = self.slot(w) {
+                    self.out_adj.push(w);
+                    self.out_slot.push(slot as u32);
+                }
             }
         }
     }
@@ -456,13 +491,15 @@ impl GraphAccess for FragmentView<'_> {
         self.graph.value(v)
     }
 
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.arena
-            .row(v, &self.arena.out_start, &self.arena.out_adj)
+    fn out_neighbors(&self, v: NodeId) -> Ids<'_> {
+        Ids::from(
+            self.arena
+                .row(v, &self.arena.out_start, &self.arena.out_adj),
+        )
     }
 
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.arena.row(v, &self.arena.in_start, &self.arena.in_adj)
+    fn in_neighbors(&self, v: NodeId) -> Ids<'_> {
+        Ids::from(self.arena.row(v, &self.arena.in_start, &self.arena.in_adj))
     }
 
     /// A short local row is scanned; a longer one is binary searched on
@@ -656,31 +693,42 @@ mod tests {
         }
     }
 
-    /// Both probe directions of the sorted intersection, every alignment.
+    /// Both probe directions of the sorted intersection, every alignment,
+    /// against a long list held as one slice and in chunks.
     #[test]
     fn intersect_sorted_finds_every_common_element() {
+        use crate::chunked::{Chunked, CHUNK_TARGET};
         let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
-        let long = ids(&(0..200).map(|i| i * 3).collect::<Vec<_>>());
+        let n = 3 * CHUNK_TARGET as u32 + 7;
+        let long = ids(&(0..n).map(|i| i * 3).collect::<Vec<_>>());
+        let chunked = Chunked::from_sorted(&long);
+        let last = 3 * (n - 1);
+        let seam = 3 * CHUNK_TARGET as u32;
         for short in [
             ids(&[]),
             ids(&[0]),
-            ids(&[597]),
+            ids(&[last]),
             ids(&[1, 2, 4]),
-            ids(&[0, 3, 6, 9, 300, 596, 597, 1000]),
+            ids(&[0, 3, 6, 9, 300, seam - 3, seam, seam + 1, last, last + 1]),
             long.clone(),
         ] {
-            let mut hits = Vec::new();
-            let probes = intersect_sorted(&short, &long, |i, j| hits.push((i, j)));
-            let expect: Vec<(usize, usize)> = short
+            let expect: Vec<usize> = short
                 .iter()
                 .enumerate()
-                .filter_map(|(i, x)| long.binary_search(x).ok().map(|j| (i, j)))
+                .filter_map(|(i, x)| long.binary_search(x).ok().map(|_| i))
                 .collect();
-            assert_eq!(hits, expect);
-            // ≤ 2·log2(200) + 2 compared entries per probed element.
-            assert!(probes <= short.len() as u64 * 18, "{probes} probes");
+            for held in [Ids::from(&long[..]), chunked.ids()] {
+                let mut hits = Vec::new();
+                let probes = intersect_sorted(&short, held, |i| hits.push(i));
+                assert_eq!(hits, expect);
+                // ≤ 2·log2(|long|) + 2 compared entries per probed element.
+                assert!(probes <= short.len() as u64 * 26, "{probes} probes");
+            }
         }
-        assert_eq!(intersect_sorted(&long, &[], |_, _| unreachable!()), 200);
+        assert_eq!(
+            intersect_sorted(&long, Ids::default(), |_| unreachable!()),
+            long.len() as u64
+        );
     }
 
     /// Star with a 100 000-leaf hub: a 10-node fragment through the hub

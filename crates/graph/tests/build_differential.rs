@@ -3,12 +3,13 @@
 //! `Graph::insert_edge` at a time. Seeded recipes cover labels that do not
 //! ascend along the ids (so rows are regrouped by label), repeated and
 //! reversed edges and self-loops, isolated nodes, a hub whose rows are
-//! longer than a page of nodes, and the empty graph. Every built graph, and
-//! a copy of it with deleted nodes, must also round-trip through a
-//! snapshot.
+//! longer than a page of nodes, a hub whose rows are held in chunks, and
+//! the empty graph. Every built graph, and a copy of it with deleted nodes,
+//! must also round-trip through a snapshot; the chunked hub's rows are
+//! also edited back below one chunk, in step with the grown graph.
 
 use bgpq_graph::io::snapshot::{read_graph_snapshot, write_graph_snapshot};
-use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, PAGE_SIZE};
+use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, CHUNK_TARGET, PAGE_SIZE};
 
 /// A small seeded generator (an LCG), so the recipes need no dependency.
 struct Seeded(u64);
@@ -94,6 +95,7 @@ fn recipes() -> Vec<Recipe> {
         nodes,
         edges,
     });
+    recipes.push(chunked_hub(&mut rng));
 
     // Labels ascending along the ids, as the scenario generators emit
     // them, edges in reverse arrival order, a few isolated nodes last.
@@ -111,6 +113,31 @@ fn recipes() -> Vec<Recipe> {
         edges,
     });
     recipes
+}
+
+/// A hub whose out-row spans several chunks and whose in-row just passes
+/// two, its neighbours of three labels interleaved along the ids: grown
+/// edge by edge, the rows turn chunked on the way.
+fn chunked_hub(rng: &mut Seeded) -> Recipe {
+    let n = 3 * CHUNK_TARGET + 50;
+    let nodes = (0..n)
+        .map(|i| (["b", "a", "c"][i % 3].to_string(), value(rng, i)))
+        .collect();
+    let hub = 2;
+    let mut edges = Vec::new();
+    for v in (0..n as u32).filter(|&v| v != hub) {
+        if rng.below(8) != 0 {
+            edges.push((hub, v));
+        }
+        if rng.below(3) != 0 {
+            edges.push((v, hub));
+        }
+    }
+    Recipe {
+        name: "a hub held in chunks",
+        nodes,
+        edges,
+    }
 }
 
 fn built(recipe: &Recipe) -> Graph {
@@ -178,6 +205,57 @@ fn the_bulk_build_is_the_graph_grown_edge_by_edge() {
         if recipe.name.starts_with("a hub") {
             assert!(longest > Some(PAGE_SIZE), "the hub row spans a page");
         }
+        if recipe.name.ends_with("in chunks") {
+            let hub = NodeId(2);
+            assert!(
+                fast.out_neighbors(hub).as_slice().is_none(),
+                "the out-row is chunked"
+            );
+            assert!(fast.in_degree(hub) > 2 * CHUNK_TARGET, "so is the in-row");
+        }
+    }
+}
+
+/// The chunked hub's edges are deleted, front, back and middle of its rows
+/// in turn, from the built graph and the grown one alike, until both rows
+/// fit one chunk again: the two graphs stay the same, a clone pinned at
+/// each checkpoint keeps what it held, and each version round-trips
+/// through a snapshot.
+#[test]
+fn hub_rows_shrink_back_below_one_chunk_in_step() {
+    let recipe = chunked_hub(&mut Seeded(0xC4_0C4));
+    let (mut fast, mut slow) = (built(&recipe), grown(&recipe));
+    let hub = NodeId(2);
+    let mut pins = Vec::new();
+    let mut step = 0;
+    while fast.out_degree(hub) + fast.in_degree(hub) > 0 {
+        for outgoing in [true, false] {
+            let row = match outgoing {
+                true => fast.out_neighbors(hub).to_vec(),
+                false => fast.in_neighbors(hub).to_vec(),
+            };
+            let Some(&w) = [row.first(), row.last(), row.get(row.len() / 2)][step % 3] else {
+                continue;
+            };
+            let (src, dst) = if outgoing { (hub, w) } else { (w, hub) };
+            assert!(fast.delete_edge(src, dst).unwrap());
+            assert!(slow.delete_edge(src, dst).unwrap());
+        }
+        if step % 97 == 0 {
+            assert_same(&fast, &slow, &format!("step {step}"));
+            assert_same(
+                &round_trip(&fast),
+                &fast,
+                &format!("round trip at step {step}"),
+            );
+            pins.push((fast.clone(), slow.clone()));
+        }
+        step += 1;
+    }
+    assert_same(&fast, &slow, "emptied");
+    assert!(fast.out_neighbors(hub).as_slice().is_some());
+    for (i, (pinned, held)) in pins.iter().enumerate() {
+        assert_same(pinned, held, &format!("pin {i}"));
     }
 }
 

@@ -82,7 +82,7 @@ fn assert_reads_like(graph: &Graph, model: &Model, ctx: &str) {
             .collect();
         out.sort_by_key(key);
         inc.sort_by_key(key);
-        let ids = |row: &[NodeId]| row.iter().map(|n| n.0).collect::<Vec<u32>>();
+        let ids = |row: bgpq_graph::Ids<'_>| row.iter().map(|n| n.0).collect::<Vec<u32>>();
         assert_eq!(ids(graph.out_neighbors(id)), out, "{ctx}: out row of {v}");
         assert_eq!(ids(graph.in_neighbors(id)), inc, "{ctx}: in row of {v}");
         match slot {

@@ -22,9 +22,9 @@
 //! ```
 
 use bgpq_engine::{
-    apply_deltas, discover_schema, load_snapshot, save_snapshot, AccessIndexSet, AccessSchema,
-    CacheOutcome, DiscoveryConfig, Engine, Graph, GraphDelta, NodeId, QueryRequest, QueryResponse,
-    Semantics, StrategyKind, Value,
+    apply_deltas_shared, discover_schema, load_snapshot, save_snapshot, AccessIndexSet,
+    AccessSchema, CacheOutcome, DiscoveryConfig, Engine, Graph, GraphDelta, NodeId, QueryRequest,
+    QueryResponse, Semantics, StrategyKind, Value,
 };
 use bgpq_graph::io::json::{write_json_string, Json};
 use bgpq_graph::io::{
@@ -109,7 +109,7 @@ use Bound::{Max, Min};
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned
-const GATES: [Gate; 12] = [
+const GATES: [Gate; 13] = [
     // The paper's headline figure: bVF2 is flat in |G|, VF2 linear, so the
     // ratio must favour bVF2 on the sweep's largest graph (14x smoke, 41x
     // full) and must have grown since the smallest.
@@ -135,6 +135,12 @@ const GATES: [Gate; 12] = [
     // 3.9x (25.5 -> 100 us) when every shard copy still cloned two heap
     // lists per entry. The threshold is the full reading with ~1.8x headroom.
     ("scaling.maintain_growth",       Max,      7.0, "the commit's index maintenance is tracking |G|"),
+    // Work, not time, so it repeats exactly for one seed: the adjacency-row
+    // ids a commit copies. 4.68 over the smoke sweep (80 -> 372 -> 373 per
+    // commit: the touched hubs' rows are chunked from the middle scale on,
+    // and an edit copies one chunk of < 1024 ids). Copying a hub's row
+    // whole, as before rows were chunked, tracks the hubs' degree, ~100x.
+    ("scaling.row_copy_growth",       Max,      8.0, "a commit copies adjacency rows whole again"),
     // Offline setup (stream + discover + index) per decade of |G|, the
     // larger of the two steps; 10 is linear. 10.8-14.6 over 10 back-to-back
     // --smoke runs of the shard-order index build, 10.3-16.5 over 20 with an
@@ -325,20 +331,26 @@ fn scale_point(scale: usize) -> Json {
         mib(rig.indices.storage_bytes()),
         mib(rig.graph.storage_bytes()),
     );
-    let (mut graph, mut indices) = (rig.graph, rig.indices);
+    let (mut graph, mut indices) = (Arc::new(rig.graph), rig.indices);
     let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
     let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
 
     // Maintenance-cost curve: absorb fresh post + author + tag edge
-    // batches. Locality says this cost must stay flat as |G| grows.
+    // batches. Locality says this cost must stay flat as |G| grows. The
+    // unary indices share the graph, so each batch edits the next version
+    // of it, and the previous version is dropped after the timed span (a
+    // commit's `retire` phase, timed below).
     let mut maintenance_nanos = 0u128;
     let mut refreshed = 0u64;
     for i in 0..MAINTENANCE_BATCHES {
-        let deltas = post(&mut graph, i);
+        let mut next = Graph::clone(&graph);
+        let deltas = post(&mut next, i);
+        let next = Arc::new(next);
         let t = Instant::now();
-        let stats = apply_deltas(&mut indices, &graph, &deltas);
+        let stats = apply_deltas_shared(&mut indices, &next, &deltas);
         maintenance_nanos += t.elapsed().as_nanos();
         refreshed += stats.refreshed_contributions as u64;
+        graph = next;
     }
 
     // Commit-cost curve: the same batch as a serving commit. The published
@@ -348,6 +360,7 @@ fn scale_point(scale: usize) -> Json {
     // and pointer swap).
     let mut engine = Engine::with_indices(graph, indices);
     let mut phase_nanos = [0u128; 4];
+    let rows_before = engine.graph().row_ids_copied();
     let commits = Instant::now();
     for i in MAINTENANCE_BATCHES..MAINTENANCE_BATCHES + COMMIT_BATCHES {
         let t = Instant::now();
@@ -356,7 +369,8 @@ fn scale_point(scale: usize) -> Json {
         let cloned = t.elapsed();
         let deltas = post(&mut graph, i);
         let replayed = t.elapsed();
-        apply_deltas(&mut indices, &graph, &deltas);
+        let graph = Arc::new(graph);
+        apply_deltas_shared(&mut indices, &graph, &deltas);
         let maintained = t.elapsed();
         let next = Engine::with_indices(graph, indices);
         let built = t.elapsed();
@@ -373,6 +387,7 @@ fn scale_point(scale: usize) -> Json {
         }
     }
     let commit_nanos = commits.elapsed().as_nanos();
+    let row_ids_copied = engine.graph().row_ids_copied() - rows_before;
 
     let workload = workload(engine.graph(), &rig.schema);
     let queries = workload.queries.len().max(1) as f64;
@@ -488,6 +503,11 @@ fn scale_point(scale: usize) -> Json {
         ("refreshed_per_batch", num(refreshed, 1)),
         ("commit_us", per_commit_us(commit_nanos)),
         ("commit_phases_us", phases),
+        // Work, not time: seed-deterministic, and gated on its growth.
+        (
+            "row_ids_copied_per_commit",
+            num(row_ids_copied as f64 / COMMIT_BATCHES as f64, 1),
+        ),
         ("answers", int(answers)),
         ("hit_us", num(hit_us, 1)),
         ("optvf2_us", num(optvf2_us, 1)),
@@ -541,6 +561,8 @@ fn scaling(profile: &Profile) -> Json {
         ("maintain_growth", growth_of("commit_phases_us.maintain")),
         // The commit's graph-edit phase; reported, not gated.
         ("replay_growth", growth_of("commit_phases_us.replay")),
+        // The work behind it, gated (see `GATES`).
+        ("row_copy_growth", growth_of("row_ids_copied_per_commit")),
         ("build_growth", num(build_growth.unwrap_or(f64::NAN), 2)),
         ("vf2_over_bvf2_largest", num(largest, 2)),
         ("vf2_over_bvf2_growth", growth_of("vf2_over_bvf2")),

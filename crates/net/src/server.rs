@@ -873,6 +873,7 @@ fn commit_json(server: &bgpq_serve::ServerStats) -> Json {
         ("pages_copied", Json::Int(server.pages_copied as i64)),
         ("shards_copied", Json::Int(server.shards_copied as i64)),
         ("chunks_copied", Json::Int(server.chunks_copied as i64)),
+        ("row_ids_copied", Json::Int(server.row_ids_copied as i64)),
         (
             "total_us",
             Json::obj([

@@ -1,7 +1,9 @@
 //! The epoch-versioned server: lock-free-pinned readers, one writer.
 
 use crate::snapshot::Snapshot;
-use bgpq_access::{apply_deltas, AccessIndexSet, AccessSchema, GraphDelta, MaintenanceStats};
+use bgpq_access::{
+    apply_deltas_shared, AccessIndexSet, AccessSchema, GraphDelta, MaintenanceStats,
+};
 use bgpq_engine::{BgpqError, Engine, QueryRequest, QueryResponse, SharedResources};
 use bgpq_graph::{Graph, NodeId, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +61,7 @@ pub struct CommitReceipt {
     pub deltas: usize,
     /// What incremental index maintenance recomputed.
     pub maintenance: MaintenanceStats,
-    /// Nanoseconds spent in [`apply_deltas`] — the paper's
+    /// Nanoseconds spent in [`apply_deltas_shared`] — the paper's
     /// `O(|ΔG ∪ Nb(ΔG)|)` incremental maintenance cost, to be compared with
     /// the cost of rebuilding every index from scratch.
     pub delta_apply_nanos: u64,
@@ -92,9 +94,13 @@ pub struct CommitReceipt {
     /// is not a page and counts nothing.
     pub shards_copied: u64,
     /// Label-bucket chunks this commit copied, for the same reason
-    /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)). All
-    /// three counts follow `|ΔG|`, not `|G|`.
+    /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)).
     pub chunks_copied: u64,
+    /// Adjacency-row ids this commit copied, for the same reason
+    /// ([`Graph::row_ids_copied`](bgpq_graph::Graph::row_ids_copied)): a
+    /// shared row's buffer or one chunk of a hub's chunked row per edit.
+    /// All four counts follow `|ΔG|`, not `|G|`.
+    pub row_ids_copied: u64,
 }
 
 /// Writer-side lifetime counters of a [`Server`].
@@ -131,6 +137,8 @@ pub struct ServerStats {
     pub shards_copied: u64,
     /// Label-bucket chunks copied on write across all commits.
     pub chunks_copied: u64,
+    /// Adjacency-row ids copied on write across all commits.
+    pub row_ids_copied: u64,
 }
 
 /// A multi-threaded serving frontend over one logical graph.
@@ -150,11 +158,14 @@ pub struct ServerStats {
 ///   are structurally shared between snapshots: a commit clones the current
 ///   graph and indices (reference-count bumps, one per group of 64 storage
 ///   pages and per constraint), applies the batch as graph mutations, and
-///   repairs the clone's indices with [`apply_deltas`]. Each write copies
-///   only the page, adjacency row, label-bucket chunk or index page it
-///   lands in ([`CommitReceipt::pages_copied`],
+///   repairs the clone's indices with [`apply_deltas_shared`], the unary
+///   ones taking the new graph's own `Arc` (one graph clone per commit).
+///   Each write copies only the page, short adjacency row, chunk of a hub's
+///   row or of a label bucket, or index page it lands in
+///   ([`CommitReceipt::pages_copied`], [`CommitReceipt::row_ids_copied`],
 ///   [`CommitReceipt::chunks_copied`], [`CommitReceipt::shards_copied`])
-///   plus its group of 64 pointers; everything else stays shared with the
+///   plus its group of 64 pointers — none for the last page or chunk,
+///   where appends land; everything else stays shared with the
 ///   snapshots readers still pin, and dropping a superseded snapshot —
 ///   after the pointer swap, outside its lock — frees only what its
 ///   successor replaced. A unary or `|S| ≥ 2` index is a pair of arrays
@@ -162,10 +173,9 @@ pub struct ServerStats {
 ///   write one page of each; index keys and answer lists live inline in
 ///   their page ([`bgpq_graph::Row`]), so a page copies and retires as one
 ///   flat table. What still follows `|G|`: `|V| / 16 384` reference counts
-///   per per-node array on the clone and again on the retire (183 each at
+///   per per-node array on the clone and again on the retire (184 each at
 ///   3.0M nodes), one per 64 pages of each array of a touched index, and a
-///   hub's own adjacency row, copied whole when an
-///   edge lands on it — the largest `|G|` term left in the replay.
+///   hub row's top level, one pointer per 64 of its chunks.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedResources`]: one query cache, whose entry per query holds its
 ///   plan and fetched candidate sets, and one pool of scratch arenas. Cache
@@ -216,6 +226,7 @@ pub struct Server {
     pages_copied: AtomicU64,
     shards_copied: AtomicU64,
     chunks_copied: AtomicU64,
+    row_ids_copied: AtomicU64,
 }
 
 impl Server {
@@ -248,6 +259,7 @@ impl Server {
             pages_copied: AtomicU64::new(0),
             shards_copied: AtomicU64::new(0),
             chunks_copied: AtomicU64::new(0),
+            row_ids_copied: AtomicU64::new(0),
         }
     }
 
@@ -359,11 +371,13 @@ impl Server {
         let replay_nanos = started.elapsed().as_nanos() as u64;
 
         let started = Instant::now();
-        let maintenance = apply_deltas(&mut indices, &graph, &deltas);
+        let graph = Arc::new(graph);
+        let maintenance = apply_deltas_shared(&mut indices, &graph, &deltas);
         let delta_apply_nanos = started.elapsed().as_nanos() as u64;
         let pages_copied = graph.pages_copied() - base.graph().pages_copied();
         let shards_copied = indices.shards_copied() - base.indices().shards_copied();
         let chunks_copied = graph.chunks_copied() - base.graph().chunks_copied();
+        let row_ids_copied = graph.row_ids_copied() - base.graph().row_ids_copied();
 
         let version = base.version() + 1;
         let engine = Engine::with_shared_at_version(graph, indices, version, self.shared.clone());
@@ -401,6 +415,7 @@ impl Server {
             (&self.pages_copied, pages_copied),
             (&self.shards_copied, shards_copied),
             (&self.chunks_copied, chunks_copied),
+            (&self.row_ids_copied, row_ids_copied),
         ] {
             total.fetch_add(amount, Ordering::Relaxed);
         }
@@ -419,6 +434,7 @@ impl Server {
             pages_copied,
             shards_copied,
             chunks_copied,
+            row_ids_copied,
         })
     }
 
@@ -439,6 +455,7 @@ impl Server {
             pages_copied: self.pages_copied.load(Ordering::Relaxed),
             shards_copied: self.shards_copied.load(Ordering::Relaxed),
             chunks_copied: self.chunks_copied.load(Ordering::Relaxed),
+            row_ids_copied: self.row_ids_copied.load(Ordering::Relaxed),
         }
     }
 }

@@ -563,7 +563,7 @@ impl ConstraintIndex {
             Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => by_first.answers_mut(key),
         };
-        answers.insert_by(target, |w| w.cmp(&target));
+        answers.insert(target);
         let len = answers.len();
         self.note_length(len - 1, len);
         true
@@ -576,16 +576,15 @@ impl ConstraintIndex {
         if !self.common_neighbors(key).lists()[0].contains(target) {
             return false;
         }
-        let by_id = |w: NodeId| w.cmp(&target);
         let len = match &mut self.entries {
             Entries::Global(all) => {
-                all.remove_by(by_id);
+                all.remove(target);
                 all.len()
             }
             Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
             Entries::ByFirst(by_first) => {
                 let answers = by_first.answers_mut(key);
-                answers.remove_by(by_id);
+                answers.remove(target);
                 let len = answers.len();
                 if len == 0 {
                     by_first.remove_key(key);

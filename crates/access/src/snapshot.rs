@@ -123,7 +123,8 @@ pub fn decode_schema(
     archive: &SnapshotArchive,
     graph: &Graph,
 ) -> Result<AccessSchema, SnapshotError> {
-    let mut r = SectionReader::new(Section::Schema, archive.require(Section::Schema)?);
+    let payload = archive.require(Section::Schema)?;
+    let mut r = SectionReader::new(Section::Schema, &payload);
     let count = r.read_u32()? as usize;
     let mut constraints = Vec::with_capacity(count.min(1 << 16));
     for i in 0..count {
@@ -227,7 +228,7 @@ pub fn decode_indices(
     schema: &AccessSchema,
 ) -> Result<AccessIndexSet, SnapshotError> {
     let bytes = archive.require(Section::Indices)?;
-    let mut r = SectionReader::new(Section::Indices, bytes);
+    let mut r = SectionReader::new(Section::Indices, &bytes);
     let count = r.read_u32()? as usize;
     if count != schema.len() {
         return Err(r.corrupt(format!(

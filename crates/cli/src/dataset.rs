@@ -126,7 +126,7 @@ pub fn load_dataset_full(
                 format!("{}: {e}", path.display()).into()
             };
             let archive = SnapshotArchive::open(path).map_err(annotate_snap)?;
-            if archive.section(Section::Schema).is_some() {
+            if archive.contains(Section::Schema) {
                 let bundle = decode_bundle(&archive).map_err(annotate_snap)?;
                 (bundle.graph, Some((bundle.schema, bundle.indices)))
             } else {

@@ -48,6 +48,8 @@ struct ScalePoint {
     adjacency_reads: f64,
     /// Live `|V|`.
     nodes: usize,
+    /// `|E|` as built.
+    edges: usize,
     /// The largest out-degree in the graph: what a hub scan would cost.
     max_out_degree: usize,
     /// Degree of the smallest hub the commit batches attach posts to.
@@ -105,6 +107,7 @@ fn measure(scale: usize) -> ScalePoint {
     let indices = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
     let bytes = graph.storage_bytes() + indices.storage_bytes();
     let bytes_per_node = bytes as f64 / graph.node_count() as f64;
+    let edges = graph.edge_count();
     let config = WorkloadConfig {
         queries: 8,
         seed: 0x1CDE_2015,
@@ -205,6 +208,7 @@ fn measure(scale: usize) -> ScalePoint {
         fragment_nodes: fragment_nodes as f64 / runs as f64,
         adjacency_reads: adjacency_reads as f64 / runs as f64,
         nodes,
+        edges,
         max_out_degree,
         touched_hub_degree,
         pages_copied: pages_copied as f64 / COMMITS as f64,
@@ -311,23 +315,30 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
 
     // The graph and its indices grow with the graph, not faster: their
     // storage per node stays put over the decade, and near what a node's
-    // own slots take — a label, a value and two rows (short rows live in
-    // their slot) — at either scale. Both are arrays over node ids (the
-    // unary indices are the graph's rows), so a label's pages or a blank
-    // page leaking in per key would show here.
+    // own share of the storage takes — a label, a value, the two `u16`
+    // bounds of its rows in their pages and the ids its rows list (each
+    // edge is listed twice, once per direction) — at either scale. Both
+    // are arrays over node ids (the unary indices are the graph's rows), so
+    // a label's pages or a blank page leaking in per key would show here.
     let bytes_growth = large.bytes_per_node / small.bytes_per_node;
     eprintln!(
         "graph and index bytes per node {:.1} -> {:.1} ({bytes_growth:.3}x)",
         small.bytes_per_node, large.bytes_per_node
     );
-    let slots = std::mem::size_of::<bgpq_graph::Label>()
-        + std::mem::size_of::<Value>()
-        + 2 * std::mem::size_of::<bgpq_graph::Row>();
     for point in [&small, &large] {
+        let ids = 2 * point.edges * std::mem::size_of::<NodeId>();
+        let own = (std::mem::size_of::<bgpq_graph::Label>()
+            + std::mem::size_of::<Value>()
+            + 2 * std::mem::size_of::<u16>()) as f64
+            + ids as f64 / point.nodes as f64;
+        eprintln!(
+            "a node's own share at |V| = {}: {own:.1} bytes",
+            point.nodes
+        );
         assert!(
-            point.bytes_per_node <= 1.5 * slots as f64,
-            "graph and index bytes per node {:.1} at |V| = {} exceed 1.5x the {slots} bytes \
-             of a node's own slots",
+            point.bytes_per_node <= 1.5 * own,
+            "graph and index bytes per node {:.1} at |V| = {} exceed 1.5x the {own:.1} bytes \
+             of a node's own share",
             point.bytes_per_node,
             point.nodes
         );

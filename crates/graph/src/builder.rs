@@ -11,19 +11,20 @@
 //! paged array a page at a time as nodes arrive, so values are never held
 //! twice. `build` counts both directions' CSR arrays (`u32` offsets) in one
 //! pass over the edge list and fills them in a second that consumes it;
-//! then it cuts the out-rows from the out-CSR and drops it before it cuts
-//! the in-rows. Its peak is the finished graph plus the in-CSR,
+//! then it cuts the out-rows' pages from the out-CSR and drops it before it
+//! cuts the in-rows'. Its peak is the finished graph plus the in-CSR,
 //! `4·|E| + 4·|V|` bytes: on the 600k-node benchmark graph (1.78M edges,
-//! 56 MB resident once built) a fresh process peaks at 65 MB. Both
-//! sources of a graph, this builder and the snapshot decoder, make their
-//! rows through one function, `rows_from_csr`.
+//! 39 MB resident once built) a fresh process peaks at 54.4 MB (66.7 MB
+//! when every row took a 24-byte slot). Both sources of a graph, this
+//! builder and the snapshot decoder, make their row pages through one
+//! function, `rows_from_csr`.
 
+use crate::adjacency::{Adjacency, Cut, Source};
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
 use crate::paged::{PagedVec, PAGE_SIZE};
-use crate::row::Row;
 use crate::value::Value;
 use crate::Result;
 
@@ -217,7 +218,7 @@ impl Csr {
 
     /// The graph's rows, each sorted in place and rid of repeats; the CSR
     /// is dropped once they are cut.
-    fn into_rows(self, labels: &[Label]) -> PagedVec<Row> {
+    fn into_rows(self, labels: &[Label]) -> Adjacency {
         let Csr {
             offsets,
             mut targets,
@@ -233,28 +234,38 @@ impl Csr {
     }
 }
 
-/// Cuts one row per node out of a CSR — the one way adjacency rows are
-/// made, by [`GraphBuilder::build`] and by the snapshot decoder alike.
-/// `cut(v, row)` appends node `v`'s neighbours to the empty `row` in id
-/// order, each once, or refuses the whole CSR. The row is then put in
-/// `(label, id)` order: when labels do not descend anywhere along the ids
-/// — each label a contiguous id range in interning order, as the scenario
-/// generators emit them — id order already is that order; otherwise a row
-/// whose labels descend is sorted again by label.
+/// Cuts the pages of rows, one row per node, out of a CSR — the one way
+/// adjacency pages are made from many rows, by [`GraphBuilder::build`] and
+/// by the snapshot decoder alike. `cut(v, row)` appends node `v`'s
+/// neighbours to the empty `row` in id order, each once, or refuses the
+/// whole CSR. The row is then put in `(label, id)` order: when labels do
+/// not descend anywhere along the ids — each label a contiguous id range
+/// in interning order, as the scenario generators emit them — id order
+/// already is that order; otherwise a row whose labels descend is sorted
+/// again by label. Each page is laid out as its last row arrives.
 pub(crate) fn rows_from_csr<E>(
     labels: &[Label],
     mut cut: impl FnMut(usize, &mut Vec<NodeId>) -> std::result::Result<(), E>,
-) -> std::result::Result<PagedVec<Row>, E> {
+) -> std::result::Result<Adjacency, E> {
     let by_id = labels_ascend(labels);
     let mut row = Vec::new();
-    PagedVec::try_from_iter((0..labels.len()).map(|v| {
+    let mut pages = Vec::with_capacity(labels.len().div_ceil(PAGE_SIZE));
+    let mut page = Cut::new();
+    for v in 0..labels.len() {
         row.clear();
         cut(v, &mut row)?;
         if !by_id {
             group_by_label(&mut row, labels);
         }
-        Ok(Row::from(&row[..]))
-    }))
+        page.push(Source::Ids(&row));
+        if page.is_full() {
+            pages.push(std::mem::replace(&mut page, Cut::new()).finish());
+        }
+    }
+    if labels.len() % PAGE_SIZE != 0 {
+        pages.push(page.finish());
+    }
+    Ok(Adjacency::from_pages(pages, labels.len()))
 }
 
 /// True when no live node's label is below an earlier live node's: then

@@ -179,7 +179,7 @@ impl Chunked {
 
 /// A sorted id list, borrowed from wherever it is stored: one plain slice
 /// (a short row, a [`crate::FragmentView`]'s arena, one chunk), or a run of
-/// a [`Chunked`] list's chunks. Cheap to copy; never flattens.
+/// a chunked list's chunks. Cheap to copy; never flattens.
 #[derive(Clone, Copy)]
 pub struct Ids<'a>(Repr<'a>);
 

@@ -25,33 +25,33 @@
 //!
 //! **Storage is structurally shared**, all of it on one mechanism: the
 //! two-level copy-on-write [`crate::Spine`]. The four per-node arrays
-//! (labels, values, out- and in-adjacency) are paged vectors
-//! ([`crate::PAGE_SIZE`] nodes per page, [`crate::SPINE_FANOUT`] pages per
-//! group, the last page apart), an adjacency row ([`Row`]) lives inside its
-//! page up to a few neighbours, behind its own `Arc<[NodeId]>` up to one
-//! chunk's worth, and in chunks of [`crate::CHUNK_TARGET`] ids past that
-//! (a hub), label buckets are the same chunked lists, and the label
-//! alphabet sits behind one `Arc`. [`Graph::clone`] therefore bumps `|V| /
-//! 16 384` reference counts per array ([`Graph::spines`] counts them: 184
-//! each at 3.0M nodes — a 64th of a count per page, not a constant), and a
-//! mutation of the clone copies only the pages, short rows and chunks it
-//! lands in plus their groups of 64 pointers (none for an array's last
-//! page or a list's last chunk, where appends land) — nothing sized by
-//! `|G|`, a hub's row included ([`Graph::row_ids_copied`] counts the row
-//! ids copied) — which is what lets a serving commit keep the previous
-//! snapshot alive for its readers at `O(|ΔG|)` cost. Rows are read through
-//! the borrowed [`Ids`] handle, piece by piece; nothing on the query path
-//! flattens a chunked row. The price is on the read side: `label()`,
-//! `value()` and the neighbour accessors follow one more pointer than a
-//! flat page table would, through a top level of at most a few dozen
-//! entries.
+//! (labels, values, out- and in-adjacency) are paged ([`crate::PAGE_SIZE`]
+//! nodes per page, [`crate::SPINE_FANOUT`] pages per group, the last page
+//! apart). A page of adjacency rows is their bounds and one buffer of
+//! their ids, and a row of [`crate::HUB_ROW`] ids or more, or one that
+//! would take its page past [`crate::PAGE_IDS`] ids, is held beside it in
+//! chunks of [`crate::CHUNK_TARGET`] ids (a hub); label buckets are the
+//! same chunked lists, and the label alphabet sits behind one `Arc`.
+//! [`Graph::clone`] therefore bumps `|V| / 16 384` reference counts per
+//! array ([`Graph::spines`] counts them: 184 each at 3.0M nodes — a 64th
+//! of a count per page, not a constant), and a mutation of the clone
+//! copies only the pages and chunks it lands in plus their groups of 64
+//! pointers (none for an array's last page or a list's last chunk, where
+//! appends land) — nothing sized by `|G|`, a hub's row included
+//! ([`Graph::row_ids_copied`] counts the ids copied) — which is what lets a
+//! serving commit keep the previous snapshot alive for its readers at
+//! `O(|ΔG|)` cost. Rows are read through the borrowed [`Ids`] handle,
+//! piece by piece; nothing on the query path flattens a chunked row. The
+//! price is on the read side: `label()`, `value()` and the neighbour
+//! accessors follow one more pointer than a flat page table would, through
+//! a top level of at most a few dozen entries.
 
+use crate::adjacency::Adjacency;
 use crate::chunked::Ids;
 use crate::error::GraphError;
 use crate::label::{Label, LabelInterner};
 use crate::label_index::{LabelIndex, LabelNodes};
 use crate::paged::PagedVec;
-use crate::row::Row;
 use crate::spine::SpineShape;
 use crate::stats::GraphStats;
 use crate::value::Value;
@@ -115,9 +115,9 @@ pub struct Graph {
     pub(crate) labels: PagedVec<Label>,
     pub(crate) values: PagedVec<Value>,
     /// Out-adjacency per node, sorted by `(label, id)`.
-    pub(crate) out: PagedVec<Row>,
+    pub(crate) out: Adjacency,
     /// In-adjacency per node, sorted by `(label, id)`.
-    pub(crate) inc: PagedVec<Row>,
+    pub(crate) inc: Adjacency,
     pub(crate) edge_count: usize,
     pub(crate) label_index: LabelIndex,
     /// Number of deleted (tombstoned) node slots; node ids stay contiguous
@@ -139,8 +139,8 @@ impl Graph {
             interner: LabelInterner::new(),
             labels: PagedVec::default(),
             values: PagedVec::default(),
-            out: PagedVec::default(),
-            inc: PagedVec::default(),
+            out: Adjacency::default(),
+            inc: Adjacency::default(),
             edge_count: 0,
             label_index: LabelIndex::default(),
             dead_count: 0,
@@ -190,7 +190,7 @@ impl Graph {
     /// (a row not already in id order is sorted on the way out).
     pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.out.iter().enumerate().flat_map(|(src, row)| {
-            let dsts = by_id(row.ids());
+            let dsts = by_id(row);
             (0..dsts.len()).map(move |i| EdgeId::new(NodeId(src as u32), dsts[i]))
         })
     }
@@ -232,10 +232,11 @@ impl Graph {
         self.label_index.chunks_copied()
     }
 
-    /// Adjacency-row ids copied on write, counted like
-    /// [`Graph::pages_copied`]: the ids of a shared row's buffer, or of one
-    /// chunk of a chunked row, each time an edit un-shares it. An edit
-    /// copies at most one chunk's worth, whatever the row's length.
+    /// Adjacency ids copied on write, counted like
+    /// [`Graph::pages_copied`]: the ids a row page holds, or those of one
+    /// chunk of a hub's row, each time an edit un-shares it. An edit copies
+    /// at most a page's [`crate::PAGE_IDS`] and a chunk's worth, whatever
+    /// the rows' lengths.
     pub fn row_ids_copied(&self) -> u64 {
         self.row_ids_copied
     }
@@ -273,19 +274,16 @@ impl Graph {
     }
 
     /// Bytes the per-node storage holds: the pages of the four per-node
-    /// arrays and the buffers of long adjacency rows — counted from the
-    /// storage's shape, not measured, so the same for the same graph on
-    /// every run. The label buckets and the heap of string values are not
-    /// included. Since the rows are also the unary access indices, this is
-    /// their storage too.
+    /// arrays, the row pages' buffers and the hub rows' chunks — counted
+    /// from the storage's shape, not measured, so the same for the same
+    /// graph on every run, built or grown. The label buckets and the heap
+    /// of string values are not included. Since the rows are also the unary
+    /// access indices, this is their storage too.
     pub fn storage_bytes(&self) -> usize {
-        let rows = |array: &PagedVec<Row>| {
-            array.storage_bytes() + array.iter().map(Row::heap_bytes).sum::<usize>()
-        };
         self.labels.storage_bytes()
             + self.values.storage_bytes()
-            + rows(&self.out)
-            + rows(&self.inc)
+            + self.out.storage_bytes()
+            + self.inc.storage_bytes()
     }
 
     /// The attribute value `ν(v)` of node `v`.
@@ -303,14 +301,14 @@ impl Graph {
     /// row in chunks.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> Ids<'_> {
-        self.out[v.index()].ids()
+        self.out.row(v.index())
     }
 
     /// In-neighbors of `v`, sorted by `(label, id)` like
     /// [`Graph::out_neighbors`].
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> Ids<'_> {
-        self.inc[v.index()].ids()
+        self.inc.row(v.index())
     }
 
     /// The neighbors of `v` labeled `label` in either direction, ascending,
@@ -367,12 +365,12 @@ impl Graph {
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out[v.index()].len()
+        self.out.row(v.index()).len()
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v.index()].len()
+        self.inc.row(v.index()).len()
     }
 
     /// Undirected degree of `v` (number of distinct neighbors).
@@ -386,7 +384,7 @@ impl Graph {
             && self
                 .out
                 .get(src.index())
-                .is_some_and(|dsts| dsts.ids().contains_by(order(&self.labels, dst)))
+                .is_some_and(|dsts| dsts.contains_by(order(&self.labels, dst)))
     }
 
     /// True when `a` and `b` are neighbors in either direction.
@@ -424,8 +422,8 @@ impl Graph {
     }
 
     /// The `label` segment of `v`'s row in `rows` (empty past the end).
-    fn labeled<'a>(&'a self, rows: &'a PagedVec<Row>, v: NodeId, label: Label) -> Ids<'a> {
-        let row = rows.get(v.index()).map_or(Ids::default(), Row::ids);
+    fn labeled<'a>(&'a self, rows: &'a Adjacency, v: NodeId, label: Label) -> Ids<'a> {
+        let row = rows.get(v.index()).unwrap_or_default();
         segment(row, label, |w| self.label(w))
     }
 
@@ -514,8 +512,8 @@ impl Graph {
         let id = NodeId(self.labels.len() as u32);
         self.labels.push(label);
         self.values.push(value);
-        self.out.push(Row::default());
-        self.inc.push(Row::default());
+        self.out.push_empty();
+        self.inc.push_empty();
         self.label_index.insert(label, id);
         id
     }
@@ -536,12 +534,8 @@ impl Graph {
         self.stats = Arc::default();
         let labels = &self.labels;
         let copied = [
-            self.out
-                .make_mut(src.index())
-                .insert_by(dst, order(labels, dst)),
-            self.inc
-                .make_mut(dst.index())
-                .insert_by(src, order(labels, src)),
+            self.out.insert_by(src.index(), dst, order(labels, dst)),
+            self.inc.insert_by(dst.index(), src, order(labels, src)),
         ];
         self.row_ids_copied += copied
             .iter()
@@ -567,8 +561,8 @@ impl Graph {
         self.stats = Arc::default();
         let labels = &self.labels;
         let copied = [
-            self.out.make_mut(src.index()).remove_by(order(labels, dst)),
-            self.inc.make_mut(dst.index()).remove_by(order(labels, src)),
+            self.out.remove_by(src.index(), order(labels, dst)),
+            self.inc.remove_by(dst.index(), order(labels, src)),
         ];
         self.row_ids_copied += copied
             .iter()
@@ -592,13 +586,17 @@ impl Graph {
         let mut removed = Vec::new();
         let labels = &self.labels;
         let listed = "out and in adjacency agree on membership";
-        for &dst in std::mem::take(self.out.make_mut(v.index())).ids() {
-            let copied = self.inc.make_mut(dst.index()).remove_by(order(labels, v));
+        let (dsts, copied) = self.out.take(v.index());
+        self.row_ids_copied += copied as u64;
+        for dst in dsts {
+            let copied = self.inc.remove_by(dst.index(), order(labels, v));
             self.row_ids_copied += copied.expect(listed) as u64;
             removed.push(EdgeId::new(v, dst));
         }
-        for &src in std::mem::take(self.inc.make_mut(v.index())).ids() {
-            let copied = self.out.make_mut(src.index()).remove_by(order(labels, v));
+        let (srcs, copied) = self.inc.take(v.index());
+        self.row_ids_copied += copied as u64;
+        for src in srcs {
+            let copied = self.out.remove_by(src.index(), order(labels, v));
             self.row_ids_copied += copied.expect(listed) as u64;
             removed.push(EdgeId::new(src, v));
         }
@@ -978,33 +976,38 @@ mod tests {
         assert!(g.is_live(c));
     }
 
-    /// Rows switch from in-page to shared storage past `INLINE_ROW`
-    /// neighbours, in both directions, without changing what they read as;
-    /// a clone pinned before each edit keeps the row it saw.
+    /// A row moves beside its page, into chunks, when it reaches
+    /// `HUB_ROW` neighbours, and back into the page's buffer when it falls
+    /// below, without changing what it reads as; a clone pinned before
+    /// each edit keeps the row it saw.
     #[test]
-    fn rows_move_between_inline_and_shared_storage() {
-        use crate::row::INLINE_ROW;
+    fn rows_move_beside_the_page_at_the_hub_threshold_and_back() {
+        use crate::adjacency::HUB_ROW;
         let mut b = GraphBuilder::new();
         let hub = b.add_node("hub", Value::Null);
-        let spokes: Vec<NodeId> = (0..2 * INLINE_ROW as i64)
+        let spokes: Vec<NodeId> = (0..HUB_ROW as i64 + 3)
             .map(|i| b.add_node("x", Value::Int(i)))
             .collect();
         let mut g = b.build();
         let mut pinned = Vec::new();
         for (i, &spoke) in spokes.iter().enumerate().rev() {
-            pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
+            if i % 61 == 0 || i < 8 {
+                pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
+            }
             assert!(g.insert_edge(hub, spoke).unwrap());
             assert_eq!(g.out_neighbors(hub), &spokes[i..]);
-            let inline = g.out[hub.index()].is_inline();
-            assert_eq!(inline, spokes.len() - i <= INLINE_ROW);
+            assert_eq!(g.out.is_chunked(hub.index()), spokes.len() - i >= HUB_ROW);
         }
         for (i, &spoke) in spokes.iter().enumerate() {
-            pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
+            if i % 61 == 0 || spokes.len() - i < 8 {
+                pinned.push((g.clone(), g.out_neighbors(hub).to_vec()));
+            }
             assert!(g.delete_edge(hub, spoke).unwrap());
             assert_eq!(g.out_neighbors(hub), &spokes[i + 1..]);
+            assert_eq!(g.out.is_chunked(hub.index()), spokes.len() - i > HUB_ROW);
             assert!(g.in_neighbors(spoke).is_empty());
         }
-        assert!(g.out[hub.index()].is_inline() && g.out_degree(hub) == 0);
+        assert!(!g.out.is_chunked(hub.index()) && g.out_degree(hub) == 0);
         for (old, row) in &pinned {
             assert_eq!(old.out_neighbors(hub), &row[..]);
         }
@@ -1045,7 +1048,7 @@ mod tests {
                     assert!(run.iter().all(|&w| g.has_edge(hub, w)));
                 }
             };
-            let chunked = |g: &crate::Graph| g.out[hub.index()].is_chunked();
+            let chunked = |g: &crate::Graph| g.out.is_chunked(hub.index());
             let of_a = n / 3;
             grouped(&g);
             assert_eq!(chunked(&g), n >= 2 * CHUNK_TARGET);

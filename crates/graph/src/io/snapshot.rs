@@ -66,29 +66,35 @@
 //! slots are preserved exactly (unlike the text writer, which compacts
 //! ids), so a mutated graph round-trips with stable node ids.
 //!
-//! **A load holds the archive and the graph, nothing twice.** The file is
-//! read whole and verified; then each section is decoded in place, straight
-//! into the graph's own arrays, validated as it is read: rows are cut from
-//! the adjacency bytes by the one CSR-to-rows function the builder uses too,
-//! values go straight into their paged array, and the in == transpose(out)
-//! check reads the adjacency bytes with one cursor per in-row, before the
-//! in-rows are built. At its peak a load holds the archive, the graph, a
-//! flat copy of the labels and one row or bucket of scratch: loading the
-//! 600k-node benchmark graph's 51.6 MB file peaks at 109 MB of RSS in a
-//! fresh process, and the graph alone is 56 MB once the archive is
-//! dropped. The archive is not streamed section by section.
+//! **A load holds the graph and one section, nothing twice.** An archive
+//! opened from a file reads its header and section table and keeps the
+//! file open; each decoder then reads its section, checksums it, decodes
+//! it in place straight into the graph's own arrays and drops it: row
+//! pages are cut from the adjacency bytes by the one CSR-to-pages function
+//! the builder uses too, values go straight into their paged array, and
+//! the in == transpose(out) check reads the in-adjacency bytes with one
+//! cursor per in-row against the out-pages already cut, so the
+//! out-section is gone by then. At its peak a load holds the graph, one
+//! section, a flat copy of the labels and one row or bucket of scratch:
+//! loading the 600k-node benchmark graph's 51.6 MB file peaks at 64.4 MB of
+//! RSS in a fresh process (111.6 MB when the archive was read whole), and
+//! the graph alone is 39 MB. An archive held in memory
+//! ([`SnapshotArchive::from_bytes`]) is verified whole up front instead.
 
+use crate::adjacency::Adjacency;
 use crate::builder::rows_from_csr;
 use crate::graph::{by_id, Graph, NodeId, TOMBSTONE};
 use crate::label::{Label, LabelInterner};
 use crate::label_index::LabelIndex;
 use crate::paged::PagedVec;
-use crate::row::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"BGPQSNAP";
@@ -367,109 +373,256 @@ impl SnapshotWriter {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A parsed container: the raw bytes plus the verified section table.
-/// Construction checks the magic, version, section extents and every
-/// section checksum; [`SnapshotArchive::section`] then hands out validated
-/// payload slices for decoding.
+/// A parsed container: its verified section table, and the payloads —
+/// held in memory, or in a file kept open and read a section at a time.
+///
+/// [`SnapshotArchive::from_bytes`] (and [`SnapshotArchive::read_from`],
+/// which reads its reader to the end first) checks the magic, version,
+/// section extents and every section checksum before it returns.
+/// [`SnapshotArchive::open`] reads only the header and the table: it checks
+/// the same things, except that a payload is checksummed when it is read —
+/// by [`SnapshotArchive::read`], once per call, so a decoder holds one
+/// section at a time and drops it when it is decoded. Sections no decoder
+/// reads ([`Section::Unknown`]) are checksummed by `open`, so they are
+/// verified before they are skipped either way.
 #[derive(Debug)]
 pub struct SnapshotArchive {
-    data: Vec<u8>,
-    entries: Vec<(Section, Range<usize>)>,
+    source: Source,
+    entries: Vec<Entry>,
+}
+
+/// One row of the section table.
+#[derive(Debug)]
+struct Entry {
+    section: Section,
+    range: Range<usize>,
+    checksum: u64,
+}
+
+#[derive(Debug)]
+enum Source {
+    /// The whole container, every payload verified.
+    Bytes(Vec<u8>),
+    /// An open file, and the payloads [`SnapshotArchive::section`] has
+    /// read from it, one slot per table entry.
+    File {
+        file: Mutex<File>,
+        kept: Vec<OnceLock<Vec<u8>>>,
+    },
 }
 
 impl SnapshotArchive {
     /// Parses and verifies a container held in memory.
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, SnapshotError> {
-        let magic_len = MAGIC.len().min(data.len());
-        if data[..magic_len] != MAGIC[..magic_len] {
-            return Err(SnapshotError::NotASnapshot);
-        }
-        if data.len() < 16 {
-            return Err(SnapshotError::Truncated {
-                section: Section::Header,
-            });
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let count = u32::from_le_bytes(data[12..16].try_into().unwrap());
-        if count > MAX_SECTIONS {
-            return Err(SnapshotError::Corrupt {
-                section: Section::Header,
-                message: format!("implausible section count {count}"),
-            });
-        }
-        let table_end = 16usize + count as usize * 28;
-        if data.len() < table_end {
-            return Err(SnapshotError::Truncated {
-                section: Section::SectionTable,
-            });
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for i in 0..count as usize {
-            let at = 16 + i * 28;
-            let entry = &data[at..at + 28];
-            let section = Section::from_id(u32::from_le_bytes(entry[0..4].try_into().unwrap()));
-            let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap());
-            let len = u64::from_le_bytes(entry[12..20].try_into().unwrap());
-            let recorded = u64::from_le_bytes(entry[20..28].try_into().unwrap());
-            let end = offset.checked_add(len).ok_or(SnapshotError::Corrupt {
-                section: Section::SectionTable,
-                message: format!("section {section} extent overflows"),
-            })?;
-            if (offset as usize) < table_end || end as usize > data.len() || end > usize::MAX as u64
-            {
-                return Err(SnapshotError::Truncated { section });
-            }
-            if entries.iter().any(|(s, _)| *s == section) {
-                return Err(SnapshotError::Corrupt {
-                    section: Section::SectionTable,
-                    message: format!("duplicate {section} section"),
-                });
-            }
-            let range = offset as usize..end as usize;
-            if checksum(&data[range.clone()]) != recorded {
-                return Err(SnapshotError::ChecksumMismatch { section });
-            }
-            entries.push((section, range));
-        }
-        Ok(SnapshotArchive { data, entries })
+        let entries = read_table(
+            data.len(),
+            |n| Ok(Cow::Borrowed(&data[..n])),
+            |entry| match checksum(&data[entry.range.clone()]) == entry.checksum {
+                true => Ok(()),
+                false => Err(SnapshotError::ChecksumMismatch {
+                    section: entry.section,
+                }),
+            },
+        )?;
+        Ok(SnapshotArchive {
+            source: Source::Bytes(data),
+            entries,
+        })
     }
 
-    /// Reads and verifies a container from `r`.
+    /// Reads and verifies a container from `r`, read to the end into
+    /// memory first (a reader cannot be read a section at a time out of
+    /// order; open a file with [`SnapshotArchive::open`]).
     pub fn read_from<R: Read>(mut r: R) -> Result<Self, SnapshotError> {
         let mut data = Vec::new();
         r.read_to_end(&mut data)?;
         Self::from_bytes(data)
     }
 
-    /// Opens and verifies a container file.
+    /// Opens a container file and verifies its header and section table;
+    /// the file stays open, and each payload is read and checksummed when
+    /// a decoder asks for it (see the type's docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Self::from_bytes(std::fs::read(path)?)
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let file = Mutex::new(file);
+        let len = usize::try_from(len).map_err(|_| SnapshotError::Corrupt {
+            section: Section::Header,
+            message: format!("a {len}-byte file overflows"),
+        })?;
+        let entries = read_table(
+            len,
+            |n| read_exact_at(&file, 0..n, Section::Header).map(Cow::Owned),
+            |entry| match entry.section {
+                Section::Unknown(_) => read_payload(&file, entry).map(drop),
+                _ => Ok(()),
+            },
+        )?;
+        let kept = entries.iter().map(|_| OnceLock::new()).collect();
+        Ok(SnapshotArchive {
+            source: Source::File { file, kept },
+            entries,
+        })
     }
 
-    /// The payload of `section`, when present.
-    pub fn section(&self, section: Section) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|(s, _)| *s == section)
-            .map(|(_, range)| &self.data[range.clone()])
+    /// True when the table lists `section`.
+    pub fn contains(&self, section: Section) -> bool {
+        self.entry(section).is_some()
     }
 
-    /// The payload of `section`, or a [`SnapshotError::MissingSection`].
-    pub fn require(&self, section: Section) -> Result<&[u8], SnapshotError> {
-        self.section(section)
+    /// The payload of `section`, verified, or `None` when the table does
+    /// not list it: borrowed from an archive held in memory, read from the
+    /// file (and owned by the caller, who drops it when done) for an
+    /// opened one.
+    pub fn read(&self, section: Section) -> Result<Option<Cow<'_, [u8]>>, SnapshotError> {
+        let Some((_, entry)) = self.entry(section) else {
+            return Ok(None);
+        };
+        Ok(Some(match &self.source {
+            Source::Bytes(data) => Cow::Borrowed(&data[entry.range.clone()]),
+            Source::File { file, .. } => Cow::Owned(read_payload(file, entry)?),
+        }))
+    }
+
+    /// The payload of `section`, or a [`SnapshotError::MissingSection`]
+    /// (see [`SnapshotArchive::read`]).
+    pub fn require(&self, section: Section) -> Result<Cow<'_, [u8]>, SnapshotError> {
+        self.read(section)?
             .ok_or(SnapshotError::MissingSection { section })
+    }
+
+    /// The payload of `section`, when present, borrowed from the archive.
+    /// An opened archive reads it from the file on the first call and keeps
+    /// it for the archive's life — for tools that copy sections; decoders
+    /// use [`SnapshotArchive::read`], which keeps nothing. `None` also when
+    /// an opened archive's payload cannot be read back or fails its
+    /// checksum (`read` says which).
+    pub fn section(&self, section: Section) -> Option<&[u8]> {
+        let (at, entry) = self.entry(section)?;
+        match &self.source {
+            Source::Bytes(data) => Some(&data[entry.range.clone()]),
+            Source::File { file, kept } => {
+                if kept[at].get().is_none() {
+                    let payload = read_payload(file, entry).ok()?;
+                    let _ = kept[at].set(payload);
+                }
+                kept[at].get().map(Vec::as_slice)
+            }
+        }
     }
 
     /// The verified `(section, byte range)` table, in file order.
     pub fn sections(&self) -> impl Iterator<Item = (Section, Range<usize>)> + '_ {
-        self.entries.iter().cloned()
+        self.entries.iter().map(|e| (e.section, e.range.clone()))
     }
+
+    fn entry(&self, section: Section) -> Option<(usize, &Entry)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .find(|(_, e)| e.section == section)
+    }
+}
+
+/// Parses the header and section table of a container of `len` bytes,
+/// whose first `n` bytes `head(n)` reads, checking every entry's extent
+/// and then `verify(entry)`, entry by entry in table order.
+fn read_table<'a>(
+    len: usize,
+    mut head: impl FnMut(usize) -> Result<Cow<'a, [u8]>, SnapshotError>,
+    mut verify: impl FnMut(&Entry) -> Result<(), SnapshotError>,
+) -> Result<Vec<Entry>, SnapshotError> {
+    let header = head(len.min(16))?;
+    let magic_len = MAGIC.len().min(header.len());
+    if header[..magic_len] != MAGIC[..magic_len] {
+        return Err(SnapshotError::NotASnapshot);
+    }
+    if header.len() < 16 {
+        return Err(SnapshotError::Truncated {
+            section: Section::Header,
+        });
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    let count = u32::from_le_bytes(header[12..16].try_into().unwrap());
+    if count > MAX_SECTIONS {
+        return Err(SnapshotError::Corrupt {
+            section: Section::Header,
+            message: format!("implausible section count {count}"),
+        });
+    }
+    let table_end = 16usize + count as usize * 28;
+    if len < table_end {
+        return Err(SnapshotError::Truncated {
+            section: Section::SectionTable,
+        });
+    }
+    let table = head(table_end)?;
+    let mut entries: Vec<Entry> = Vec::with_capacity(count as usize);
+    for i in 0..count as usize {
+        let at = 16 + i * 28;
+        let entry = &table[at..at + 28];
+        let section = Section::from_id(u32::from_le_bytes(entry[0..4].try_into().unwrap()));
+        let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap());
+        let size = u64::from_le_bytes(entry[12..20].try_into().unwrap());
+        let recorded = u64::from_le_bytes(entry[20..28].try_into().unwrap());
+        let end = offset.checked_add(size).ok_or(SnapshotError::Corrupt {
+            section: Section::SectionTable,
+            message: format!("section {section} extent overflows"),
+        })?;
+        if (offset as usize) < table_end || end as usize > len || end > usize::MAX as u64 {
+            return Err(SnapshotError::Truncated { section });
+        }
+        if entries.iter().any(|e| e.section == section) {
+            return Err(SnapshotError::Corrupt {
+                section: Section::SectionTable,
+                message: format!("duplicate {section} section"),
+            });
+        }
+        let entry = Entry {
+            section,
+            range: offset as usize..end as usize,
+            checksum: recorded,
+        };
+        verify(&entry)?;
+        entries.push(entry);
+    }
+    Ok(entries)
+}
+
+/// Bytes `range` of `file`, attributed to `section` if the file ends
+/// before them.
+fn read_exact_at(
+    file: &Mutex<File>,
+    range: Range<usize>,
+    section: Section,
+) -> Result<Vec<u8>, SnapshotError> {
+    let mut bytes = vec![0; range.len()];
+    let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
+    file.seek(SeekFrom::Start(range.start as u64))?;
+    file.read_exact(&mut bytes)
+        .map_err(|err| match err.kind() {
+            std::io::ErrorKind::UnexpectedEof => SnapshotError::Truncated { section },
+            _ => SnapshotError::from(err),
+        })?;
+    Ok(bytes)
+}
+
+/// The payload of `entry`, read from `file` and checked against its
+/// recorded checksum.
+fn read_payload(file: &Mutex<File>, entry: &Entry) -> Result<Vec<u8>, SnapshotError> {
+    let payload = read_exact_at(file, entry.range.clone(), entry.section)?;
+    if checksum(&payload) != entry.checksum {
+        return Err(SnapshotError::ChecksumMismatch {
+            section: entry.section,
+        });
+    }
+    Ok(payload)
 }
 
 /// Bounds-checked little-endian cursor over one section payload. Every
@@ -673,9 +826,9 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
 
 /// Writes the rows in id order, the layout the format has always had: a
 /// row held in `(label, id)` order is sorted by id on the way out.
-fn encode_adjacency(rows: &PagedVec<Row>) -> SectionWriter {
+fn encode_adjacency(rows: &Adjacency) -> SectionWriter {
     let ids = rows.iter().flat_map(|row| {
-        let row = by_id(row.ids());
+        let row = by_id(row);
         (0..row.len()).map(move |i| row[i])
     });
     encode_csr(rows.iter().map(|row| row.len()), ids)
@@ -781,7 +934,7 @@ impl<'a> CsrBytes<'a> {
     /// The graph's rows, cut from these bytes and validated as they are
     /// read: ids sorted strictly, in bounds and live, and no adjacency on
     /// a deleted slot.
-    fn rows(&self, labels: &[Label]) -> Result<PagedVec<Row>, SnapshotError> {
+    fn rows(&self, labels: &[Label]) -> Result<Adjacency, SnapshotError> {
         let corrupt = |message: String| SnapshotError::Corrupt {
             section: self.section,
             message,
@@ -810,18 +963,18 @@ impl<'a> CsrBytes<'a> {
         })
     }
 
-    /// True when these rows, an in-adjacency, are `out`'s rows transposed,
-    /// given equal totals and `out`'s ids validated. Walking `out` in
-    /// `(src, dst)` order reaches each in-row's sources in ascending order,
-    /// so each out-edge must be the next entry of its in-row: one cursor
-    /// per row, no search. The ids of these rows need not be validated yet.
-    fn is_transpose_of(&self, out: &CsrBytes<'_>) -> bool {
+    /// True when these rows, an in-adjacency, are the rows `out` holds
+    /// transposed, given equal totals. Walking `out` by source reaches each
+    /// in-row's sources in ascending order, so each out-edge must be the
+    /// next entry of its in-row: one cursor per row, no search. The ids of
+    /// these rows need not be validated yet.
+    fn is_transpose_of(&self, out: &Adjacency) -> bool {
         let n = self.offsets.len() / 8 - 1;
         let mut next: Vec<usize> = (0..n).map(|v| self.offset(v)).collect();
         (0..n).all(|src| {
-            u32s(out.row(src)).all(|dst| {
-                let (at, end) = (next[dst as usize], self.offset(dst as usize + 1));
-                next[dst as usize] += 1;
+            out.row(src).iter().all(|&dst| {
+                let (at, end) = (next[dst.index()], self.offset(dst.index() + 1));
+                next[dst.index()] += 1;
                 at < end && u32_at(self.targets, at) == src as u32
             })
         })
@@ -829,12 +982,14 @@ impl<'a> CsrBytes<'a> {
 
     /// The first out-edge of `out` in `(src, dst)` order that these rows,
     /// an in-adjacency, do not list.
-    fn first_missing(&self, out: &CsrBytes<'_>) -> Option<(usize, NodeId)> {
+    fn first_missing(&self, out: &Adjacency) -> Option<(usize, NodeId)> {
         let n = self.offsets.len() / 8 - 1;
         (0..n).find_map(|src| {
-            let mut dsts = u32s(out.row(src));
-            let missing = dsts.find(|&dst| !sorted_lists(self.row(dst as usize), src as u32));
-            missing.map(|dst| (src, NodeId(dst)))
+            let dsts = by_id(out.row(src));
+            let missing = dsts
+                .iter()
+                .find(|dst| !sorted_lists(self.row(dst.index()), src as u32));
+            missing.map(|&dst| (src, dst))
         })
     }
 }
@@ -849,7 +1004,7 @@ impl<'a> CsrBytes<'a> {
 pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
     // Strings → interner. A name takes at least its 4-byte length.
     let payload = archive.require(Section::Strings)?;
-    let mut r = SectionReader::new(Section::Strings, payload);
+    let mut r = SectionReader::new(Section::Strings, &payload);
     let name_count = r.read_u32()? as usize;
     let mut names = Vec::with_capacity(name_count.min(payload.len() / 4));
     for _ in 0..name_count {
@@ -859,13 +1014,15 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         names.push(name.to_string());
     }
     r.expect_end()?;
+    drop(payload);
     let interner = LabelInterner::from_names(names).map_err(|name| SnapshotError::Corrupt {
         section: Section::Strings,
         message: format!("duplicate label name {name:?}"),
     })?;
 
     // Labels (tombstones included).
-    let mut r = SectionReader::new(Section::Labels, archive.require(Section::Labels)?);
+    let payload = archive.require(Section::Labels)?;
+    let mut r = SectionReader::new(Section::Labels, &payload);
     let node_count = r.read_u32()? as usize;
     let raw_labels = r.read_u32s(node_count)?;
     r.expect_end()?;
@@ -883,9 +1040,11 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         }
         labels.push(label);
     }
+    drop(payload);
 
     // Values.
-    let mut r = SectionReader::new(Section::Values, archive.require(Section::Values)?);
+    let payload = archive.require(Section::Values)?;
+    let mut r = SectionReader::new(Section::Values, &payload);
     let value_count = r.read_u32()? as usize;
     if value_count != node_count {
         return Err(r.corrupt(format!(
@@ -925,26 +1084,24 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
             })
         });
     let values = PagedVec::try_from_iter(values)?;
+    drop(payload);
 
     // Adjacency, both directions, validated in the file's id order as the
-    // rows are cut; the in-rows must be the out-rows transposed. That is
-    // checked on the bytes before the in-rows are cut, so its cursors are
-    // not held at the load's peak, and reported after the in-rows' own
-    // checks, as when it ran last: the totals first, then the first
-    // out-edge missing from the in-adjacency.
-    let out_csr = CsrBytes::new(
-        Section::OutAdjacency,
-        archive.require(Section::OutAdjacency)?,
-        node_count,
-    )?;
-    let out = out_csr.rows(&labels)?;
-    let in_csr = CsrBytes::new(
-        Section::InAdjacency,
-        archive.require(Section::InAdjacency)?,
-        node_count,
-    )?;
-    let (out_total, in_total) = (out_csr.total(), in_csr.total());
-    let transposed = out_total == in_total && in_csr.is_transpose_of(&out_csr);
+    // rows are cut; the out-section is dropped once its pages are. The
+    // in-rows must be the out-rows transposed. That is checked against the
+    // out-pages before the in-rows are cut, so its cursors are not held at
+    // the load's peak, and reported after the in-rows' own checks, as when
+    // it ran last: the totals first, then the first out-edge missing from
+    // the in-adjacency.
+    let (out, out_total) = {
+        let payload = archive.require(Section::OutAdjacency)?;
+        let csr = CsrBytes::new(Section::OutAdjacency, &payload, node_count)?;
+        (csr.rows(&labels)?, csr.total())
+    };
+    let payload = archive.require(Section::InAdjacency)?;
+    let in_csr = CsrBytes::new(Section::InAdjacency, &payload, node_count)?;
+    let in_total = in_csr.total();
+    let transposed = out_total == in_total && in_csr.is_transpose_of(&out);
     let inc = in_csr.rows(&labels)?;
     if out_total != in_total {
         return Err(SnapshotError::Corrupt {
@@ -954,7 +1111,7 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
     }
     if !transposed {
         let (src, dst) = in_csr
-            .first_missing(&out_csr)
+            .first_missing(&out)
             .expect("rows that are not the transpose miss an out-edge");
         return Err(SnapshotError::Corrupt {
             section: Section::InAdjacency,
@@ -962,8 +1119,11 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
         });
     }
 
+    drop(payload);
+
     // Label index: buckets must partition exactly the live nodes by label.
-    let mut r = SectionReader::new(Section::LabelIndex, archive.require(Section::LabelIndex)?);
+    let payload = archive.require(Section::LabelIndex)?;
+    let mut r = SectionReader::new(Section::LabelIndex, &payload);
     let bucket_count = r.read_u32()? as usize;
     let total = r.read_u64()?;
     let offsets = r.read_u64s(bucket_count + 1)?;
@@ -1194,6 +1354,56 @@ mod tests {
             read_graph_snapshot(std::io::Cursor::new(damaged)).unwrap_err(),
             SnapshotError::ChecksumMismatch { section }
         );
+    }
+
+    /// An archive opened from a file reads its payloads a section at a
+    /// time, but refuses exactly what the same bytes held in memory refuse:
+    /// a damaged payload byte or recorded checksum of every section, a cut
+    /// at every section boundary, and a damaged section no decoder reads.
+    #[test]
+    fn an_opened_file_refuses_what_its_bytes_refuse() {
+        let mut clean = Vec::new();
+        let mut writer = SnapshotWriter::new();
+        encode_graph(&sample_graph(), &mut writer);
+        writer.add_section(Section::Unknown(77), b"a later build's section".to_vec());
+        writer.write_to(&mut clean).unwrap();
+        let table: Vec<_> = SnapshotArchive::from_bytes(clean.clone())
+            .unwrap()
+            .sections()
+            .collect();
+        let path = std::env::temp_dir().join(format!("bgpq-opened-{}.bgpq", std::process::id()));
+        let from_file = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            load_graph_snapshot(&path)
+        };
+        let from_bytes = |bytes: &[u8]| read_graph_snapshot(std::io::Cursor::new(bytes));
+        let loaded = from_file(&clean).unwrap();
+        let archive = SnapshotArchive::open(&path).unwrap();
+        assert!(archive.contains(Section::Unknown(77)));
+        assert_eq!(
+            archive.section(Section::Unknown(77)),
+            Some(&b"a later build's section"[..])
+        );
+        assert_eq!(archive.read(Section::Schema).unwrap(), None);
+        drop(archive);
+        assert_eq!(loaded.edge_count(), sample_graph().edge_count());
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+        for (i, (_, range)) in table.iter().enumerate() {
+            let mut damaged = clean.clone();
+            damaged[range.start + range.len() / 2] ^= 0x40;
+            cases.push(damaged);
+            let mut recorded = clean.clone();
+            recorded[16 + i * 28 + 20] ^= 0x01;
+            cases.push(recorded);
+            cases.push(clean[..range.start].to_vec());
+            cases.push(clean[..range.start + 1].to_vec());
+        }
+        cases.extend([Vec::new(), clean[..7].to_vec(), clean[..20].to_vec()]);
+        for (n, bytes) in cases.iter().enumerate() {
+            let want = from_bytes(bytes).expect_err("damaged");
+            assert_eq!(from_file(bytes).expect_err("damaged"), want, "case {n}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -18,16 +18,18 @@
 //!   label, the answer of a unary access constraint, are one segment per
 //!   direction: [`Graph::neighbors_labeled`]), per-label node indexes and
 //!   neighbor queries, held in structurally shared pages so a clone is cheap
-//!   and a mutation copies only what it touches (common neighbours of `|S|
-//!   ≥ 2` nodes are answered by the access indices of `bgpq-access`);
+//!   and a mutation copies only what it touches (a page of 256 adjacency
+//!   rows is their bounds and one buffer of ids, a row of [`HUB_ROW`] ids
+//!   or more chunked beside it; common neighbours of `|S| ≥ 2` nodes are
+//!   answered by the access indices of `bgpq-access`);
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
-//!   the one per-node array on top of it, under the graph's per-node storage
-//!   and the access indices; [`Row`] — the sorted id list both store by
-//!   value (adjacency rows here, index keys and answer lists there), held
-//!   in chunks of [`CHUNK_TARGET`] ids past one chunk's worth, the same
-//!   chunked list as a label bucket; and [`Ids`] — the borrowed handle
-//!   every row and bucket is read through;
+//!   the per-node array on top of it, under the graph's labels and values
+//!   and the access indices; [`Row`] — the sorted id list the access
+//!   indices store their keys and answer lists in, by value, held in
+//!   chunks of [`CHUNK_TARGET`] ids past one chunk's worth, the same
+//!   chunked list as a label bucket and a hub's row; and [`Ids`] — the
+//!   borrowed handle every row and bucket is read through;
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
 //!   a standalone graph: the slow, obviously-correct test oracle that
 //!   [`FragmentView`] and the bounded executors are checked against;
@@ -50,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adjacency;
 pub mod builder;
 mod chunked;
 pub mod error;
@@ -66,6 +69,7 @@ pub mod subgraph;
 pub mod value;
 pub mod view;
 
+pub use adjacency::{HUB_ROW, PAGE_IDS};
 pub use builder::GraphBuilder;
 pub use chunked::{Ids, CHUNK_TARGET};
 pub use error::GraphError;

@@ -1,18 +1,18 @@
-//! [`Row`]: the workspace's one sorted list of node ids kept by value.
+//! [`Row`]: a sorted list of node ids kept by value, the access indices'.
 //!
-//! The graph stores every adjacency list as a `Row` (sorted by `(label,
-//! id)`), and the access indices in `bgpq-access` store every key and every
-//! answer list of a global or `|S| ≥ 2` constraint as one (sorted by id).
-//! Most of those lists are short — a node's few neighbours, an `|S|`-tuple
-//! key — so the short ones live inside the row itself and a table of rows is
-//! a flat table: copying it allocates nothing and dropping it frees nothing
-//! per entry. A hub's list is long, and a commit that edits it must not copy
-//! it whole: past one chunk's worth of ids a row is chunked, so an edit
-//! copies one chunk whatever the row's length.
+//! The access indices in `bgpq-access` store every key and every answer
+//! list of a global or `|S| ≥ 2` constraint as a `Row`, sorted by id. (The
+//! graph's adjacency rows are not `Row`s: a page of them is one buffer, see
+//! `adjacency.rs`.) Most keys and many answer lists are short — an
+//! `|S|`-tuple key, a pair's few common neighbours — so the short ones live
+//! inside the row itself and a table of rows is a flat table: copying it
+//! allocates nothing and dropping it frees nothing per entry. A global
+//! index's answer list is long, and a commit that edits it must not copy it
+//! whole: past one chunk's worth of ids a row is chunked, so an edit copies
+//! one chunk whatever the row's length.
 
 use crate::chunked::{Chunked, Ids, CHUNK_TARGET};
 use crate::graph::NodeId;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ pub const INLINE_ROW: usize = 5;
 /// Ids at which a row becomes chunked: the length at which a chunk splits.
 const CHUNKED_ROW: usize = 2 * CHUNK_TARGET;
 
-/// A sorted list of node ids, kept in whatever order its owner sorts it by.
+/// A list of node ids sorted by id.
 ///
 /// A row takes one of three forms, by length, and fills the 24 bytes of a
 /// `Vec` in each:
@@ -44,9 +44,8 @@ const CHUNKED_ROW: usize = 2 * CHUNK_TARGET;
 /// when it shrinks to it; a shared row is chunked when it reaches two
 /// chunks, and a chunked row whose chunks merge into one is shared again.
 ///
-/// A row is read through its [`Ids`] handle ([`Row::ids`]). Edits find
-/// their place by a comparator ([`Row::insert_by`], [`Row::remove_by`]), so
-/// the row need not know the order its owner keeps.
+/// A row is read through its [`Ids`] handle ([`Row::ids`]) and edited by
+/// id ([`Row::insert`], [`Row::remove`]).
 #[derive(Clone)]
 pub struct Row(Repr);
 
@@ -91,7 +90,7 @@ impl Row {
     }
 
     /// True when the ids live inside the row rather than behind an `Arc`.
-    pub(crate) fn is_inline(&self) -> bool {
+    fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
     }
 
@@ -101,28 +100,27 @@ impl Row {
         matches!(self.0, Repr::Chunked(_))
     }
 
-    /// Inserts `id` where `cmp` orders it (`cmp(w)` orders a listed `w`
-    /// against `id`, as for `slice::binary_search_by`). Returns `None` when
-    /// it is already listed, else the number of ids copied because a clone
-    /// shared the buffer or chunk the edit landed in.
-    pub fn insert_by(&mut self, id: NodeId, cmp: impl Fn(NodeId) -> Ordering) -> Option<usize> {
+    /// Inserts `id`. Returns `None` when it is already listed, else the
+    /// number of ids copied because a clone shared the buffer or chunk the
+    /// edit landed in.
+    pub fn insert(&mut self, id: NodeId) -> Option<usize> {
         if let Repr::Chunked(chunks) = &mut self.0 {
-            return Arc::make_mut(chunks).insert_by(id, cmp);
+            return Arc::make_mut(chunks).insert_by(id, |w| w.cmp(&id));
         }
-        let pos = self.flat().binary_search_by(|&w| cmp(w)).err()?;
+        let pos = self.flat().binary_search(&id).err()?;
         Some(self.insert_flat(pos, id))
     }
 
-    /// Removes the id `cmp` finds (see [`Row::insert_by`]). Returns `None`
-    /// when none is listed, else the number of ids copied because a clone
-    /// shared the buffer or chunks the edit landed in.
-    pub fn remove_by(&mut self, cmp: impl Fn(NodeId) -> Ordering) -> Option<usize> {
+    /// Removes `id`. Returns `None` when it is not listed, else the number
+    /// of ids copied because a clone shared the buffer or chunks the edit
+    /// landed in.
+    pub fn remove(&mut self, id: NodeId) -> Option<usize> {
         let Repr::Chunked(chunks) = &mut self.0 else {
-            let pos = self.flat().binary_search_by(|&w| cmp(w)).ok()?;
+            let pos = self.flat().binary_search(&id).ok()?;
             return Some(self.remove_flat(pos));
         };
         let chunks = Arc::make_mut(chunks);
-        let copied = chunks.remove_by(cmp)?;
+        let copied = chunks.remove_by(|w| w.cmp(&id))?;
         if chunks.chunk_count() <= 1 {
             *self = Row::from(&chunks.ids().to_vec()[..]);
         }
@@ -291,11 +289,11 @@ mod tests {
     }
 
     fn put(row: &mut Row, id: NodeId) -> Option<usize> {
-        row.insert_by(id, |w| w.cmp(&id))
+        row.insert(id)
     }
 
     fn take(row: &mut Row, id: NodeId) -> Option<usize> {
-        row.remove_by(|w| w.cmp(&id))
+        row.remove(id)
     }
 
     fn first_ptr(row: &Row) -> *const NodeId {
@@ -377,13 +375,11 @@ mod tests {
     }
 
     /// Seeded inserts and removes at the front, middle and end of a row
-    /// that crosses the chunk threshold in both directions, ordered by a
-    /// key that is not the id (as adjacency rows are), with a clone pinned
-    /// at every step, against a `Vec` model. Every edit under a pin copies
-    /// at most one chunk's worth of ids once the row is chunked.
+    /// that crosses the chunk threshold in both directions, with a clone
+    /// pinned at every step, against a `Vec` model. Every edit under a pin
+    /// copies at most one chunk's worth of ids once the row is chunked.
     #[test]
     fn rows_cross_the_chunk_threshold_both_ways_under_pins() {
-        let key = |w: NodeId| (w.0 % 7, w.0);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |n: u64| {
             state ^= state << 13;
@@ -404,18 +400,17 @@ mod tests {
                     _ => NodeId(next(4 * CHUNKED_ROW as u64) as u32),
                 };
                 // Near an end, step to a neighbour of it that may be new.
-                let id = NodeId(id.0 + 7 * next(2) as u32);
-                let cmp = |w: NodeId| key(w).cmp(&key(id));
-                let pos = model.binary_search_by(|&w| cmp(w));
+                let id = NodeId(id.0 + next(2) as u32);
+                let pos = model.binary_search(&id);
                 let copied = if grow {
-                    let copied = row.insert_by(id, cmp);
+                    let copied = row.insert(id);
                     assert_eq!(copied.is_some(), pos.is_err());
                     if let Err(pos) = pos {
                         model.insert(pos, id);
                     }
                     copied
                 } else {
-                    let copied = row.remove_by(cmp);
+                    let copied = row.remove(id);
                     assert_eq!(copied.is_some(), pos.is_ok());
                     if let Ok(pos) = pos {
                         model.remove(pos);

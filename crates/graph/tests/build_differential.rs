@@ -3,13 +3,16 @@
 //! `Graph::insert_edge` at a time. Seeded recipes cover labels that do not
 //! ascend along the ids (so rows are regrouped by label), repeated and
 //! reversed edges and self-loops, isolated nodes, a hub whose rows are
-//! longer than a page of nodes, a hub whose rows are held in chunks, and
-//! the empty graph. Every built graph, and a copy of it with deleted nodes,
-//! must also round-trip through a snapshot; the chunked hub's rows are
-//! also edited back below one chunk, in step with the grown graph.
+//! longer than a page of nodes, a hub whose rows are held in chunks, a
+//! page whose rows overflow its cap of ids, and the empty graph. The two
+//! must agree on rows, label buckets and `storage_bytes` (a page's layout
+//! is a function of its rows). Every built graph, and a copy of it with
+//! deleted nodes, must also round-trip through a snapshot; the chunked
+//! hub's rows are also edited back below one chunk, in step with the grown
+//! graph.
 
 use bgpq_graph::io::snapshot::{read_graph_snapshot, write_graph_snapshot};
-use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, CHUNK_TARGET, PAGE_SIZE};
+use bgpq_graph::{Graph, GraphBuilder, NodeId, Value, CHUNK_TARGET, HUB_ROW, PAGE_IDS, PAGE_SIZE};
 
 /// A small seeded generator (an LCG), so the recipes need no dependency.
 struct Seeded(u64);
@@ -96,6 +99,7 @@ fn recipes() -> Vec<Recipe> {
         edges,
     });
     recipes.push(chunked_hub(&mut rng));
+    recipes.push(page_past_its_cap(&mut rng));
 
     // Labels ascending along the ids, as the scenario generators emit
     // them, edges in reverse arrival order, a few isolated nodes last.
@@ -135,6 +139,35 @@ fn chunked_hub(rng: &mut Seeded) -> Recipe {
     }
     Recipe {
         name: "a hub held in chunks",
+        nodes,
+        edges,
+    }
+}
+
+/// Nodes of the first page with rows of several hundred ids each, more
+/// than one page holds in all, edges in random order: the rows that would
+/// take the page past `PAGE_IDS` are chunked beside it, though none is a
+/// hub.
+fn page_past_its_cap(rng: &mut Seeded) -> Recipe {
+    let n = 4 * PAGE_SIZE;
+    let nodes = (0..n)
+        .map(|i| (["b", "a"][i % 2].to_string(), value(rng, i)))
+        .collect();
+    let busy = 2 * PAGE_IDS / (HUB_ROW * 3 / 4) + 1;
+    let mut edges = Vec::new();
+    for v in 0..busy as u32 {
+        for _ in 0..HUB_ROW * 3 / 4 + rng.below(100) {
+            edges.push((v, rng.below(n) as u32));
+        }
+    }
+    for _ in 0..2 * n {
+        edges.push((rng.below(n) as u32, rng.below(n) as u32));
+    }
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.below(i + 1));
+    }
+    Recipe {
+        name: "a page past its cap of ids",
         nodes,
         edges,
     }
@@ -188,6 +221,11 @@ fn assert_same(a: &Graph, b: &Graph, what: &str) {
         b.distinct_label_count(),
         "{what}: labels in use"
     );
+    assert_eq!(
+        a.storage_bytes(),
+        b.storage_bytes(),
+        "{what}: storage bytes"
+    );
 }
 
 fn round_trip(g: &Graph) -> Graph {
@@ -204,6 +242,12 @@ fn the_bulk_build_is_the_graph_grown_edge_by_edge() {
         let longest = fast.nodes().map(|v| fast.out_degree(v)).max();
         if recipe.name.starts_with("a hub") {
             assert!(longest > Some(PAGE_SIZE), "the hub row spans a page");
+        }
+        if recipe.name.ends_with("cap of ids") {
+            let spilled = fast.nodes().filter(|&v| {
+                fast.out_degree(v) < HUB_ROW && fast.out_neighbors(v).as_slice().is_none()
+            });
+            assert!(spilled.count() > 0, "a row short of a hub is chunked");
         }
         if recipe.name.ends_with("in chunks") {
             let hub = NodeId(2);

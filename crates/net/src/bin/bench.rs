@@ -109,7 +109,7 @@ use Bound::{Max, Min};
 type Gate = (&'static str, Bound, f64, &'static str);
 
 #[rustfmt::skip] // a table: one row per line, columns aligned
-const GATES: [Gate; 13] = [
+const GATES: [Gate; 14] = [
     // The paper's headline figure: bVF2 is flat in |G|, VF2 linear, so the
     // ratio must favour bVF2 on the sweep's largest graph (14x smoke, 41x
     // full) and must have grown since the smallest.
@@ -135,12 +135,17 @@ const GATES: [Gate; 13] = [
     // 3.9x (25.5 -> 100 us) when every shard copy still cloned two heap
     // lists per entry. The threshold is the full reading with ~1.8x headroom.
     ("scaling.maintain_growth",       Max,      7.0, "the commit's index maintenance is tracking |G|"),
-    // Work, not time, so it repeats exactly for one seed: the adjacency-row
-    // ids a commit copies. 4.68 over the smoke sweep (80 -> 372 -> 373 per
-    // commit: the touched hubs' rows are chunked from the middle scale on,
-    // and an edit copies one chunk of < 1024 ids). Copying a hub's row
-    // whole, as before rows were chunked, tracks the hubs' degree, ~100x.
+    // Work, not time, so it repeats exactly for one seed: the adjacency ids
+    // a commit copies, those of each row page and hub chunk it un-shares.
+    // 1.18 over the smoke sweep (5147 -> 5547 -> 6096 per commit: a page
+    // holds at most `PAGE_IDS` ids, and an edit copies one chunk of a hub's
+    // row, < 1024 ids); 4.68 when rows had slots and only spilled rows
+    // counted. Copying a hub's row whole tracks the hubs' degree, ~100x.
     ("scaling.row_copy_growth",       Max,      8.0, "a commit copies adjacency rows whole again"),
+    // Counted too: `Graph::storage_bytes` per edge on the sweep's largest
+    // graph. 19.28 at --smoke (600k nodes) since a page of rows became one
+    // buffer of bounds and ids; 29.8 when every row took a 24-byte slot.
+    ("scaling.graph_bytes_per_edge_largest", Max, 22.0, "graph storage per edge grew back towards a slot per row"),
     // Offline setup (stream + discover + index) per decade of |G|, the
     // larger of the two steps; 10 is linear. 10.8-14.6 over 10 back-to-back
     // --smoke runs of the shard-order index build, 10.3-16.5 over 20 with an
@@ -331,6 +336,8 @@ fn scale_point(scale: usize) -> Json {
         mib(rig.indices.storage_bytes()),
         mib(rig.graph.storage_bytes()),
     );
+    let graph_bytes_per_edge =
+        rig.graph.storage_bytes() as f64 / rig.graph.edge_count().max(1) as f64;
     let (mut graph, mut indices) = (Arc::new(rig.graph), rig.indices);
     let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
     let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
@@ -487,6 +494,8 @@ fn scale_point(scale: usize) -> Json {
         ("index_ms", num(index_ms, 1)),
         ("index_mb", num(index_mb, 2)),
         ("graph_mb", num(graph_mb, 2)),
+        // Counted, so seed-deterministic; the largest scale's is gated.
+        ("graph_bytes_per_edge", num(graph_bytes_per_edge, 2)),
         // Reported, not gated: the rise depends on the allocator.
         (
             "build_peak_mb",
@@ -536,11 +545,11 @@ fn growth(rows: &[Json], key: &str) -> f64 {
 
 fn scaling(profile: &Profile) -> Json {
     let points: Vec<Json> = profile.scales.iter().map(|&s| scale_point(s)).collect();
-    let largest = positive(points.last(), "vf2_over_bvf2").unwrap_or(f64::NAN);
     // A hit has to pay off at every scale: the lowest ratio of the sweep.
     let mut hit_speedups = points.iter().map(|p| positive(Some(p), "hit_speedup"));
     let hit_speedup = hit_speedups.try_fold(f64::INFINITY, |low, x| Some(low.min(x?)));
     let growth_of = |key| num(growth(&points, key), 3);
+    let last_of = |key| num(positive(points.last(), key).unwrap_or(f64::NAN), 2);
     // Offline setup per decade of |G|, the larger of the two steps: 10 is
     // linear (gated, see `GATES`).
     let step =
@@ -564,8 +573,12 @@ fn scaling(profile: &Profile) -> Json {
         // The work behind it, gated (see `GATES`).
         ("row_copy_growth", growth_of("row_ids_copied_per_commit")),
         ("build_growth", num(build_growth.unwrap_or(f64::NAN), 2)),
-        ("vf2_over_bvf2_largest", num(largest, 2)),
+        ("vf2_over_bvf2_largest", last_of("vf2_over_bvf2")),
         ("vf2_over_bvf2_growth", growth_of("vf2_over_bvf2")),
+        (
+            "graph_bytes_per_edge_largest",
+            last_of("graph_bytes_per_edge"),
+        ),
         ("hit_speedup", num(hit_speedup.unwrap_or(f64::NAN), 2)),
         ("scales", Json::Arr(points)),
     ])

@@ -14,11 +14,11 @@
 //! **What it costs in memory.** No record is buffered; what the build holds
 //! beyond the graph is the edge list (8 bytes an edge) while records
 //! arrive, then CSR scratch of `4·|E| + 4·|V|` bytes per direction while
-//! [`GraphBuilder::build`] cuts the rows (see `bgpq_graph::builder`). The
-//! peak is the finished graph plus one direction's CSR: streaming the
+//! [`GraphBuilder::build`] cuts the row pages (see `bgpq_graph::builder`).
+//! The peak is the finished graph plus one direction's CSR: streaming the
 //! 600k-node benchmark graph (1.78M edges) in a fresh process peaks at
-//! 65 MB of RSS against 56 MB once built, on 64-bit Linux with glibc's
-//! allocator.
+//! 54.4 MB of RSS against 39 MB once built (66.7 and 57.7 MB when every
+//! row took a 24-byte slot), on 64-bit Linux with glibc's allocator.
 //!
 //! The sink also counts the records it saw, which lets tests prove the
 //! streaming path was actually used: a path that buffered and replayed

@@ -240,7 +240,7 @@ fn a_unary_section_truncated_when_written_is_refused_with_a_word_to_recompile() 
     let archive = SnapshotArchive::from_bytes(written.clone()).unwrap();
     assert_eq!(
         section(usize::MAX, &[]),
-        archive.section(Section::Indices).unwrap()
+        &*archive.require(Section::Indices).unwrap()
     );
     for capped in [&hubs[..], &[]] {
         let mut w = SnapshotWriter::new();

@@ -14,9 +14,10 @@ use crate::commands::{discovery_config, resolve_scenario, scenario_config, SNAPS
 use crate::scenario::{Scenario, ScenarioConfig};
 use bgpq_access::snapshot::decode_bundle;
 use bgpq_engine::{discover_schema, AccessIndexSet, AccessSchema, Graph};
-use bgpq_graph::io::snapshot::{decode_graph, Section, SnapshotArchive};
+use bgpq_graph::io::snapshot::{Section, SnapshotArchive};
 use bgpq_graph::io::{
-    load_edge_list, load_graph, load_jsonl, sniff_snapshot, DEFAULT_EDGE_LIST_LABEL,
+    load_edge_list, load_graph, load_graph_snapshot, load_jsonl, sniff_snapshot,
+    DEFAULT_EDGE_LIST_LABEL,
 };
 use bgpq_workload::stream_graph_counted;
 use std::error::Error;
@@ -130,7 +131,8 @@ pub fn load_dataset_full(
                 let bundle = decode_bundle(&archive).map_err(annotate_snap)?;
                 (bundle.graph, Some((bundle.schema, bundle.indices)))
             } else {
-                (decode_graph(&archive).map_err(annotate_snap)?, None)
+                drop(archive);
+                (load_graph_snapshot(path).map_err(annotate_snap)?, None)
             }
         }
     };

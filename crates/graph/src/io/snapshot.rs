@@ -79,7 +79,10 @@
 //! loading the 600k-node benchmark graph's 51.6 MB file peaks at 64.4 MB of
 //! RSS in a fresh process (111.6 MB when the archive was read whole), and
 //! the graph alone is 39 MB. An archive held in memory
-//! ([`SnapshotArchive::from_bytes`]) is verified whole up front instead.
+//! ([`SnapshotArchive::from_bytes`]) is verified whole up front instead;
+//! a graph loaded from an opened bundle first checksums, one at a time, the
+//! schema and indices it does not decode, so either way a file is refused
+//! for the same damage.
 
 use crate::adjacency::Adjacency;
 use crate::builder::rows_from_csr;
@@ -94,7 +97,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// The magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"BGPQSNAP";
@@ -383,8 +386,10 @@ impl SnapshotWriter {
 /// the same things, except that a payload is checksummed when it is read —
 /// by [`SnapshotArchive::read`], once per call, so a decoder holds one
 /// section at a time and drops it when it is decoded. Sections no decoder
-/// reads ([`Section::Unknown`]) are checksummed by `open`, so they are
-/// verified before they are skipped either way.
+/// reads ([`Section::Unknown`]) are checksummed by `open`, and a bundle's
+/// schema and indices by [`load_graph_snapshot`] when it decodes the graph
+/// alone, so an opened file is refused for any damage its bytes would be
+/// refused for.
 #[derive(Debug)]
 pub struct SnapshotArchive {
     source: Source,
@@ -403,12 +408,8 @@ struct Entry {
 enum Source {
     /// The whole container, every payload verified.
     Bytes(Vec<u8>),
-    /// An open file, and the payloads [`SnapshotArchive::section`] has
-    /// read from it, one slot per table entry.
-    File {
-        file: Mutex<File>,
-        kept: Vec<OnceLock<Vec<u8>>>,
-    },
+    /// An open file, read a payload at a time.
+    File(Mutex<File>),
 }
 
 impl SnapshotArchive {
@@ -458,9 +459,8 @@ impl SnapshotArchive {
                 _ => Ok(()),
             },
         )?;
-        let kept = entries.iter().map(|_| OnceLock::new()).collect();
         Ok(SnapshotArchive {
-            source: Source::File { file, kept },
+            source: Source::File(file),
             entries,
         })
     }
@@ -475,12 +475,12 @@ impl SnapshotArchive {
     /// file (and owned by the caller, who drops it when done) for an
     /// opened one.
     pub fn read(&self, section: Section) -> Result<Option<Cow<'_, [u8]>>, SnapshotError> {
-        let Some((_, entry)) = self.entry(section) else {
+        let Some(entry) = self.entry(section) else {
             return Ok(None);
         };
         Ok(Some(match &self.source {
             Source::Bytes(data) => Cow::Borrowed(&data[entry.range.clone()]),
-            Source::File { file, .. } => Cow::Owned(read_payload(file, entry)?),
+            Source::File(file) => Cow::Owned(read_payload(file, entry)?),
         }))
     }
 
@@ -491,24 +491,20 @@ impl SnapshotArchive {
             .ok_or(SnapshotError::MissingSection { section })
     }
 
-    /// The payload of `section`, when present, borrowed from the archive.
-    /// An opened archive reads it from the file on the first call and keeps
-    /// it for the archive's life — for tools that copy sections; decoders
-    /// use [`SnapshotArchive::read`], which keeps nothing. `None` also when
-    /// an opened archive's payload cannot be read back or fails its
-    /// checksum (`read` says which).
-    pub fn section(&self, section: Section) -> Option<&[u8]> {
-        let (at, entry) = self.entry(section)?;
-        match &self.source {
-            Source::Bytes(data) => Some(&data[entry.range.clone()]),
-            Source::File { file, kept } => {
-                if kept[at].get().is_none() {
-                    let payload = read_payload(file, entry).ok()?;
-                    let _ = kept[at].set(payload);
-                }
-                kept[at].get().map(Vec::as_slice)
-            }
-        }
+    /// Reads and checksums, one at a time, the known sections listed here
+    /// but not in `decoded`, the sections a decoder reading only those
+    /// skips (a bundle's schema and indices, for a graph). An archive held
+    /// in memory was verified whole, and an opened one's unknown sections
+    /// by `open`.
+    fn verify_skipped(&self, decoded: &[Section]) -> Result<(), SnapshotError> {
+        let Source::File(file) = &self.source else {
+            return Ok(());
+        };
+        self.entries
+            .iter()
+            .filter(|e| !decoded.contains(&e.section))
+            .filter(|e| !matches!(e.section, Section::Unknown(_)))
+            .try_for_each(|entry| read_payload(file, entry).map(drop))
     }
 
     /// The verified `(section, byte range)` table, in file order.
@@ -516,11 +512,8 @@ impl SnapshotArchive {
         self.entries.iter().map(|e| (e.section, e.range.clone()))
     }
 
-    fn entry(&self, section: Section) -> Option<(usize, &Entry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.section == section)
+    fn entry(&self, section: Section) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.section == section)
     }
 }
 
@@ -994,13 +987,24 @@ impl<'a> CsrBytes<'a> {
     }
 }
 
+/// The sections [`decode_graph`] reads.
+const GRAPH_SECTIONS: [Section; 6] = [
+    Section::Strings,
+    Section::Labels,
+    Section::Values,
+    Section::OutAdjacency,
+    Section::InAdjacency,
+    Section::LabelIndex,
+];
+
 /// Rebuilds a [`Graph`] from the archive's graph sections, validating
 /// checksummed payloads against the structural invariants the in-memory
 /// graph relies on. Ignores non-graph sections.
 ///
 /// Every section is decoded in place, straight into the graph's own
-/// arrays: what a load holds at its peak is the archive plus the graph
-/// (plus a flat copy of the labels and one row or bucket of scratch).
+/// arrays: what a load from an opened file holds at its peak is the graph
+/// plus the section being decoded (plus a flat copy of the labels and one
+/// row or bucket of scratch); from bytes, the whole archive.
 pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
     // Strings → interner. A name takes at least its 4-byte length.
     let payload = archive.require(Section::Strings)?;
@@ -1211,9 +1215,14 @@ pub fn read_graph_snapshot<R: Read>(r: R) -> Result<Graph, SnapshotError> {
     decode_graph(&SnapshotArchive::read_from(r)?)
 }
 
-/// Loads the graph out of a snapshot file.
+/// Loads the graph out of a snapshot file. The sections the graph does
+/// not use (a bundle's schema and indices) are read and checksummed first,
+/// one at a time, so the file is refused for what [`read_graph_snapshot`]
+/// refuses.
 pub fn load_graph_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
-    decode_graph(&SnapshotArchive::open(path)?)
+    let archive = SnapshotArchive::open(path)?;
+    archive.verify_skipped(&GRAPH_SECTIONS)?;
+    decode_graph(&archive)
 }
 
 /// True when `prefix` begins with the snapshot magic bytes. `prefix` may be
@@ -1359,12 +1368,15 @@ mod tests {
     /// An archive opened from a file reads its payloads a section at a
     /// time, but refuses exactly what the same bytes held in memory refuse:
     /// a damaged payload byte or recorded checksum of every section, a cut
-    /// at every section boundary, and a damaged section no decoder reads.
+    /// at every section boundary, a damaged bundle section the graph does
+    /// not decode, and a damaged section no decoder reads.
     #[test]
     fn an_opened_file_refuses_what_its_bytes_refuse() {
         let mut clean = Vec::new();
         let mut writer = SnapshotWriter::new();
         encode_graph(&sample_graph(), &mut writer);
+        writer.add_section(Section::Schema, b"a bundle's schema".to_vec());
+        writer.add_section(Section::Indices, b"a bundle's indices".to_vec());
         writer.add_section(Section::Unknown(77), b"a later build's section".to_vec());
         writer.write_to(&mut clean).unwrap();
         let table: Vec<_> = SnapshotArchive::from_bytes(clean.clone())
@@ -1381,10 +1393,10 @@ mod tests {
         let archive = SnapshotArchive::open(&path).unwrap();
         assert!(archive.contains(Section::Unknown(77)));
         assert_eq!(
-            archive.section(Section::Unknown(77)),
-            Some(&b"a later build's section"[..])
+            &*archive.require(Section::Unknown(77)).unwrap(),
+            b"a later build's section"
         );
-        assert_eq!(archive.read(Section::Schema).unwrap(), None);
+        assert_eq!(archive.read(Section::Unknown(78)).unwrap(), None);
         drop(archive);
         assert_eq!(loaded.edge_count(), sample_graph().edge_count());
         let mut cases: Vec<Vec<u8>> = Vec::new();

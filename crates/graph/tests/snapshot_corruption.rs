@@ -323,11 +323,11 @@ fn an_in_adjacency_that_is_not_the_transpose_is_rejected() {
     let graph = sample_graph();
     let bytes = snapshot_bytes(&graph);
     let archive = SnapshotArchive::from_bytes(bytes.clone()).unwrap();
-    let inc = adjacency_rows(archive.section(Section::InAdjacency).unwrap());
-    let out = adjacency_rows(archive.section(Section::OutAdjacency).unwrap());
+    let inc = adjacency_rows(&archive.require(Section::InAdjacency).unwrap());
+    let out = adjacency_rows(&archive.require(Section::OutAdjacency).unwrap());
     assert_eq!(
         adjacency_payload(&inc),
-        archive.section(Section::InAdjacency).unwrap()
+        &*archive.require(Section::InAdjacency).unwrap()
     );
     let dst = inc.iter().position(|row| !row.is_empty()).unwrap();
     let src = inc[dst][0];

@@ -202,7 +202,8 @@ fn seeded_mutations_load_the_same_graph_or_a_typed_refusal() {
         Section::InAdjacency,
         Section::LabelIndex,
     ] {
-        let payload = archive.section(mutated).unwrap();
+        let payload = archive.require(mutated).unwrap();
+        let payload = &*payload;
         let later = DECODE_ORDER.iter().position(|&s| s == mutated).unwrap();
         for round in 0..120 {
             let changed = mutate(&mut rng, payload, node_count);

@@ -6,26 +6,30 @@
 //! [`AccessIndexSet`] packs one index per constraint of a schema. Each kind
 //! of constraint keeps its entries where they are cheapest to keep:
 //!
-//! * a **global** constraint `∅ → (l, N)` has one key, the empty set, and
-//!   its index is that key's answer list — every `l`-labeled node;
+//! * a **global** constraint `∅ → (l, N)` has one key, the empty set, whose
+//!   answers — every `l`-labeled node — are the graph's own label bucket
+//!   ([`Graph::nodes_with_label`]);
 //! * a **unary** constraint `l' → (l, N)` — a per-node degree bound, the
-//!   commonest kind — is answered by the graph itself. Adjacency rows are
+//!   commonest kind — is answered by the graph's rows. Adjacency rows are
 //!   sorted by `(neighbour label, id)`, so the answers of an `l'`-node `o`
 //!   are the `l`-segment of its out-row and the `l`-segment of its in-row,
 //!   found by binary search and merged as they are read
-//!   ([`Graph::neighbors_labeled`]). The index holds a handle on the graph
-//!   version it describes and the histogram of answer-list lengths, nothing
-//!   per node; it never truncates;
+//!   ([`Graph::neighbors_labeled`]);
 //! * an **`|S| ≥ 2`** constraint is keyed by a sorted node-id tuple: slot
 //!   `k[0]` of an array holds the keys whose smallest id is `k[0]`, sorted,
 //!   each with its answers, and a second array lists, per target node, the
 //!   keys it is listed under and whether its enumeration hit the cap.
 //!
+//! A global or unary index holds a handle on the graph version it describes
+//! and the histogram of answer-list lengths, nothing per node, and never
+//! truncates: every commit maintains the graph's buckets and rows, so the
+//! index costs nothing to keep.
+//!
 //! The experiments of the paper build these indices as MySQL tables; here
 //! they are in-memory structures with the same asymptotic access contract,
 //! plus size accounting used to reproduce the `|index_Q|/|G|` measurements of
-//! Fig. 5(d,h,l). A unary index's size counts the entries it answers, as a
-//! table would hold them, though it stores none.
+//! Fig. 5(d,h,l). A global or unary index's size counts the entries it
+//! answers, as a table would hold them, though it stores none.
 //!
 //! **Storage is structurally shared.** An [`AccessIndexSet`] holds each
 //! [`ConstraintIndex`] behind an `Arc`, and an `|S| ≥ 2` index keeps all of
@@ -36,29 +40,28 @@
 //! the constraints a delta touches — one bump per
 //! [`bgpq_graph::SPINE_FANOUT`] pages ([`ConstraintIndex::spines`]), no copy
 //! sized by the index's content — and inside those copies only the pages
-//! the changed node ids fall in. A unary index shares the graph's own
-//! pages. That is what lets the serving layer publish a new snapshot per
+//! the changed node ids fall in. A global or unary index shares the graph's
+//! own pages. That is what lets the serving layer publish a new snapshot per
 //! commit at `O(|ΔG|)` cost while readers keep the old one.
 //!
-//! **Entries are stored by value.** Every answer list and key of a global or
-//! `|S| ≥ 2` index is a [`Row`]: up to five ids inline in its page, a longer
-//! list behind one shared buffer. Answer lists are bounded by `N` and keys
-//! by `|S|`, so nearly every entry is inline, and a page copy is one flat
-//! copy; an edit changes its list in place, copying a long one only while a
-//! pinned version still shares it.
+//! **An `|S| ≥ 2` entry is two shared id lists.** A key and its answers
+//! are each an `Arc<[NodeId]>`; the key's list is shared by its slot and by
+//! every target listing it. An edit rebuilds the one answer list it
+//! changes, at most `N` ids under a graph that satisfies the constraint.
 //!
-//! **A unary build is a lookup.** A unary index's histogram is the
-//! `answer_lengths` entry of its label pair in the graph's statistics
-//! ([`Graph::stats`]), the one pass over each node's label-grouped
-//! neighbours that schema discovery makes too; the graph builder's row sort
-//! did the rest of the paper's preprocessing. Snapshot decoding fills the
-//! `|S| ≥ 2` arrays from the entries it reads, which come in key order.
-//! Maintenance edits entries one at a time; `|S| ≥ 2` indices enumerate
-//! their combinations per target, in the build too.
+//! **A global or unary build is a lookup.** A global index's histogram is
+//! its bucket's length; a unary index's is the `answer_lengths` entry of its
+//! label pair in the graph's statistics ([`Graph::stats`]), the one pass
+//! over each node's label-grouped neighbours that schema discovery makes
+//! too; the graph builder's row sort did the rest of the paper's
+//! preprocessing. Snapshot decoding fills the `|S| ≥ 2` arrays from the
+//! entries it reads, which come in key order. Maintenance edits entries one
+//! at a time; `|S| ≥ 2` indices enumerate their combinations per target, in
+//! the build too.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::schema::AccessSchema;
-use bgpq_graph::{Graph, Ids, Label, Neighbors, NodeId, PagedVec, Row, SpineShape};
+use bgpq_graph::{Graph, Label, Neighbors, NodeId, PagedVec, SpineShape};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -84,35 +87,36 @@ pub struct ConstraintIndex {
     cap: usize,
 }
 
-/// Where an index keeps its entries: one variant per constraint kind,
-/// chosen by `|S|`.
+/// Where an index keeps its entries, chosen by `|S|`.
 #[derive(Debug, Clone)]
 enum Entries {
-    /// `S = ∅`: the answers of the one key, the empty set, which always
-    /// exists. Nothing is ever capped.
-    Global(Row),
-    /// `|S| = 1`: the graph, whose rows hold every answer list.
-    Adjacency(Adjacency),
+    /// `|S| ≤ 1`: the graph, whose label bucket is the global key's answer
+    /// list and whose rows hold every unary answer list.
+    Graph(GraphHandle),
     /// `|S| ≥ 2`.
     ByFirst(ByFirst),
 }
 
-/// The graph version a unary index answers from, shared with its owner.
+/// The graph version a global or unary index answers from, shared with its
+/// owner.
 #[derive(Clone)]
-struct Adjacency(Arc<Graph>);
+struct GraphHandle(Arc<Graph>);
 
-impl fmt::Debug for Adjacency {
+impl fmt::Debug for GraphHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Adjacency({})", self.0)
+        write!(f, "GraphHandle({})", self.0)
     }
 }
+
+/// A sorted id list of an `|S| ≥ 2` index, a key or its answers.
+type List = Arc<[NodeId]>;
 
 /// An `|S| ≥ 2` index: arrays addressed by node id.
 #[derive(Debug, Clone, Default)]
 struct ByFirst {
     /// Node `v` → the keys whose smallest id is `v`, each with its sorted
     /// answers (never empty), in increasing key order.
-    keys: PagedVec<Vec<(Row, Row)>>,
+    keys: PagedVec<Vec<(List, List)>>,
     /// Target node → what removing its contribution needs.
     targets: PagedVec<Listing>,
     /// Number of keys.
@@ -124,8 +128,9 @@ struct ByFirst {
 /// The contribution of one target node to an `|S| ≥ 2` index.
 #[derive(Debug, Clone, Default)]
 struct Listing {
-    /// The keys the target is listed under (at most `cap` of them).
-    keys: Vec<Row>,
+    /// The keys the target is listed under (at most `cap` of them), each
+    /// sharing its slot's list.
+    keys: Vec<List>,
     /// True when the target's combination enumeration hit the cap. Kept per
     /// node (not as a sticky flag) so that maintenance removing or
     /// repairing a capped node's contribution leaves the truncation verdict
@@ -136,37 +141,52 @@ struct Listing {
 impl ByFirst {
     /// The answers of `key` (strictly increasing), empty when it is not
     /// indexed.
-    fn answers(&self, key: &[NodeId]) -> Ids<'_> {
+    fn answers(&self, key: &[NodeId]) -> &[NodeId] {
         let Some(slot) = key.first().and_then(|first| self.keys.get(first.index())) else {
-            return Ids::default();
+            return &[];
         };
-        match slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key)) {
-            Ok(i) => slot[i].1.ids(),
-            Err(_) => Ids::default(),
+        match slot.binary_search_by(|(k, _)| k[..].cmp(key)) {
+            Ok(i) => &slot[i].1,
+            Err(_) => &[],
         }
     }
 
-    /// The answers of `key` (strictly increasing) to edit, an empty list
-    /// inserted when the key is new.
-    fn answers_mut(&mut self, key: &[NodeId]) -> &mut Row {
+    /// Lists `target` under `key` (strictly increasing), the key inserted
+    /// when it is new. Returns the key's list and the answer count now, or
+    /// `None`, copying nothing, when `target` is listed already.
+    fn insert(&mut self, key: &[NodeId], target: NodeId) -> Option<(List, usize)> {
+        let at = self.answers(key).binary_search(&target).err()?;
         let slot = self.keys.make_mut(key[0].index());
-        let i = match slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key)) {
-            Ok(i) => i,
-            Err(i) => {
-                slot.insert(i, (Row::from(key), Row::default()));
+        let i = slot
+            .binary_search_by(|(k, _)| k[..].cmp(key))
+            .unwrap_or_else(|i| {
+                slot.insert(i, (List::from(key), List::from([])));
                 self.len += 1;
                 i
-            }
-        };
-        &mut slot[i].1
+            });
+        let (key, answers) = &mut slot[i];
+        let (before, after) = answers.split_at(at);
+        *answers = [before, &[target], after].concat().into();
+        Some((Arc::clone(key), answers.len()))
     }
 
-    /// Removes `key`, whose answers ran out.
-    fn remove_key(&mut self, key: &[NodeId]) {
+    /// Unlists `target` from `key` (strictly increasing), dropping a key
+    /// left without answers. Returns the answer count left, or `None` when
+    /// `target` was not listed.
+    fn remove(&mut self, key: &[NodeId], target: NodeId) -> Option<usize> {
+        let at = self.answers(key).binary_search(&target).ok()?;
         let slot = self.keys.make_mut(key[0].index());
-        let i = slot.binary_search_by(|(k, _)| k.ids().iter().cmp(key));
-        slot.remove(i.expect("the key is indexed"));
-        self.len -= 1;
+        let i = slot.binary_search_by(|(k, _)| k[..].cmp(key));
+        let i = i.expect("the key is indexed");
+        let answers = &slot[i].1;
+        let left = answers.len() - 1;
+        if left == 0 {
+            slot.remove(i);
+            self.len -= 1;
+        } else {
+            slot[i].1 = [&answers[..at], &answers[at + 1..]].concat().into();
+        }
+        Some(left)
     }
 
     fn listing(&self, target: NodeId) -> Option<&Listing> {
@@ -175,7 +195,7 @@ impl ByFirst {
 
     /// Takes `target`'s listing out, leaving it empty; writes nothing when
     /// it already is.
-    fn unlist(&mut self, target: NodeId) -> Vec<Row> {
+    fn unlist(&mut self, target: NodeId) -> Vec<List> {
         let listed = self.listing(target);
         if !listed.is_some_and(|listing| listing.capped || !listing.keys.is_empty()) {
             return Vec::new();
@@ -212,49 +232,46 @@ impl ConstraintIndex {
     /// Builds the index with an explicit combination cap per target node
     /// (it bounds only the enumeration of an `|S| ≥ 2` index).
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
-        let target = constraint.target();
-        match *constraint.source() {
-            [_] => Self::unary(Arc::new(graph.clone()), constraint, cap),
-            [] => {
-                let all = graph.nodes_with_label(target).to_vec();
-                Self::global(constraint, cap, Row::from(&all[..]))
-            }
-            _ => {
-                let mut index = Self::empty(constraint, cap);
-                for &v in graph.nodes_with_label(target) {
-                    index.add_combinations(graph, v);
-                }
-                index
-            }
+        if constraint.source_len() <= 1 {
+            return Self::on_graph(Arc::new(graph.clone()), constraint, cap);
         }
-    }
-
-    /// The unary index answering from `graph`, its answer-length histogram
-    /// read off the graph's statistics ([`Graph::stats`]): the pass that
-    /// discovery makes serves the build too.
-    fn unary(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
-        let pair = (constraint.source()[0], constraint.target());
-        let lengths = graph.stats().answer_lengths.get(&pair).cloned();
-        let mut index = Self::with_entries(constraint, cap, Entries::Adjacency(Adjacency(graph)));
-        index.lengths = lengths.unwrap_or_default();
+        let mut index = Self::empty(constraint, cap);
+        for &v in graph.nodes_with_label(index.constraint.target()) {
+            index.refresh_target(graph, v);
+        }
         index
     }
 
-    /// The global index whose one key has answers `all`.
-    fn global(constraint: AccessConstraint, cap: usize, all: Row) -> Self {
-        let len = all.len();
-        let mut index = Self::with_entries(constraint, cap, Entries::Global(all));
-        index.note_length(0, len);
+    /// The global or unary index answering from `graph`, its answer-length
+    /// histogram read off the graph: a global index's one list is its
+    /// bucket, and a unary index's lengths come from the graph's statistics
+    /// ([`Graph::stats`]), so the pass that discovery makes serves the build
+    /// too.
+    fn on_graph(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
+        let target = constraint.target();
+        let lengths = match *constraint.source() {
+            [] => {
+                let all = graph.label_count(target);
+                (all > 0).then_some((all, 1)).into_iter().collect()
+            }
+            [source] => {
+                let stats = graph.stats().answer_lengths.get(&(source, target));
+                stats.cloned().unwrap_or_default()
+            }
+            _ => unreachable!("{constraint} is not answered by the graph"),
+        };
+        let mut index = Self::with_entries(constraint, cap, Entries::Graph(GraphHandle(graph)));
+        index.lengths = lengths;
         index
     }
 
-    /// The global or `|S| ≥ 2` index holding `spans` — each a key and then
-    /// its answers in the flat `ids` list, as `ids[start..mid]` and
+    /// The `|S| ≥ 2` index holding `spans` — each a key and then its
+    /// answers in the flat `ids` list, as `ids[start..mid]` and
     /// `ids[mid..end]`, keys strictly increasing and both lists sorted
-    /// strictly — with its per-target bookkeeping derived from them
-    /// (snapshot load). A global index has exactly one span. An `|S| ≥ 2`
-    /// index takes `capped` as its capped targets. The spans are drained.
-    /// A unary index is loaded through [`UnaryCheck`] instead.
+    /// strictly — with its per-target bookkeeping derived from them and
+    /// `capped` as its capped targets (snapshot load). The spans are
+    /// drained. A global or unary index is loaded through [`GraphCheck`]
+    /// instead.
     pub(crate) fn from_entries(
         constraint: AccessConstraint,
         cap: usize,
@@ -263,54 +280,35 @@ impl ConstraintIndex {
         spans: &mut Vec<(usize, usize, usize)>,
     ) -> Self {
         let mut histogram = vec![0];
-        for &(_, mid, end) in spans.iter() {
+        // Keys come in increasing order, so their first ids never decrease
+        // and every slot is written in order.
+        let mut by_first = ByFirst {
+            len: spans.len(),
+            capped: capped.len(),
+            ..ByFirst::default()
+        };
+        for (start, mid, end) in spans.drain(..) {
             count_length(&mut histogram, end - mid);
-        }
-        match constraint.source_len() {
-            0 => {
-                let [(_, mid, end)] = spans[..] else {
-                    unreachable!("a global index has one key")
-                };
-                spans.clear();
-                Self::global(constraint, cap, Row::from(&ids[mid..end]))
+            let key = List::from(&ids[start..mid]);
+            for &t in &ids[mid..end] {
+                let listing = by_first.targets.make_mut(t.index());
+                listing.keys.push(Arc::clone(&key));
             }
-            1 => unreachable!("a unary index is loaded through `UnaryCheck`"),
-            _ => {
-                // Keys come in increasing order, so their first ids never
-                // decrease and every slot is written in order.
-                let mut by_first = ByFirst {
-                    len: spans.len(),
-                    capped: capped.len(),
-                    ..ByFirst::default()
-                };
-                for (start, mid, end) in spans.drain(..) {
-                    let key = Row::from(&ids[start..mid]);
-                    for &t in &ids[mid..end] {
-                        by_first.targets.make_mut(t.index()).keys.push(key.clone());
-                    }
-                    let slot = by_first.keys.make_mut(ids[start].index());
-                    slot.push((key, Row::from(&ids[mid..end])));
-                }
-                for t in capped {
-                    by_first.targets.make_mut(t.index()).capped = true;
-                }
-                let entries = Entries::ByFirst(by_first);
-                let mut index = Self::with_entries(constraint, cap, entries);
-                index.lengths = lengths(histogram);
-                index
-            }
+            let slot = by_first.keys.make_mut(ids[start].index());
+            slot.push((key, List::from(&ids[mid..end])));
         }
+        for t in capped {
+            by_first.targets.make_mut(t.index()).capped = true;
+        }
+        let mut index = Self::with_entries(constraint, cap, Entries::ByFirst(by_first));
+        index.lengths = lengths(histogram);
+        index
     }
 
-    /// An index with no entries (a global one with its empty key); not
-    /// for a unary constraint, whose entries are its graph's.
+    /// An `|S| ≥ 2` index with no entries.
     fn empty(constraint: AccessConstraint, cap: usize) -> Self {
-        let entries = match constraint.source_len() {
-            0 => Entries::Global(Row::default()),
-            1 => unreachable!("a unary index answers from a graph"),
-            _ => Entries::ByFirst(ByFirst::default()),
-        };
-        Self::with_entries(constraint, cap, entries)
+        debug_assert!(constraint.source_len() >= 2, "{constraint} has a graph");
+        Self::with_entries(constraint, cap, Entries::ByFirst(ByFirst::default()))
     }
 
     fn with_entries(constraint: AccessConstraint, cap: usize, entries: Entries) -> Self {
@@ -330,19 +328,19 @@ impl ConstraintIndex {
     /// Common neighbors labeled `l` of the `S`-labeled set `vs`
     /// (order of `vs` does not matter), ascending. Returns an empty list
     /// when the set is not indexed, which for a graph satisfying the
-    /// constraint means the answer is empty. A unary answer is two borrowed
-    /// segments of the graph's rows, merged as they are read.
+    /// constraint means the answer is empty. A global answer (`vs` empty)
+    /// is the graph's label bucket, a unary answer two borrowed segments of
+    /// the graph's rows, merged as they are read.
     pub fn common_neighbors(&self, vs: &[NodeId]) -> Neighbors<'_> {
+        let target = self.constraint.target();
         match &self.entries {
-            Entries::Global(all) if vs.is_empty() => Neighbors::from(all.ids()),
-            Entries::Global(_) => Neighbors::default(),
-            // `vs` names one node once or more, or no key.
-            Entries::Adjacency(Adjacency(graph)) => match vs.split_first() {
-                Some((&o, rest))
-                    if rest.iter().all(|&v| v == o)
-                        && graph.try_label(o) == Some(self.constraint.source()[0]) =>
+            // `vs` names no node, or one node once or more.
+            Entries::Graph(GraphHandle(graph)) => match (self.constraint.source(), vs) {
+                ([], []) => graph.nodes_with_label(target).into(),
+                (&[source], [o, rest @ ..])
+                    if rest.iter().all(|v| v == o) && graph.try_label(*o) == Some(source) =>
                 {
-                    graph.neighbors_labeled(o, self.constraint.target())
+                    graph.neighbors_labeled(*o, target)
                 }
                 _ => Neighbors::default(),
             },
@@ -352,17 +350,11 @@ impl ConstraintIndex {
                 Neighbors::from(by_first.answers(vs))
             }
             Entries::ByFirst(by_first) => {
-                Neighbors::from(by_first.answers(&Self::canonical_key(vs)))
+                let mut key = vs.to_vec();
+                key.sort_unstable();
+                key.dedup();
+                Neighbors::from(by_first.answers(&key))
             }
-        }
-    }
-
-    /// All nodes labeled `l` for a global (`S = ∅`) constraint.
-    pub fn global_nodes(&self) -> Ids<'_> {
-        debug_assert!(self.constraint.is_global());
-        match &self.entries {
-            Entries::Global(all) => all.ids(),
-            _ => Ids::default(),
         }
     }
 
@@ -385,7 +377,7 @@ impl ConstraintIndex {
     /// as a fresh rebuild would.
     pub fn is_truncated(&self) -> bool {
         match &self.entries {
-            Entries::Global(_) | Entries::Adjacency(_) => false,
+            Entries::Graph(_) => false,
             Entries::ByFirst(by_first) => by_first.capped > 0,
         }
     }
@@ -393,7 +385,7 @@ impl ConstraintIndex {
     /// The target nodes whose enumeration hit the cap, sorted.
     pub(crate) fn capped_targets(&self) -> Vec<NodeId> {
         match &self.entries {
-            Entries::Global(_) | Entries::Adjacency(_) => Vec::new(),
+            Entries::Graph(_) => Vec::new(),
             Entries::ByFirst(by_first) => {
                 let listings = by_first.targets.iter().enumerate();
                 let capped = listings.filter(|(_, listing)| listing.capped);
@@ -414,13 +406,14 @@ impl ConstraintIndex {
     /// stale contribution removed.
     pub fn has_contribution(&self, target: NodeId) -> bool {
         match &self.entries {
-            Entries::Global(all) => all.ids().contains(target),
-            // Listed under its source-labeled neighbours.
-            Entries::Adjacency(Adjacency(graph)) => {
+            // In the bucket, or listed under its source-labeled neighbours.
+            Entries::Graph(GraphHandle(graph)) => {
                 graph.try_label(target) == Some(self.constraint.target())
-                    && !graph
-                        .neighbors_labeled(target, self.constraint.source()[0])
-                        .is_empty()
+                    && self
+                        .constraint
+                        .source()
+                        .iter()
+                        .all(|&source| !graph.neighbors_labeled(target, source).is_empty())
             }
             Entries::ByFirst(by_first) => by_first
                 .listing(target)
@@ -428,11 +421,12 @@ impl ConstraintIndex {
         }
     }
 
-    /// Number of distinct keys indexed.
+    /// Number of distinct keys indexed: a global index's one key, the empty
+    /// set, always exists.
     pub fn key_count(&self) -> usize {
         match &self.entries {
-            Entries::Global(_) => 1,
-            Entries::Adjacency(_) => self.lengths.values().sum(),
+            Entries::Graph(_) if self.constraint.is_global() => 1,
+            Entries::Graph(_) => self.lengths.values().sum(),
             Entries::ByFirst(by_first) => by_first.len,
         }
     }
@@ -445,49 +439,41 @@ impl ConstraintIndex {
     }
 
     /// Iterates over `(key, answers)` pairs in increasing key order. A
-    /// global or unary index stores no key, so its keys are made (inline)
-    /// on the way out; a unary index's keys are its source-labeled nodes
-    /// with at least one answer.
-    pub fn entries(&self) -> impl Iterator<Item = (Row, Neighbors<'_>)> {
-        let entries: Box<dyn Iterator<Item = (Row, Neighbors<'_>)>> = match &self.entries {
-            Entries::Global(all) => Box::new(std::iter::once((Row::default(), all.ids().into()))),
-            Entries::Adjacency(Adjacency(graph)) => {
-                let entries = unary_entries(graph, &self.constraint);
-                Box::new(entries.map(|(o, answers)| (Row::from(&[o][..]), answers)))
-            }
+    /// global index's one key is empty; a unary index's keys are its
+    /// source-labeled nodes with at least one answer, each borrowed from
+    /// the graph's label bucket.
+    pub fn entries(&self) -> impl Iterator<Item = (&[NodeId], Neighbors<'_>)> {
+        let entries: Box<dyn Iterator<Item = _>> = match &self.entries {
+            Entries::Graph(GraphHandle(graph)) => graph_entries(graph, &self.constraint),
             Entries::ByFirst(by_first) => {
                 let keys = by_first.keys.iter().flatten();
-                Box::new(keys.map(|(key, answers)| (key.clone(), answers.ids().into())))
+                Box::new(keys.map(|(key, answers)| (&key[..], Neighbors::from(&answers[..]))))
             }
         };
         entries
     }
 
-    /// Bytes this index's storage holds: its pages and the vectors they
-    /// point to, and the buffers of long rows (one per row that points to
-    /// it) — counted from the storage's shape, not measured. Shared storage
-    /// counts in full. A unary index holds none: its answers are the
-    /// graph's rows.
+    /// Bytes this index's storage holds: its pages, the vectors they point
+    /// to, and each id list with its reference counts, a key's once however
+    /// many listings share it — counted from the storage's shape, not
+    /// measured. Shared storage counts in full. A global or unary index
+    /// holds none: its answers are the graph's buckets and rows.
     pub fn storage_bytes(&self) -> usize {
-        let row = std::mem::size_of::<Row>();
-        match &self.entries {
-            Entries::Global(all) => row + all.heap_bytes(),
-            Entries::Adjacency(_) => 0,
-            Entries::ByFirst(by_first) => {
-                let slots = by_first.keys.iter().map(|slot| {
-                    let long = slot.iter().map(|(k, a)| k.heap_bytes() + a.heap_bytes());
-                    slot.capacity() * 2 * row + long.sum::<usize>()
-                });
-                let listings = by_first.targets.iter().map(|listing| {
-                    let long = listing.keys.iter().map(Row::heap_bytes);
-                    listing.keys.capacity() * row + long.sum::<usize>()
-                });
-                by_first.keys.storage_bytes()
-                    + slots.sum::<usize>()
-                    + by_first.targets.storage_bytes()
-                    + listings.sum::<usize>()
-            }
-        }
+        let Entries::ByFirst(by_first) = &self.entries else {
+            return 0;
+        };
+        let list = |ids: &List| 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&ids[..]);
+        let slots = by_first.keys.iter().map(|slot| {
+            let lists = slot.iter().map(|(key, answers)| list(key) + list(answers));
+            slot.capacity() * std::mem::size_of::<(List, List)>() + lists.sum::<usize>()
+        });
+        let listings = by_first.targets.iter();
+        let listings =
+            listings.map(|listing| listing.keys.capacity() * std::mem::size_of::<List>());
+        by_first.keys.storage_bytes()
+            + slots.sum::<usize>()
+            + by_first.targets.storage_bytes()
+            + listings.sum::<usize>()
     }
 
     /// Number of copy-on-write pages the index's storage is spread over.
@@ -500,7 +486,7 @@ impl ConstraintIndex {
     /// one.
     fn arrays(&self) -> Vec<(SpineShape, u64, u64)> {
         match &self.entries {
-            Entries::Global(_) | Entries::Adjacency(_) => Vec::new(),
+            Entries::Graph(_) => Vec::new(),
             Entries::ByFirst(by_first) => {
                 vec![array_stats(&by_first.keys), array_stats(&by_first.targets)]
             }
@@ -517,9 +503,8 @@ impl ConstraintIndex {
     /// Pages copied because a write found them still shared with another
     /// clone of this index. The count is inherited by clones, so the copy
     /// work of one maintenance call is the difference across it. A global
-    /// index keeps no pages: an edit of its one answer list copies the list
-    /// when a clone shares it, and counts nothing here. A unary index keeps
-    /// none either; the graph counts the pages its commit copies.
+    /// or unary index keeps no pages; the graph counts the pages and chunks
+    /// its commit copies.
     pub fn shards_copied(&self) -> u64 {
         self.arrays().iter().map(|&(_, pages, _)| pages).sum()
     }
@@ -528,13 +513,6 @@ impl ConstraintIndex {
     /// [`ConstraintIndex::shards_copied`].
     pub fn groups_copied(&self) -> u64 {
         self.arrays().iter().map(|&(_, _, groups)| groups).sum()
-    }
-
-    fn canonical_key(vs: &[NodeId]) -> Vec<NodeId> {
-        let mut key = vs.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        key
     }
 
     /// Records that one answer list changed length.
@@ -551,108 +529,102 @@ impl ConstraintIndex {
         }
     }
 
-    /// Lists `target` under `key` (strictly increasing) of a global or
-    /// `|S| ≥ 2` index; returns whether the entry is new. An entry already
-    /// there copies nothing.
-    fn list_insert(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        if self.common_neighbors(key).lists()[0].contains(target) {
-            return false;
-        }
-        let answers = match &mut self.entries {
-            Entries::Global(all) => all,
-            Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
-            Entries::ByFirst(by_first) => by_first.answers_mut(key),
-        };
-        answers.insert(target);
-        let len = answers.len();
-        self.note_length(len - 1, len);
-        true
-    }
-
-    /// Unlists `target` from `key` (strictly increasing) of a global or
-    /// `|S| ≥ 2` index, dropping a key left without answers (the global key
-    /// stays); returns whether the entry existed.
-    fn list_remove(&mut self, key: &[NodeId], target: NodeId) -> bool {
-        if !self.common_neighbors(key).lists()[0].contains(target) {
-            return false;
-        }
-        let len = match &mut self.entries {
-            Entries::Global(all) => {
-                all.remove(target);
-                all.len()
-            }
-            Entries::Adjacency(_) => unreachable!("a unary index lists nothing"),
-            Entries::ByFirst(by_first) => {
-                let answers = by_first.answers_mut(key);
-                answers.remove(target);
-                let len = answers.len();
-                if len == 0 {
-                    by_first.remove_key(key);
-                }
-                len
-            }
-        };
-        self.note_length(len + 1, len);
-        true
-    }
-
-    /// Brings the contribution of `target` to a global or `|S| ≥ 2` index —
-    /// every entry listing it — to what a fresh build over `graph` would
-    /// hold, under the index's own combination cap. Deleted nodes end with
-    /// no contribution: a tombstoned slot's label matches no constraint
-    /// target.
-    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId) {
-        let is_target = graph.try_label(target) == Some(self.constraint.target());
+    /// The entries of an `|S| ≥ 2` index, to edit.
+    fn by_first(&mut self) -> &mut ByFirst {
         match &mut self.entries {
-            Entries::Global(_) if is_target => {
-                self.list_insert(&[], target);
-            }
-            Entries::Global(_) => {
-                self.list_remove(&[], target);
-            }
-            Entries::Adjacency(_) => unreachable!("a unary index is re-read, not refreshed"),
-            Entries::ByFirst(by_first) => {
-                for key in by_first.unlist(target) {
-                    self.list_remove(&key.ids().to_vec(), target);
-                }
-                if is_target {
-                    self.add_combinations(graph, target);
-                }
-            }
+            Entries::ByFirst(by_first) => by_first,
+            Entries::Graph(_) => unreachable!("{} is answered by the graph", self.constraint),
         }
     }
 
-    /// Moves a unary index to `graph`, the version after a batch of deltas
-    /// that touched the nodes `touched` (sorted, each once): the answer
-    /// list of every touched node carrying the source label, before or
-    /// after, is measured on both versions and its length histogram
-    /// updated. Untouched nodes keep their lists, so nothing else is read.
-    /// Returns the number of lists measured.
-    pub(crate) fn reread_sources(&mut self, graph: &Arc<Graph>, touched: &[NodeId]) -> usize {
-        let (source, target) = (self.constraint.source()[0], self.constraint.target());
-        let Entries::Adjacency(Adjacency(held)) = &mut self.entries else {
-            unreachable!("{} is not unary", self.constraint)
+    /// Brings the contribution of `target` to an `|S| ≥ 2` index — every
+    /// entry listing it — to what a fresh build over `graph` would hold,
+    /// under the index's own combination cap: its keys are enumerated again
+    /// and compared with the keys it is listed under, and only the entries
+    /// it joined or left are edited. Deleted nodes end with no
+    /// contribution: a tombstoned slot's label matches no constraint target.
+    pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId) {
+        let mut listed = self.by_first().unlist(target);
+        let (mut keys, capped) = self.combinations(graph, target);
+        listed.sort_unstable();
+        keys.sort_unstable();
+        for key in &listed {
+            if keys.binary_search_by(|k| k[..].cmp(key)).is_err() {
+                if let Some(left) = self.by_first().remove(key, target) {
+                    self.note_length(left + 1, left);
+                }
+            }
+        }
+        let mut lists = Vec::with_capacity(keys.len());
+        for key in keys {
+            match listed.binary_search_by(|k| k[..].cmp(&key)) {
+                Ok(i) => lists.push(Arc::clone(&listed[i])),
+                Err(_) => {
+                    if let Some((list, len)) = self.by_first().insert(&key, target) {
+                        self.note_length(len - 1, len);
+                        lists.push(list);
+                    }
+                }
+            }
+        }
+        if capped || !lists.is_empty() {
+            let by_first = self.by_first();
+            by_first.capped += usize::from(capped);
+            let listing = Listing {
+                keys: lists,
+                capped,
+            };
+            *by_first.targets.make_mut(target.index()) = listing;
+        }
+    }
+
+    /// Moves a global or unary index to `graph`, the version after a batch
+    /// of deltas that touched the nodes `touched` (sorted, each once), and
+    /// updates its length histogram. A global index's one list is its
+    /// bucket, whose length is read on both versions. A unary index
+    /// measures, on both versions, the answer list of every touched node
+    /// carrying the source label before or after; untouched nodes keep
+    /// their lists, so nothing else is read. Returns the number of touched
+    /// nodes carrying the keyed label — the source label of a unary index,
+    /// the target label of a global one — before or after.
+    pub(crate) fn move_to(&mut self, graph: &Arc<Graph>, touched: &[NodeId]) -> usize {
+        let target = self.constraint.target();
+        let Entries::Graph(GraphHandle(held)) = &mut self.entries else {
+            unreachable!("{} has no graph", self.constraint)
         };
         let old = std::mem::replace(held, Arc::clone(graph));
+        let source = self.constraint.source().first().copied();
+        let keyed = source.unwrap_or(target);
+        let carries = |g: &Graph, o: NodeId| g.try_label(o) == Some(keyed);
+        let moved = touched
+            .iter()
+            .filter(|&&o| carries(&old, o) || carries(graph, o));
         let mut measured = 0;
-        for &o in touched {
-            if old.try_label(o) != Some(source) && graph.try_label(o) != Some(source) {
-                continue;
-            }
+        for &o in moved {
             measured += 1;
-            let from = unary_len(&old, source, target, o);
-            let to = unary_len(graph, source, target, o);
-            if from != to {
-                self.note_length(from, to);
+            if let Some(source) = source {
+                let from = unary_len(&old, source, target, o);
+                let to = unary_len(graph, source, target, o);
+                if from != to {
+                    self.note_length(from, to);
+                }
             }
+        }
+        let (from, to) = (old.label_count(target), graph.label_count(target));
+        if source.is_none() && from != to {
+            self.note_length(from, to);
         }
         measured
     }
 
-    /// Adds the contribution of `target` (a node labeled `l`, listed under
-    /// no key) to an index with `|S| ≥ 2` by enumerating every `S`-labeled
-    /// combination of its neighbors in `graph`, up to the cap.
-    fn add_combinations(&mut self, graph: &Graph, target: NodeId) {
+    /// The keys of `target` in an `|S| ≥ 2` index over `graph`, each sorted:
+    /// every `S`-labeled combination of its neighbors, up to the cap, and
+    /// whether the cap cut them short. None when `target` does not carry
+    /// the target label.
+    fn combinations(&self, graph: &Graph, target: NodeId) -> (Vec<Vec<NodeId>>, bool) {
+        if graph.try_label(target) != Some(self.constraint.target()) {
+            return (Vec::new(), false);
+        }
         // The target's neighbors carrying each source label of the
         // constraint: one run of its label-grouped neighbors each.
         let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
@@ -662,7 +634,7 @@ impl ConstraintIndex {
             }
         }
         if per_label.iter().any(Vec::is_empty) {
-            return; // `target` has no S-labeled neighbor set.
+            return (Vec::new(), false); // `target` has no S-labeled neighbor set.
         }
         let mut capped = false;
         let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
@@ -689,79 +661,89 @@ impl ConstraintIndex {
                 break;
             }
         }
-        let mut keys = Vec::with_capacity(combos.len());
         for key in &mut combos {
             key.sort_unstable();
-            if self.list_insert(key, target) {
-                keys.push(Row::from(&key[..]));
-            }
         }
-        let Entries::ByFirst(by_first) = &mut self.entries else {
-            unreachable!("{} is not |S| ≥ 2", self.constraint)
-        };
-        if capped || !keys.is_empty() {
-            by_first.capped += usize::from(capped);
-            *by_first.targets.make_mut(target.index()) = Listing { keys, capped };
-        }
+        (combos, capped)
     }
 }
 
-/// The entries of the unary index of `constraint` over `graph`, by key:
-/// every source-labelled node with at least one answer, ascending, and its
-/// answers.
-fn unary_entries<'g>(
+/// The entries of the global or unary index of `constraint` over `graph`,
+/// by key: a global index's one key, the empty set, with its label bucket,
+/// or every source-labelled node with at least one answer, ascending, and
+/// its answers.
+fn graph_entries<'g>(
     graph: &'g Graph,
     constraint: &AccessConstraint,
-) -> impl Iterator<Item = (NodeId, Neighbors<'g>)> + 'g {
+) -> Box<dyn Iterator<Item = (&'g [NodeId], Neighbors<'g>)> + 'g> {
     let target = constraint.target();
-    let sources = graph.nodes_with_label(constraint.source()[0]);
-    sources.into_iter().filter_map(move |&o| {
-        let answers = graph.neighbors_labeled(o, target);
-        (!answers.is_empty()).then_some((o, answers))
-    })
+    match *constraint.source() {
+        [] => Box::new(std::iter::once((
+            &[][..],
+            graph.nodes_with_label(target).into(),
+        ))),
+        [source] => {
+            let sources = graph.nodes_with_label(source).into_iter();
+            Box::new(sources.filter_map(move |o| {
+                let answers = graph.neighbors_labeled(*o, target);
+                (!answers.is_empty()).then_some((std::slice::from_ref(o), answers))
+            }))
+        }
+        _ => unreachable!("{constraint} is not answered by the graph"),
+    }
 }
 
-/// Checks the entries a snapshot persisted for a unary index against the
-/// rows of the graph it answers from, one entry at a time as they are read
-/// (snapshot load): nothing of them is kept but the histogram of their
-/// lengths. The verdict waits for [`UnaryCheck::finish`], so that the
-/// section's own checks of every entry come first, as they did when the
-/// entries were read whole before they were compared.
-pub(crate) struct UnaryCheck<'g> {
-    expected: Box<dyn Iterator<Item = (NodeId, Neighbors<'g>)> + 'g>,
+/// Checks the entries a snapshot persisted for a global or unary index
+/// against the index's own entries, read off the graph it answers from,
+/// one entry at a time as they are read (snapshot load): nothing of them is
+/// kept but the histogram of their lengths. The verdict waits for
+/// [`GraphCheck::finish`], so that the section's own checks of every entry
+/// come first, as they did when the entries were read whole before they
+/// were compared.
+pub(crate) struct GraphCheck<'g> {
+    expected: Box<dyn Iterator<Item = (&'g [NodeId], Neighbors<'g>)> + 'g>,
     histogram: Vec<usize>,
-    /// Where the persisted entries first parted from the rows.
+    /// Where the persisted entries first parted from the graph's.
     parted: Option<String>,
 }
 
-impl<'g> UnaryCheck<'g> {
-    /// A check of the unary `constraint`'s entries against `graph`.
+/// A key in a refusal: a unary key's one node, or the global empty key.
+fn key_name(key: &[NodeId]) -> String {
+    match key {
+        [o] => format!("node {o}"),
+        _ => format!("key {key:?}"),
+    }
+}
+
+impl<'g> GraphCheck<'g> {
+    /// A check of the global or unary `constraint`'s entries against
+    /// `graph`.
     pub(crate) fn new(graph: &'g Graph, constraint: &AccessConstraint) -> Self {
-        UnaryCheck {
-            expected: Box::new(unary_entries(graph, constraint)),
+        GraphCheck {
+            expected: graph_entries(graph, constraint),
             histogram: vec![0],
             parted: None,
         }
     }
 
-    /// The next persisted entry, key `o` with sorted `answers`.
-    pub(crate) fn entry(&mut self, o: NodeId, answers: &[NodeId]) {
+    /// The next persisted entry, `key` with sorted `answers`.
+    pub(crate) fn entry(&mut self, key: &[NodeId], answers: &[NodeId]) {
         count_length(&mut self.histogram, answers.len());
         if self.parted.is_some() {
             return;
         }
         self.parted = match self.expected.next() {
-            None => Some(format!("node {o} has no such entry")),
-            Some((key, expected)) if key != o || !expected.iter().eq(answers.iter().copied()) => {
-                Some(format!("the entries part at node {}", o.min(key)))
+            None => Some(format!("{} has no such entry", key_name(key))),
+            Some((at, expected)) if at != key || !expected.iter().eq(answers.iter().copied()) => {
+                Some(format!("the entries part at {}", key_name(at.min(key))))
             }
             Some(_) => None,
         };
     }
 
     /// The index answering from `graph` once every persisted entry was
-    /// read, or an `Err` naming the first node where the entries and the
-    /// rows part.
+    /// read, or an `Err` naming the first key where the persisted entries
+    /// and the graph's part.
     pub(crate) fn finish(
         mut self,
         graph: &Arc<Graph>,
@@ -771,10 +753,10 @@ impl<'g> UnaryCheck<'g> {
         if let Some(at) = self.parted {
             return Err(at);
         }
-        if let Some((o, _)) = self.expected.next() {
-            return Err(format!("the entry of node {o} is missing"));
+        if let Some((key, _)) = self.expected.next() {
+            return Err(format!("the entry of {} is missing", key_name(key)));
         }
-        let entries = Entries::Adjacency(Adjacency(Arc::clone(graph)));
+        let entries = Entries::Graph(GraphHandle(Arc::clone(graph)));
         let mut index = ConstraintIndex::with_entries(constraint, cap, entries);
         index.lengths = lengths(self.histogram);
         Ok(index)
@@ -814,17 +796,18 @@ impl AccessIndexSet {
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
     ///
-    /// The unary indices share one handle on `graph`, and take their
-    /// answer-length histograms from the one statistics pass of this graph
-    /// version, which schema discovery has usually made already.
+    /// The global and unary indices share one handle on `graph`; the unary
+    /// ones take their answer-length histograms from the one statistics
+    /// pass of this graph version, which schema discovery has usually made
+    /// already.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
         let mut shared: Option<Arc<Graph>> = None;
         let indices = schema
             .iter()
             .map(|constraint| match constraint.source_len() {
-                1 => {
+                0 | 1 => {
                     let graph = shared.get_or_insert_with(|| Arc::new(graph.clone()));
-                    ConstraintIndex::unary(Arc::clone(graph), constraint.clone(), cap)
+                    ConstraintIndex::on_graph(Arc::clone(graph), constraint.clone(), cap)
                 }
                 _ => ConstraintIndex::build_with_cap(graph, constraint.clone(), cap),
             });
@@ -970,7 +953,8 @@ mod tests {
     fn global_index_lists_all_labeled_nodes() {
         let (g, year_l, ..) = imdb_toy();
         let idx = ConstraintIndex::build(&g, AccessConstraint::global(year_l, 135));
-        assert_eq!(idx.global_nodes().len(), 2);
+        assert_eq!(idx.common_neighbors(&[]).len(), 2);
+        assert_eq!(idx.storage_bytes(), 0);
         assert_eq!(idx.max_cardinality(), 2);
         assert!(idx.within_bound());
         assert_eq!(idx.key_count(), 1);
@@ -1098,11 +1082,11 @@ mod tests {
     }
 
     /// Maintenance replayed on every target-labeled node of an empty index:
-    /// the oracle a bulk build must equal. A unary index has no entries to
-    /// replay (its answers are the graph's rows): its oracle is its build,
-    /// one constraint alone.
+    /// the oracle a bulk build must equal. A global or unary index has no
+    /// entries to replay (its answers are the graph's bucket and rows): its
+    /// oracle is its build, one constraint alone.
     fn replayed(graph: &Graph, constraint: AccessConstraint, cap: usize) -> ConstraintIndex {
-        if constraint.source_len() == 1 {
+        if constraint.source_len() <= 1 {
             return ConstraintIndex::build_with_cap(graph, constraint, cap);
         }
         let target = constraint.target();
@@ -1174,11 +1158,10 @@ mod tests {
         g
     }
 
-    /// Bulk-built global and unary indices equal the maintenance replay (a
-    /// unary index's is its build alone), and stay equal through one batch
-    /// of maintenance — built alone and built as a set, where the unary
-    /// constraints (four targets per source, one of them at two bounds)
-    /// share one graph handle.
+    /// Global and unary indices built alone equal those built as a set,
+    /// where they share one graph handle (four unary targets per source,
+    /// one of them at two bounds), and stay equal to their replay — a
+    /// build alone on the new graph — through one batch of maintenance.
     #[test]
     fn bulk_build_equals_maintenance_replay() {
         use crate::maintenance::{apply_deltas, GraphDelta};
@@ -1229,19 +1212,19 @@ mod tests {
             deltas.push(GraphDelta::DeleteNode(doomed));
 
             for cap in [usize::MAX, 2, 1] {
-                let build = |make: fn(&Graph, AccessConstraint, usize) -> ConstraintIndex| {
-                    let indices = constraints.iter().map(|c| make(&graph, c.clone(), cap));
+                let build = |g: &Graph| {
+                    let indices = constraints.iter().map(|c| replayed(g, c.clone(), cap));
                     AccessIndexSet::from_indices(schema.clone(), indices.collect())
                 };
-                let mut alone = build(ConstraintIndex::build_with_cap);
+                let mut alone = build(&graph);
                 let mut shared = AccessIndexSet::build_with_cap(&graph, &schema, cap);
-                let mut replay = build(replayed);
                 for (step, g) in [("build", &graph), ("maintained", &next)] {
                     if step == "maintained" {
-                        for set in [&mut alone, &mut shared, &mut replay] {
+                        for set in [&mut alone, &mut shared] {
                             apply_deltas(set, g, &deltas);
                         }
                     }
+                    let replay = build(g);
                     for (bulk, how) in [(&alone, "alone"), (&shared, "shared")] {
                         for ((id, a), (_, b)) in bulk.iter().zip(replay.iter()) {
                             let c = a.constraint();
@@ -1253,7 +1236,6 @@ mod tests {
             }
         }
     }
-
     /// A graph whose labels come in runs: a long run fills whole pages, so
     /// an index keyed by another label has blank pages there, and labels
     /// alternate where short runs meet. The lowest ids are hubs.
@@ -1396,7 +1378,7 @@ mod tests {
                         let decoded = loaded.indices.get(id).unwrap();
                         assert_same_index(decoded, fresh, &g, &format!("decoded, {ctx}"));
                         if let Entries::ByFirst(by_first) = &fresh.entries {
-                            let slot = std::mem::size_of::<Vec<(Row, Row)>>();
+                            let slot = std::mem::size_of::<Vec<(List, List)>>();
                             let dense = by_first.keys.pages().len() * slot * bgpq_graph::PAGE_SIZE;
                             blank_pages_seen += usize::from(by_first.keys.storage_bytes() < dense);
                         }

@@ -5,30 +5,29 @@
 //! inspect `ΔG ∪ Nb(ΔG)` — the changed nodes/edges and their neighbors —
 //! regardless of how big `G` is.
 //!
-//! A **unary** constraint's answers are segments of the graph's own
-//! adjacency rows, so the graph's mutation already maintained them. What
-//! [`apply_deltas`] keeps for it is the histogram of answer-list lengths
-//! behind `max_cardinality`: it moves the index to the new graph and
-//! measures, on the old version and the new, the answer list of each node
-//! of `ΔG` carrying the source label — two segment lookups per node and
-//! version, nothing else read, so a hub is never rescanned.
+//! A **global** or **unary** constraint's answers are the graph's own label
+//! bucket or segments of its adjacency rows, so the graph's mutation
+//! already maintained them. What [`apply_deltas`] keeps for such an index
+//! is the histogram of answer-list lengths behind `max_cardinality`: it
+//! moves the index to the new graph and reads, on the old version and the
+//! new, the length of the global key's bucket, or the answer list of each
+//! node of `ΔG` carrying the unary source label — two segment lookups per
+//! node and version, nothing else read, so a hub is never rescanned.
 //!
-//! The other constraints store, for `S → (l, N)`, the contribution of every
-//! `l`-labeled node `u`: the set of `S`-labeled neighbor combinations of `u`
-//! (the empty set for a global constraint). That contribution depends only
-//! on `u`'s neighborhood, so an edge insertion or deletion `(a, b)` can only
-//! change the contributions of `a` and `b` (when they carry the target
-//! label), and a node insertion only adds a (possibly empty) contribution
-//! for the new node. [`apply_deltas`] recomputes exactly those contributions
-//! against the *new* graph.
+//! An `|S| ≥ 2` constraint stores, for `S → (l, N)`, the contribution of
+//! every `l`-labeled node `u`: the set of `S`-labeled neighbor combinations
+//! of `u`. That contribution depends only on `u`'s neighborhood, so an edge
+//! insertion or deletion `(a, b)` can only change the contributions of `a`
+//! and `b` (when they carry the target label), and a node insertion only
+//! adds a (possibly empty) contribution for the new node. [`apply_deltas`]
+//! recomputes exactly those contributions against the *new* graph.
 //!
 //! Index storage is copy-on-write: a maintenance call on a cloned
-//! [`AccessIndexSet`] un-shares only the constraints it changes and, inside
-//! them, the pages its node ids fall in — an `|S| ≥ 2` key's smallest id, a
-//! target's own id — or a global index's one answer list. A unary index is
-//! un-shared on every call, to take the new graph; it owns no pages. The
-//! new nodes of a batch have consecutive ids, so their entries share a
-//! page.
+//! [`AccessIndexSet`] un-shares only the `|S| ≥ 2` constraints it changes
+//! and, inside them, the pages its node ids fall in — a key's smallest id,
+//! a target's own id. A global or unary index is un-shared on every call,
+//! to take the new graph; it owns no pages. The new nodes of a batch have
+//! consecutive ids, so their entries share a page.
 
 use crate::index::AccessIndexSet;
 use bgpq_graph::{Graph, NodeId};
@@ -119,10 +118,11 @@ pub struct MaintenanceStats {
     /// Distinct nodes in `ΔG` (after deduplicating the batch).
     pub touched_nodes: usize,
     /// `(constraint, node)` contributions repaired: per touched node, one
-    /// per global or `|S| ≥ 2` constraint whose target label the node
-    /// carries or that still lists the node, and one per unary constraint
-    /// whose source label it carries (or carried), whose answer list is
-    /// re-measured.
+    /// per `|S| ≥ 2` constraint whose target label the node carries or
+    /// that still lists the node, one per global constraint whose target
+    /// label it carries (or carried), its bucket membership, and one per
+    /// unary constraint whose source label it carries (or carried), whose
+    /// answer list is re-measured.
     pub refreshed_contributions: usize,
 }
 
@@ -140,8 +140,8 @@ pub fn apply_delta(
 /// Applies a batch of deltas at once; the contribution of each affected node
 /// is repaired a single time per index.
 ///
-/// A unary index moves to `new_graph` and re-measures the answer lists of
-/// the touched nodes (see the module docs). In any other index a node is
+/// A global or unary index moves to `new_graph` and re-reads its lengths
+/// (see the module docs). In an `|S| ≥ 2` index a node is
 /// repaired when it currently carries the target label **or** when it
 /// previously contributed — the latter covers deleted nodes, whose stale
 /// contributions must be removed even though a tombstone's label matches no
@@ -149,9 +149,10 @@ pub fn apply_delta(
 /// and run under the combination cap each index was built with, so a
 /// maintained index stays equivalent to a fresh rebuild even at the cap.
 ///
-/// The unary indices answer from `new_graph` itself, so they take a clone of
-/// it behind one new `Arc`; a caller that holds the new graph behind an
-/// `Arc` already shares that one through [`apply_deltas_shared`].
+/// The global and unary indices answer from `new_graph` itself, so they
+/// take a clone of it behind one new `Arc`; a caller that holds the new
+/// graph behind an `Arc` already shares that one through
+/// [`apply_deltas_shared`].
 pub fn apply_deltas(
     indices: &mut AccessIndexSet,
     new_graph: &Graph,
@@ -160,8 +161,8 @@ pub fn apply_deltas(
     maintain(indices, new_graph, || Arc::new(new_graph.clone()), deltas)
 }
 
-/// [`apply_deltas`] with `new_graph` already behind an `Arc`: every unary
-/// index takes that handle, and nothing of the graph is cloned.
+/// [`apply_deltas`] with `new_graph` already behind an `Arc`: every global
+/// and unary index takes that handle, and nothing of the graph is cloned.
 pub fn apply_deltas_shared(
     indices: &mut AccessIndexSet,
     new_graph: &Arc<Graph>,
@@ -171,7 +172,7 @@ pub fn apply_deltas_shared(
 }
 
 /// The body of [`apply_deltas`]; `share` hands out the handle on
-/// `new_graph` the unary indices take, asked for at most once.
+/// `new_graph` the global and unary indices take, asked for at most once.
 fn maintain(
     indices: &mut AccessIndexSet,
     new_graph: &Graph,
@@ -186,13 +187,13 @@ fn maintain(
         touched_nodes: touched.len(),
         refreshed_contributions: 0,
     };
-    // The new graph, one handle shared by every unary index.
+    // The new graph, one handle shared by every global and unary index.
     let mut shared_graph: Option<Arc<Graph>> = None;
     for shared in &mut indices.indices {
-        if shared.constraint().source_len() == 1 {
+        if shared.constraint().source_len() <= 1 {
             let graph = shared_graph.get_or_insert_with(&share);
             let index = Arc::make_mut(shared);
-            stats.refreshed_contributions += index.reread_sources(graph, &touched);
+            stats.refreshed_contributions += index.move_to(graph, &touched);
             continue;
         }
         let target_label = shared.constraint().target();
@@ -293,7 +294,7 @@ mod tests {
             assert_eq!(kept.size(), fresh.size(), "size mismatch for {id}");
             for (key, answers) in fresh.entries() {
                 assert_eq!(
-                    kept.common_neighbors(&key.ids().to_vec()),
+                    kept.common_neighbors(key),
                     answers,
                     "answers mismatch for {id} key {key:?}"
                 );
@@ -385,7 +386,7 @@ mod tests {
         assert_equivalent_to_rebuild(&indices, &new);
         // The global movie index must now list 3 movies.
         let global = indices.get(ConstraintId(2)).unwrap();
-        assert_eq!(global.global_nodes().len(), 3);
+        assert_eq!(global.common_neighbors(&[]).len(), 3);
     }
 
     #[test]
@@ -602,7 +603,7 @@ mod tests {
         assert!(stats.refreshed_contributions > 0);
         assert_equivalent_to_rebuild(&indices, &new);
         let global = indices.get(ConstraintId(2)).unwrap();
-        assert_eq!(global.global_nodes().len(), 1);
+        assert_eq!(global.common_neighbors(&[]).len(), 1);
         assert!(!global.has_contribution(f.nodes[3]));
     }
 
@@ -656,7 +657,7 @@ mod tests {
         assert_eq!(kept.key_count(), fresh.key_count());
         assert_eq!(kept.size(), fresh.size());
         for (key, answers) in fresh.entries() {
-            assert_eq!(kept.common_neighbors(&key.ids().to_vec()), answers);
+            assert_eq!(kept.common_neighbors(key), answers);
         }
         assert_eq!(kept.max_cardinality(), fresh.max_cardinality());
         assert_eq!(kept.is_truncated(), fresh.is_truncated());

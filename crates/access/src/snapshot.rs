@@ -14,29 +14,33 @@
 //!   nodes — enough to reproduce the exact [`ConstraintIndex`] a fresh
 //!   build would produce, including its `is_truncated` verdict.
 //!
-//! A unary index's entries are the graph's own adjacency segments, so its
-//! part of the `Indices` section is **derived, checked and dropped**: the
-//! writer emits the entries the rows give (the bytes of format version 1,
-//! unchanged), and the reader checks the persisted entries against the rows
-//! and keeps nothing of them but their length counts. A file whose unary
-//! entries disagree with its rows — edited, or written by a build whose cap
-//! truncated unary indices (such a file also lists capped targets for them)
-//! — is refused as corrupt, with a message saying to recompile it.
+//! A global or unary index's entries are the graph's own label bucket or
+//! adjacency segments, so its part of the `Indices` section is **derived,
+//! checked and dropped**: the writer emits the entries the graph gives (the
+//! bytes of format version 1, unchanged), and the reader checks the
+//! persisted entries against the index's own and keeps nothing of them but
+//! their length counts. A file whose global or unary entries disagree with
+//! its graph — edited, or written by a build whose cap truncated unary
+//! indices (such a file also lists capped targets for them) — is refused as
+//! corrupt, with a message saying to recompile it.
 //!
 //! Loading re-validates everything against the graph decoded from the same
 //! container (label ids interned, node ids live and carrying the labels the
-//! constraint requires, keys and answers sorted), so a corrupt or
-//! hand-edited snapshot surfaces as a typed [`SnapshotError`] naming the
-//! section instead of a wrong query answer.
+//! constraint requires, keys and answers sorted, every `|S| ≥ 2` answer a
+//! neighbour of each node of its key), so a corrupt or hand-edited snapshot
+//! surfaces as a typed [`SnapshotError`] naming the section instead of a
+//! wrong query answer — with one exception: an `|S| ≥ 2` answer *dropped*
+//! from its list, or a whole entry dropped, leaves a list the graph cannot
+//! contradict without a rebuild, and loads.
 
 use crate::constraint::AccessConstraint;
-use crate::index::{AccessIndexSet, ConstraintIndex, UnaryCheck};
+use crate::index::{AccessIndexSet, ConstraintIndex, GraphCheck};
 use crate::schema::AccessSchema;
 use bgpq_graph::io::snapshot::{
     decode_graph, encode_graph, Section, SectionReader, SectionWriter, SnapshotArchive,
     SnapshotError, SnapshotWriter,
 };
-use bgpq_graph::{Graph, Label, NodeId, Row};
+use bgpq_graph::{Graph, Label, NodeId};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -126,7 +130,9 @@ pub fn decode_schema(
     let payload = archive.require(Section::Schema)?;
     let mut r = SectionReader::new(Section::Schema, &payload);
     let count = r.read_u32()? as usize;
-    let mut constraints = Vec::with_capacity(count.min(1 << 16));
+    // A constraint takes 16 bytes at least: sized by the bytes, not the
+    // claimed count.
+    let mut constraints = Vec::with_capacity(count.min(payload.len() / 16));
     for i in 0..count {
         let source_len = r.read_u32()? as usize;
         let source = r.read_u32_vec(source_len)?;
@@ -160,16 +166,11 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
         // Entries come in increasing key order, so identical indices
         // serialize identically.
         w.put_u32(index.key_count() as u32);
-        let (mut written, mut previous) = (0, None::<Row>);
+        let (mut written, mut previous) = (0, None);
         for (key, answers) in index.entries() {
-            debug_assert!(
-                previous
-                    .as_ref()
-                    .map_or(true, |p| p.ids().iter().lt(key.ids())),
-                "{key:?} out of order"
-            );
+            debug_assert!(previous.map_or(true, |p| p < key), "{key:?} out of order");
             w.put_u32(key.len() as u32);
-            for v in key.ids() {
+            for v in key {
                 w.put_u32(v.0);
             }
             w.put_u32(answers.len() as u32);
@@ -219,9 +220,10 @@ fn read_sorted_ids(
 /// counts that are derivable from the persisted entries. Each index's
 /// entries must come in strictly increasing key order, as
 /// [`write_snapshot`] writes them: a repeated or out-of-order key is
-/// refused as corrupt. A unary index's entries must be exactly those the
-/// graph's rows give, with no capped target; they are then dropped, and a
-/// mismatch is refused as corrupt with a word to recompile the file.
+/// refused as corrupt. A global or unary index's entries must be exactly
+/// those the graph gives, with no capped target; they are then dropped, and
+/// a mismatch is refused as corrupt with a word to recompile the file. An
+/// `|S| ≥ 2` answer must neighbour every node of its key.
 pub fn decode_indices(
     archive: &SnapshotArchive,
     graph: &Graph,
@@ -240,10 +242,11 @@ pub fn decode_indices(
     let mut indices = Vec::with_capacity(count);
     // Every entry's key and then its answers in one flat id list, and one
     // `(start, mid, end)` span per entry; both buffers serve every index.
-    // A unary index's entries are checked against the rows as they are
-    // read and then dropped, so they never fill the buffers.
-    let (mut ids, mut spans) = (Vec::new(), Vec::new());
-    // The graph the unary indices answer from, made for the first index.
+    // A global or unary index's entries are checked against the graph as
+    // they are read and then dropped, so they never fill the buffers.
+    let (mut ids, mut spans, mut previous) = (Vec::new(), Vec::new(), Vec::new());
+    // The graph the global and unary indices answer from, made for the
+    // first index.
     let mut shared: Option<Arc<Graph>> = None;
     for constraint in schema.iter() {
         let cap = r.read_count()?;
@@ -282,10 +285,10 @@ pub fn decode_indices(
             return Err(r.corrupt(format!("{entry_count} keys for the global {constraint}")));
         }
         let shared: &Arc<Graph> = shared.get_or_insert_with(|| Arc::new(graph.clone()));
-        let mut unary = (constraint.source_len() == 1).then(|| UnaryCheck::new(shared, constraint));
+        let mut check = (constraint.source_len() <= 1).then(|| GraphCheck::new(shared, constraint));
         ids.clear();
-        let mut previous = None::<Row>;
-        for _ in 0..entry_count {
+        previous.clear();
+        for entry in 0..entry_count {
             let start = ids.len();
             let key_len = r.read_u32()? as usize;
             if key_len != constraint.source_len() {
@@ -300,10 +303,11 @@ pub fn decode_indices(
                     )));
                 }
             }
-            if previous.is_some_and(|before| before.ids().iter().ge(&ids[start..mid])) {
+            if entry > 0 && previous[..] >= ids[start..mid] {
                 return Err(r.corrupt("index keys are not in strictly increasing order"));
             }
-            previous = Some(Row::from(&ids[start..mid]));
+            previous.clear();
+            previous.extend_from_slice(&ids[start..mid]);
             let ans_len = r.read_u32()? as usize;
             // Only the global index's one key may be empty: maintenance
             // drops any other key whose answers run out.
@@ -319,25 +323,42 @@ pub fn decode_indices(
                     )));
                 }
             }
-            match &mut unary {
+            let (key, answers) = ids[start..].split_at(mid - start);
+            match &mut check {
                 Some(check) => {
-                    check.entry(ids[start], &ids[mid..]);
+                    check.entry(key, answers);
                     ids.clear();
                 }
-                None => spans.push((start, mid, ids.len())),
+                None => {
+                    // A segment lookup per answer and key node.
+                    for &t in answers {
+                        if let Some(v) = key.iter().find(|&&v| !graph.are_neighbors(v, t)) {
+                            return Err(r.corrupt(format!(
+                                "answer node {t} of key {key:?} is not a neighbour of {v}"
+                            )));
+                        }
+                    }
+                    spans.push((start, mid, ids.len()));
+                }
             }
         }
-        let index = match unary {
+        let index = match check {
             None => {
                 ConstraintIndex::from_entries(constraint.clone(), cap, capped, &ids, &mut spans)
             }
             Some(check) => check
                 .finish(shared, constraint.clone(), cap)
                 .map_err(|at| {
+                    let (held, cause) = match constraint.source_len() {
+                        0 => ("label bucket", ""),
+                        _ => (
+                            "adjacency",
+                            ", or its unary index was truncated when it was written",
+                        ),
+                    };
                     r.corrupt(format!(
-                        "the entries of {constraint} disagree with the adjacency ({at}): the \
-                         file was edited, or its unary index was truncated when it was \
-                         written; recompile the snapshot"
+                        "the entries of {constraint} disagree with the {held} ({at}): the \
+                         file was edited{cause}; recompile the snapshot"
                     ))
                 })?,
         };
@@ -350,7 +371,7 @@ pub fn decode_indices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpq_graph::{GraphBuilder, Ids, Value};
+    use bgpq_graph::{GraphBuilder, Value};
 
     fn toy() -> (Graph, AccessSchema) {
         let mut b = GraphBuilder::new();
@@ -365,6 +386,8 @@ mod tests {
             b.add_edge(m, act).unwrap();
             b.add_edge(act, us).unwrap();
         }
+        // A movie of no year: no pair key lists it.
+        b.add_node("movie", Value::Int(3));
         let g = b.build();
         let get = |n: &str| g.interner().get(n).unwrap();
         let schema = AccessSchema::from_constraints([
@@ -399,11 +422,11 @@ mod tests {
     /// `toy`'s snapshot bytes with the entries of index `edited` passed
     /// through `edit` before they are written, and `capped` written as its
     /// capped targets (nothing is capped). Index 0 is global, 1 unary (three
-    /// one-id keys) and 2 a pair index.
+    /// one-id keys) and 2 a pair index (one key, three answers).
     fn with_entries(
         edited: usize,
         capped: &[NodeId],
-        edit: impl Fn(&mut Vec<(Row, Vec<NodeId>)>),
+        edit: impl Fn(&mut Vec<(Vec<NodeId>, Vec<NodeId>)>),
     ) -> Vec<u8> {
         let (g, schema) = toy();
         let indices = AccessIndexSet::build(&g, &schema);
@@ -416,16 +439,13 @@ mod tests {
             capped.iter().for_each(|v| w.put_u32(v.0));
             let entries = index
                 .entries()
-                .map(|(key, answers)| (key, answers.to_vec()));
-            let mut entries: Vec<(Row, Vec<NodeId>)> = entries.collect();
+                .map(|(key, answers)| (key.to_vec(), answers.to_vec()));
+            let mut entries: Vec<(Vec<NodeId>, Vec<NodeId>)> = entries.collect();
             if id.index() == edited {
                 edit(&mut entries);
             }
             w.put_u32(entries.len() as u32);
-            for list in entries
-                .iter()
-                .flat_map(|(key, answers)| [key.ids(), Ids::from(&answers[..])])
-            {
+            for list in entries.iter().flat_map(|(key, answers)| [key, answers]) {
                 w.put_u32(list.len() as u32);
                 list.iter().for_each(|v| w.put_u32(v.0));
             }
@@ -469,8 +489,10 @@ mod tests {
     /// capped target (no unary index truncates), an entry missing and an
     /// answer list that is not the node's segments are refused as corrupt,
     /// the stale ones with a word to recompile. The other kinds are checked
-    /// too: a pair key has answers, a global index caps nothing and has its
-    /// one key, and a capped target of any index carries the target label.
+    /// too: a global index caps nothing and has its one key, whose answers
+    /// are the label's bucket; a pair key has answers, each a neighbour of
+    /// every node of the key; and a capped target of any index carries the
+    /// target label.
     #[test]
     fn malformed_unary_entries_are_refused() {
         let (g, _) = toy();
@@ -479,10 +501,12 @@ mod tests {
                 .first()
                 .unwrap()
         };
+        let movies = g.nodes_with_label(g.interner().get("movie").unwrap());
+        let lone = *movies.last().unwrap();
         let cases = [
             (
                 "an empty key",
-                with_entries(1, &[], |entries| entries[0].0 = Row::default()),
+                with_entries(1, &[], |entries| entries[0].0.clear()),
                 "index key of 0 ids",
             ),
             (
@@ -519,6 +543,19 @@ mod tests {
                 "a global index without its key",
                 with_entries(0, &[], |entries| entries.clear()),
                 "0 keys for the global",
+            ),
+            (
+                "a global entry short of the label bucket",
+                with_entries(0, &[], |entries| {
+                    entries[0].1.pop();
+                }),
+                "disagree with the label bucket (the entries part at key []): the file was \
+                 edited; recompile",
+            ),
+            (
+                "a pair answer that is not a neighbour of its key",
+                with_entries(2, &[], |entries| entries[0].1.push(lone)),
+                "is not a neighbour of",
             ),
             (
                 "a pair key without answers",

@@ -60,15 +60,11 @@ fn assert_identical_to_rebuild(maintained: &AccessIndexSet, graph: &Graph) {
             "max cardinality for {id}"
         );
         for (key, answers) in fresh.entries() {
-            assert_eq!(
-                kept.common_neighbors(&key.ids().to_vec()),
-                answers,
-                "{id} key {key:?}"
-            );
+            assert_eq!(kept.common_neighbors(key), answers, "{id} key {key:?}");
         }
         for (key, answers) in kept.entries() {
             assert_eq!(
-                fresh.common_neighbors(&key.ids().to_vec()),
+                fresh.common_neighbors(key),
                 answers,
                 "stale {id} key {key:?}"
             );

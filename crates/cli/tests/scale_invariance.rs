@@ -68,8 +68,8 @@ struct ScalePoint {
     share_refcounts: usize,
     /// Bytes of graph and index storage per node of the graph as built
     /// (`Graph::storage_bytes` plus `AccessIndexSet::storage_bytes`:
-    /// counted, not measured). The unary indices are the graph's rows, so
-    /// the graph's bytes are theirs too.
+    /// counted, not measured). The global and unary indices are the
+    /// graph's label buckets and rows, so the graph's bytes are theirs too.
     bytes_per_node: f64,
 }
 
@@ -105,6 +105,9 @@ fn measure(scale: usize) -> ScalePoint {
     // Uncapped: a truncated index would make the engine's filtered planner
     // refuse queries the generator certified bounded against the schema.
     let indices = AccessIndexSet::build_with_cap(&graph, &schema, usize::MAX);
+    // A simple schema is global and unary constraints alone, answered by
+    // the graph: it stores nothing beside it.
+    assert_eq!(indices.storage_bytes(), 0, "index bytes (scale {scale})");
     let bytes = graph.storage_bytes() + indices.storage_bytes();
     let bytes_per_node = bytes as f64 / graph.node_count() as f64;
     let edges = graph.edge_count();
@@ -280,9 +283,9 @@ fn fragment_view_and_commit_work_are_scale_invariant_across_a_decade() {
         large.touched_hub_degree
     );
     assert!(small.refreshed > 0.0 && small.pages_copied > 0.0);
-    // The schema is global and unary constraints: a global index keeps no
-    // pages, and a unary one answers from the graph's rows, whose copies
-    // `pages` counts. No index page is copied at either scale.
+    // The schema is global and unary constraints, answered from the
+    // graph's label buckets and rows, whose copies `chunks` and `pages`
+    // count. No index page is copied at either scale.
     assert_eq!(
         (small.shards_copied, large.shards_copied),
         (0.0, 0.0),

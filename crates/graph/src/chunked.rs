@@ -53,6 +53,7 @@ impl Chunked {
     }
 
     /// Number of chunks.
+    #[cfg(test)]
     pub(crate) fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
@@ -166,14 +167,6 @@ impl Chunked {
             }
         }
         low.saturating_sub(1)
-    }
-
-    /// Bytes the chunks hold: each chunk's buffer with its vector header
-    /// and reference counts, and a pointer to it.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        let overhead = std::mem::size_of::<Vec<NodeId>>() + 3 * std::mem::size_of::<usize>();
-        let chunk = |c: &Vec<NodeId>| overhead + c.capacity() * std::mem::size_of::<NodeId>();
-        self.chunks.iter().map(chunk).sum()
     }
 }
 

@@ -25,11 +25,11 @@
 //! * [`Spine`] — the two-level copy-on-write vector all of that sharing
 //!   (and the access indices' in `bgpq-access`) is built on; [`PagedVec`] —
 //!   the per-node array on top of it, under the graph's labels and values
-//!   and the access indices; [`Row`] — the sorted id list the access
-//!   indices store their keys and answer lists in, by value, held in
-//!   chunks of [`CHUNK_TARGET`] ids past one chunk's worth, the same
-//!   chunked list as a label bucket and a hub's row; and [`Ids`] — the
-//!   borrowed handle every row and bucket is read through;
+//!   and the access indices' `|S| ≥ 2` arrays; and [`Ids`] — the borrowed
+//!   handle every row and label bucket is read through, a bucket (and a
+//!   hub's row) held in chunks of [`CHUNK_TARGET`] ids. A label bucket is
+//!   also the whole index of a global access constraint `∅ → (l, N)`, and
+//!   a node's label segments the answers of a unary one;
 //! * [`Subgraph`] — an explicit node + edge set of `G`, materializable into
 //!   a standalone graph: the slow, obviously-correct test oracle that
 //!   [`FragmentView`] and the bounded executors are checked against;
@@ -62,7 +62,6 @@ pub mod label;
 pub mod label_index;
 mod paged;
 pub mod pool;
-pub mod row;
 pub mod spine;
 pub mod stats;
 pub mod subgraph;
@@ -79,7 +78,6 @@ pub use label::{Label, LabelInterner};
 pub use label_index::{LabelIndex, LabelNodes};
 pub use paged::{PagedVec, PAGE_SIZE};
 pub use pool::ArenaPool;
-pub use row::{Row, INLINE_ROW};
 pub use spine::{Spine, SpineShape, SPINE_FANOUT};
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;

@@ -330,7 +330,8 @@ fn scale_point(scale: usize) -> Json {
     let rig = Rig::build(scale);
     let [stream_ms, discover_ms, index_ms] = rig.stages_ms;
     // What the index and the graph storage hold, counted from their shape
-    // (MiB, as RSS is). The unary indices are the graph's rows.
+    // (MiB, as RSS is). The global and unary indices are the graph's label
+    // buckets and rows.
     let mib = |bytes: usize| bytes as f64 / (1u64 << 20) as f64;
     let (index_mb, graph_mb) = (
         mib(rig.indices.storage_bytes()),

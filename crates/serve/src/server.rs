@@ -90,8 +90,8 @@ pub struct CommitReceipt {
     /// ([`Graph::pages_copied`](bgpq_graph::Graph::pages_copied)).
     pub pages_copied: u64,
     /// Index pages this commit copied, for the same reason
-    /// ([`AccessIndexSet::shards_copied`]). A global index's answer list
-    /// is not a page and counts nothing.
+    /// ([`AccessIndexSet::shards_copied`]). Only `|S| ≥ 2` indices keep
+    /// pages: a global or unary index is the graph's label bucket or rows.
     pub shards_copied: u64,
     /// Label-bucket chunks this commit copied, for the same reason
     /// ([`Graph::chunks_copied`](bgpq_graph::Graph::chunks_copied)).
@@ -158,8 +158,9 @@ pub struct ServerStats {
 ///   are structurally shared between snapshots: a commit clones the current
 ///   graph and indices (reference-count bumps, one per group of 64 storage
 ///   pages and per constraint), applies the batch as graph mutations, and
-///   repairs the clone's indices with [`apply_deltas_shared`], the unary
-///   ones taking the new graph's own `Arc` (one graph clone per commit).
+///   repairs the clone's indices with [`apply_deltas_shared`], the global
+///   and unary ones taking the new graph's own `Arc` (one graph clone per
+///   commit).
 ///   Each write copies only the page, short adjacency row, chunk of a hub's
 ///   row or of a label bucket, or index page it lands in
 ///   ([`CommitReceipt::pages_copied`], [`CommitReceipt::row_ids_copied`],
@@ -168,14 +169,16 @@ pub struct ServerStats {
 ///   where appends land; everything else stays shared with the
 ///   snapshots readers still pin, and dropping a superseded snapshot —
 ///   after the pointer swap, outside its lock — frees only what its
-///   successor replaced. A unary or `|S| ≥ 2` index is a pair of arrays
-///   over node ids, so a batch's new nodes, whose ids are consecutive,
-///   write one page of each; index keys and answer lists live inline in
-///   their page ([`bgpq_graph::Row`]), so a page copies and retires as one
-///   flat table. What still follows `|G|`: `|V| / 16 384` reference counts
-///   per per-node array on the clone and again on the retire (184 each at
-///   3.0M nodes), one per 64 pages of each array of a touched index, and a
-///   hub row's top level, one pointer per 64 of its chunks.
+///   successor replaced. A global or unary index is the graph's label
+///   bucket or rows and copies nothing of its own. An `|S| ≥ 2` index is a
+///   pair of arrays over node ids, so a batch's new nodes, whose ids are
+///   consecutive, write one page of each; an entry's key and answers are
+///   two shared id lists, so a page copy bumps their reference counts and
+///   an edit rebuilds the one answer list it changes. What still follows
+///   `|G|`: `|V| / 16 384` reference counts per per-node array on the
+///   clone and again on the retire (184 each at 3.0M nodes), one per 64
+///   pages of each array of a touched index, and a hub row's top level,
+///   one pointer per 64 of its chunks.
 /// * **Caches stay correct across epochs.** All snapshot engines share one
 ///   [`SharedResources`]: one query cache, whose entry per query holds its
 ///   plan and fetched candidate sets, and one pool of scratch arenas. Cache

@@ -234,11 +234,7 @@ fn readers_stay_consistent_while_writer_commits() {
         assert_eq!(kept.key_count(), fresh.key_count(), "key count {id}");
         assert_eq!(kept.size(), fresh.size(), "size {id}");
         for (key, answers) in fresh.entries() {
-            assert_eq!(
-                kept.common_neighbors(&key.ids().to_vec()),
-                answers,
-                "answers {id}"
-            );
+            assert_eq!(kept.common_neighbors(key), answers, "answers {id}");
         }
     }
 }

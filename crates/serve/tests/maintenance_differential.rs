@@ -114,7 +114,7 @@ fn assert_equal_to_rebuild(
         assert_eq!(kept.size(), fresh.size(), "size {id} ({ctx})");
         for (key, answers) in fresh.entries() {
             assert_eq!(
-                kept.common_neighbors(&key.ids().to_vec()),
+                kept.common_neighbors(key),
                 answers,
                 "answers {id} key {key:?} ({ctx})"
             );
@@ -137,7 +137,7 @@ fn assert_equal_to_rebuild(
         // And the other way round: nothing stale survives in the kept index.
         for (key, answers) in kept.entries() {
             assert_eq!(
-                fresh.common_neighbors(&key.ids().to_vec()),
+                fresh.common_neighbors(key),
                 answers,
                 "stale answers {id} key {key:?} ({ctx})"
             );

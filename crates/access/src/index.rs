@@ -21,9 +21,9 @@
 //!   keys it is listed under and whether its enumeration hit the cap.
 //!
 //! A global or unary index holds a handle on the graph version it describes
-//! and the histogram of answer-list lengths, nothing per node, and never
-//! truncates: every commit maintains the graph's buckets and rows, so the
-//! index costs nothing to keep.
+//! and nothing else, and never truncates: every commit maintains the
+//! graph's buckets and rows, so the index costs nothing to keep, and a
+//! snapshot stores nothing of it but its cap.
 //!
 //! The experiments of the paper build these indices as MySQL tables; here
 //! they are in-memory structures with the same asymptotic access contract,
@@ -49,19 +49,23 @@
 //! every target listing it. An edit rebuilds the one answer list it
 //! changes, at most `N` ids under a graph that satisfies the constraint.
 //!
-//! **A global or unary build is a lookup.** A global index's histogram is
-//! its bucket's length; a unary index's is the `answer_lengths` entry of its
-//! label pair in the graph's statistics ([`Graph::stats`]), the one pass
-//! over each node's label-grouped neighbours that schema discovery makes
-//! too; the graph builder's row sort did the rest of the paper's
-//! preprocessing. Snapshot decoding fills the `|S| ≥ 2` arrays from the
-//! entries it reads, which come in key order. Maintenance edits entries one
-//! at a time; `|S| ≥ 2` indices enumerate their combinations per target, in
-//! the build too.
+//! **A global or unary build is a handle.** The graph builder's row sort
+//! did the paper's preprocessing. The figures an index reports about its
+//! entries — `max_cardinality`, `key_count`, `size` — are read when asked:
+//! a global index's from its bucket's length, a unary index's from the
+//! `answer_lengths` entry of its label pair in the graph's statistics
+//! ([`Graph::stats`], one pass per graph version, shared by its clones, the
+//! pass schema discovery makes too), and an `|S| ≥ 2` index's by walking
+//! its keys. Only offline callers ask — discovery, `check_schema`, reports
+//! — so a commit keeps no such figures. Snapshot decoding fills the
+//! `|S| ≥ 2` arrays from the entries it reads, which come in key order.
+//! Maintenance edits entries one at a time; `|S| ≥ 2` indices enumerate
+//! their combinations per target, in the build too.
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::schema::AccessSchema;
 use bgpq_graph::{Graph, Label, Neighbors, NodeId, PagedVec, SpineShape};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -78,9 +82,6 @@ pub const DEFAULT_MAX_COMBINATIONS_PER_NODE: usize = 4096;
 pub struct ConstraintIndex {
     pub(crate) constraint: AccessConstraint,
     entries: Entries,
-    /// Answer-list length → number of keys whose list is that long
-    /// (non-empty lists only); the last entry is the maximum cardinality.
-    lengths: BTreeMap<usize, usize>,
     /// The per-node combination cap this index was built with. Incremental
     /// maintenance reuses it so refreshed contributions are enumerated
     /// exactly like a fresh build's; only `|S| ≥ 2` indices enumerate.
@@ -119,8 +120,6 @@ struct ByFirst {
     keys: PagedVec<Vec<(List, List)>>,
     /// Target node → what removing its contribution needs.
     targets: PagedVec<Listing>,
-    /// Number of keys.
-    len: usize,
     /// Number of targets whose listing is capped.
     capped: usize,
 }
@@ -152,41 +151,38 @@ impl ByFirst {
     }
 
     /// Lists `target` under `key` (strictly increasing), the key inserted
-    /// when it is new. Returns the key's list and the answer count now, or
-    /// `None`, copying nothing, when `target` is listed already.
-    fn insert(&mut self, key: &[NodeId], target: NodeId) -> Option<(List, usize)> {
+    /// when it is new. Returns the key's list, or `None`, copying nothing,
+    /// when `target` is listed already.
+    fn insert(&mut self, key: &[NodeId], target: NodeId) -> Option<List> {
         let at = self.answers(key).binary_search(&target).err()?;
         let slot = self.keys.make_mut(key[0].index());
         let i = slot
             .binary_search_by(|(k, _)| k[..].cmp(key))
             .unwrap_or_else(|i| {
                 slot.insert(i, (List::from(key), List::from([])));
-                self.len += 1;
                 i
             });
         let (key, answers) = &mut slot[i];
         let (before, after) = answers.split_at(at);
         *answers = [before, &[target], after].concat().into();
-        Some((Arc::clone(key), answers.len()))
+        Some(Arc::clone(key))
     }
 
     /// Unlists `target` from `key` (strictly increasing), dropping a key
-    /// left without answers. Returns the answer count left, or `None` when
-    /// `target` was not listed.
-    fn remove(&mut self, key: &[NodeId], target: NodeId) -> Option<usize> {
-        let at = self.answers(key).binary_search(&target).ok()?;
+    /// left without answers; copies nothing when `target` is not listed.
+    fn remove(&mut self, key: &[NodeId], target: NodeId) {
+        let Ok(at) = self.answers(key).binary_search(&target) else {
+            return;
+        };
         let slot = self.keys.make_mut(key[0].index());
         let i = slot.binary_search_by(|(k, _)| k[..].cmp(key));
         let i = i.expect("the key is indexed");
         let answers = &slot[i].1;
-        let left = answers.len() - 1;
-        if left == 0 {
+        if answers.len() == 1 {
             slot.remove(i);
-            self.len -= 1;
         } else {
             slot[i].1 = [&answers[..at], &answers[at + 1..]].concat().into();
         }
-        Some(left)
     }
 
     fn listing(&self, target: NodeId) -> Option<&Listing> {
@@ -213,16 +209,6 @@ fn array_stats<T: Clone + Default>(array: &PagedVec<T>) -> (SpineShape, u64, u64
     (pages.shape(), pages.leaves_copied(), pages.groups_copied())
 }
 
-/// The length of `source`-labeled node `o`'s answer list under a unary
-/// constraint targeting `target`: `0` when `o` is missing, deleted or
-/// carries another label.
-fn unary_len(graph: &Graph, source: Label, target: Label, o: NodeId) -> usize {
-    if graph.try_label(o) != Some(source) {
-        return 0;
-    }
-    graph.neighbors_labeled(o, target).len()
-}
-
 impl ConstraintIndex {
     /// Builds the index for `constraint` over `graph`.
     pub fn build(graph: &Graph, constraint: AccessConstraint) -> Self {
@@ -242,27 +228,11 @@ impl ConstraintIndex {
         index
     }
 
-    /// The global or unary index answering from `graph`, its answer-length
-    /// histogram read off the graph: a global index's one list is its
-    /// bucket, and a unary index's lengths come from the graph's statistics
-    /// ([`Graph::stats`]), so the pass that discovery makes serves the build
-    /// too.
-    fn on_graph(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
-        let target = constraint.target();
-        let lengths = match *constraint.source() {
-            [] => {
-                let all = graph.label_count(target);
-                (all > 0).then_some((all, 1)).into_iter().collect()
-            }
-            [source] => {
-                let stats = graph.stats().answer_lengths.get(&(source, target));
-                stats.cloned().unwrap_or_default()
-            }
-            _ => unreachable!("{constraint} is not answered by the graph"),
-        };
-        let mut index = Self::with_entries(constraint, cap, Entries::Graph(GraphHandle(graph)));
-        index.lengths = lengths;
-        index
+    /// The global or unary index answering from `graph` (the build, and a
+    /// snapshot load).
+    pub(crate) fn on_graph(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
+        debug_assert!(constraint.source_len() <= 1, "{constraint} has no graph");
+        Self::with_entries(constraint, cap, Entries::Graph(GraphHandle(graph)))
     }
 
     /// The `|S| ≥ 2` index holding `spans` — each a key and then its
@@ -270,8 +240,8 @@ impl ConstraintIndex {
     /// `ids[mid..end]`, keys strictly increasing and both lists sorted
     /// strictly — with its per-target bookkeeping derived from them and
     /// `capped` as its capped targets (snapshot load). The spans are
-    /// drained. A global or unary index is loaded through [`GraphCheck`]
-    /// instead.
+    /// drained. A global or unary index loads as
+    /// [`ConstraintIndex::on_graph`] instead.
     pub(crate) fn from_entries(
         constraint: AccessConstraint,
         cap: usize,
@@ -279,16 +249,13 @@ impl ConstraintIndex {
         ids: &[NodeId],
         spans: &mut Vec<(usize, usize, usize)>,
     ) -> Self {
-        let mut histogram = vec![0];
         // Keys come in increasing order, so their first ids never decrease
         // and every slot is written in order.
         let mut by_first = ByFirst {
-            len: spans.len(),
             capped: capped.len(),
             ..ByFirst::default()
         };
         for (start, mid, end) in spans.drain(..) {
-            count_length(&mut histogram, end - mid);
             let key = List::from(&ids[start..mid]);
             for &t in &ids[mid..end] {
                 let listing = by_first.targets.make_mut(t.index());
@@ -300,9 +267,7 @@ impl ConstraintIndex {
         for t in capped {
             by_first.targets.make_mut(t.index()).capped = true;
         }
-        let mut index = Self::with_entries(constraint, cap, Entries::ByFirst(by_first));
-        index.lengths = lengths(histogram);
-        index
+        Self::with_entries(constraint, cap, Entries::ByFirst(by_first))
     }
 
     /// An `|S| ≥ 2` index with no entries.
@@ -315,7 +280,6 @@ impl ConstraintIndex {
         ConstraintIndex {
             constraint,
             entries,
-            lengths: BTreeMap::new(),
             cap,
         }
     }
@@ -358,11 +322,41 @@ impl ConstraintIndex {
         }
     }
 
+    /// Answer-list length → number of keys whose list is that long
+    /// (non-empty lists only), read when asked (see the module docs): a
+    /// global index's one list is its label bucket, a unary index's lengths
+    /// are the graph's statistics, and an `|S| ≥ 2` index walks its keys.
+    fn answer_lengths(&self) -> Cow<'_, BTreeMap<usize, usize>> {
+        let target = self.constraint.target();
+        let graph = match &self.entries {
+            Entries::Graph(GraphHandle(graph)) => graph,
+            Entries::ByFirst(by_first) => {
+                let mut lengths = BTreeMap::new();
+                for (_, answers) in by_first.keys.iter().flatten() {
+                    *lengths.entry(answers.len()).or_insert(0) += 1;
+                }
+                return Cow::Owned(lengths);
+            }
+        };
+        match *self.constraint.source() {
+            [] => {
+                let all = graph.label_count(target);
+                Cow::Owned((all > 0).then_some((all, 1)).into_iter().collect())
+            }
+            [source] => match graph.stats().answer_lengths.get(&(source, target)) {
+                Some(lengths) => Cow::Borrowed(lengths),
+                None => Cow::Owned(BTreeMap::new()),
+            },
+            _ => unreachable!("{} is not answered by the graph", self.constraint),
+        }
+    }
+
     /// The largest answer set across all indexed keys — the graph satisfies
-    /// the cardinality part of the constraint iff this is `≤ N`. Maintained
-    /// incrementally; always equal to a fresh rebuild's.
+    /// the cardinality part of the constraint iff this is `≤ N`. Read when
+    /// called; always equal to a fresh rebuild's.
     pub fn max_cardinality(&self) -> usize {
-        self.lengths.keys().next_back().copied().unwrap_or(0)
+        let lengths = self.answer_lengths();
+        lengths.keys().next_back().copied().unwrap_or(0)
     }
 
     /// True when every indexed key respects the bound `N`.
@@ -424,18 +418,19 @@ impl ConstraintIndex {
     /// Number of distinct keys indexed: a global index's one key, the empty
     /// set, always exists.
     pub fn key_count(&self) -> usize {
-        match &self.entries {
-            Entries::Graph(_) if self.constraint.is_global() => 1,
-            Entries::Graph(_) => self.lengths.values().sum(),
-            Entries::ByFirst(by_first) => by_first.len,
+        match self.constraint.is_global() {
+            true => 1,
+            false => self.answer_lengths().values().sum(),
         }
     }
 
     /// Total number of node ids stored (keys plus answers) — the paper's
     /// `|index|` measure for one constraint. Every key holds `|S|` ids.
     pub fn size(&self) -> usize {
-        let answers: usize = self.lengths.iter().map(|(len, keys)| len * keys).sum();
-        self.key_count() * self.constraint.source_len() + answers
+        let lengths = self.answer_lengths();
+        let keys: usize = lengths.values().sum();
+        let answers: usize = lengths.iter().map(|(len, keys)| len * keys).sum();
+        keys * self.constraint.source_len() + answers
     }
 
     /// Iterates over `(key, answers)` pairs in increasing key order. A
@@ -515,20 +510,6 @@ impl ConstraintIndex {
         self.arrays().iter().map(|&(_, _, groups)| groups).sum()
     }
 
-    /// Records that one answer list changed length.
-    fn note_length(&mut self, from: usize, to: usize) {
-        if from > 0 {
-            let count = self.lengths.get_mut(&from).expect("length was counted");
-            *count -= 1;
-            if *count == 0 {
-                self.lengths.remove(&from);
-            }
-        }
-        if to > 0 {
-            *self.lengths.entry(to).or_insert(0) += 1;
-        }
-    }
-
     /// The entries of an `|S| ≥ 2` index, to edit.
     fn by_first(&mut self) -> &mut ByFirst {
         match &mut self.entries {
@@ -550,21 +531,14 @@ impl ConstraintIndex {
         keys.sort_unstable();
         for key in &listed {
             if keys.binary_search_by(|k| k[..].cmp(key)).is_err() {
-                if let Some(left) = self.by_first().remove(key, target) {
-                    self.note_length(left + 1, left);
-                }
+                self.by_first().remove(key, target);
             }
         }
         let mut lists = Vec::with_capacity(keys.len());
         for key in keys {
             match listed.binary_search_by(|k| k[..].cmp(&key)) {
                 Ok(i) => lists.push(Arc::clone(&listed[i])),
-                Err(_) => {
-                    if let Some((list, len)) = self.by_first().insert(&key, target) {
-                        self.note_length(len - 1, len);
-                        lists.push(list);
-                    }
-                }
+                Err(_) => lists.extend(self.by_first().insert(&key, target)),
             }
         }
         if capped || !lists.is_empty() {
@@ -579,42 +553,22 @@ impl ConstraintIndex {
     }
 
     /// Moves a global or unary index to `graph`, the version after a batch
-    /// of deltas that touched the nodes `touched` (sorted, each once), and
-    /// updates its length histogram. A global index's one list is its
-    /// bucket, whose length is read on both versions. A unary index
-    /// measures, on both versions, the answer list of every touched node
-    /// carrying the source label before or after; untouched nodes keep
-    /// their lists, so nothing else is read. Returns the number of touched
-    /// nodes carrying the keyed label — the source label of a unary index,
-    /// the target label of a global one — before or after.
+    /// of deltas that touched the nodes `touched` (sorted, each once).
+    /// Returns the number of touched nodes carrying the keyed label — the
+    /// source label of a unary index, the target label of a global one —
+    /// before or after: the contributions the move refreshed.
     pub(crate) fn move_to(&mut self, graph: &Arc<Graph>, touched: &[NodeId]) -> usize {
-        let target = self.constraint.target();
         let Entries::Graph(GraphHandle(held)) = &mut self.entries else {
             unreachable!("{} has no graph", self.constraint)
         };
         let old = std::mem::replace(held, Arc::clone(graph));
         let source = self.constraint.source().first().copied();
-        let keyed = source.unwrap_or(target);
+        let keyed = source.unwrap_or(self.constraint.target());
         let carries = |g: &Graph, o: NodeId| g.try_label(o) == Some(keyed);
         let moved = touched
             .iter()
             .filter(|&&o| carries(&old, o) || carries(graph, o));
-        let mut measured = 0;
-        for &o in moved {
-            measured += 1;
-            if let Some(source) = source {
-                let from = unary_len(&old, source, target, o);
-                let to = unary_len(graph, source, target, o);
-                if from != to {
-                    self.note_length(from, to);
-                }
-            }
-        }
-        let (from, to) = (old.label_count(target), graph.label_count(target));
-        if source.is_none() && from != to {
-            self.note_length(from, to);
-        }
-        measured
+        moved.count()
     }
 
     /// The keys of `target` in an `|S| ≥ 2` index over `graph`, each sorted:
@@ -693,89 +647,6 @@ fn graph_entries<'g>(
     }
 }
 
-/// Checks the entries a snapshot persisted for a global or unary index
-/// against the index's own entries, read off the graph it answers from,
-/// one entry at a time as they are read (snapshot load): nothing of them is
-/// kept but the histogram of their lengths. The verdict waits for
-/// [`GraphCheck::finish`], so that the section's own checks of every entry
-/// come first, as they did when the entries were read whole before they
-/// were compared.
-pub(crate) struct GraphCheck<'g> {
-    expected: Box<dyn Iterator<Item = (&'g [NodeId], Neighbors<'g>)> + 'g>,
-    histogram: Vec<usize>,
-    /// Where the persisted entries first parted from the graph's.
-    parted: Option<String>,
-}
-
-/// A key in a refusal: a unary key's one node, or the global empty key.
-fn key_name(key: &[NodeId]) -> String {
-    match key {
-        [o] => format!("node {o}"),
-        _ => format!("key {key:?}"),
-    }
-}
-
-impl<'g> GraphCheck<'g> {
-    /// A check of the global or unary `constraint`'s entries against
-    /// `graph`.
-    pub(crate) fn new(graph: &'g Graph, constraint: &AccessConstraint) -> Self {
-        GraphCheck {
-            expected: graph_entries(graph, constraint),
-            histogram: vec![0],
-            parted: None,
-        }
-    }
-
-    /// The next persisted entry, `key` with sorted `answers`.
-    pub(crate) fn entry(&mut self, key: &[NodeId], answers: &[NodeId]) {
-        count_length(&mut self.histogram, answers.len());
-        if self.parted.is_some() {
-            return;
-        }
-        self.parted = match self.expected.next() {
-            None => Some(format!("{} has no such entry", key_name(key))),
-            Some((at, expected)) if at != key || !expected.iter().eq(answers.iter().copied()) => {
-                Some(format!("the entries part at {}", key_name(at.min(key))))
-            }
-            Some(_) => None,
-        };
-    }
-
-    /// The index answering from `graph` once every persisted entry was
-    /// read, or an `Err` naming the first key where the persisted entries
-    /// and the graph's part.
-    pub(crate) fn finish(
-        mut self,
-        graph: &Arc<Graph>,
-        constraint: AccessConstraint,
-        cap: usize,
-    ) -> Result<ConstraintIndex, String> {
-        if let Some(at) = self.parted {
-            return Err(at);
-        }
-        if let Some((key, _)) = self.expected.next() {
-            return Err(format!("the entry of {} is missing", key_name(key)));
-        }
-        let entries = Entries::Graph(GraphHandle(Arc::clone(graph)));
-        let mut index = ConstraintIndex::with_entries(constraint, cap, entries);
-        index.lengths = lengths(self.histogram);
-        Ok(index)
-    }
-}
-
-/// Counts one answer list of `len` ids in a histogram indexed by length.
-fn count_length(histogram: &mut Vec<usize>, len: usize) {
-    histogram.resize(histogram.len().max(len + 1), 0);
-    histogram[len] += 1;
-}
-
-/// The answer-length counts of a histogram (`histogram[len]` keys have
-/// `len` answers), non-empty lists only.
-fn lengths(histogram: Vec<usize>) -> BTreeMap<usize, usize> {
-    let lengths = histogram.into_iter().enumerate().skip(1);
-    lengths.filter(|&(_, keys)| keys > 0).collect()
-}
-
 /// One [`ConstraintIndex`] per constraint of an [`AccessSchema`].
 ///
 /// Cloning is `O(||A||)`: the schema and every index are shared, and
@@ -796,10 +667,9 @@ impl AccessIndexSet {
     /// is remembered by every index, so incremental maintenance refreshes
     /// contributions under the same cap as a fresh build.
     ///
-    /// The global and unary indices share one handle on `graph`; the unary
-    /// ones take their answer-length histograms from the one statistics
-    /// pass of this graph version, which schema discovery has usually made
-    /// already.
+    /// The global and unary indices share one handle on `graph`, whose
+    /// statistics pass — which schema discovery has usually made already —
+    /// the unary ones read their cardinality figures from when asked.
     pub fn build_with_cap(graph: &Graph, schema: &AccessSchema, cap: usize) -> Self {
         let mut shared: Option<Arc<Graph>> = None;
         let indices = schema
@@ -1102,7 +972,16 @@ mod tests {
     /// its contribution.
     fn assert_same_content(a: &ConstraintIndex, b: &ConstraintIndex, graph: &Graph, ctx: &str) {
         assert!(a.entries().eq(b.entries()), "entries ({ctx})");
-        assert_eq!(a.lengths, b.lengths, "lengths ({ctx})");
+        // The figures read off the graph's statistics or bucket are those
+        // of the entries themselves.
+        let (mut keys, mut largest, mut ids) = (0, 0, 0);
+        for (key, answers) in a.entries() {
+            (keys, largest) = (keys + 1, largest.max(answers.len()));
+            ids += key.len() + answers.len();
+        }
+        assert_eq!(a.max_cardinality(), largest, "max of the entries ({ctx})");
+        assert_eq!(a.key_count(), keys, "entry count ({ctx})");
+        assert_eq!(a.size(), ids, "ids of the entries ({ctx})");
         assert_eq!(a.max_cardinality(), b.max_cardinality(), "max ({ctx})");
         assert_eq!(a.is_truncated(), b.is_truncated(), "truncated ({ctx})");
         assert_eq!(a.key_count(), b.key_count(), "key count ({ctx})");

@@ -7,12 +7,12 @@
 //!
 //! A **global** or **unary** constraint's answers are the graph's own label
 //! bucket or segments of its adjacency rows, so the graph's mutation
-//! already maintained them. What [`apply_deltas`] keeps for such an index
-//! is the histogram of answer-list lengths behind `max_cardinality`: it
-//! moves the index to the new graph and reads, on the old version and the
-//! new, the length of the global key's bucket, or the answer list of each
-//! node of `ΔG` carrying the unary source label — two segment lookups per
-//! node and version, nothing else read, so a hub is never rescanned.
+//! already maintained them. [`apply_deltas`] moves such an index to the new
+//! graph — a handle swap — and counts the nodes of `ΔG` carrying its keyed
+//! label on either version, one label read per node: no answer list is
+//! read, so a hub is never rescanned, and the index keeps no figures about
+//! its lists to bring up to date (its `max_cardinality` is read off the
+//! graph when asked).
 //!
 //! An `|S| ≥ 2` constraint stores, for `S → (l, N)`, the contribution of
 //! every `l`-labeled node `u`: the set of `S`-labeled neighbor combinations
@@ -121,8 +121,8 @@ pub struct MaintenanceStats {
     /// per `|S| ≥ 2` constraint whose target label the node carries or
     /// that still lists the node, one per global constraint whose target
     /// label it carries (or carried), its bucket membership, and one per
-    /// unary constraint whose source label it carries (or carried), whose
-    /// answer list is re-measured.
+    /// unary constraint whose source label it carries (or carried), its
+    /// answer list.
     pub refreshed_contributions: usize,
 }
 
@@ -140,10 +140,10 @@ pub fn apply_delta(
 /// Applies a batch of deltas at once; the contribution of each affected node
 /// is repaired a single time per index.
 ///
-/// A global or unary index moves to `new_graph` and re-reads its lengths
-/// (see the module docs). In an `|S| ≥ 2` index a node is
-/// repaired when it currently carries the target label **or** when it
-/// previously contributed — the latter covers deleted nodes, whose stale
+/// A global or unary index moves to `new_graph` (see the module docs). In
+/// an `|S| ≥ 2` index a node is repaired when it currently carries the
+/// target label **or** when it previously contributed — the latter covers
+/// deleted nodes, whose stale
 /// contributions must be removed even though a tombstone's label matches no
 /// target. Repairs are idempotent, independent of the order of the batch,
 /// and run under the combination cap each index was built with, so a
@@ -457,8 +457,8 @@ mod tests {
         assert_equivalent_to_rebuild(&indices, &g);
     }
 
-    /// One edge at a hub target re-measures one answer list: maintaining a
-    /// shared clone measures the new post (not the hub's 2 000 other
+    /// One edge at a hub target refreshes one contribution: maintaining a
+    /// shared clone counts the new post (not the hub's 2 000 other
     /// sources), copies no index page — a unary index keeps none — and
     /// re-applying the same delta changes nothing.
     #[test]
@@ -496,7 +496,7 @@ mod tests {
             old
         });
 
-        // Idempotent: the lists already have the new graph's lengths.
+        // Idempotent: the index already answers from the new graph.
         apply_deltas(&mut next, &g, &deltas);
         assert_equivalent_to_rebuild(&next, &g);
     }

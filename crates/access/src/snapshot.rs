@@ -9,20 +9,17 @@
 //!
 //! * the `Schema` section stores each constraint `S → (l, N)` as label ids
 //!   against the graph's own interner;
-//! * the `Indices` section stores, per constraint, the full key → answer
-//!   map plus the per-node combination cap and the set of capped target
-//!   nodes — enough to reproduce the exact [`ConstraintIndex`] a fresh
-//!   build would produce, including its `is_truncated` verdict.
+//! * the `Indices` section stores one record per constraint: the per-node
+//!   combination cap, the set of capped target nodes and the key → answer
+//!   entries. An `|S| ≥ 2` record holds its full map — enough to reproduce
+//!   the exact [`ConstraintIndex`] a fresh build would produce, including
+//!   its `is_truncated` verdict.
 //!
 //! A global or unary index's entries are the graph's own label bucket or
-//! adjacency segments, so its part of the `Indices` section is **derived,
-//! checked and dropped**: the writer emits the entries the graph gives (the
-//! bytes of format version 1, unchanged), and the reader checks the
-//! persisted entries against the index's own and keeps nothing of them but
-//! their length counts. A file whose global or unary entries disagree with
-//! its graph — edited, or written by a build whose cap truncated unary
-//! indices (such a file also lists capped targets for them) — is refused as
-//! corrupt, with a message saying to recompile it.
+//! adjacency segments, and it never truncates, so its record is its cap
+//! alone (16 bytes): format 2 writes no entries and no capped targets for
+//! it, whatever `|G|` is, and refuses a record that carries either as
+//! corrupt, with a word to recompile the file.
 //!
 //! Loading re-validates everything against the graph decoded from the same
 //! container (label ids interned, node ids live and carrying the labels the
@@ -34,7 +31,7 @@
 //! contradict without a rebuild, and loads.
 
 use crate::constraint::AccessConstraint;
-use crate::index::{AccessIndexSet, ConstraintIndex, GraphCheck};
+use crate::index::{AccessIndexSet, ConstraintIndex};
 use crate::schema::AccessSchema;
 use bgpq_graph::io::snapshot::{
     decode_graph, encode_graph, Section, SectionReader, SectionWriter, SnapshotArchive,
@@ -163,6 +160,11 @@ fn encode_indices(indices: &AccessIndexSet) -> SectionWriter {
         for v in capped {
             w.put_u32(v.0);
         }
+        // A global or unary index's entries are the graph's.
+        if index.constraint().source_len() <= 1 {
+            w.put_u32(0);
+            continue;
+        }
         // Entries come in increasing key order, so identical indices
         // serialize identically.
         w.put_u32(index.key_count() as u32);
@@ -216,14 +218,13 @@ fn read_sorted_ids(
 }
 
 /// Decodes the `Indices` section against the graph and schema decoded from
-/// the same archive, rebuilding the per-target bookkeeping and cardinality
-/// counts that are derivable from the persisted entries. Each index's
-/// entries must come in strictly increasing key order, as
-/// [`write_snapshot`] writes them: a repeated or out-of-order key is
-/// refused as corrupt. A global or unary index's entries must be exactly
-/// those the graph gives, with no capped target; they are then dropped, and
-/// a mismatch is refused as corrupt with a word to recompile the file. An
-/// `|S| ≥ 2` answer must neighbour every node of its key.
+/// the same archive, rebuilding the per-target bookkeeping that is
+/// derivable from the persisted entries. Each index's entries must come in
+/// strictly increasing key order, as [`write_snapshot`] writes them: a
+/// repeated or out-of-order key is refused as corrupt. A global or unary
+/// record must carry no entries and no capped target — the index answers
+/// from the graph — or it is refused as corrupt with a word to recompile
+/// the file. An `|S| ≥ 2` answer must neighbour every node of its key.
 pub fn decode_indices(
     archive: &SnapshotArchive,
     graph: &Graph,
@@ -242,8 +243,6 @@ pub fn decode_indices(
     let mut indices = Vec::with_capacity(count);
     // Every entry's key and then its answers in one flat id list, and one
     // `(start, mid, end)` span per entry; both buffers serve every index.
-    // A global or unary index's entries are checked against the graph as
-    // they are read and then dropped, so they never fill the buffers.
     let (mut ids, mut spans, mut previous) = (Vec::new(), Vec::new(), Vec::new());
     // The graph the global and unary indices answer from, made for the
     // first index.
@@ -251,6 +250,17 @@ pub fn decode_indices(
     for constraint in schema.iter() {
         let cap = r.read_count()?;
         let capped_len = r.read_u32()? as usize;
+        let kind = match constraint.source_len() {
+            0 => Some("global"),
+            1 => Some("unary"),
+            _ => None,
+        };
+        if let Some(kind) = kind.filter(|_| capped_len > 0) {
+            return Err(r.corrupt(format!(
+                "the {kind} index of {constraint} lists capped targets, but it never \
+                 truncates; recompile the snapshot"
+            )));
+        }
         let mut capped = Vec::new();
         read_sorted_ids(
             &mut r,
@@ -259,18 +269,6 @@ pub fn decode_indices(
             "capped-target list",
             &mut capped,
         )?;
-
-        if constraint.is_global() && !capped.is_empty() {
-            return Err(r.corrupt(format!(
-                "the global index of {constraint} lists capped targets"
-            )));
-        }
-        if constraint.source_len() == 1 && !capped.is_empty() {
-            return Err(r.corrupt(format!(
-                "the unary index of {constraint} lists capped targets, written by a build \
-                 that truncated unary indices; recompile the snapshot"
-            )));
-        }
         if let Some(v) = capped
             .iter()
             .find(|&&v| graph.label(v) != constraint.target())
@@ -281,11 +279,18 @@ pub fn decode_indices(
         }
 
         let entry_count = r.read_u32()? as usize;
-        if constraint.is_global() && entry_count != 1 {
-            return Err(r.corrupt(format!("{entry_count} keys for the global {constraint}")));
+        if let Some(kind) = kind {
+            if entry_count > 0 {
+                return Err(r.corrupt(format!(
+                    "the {kind} index of {constraint} lists entries, but its entries are the \
+                     graph's; recompile the snapshot"
+                )));
+            }
+            let shared = shared.get_or_insert_with(|| Arc::new(graph.clone()));
+            let index = ConstraintIndex::on_graph(Arc::clone(shared), constraint.clone(), cap);
+            indices.push(index);
+            continue;
         }
-        let shared: &Arc<Graph> = shared.get_or_insert_with(|| Arc::new(graph.clone()));
-        let mut check = (constraint.source_len() <= 1).then(|| GraphCheck::new(shared, constraint));
         ids.clear();
         previous.clear();
         for entry in 0..entry_count {
@@ -309,9 +314,8 @@ pub fn decode_indices(
             previous.clear();
             previous.extend_from_slice(&ids[start..mid]);
             let ans_len = r.read_u32()? as usize;
-            // Only the global index's one key may be empty: maintenance
-            // drops any other key whose answers run out.
-            if ans_len == 0 && key_len > 0 {
+            // Maintenance drops a key whose answers run out.
+            if ans_len == 0 {
                 let key = &ids[start..mid];
                 return Err(r.corrupt(format!("index key {key:?} has no answers")));
             }
@@ -324,44 +328,18 @@ pub fn decode_indices(
                 }
             }
             let (key, answers) = ids[start..].split_at(mid - start);
-            match &mut check {
-                Some(check) => {
-                    check.entry(key, answers);
-                    ids.clear();
-                }
-                None => {
-                    // A segment lookup per answer and key node.
-                    for &t in answers {
-                        if let Some(v) = key.iter().find(|&&v| !graph.are_neighbors(v, t)) {
-                            return Err(r.corrupt(format!(
-                                "answer node {t} of key {key:?} is not a neighbour of {v}"
-                            )));
-                        }
-                    }
-                    spans.push((start, mid, ids.len()));
+            // A segment lookup per answer and key node.
+            for &t in answers {
+                if let Some(v) = key.iter().find(|&&v| !graph.are_neighbors(v, t)) {
+                    return Err(r.corrupt(format!(
+                        "answer node {t} of key {key:?} is not a neighbour of {v}"
+                    )));
                 }
             }
+            spans.push((start, mid, ids.len()));
         }
-        let index = match check {
-            None => {
-                ConstraintIndex::from_entries(constraint.clone(), cap, capped, &ids, &mut spans)
-            }
-            Some(check) => check
-                .finish(shared, constraint.clone(), cap)
-                .map_err(|at| {
-                    let (held, cause) = match constraint.source_len() {
-                        0 => ("label bucket", ""),
-                        _ => (
-                            "adjacency",
-                            ", or its unary index was truncated when it was written",
-                        ),
-                    };
-                    r.corrupt(format!(
-                        "the entries of {constraint} disagree with the {held} ({at}): the \
-                         file was edited{cause}; recompile the snapshot"
-                    ))
-                })?,
-        };
+        let index =
+            ConstraintIndex::from_entries(constraint.clone(), cap, capped, &ids, &mut spans);
         indices.push(index);
     }
     r.expect_end()?;
@@ -386,8 +364,13 @@ mod tests {
             b.add_edge(m, act).unwrap();
             b.add_edge(act, us).unwrap();
         }
+        // A second year with a movie of its own: a second pair key.
+        let y2 = b.add_node("year", Value::Int(2013));
+        let m = b.add_node("movie", Value::Int(3));
+        b.add_edge(y2, m).unwrap();
+        b.add_edge(a, m).unwrap();
         // A movie of no year: no pair key lists it.
-        b.add_node("movie", Value::Int(3));
+        b.add_node("movie", Value::Int(4));
         let g = b.build();
         let get = |n: &str| g.interner().get(n).unwrap();
         let schema = AccessSchema::from_constraints([
@@ -421,8 +404,9 @@ mod tests {
 
     /// `toy`'s snapshot bytes with the entries of index `edited` passed
     /// through `edit` before they are written, and `capped` written as its
-    /// capped targets (nothing is capped). Index 0 is global, 1 unary (three
-    /// one-id keys) and 2 a pair index (one key, three answers).
+    /// capped targets (nothing is capped). Index 0 is global and 1 unary,
+    /// whose records list no entries, and 2 a pair index (two keys, of three
+    /// answers and one).
     fn with_entries(
         edited: usize,
         capped: &[NodeId],
@@ -437,10 +421,10 @@ mod tests {
             let capped = if id.index() == edited { capped } else { &[] };
             w.put_u32(capped.len() as u32);
             capped.iter().for_each(|v| w.put_u32(v.0));
-            let entries = index
-                .entries()
-                .map(|(key, answers)| (key.to_vec(), answers.to_vec()));
-            let mut entries: Vec<(Vec<NodeId>, Vec<NodeId>)> = entries.collect();
+            let mut entries = match index.constraint().source_len() {
+                0 | 1 => Vec::new(),
+                _ => owned_entries(index),
+            };
             if id.index() == edited {
                 edit(&mut entries);
             }
@@ -459,17 +443,25 @@ mod tests {
         buf
     }
 
+    /// An index's entries as owned id lists, in key order.
+    fn owned_entries(index: &ConstraintIndex) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        let entries = index.entries();
+        entries
+            .map(|(key, answers)| (key.to_vec(), answers.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn index_keys_must_come_in_strictly_increasing_order() {
         // Unedited, the hand-written section is what `write_snapshot` writes.
         let (g, schema) = toy();
         let mut written = Vec::new();
         write_snapshot(&g, &AccessIndexSet::build(&g, &schema), &mut written).unwrap();
-        assert_eq!(with_entries(1, &[], |_| {}), written);
+        assert_eq!(with_entries(2, &[], |_| {}), written);
         assert!(read_snapshot(std::io::Cursor::new(written)).is_ok());
 
-        let duplicated = with_entries(1, &[], |entries| entries[1] = entries[0].clone());
-        let swapped = with_entries(1, &[], |entries| entries.swap(0, 1));
+        let duplicated = with_entries(2, &[], |entries| entries[1] = entries[0].clone());
+        let swapped = with_entries(2, &[], |entries| entries.swap(0, 1));
         for (what, bytes) in [
             ("a duplicated key", duplicated),
             ("a swapped pair", swapped),
@@ -484,18 +476,19 @@ mod tests {
         }
     }
 
-    /// A unary index's entries are the graph's adjacency segments, checked
-    /// and dropped: a key of another length, a key without answers, a
-    /// capped target (no unary index truncates), an entry missing and an
-    /// answer list that is not the node's segments are refused as corrupt,
-    /// the stale ones with a word to recompile. The other kinds are checked
-    /// too: a global index caps nothing and has its one key, whose answers
-    /// are the label's bucket; a pair key has answers, each a neighbour of
-    /// every node of the key; and a capped target of any index carries the
-    /// target label.
+    /// A global or unary record is its cap alone: the entries format 1
+    /// wrote for it (the label bucket, or the unary keys and their
+    /// adjacency segments), any other entry and any capped target are
+    /// refused as corrupt with a word to recompile. A pair record is
+    /// checked entry by entry: a key of another length, a key without
+    /// answers, an answer that is not a neighbour of every node of its key
+    /// and a capped target without the target label are refused.
     #[test]
     fn malformed_unary_entries_are_refused() {
-        let (g, _) = toy();
+        let (g, schema) = toy();
+        let built = AccessIndexSet::build(&g, &schema);
+        let format_1 = |id| owned_entries(built.get(crate::ConstraintId(id)).unwrap());
+        assert_eq!(format_1(1).len(), 3, "three movies with actors");
         let first = |label: &str| {
             *g.nodes_with_label(g.interner().get(label).unwrap())
                 .first()
@@ -505,34 +498,24 @@ mod tests {
         let lone = *movies.last().unwrap();
         let cases = [
             (
-                "an empty key",
-                with_entries(1, &[], |entries| entries[0].0.clear()),
-                "index key of 0 ids",
+                "the unary entries format 1 wrote",
+                with_entries(1, &[], |entries| *entries = format_1(1)),
+                "lists entries, but its entries are the graph's; recompile the snapshot",
             ),
             (
-                "a key without answers",
-                with_entries(1, &[], |entries| entries[0].1.clear()),
-                "has no answers",
+                "one unary entry",
+                with_entries(1, &[], |entries| entries.push(format_1(1)[0].clone())),
+                "the unary index of",
             ),
             (
                 "a unary target listed as capped",
                 with_entries(1, &[first("actor")], |_| {}),
-                "capped targets, written by a build that truncated unary indices; recompile",
+                "lists capped targets, but it never truncates; recompile the snapshot",
             ),
             (
-                "a unary entry missing",
-                with_entries(1, &[], |entries| drop(entries.remove(1))),
-                "disagree with the adjacency (the entries part at node",
-            ),
-            (
-                "a unary entry missing at the end",
-                with_entries(1, &[], |entries| drop(entries.pop())),
-                "is missing): the file was edited, or its unary index was truncated",
-            ),
-            (
-                "another node's answers",
-                with_entries(1, &[], |entries| entries[0].1 = entries[1].1.clone()),
-                "; recompile the snapshot",
+                "the global key format 1 wrote",
+                with_entries(0, &[], |entries| *entries = format_1(0)),
+                "the global index of",
             ),
             (
                 "a capped global index",
@@ -540,17 +523,9 @@ mod tests {
                 "lists capped targets",
             ),
             (
-                "a global index without its key",
-                with_entries(0, &[], |entries| entries.clear()),
-                "0 keys for the global",
-            ),
-            (
-                "a global entry short of the label bucket",
-                with_entries(0, &[], |entries| {
-                    entries[0].1.pop();
-                }),
-                "disagree with the label bucket (the entries part at key []): the file was \
-                 edited; recompile",
+                "an empty pair key",
+                with_entries(2, &[], |entries| entries[0].0.clear()),
+                "index key of 0 ids",
             ),
             (
                 "a pair answer that is not a neighbour of its key",

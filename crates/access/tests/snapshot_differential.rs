@@ -194,11 +194,11 @@ fn empty_schema_round_trips() {
     assert_index_sets_identical(&fresh, &bundle.indices);
 }
 
-/// A file written when unary indices truncated at the combination cap —
-/// `spoke → hub` at cap 4, each hub listed under its first 4 spokes, with
-/// or without the capped list that build kept — no longer matches its rows.
-/// Loading it fails with a typed error naming the `Indices` section and
-/// saying to recompile; the untruncated section is what the writer writes.
+/// A unary record is its cap alone: the writer lists no entries for
+/// `spoke → hub`. A record listing them — whole, as format 1 wrote them,
+/// or truncated at the combination cap, each hub under its first 4 spokes,
+/// with or without the capped list that build kept — fails to load with a
+/// typed error naming the `Indices` section and saying to recompile.
 #[test]
 fn a_unary_section_truncated_when_written_is_refused_with_a_word_to_recompile() {
     use bgpq_graph::io::snapshot::{
@@ -236,14 +236,14 @@ fn a_unary_section_truncated_when_written_is_refused_with_a_word_to_recompile() 
     };
     let archive = SnapshotArchive::from_bytes(written.clone()).unwrap();
     assert_eq!(
-        section(usize::MAX, &[]),
+        section(0, &[]),
         &*archive.require(Section::Indices).unwrap()
     );
-    for capped in [&hubs[..], &[]] {
+    for (cap, capped) in [(usize::MAX, &[][..]), (4, &hubs[..]), (4, &[])] {
         let mut w = SnapshotWriter::new();
         for (id, range) in archive.sections() {
             let payload = match id {
-                Section::Indices => section(4, capped),
+                Section::Indices => section(cap, capped),
                 _ => written[range].to_vec(),
             };
             w.add_section(id, payload);

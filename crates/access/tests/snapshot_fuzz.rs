@@ -7,7 +7,10 @@
 //! rewrites the container around it, so every checksum is right and only
 //! the decoder can object. A load must then return the original schema and
 //! indices, apart from the fields that carry no redundancy — a
-//! constraint's bound, an index's cap and its capped-target list, and a
+//! constraint's bound, an index's cap and its capped-target list, the
+//! labels of a constraint whose record lists no entries (a global or unary
+//! one, whose index is the graph's, so it must then equal a build of the
+//! constraint as loaded), and a
 //! pair index's answer lists beyond what the adjacency confirms: an answer
 //! dropped, or a capped target listed under another key it neighbours,
 //! loads, but never an answer that is not a common neighbour of its key —
@@ -66,20 +69,15 @@ fn sample_bundle() -> (Graph, AccessIndexSet) {
 /// Where `loaded` differs from the original `graph` and `indices`, if
 /// anywhere, bounds, caps and capped targets aside. A pair index is held
 /// to what its entries can be checked against: every answer a neighbour of
-/// each node of its key.
+/// each node of its key, and its constraint's labels unless it lists
+/// nothing. A global or unary index whose constraint was renamed is held to
+/// a build of the renamed constraint.
 fn difference(graph: &Graph, indices: &AccessIndexSet, loaded: &SnapshotBundle) -> Option<String> {
     if loaded.graph.node_count() != graph.node_count()
         || loaded.graph.edge_count() != graph.edge_count()
         || loaded.schema.len() != indices.schema().len()
     {
         return Some("counts".into());
-    }
-    let mut constraints = indices.schema().iter().zip(loaded.schema.iter());
-    let renamed = |(a, b): &(&AccessConstraint, &AccessConstraint)| {
-        a.source() != b.source() || a.target() != b.target()
-    };
-    if let Some((a, b)) = constraints.find(renamed) {
-        return Some(format!("constraint {a} loaded as {b}"));
     }
     for (id, original) in indices.iter() {
         let index = loaded.indices.get(id)?;
@@ -89,12 +87,24 @@ fn difference(graph: &Graph, indices: &AccessIndexSet, loaded: &SnapshotBundle) 
                 .map(|(key, answers)| (key.to_vec(), answers.to_vec()))
                 .collect()
         };
-        if original.constraint().source_len() >= 2 {
+        let (was, now) = (original.constraint(), index.constraint());
+        let renamed = was.source() != now.source() || was.target() != now.target();
+        if now.source_len() >= 2 {
+            if renamed && index.entries().next().is_some() {
+                return Some(format!("constraint {was} loaded as {now}, with entries"));
+            }
             for (key, answers) in entries(index) {
                 let apart = |&&t: &&NodeId| key.iter().any(|&v| !graph.are_neighbors(v, t));
                 if let Some(t) = answers.iter().find(apart) {
                     return Some(format!("answer {t} of key {key:?} is no common neighbour"));
                 }
+            }
+        } else if renamed {
+            let built = ConstraintIndex::build(&loaded.graph, now.clone());
+            if entries(index) != entries(&built)
+                || index.max_cardinality() != built.max_cardinality()
+            {
+                return Some(format!("the entries of {now}, renamed from {was}"));
             }
         } else if entries(index) != entries(original)
             || index.key_count() != original.key_count()

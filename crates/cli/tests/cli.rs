@@ -384,15 +384,26 @@ fn version_mismatched_snapshot_is_refused_clearly() {
         "--out",
         snap.to_str().unwrap(),
     ]);
+    let supported = bgpq_graph::io::snapshot::FORMAT_VERSION;
     let mut bytes = std::fs::read(&snap).unwrap();
-    bytes[8] = 99; // the version field follows the 8-byte magic
-    std::fs::write(&snap, &bytes).unwrap();
+    // A later format, and format 1, which stored derived data.
+    for found in [99, 1] {
+        bytes[8] = found; // the version field follows the 8-byte magic
+        std::fs::write(&snap, &bytes).unwrap();
 
-    let output = bgpq(&["load", snap.to_str().unwrap()]);
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("version 99"), "stderr was: {stderr}");
-    assert!(stderr.contains("version 1"), "stderr was: {stderr}");
+        let output = bgpq(&["load", snap.to_str().unwrap()]);
+        assert!(!output.status.success());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("version {found} ")),
+            "stderr was: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("version {supported})")),
+            "stderr was: {stderr}"
+        );
+        assert!(stderr.contains("bgpq compile"), "stderr was: {stderr}");
+    }
     std::fs::remove_file(snap).ok();
 }
 

@@ -13,7 +13,9 @@
 //! contributions, at both scales — and what a commit pays just
 //! to *share* the previous version is counted against its structural
 //! bound, one reference count per 64 pages. The graph's and the indices'
-//! storage per node stays in a constant band too, and every generated query
+//! storage per node stays in a constant band too, its bundle's `Indices`
+//! section stays at 32 bytes per constraint at most, with no label
+//! buckets written beside it, and every generated query
 //! plans against indices built at the default combination cap, since unary
 //! indices never truncate. A nightly `--ignored`
 //! smoke streams the full million-node scenario to verify the generator
@@ -23,6 +25,7 @@ use bgpq_engine::{
     discover_schema, plan_for_indices, AccessIndexSet, DiscoveryConfig, NodeId, QueryRequest,
     Semantics, StrategyKind, Value,
 };
+use bgpq_graph::io::snapshot::{Section, SnapshotArchive};
 use bgpq_graph::{SpineShape, PAGE_SIZE, SPINE_FANOUT};
 use bgpq_serve::{Server, Update};
 use bgpq_workload::{
@@ -110,6 +113,23 @@ fn measure(scale: usize) -> ScalePoint {
     assert_eq!(indices.storage_bytes(), 0, "index bytes (scale {scale})");
     let bytes = graph.storage_bytes() + indices.storage_bytes();
     let bytes_per_node = bytes as f64 / graph.node_count() as f64;
+    // Nor does its bundle: a global or unary record is its cap, 16 bytes
+    // whatever `|G|` is, and the label buckets are rebuilt from the labels.
+    let mut bundle = Vec::new();
+    bgpq_access::write_snapshot(&graph, &indices, &mut bundle).expect("the bundle writes");
+    let archive = SnapshotArchive::from_bytes(bundle).expect("the bundle reads");
+    let (_, range) = archive
+        .sections()
+        .find(|&(section, _)| section == Section::Indices)
+        .expect("a bundle has indices");
+    assert!(
+        range.len() <= 32 * schema.len(),
+        "a {}-byte Indices section for {} constraints (scale {scale})",
+        range.len(),
+        schema.len()
+    );
+    let retired = archive.sections().find(|(section, _)| section.id() == 6);
+    assert!(retired.is_none(), "a label-bucket section (scale {scale})");
     let edges = graph.edge_count();
     let config = WorkloadConfig {
         queries: 8,

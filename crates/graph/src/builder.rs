@@ -147,7 +147,7 @@ impl GraphBuilder {
             edges,
         } = self;
         values.extend(page);
-        let label_index = LabelIndex::build(&labels);
+        let label_index = LabelIndex::build(&labels, interner.len());
         let [out, inc] = Csr::both_directions(labels.len(), edges);
         let out = out.into_rows(&labels);
         let inc = inc.into_rows(&labels);

@@ -8,7 +8,7 @@
 //! whose on-disk layout mirrors the in-memory layout, so loading is a bulk
 //! read plus validation, with no per-node parsing.
 //!
-//! # Container layout (format version 1, all integers little-endian)
+//! # Container layout (format version 2, all integers little-endian)
 //!
 //! ```text
 //! offset 0   magic     8 bytes   b"BGPQSNAP"
@@ -35,7 +35,11 @@
 //! | `OutAdjacency` | CSR: `offsets: (n+1) x u64`, then targets `m x u32`,     |
 //! |                | each row sorted by id                                    |
 //! | `InAdjacency`  | same shape as `OutAdjacency`                             |
-//! | `LabelIndex`   | CSR of per-label sorted node-id buckets                  |
+//!
+//! A file stores only what the graph cannot derive: the label buckets
+//! (the global access indices) are rebuilt from `Labels` on load, one
+//! bucket per interned label, so a label whose last node was deleted keeps
+//! its empty bucket.
 //!
 //! In memory a row is sorted by `(neighbour label, id)` — each label's
 //! neighbours one segment, which is what lets the graph answer unary access
@@ -48,23 +52,21 @@
 //! `Schema` and `Indices` sections are written and read by `bgpq-access`,
 //! which layers access-schema and constraint-index serialization on top of
 //! this container (the section ids are reserved here so one table names
-//! every section). A unary index's entries in `Indices` are derived from
-//! the adjacency rows when written, and checked against them and dropped
-//! when read, so those bytes are unchanged; dropping them from the format
-//! is a later, declared version bump.
+//! every section). A global or unary index is the graph's label bucket or
+//! adjacency rows, so `Indices` holds no entries for it either.
 //!
-//! Section id **9 is retired, never to be reused**: builds that had
-//! partitioned execution wrote per-shard index blobs under it. It now
-//! decodes as [`Section::Unknown`]`(9)` — checksum-verified and skipped, so
-//! those files still open — and a new section must take a fresh id or old
-//! files would be misread.
+//! Section ids **6 and 9 are retired, never to be reused**. Format 1 wrote
+//! the label buckets under 6 (`Section::LabelIndex`), and builds that had
+//! partitioned execution wrote per-shard index blobs under 9. Both decode
+//! as [`Section::Unknown`] — checksum-verified and skipped — and a new
+//! section must take a fresh id. A format-1 file is refused as
+//! [`SnapshotError::UnsupportedVersion`], whose message says to recompile.
 //!
 //! Decoding validates structural invariants — adjacency sorted strictly
-//! by id, ids in bounds, in == transpose(out), label-index buckets
-//! consistent with the label assignment — and reports every failure as a
-//! typed [`SnapshotError`] naming the offending [`Section`]. Tombstoned
-//! slots are preserved exactly (unlike the text writer, which compacts
-//! ids), so a mutated graph round-trips with stable node ids.
+//! by id, ids in bounds, in == transpose(out) — and reports every failure
+//! as a typed [`SnapshotError`] naming the offending [`Section`].
+//! Tombstoned slots are preserved exactly (unlike the text writer, which
+//! compacts ids), so a mutated graph round-trips with stable node ids.
 //!
 //! **A load holds the graph and one section, nothing twice.** An archive
 //! opened from a file reads its header and section table and keeps the
@@ -75,10 +77,10 @@
 //! the in == transpose(out) check reads the in-adjacency bytes with one
 //! cursor per in-row against the out-pages already cut, so the
 //! out-section is gone by then. At its peak a load holds the graph, one
-//! section, a flat copy of the labels and one row or bucket of scratch:
-//! loading the 600k-node benchmark graph's 51.6 MB file peaks at 64.4 MB of
-//! RSS in a fresh process (111.6 MB when the archive was read whole), and
-//! the graph alone is 39 MB. An archive held in memory
+//! section, a flat copy of the labels and one row of scratch:
+//! loading the 600k-node benchmark graph's 31.6 MB file peaks at 49.1 MB of
+//! RSS in a fresh process (format 1's 51.6 MB file, 63.9 MB), and the
+//! graph alone is 39 MB. An archive held in memory
 //! ([`SnapshotArchive::from_bytes`]) is verified whole up front instead;
 //! a graph loaded from an opened bundle first checksums, one at a time, the
 //! schema and indices it does not decode, so either way a file is refused
@@ -103,7 +105,7 @@ use std::sync::{Mutex, PoisonError};
 pub const MAGIC: [u8; 8] = *b"BGPQSNAP";
 
 /// The container format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on the section count a reader accepts, so a corrupt header
 /// cannot request a gigantic table allocation.
@@ -127,8 +129,6 @@ pub enum Section {
     OutAdjacency,
     /// In-adjacency in CSR form.
     InAdjacency,
-    /// Label → sorted node-id buckets.
-    LabelIndex,
     /// Serialized access schema (written by `bgpq-access`).
     Schema,
     /// Serialized access indices (written by `bgpq-access`).
@@ -147,7 +147,6 @@ impl Section {
             Section::Values => 3,
             Section::OutAdjacency => 4,
             Section::InAdjacency => 5,
-            Section::LabelIndex => 6,
             Section::Schema => 7,
             Section::Indices => 8,
             Section::Unknown(id) => id,
@@ -162,7 +161,6 @@ impl Section {
             3 => Section::Values,
             4 => Section::OutAdjacency,
             5 => Section::InAdjacency,
-            6 => Section::LabelIndex,
             7 => Section::Schema,
             8 => Section::Indices,
             other => Section::Unknown(other),
@@ -179,7 +177,6 @@ impl Section {
             Section::Values => "values".into(),
             Section::OutAdjacency => "out-adjacency".into(),
             Section::InAdjacency => "in-adjacency".into(),
-            Section::LabelIndex => "label-index".into(),
             Section::Schema => "schema".into(),
             Section::Indices => "indices".into(),
             Section::Unknown(id) => format!("unknown section #{id}"),
@@ -756,7 +753,7 @@ const TAG_INT: u8 = 2;
 const TAG_FLOAT: u8 = 3;
 const TAG_STR: u8 = 4;
 
-/// Encodes the six graph sections of `graph` into `writer`.
+/// Encodes the five graph sections of `graph` into `writer`.
 pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
     let n = graph.labels.len();
 
@@ -809,32 +806,14 @@ pub fn encode_graph(graph: &Graph, writer: &mut SnapshotWriter) {
         Section::InAdjacency,
         encode_adjacency(&graph.inc).into_bytes(),
     );
-
-    // A chunked bucket is written as the one contiguous run it stands for.
-    let buckets = || graph.label_index.buckets().map(|(_, nodes)| nodes);
-    let ids = buckets().flat_map(|nodes| nodes.into_iter().copied());
-    let index = encode_csr(buckets().map(|nodes| nodes.len()), ids);
-    writer.add_section(Section::LabelIndex, index.into_bytes());
 }
 
-/// Writes the rows in id order, the layout the format has always had: a
-/// row held in `(label, id)` order is sorted by id on the way out.
+/// The CSR layout of an adjacency section: row count, id total, `count +
+/// 1` offsets, then the ids of each row in id order, the layout the format
+/// has always had — a row held in `(label, id)` order is sorted by id on
+/// the way out.
 fn encode_adjacency(rows: &Adjacency) -> SectionWriter {
-    let ids = rows.iter().flat_map(|row| {
-        let row = by_id(row);
-        (0..row.len()).map(move |i| row[i])
-    });
-    encode_csr(rows.iter().map(|row| row.len()), ids)
-}
-
-/// The CSR layout shared by the adjacency and label-index sections: row
-/// count, id total, `count + 1` offsets, then the ids, `lens[i]` of them
-/// for row `i`.
-fn encode_csr(
-    lens: impl Iterator<Item = usize>,
-    ids: impl Iterator<Item = NodeId>,
-) -> SectionWriter {
-    let lens: Vec<u64> = lens.map(|len| len as u64).collect();
+    let lens: Vec<u64> = rows.iter().map(|row| row.len() as u64).collect();
     let mut w = SectionWriter::new();
     w.put_u32(lens.len() as u32);
     w.put_u64(lens.iter().sum());
@@ -844,8 +823,9 @@ fn encode_csr(
         offset += len;
     }
     w.put_u64(offset);
-    for v in ids {
-        w.put_u32(v.0);
+    for row in rows.iter() {
+        let row = by_id(row);
+        (0..row.len()).for_each(|i| w.put_u32(row[i].0));
     }
     w
 }
@@ -988,13 +968,12 @@ impl<'a> CsrBytes<'a> {
 }
 
 /// The sections [`decode_graph`] reads.
-const GRAPH_SECTIONS: [Section; 6] = [
+const GRAPH_SECTIONS: [Section; 5] = [
     Section::Strings,
     Section::Labels,
     Section::Values,
     Section::OutAdjacency,
     Section::InAdjacency,
-    Section::LabelIndex,
 ];
 
 /// Rebuilds a [`Graph`] from the archive's graph sections, validating
@@ -1004,7 +983,8 @@ const GRAPH_SECTIONS: [Section; 6] = [
 /// Every section is decoded in place, straight into the graph's own
 /// arrays: what a load from an opened file holds at its peak is the graph
 /// plus the section being decoded (plus a flat copy of the labels and one
-/// row or bucket of scratch); from bytes, the whole archive.
+/// row of scratch); from bytes, the whole archive. The label buckets are
+/// rebuilt from the validated labels, one per interned label.
 pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
     // Strings → interner. A name takes at least its 4-byte length.
     let payload = archive.require(Section::Strings)?;
@@ -1125,66 +1105,14 @@ pub fn decode_graph(archive: &SnapshotArchive) -> Result<Graph, SnapshotError> {
 
     drop(payload);
 
-    // Label index: buckets must partition exactly the live nodes by label.
-    let payload = archive.require(Section::LabelIndex)?;
-    let mut r = SectionReader::new(Section::LabelIndex, &payload);
-    let bucket_count = r.read_u32()? as usize;
-    let total = r.read_u64()?;
-    let offsets = r.read_u64s(bucket_count + 1)?;
-    if offsets.clone().next() != Some(0) || offsets.clone().next_back() != Some(total) {
-        return Err(r.corrupt("offset array does not span the id array"));
-    }
-    let total_usize = usize::try_from(total)
-        .map_err(|_| r.corrupt(format!("label-index total {total} overflows")))?;
-    let mut ids = r.read_u32s(total_usize)?.map(NodeId);
-    r.expect_end()?;
-    if total_usize != node_count - dead_count {
-        return Err(SnapshotError::Corrupt {
-            section: Section::LabelIndex,
-            message: format!(
-                "index covers {total_usize} nodes but the graph has {} live nodes",
-                node_count - dead_count
-            ),
-        });
-    }
-    let mut label_index = LabelIndex::default();
-    let mut bucket = Vec::new();
-    for (b, (start, end)) in extents(offsets).enumerate() {
-        if start > end {
-            return Err(SnapshotError::Corrupt {
-                section: Section::LabelIndex,
-                message: format!("offsets of bucket {b} are not monotone"),
-            });
-        }
-        // Buckets are read in order from offset 0, so while the offsets
-        // ascend this is `ids[start..end]`.
-        bucket.clear();
-        bucket.extend(ids.by_ref().take((end - start) as usize));
-        if bucket.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return Err(SnapshotError::Corrupt {
-                section: Section::LabelIndex,
-                message: format!("bucket {b} is not sorted strictly"),
-            });
-        }
-        for &v in &bucket {
-            if v.index() >= node_count || labels[v.index()] != Label(b as u32) {
-                return Err(SnapshotError::Corrupt {
-                    section: Section::LabelIndex,
-                    message: format!("bucket {b} lists node {v} which does not carry label {b}"),
-                });
-            }
-        }
-        label_index.push_bucket(&bucket);
-    }
-
     Ok(Graph {
+        label_index: LabelIndex::build(&labels, interner.len()),
         interner,
         out,
         inc,
         labels: labels.into_iter().collect(),
         values,
         edge_count: out_total,
-        label_index,
         dead_count,
         row_ids_copied: 0,
         stats: Default::default(),
@@ -1438,6 +1366,9 @@ mod tests {
         .contains("version 3"));
         assert!(SnapshotError::NotASnapshot.to_string().contains("magic"));
         assert_eq!(Section::from_id(42), Section::Unknown(42));
+        // Retired ids: format 1's label buckets, and per-shard index blobs.
+        assert_eq!(Section::from_id(6), Section::Unknown(6));
+        assert_eq!(Section::from_id(9), Section::Unknown(9));
         assert!(Section::Unknown(42).to_string().contains("42"));
     }
 }

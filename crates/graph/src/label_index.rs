@@ -19,7 +19,7 @@
 
 use crate::chunked::Chunked;
 pub use crate::chunked::CHUNK_TARGET;
-use crate::graph::NodeId;
+use crate::graph::{NodeId, TOMBSTONE};
 use crate::label::Label;
 use crate::spine::{Spine, SpineShape};
 
@@ -37,19 +37,23 @@ pub struct LabelIndex {
 }
 
 impl LabelIndex {
-    /// Builds an index from a per-node label assignment.
-    pub fn build(labels: &[Label]) -> Self {
-        let max = labels.iter().map(|l| l.index() + 1).max().unwrap_or(0);
-        let mut buckets = vec![Vec::new(); max];
-        for (i, label) in labels.iter().enumerate() {
-            buckets[label.index()].push(NodeId(i as u32));
+    /// Builds an index of `width` buckets, one per label id below it, from
+    /// a per-node label assignment whose labels all lie below `width`; a
+    /// deleted slot (the tombstone label) is in no bucket. A graph builds
+    /// at its interner's width, so a label whose last node was deleted
+    /// keeps its empty bucket.
+    pub fn build(labels: &[Label], width: usize) -> Self {
+        let mut buckets = vec![Vec::new(); width];
+        for (i, &label) in labels.iter().enumerate() {
+            if label != TOMBSTONE {
+                buckets[label.index()].push(NodeId(i as u32));
+            }
         }
         // Node ids are pushed in increasing order, so each bucket is sorted.
-        let mut index = LabelIndex::default();
-        for bucket in &buckets {
-            index.push_bucket(bucket);
+        let buckets = buckets.iter().map(|bucket| Chunked::from_sorted(bucket));
+        LabelIndex {
+            buckets: buckets.collect(),
         }
-        index
     }
 
     /// All nodes carrying `label` (empty when the label is unused).
@@ -97,18 +101,10 @@ impl LabelIndex {
                 .is_some()
     }
 
-    /// The whole bucket table in label-id order, unused labels included —
-    /// the snapshot writer serializes it as one CSR section.
+    /// The whole bucket table in label-id order, unused labels included.
     pub(crate) fn buckets(&self) -> impl Iterator<Item = (Label, LabelNodes<'_>)> {
         let buckets = self.buckets.iter().enumerate();
         buckets.map(|(i, bucket)| (Label(i as u32), bucket.ids()))
-    }
-
-    /// Appends the bucket of the next label id (the build, and a snapshot
-    /// load bucket by bucket). The caller guarantees `nodes` is sorted,
-    /// deduplicated and lists exactly the nodes carrying that label.
-    pub(crate) fn push_bucket(&mut self, nodes: &[NodeId]) {
-        self.buckets.push(Chunked::from_sorted(nodes));
     }
 
     /// Chunks copied because a write found them still shared with another
@@ -137,25 +133,27 @@ mod tests {
 
     #[test]
     fn build_groups_nodes_by_label() {
-        let labels = vec![Label(0), Label(1), Label(0), Label(2), Label(1)];
-        let idx = LabelIndex::build(&labels);
+        // A deleted slot is in no bucket; label 3 is unused but kept.
+        let labels = vec![Label(0), Label(1), Label(0), Label(2), TOMBSTONE, Label(1)];
+        let idx = LabelIndex::build(&labels, 4);
         assert_eq!(idx.nodes(Label(0)), &[NodeId(0), NodeId(2)]);
-        assert_eq!(idx.nodes(Label(1)), &[NodeId(1), NodeId(4)]);
+        assert_eq!(idx.nodes(Label(1)), &[NodeId(1), NodeId(5)]);
         assert_eq!(idx.nodes(Label(2)), &[NodeId(3)]);
         assert_eq!(idx.count(Label(0)), 2);
         assert_eq!(idx.distinct_labels(), 3);
+        assert_eq!(idx.buckets().count(), 4, "one bucket per label id");
     }
 
     #[test]
     fn unknown_labels_are_empty() {
-        let idx = LabelIndex::build(&[Label(0)]);
+        let idx = LabelIndex::build(&[Label(0)], 1);
         assert!(idx.nodes(Label(5)).is_empty());
         assert_eq!(idx.count(Label(5)), 0);
     }
 
     #[test]
     fn empty_index() {
-        let idx = LabelIndex::build(&[]);
+        let idx = LabelIndex::build(&[], 0);
         assert_eq!(idx.distinct_labels(), 0);
         assert_eq!(idx.iter().count(), 0);
     }
@@ -164,14 +162,14 @@ mod tests {
     fn iter_skips_unused_labels() {
         // Label 1 never appears even though label 2 does.
         let labels = vec![Label(0), Label(2)];
-        let idx = LabelIndex::build(&labels);
+        let idx = LabelIndex::build(&labels, 3);
         let seen: Vec<u32> = idx.iter().map(|(l, _)| l.0).collect();
         assert_eq!(seen, vec![0, 2]);
     }
 
     #[test]
     fn insert_keeps_buckets_sorted_and_deduplicated() {
-        let mut idx = LabelIndex::build(&[Label(0), Label(0)]);
+        let mut idx = LabelIndex::build(&[Label(0), Label(0)], 1);
         idx.insert(Label(0), NodeId(5));
         idx.insert(Label(0), NodeId(3));
         idx.insert(Label(0), NodeId(3));
@@ -187,7 +185,7 @@ mod tests {
 
     #[test]
     fn remove_reports_presence() {
-        let mut idx = LabelIndex::build(&[Label(0), Label(1), Label(0)]);
+        let mut idx = LabelIndex::build(&[Label(0), Label(1), Label(0)], 2);
         assert!(idx.remove(Label(0), NodeId(0)));
         assert!(!idx.remove(Label(0), NodeId(0)));
         assert!(!idx.remove(Label(7), NodeId(0)));
@@ -262,7 +260,7 @@ mod tests {
     #[test]
     fn appends_fill_the_tail_chunk_and_split_it_at_twice_the_target() {
         let label = Label(0);
-        let mut idx = LabelIndex::build(&vec![label; CHUNK_TARGET + 1]);
+        let mut idx = LabelIndex::build(&vec![label; CHUNK_TARGET + 1], 1);
         let chunk_lens = |idx: &LabelIndex| -> Vec<usize> {
             let bucket = idx.buckets.leaf(0);
             bucket.chunks().iter().map(Vec::len).collect()

@@ -16,8 +16,9 @@
 //! are sorted by `(label, id)`, so a label's neighbours are one segment per
 //! direction whose length is read off its bounds, not counted entry by
 //! entry. Each `(l, l')` count lands in a histogram — the answer-length
-//! histogram of the unary constraint `l → (l', N)` — so the access indices
-//! of `bgpq-access` take their cardinality bookkeeping from this one pass.
+//! histogram of the unary constraint `l → (l', N)` — so the unary access
+//! indices of `bgpq-access` read their cardinality figures off this one
+//! pass.
 //! [`Graph::stats`] computes it once per graph version.
 
 use crate::graph::{Graph, NodeId};

@@ -155,15 +155,19 @@ fn damaged_magic_is_not_a_snapshot() {
 
 #[test]
 fn future_format_version_is_rejected_with_both_versions() {
-    let mut bytes = snapshot_bytes(&sample_graph());
-    bytes[MAGIC.len()] = 0x7B; // version field follows the magic
-    assert_eq!(
-        load(&bytes).unwrap_err(),
-        SnapshotError::UnsupportedVersion {
-            found: 0x7B,
-            supported: FORMAT_VERSION,
-        }
-    );
+    // A later format, and format 1, which stored the label buckets and the
+    // global and unary index entries.
+    for found in [0x7B, 1] {
+        let mut bytes = snapshot_bytes(&sample_graph());
+        bytes[MAGIC.len()] = found as u8; // version field follows the magic
+        assert_eq!(
+            load(&bytes).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found,
+                supported: 2,
+            }
+        );
+    }
 }
 
 /// Damaging the recorded checksum of each table entry (file offset
@@ -367,38 +371,25 @@ fn an_in_adjacency_that_is_not_the_transpose_is_rejected() {
     }
 }
 
-/// The loader cuts each label bucket into chunks, so it must have verified
-/// the run it cuts: swapping two ids of a bucket or repeating one — behind
-/// a correct checksum — is refused, naming the label index.
+/// Format 2 stores no label buckets: a graph whose last `l`-node was
+/// deleted still loads with one bucket per interned label.
 #[test]
-fn unsorted_or_duplicated_label_buckets_are_rejected() {
-    let bytes = snapshot_bytes(&sample_graph());
-    let table = section_table(&bytes);
-    let entry_index = table
-        .iter()
-        .position(|(s, _)| *s == Section::LabelIndex)
-        .expect("label index present");
-    let range = table[entry_index].1.clone();
-    // The payload ends with the last bucket's ids: … 34, 39.
-    let (prev_at, last_at) = (range.end - 8, range.end - 4);
-    let word = |copy: &[u8], at: usize| u32::from_le_bytes(copy[at..at + 4].try_into().unwrap());
-    assert_eq!((word(&bytes, prev_at), word(&bytes, last_at)), (34, 39));
-
-    for (prev, last) in [(39u32, 34u32), (34, 34), (39, 39)] {
-        let mut copy = bytes.clone();
-        copy[prev_at..prev_at + 4].copy_from_slice(&prev.to_le_bytes());
-        copy[last_at..last_at + 4].copy_from_slice(&last.to_le_bytes());
-        let fixed = checksum(&copy[range.clone()]);
-        let checksum_at = 16 + entry_index * 28 + 20;
-        copy[checksum_at..checksum_at + 8].copy_from_slice(&fixed.to_le_bytes());
-        match load(&copy).unwrap_err() {
-            SnapshotError::Corrupt { section, message } => {
-                assert_eq!(section, Section::LabelIndex);
-                assert!(message.contains("not sorted strictly"), "{message}");
-            }
-            other => panic!("({prev}, {last}): unexpected {other:?}"),
-        }
+fn buckets_are_rebuilt_from_the_labels_at_the_interner_width() {
+    let mut graph = sample_graph();
+    let lone = graph.insert_node("lone", Value::Null);
+    graph.delete_node(lone).unwrap();
+    let bytes = snapshot_bytes(&graph);
+    let ids: Vec<u32> = section_table(&bytes).iter().map(|(s, _)| s.id()).collect();
+    assert_eq!(ids, [1, 2, 3, 4, 5], "no retired section is written");
+    let loaded = load(&bytes).unwrap();
+    assert_eq!(loaded.interner(), graph.interner());
+    for (label, _) in graph.interner().iter() {
+        assert_eq!(
+            loaded.nodes_with_label(label),
+            graph.nodes_with_label(label)
+        );
     }
+    assert_eq!(loaded.spines()[4], graph.spines()[4], "the bucket table");
 }
 
 /// Error messages are actionable: they name the section in human-readable
@@ -406,9 +397,12 @@ fn unsorted_or_duplicated_label_buckets_are_rejected() {
 #[test]
 fn diagnostics_are_human_readable() {
     let truncated = SnapshotError::Truncated {
-        section: Section::LabelIndex,
+        section: Section::InAdjacency,
     };
-    assert!(truncated.to_string().contains("label-index"), "{truncated}");
+    assert!(
+        truncated.to_string().contains("in-adjacency"),
+        "{truncated}"
+    );
     let version = SnapshotError::UnsupportedVersion {
         found: 9,
         supported: FORMAT_VERSION,

@@ -285,7 +285,7 @@ fn assert_buckets_match_a_fresh_build(graph: &Graph, model: &Model, ctx: &str) {
         .iter()
         .map(|slot| slot.map_or(dead, |(name, _)| graph.interner().get(name).unwrap()))
         .collect();
-    let fresh = LabelIndex::build(&assignment);
+    let fresh = LabelIndex::build(&assignment, dead.index() + 1);
     for label in graph.interner().labels() {
         let chunked = graph.nodes_with_label(label);
         assert_eq!(chunked, fresh.nodes(label), "{ctx}: bucket of {label}");

@@ -339,6 +339,7 @@ fn scale_point(scale: usize) -> Json {
     );
     let graph_bytes_per_edge =
         rig.graph.storage_bytes() as f64 / rig.graph.edge_count().max(1) as f64;
+    let (file_bytes, load_ms) = bundle_file(&rig);
     let (mut graph, mut indices) = (Arc::new(rig.graph), rig.indices);
     let endpoints = |i| post_endpoints(&rig.users, &rig.tags, i);
     let post = |graph: &mut Graph, i| post_batch(graph, endpoints(i), scale + i);
@@ -495,6 +496,9 @@ fn scale_point(scale: usize) -> Json {
         ("index_ms", num(index_ms, 1)),
         ("index_mb", num(index_mb, 2)),
         ("graph_mb", num(graph_mb, 2)),
+        // The rig's bundle file and loading it; reported, not gated.
+        ("file_mb", num(mib(file_bytes), 2)),
+        ("load_ms", num(load_ms, 1)),
         // Counted, so seed-deterministic; the largest scale's is gated.
         ("graph_bytes_per_edge", num(graph_bytes_per_edge, 2)),
         // Reported, not gated: the rise depends on the allocator.
@@ -527,6 +531,25 @@ fn scale_point(scale: usize) -> Json {
         ("optvf2_over_bvf2", num(optvf2_us / bvf2_us, 2)),
         ("hit_speedup", num(bvf2_us / hit_us, 2)),
     ])
+}
+
+/// Rounds the rig bundle's `load_ms` is the minimum of.
+const BUNDLE_LOAD_ROUNDS: usize = 3;
+
+/// The rig's graph, schema and indices written to a file as `bgpq compile`
+/// writes them: the file's size in bytes, and the milliseconds
+/// `load_snapshot` takes to read it back (the fastest of
+/// [`BUNDLE_LOAD_ROUNDS`]).
+fn bundle_file(rig: &Rig) -> (usize, f64) {
+    let name = format!("bgpq_bench_rig_{}.bgpq", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    save_snapshot(&rig.graph, &rig.indices, &path).expect("write the rig's bundle");
+    let bytes = std::fs::metadata(&path)
+        .expect("the bundle was written")
+        .len();
+    let load_ms = min_ms(BUNDLE_LOAD_ROUNDS, || load_snapshot(&path).expect("loads"));
+    std::fs::remove_file(&path).ok();
+    (bytes as usize, load_ms)
 }
 
 /// `key` (dotted, like a gate's) of a row as a positive finite number.

@@ -22,8 +22,7 @@
 //!
 //! A global or unary index holds a handle on the graph version it describes
 //! and nothing else, and never truncates: every commit maintains the
-//! graph's buckets and rows, so the index costs nothing to keep, and a
-//! snapshot stores nothing of it but its cap.
+//! graph's buckets and rows, so the index costs nothing to keep.
 //!
 //! The experiments of the paper build these indices as MySQL tables; here
 //! they are in-memory structures with the same asymptotic access contract,
@@ -57,10 +56,15 @@
 //! ([`Graph::stats`], one pass per graph version, shared by its clones, the
 //! pass schema discovery makes too), and an `|S| ≥ 2` index's by walking
 //! its keys. Only offline callers ask — discovery, `check_schema`, reports
-//! — so a commit keeps no such figures. Snapshot decoding fills the
-//! `|S| ≥ 2` arrays from the entries it reads, which come in key order.
-//! Maintenance edits entries one at a time; `|S| ≥ 2` indices enumerate
-//! their combinations per target, in the build too.
+//! — so a commit keeps no such figures.
+//!
+//! **An `|S| ≥ 2` build is one sort.** Every target's keys — the
+//! `S`-labeled combinations of its neighbours, up to the cap — go into one
+//! flat buffer, the `(key, target)` records of all targets are sorted once,
+//! and the entries fill the arrays in key order. Maintenance enumerates one
+//! target's keys the same way and edits the entries it joined or left. A
+//! snapshot stores no entries: a bundle's indices are built when it loads
+//! ([`crate::snapshot`]).
 
 use crate::constraint::{AccessConstraint, ConstraintId};
 use crate::schema::AccessSchema;
@@ -185,6 +189,18 @@ impl ByFirst {
         }
     }
 
+    /// Appends the entry `key` → `answers`, both strictly increasing, the
+    /// key above every key indexed and the answers not empty, and lists
+    /// each answer under it: the build hands its entries over in key order.
+    fn push_entry(&mut self, key: &[NodeId], answers: &[NodeId]) {
+        let key = List::from(key);
+        for &t in answers {
+            self.targets.make_mut(t.index()).keys.push(Arc::clone(&key));
+        }
+        let slot = self.keys.make_mut(key[0].index());
+        slot.push((key, List::from(answers)));
+    }
+
     fn listing(&self, target: NodeId) -> Option<&Listing> {
         self.targets.get(target.index())
     }
@@ -216,58 +232,49 @@ impl ConstraintIndex {
     }
 
     /// Builds the index with an explicit combination cap per target node
-    /// (it bounds only the enumeration of an `|S| ≥ 2` index).
+    /// (it bounds only the enumeration of an `|S| ≥ 2` index). An `|S| ≥ 2`
+    /// build is one sort: every target's keys go into one flat buffer, the
+    /// `(key, target)` records are sorted once, and each run of one key is
+    /// an entry, handed to the arrays in key order.
     pub fn build_with_cap(graph: &Graph, constraint: AccessConstraint, cap: usize) -> Self {
         if constraint.source_len() <= 1 {
             return Self::on_graph(Arc::new(graph.clone()), constraint, cap);
         }
         let mut index = Self::empty(constraint, cap);
-        for &v in graph.nodes_with_label(index.constraint.target()) {
-            index.refresh_target(graph, v);
+        let width = index.constraint.source_len();
+        // Record `r` is the key `keys[r * width..][..width]` of `targets[r]`.
+        let (mut keys, mut targets, mut capped) = (Vec::new(), Vec::new(), Vec::new());
+        for &t in graph.nodes_with_label(index.constraint.target()) {
+            if index.combinations(graph, t, &mut keys) {
+                capped.push(t);
+            }
+            targets.resize(keys.len() / width, t);
+        }
+        let key = |r: u32| &keys[r as usize * width..][..width];
+        // Records come in target order: a tie on the key broken by record
+        // keeps each answer list sorted.
+        let mut order: Vec<u32> = (0..targets.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        let by_first = index.by_first();
+        let mut answers = Vec::new();
+        for (i, &r) in order.iter().enumerate() {
+            answers.push(targets[r as usize]);
+            if order.get(i + 1).map_or(true, |&next| key(next) != key(r)) {
+                by_first.push_entry(key(r), &answers);
+                answers.clear();
+            }
+        }
+        for t in capped {
+            by_first.targets.make_mut(t.index()).capped = true;
+            by_first.capped += 1;
         }
         index
     }
 
-    /// The global or unary index answering from `graph` (the build, and a
-    /// snapshot load).
-    pub(crate) fn on_graph(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
+    /// The global or unary index answering from `graph`.
+    fn on_graph(graph: Arc<Graph>, constraint: AccessConstraint, cap: usize) -> Self {
         debug_assert!(constraint.source_len() <= 1, "{constraint} has no graph");
         Self::with_entries(constraint, cap, Entries::Graph(GraphHandle(graph)))
-    }
-
-    /// The `|S| ≥ 2` index holding `spans` — each a key and then its
-    /// answers in the flat `ids` list, as `ids[start..mid]` and
-    /// `ids[mid..end]`, keys strictly increasing and both lists sorted
-    /// strictly — with its per-target bookkeeping derived from them and
-    /// `capped` as its capped targets (snapshot load). The spans are
-    /// drained. A global or unary index loads as
-    /// [`ConstraintIndex::on_graph`] instead.
-    pub(crate) fn from_entries(
-        constraint: AccessConstraint,
-        cap: usize,
-        capped: Vec<NodeId>,
-        ids: &[NodeId],
-        spans: &mut Vec<(usize, usize, usize)>,
-    ) -> Self {
-        // Keys come in increasing order, so their first ids never decrease
-        // and every slot is written in order.
-        let mut by_first = ByFirst {
-            capped: capped.len(),
-            ..ByFirst::default()
-        };
-        for (start, mid, end) in spans.drain(..) {
-            let key = List::from(&ids[start..mid]);
-            for &t in &ids[mid..end] {
-                let listing = by_first.targets.make_mut(t.index());
-                listing.keys.push(Arc::clone(&key));
-            }
-            let slot = by_first.keys.make_mut(ids[start].index());
-            slot.push((key, List::from(&ids[mid..end])));
-        }
-        for t in capped {
-            by_first.targets.make_mut(t.index()).capped = true;
-        }
-        Self::with_entries(constraint, cap, Entries::ByFirst(by_first))
     }
 
     /// An `|S| ≥ 2` index with no entries.
@@ -377,7 +384,8 @@ impl ConstraintIndex {
     }
 
     /// The target nodes whose enumeration hit the cap, sorted.
-    pub(crate) fn capped_targets(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    fn capped_targets(&self) -> Vec<NodeId> {
         match &self.entries {
             Entries::Graph(_) => Vec::new(),
             Entries::ByFirst(by_first) => {
@@ -526,19 +534,21 @@ impl ConstraintIndex {
     /// contribution: a tombstoned slot's label matches no constraint target.
     pub(crate) fn refresh_target(&mut self, graph: &Graph, target: NodeId) {
         let mut listed = self.by_first().unlist(target);
-        let (mut keys, capped) = self.combinations(graph, target);
+        let mut flat = Vec::new();
+        let capped = self.combinations(graph, target, &mut flat);
+        let mut keys: Vec<&[NodeId]> = flat.chunks_exact(self.constraint.source_len()).collect();
         listed.sort_unstable();
         keys.sort_unstable();
         for key in &listed {
-            if keys.binary_search_by(|k| k[..].cmp(key)).is_err() {
+            if keys.binary_search(&&key[..]).is_err() {
                 self.by_first().remove(key, target);
             }
         }
         let mut lists = Vec::with_capacity(keys.len());
         for key in keys {
-            match listed.binary_search_by(|k| k[..].cmp(&key)) {
+            match listed.binary_search_by(|k| k[..].cmp(key)) {
                 Ok(i) => lists.push(Arc::clone(&listed[i])),
-                Err(_) => lists.extend(self.by_first().insert(&key, target)),
+                Err(_) => lists.extend(self.by_first().insert(key, target)),
             }
         }
         if capped || !lists.is_empty() {
@@ -571,54 +581,67 @@ impl ConstraintIndex {
         moved.count()
     }
 
-    /// The keys of `target` in an `|S| ≥ 2` index over `graph`, each sorted:
-    /// every `S`-labeled combination of its neighbors, up to the cap, and
-    /// whether the cap cut them short. None when `target` does not carry
-    /// the target label.
-    fn combinations(&self, graph: &Graph, target: NodeId) -> (Vec<Vec<NodeId>>, bool) {
+    /// Appends the keys of `target` in an `|S| ≥ 2` index over `graph` to
+    /// `keys`, `|S|` ids each, each key sorted, and returns whether their
+    /// number reached the cap: every `S`-labeled combination of its
+    /// neighbours, up to the cap, none when `target` does not carry the
+    /// target label.
+    ///
+    /// A combination picks one neighbour per source label, the first label's
+    /// pick slowest, and the cap keeps the first `cap` of them. No node can
+    /// fill two roles of one combination: the source labels are distinct,
+    /// and a node carries one label.
+    fn combinations(&self, graph: &Graph, target: NodeId, keys: &mut Vec<NodeId>) -> bool {
         if graph.try_label(target) != Some(self.constraint.target()) {
-            return (Vec::new(), false);
+            return false;
         }
-        // The target's neighbors carrying each source label of the
-        // constraint: one run of its label-grouped neighbors each.
-        let mut per_label: Vec<Vec<NodeId>> = vec![Vec::new(); self.constraint.source_len()];
+        // The target's neighbours carrying each source label, in label
+        // order: one run of its label-grouped neighbours each, and a cursor
+        // in it.
+        let source = self.constraint.source();
+        let mut runs = Vec::with_capacity(source.len());
         for (label, run) in graph.neighbor_runs(target) {
-            if let Ok(pos) = self.constraint.source().binary_search(&label) {
-                per_label[pos].extend(run);
+            if source.binary_search(&label).is_ok() {
+                runs.push((run, run.iter()));
             }
         }
-        if per_label.iter().any(Vec::is_empty) {
-            return (Vec::new(), false); // `target` has no S-labeled neighbor set.
+        if runs.len() < source.len() {
+            return false; // `target` has no S-labeled neighbour set.
         }
-        let mut capped = false;
-        let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
-        for bucket in &per_label {
-            let mut next = Vec::with_capacity(combos.len() * bucket.len());
-            'outer: for combo in &combos {
-                for &candidate in bucket {
-                    if combo.contains(&candidate) {
-                        // A node cannot play two roles in the same S-labeled
-                        // set (|V_S| = |S| requires distinct nodes).
-                        continue;
+        let all = runs
+            .iter()
+            .map(|(run, _)| run.len())
+            .fold(1, usize::saturating_mul);
+        // A cap of 0 keeps one combination, as a cap of 1 does.
+        let (count, capped) = (all.min(self.cap.max(1)), all >= self.cap);
+        let (width, start) = (runs.len(), keys.len());
+        keys.reserve(count * width);
+        let first = runs
+            .iter_mut()
+            .map(|(_, picks)| picks.next().expect("a run"));
+        keys.extend(first);
+        for _ in 1..count {
+            // The next combination is the last with its picks advanced like
+            // an odometer's digits.
+            keys.extend_from_within(keys.len() - width..);
+            let at = keys.len() - width;
+            for (i, (run, picks)) in runs.iter_mut().enumerate().rev() {
+                match picks.next() {
+                    Some(v) => {
+                        keys[at + i] = v;
+                        break;
                     }
-                    let mut extended = combo.clone();
-                    extended.push(candidate);
-                    next.push(extended);
-                    if next.len() >= self.cap {
-                        capped = true;
-                        break 'outer;
+                    None => {
+                        *picks = run.iter();
+                        keys[at + i] = picks.next().expect("a run");
                     }
                 }
             }
-            combos = next;
-            if combos.is_empty() {
-                break;
-            }
         }
-        for key in &mut combos {
+        for key in keys[start..].chunks_exact_mut(width) {
             key.sort_unstable();
         }
-        (combos, capped)
+        capped
     }
 }
 
@@ -1203,12 +1226,12 @@ mod tests {
     /// The indices of every kind — unary, global and `|S| = 2` — equal the
     /// oracle through a stream of commits, under caps 1, 2 and none (the
     /// cap bounds the `|S| = 2` enumeration only; unary and global indices
-    /// never truncate, at any cap): the
-    /// maintained indices, maintenance replayed from empty on the new graph,
-    /// a fresh build and a snapshot round trip of the maintained set agree
-    /// entry by entry and node by node, and the maintained set writes the
-    /// fresh build's snapshot bytes. The decoded arrays also take the fresh
-    /// build's page layout.
+    /// never truncate, at any cap): the maintained indices, maintenance
+    /// replayed from empty on the new graph and a fresh build agree entry
+    /// by entry and node by node, and the build takes the replay's page
+    /// layout. The maintained set writes the fresh build's snapshot bytes,
+    /// and the snapshot loads as the build of the loaded graph and schema
+    /// at the default cap, page layout included.
     #[test]
     fn array_indices_equal_the_oracle_through_commits() {
         use crate::maintenance::apply_deltas;
@@ -1241,21 +1264,23 @@ mod tests {
                     let fresh = AccessIndexSet::build_with_cap(&g, &schema, cap);
                     let snapshot = |set: &AccessIndexSet| {
                         let mut bytes = Vec::new();
-                        write_snapshot(&g, set, &mut bytes).unwrap();
+                        write_snapshot(&g, set.schema(), &mut bytes).unwrap();
                         bytes
                     };
                     let written = snapshot(&maintained);
                     let ctx = format!("seed {seed}, cap {cap}, commit {commit}");
                     assert!(written == snapshot(&fresh), "snapshot bytes ({ctx})");
                     let loaded = read_snapshot(std::io::Cursor::new(written)).unwrap();
+                    let rebuilt = AccessIndexSet::build(&loaded.graph, &loaded.schema);
                     for (id, kept) in maintained.iter() {
                         let ctx = format!("{ctx}, {id} {}", kept.constraint());
                         let oracle = replayed(&g, kept.constraint().clone(), cap);
                         let fresh = fresh.get(id).unwrap();
                         assert_same_content(kept, &oracle, &g, &format!("maintained, {ctx}"));
-                        assert_same_content(fresh, &oracle, &g, &format!("fresh, {ctx}"));
+                        assert_same_index(fresh, &oracle, &g, &format!("fresh, {ctx}"));
                         let decoded = loaded.indices.get(id).unwrap();
-                        assert_same_index(decoded, fresh, &g, &format!("decoded, {ctx}"));
+                        let rebuilt = rebuilt.get(id).unwrap();
+                        assert_same_index(decoded, rebuilt, &g, &format!("decoded, {ctx}"));
                         if let Entries::ByFirst(by_first) = &fresh.entries {
                             let slot = std::mem::size_of::<Vec<(List, List)>>();
                             let dense = by_first.keys.pages().len() * slot * bgpq_graph::PAGE_SIZE;
@@ -1288,5 +1313,22 @@ mod tests {
             ConstraintIndex::build_with_cap(&g, AccessConstraint::new([x_l, y_l], hub_l, 1), 50);
         assert!(idx.is_truncated());
         assert!(idx.key_count() <= 50);
+        // The cap keeps the first `cap` of the 400 combinations, the first
+        // source label's pick slowest, and marks the index truncated once
+        // the product reaches it.
+        let (xs, ys) = (g.nodes_with_label(x_l), g.nodes_with_label(y_l));
+        let product: Vec<Vec<NodeId>> = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| vec![x.min(y), x.max(y)]))
+            .collect();
+        for cap in [1, 50, 400, 401] {
+            let constraint = AccessConstraint::new([x_l, y_l], hub_l, 1);
+            let idx = ConstraintIndex::build_with_cap(&g, constraint, cap);
+            let mut kept: Vec<Vec<NodeId>> = product.iter().take(cap).cloned().collect();
+            kept.sort_unstable();
+            let keys: Vec<Vec<NodeId>> = idx.entries().map(|(key, _)| key.to_vec()).collect();
+            assert_eq!(keys, kept, "cap {cap}");
+            assert_eq!(idx.is_truncated(), cap <= 400, "cap {cap}");
+        }
     }
 }

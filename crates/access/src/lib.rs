@@ -31,9 +31,9 @@
 //! * [`serialize`] — a line-oriented text format for schemas, so a
 //!   discovered schema can be shipped next to its dataset and reloaded
 //!   without another discovery pass;
-//! * [`snapshot`] — binary persistence of schema **and** built indices
-//!   inside the `.bgpq` container, so discovery and index construction are
-//!   genuinely one-time.
+//! * [`snapshot`] — binary persistence of the schema inside the `.bgpq`
+//!   container, so discovery is genuinely one-time; a loaded bundle's
+//!   indices are built over its graph and schema.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,12 @@
-//! Persisted-index differential suite: an [`AccessIndexSet`] deserialized
-//! from a snapshot must be indistinguishable from one freshly built over the
-//! same graph and schema — same entries, same caps, same truncation
-//! verdicts — across schema shapes, caps and graph mutations.
+//! Loaded-index differential suite: a bundle stores its graph and schema,
+//! and the [`AccessIndexSet`] a load builds must be indistinguishable from
+//! one freshly built over the same graph and schema at the default cap —
+//! same entries, same caps, same truncation verdicts — across schema
+//! shapes, caps and graph mutations.
 
 use bgpq_access::{
-    discover_schema, read_snapshot, write_snapshot, AccessIndexSet, DiscoveryConfig, SnapshotBundle,
+    discover_schema, read_snapshot, write_snapshot, AccessIndexSet, DiscoveryConfig,
+    SnapshotBundle, DEFAULT_MAX_COMBINATIONS_PER_NODE,
 };
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use std::io::Cursor;
@@ -62,10 +64,15 @@ fn assert_index_sets_identical(fresh: &AccessIndexSet, loaded: &AccessIndexSet) 
     }
 }
 
+/// The bundle of `graph` and `indices`' schema, written and read back. Its
+/// indices must be the build of the loaded graph and schema.
 fn round_trip(graph: &Graph, indices: &AccessIndexSet) -> SnapshotBundle {
     let mut buf = Vec::new();
-    write_snapshot(graph, indices, &mut buf).unwrap();
-    read_snapshot(Cursor::new(buf)).unwrap()
+    write_snapshot(graph, indices.schema(), &mut buf).unwrap();
+    let bundle = read_snapshot(Cursor::new(buf)).unwrap();
+    let rebuilt = AccessIndexSet::build(&bundle.graph, &bundle.schema);
+    assert_index_sets_identical(&rebuilt, &bundle.indices);
+    bundle
 }
 
 /// The movie/actor fixture with enough structure for discovery to find
@@ -93,12 +100,12 @@ fn fixture() -> Graph {
     b.build()
 }
 
-/// A star graph whose hub has more neighbor combinations than a small cap
-/// allows, forcing `is_truncated` on the grouped `{spoke, rim} → hub`
-/// constraint. Its two spoke labels alternate along the ids.
-fn hub_graph() -> Graph {
+/// A star graph whose hubs each have `spokes` neighbours, their two labels
+/// alternating along the ids: `(spokes / 2)²` combinations for the grouped
+/// `{spoke, rim} → hub` constraint, more than a small cap allows.
+fn hub_graph(spokes: i64) -> Graph {
     let mut b = GraphBuilder::new();
-    let spokes: Vec<NodeId> = (0..24)
+    let spokes: Vec<NodeId> = (0..spokes)
         .map(|i| b.add_node(["spoke", "rim"][i as usize % 2], Value::Int(i)))
         .collect();
     let hubs: Vec<NodeId> = (0..3).map(|i| b.add_node("hub", Value::Int(i))).collect();
@@ -121,12 +128,20 @@ fn discovered_schema_round_trips_identically() {
     assert_index_sets_identical(&fresh, &bundle.indices);
 }
 
+/// A hub with 65 spokes of each label has 4 225 combinations, past the
+/// default cap of 4 096: a loaded bundle's pair index is truncated, as a
+/// fresh build's is.
 #[test]
 fn truncated_indices_round_trip_with_their_verdicts() {
-    let graph = hub_graph();
-    let schema = discover_schema(&graph, &DiscoveryConfig::default());
-    // A tiny cap guarantees at least one index truncates on the hub graph.
-    let fresh = AccessIndexSet::build_with_cap(&graph, &schema, 4);
+    use bgpq_access::{AccessConstraint, AccessSchema};
+    let graph = hub_graph(130);
+    let label = |name| graph.interner().get(name).unwrap();
+    let schema = AccessSchema::from_constraints([
+        AccessConstraint::global(label("hub"), 3),
+        AccessConstraint::unary(label("spoke"), label("hub"), 3),
+        AccessConstraint::new([label("spoke"), label("rim")], label("hub"), 3),
+    ]);
+    let fresh = AccessIndexSet::build(&graph, &schema);
     assert!(
         fresh.iter().any(|(_, idx)| idx.is_truncated()),
         "fixture must force truncation (caps: {:?})",
@@ -136,22 +151,37 @@ fn truncated_indices_round_trip_with_their_verdicts() {
     assert_index_sets_identical(&fresh, &bundle.indices);
 }
 
+/// The cap stays out of the file: a set built at any cap writes the same
+/// bytes, and loads as the build at the default cap, truncated or not as
+/// that build is, whatever the cap of the set written was.
 #[test]
 fn several_caps_round_trip() {
-    let graph = hub_graph();
+    let graph = hub_graph(24);
     let schema = discover_schema(&graph, &DiscoveryConfig::default());
+    let at_default = AccessIndexSet::build(&graph, &schema);
+    assert!(at_default.iter().all(|(_, idx)| !idx.is_truncated()));
+    let mut files = Vec::new();
     for cap in [1usize, 2, 8, 64, 100_000] {
         let fresh = AccessIndexSet::build_with_cap(&graph, &schema, cap);
+        assert_eq!(fresh.iter().any(|(_, i)| i.is_truncated()), cap <= 144);
         let bundle = round_trip(&graph, &fresh);
-        assert_index_sets_identical(&fresh, &bundle.indices);
+        assert_index_sets_identical(&at_default, &bundle.indices);
+        let caps = bundle.indices.iter().map(|(_, i)| i.cap());
+        assert!(caps
+            .into_iter()
+            .all(|c| c == DEFAULT_MAX_COMBINATIONS_PER_NODE));
+        let mut bytes = Vec::new();
+        write_snapshot(&graph, fresh.schema(), &mut bytes).unwrap();
+        files.push(bytes);
     }
+    assert!(files.windows(2).all(|pair| pair[0] == pair[1]));
 }
 
 #[test]
 fn mutated_graph_round_trips_with_rebuilt_indices() {
     let mut graph = fixture();
     // Mutations leave tombstones behind; the snapshot must carry the graph
-    // slot-exactly so the persisted indices keep referring to valid ids.
+    // slot-exactly so the indices built at load keep the same node ids.
     let victim = graph
         .nodes()
         .find(|&v| graph.label_name(v) == "movie")
@@ -178,10 +208,6 @@ fn mutated_graph_round_trips_with_rebuilt_indices() {
         "slots survived"
     );
     assert_index_sets_identical(&fresh, &bundle.indices);
-    // And the loaded bundle's indices agree with a build over the *loaded*
-    // graph — ids in the persisted entries still mean the same nodes.
-    let rebuilt = AccessIndexSet::build(&bundle.graph, &bundle.schema);
-    assert_index_sets_identical(&rebuilt, &bundle.indices);
 }
 
 #[test]
@@ -192,70 +218,4 @@ fn empty_schema_round_trips() {
     let bundle = round_trip(&graph, &fresh);
     assert_eq!(bundle.schema.len(), 0);
     assert_index_sets_identical(&fresh, &bundle.indices);
-}
-
-/// A unary record is its cap alone: the writer lists no entries for
-/// `spoke → hub`. A record listing them — whole, as format 1 wrote them,
-/// or truncated at the combination cap, each hub under its first 4 spokes,
-/// with or without the capped list that build kept — fails to load with a
-/// typed error naming the `Indices` section and saying to recompile.
-#[test]
-fn a_unary_section_truncated_when_written_is_refused_with_a_word_to_recompile() {
-    use bgpq_graph::io::snapshot::{
-        Section, SectionWriter, SnapshotArchive, SnapshotError, SnapshotWriter,
-    };
-    let graph = hub_graph();
-    let (spoke, hub) = (graph.interner().get("spoke"), graph.interner().get("hub"));
-    let schema =
-        bgpq_access::AccessSchema::from_constraints([bgpq_access::AccessConstraint::unary(
-            spoke.unwrap(),
-            hub.unwrap(),
-            3,
-        )]);
-    let mut written = Vec::new();
-    let indices = AccessIndexSet::build_with_cap(&graph, &schema, 4);
-    write_snapshot(&graph, &indices, &mut written).unwrap();
-    let hubs = graph.nodes_with_label(hub.unwrap()).to_vec();
-    let spokes = graph.nodes_with_label(spoke.unwrap()).to_vec();
-    // Every spoke neighbours every hub: the first `cap` spokes list them all.
-    let section = |cap: usize, capped: &[NodeId]| {
-        let mut w = SectionWriter::new();
-        w.put_u32(1);
-        w.put_u64(4);
-        w.put_u32(capped.len() as u32);
-        capped.iter().for_each(|v| w.put_u32(v.0));
-        let listed = &spokes[..cap.min(spokes.len())];
-        w.put_u32(listed.len() as u32);
-        for o in listed {
-            w.put_u32(1);
-            w.put_u32(o.0);
-            w.put_u32(hubs.len() as u32);
-            hubs.iter().for_each(|v| w.put_u32(v.0));
-        }
-        w.into_bytes()
-    };
-    let archive = SnapshotArchive::from_bytes(written.clone()).unwrap();
-    assert_eq!(
-        section(0, &[]),
-        &*archive.require(Section::Indices).unwrap()
-    );
-    for (cap, capped) in [(usize::MAX, &[][..]), (4, &hubs[..]), (4, &[])] {
-        let mut w = SnapshotWriter::new();
-        for (id, range) in archive.sections() {
-            let payload = match id {
-                Section::Indices => section(cap, capped),
-                _ => written[range].to_vec(),
-            };
-            w.add_section(id, payload);
-        }
-        let mut stale = Vec::new();
-        w.write_to(&mut stale).unwrap();
-        match read_snapshot(Cursor::new(stale)) {
-            Err(SnapshotError::Corrupt { section, message }) => {
-                assert_eq!(section, Section::Indices);
-                assert!(message.contains("recompile the snapshot"), "{message}");
-            }
-            other => panic!("a truncated unary section must be refused, got {other:?}"),
-        }
-    }
 }

@@ -6,7 +6,8 @@
 //! deletion of a hub) are maintained version by version with
 //! [`apply_deltas`]; every version stays pinned, and once the stream is over
 //! each one must still equal a from-scratch rebuild over its own graph —
-//! every entry, cardinality, truncation verdict and contribution probe.
+//! every entry, cardinality, truncation verdict and contribution probe —
+//! and load from its snapshot as the build of the loaded graph and schema.
 //!
 //! The streams grow the `(user, tag) → item` index's arrays past their
 //! first page, and run once uncapped and once under a combination cap small
@@ -14,7 +15,8 @@
 //! own rows, so every pinned version of them reads its own graph.
 
 use bgpq_access::{
-    apply_deltas, AccessConstraint, AccessIndexSet, AccessSchema, ConstraintId, GraphDelta,
+    apply_deltas, read_snapshot, write_snapshot, AccessConstraint, AccessIndexSet, AccessSchema,
+    ConstraintId, GraphDelta, DEFAULT_MAX_COMBINATIONS_PER_NODE,
 };
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use bgpq_pattern::DetRng;
@@ -201,9 +203,16 @@ fn run_stream(seed: u64, cap: usize) {
         "seed {seed}: maintaining a shared set copies the pages it writes to"
     );
     // The point of the test: later commits changed nothing in older versions.
+    // Each also loads from its snapshot as the build of the loaded graph and
+    // schema.
     for (version, (graph, indices)) in versions.iter().enumerate() {
         let ctx = format!("seed {seed} cap {cap} pinned version {version}");
         assert_equals_rebuild(indices, graph, cap, &ctx);
+        let mut bytes = Vec::new();
+        write_snapshot(graph, indices.schema(), &mut bytes).unwrap();
+        let loaded = read_snapshot(std::io::Cursor::new(bytes)).unwrap();
+        let default = DEFAULT_MAX_COMBINATIONS_PER_NODE;
+        assert_equals_rebuild(&loaded.indices, &loaded.graph, default, &ctx);
     }
 }
 

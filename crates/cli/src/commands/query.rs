@@ -4,7 +4,6 @@ use super::{fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::open_input;
 use crate::render::{write_answer, AnswerView, BindingView, SimRowView};
-use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::{
     parse_pattern, Engine, QueryAnswer, QueryRequest, QueryRequestBuilder, QueryResponse,
     Semantics, StrategyKind,
@@ -24,11 +23,11 @@ const USAGE: &str = "USAGE: bgpq query <dataset|--snapshot FILE> --pattern FILE
 Loads the dataset, obtains an access schema (--schema FILE or discovery),
 builds an engine and executes the pattern file (see `bgpq-pattern::parse`
 for the syntax). A compiled snapshot input (--snapshot FILE, or a dataset
-path carrying the snapshot magic) supplies its embedded schema and indices,
-so no discovery or index build happens at query time. The engine picks the
-cheapest sound strategy — bounded bVF2/bSim when the pattern is effectively
-bounded under the schema — unless --strategy forces a tier. --explain
-prints the fetch plan or the planner's refusal.
+path carrying the snapshot magic) supplies its embedded schema, so no
+discovery happens at query time; its load builds the indices. The engine
+picks the cheapest sound strategy — bounded bVF2/bSim when the pattern is
+effectively bounded under the schema — unless --strategy forces a tier.
+--explain prints the fetch plan or the planner's refusal.
 
 --workload FILE (instead of --pattern) runs every query of a `bgpq
 workload` manifest closed-loop through the engine and reports latency
@@ -74,7 +73,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         step_budget: args.parsed("step-budget")?,
     };
 
-    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let input = open_input(&args, true)?;
     writeln!(out, "dataset {}", input.summary())?;
     let indices = input.indices.expect("indices requested");
     let engine = Engine::with_indices(input.graph, indices);

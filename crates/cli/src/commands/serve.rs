@@ -3,7 +3,6 @@
 use super::{commit_phases, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::open_input;
-use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::BudgetPolicy;
 use bgpq_net::{NetServer, NetServerConfig, DEFAULT_MAX_FRAME_BYTES};
 use bgpq_serve::Server;
@@ -62,7 +61,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let drain_after_ms: u64 = args.flag_or("drain-after-ms", 0u64)?;
     let name = args.flag("name").unwrap_or("bgpq-net").to_string();
 
-    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let input = open_input(&args, true)?;
     let summary = input.summary();
     let indices = input.indices.expect("indices requested");
     let server = Arc::new(Server::with_indices(input.graph, indices));

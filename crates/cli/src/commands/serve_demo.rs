@@ -4,7 +4,6 @@
 use super::{commit_phases, fmt_nanos, DISCOVERY_FLAGS, SIMPLE_SWITCH};
 use crate::args::Args;
 use crate::dataset::open_input;
-use bgpq_access::DEFAULT_MAX_COMBINATIONS_PER_NODE;
 use bgpq_engine::{parse_pattern, Graph, NodeId, PatternBuilder, Predicate, QueryRequest};
 use bgpq_pattern::{DetRng, Pattern};
 use bgpq_serve::{Server, Update};
@@ -22,7 +21,7 @@ Loads the dataset into the epoch-versioned server, then alternates scripted
 update batches (node/edge inserts, edge removals, occasional node removals)
 with read rounds, printing per-commit maintenance costs and closed-loop
 query throughput. A compiled snapshot input starts serving from its
-embedded schema and indices without rebuilding them. Without --pattern a
+embedded schema, over indices built when it loads. Without --pattern a
 two-node query over the dataset's most common edge label pair is used.";
 
 /// Runs the subcommand.
@@ -41,7 +40,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let queries: usize = args.flag_or("queries", 100)?;
     let seed: u64 = args.flag_or("seed", 42)?;
 
-    let input = open_input(&args, Some(DEFAULT_MAX_COMBINATIONS_PER_NODE))?;
+    let input = open_input(&args, true)?;
     let (graph, source) = (input.graph, input.source);
 
     if graph.live_node_count() == 0 {

@@ -87,7 +87,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         return Err("--bounded-fraction expects a value in [0, 1]".into());
     }
 
-    let input = open_input(&args, None)?;
+    let input = open_input(&args, false)?;
     let (graph, schema) = (&input.graph, &input.schema);
     match &input.source {
         GraphSource::Generated {

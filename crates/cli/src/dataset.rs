@@ -90,20 +90,22 @@ impl fmt::Display for Format {
 }
 
 /// A loaded dataset: the graph, the format it arrived in, and — when the
-/// source was a compiled snapshot — the schema and indices embedded in it.
+/// source was a compiled snapshot — the schema embedded in it and the
+/// indices built over both at load.
 pub struct LoadedDataset {
     /// The data graph.
     pub graph: Graph,
     /// The format the file was read as.
     pub format: Format,
-    /// Schema and pre-built indices carried by a compiled snapshot, absent
-    /// for line-oriented formats and graph-only snapshots.
+    /// The schema a compiled snapshot carries and the indices its load
+    /// built, absent for line-oriented formats and graph-only snapshots.
     pub embedded: Option<(AccessSchema, AccessIndexSet)>,
 }
 
 /// Loads a dataset, picking the reader from `format` (or content sniffing +
 /// extension when `None`). `edge_label` is the implicit node label of edge
-/// lists. Snapshot inputs surface their embedded schema and indices.
+/// lists. Snapshot inputs surface their embedded schema and the indices
+/// built over it at load.
 pub fn load_dataset_full(
     path: &Path,
     format: Option<Format>,
@@ -208,7 +210,7 @@ impl fmt::Display for GraphSource {
 
 /// Where a command's schema came from.
 pub(crate) enum SchemaSource {
-    /// Embedded in a compiled snapshot, together with its indices.
+    /// Embedded in a compiled snapshot, whose load built its indices.
     Embedded,
     /// Read from `--schema FILE`.
     File(PathBuf),
@@ -238,7 +240,7 @@ pub(crate) struct Input {
     pub(crate) schema: AccessSchema,
     /// Where the schema came from.
     pub(crate) schema_source: SchemaSource,
-    /// The indices: embedded in the snapshot, or built here when asked for.
+    /// The indices: built by a snapshot's load, or here when asked for.
     pub(crate) indices: Option<AccessIndexSet>,
     /// Time the index build took; `None` when nothing was built.
     pub(crate) index_nanos: Option<u64>,
@@ -262,11 +264,11 @@ impl Input {
 /// The front door of every command that needs a graph and its schema.
 ///
 /// The graph comes from the positional path, `--snapshot FILE`, or `--gen
-/// SCENARIO` (only for the commands that declare that flag). The schema and
-/// indices come from the snapshot when it embeds them; otherwise the schema
-/// is read from `--schema FILE` or discovered, and the indices are built
-/// with `index_cap` combinations per target node when it is `Some`.
-pub(crate) fn open_input(args: &Args, index_cap: Option<usize>) -> Result<Input, Box<dyn Error>> {
+/// SCENARIO` (only for the commands that declare that flag). The schema
+/// comes from the snapshot when it embeds one, and so do the indices, built
+/// when it loaded; otherwise the schema is read from `--schema FILE` or
+/// discovered, and the indices are built here when `build_indices` asks.
+pub(crate) fn open_input(args: &Args, build_indices: bool) -> Result<Input, Box<dyn Error>> {
     let started = Instant::now();
     let (graph, source, embedded) = match args.flag("gen") {
         Some(name) => {
@@ -315,13 +317,13 @@ pub(crate) fn open_input(args: &Args, index_cap: Option<usize>) -> Result<Input,
             (schema, SchemaSource::Discovered, None)
         }
     };
-    let (indices, index_nanos) = match (indices, index_cap) {
-        (None, Some(cap)) => {
+    let (indices, index_nanos) = match indices {
+        None if build_indices => {
             let started = Instant::now();
-            let indices = AccessIndexSet::build_with_cap(&graph, &schema, cap);
+            let indices = AccessIndexSet::build(&graph, &schema);
             (Some(indices), Some(started.elapsed().as_nanos() as u64))
         }
-        (indices, _) => (indices, None),
+        indices => (indices, None),
     };
     Ok(Input {
         graph,

@@ -206,16 +206,17 @@ fn bad_invocations_fail_cleanly() {
     let help = stdout_of(&["help"]);
     assert!(help.contains("USAGE"));
 
-    // Flags of the removed partitioned and batched execution paths, and of
-    // the worker pool `serve` no longer has, are refused by name, never
-    // silently ignored.
-    let removed: [(&[&str], &str); 11] = [
+    // Flags of the removed partitioned and batched execution paths, of
+    // the worker pool `serve` no longer has, and of the combination cap a
+    // bundle no longer stores, are refused by name, never silently ignored.
+    let removed: [(&[&str], &str); 12] = [
         (&["query", "data/social.tsv"], "--partitions"),
         (&["query", "data/social.tsv"], "--threads"),
         (&["query", "data/social.tsv"], "--scheme"),
         (&["compile", "data/social.tsv"], "--partitions"),
         (&["compile", "data/social.tsv"], "--threads"),
         (&["compile", "data/social.tsv"], "--scheme"),
+        (&["compile", "data/social.tsv"], "--cap"),
         (&["serve", "data/social.tsv"], "--partitions"),
         (&["serve", "data/social.tsv"], "--threads"),
         (&["serve", "data/social.tsv"], "--scheme"),
@@ -234,7 +235,8 @@ fn bad_invocations_fail_cleanly() {
 }
 
 /// `compile → query --snapshot` answers exactly like querying the text
-/// dataset, with no schema discovery or index build at query time.
+/// dataset, with no schema discovery at query time; the snapshot's load
+/// builds the indices.
 #[test]
 fn compile_then_query_snapshot_matches_text_path() {
     let datasets = [
@@ -283,9 +285,22 @@ fn compile_then_query_snapshot_matches_text_path() {
             "{dataset}: {from_snap}"
         );
 
-        // `index --snapshot` reports the persisted indices without a rebuild.
+        // `index --snapshot` reports the indices its load built, and they
+        // are those of the text path under the same schema.
         let index = stdout_of(&["index", "--snapshot", snap.to_str().unwrap()]);
-        assert!(index.contains("no rebuild"), "{dataset}: {index}");
+        assert!(index.contains("at load of snapshot"), "{dataset}: {index}");
+        let bundle = bgpq_access::load_snapshot(&snap).unwrap();
+        let rebuilt = bgpq_access::AccessIndexSet::build(&bundle.graph, &bundle.schema);
+        assert!(
+            bundle
+                .indices
+                .iter()
+                .zip(rebuilt.iter())
+                .all(|((_, a), (_, b))| {
+                    a.constraint() == b.constraint() && a.entries().eq(b.entries())
+                }),
+            "{dataset}: the loaded indices are not a build of the loaded graph and schema"
+        );
         std::fs::remove_file(snap).ok();
     }
 }
@@ -386,8 +401,8 @@ fn version_mismatched_snapshot_is_refused_clearly() {
     ]);
     let supported = bgpq_graph::io::snapshot::FORMAT_VERSION;
     let mut bytes = std::fs::read(&snap).unwrap();
-    // A later format, and format 1, which stored derived data.
-    for found in [99, 1] {
+    // A later format, and formats 1 and 2, which stored derived data.
+    for found in [99, 1, 2] {
         bytes[8] = found; // the version field follows the 8-byte magic
         std::fs::write(&snap, &bytes).unwrap();
 

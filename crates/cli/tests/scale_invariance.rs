@@ -13,9 +13,9 @@
 //! contributions, at both scales — and what a commit pays just
 //! to *share* the previous version is counted against its structural
 //! bound, one reference count per 64 pages. The graph's and the indices'
-//! storage per node stays in a constant band too, its bundle's `Indices`
-//! section stays at 32 bytes per constraint at most, with no label
-//! buckets written beside it, and every generated query
+//! storage per node stays in a constant band too, its bundle is the graph
+//! and the schema — no label buckets and no index entries — and every
+//! generated query
 //! plans against indices built at the default combination cap, since unary
 //! indices never truncate. A nightly `--ignored`
 //! smoke streams the full million-node scenario to verify the generator
@@ -113,23 +113,20 @@ fn measure(scale: usize) -> ScalePoint {
     assert_eq!(indices.storage_bytes(), 0, "index bytes (scale {scale})");
     let bytes = graph.storage_bytes() + indices.storage_bytes();
     let bytes_per_node = bytes as f64 / graph.node_count() as f64;
-    // Nor does its bundle: a global or unary record is its cap, 16 bytes
-    // whatever `|G|` is, and the label buckets are rebuilt from the labels.
+    // Nor does its bundle: it is the graph and the schema, and the label
+    // buckets and every index are rebuilt when it loads.
     let mut bundle = Vec::new();
-    bgpq_access::write_snapshot(&graph, &indices, &mut bundle).expect("the bundle writes");
+    bgpq_access::write_snapshot(&graph, &schema, &mut bundle).expect("the bundle writes");
     let archive = SnapshotArchive::from_bytes(bundle).expect("the bundle reads");
-    let (_, range) = archive
+    let ids: Vec<u32> = archive
         .sections()
-        .find(|&(section, _)| section == Section::Indices)
-        .expect("a bundle has indices");
-    assert!(
-        range.len() <= 32 * schema.len(),
-        "a {}-byte Indices section for {} constraints (scale {scale})",
-        range.len(),
-        schema.len()
-    );
-    let retired = archive.sections().find(|(section, _)| section.id() == 6);
-    assert!(retired.is_none(), "a label-bucket section (scale {scale})");
+        .map(|(section, _)| section.id())
+        .collect();
+    assert_eq!(ids, [1, 2, 3, 4, 5, 7], "bundle sections (scale {scale})");
+    for retired in [6, 8] {
+        assert!(!ids.contains(&retired), "section {retired} (scale {scale})");
+    }
+    assert!(archive.contains(Section::Schema));
     let edges = graph.edge_count();
     let config = WorkloadConfig {
         queries: 8,

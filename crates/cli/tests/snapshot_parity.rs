@@ -65,13 +65,19 @@ fn snapshot_and_text_engines_answer_identically_on_checked_in_queries() {
         // Path A: the graph as parsed, schema discovered, indices built now.
         let fresh = Engine::with_indices(graph.clone(), indices.clone());
         // Path B: compile to an in-memory snapshot, load it back, serve
-        // from the embedded schema and indices without rebuilding.
+        // from the embedded schema and the indices its load built.
         let mut bytes = Vec::new();
-        write_snapshot(&graph, &indices, &mut bytes)
+        write_snapshot(&graph, &schema, &mut bytes)
             .unwrap_or_else(|e| panic!("{}: compile: {e}", dataset.display()));
         let bundle = read_snapshot(Cursor::new(bytes))
             .unwrap_or_else(|e| panic!("{}: load: {e}", dataset.display()));
-        assert_eq!(bundle.schema.len(), schema.len(), "schema survived");
+        assert_eq!(bundle.schema, schema, "schema survived");
+        let rebuilt = AccessIndexSet::build(&bundle.graph, &bundle.schema);
+        for ((id, loaded), (_, built)) in bundle.indices.iter().zip(rebuilt.iter()) {
+            assert_eq!(loaded.constraint(), built.constraint(), "{id}");
+            assert!(loaded.entries().eq(built.entries()), "entries of {id}");
+            assert_eq!(loaded.is_truncated(), built.is_truncated(), "{id}");
+        }
         let snapped = Engine::from_snapshot(bundle);
 
         let text =
@@ -132,7 +138,7 @@ fn parity_survives_misleading_extensions() {
     // A `.tsv` name must not trick the loader into text parsing.
     let disguised = dir.join("disguised.tsv");
     let mut bytes = Vec::new();
-    write_snapshot(&graph, &indices, &mut bytes).unwrap();
+    write_snapshot(&graph, &schema, &mut bytes).unwrap();
     std::fs::write(&disguised, &bytes).unwrap();
 
     let (loaded, format) = load_dataset(&disguised, None, "node").unwrap();
@@ -163,15 +169,15 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// `.bgpq` bytes are a contract with every file already compiled in their
 /// format: how the indices store their entries in memory must not show in
-/// them. The digests are those of format 2 — no label buckets, and no
-/// entries for a global or unary index — for each dataset under its
+/// them. The digests are those of format 3 — the graph and the schema, no
+/// label buckets and no index entries — for each dataset under its
 /// discovered schema.
 #[test]
 fn saved_snapshots_of_the_checked_in_datasets_keep_their_bytes() {
     let expected = [
-        ("social.tsv", 0x476e_63d6_6bd0_72fc),
-        ("citation.jsonl", 0x750d_05e8_abd9_eb91),
-        ("products.jsonl", 0x0e2b_333b_f551_6dfd),
+        ("social.tsv", 0x8cf0_47d4_a0ae_9412),
+        ("citation.jsonl", 0xa252_9f8f_155d_4b80),
+        ("products.jsonl", 0x2345_1776_24d7_1fd5),
     ];
     let dir = std::env::temp_dir().join(format!("bgpq_snapshot_digest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -179,9 +185,8 @@ fn saved_snapshots_of_the_checked_in_datasets_keep_their_bytes() {
     for (name, _) in expected {
         let (graph, _) = load_dataset(&data_dir().join(name), None, "node").unwrap();
         let schema = discover_schema(&graph, &DiscoveryConfig::default());
-        let indices = AccessIndexSet::build(&graph, &schema);
         let path = dir.join(name).with_extension("bgpq");
-        save_snapshot(&graph, &indices, &path).unwrap();
+        save_snapshot(&graph, &schema, &path).unwrap();
         actual.push((name, fnv64(&std::fs::read(&path).unwrap())));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -193,7 +198,7 @@ fn saved_snapshots_of_the_checked_in_datasets_keep_their_bytes() {
 /// How a graph's lists are chunked does not show in its file: a graph
 /// grown by mutation — bucket and row chunks filled, split and copied on
 /// write along the way — compiles to the same bytes as the same content
-/// built in one go, indices included.
+/// built in one go, schema included.
 #[test]
 fn a_snapshot_written_after_chunked_mutation_is_byte_identical_to_a_fresh_build() {
     use bgpq_engine::{GraphBuilder, NodeId, Value};
@@ -244,9 +249,8 @@ fn a_snapshot_written_after_chunked_mutation_is_byte_identical_to_a_fresh_build(
 
     let compile = |graph: &bgpq_engine::Graph| {
         let schema = discover_schema(graph, &DiscoveryConfig::default());
-        let indices = AccessIndexSet::build(graph, &schema);
         let mut bytes = Vec::new();
-        write_snapshot(graph, &indices, &mut bytes).unwrap();
+        write_snapshot(graph, &schema, &mut bytes).unwrap();
         bytes
     };
     let (a, b) = (compile(&fresh), compile(&grown));

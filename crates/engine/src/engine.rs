@@ -148,10 +148,10 @@ impl Engine {
         }
     }
 
-    /// Creates an engine from a loaded snapshot bundle: the graph, schema
-    /// and indices come out of the container fully built, so no schema
-    /// discovery or index construction happens here — the preprocessing
-    /// cost was paid once, by `bgpq compile`.
+    /// Creates an engine from a loaded snapshot bundle: the graph and
+    /// schema come out of the container and the indices were built when it
+    /// loaded, so no schema discovery or index construction happens here —
+    /// discovery was paid once, by `bgpq compile`.
     pub fn from_snapshot(bundle: bgpq_access::SnapshotBundle) -> Self {
         Self::with_indices(bundle.graph, bundle.indices)
     }

@@ -8,7 +8,7 @@
 //! whose on-disk layout mirrors the in-memory layout, so loading is a bulk
 //! read plus validation, with no per-node parsing.
 //!
-//! # Container layout (format version 2, all integers little-endian)
+//! # Container layout (format version 3, all integers little-endian)
 //!
 //! ```text
 //! offset 0   magic     8 bytes   b"BGPQSNAP"
@@ -49,18 +49,19 @@
 //! ids (every scenario generator's) is in both orders at once, so its
 //! regrouping is one pass over the labels.
 //!
-//! `Schema` and `Indices` sections are written and read by `bgpq-access`,
-//! which layers access-schema and constraint-index serialization on top of
-//! this container (the section ids are reserved here so one table names
-//! every section). A global or unary index is the graph's label bucket or
-//! adjacency rows, so `Indices` holds no entries for it either.
+//! A bundle adds one section, `Schema`, written and read by `bgpq-access`
+//! (the id is reserved here so one table names every section). It stores
+//! no index: every access index is a function of the graph, its constraint
+//! and the combination cap, and is built when the bundle loads.
 //!
-//! Section ids **6 and 9 are retired, never to be reused**. Format 1 wrote
-//! the label buckets under 6 (`Section::LabelIndex`), and builds that had
-//! partitioned execution wrote per-shard index blobs under 9. Both decode
-//! as [`Section::Unknown`] — checksum-verified and skipped — and a new
-//! section must take a fresh id. A format-1 file is refused as
-//! [`SnapshotError::UnsupportedVersion`], whose message says to recompile.
+//! Section ids **6, 8 and 9 are retired, never to be reused**. Format 1
+//! wrote the label buckets under 6 (`Section::LabelIndex`), formats 1 and 2
+//! wrote the index entries under 8 (`Section::Indices`), and builds that had
+//! partitioned execution wrote per-shard index blobs under 9. All three
+//! decode as [`Section::Unknown`] — checksum-verified and skipped — and a
+//! new section must take a fresh id. A format-1 or format-2 file is refused
+//! as [`SnapshotError::UnsupportedVersion`], whose message says to
+//! recompile.
 //!
 //! Decoding validates structural invariants — adjacency sorted strictly
 //! by id, ids in bounds, in == transpose(out) — and reports every failure
@@ -82,9 +83,8 @@
 //! RSS in a fresh process (format 1's 51.6 MB file, 63.9 MB), and the
 //! graph alone is 39 MB. An archive held in memory
 //! ([`SnapshotArchive::from_bytes`]) is verified whole up front instead;
-//! a graph loaded from an opened bundle first checksums, one at a time, the
-//! schema and indices it does not decode, so either way a file is refused
-//! for the same damage.
+//! a graph loaded from an opened bundle first checksums the schema it does
+//! not decode, so either way a file is refused for the same damage.
 
 use crate::adjacency::Adjacency;
 use crate::builder::rows_from_csr;
@@ -105,7 +105,7 @@ use std::sync::{Mutex, PoisonError};
 pub const MAGIC: [u8; 8] = *b"BGPQSNAP";
 
 /// The container format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Hard cap on the section count a reader accepts, so a corrupt header
 /// cannot request a gigantic table allocation.
@@ -131,8 +131,6 @@ pub enum Section {
     InAdjacency,
     /// Serialized access schema (written by `bgpq-access`).
     Schema,
-    /// Serialized access indices (written by `bgpq-access`).
-    Indices,
     /// A section id this build does not know (skipped when reading).
     Unknown(u32),
 }
@@ -148,7 +146,6 @@ impl Section {
             Section::OutAdjacency => 4,
             Section::InAdjacency => 5,
             Section::Schema => 7,
-            Section::Indices => 8,
             Section::Unknown(id) => id,
         }
     }
@@ -162,7 +159,6 @@ impl Section {
             4 => Section::OutAdjacency,
             5 => Section::InAdjacency,
             7 => Section::Schema,
-            8 => Section::Indices,
             other => Section::Unknown(other),
         }
     }
@@ -178,7 +174,6 @@ impl Section {
             Section::OutAdjacency => "out-adjacency".into(),
             Section::InAdjacency => "in-adjacency".into(),
             Section::Schema => "schema".into(),
-            Section::Indices => "indices".into(),
             Section::Unknown(id) => format!("unknown section #{id}"),
         }
     }
@@ -384,7 +379,7 @@ impl SnapshotWriter {
 /// by [`SnapshotArchive::read`], once per call, so a decoder holds one
 /// section at a time and drops it when it is decoded. Sections no decoder
 /// reads ([`Section::Unknown`]) are checksummed by `open`, and a bundle's
-/// schema and indices by [`load_graph_snapshot`] when it decodes the graph
+/// schema by [`load_graph_snapshot`] when it decodes the graph
 /// alone, so an opened file is refused for any damage its bytes would be
 /// refused for.
 #[derive(Debug)]
@@ -490,7 +485,7 @@ impl SnapshotArchive {
 
     /// Reads and checksums, one at a time, the known sections listed here
     /// but not in `decoded`, the sections a decoder reading only those
-    /// skips (a bundle's schema and indices, for a graph). An archive held
+    /// skips (a bundle's schema, for a graph). An archive held
     /// in memory was verified whole, and an opened one's unknown sections
     /// by `open`.
     fn verify_skipped(&self, decoded: &[Section]) -> Result<(), SnapshotError> {
@@ -1144,7 +1139,7 @@ pub fn read_graph_snapshot<R: Read>(r: R) -> Result<Graph, SnapshotError> {
 }
 
 /// Loads the graph out of a snapshot file. The sections the graph does
-/// not use (a bundle's schema and indices) are read and checksummed first,
+/// not use (a bundle's schema) are read and checksummed first,
 /// one at a time, so the file is refused for what [`read_graph_snapshot`]
 /// refuses.
 pub fn load_graph_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
@@ -1304,7 +1299,6 @@ mod tests {
         let mut writer = SnapshotWriter::new();
         encode_graph(&sample_graph(), &mut writer);
         writer.add_section(Section::Schema, b"a bundle's schema".to_vec());
-        writer.add_section(Section::Indices, b"a bundle's indices".to_vec());
         writer.add_section(Section::Unknown(77), b"a later build's section".to_vec());
         writer.write_to(&mut clean).unwrap();
         let table: Vec<_> = SnapshotArchive::from_bytes(clean.clone())
@@ -1366,8 +1360,10 @@ mod tests {
         .contains("version 3"));
         assert!(SnapshotError::NotASnapshot.to_string().contains("magic"));
         assert_eq!(Section::from_id(42), Section::Unknown(42));
-        // Retired ids: format 1's label buckets, and per-shard index blobs.
+        // Retired ids: format 1's label buckets, formats 1 and 2's index
+        // entries, and per-shard index blobs.
         assert_eq!(Section::from_id(6), Section::Unknown(6));
+        assert_eq!(Section::from_id(8), Section::Unknown(8));
         assert_eq!(Section::from_id(9), Section::Unknown(9));
         assert!(Section::Unknown(42).to_string().contains("42"));
     }

@@ -1,7 +1,7 @@
 //! What the seeded snapshot fuzz suites share: an allocator that notes the
 //! largest request, a seeded generator, the mutation of one payload, and
 //! the container rewritten around it. `bgpq-graph`'s `snapshot_fuzz`
-//! mutates the graph sections, `bgpq-access`'s the schema and indices.
+//! mutates the graph sections, `bgpq-access`'s the schema.
 
 use bgpq_graph::io::snapshot::{Section, SnapshotArchive, SnapshotWriter};
 use std::alloc::{GlobalAlloc, Layout, System};

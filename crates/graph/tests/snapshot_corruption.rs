@@ -155,16 +155,16 @@ fn damaged_magic_is_not_a_snapshot() {
 
 #[test]
 fn future_format_version_is_rejected_with_both_versions() {
-    // A later format, and format 1, which stored the label buckets and the
-    // global and unary index entries.
-    for found in [0x7B, 1] {
+    // A later format; format 1, which stored the label buckets and every
+    // index's entries; and format 2, which stored the `|S| ≥ 2` entries.
+    for found in [0x7B, 1, 2] {
         let mut bytes = snapshot_bytes(&sample_graph());
         bytes[MAGIC.len()] = found as u8; // version field follows the magic
         assert_eq!(
             load(&bytes).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found,
-                supported: 2,
+                supported: 3,
             }
         );
     }

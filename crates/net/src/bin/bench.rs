@@ -536,14 +536,14 @@ fn scale_point(scale: usize) -> Json {
 /// Rounds the rig bundle's `load_ms` is the minimum of.
 const BUNDLE_LOAD_ROUNDS: usize = 3;
 
-/// The rig's graph, schema and indices written to a file as `bgpq compile`
-/// writes them: the file's size in bytes, and the milliseconds
-/// `load_snapshot` takes to read it back (the fastest of
+/// The rig's graph and schema written to a file as `bgpq compile` writes
+/// them: the file's size in bytes, and the milliseconds `load_snapshot`
+/// takes to read it back and build the indices (the fastest of
 /// [`BUNDLE_LOAD_ROUNDS`]).
 fn bundle_file(rig: &Rig) -> (usize, f64) {
     let name = format!("bgpq_bench_rig_{}.bgpq", std::process::id());
     let path = std::env::temp_dir().join(name);
-    save_snapshot(&rig.graph, &rig.indices, &path).expect("write the rig's bundle");
+    save_snapshot(&rig.graph, rig.indices.schema(), &path).expect("write the rig's bundle");
     let bytes = std::fs::metadata(&path)
         .expect("the bundle was written")
         .len();
@@ -628,8 +628,9 @@ const LOAD_RIG_SCALE: usize = 10_000;
 /// compiled binary snapshot: each checked-in dataset, and the `rig` graph
 /// written out in-process. `text_parse_ms` and `snapshot_load_ms` are like
 /// for like (both produce exactly a `Graph`); `bundle_load_ms` also restores
-/// the embedded schema and pre-built indices, which the text path would pay
-/// discovery and an index build for.
+/// the embedded schema, which the text path would pay discovery for, and
+/// builds the indices, as the text path does; `bundle_mb` is that file's
+/// size.
 fn snapshot_load(profile: &Profile) -> Json {
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
     let parse = |path: &Path| match path.extension() {
@@ -640,10 +641,10 @@ fn snapshot_load(profile: &Profile) -> Json {
     std::fs::create_dir_all(&tmp).expect("temp dir");
     let row = |path: &Path, graph: &Graph, config: &DiscoveryConfig| {
         let schema = discover_schema(graph, config);
-        let indices = AccessIndexSet::build(graph, &schema);
         let (graph_snap, bundle_snap) = (tmp.join("graph.bgpq"), tmp.join("bundle.bgpq"));
         save_graph_snapshot(graph, &graph_snap).expect("compile graph snapshot");
-        save_snapshot(graph, &indices, &bundle_snap).expect("compile bundle");
+        save_snapshot(graph, &schema, &bundle_snap).expect("compile bundle");
+        let bundle_bytes = std::fs::metadata(&bundle_snap).expect("the bundle").len();
         let rounds = profile.load_rounds;
         let text_parse_ms = min_ms(rounds, || parse(path));
         let snapshot_load_ms = min_ms(rounds, || load_graph_snapshot(&graph_snap).expect("loads"));
@@ -652,6 +653,10 @@ fn snapshot_load(profile: &Profile) -> Json {
             ("text_parse_ms", num(text_parse_ms, 3)),
             ("snapshot_load_ms", num(snapshot_load_ms, 3)),
             ("bundle_load_ms", num(bundle_load_ms, 3)),
+            (
+                "bundle_mb",
+                num(bundle_bytes as f64 / (1u64 << 20) as f64, 4),
+            ),
             ("speedup", num(text_parse_ms / snapshot_load_ms, 2)),
         ])
     };

@@ -267,8 +267,9 @@ impl Server {
     }
 
     /// Creates a server from a loaded snapshot bundle (`bgpq compile`
-    /// output): graph, schema and indices arrive fully built, so version 0
-    /// starts serving without any discovery or index-construction cost.
+    /// output): graph and schema arrive decoded and the indices built at
+    /// load, so version 0 starts serving without any discovery or
+    /// index-construction cost here.
     pub fn from_snapshot(bundle: bgpq_engine::SnapshotBundle) -> Self {
         Self::with_indices(bundle.graph, bundle.indices)
     }
